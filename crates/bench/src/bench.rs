@@ -12,9 +12,8 @@
 //!   baseline stays valid across hosts and CI runners.
 //! * **Host wall-clock statistics** — median/min/max/IQR over the
 //!   measured repetitions. These vary with the machine and its load,
-//!   so [`check`] never gates them; the opt-in [`check_wall`] gate
-//!   compares medians under a noise tolerance (percentage plus the
-//!   baseline's own IQR) for same-host runs such as CI wall gates.
+//!   so [`check`] never gates them; wall-clock questions belong to
+//!   the `benchmark/` harness (see `benchmark/README.md`).
 //!
 //! Reports round-trip through the hand-rolled [`Json`] tree under the
 //! `otter-bench/v1` schema, so `harness bench --check baseline.json`
@@ -413,46 +412,6 @@ pub fn check(baseline: &BenchReport, current: &BenchReport, tolerance_pct: f64) 
     regressions
 }
 
-/// Opt-in wall-clock gate: for every combination present in both
-/// reports, the current `wall_seconds` median must not exceed the
-/// baseline median by more than `wall_tolerance_pct` percent *plus*
-/// the baseline's IQR. The additive IQR term is the noise tolerance —
-/// a run whose median moved less than the baseline's own dispersion is
-/// indistinguishable from load jitter and must not fail a gate.
-///
-/// Only meaningful when baseline and current ran on comparable hosts
-/// (e.g. the same CI runner class); [`check`] deliberately excludes
-/// wall time for that reason. Combinations missing from `current` are
-/// flagged by [`check`], not here.
-pub fn check_wall(
-    baseline: &BenchReport,
-    current: &BenchReport,
-    wall_tolerance_pct: f64,
-) -> Vec<Regression> {
-    let allowed = 1.0 + wall_tolerance_pct / 100.0;
-    let mut regressions = Vec::new();
-    for b in &baseline.results {
-        let Some(c) = current
-            .results
-            .iter()
-            .find(|c| c.app == b.app && c.engine == b.engine && c.ranks == b.ranks)
-        else {
-            continue;
-        };
-        if c.wall.median > b.wall.median * allowed + b.wall.iqr {
-            regressions.push(Regression {
-                app: b.app.clone(),
-                engine: b.engine.clone(),
-                ranks: b.ranks,
-                what: "wall_seconds".to_string(),
-                baseline: b.wall.median,
-                current: c.wall.median,
-            });
-        }
-    }
-    regressions
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -550,37 +509,5 @@ mod tests {
     fn faster_is_never_a_regression() {
         let base = tiny_report(1.0, 100);
         assert!(check(&base, &tiny_report(0.2, 10), 0.0).is_empty());
-    }
-
-    fn with_wall(median: f64, iqr: f64) -> BenchReport {
-        let mut r = tiny_report(1.0, 100);
-        r.results[0].wall.median = median;
-        r.results[0].wall.iqr = iqr;
-        r
-    }
-
-    #[test]
-    fn wall_gate_tolerates_noise_but_catches_regressions() {
-        let base = with_wall(0.100, 0.010);
-        // Within pct tolerance + baseline IQR: jitter, not regression.
-        assert!(check_wall(&base, &with_wall(0.115, 0.0), 10.0).is_empty());
-        // Faster is never a regression.
-        assert!(check_wall(&base, &with_wall(0.020, 0.0), 0.0).is_empty());
-        // Past tolerance + IQR: flagged, against the wall median.
-        let slow = check_wall(&base, &with_wall(0.200, 0.0), 10.0);
-        assert_eq!(slow.len(), 1);
-        assert_eq!(slow[0].what, "wall_seconds");
-        assert_eq!(slow[0].baseline, 0.100);
-        assert_eq!(slow[0].current, 0.200);
-    }
-
-    #[test]
-    fn wall_gate_skips_missing_combinations() {
-        // `check` owns missing-combination reporting; the wall gate
-        // must not double-flag.
-        let base = with_wall(0.1, 0.0);
-        let mut cur = with_wall(0.1, 0.0);
-        cur.results[0].ranks = 8;
-        assert!(check_wall(&base, &cur, 10.0).is_empty());
     }
 }

@@ -35,10 +35,7 @@
 //! harness bench <app|all> [--ranks N[,N...]] [--workers W] [--repeat K]
 //!               [--warmup W] [--scale test|large|paper] [--json out.json]
 //!               [--check baseline.json] [--tolerance PCT]
-//!               [--wall-tolerance PCT]
 //!                                # statistical bench + regression gate
-//!                                # (--wall-tolerance also gates wall
-//!                                # medians, same-host baselines only)
 //! harness scale <app> [--ranks N[,N...]] [--workers W] [--json out.json]
 //!                                # virtual-rank sweep far past the paper's
 //!                                # 16 CPUs (default 64,256,1024,4096) on a
@@ -835,23 +832,22 @@ fn run_postmortem(args: &[String]) {
 
 /// `harness bench <app|all> [--ranks N] [--repeat K] [--warmup W]
 /// [--scale test|large|paper] [--json out.json] [--check baseline.json]
-/// [--tolerance PCT] [--wall-tolerance PCT]`:
+/// [--tolerance PCT]`:
 /// run the statistical bench (all three engines per app, K measured
 /// repetitions after W warmups), print the summary table, optionally
 /// export `otter-bench/v1` JSON, and optionally gate against a
-/// baseline report — exiting 1 on any regression. The deterministic
-/// outputs are always gated; `--wall-tolerance` additionally gates
-/// `wall_seconds` medians under its percentage plus the baseline's
-/// IQR (same-host baselines only — wall time is machine-dependent).
+/// baseline report — exiting 1 on any regression. Only the
+/// deterministic outputs are gated; wall time is machine-dependent
+/// and measured by `benchmark/`.
 fn run_bench_cmd(args: &[String]) {
-    use otter_bench::bench::{check, check_wall, run_bench, BenchReport, BenchSpec};
+    use otter_bench::bench::{check, run_bench, BenchReport, BenchSpec};
     use otter_metrics::Json;
 
     let argspec = ArgSpec {
         cmd: "bench",
         usage: "harness bench <cg|ocean|nbody|tc|all> [--ranks N[,N...]] [--workers W] \
                 [--repeat K] [--warmup W] [--scale test|large|paper] [--json out.json] \
-                [--check baseline.json] [--tolerance PCT] [--wall-tolerance PCT] [--paper]",
+                [--check baseline.json] [--tolerance PCT] [--paper]",
         value_flags: &[
             "--repeat",
             "--warmup",
@@ -859,7 +855,6 @@ fn run_bench_cmd(args: &[String]) {
             "--json",
             "--check",
             "--tolerance",
-            "--wall-tolerance",
         ],
         switches: &[],
         positionals: 1,
@@ -897,7 +892,6 @@ fn run_bench_cmd(args: &[String]) {
     let json_path = pa.get("--json").map(str::to_string);
     let check_path = pa.get("--check").map(str::to_string);
     let tolerance = flag_or_exit(pa.rate("--tolerance"), &argspec).unwrap_or(10.0);
-    let wall_tolerance = flag_or_exit(pa.rate("--wall-tolerance"), &argspec);
 
     let report = run_bench(&spec).unwrap_or_else(|e| {
         eprintln!("harness bench: {e}");
@@ -937,18 +931,11 @@ fn run_bench_cmd(args: &[String]) {
             );
             std::process::exit(1);
         }
-        let mut regressions = check(&baseline, &report, tolerance);
-        if let Some(wt) = wall_tolerance {
-            regressions.extend(check_wall(&baseline, &report, wt));
-        }
+        let regressions = check(&baseline, &report, tolerance);
         println!();
         if regressions.is_empty() {
-            let wall_note = match wall_tolerance {
-                Some(wt) => format!(", wall tolerance {wt}% + baseline IQR"),
-                None => String::new(),
-            };
             println!(
-                "regression check against {path}: OK ({} combination(s), tolerance {tolerance}%{wall_note})",
+                "regression check against {path}: OK ({} combination(s), tolerance {tolerance}%)",
                 baseline.results.len()
             );
         } else {

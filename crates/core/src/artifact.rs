@@ -33,14 +33,14 @@
 use crate::compile::{CompileOptions, Compiled};
 use crate::engines::{CommSiteReport, EngineOptions, EngineReport, RankCounters, SpmdJobFailure};
 use crate::error::{OtterError, Result};
-use crate::exec::{ExecError, ExecOptions, Executor, XVal};
+use crate::exec::{ExecError, ExecOptions, ExecOutcome, Executor, XVal};
 use crate::pass::{PassDump, PassManager, PassStats};
 use otter_interp::Value;
 use otter_log::JobId;
 use otter_machine::Machine;
 use otter_metrics::{MetricsRegistry, MetricsSnapshot};
-use otter_mpi::run_spmd_with;
-use std::collections::{BTreeMap, HashMap};
+use otter_mpi::{run_spmd_with, Observations};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// FNV-1a offset basis (64-bit).
@@ -198,13 +198,9 @@ pub fn compile_managed(
 ) -> Result<(CompiledArtifact, Vec<PassDump>)> {
     let empty = otter_frontend::MapProvider::new();
     let provider = opts.m_files.as_ref().unwrap_or(&empty);
-    let mut disabled_passes = opts.disabled_passes.clone();
-    if !opts.fusion && !disabled_passes.iter().any(|p| p == "fusion") {
-        disabled_passes.push("fusion".to_string());
-    }
     let copts = CompileOptions {
         data_dir: opts.data_dir.clone(),
-        disabled_passes,
+        disabled_passes: opts.disabled_passes.clone(),
         lint: opts.lint,
     };
     let report = pm.compile(src, provider, &copts)?;
@@ -292,6 +288,25 @@ impl Default for RunRequest {
     }
 }
 
+/// What one rank hands back when its program ran to completion.
+struct RankOutput {
+    /// Fully gathered workspace (identical on every rank).
+    workspace: HashMap<String, Value>,
+    /// The executor's outcome, its distributed workspace drained.
+    exec: ExecOutcome,
+    /// Clock, stats and metrics when the program proper ended, before
+    /// the reporting gathers.
+    finished: Observations,
+}
+
+/// Merge the per-rank snapshots that exist; `None` when metrics were
+/// off on every rank.
+fn merged<'a>(parts: impl Iterator<Item = &'a Option<MetricsSnapshot>>) -> Option<MetricsSnapshot> {
+    let mut parts = parts.flatten().peekable();
+    parts.peek()?;
+    Some(MetricsSnapshot::merged(parts))
+}
+
 /// Execute a compiled artifact; fold any SPMD failure into
 /// [`OtterError`]. The run half of the API split — see [`try_run`]
 /// for the variant that returns failures as structured data.
@@ -321,7 +336,6 @@ pub fn try_run(
 ) -> Result<std::result::Result<EngineReport, SpmdJobFailure>> {
     let opts = artifact.options();
     let compiled = artifact.compiled();
-    let ir = compiled.ir.clone();
     // Hybrid ranks × threads: split the worker budget across the
     // logical ranks, at least one kernel thread each.
     let budget = req.workers.or(opts.workers).unwrap_or_else(|| {
@@ -343,52 +357,35 @@ pub fn try_run(
     if req.trace.is_some() {
         spmd.trace = req.trace.clone();
     }
-    let job = run_spmd_with(&req.machine, req.ranks, spmd, move |comm| {
-        let opts = exec_opts.clone();
-        let executor = Executor::new(&ir, comm, opts);
-        let outcome = executor.run();
-        match outcome {
-            Ok(o) => {
-                // The program is done: snapshot the modeled time
-                // and traffic counters now, before the reporting
-                // gathers below (which are not part of the
-                // benchmarked computation). Tracing stops at the
-                // same point so event totals keep matching the
-                // stats snapshot.
-                let finished_at = comm.clock();
-                let finished_stats = comm.stats();
-                let finished_metrics = comm.take_metrics().map(|r| r.snapshot());
-                comm.suspend_tracing();
+    let job = run_spmd_with(&req.machine, req.ranks, spmd, |comm| {
+        let executor = Executor::new(&compiled.ir, comm, exec_opts.clone());
+        match executor.run() {
+            Ok(mut o) => {
+                // The program is done: freeze the modeled time, the
+                // traffic counters and the metrics now, before the
+                // reporting gathers below (which are not part of the
+                // benchmarked computation). Tracing stops at the same
+                // point so event totals keep matching the stats.
+                let finished = comm.freeze();
                 // Gather every matrix so rank 0 can report a
                 // machine-independent workspace. Iterate in sorted
                 // order: gathers are collectives, so every rank
                 // must visit variables in the same sequence.
-                let mut names: Vec<&String> = o.workspace.keys().collect();
-                names.sort();
-                let mut ws: HashMap<String, Value> = HashMap::new();
-                for name in names {
-                    let val = &o.workspace[name];
-                    match val {
-                        XVal::S(v) => {
-                            ws.insert(name.clone(), Value::Scalar(*v));
-                        }
-                        XVal::M(m) => {
-                            let full = m.gather_all(comm)?;
-                            ws.insert(name.clone(), Value::Matrix(full).normalized());
-                        }
-                    }
+                let mut local: Vec<(String, XVal)> = o.workspace.drain().collect();
+                local.sort_by(|a, b| a.0.cmp(&b.0));
+                let mut workspace: HashMap<String, Value> = HashMap::new();
+                for (name, val) in local {
+                    let val = match val {
+                        XVal::S(v) => Value::Scalar(v),
+                        XVal::M(m) => Value::Matrix(m.gather_all(comm)?).normalized(),
+                    };
+                    workspace.insert(name, val);
                 }
-                Ok(Ok((
-                    ws,
-                    o.output,
-                    finished_at,
-                    o.peak_local_bytes,
-                    o.peak_temp_bytes,
-                    o.op_counts,
-                    finished_stats,
-                    finished_metrics,
-                    o.site_comm,
-                )))
+                Ok(Ok(RankOutput {
+                    workspace,
+                    exec: o,
+                    finished,
+                }))
             }
             // Application errors are SPMD-replicated: every rank
             // raises the identical one, so they travel inside the
@@ -405,18 +402,9 @@ pub fn try_run(
             let survivors = failure
                 .survivors
                 .iter()
-                .map(|r| RankCounters {
-                    rank: r.rank,
-                    messages: r.stats.messages_sent,
-                    bytes: r.stats.bytes_sent,
-                    clock: r.clock,
-                    peak_bytes: match &r.value {
-                        Ok(t) => t.4,
-                        Err(_) => 0,
-                    },
-                    compute_seconds: r.stats.compute_time,
-                    comm_seconds: r.stats.send_time,
-                    idle_seconds: r.stats.wait_time,
+                .map(|r| {
+                    let peak = r.value.as_ref().map_or(0, |o| o.exec.peak_temp_bytes);
+                    RankCounters::observed(r.rank, r.clock, &r.stats, peak)
                 })
                 .collect();
             // Every rank's flight-recorder tail — failed and surviving
@@ -432,19 +420,9 @@ pub fn try_run(
             flight.sort_by_key(|&(rank, _)| rank);
             // Merge the partial registries of failed ranks with the
             // survivors' complete ones, mirroring the success path.
-            let mut metrics: Option<MetricsSnapshot> = None;
-            let rank_metrics = failure
-                .report
-                .failures
-                .iter()
-                .filter_map(|f| f.metrics.as_ref())
-                .chain(failure.survivors.iter().filter_map(|r| r.metrics.as_ref()));
-            for m in rank_metrics {
-                match metrics.as_mut() {
-                    Some(merged) => merged.merge_from(m),
-                    None => metrics = Some(m.clone()),
-                }
-            }
+            let failed_metrics = failure.report.failures.iter().map(|f| &f.metrics);
+            let survivor_metrics = failure.survivors.iter().map(|r| &r.metrics);
+            let metrics = merged(failed_metrics.chain(survivor_metrics));
             return Ok(Err(SpmdJobFailure {
                 job_id,
                 report: failure.report,
@@ -455,61 +433,34 @@ pub fn try_run(
         }
     };
     // All ranks computed the same workspace (and executed the same
-    // instruction sequence — SPMD); use rank 0's.
-    let mut iter = results.into_iter();
-    let first = iter.next().expect("at least one rank");
-    let rank0 = first.value.map_err(OtterError::execution)?;
-    let (
-        workspace,
-        output,
-        mut max_clock,
-        mut peak_rank_bytes,
-        mut peak_temp_bytes,
-        ops,
-        fstats,
-        mut job_metrics,
-        mut site_comm,
-    ) = rank0;
-    let op_counts: BTreeMap<String, u64> = ops.iter().map(|(k, v)| (k.to_string(), *v)).collect();
-    let mut messages = fstats.messages_sent;
-    let mut bytes = fstats.bytes_sent;
-    let mut per_rank = vec![RankCounters {
-        rank: 0,
-        messages: fstats.messages_sent,
-        bytes: fstats.bytes_sent,
-        clock: max_clock,
-        peak_bytes: peak_temp_bytes,
-        compute_seconds: fstats.compute_time,
-        comm_seconds: fstats.send_time,
-        idle_seconds: fstats.wait_time,
-    }];
-    for r in iter {
-        let (_, _, clock, peak, peak_temp, _, stats, rank_metrics, rank_sites) =
-            r.value.map_err(OtterError::execution)?;
-        // Per-site traffic is a job-wide total (sum over ranks);
-        // execution counts are SPMD-replicated, so rank 0's stand.
-        for (total, rs) in site_comm.iter_mut().zip(&rank_sites) {
+    // instruction sequence — SPMD); rank 0's stand for the job, and
+    // the counters fold over every rank.
+    let mut outputs = Vec::with_capacity(results.len());
+    for r in results {
+        outputs.push((r.rank, r.value.map_err(OtterError::execution)?));
+    }
+    let per_rank: Vec<RankCounters> = outputs
+        .iter()
+        .map(|(rank, out)| {
+            let fin = &out.finished;
+            RankCounters::observed(*rank, fin.clock, &fin.stats, out.exec.peak_temp_bytes)
+        })
+        .collect();
+    let max_clock = per_rank.iter().map(|r| r.clock).fold(0.0, f64::max);
+    let peak_rank_bytes = outputs.iter().map(|(_, o)| o.exec.peak_local_bytes).max();
+    let peak_temp_bytes = per_rank.iter().map(|r| r.peak_bytes).max();
+    let mut job_metrics = merged(outputs.iter().map(|(_, o)| &o.finished.metrics));
+    let mut outputs = outputs.into_iter().map(|(_, out)| out);
+    let first = outputs.next().expect("at least one rank");
+    let (workspace, rank0) = (first.workspace, first.exec);
+    // Per-site traffic is a job-wide total (sum over ranks);
+    // execution counts are SPMD-replicated, so rank 0's stand.
+    let mut site_comm = rank0.site_comm;
+    for out in outputs {
+        for (total, rs) in site_comm.iter_mut().zip(&out.exec.site_comm) {
             total.messages += rs.messages;
             total.bytes += rs.bytes;
         }
-        max_clock = max_clock.max(clock);
-        peak_rank_bytes = peak_rank_bytes.max(peak);
-        peak_temp_bytes = peak_temp_bytes.max(peak_temp);
-        messages += stats.messages_sent;
-        bytes += stats.bytes_sent;
-        if let (Some(job), Some(m)) = (job_metrics.as_mut(), rank_metrics.as_ref()) {
-            job.merge_from(m);
-        }
-        per_rank.push(RankCounters {
-            rank: r.rank,
-            messages: stats.messages_sent,
-            bytes: stats.bytes_sent,
-            clock,
-            peak_bytes: peak_temp,
-            compute_seconds: stats.compute_time,
-            comm_seconds: stats.send_time,
-            idle_seconds: stats.wait_time,
-        });
     }
     // Job-wide series the per-rank registries cannot see.
     if let Some(job) = job_metrics.as_mut() {
@@ -552,13 +503,17 @@ pub fn try_run(
         engine: "otter",
         job_id,
         workspace,
-        output,
+        output: rank0.output,
         modeled_seconds: max_clock,
-        op_counts,
-        messages,
-        bytes,
-        peak_rank_bytes,
-        peak_temp_bytes,
+        op_counts: rank0
+            .op_counts
+            .iter()
+            .map(|(k, v)| (k.to_string(), *v))
+            .collect(),
+        messages: per_rank.iter().map(|r| r.messages).sum(),
+        bytes: per_rank.iter().map(|r| r.bytes).sum(),
+        peak_rank_bytes: peak_rank_bytes.unwrap_or(0),
+        peak_temp_bytes: peak_temp_bytes.unwrap_or(0),
         per_rank,
         critical_path,
         metrics: job_metrics,

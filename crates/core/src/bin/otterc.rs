@@ -397,15 +397,8 @@ fn main() {
             EngineOptions::default()
         };
         eopts.data_dir = compiled.data_dir.clone();
-        if args.no_peephole {
-            eopts.disabled_passes.push("peephole".to_string());
-        }
-        if args.no_fusion {
-            eopts.fusion = false;
-        }
-        if args.lint_deny {
-            eopts.lint = LintMode::Deny;
-        }
+        eopts.disabled_passes = opts.disabled_passes;
+        eopts.lint = opts.lint;
         let artifact = CompiledArtifact::from_parts(compiled, passes, &src, &eopts);
         let mut req = RunRequest::on(args.machine.clone(), args.p);
         if let Some(w) = args.workers {

@@ -19,7 +19,8 @@ use otter_lint::LintMode;
 use otter_log::{FlightEvent, JobId};
 use otter_machine::{ExecutionStyle, Machine};
 use otter_metrics::{MetricsRegistry, MetricsSnapshot};
-use otter_mpi::{CollectiveAlgo, FailureReport, FaultAction, FaultPlan, SpmdOptions};
+use otter_mpi::observe::{OPS_TOTAL, WORKSPACE_PEAK_BYTES};
+use otter_mpi::{CollectiveAlgo, CommStats, FailureReport, FaultAction, FaultPlan, SpmdOptions};
 use otter_rt::Dense;
 use otter_trace::{CriticalPath, TraceSink};
 use std::collections::{BTreeMap, HashMap};
@@ -46,6 +47,23 @@ pub struct RankCounters {
     pub comm_seconds: f64,
     /// Seconds spent blocked in `recv` waiting on a message.
     pub idle_seconds: f64,
+}
+
+impl RankCounters {
+    /// The counters of a rank that was observed at `clock` with
+    /// `stats` (see [`otter_mpi::Observations`]).
+    pub(crate) fn observed(rank: usize, clock: f64, stats: &CommStats, peak: usize) -> Self {
+        RankCounters {
+            rank,
+            messages: stats.messages_sent,
+            bytes: stats.bytes_sent,
+            clock,
+            peak_bytes: peak,
+            compute_seconds: stats.compute_time,
+            comm_seconds: stats.send_time,
+            idle_seconds: stats.wait_time,
+        }
+    }
 }
 
 /// Realized communication at one leaf site, summed across every rank
@@ -130,6 +148,10 @@ impl EngineReport {
         op_counts: BTreeMap<String, u64>,
         peak_bytes: usize,
     ) -> EngineReport {
+        let stats = CommStats {
+            compute_time: modeled_seconds,
+            ..CommStats::default()
+        };
         EngineReport {
             engine,
             job_id: JobId(0),
@@ -141,16 +163,12 @@ impl EngineReport {
             bytes: 0,
             peak_rank_bytes: peak_bytes,
             peak_temp_bytes: peak_bytes,
-            per_rank: vec![RankCounters {
-                rank: 0,
-                messages: 0,
-                bytes: 0,
-                clock: modeled_seconds,
+            per_rank: vec![RankCounters::observed(
+                0,
+                modeled_seconds,
+                &stats,
                 peak_bytes,
-                compute_seconds: modeled_seconds,
-                comm_seconds: 0.0,
-                idle_seconds: 0.0,
-            }],
+            )],
             critical_path: None,
             metrics: None,
             comm_sites: Vec::new(),
@@ -213,12 +231,6 @@ pub struct EngineOptions {
     /// two can be cross-validated. Off by default: analysis costs
     /// compile time and a stats snapshot per executed instruction.
     pub analyze: bool,
-    /// Run the loop-fusion pass (on by default). Fused and unfused
-    /// programs produce bit-identical results; fusion only removes
-    /// temporaries and loop passes. Equivalent to disabling the
-    /// `fusion` pass, but keyed separately so artifact caches
-    /// distinguish the two pipelines.
-    pub fusion: bool,
     /// k-tile of the cache-blocked runtime kernels (see
     /// [`otter_rt::kernels`]). Any tile yields bit-identical results;
     /// the knob is baked into the artifact so cached runs honor it.
@@ -238,7 +250,6 @@ impl Default for EngineOptions {
             workers: None,
             lint: LintMode::default(),
             analyze: false,
-            fusion: true,
             tile_size: otter_rt::kernels::DEFAULT_TILE,
         }
     }
@@ -257,7 +268,6 @@ impl fmt::Debug for EngineOptions {
             .field("workers", &self.workers)
             .field("lint", &self.lint)
             .field("analyze", &self.analyze)
-            .field("fusion", &self.fusion)
             .field("tile_size", &self.tile_size)
             .finish()
     }
@@ -335,7 +345,6 @@ impl EngineOptions {
             }
         }
         fp.tag(b'a').tag(self.analyze as u8);
-        fp.tag(b'u').tag(self.fusion as u8);
         fp.tag(b't').u64(self.tile_size as u64);
         fp.finish()
     }
@@ -440,12 +449,6 @@ impl EngineOptionsBuilder {
         self
     }
 
-    /// Toggle the loop-fusion pass (see [`EngineOptions::fusion`]).
-    pub fn fusion(mut self, on: bool) -> Self {
-        self.opts.fusion = on;
-        self
-    }
-
     /// k-tile for the cache-blocked runtime kernels (see
     /// [`EngineOptions::tile_size`]).
     pub fn tile_size(mut self, tile: usize) -> Self {
@@ -536,9 +539,9 @@ fn run_sequential(
     if opts.metrics {
         let mut reg = MetricsRegistry::new();
         for (op, n) in &report.op_counts {
-            reg.inc("ops_total", &[("op", op)], *n);
+            reg.inc(OPS_TOTAL, &[("op", op)], *n);
         }
-        reg.gauge_max("workspace_peak_bytes", &[], peak as f64);
+        reg.gauge_max(WORKSPACE_PEAK_BYTES, &[], peak as f64);
         reg.observe("rank_clock_seconds", &[], modeled);
         report.metrics = Some(reg.snapshot());
     }

@@ -15,9 +15,8 @@ use crate::error::{OtterError, Result};
 use otter_det::DetRng;
 use otter_ir::*;
 use otter_machine::{ExecutionStyle, StyleCosts};
-use otter_mpi::{Comm, CommError, ReduceOp};
+use otter_mpi::{Comm, CommError, Event, Note, ReduceOp};
 use otter_rt::{io as rtio, Dense, DistMatrix, LoadError};
-use otter_trace::EventKind;
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 
@@ -175,9 +174,6 @@ pub struct Executor<'a> {
     /// Executed-instruction counts by opcode (`EngineReport`'s
     /// per-opcode counters).
     op_counts: BTreeMap<&'static str, u64>,
-    /// Opcode → pre-registered `op_seconds` histogram handle, so the
-    /// metric record path does no key construction per instruction.
-    op_ids: HashMap<&'static str, otter_metrics::MetricId>,
     /// Leaf-instruction address → site id (only when `opts.analyze`).
     /// Function bodies run by reference, so an instruction's address is
     /// a stable identity for the whole run.
@@ -205,7 +201,6 @@ impl<'a> Executor<'a> {
             rand_calls: 0,
             peak_local_bytes: 0,
             op_counts: BTreeMap::new(),
-            op_ids: HashMap::new(),
             site_of,
             site_comm,
         }
@@ -216,39 +211,27 @@ impl<'a> Executor<'a> {
         otter_rt::alloc::reset();
         // Each rank is an OS thread; give it its kernel budget.
         otter_rt::kernels::configure(self.opts.tile_size, self.opts.threads);
-        self.comm.log(
-            otter_log::LogLevel::Info,
-            "exec.start",
-            self.program.main.len() as u64,
-            0,
-        );
+        self.comm.record(Event::Note(Note::ExecStart {
+            instrs: self.program.main.len(),
+        }));
         let main = &self.program.main;
         if let Err(e) = self.exec_block(main) {
             // Comm failures logged their own terminal event inside
             // `Comm`; application errors get theirs here so a rank's
             // flight tail always ends with *why* it stopped.
             if matches!(e, ExecError::App(_)) {
-                self.comm
-                    .log(otter_log::LogLevel::Error, "exec.app_error", 0, 0);
+                self.comm.record(Event::Note(Note::ExecAppError));
             }
             return Err(e);
         }
         self.note_memory();
-        let peak_local = self.peak_local_bytes;
-        // Fold the always-on opcode tallies and allocator high-water
-        // marks into this rank's registry (one pass at end of run, not
-        // one increment per instruction).
-        if let Some(m) = self.comm.metrics() {
-            for (op, n) in &self.op_counts {
-                m.inc("ops_total", &[("op", op)], *n);
-            }
-            m.gauge_max(
-                "alloc_peak_bytes",
-                &[],
-                otter_rt::alloc::peak_bytes() as f64,
-            );
-            m.gauge_max("workspace_peak_bytes", &[], peak_local as f64);
-        }
+        // Opcode tallies and high-water marks reach the metrics in one
+        // event at end of run, not one increment per instruction.
+        self.comm.record(Event::RunSummary {
+            ops: &self.op_counts,
+            alloc_peak_bytes: otter_rt::alloc::peak_bytes(),
+            workspace_peak_bytes: self.peak_local_bytes,
+        });
         let workspace = self.scopes.pop().expect("script scope");
         Ok(ExecOutcome {
             workspace,
@@ -595,30 +578,13 @@ impl<'a> Executor<'a> {
                 .as_ref()
                 .and_then(|m| m.get(&(i as *const Instr as usize)).copied());
             let before = site.map(|_| self.comm.stats());
-            let flow = if self.comm.trace_enabled() || self.comm.metrics_enabled() {
-                // One Statement span per IR instruction; control-flow
-                // instructions span their whole body, nesting the
-                // inner instructions' spans. Metrics see the same
-                // interval as an `op_seconds{op=...}` observation.
-                let t0 = self.comm.clock();
-                let flow = self.exec_instr(i)?;
-                if self.comm.trace_enabled() {
-                    self.comm
-                        .emit_span(EventKind::Statement { name: i.opcode() }, t0);
-                }
-                let dt = self.comm.clock() - t0;
-                if let Some(m) = self.comm.metrics() {
-                    let op = i.opcode();
-                    let id = *self
-                        .op_ids
-                        .entry(op)
-                        .or_insert_with(|| m.histogram("op_seconds", &[("op", op)]));
-                    m.observe_id(id, dt);
-                }
-                flow
-            } else {
-                self.exec_instr(i)?
-            };
+            // One Statement event per IR instruction; control-flow
+            // instructions span their whole body, nesting the inner
+            // instructions' events.
+            let t0 = self.comm.clock();
+            let flow = self.exec_instr(i)?;
+            let opcode = i.opcode();
+            self.comm.record(Event::Statement { opcode, t0 });
             if let (Some(id), Some(before)) = (site, before) {
                 let after = self.comm.stats();
                 let slot = &mut self.site_comm[id as usize];

@@ -112,9 +112,7 @@ impl Interp {
         sink: std::sync::Arc<dyn otter_trace::TraceSink>,
         seconds_per_unit: f64,
     ) {
-        if sink.enabled() {
-            self.trace = Some((sink, seconds_per_unit));
-        }
+        self.trace = Some((sink, seconds_per_unit));
     }
 
     /// Run the script to completion; returns the final workspace.

@@ -19,7 +19,7 @@
 
 use crate::oracle::Scope;
 use otter_frontend::{Diagnostic, Span};
-use otter_ir::{Arg, EwExpr, Instr, IrProgram, MatInit, PrintTarget, SExpr, VarRank};
+use otter_ir::{sexpr_reads, Instr, IrProgram, SExpr, VarRank};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A shape-safety finding: message + anchor variable (resolved to a
@@ -477,278 +477,23 @@ struct Event {
     uses: Vec<String>,
 }
 
-fn sexpr_uses(e: &SExpr, uses: &mut Vec<String>) {
-    match e {
-        SExpr::Const(_) | SExpr::OwnElem => {}
-        // Scalar variable reads don't pin matrix storage, but a
-        // dimension query does: the matrix must still be allocated.
-        SExpr::Var(_) => {}
-        SExpr::DimOf { var, .. } => uses.push(var.clone()),
-        SExpr::Neg(e) | SExpr::Not(e) => sexpr_uses(e, uses),
-        SExpr::Bin(_, a, b) => {
-            sexpr_uses(a, uses);
-            sexpr_uses(b, uses);
-        }
-        SExpr::Call(_, args) => {
-            for a in args {
-                sexpr_uses(a, uses);
-            }
-        }
-    }
-}
-
-fn ewexpr_uses(e: &EwExpr, uses: &mut Vec<String>) {
-    match e {
-        EwExpr::Mat(m) => uses.push(m.clone()),
-        EwExpr::Scalar(s) => sexpr_uses(s, uses),
-        EwExpr::Neg(e) | EwExpr::Not(e) => ewexpr_uses(e, uses),
-        EwExpr::Bin(_, a, b) => {
-            ewexpr_uses(a, uses);
-            ewexpr_uses(b, uses);
-        }
-        EwExpr::Call(_, args) => {
-            for a in args {
-                ewexpr_uses(a, uses);
-            }
-        }
-    }
-}
-
-/// Uses of a fused element-wise epilogue, skipping the eliminated
-/// temporary `tmp` (it lives only inside the fused instruction).
-fn fused_ew_uses(expr: &EwExpr, tmp: &str, ev: &mut Event) {
-    let mut uses = Vec::new();
-    ewexpr_uses(expr, &mut uses);
-    ev.uses.extend(uses.into_iter().filter(|u| u != tmp));
-}
-
-/// Matrix defs and uses of one instruction (scalar defs recorded too;
-/// the web grouping filters by rank later).
-#[allow(clippy::too_many_lines)]
+/// Defs and uses of one instruction, from the IR's own dataflow facts
+/// (scalar names are recorded too; the web grouping filters by rank
+/// later). Control flow contributes only its header expressions here:
+/// [`flatten`] walks the bodies.
 fn event_of(i: &Instr) -> Event {
     let mut ev = Event::default();
-    let s = |e: &SExpr, ev: &mut Event| sexpr_uses(e, &mut ev.uses);
+    i.defs(&mut ev.defs);
     match i {
-        Instr::AssignScalar { dst, src } => {
-            s(src, &mut ev);
-            ev.defs.push(dst.clone());
-        }
-        Instr::InitMatrix { dst, init } => {
-            match init {
-                MatInit::Zeros { rows, cols }
-                | MatInit::Ones { rows, cols }
-                | MatInit::Rand { rows, cols } => {
-                    s(rows, &mut ev);
-                    s(cols, &mut ev);
-                }
-                MatInit::Eye { n } => s(n, &mut ev),
-                MatInit::Range { start, step, stop } => {
-                    s(start, &mut ev);
-                    s(step, &mut ev);
-                    s(stop, &mut ev);
-                }
-                MatInit::Literal { rows } => {
-                    for row in rows {
-                        for e in row {
-                            s(e, &mut ev);
-                        }
-                    }
-                }
-                MatInit::Linspace { a, b, n } => {
-                    s(a, &mut ev);
-                    s(b, &mut ev);
-                    s(n, &mut ev);
-                }
-            }
-            ev.defs.push(dst.clone());
-        }
-        Instr::CopyMatrix { dst, src } => {
-            ev.uses.push(src.clone());
-            ev.defs.push(dst.clone());
-        }
-        Instr::LoadFile { dst, .. } => ev.defs.push(dst.clone()),
-        Instr::ElemWise { dst, expr } => {
-            ewexpr_uses(expr, &mut ev.uses);
-            ev.defs.push(dst.clone());
-        }
-        Instr::MatMul { dst, a, b } | Instr::Dot { dst, a, b } => {
-            ev.uses.push(a.clone());
-            ev.uses.push(b.clone());
-            ev.defs.push(dst.clone());
-        }
-        Instr::MatVec { dst, a, x } => {
-            ev.uses.push(a.clone());
-            ev.uses.push(x.clone());
-            ev.defs.push(dst.clone());
-        }
-        Instr::Outer { dst, u, v } => {
-            ev.uses.push(u.clone());
-            ev.uses.push(v.clone());
-            ev.defs.push(dst.clone());
-        }
-        Instr::Transpose { dst, a } => {
-            ev.uses.push(a.clone());
-            ev.defs.push(dst.clone());
-        }
-        Instr::BroadcastElem { dst, m, i, j } => {
-            ev.uses.push(m.clone());
-            s(i, &mut ev);
-            if let Some(j) = j {
-                s(j, &mut ev);
-            }
-            ev.defs.push(dst.clone());
-        }
-        Instr::StoreElem { m, i, j, val } => {
-            // Read-modify-write of m's storage: both use and def.
-            ev.uses.push(m.clone());
-            ev.defs.push(m.clone());
-            s(i, &mut ev);
-            if let Some(j) = j {
-                s(j, &mut ev);
-            }
-            s(val, &mut ev);
-        }
-        Instr::Reduce { dst, m, .. } => {
-            ev.uses.push(m.clone());
-            ev.defs.push(dst.clone());
-        }
-        // Fused pairs: the eliminated temporary is internal to the
-        // instruction — it is neither a use nor a def.
-        Instr::MatMulEw {
-            dst,
-            a,
-            b,
-            tmp,
-            expr,
-        } => {
-            ev.uses.push(a.clone());
-            ev.uses.push(b.clone());
-            fused_ew_uses(expr, tmp, &mut ev);
-            ev.defs.push(dst.clone());
-        }
-        Instr::MatVecEw {
-            dst,
-            a,
-            x,
-            tmp,
-            expr,
-        } => {
-            ev.uses.push(a.clone());
-            ev.uses.push(x.clone());
-            fused_ew_uses(expr, tmp, &mut ev);
-            ev.defs.push(dst.clone());
-        }
-        Instr::ReduceEw { dst, tmp, expr, .. } => {
-            fused_ew_uses(expr, tmp, &mut ev);
-            ev.defs.push(dst.clone());
-        }
-        Instr::TrapzXY { dst, x, y } => {
-            ev.uses.push(x.clone());
-            ev.uses.push(y.clone());
-            ev.defs.push(dst.clone());
-        }
-        Instr::ColReduce { dst, m, .. } => {
-            ev.uses.push(m.clone());
-            ev.defs.push(dst.clone());
-        }
-        Instr::Shift { dst, v, k } => {
-            ev.uses.push(v.clone());
-            s(k, &mut ev);
-            ev.defs.push(dst.clone());
-        }
-        Instr::ExtractRow { dst, m, i } => {
-            ev.uses.push(m.clone());
-            s(i, &mut ev);
-            ev.defs.push(dst.clone());
-        }
-        Instr::ExtractCol { dst, m, j } => {
-            ev.uses.push(m.clone());
-            s(j, &mut ev);
-            ev.defs.push(dst.clone());
-        }
-        Instr::AssignRow { m, i, v } => {
-            ev.uses.push(m.clone());
-            ev.uses.push(v.clone());
-            s(i, &mut ev);
-            ev.defs.push(m.clone());
-        }
-        Instr::AssignCol { m, j, v } => {
-            ev.uses.push(m.clone());
-            ev.uses.push(v.clone());
-            s(j, &mut ev);
-            ev.defs.push(m.clone());
-        }
-        Instr::ExtractRange { dst, v, lo, hi } => {
-            ev.uses.push(v.clone());
-            s(lo, &mut ev);
-            s(hi, &mut ev);
-            ev.defs.push(dst.clone());
-        }
-        Instr::ExtractStrided {
-            dst,
-            v,
-            lo,
-            step,
-            hi,
-        } => {
-            ev.uses.push(v.clone());
-            s(lo, &mut ev);
-            s(step, &mut ev);
-            s(hi, &mut ev);
-            ev.defs.push(dst.clone());
-        }
-        Instr::FillRow { m, i, val } => {
-            ev.uses.push(m.clone());
-            s(i, &mut ev);
-            s(val, &mut ev);
-            ev.defs.push(m.clone());
-        }
-        Instr::FillCol { m, j, val } => {
-            ev.uses.push(m.clone());
-            s(j, &mut ev);
-            s(val, &mut ev);
-            ev.defs.push(m.clone());
-        }
-        Instr::FillRange { m, lo, hi, val } => {
-            ev.uses.push(m.clone());
-            s(lo, &mut ev);
-            s(hi, &mut ev);
-            s(val, &mut ev);
-            ev.defs.push(m.clone());
-        }
-        Instr::AssignRange { m, lo, hi, v } => {
-            ev.uses.push(m.clone());
-            ev.uses.push(v.clone());
-            s(lo, &mut ev);
-            s(hi, &mut ev);
-            ev.defs.push(m.clone());
-        }
-        // `Free` releases storage; it neither reads the value nor
-        // extends the live range.
-        Instr::Free { .. } => {}
-        Instr::Call { args, outs, .. } => {
-            for a in args {
-                match a {
-                    Arg::Scalar(e) => s(e, &mut ev),
-                    Arg::Matrix(m) => ev.uses.push(m.clone()),
-                }
-            }
-            ev.defs.extend(outs.iter().cloned());
-        }
-        Instr::Print { target, .. } => match target {
-            PrintTarget::Scalar(e) => s(e, &mut ev),
-            PrintTarget::Matrix(m) => ev.uses.push(m.clone()),
-        },
-        Instr::If { cond, .. } => s(cond, &mut ev),
-        Instr::While { cond, .. } => s(cond, &mut ev),
+        Instr::If { cond, .. } | Instr::While { cond, .. } => sexpr_reads(cond, &mut ev.uses),
         Instr::For {
             start, step, stop, ..
         } => {
-            s(start, &mut ev);
-            s(step, &mut ev);
-            s(stop, &mut ev);
+            for e in [start, step, stop] {
+                sexpr_reads(e, &mut ev.uses);
+            }
         }
-        Instr::Break | Instr::Continue => {}
+        _ => i.reads(&mut ev.uses),
     }
     ev
 }
@@ -864,7 +609,7 @@ pub fn annotate_in_place(prog: &mut IrProgram) {
 mod tests {
     use super::*;
     use otter_analysis::Shape;
-    use otter_ir::RedOp;
+    use otter_ir::{MatInit, RedOp};
 
     fn scope<'a>(
         shapes: &'a BTreeMap<String, Shape>,

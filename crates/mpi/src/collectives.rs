@@ -12,7 +12,7 @@
 
 use crate::comm::Comm;
 use crate::error::CommError;
-use otter_trace::EventKind;
+use crate::observe::Event;
 
 /// Message schedule for the rooted collectives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -90,15 +90,8 @@ impl Comm {
             CollectiveAlgo::Tree => self.broadcast_tree(root, data)?,
             CollectiveAlgo::Linear => self.broadcast_lin(root, data)?,
         };
-        self.emit_span(
-            EventKind::Collective {
-                name: "broadcast",
-                algo: algo.label(),
-                op: None,
-            },
-            t0,
-        );
-        self.note_collective("broadcast", algo.label(), t0);
+        let (name, op) = ("broadcast", None);
+        self.record(Event::Collective { name, algo, op, t0 });
         Ok(out)
     }
 
@@ -180,15 +173,8 @@ impl Comm {
             CollectiveAlgo::Tree => self.reduce_tree(root, data, op)?,
             CollectiveAlgo::Linear => self.reduce_lin(root, data, op)?,
         };
-        self.emit_span(
-            EventKind::Collective {
-                name: "reduce",
-                algo: algo.label(),
-                op: Some(op.label()),
-            },
-            t0,
-        );
-        self.note_collective("reduce", algo.label(), t0);
+        let (name, op) = ("reduce", Some(op));
+        self.record(Event::Collective { name, algo, op, t0 });
         Ok(out)
     }
 
@@ -281,15 +267,8 @@ impl Comm {
             Some(v) => self.broadcast_with(0, &v, algo)?,
             None => self.broadcast_with(0, &[], algo)?,
         };
-        self.emit_span(
-            EventKind::Collective {
-                name: "allreduce",
-                algo: algo.label(),
-                op: Some(op.label()),
-            },
-            t0,
-        );
-        self.note_collective("allreduce", algo.label(), t0);
+        let (name, op) = ("allreduce", Some(op));
+        self.record(Event::Collective { name, algo, op, t0 });
         Ok(out)
     }
 
@@ -330,15 +309,8 @@ impl Comm {
             self.send(root, data)?;
             None
         };
-        self.emit_span(
-            EventKind::Collective {
-                name: "gather",
-                algo: CollectiveAlgo::Linear.label(),
-                op: None,
-            },
-            t0,
-        );
-        self.note_collective("gather", CollectiveAlgo::Linear.label(), t0);
+        let (name, algo, op) = ("gather", CollectiveAlgo::Linear, None);
+        self.record(Event::Collective { name, algo, op, t0 });
         Ok(out)
     }
 
@@ -377,15 +349,8 @@ impl Comm {
             out.push(flat[off..off + len].to_vec());
             off += len;
         }
-        self.emit_span(
-            EventKind::Collective {
-                name: "allgather",
-                algo: self.collective_algo().label(),
-                op: None,
-            },
-            t0,
-        );
-        self.note_collective("allgather", self.collective_algo().label(), t0);
+        let (name, algo, op) = ("allgather", self.collective_algo(), None);
+        self.record(Event::Collective { name, algo, op, t0 });
         Ok(out)
     }
 
@@ -407,15 +372,8 @@ impl Comm {
         } else {
             self.recv(root)?
         };
-        self.emit_span(
-            EventKind::Collective {
-                name: "scatter",
-                algo: CollectiveAlgo::Linear.label(),
-                op: None,
-            },
-            t0,
-        );
-        self.note_collective("scatter", CollectiveAlgo::Linear.label(), t0);
+        let (name, algo, op) = ("scatter", CollectiveAlgo::Linear, None);
+        self.record(Event::Collective { name, algo, op, t0 });
         Ok(out)
     }
 
@@ -423,8 +381,8 @@ impl Comm {
     pub fn barrier(&mut self) -> Result<(), CommError> {
         let t0 = self.clock();
         self.allreduce(&[], ReduceOp::Sum)?;
-        self.emit_span(EventKind::Barrier, t0);
-        self.note_collective("barrier", self.collective_algo().label(), t0);
+        let algo = self.collective_algo();
+        self.record(Event::Barrier { algo, t0 });
         Ok(())
     }
 }

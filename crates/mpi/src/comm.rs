@@ -4,12 +4,11 @@ use crate::collectives::CollectiveAlgo;
 use crate::error::CommError;
 use crate::fault::{FaultState, SendDisposition};
 use crate::mailbox::Mailbox;
+use crate::observe::{CommStats, Event, Note, Observations, Observer};
 use crate::sched::Scheduler;
 use crate::state::{JobState, RankState};
-use otter_log::{FlightEvent, FlightRecorder, JobId, LogLevel};
+use otter_log::{FlightEvent, JobId};
 use otter_machine::Machine;
-use otter_metrics::MetricsRegistry;
-use otter_trace::{EventKind, TraceEvent, TraceSink};
 use std::cell::Cell;
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -21,30 +20,6 @@ use std::time::{Duration, Instant};
 pub(crate) struct Packet {
     pub data: Vec<f64>,
     pub send_clock: f64,
-}
-
-/// Communication/computation counters a rank accumulates; used by the
-/// benchmark harness to report message counts and volumes per
-/// experiment.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct CommStats {
-    pub messages_sent: u64,
-    pub bytes_sent: u64,
-    /// Virtual seconds spent in modeled computation.
-    pub compute_time: f64,
-    /// Virtual seconds spent driving sends (the sender-side transfer
-    /// charge).
-    pub send_time: f64,
-    /// Virtual seconds spent blocked in `recv` waiting for a message
-    /// that had not yet arrived in virtual time.
-    pub wait_time: f64,
-}
-
-impl CommStats {
-    /// Total virtual seconds attributed to communication.
-    pub fn comm_time(&self) -> f64 {
-        self.send_time + self.wait_time
-    }
 }
 
 /// A rank's endpoint: its identity, the job-wide mailbox array, and
@@ -72,19 +47,11 @@ pub struct Comm {
     confirm: Duration,
     stall: Duration,
     clock: f64,
-    stats: CommStats,
     /// Schedule used by the un-suffixed collective methods.
     algo: CollectiveAlgo,
-    sink: Arc<dyn TraceSink>,
-    /// Cached `sink.enabled()` so the disabled path is one branch.
-    tracing: bool,
-    /// Per-edge FIFO sequence numbers (only maintained while tracing):
-    /// the k-th send on edge (self → d) pairs with the k-th recv on it.
-    send_seq: Vec<u64>,
-    recv_seq: Vec<u64>,
-    /// Per-rank metric registry; `None` when metrics are off (the
-    /// zero-cost default — every record site is behind this branch).
-    metrics: Option<Box<MetricsRegistry>>,
+    /// Everything this rank observes about itself — stats, trace,
+    /// metrics, flight ring — behind [`Comm::record`].
+    obs: Observer,
     /// Wait-for registry shared by every rank of the job; blocked
     /// receives publish their state here so peers can diagnose
     /// deadlocks from a snapshot instead of a blanket timeout.
@@ -95,18 +62,12 @@ pub struct Comm {
     faults: Option<Box<FaultState>>,
     /// Correlation key for every observability artifact of this job.
     job_id: JobId,
-    /// Always-on bounded flight recorder: the last few dozen comm /
-    /// scheduler / executor events, kept even when tracing and metrics
-    /// are off. Single-writer (this rank), fixed memory, and strictly
-    /// wall-side — it observes the virtual clock but never charges it.
-    flight: FlightRecorder,
     /// Keeps `Comm: !Sync` (one owner per rank) despite the shared
     /// `Arc`/`Mutex` fields above.
     _not_sync: PhantomData<Cell<()>>,
 }
 
 impl Comm {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         rank: usize,
         size: usize,
@@ -114,11 +75,9 @@ impl Comm {
         mailboxes: Arc<Vec<Mailbox>>,
         sched: Arc<Scheduler>,
         opts: &crate::runner::SpmdOptions,
-        sink: Arc<dyn TraceSink>,
         job: Arc<JobState>,
     ) -> Self {
         debug_assert_eq!(mailboxes.len(), size);
-        let tracing = sink.enabled();
         Comm {
             rank,
             size,
@@ -129,20 +88,14 @@ impl Comm {
             confirm: opts.confirm_window,
             stall: opts.stall_timeout,
             clock: 0.0,
-            stats: CommStats::default(),
             algo: opts.algo,
-            sink,
-            tracing,
-            send_seq: vec![0; if tracing { size } else { 0 }],
-            recv_seq: vec![0; if tracing { size } else { 0 }],
-            metrics: opts.metrics.then(|| Box::new(MetricsRegistry::new())),
+            obs: Observer::new(rank, size, opts),
             job,
             faults: opts
                 .faults
                 .as_ref()
                 .and_then(|plan| FaultState::for_rank(plan, rank, size)),
             job_id: opts.job_id,
-            flight: FlightRecorder::with_capacity(opts.recorder_capacity),
             _not_sync: PhantomData,
         }
     }
@@ -194,7 +147,7 @@ impl Comm {
 
     /// Accumulated counters.
     pub fn stats(&self) -> CommStats {
-        self.stats
+        self.obs.stats()
     }
 
     /// Schedule the un-suffixed collectives (`broadcast`, `reduce`,
@@ -209,36 +162,6 @@ impl Comm {
         self.algo = algo;
     }
 
-    /// Whether trace events are being recorded. Layers above `Comm`
-    /// gate their own span emission on this.
-    pub fn trace_enabled(&self) -> bool {
-        self.tracing
-    }
-
-    /// Whether this endpoint carries a metric registry. Layers above
-    /// `Comm` gate their own recording on this so the disabled path
-    /// never constructs a metric key.
-    pub fn metrics_enabled(&self) -> bool {
-        self.metrics.is_some()
-    }
-
-    /// This rank's metric registry, when metrics are on. The runtime
-    /// library and the executor record op latencies, message-size
-    /// distributions, and allocator high-water marks through this one
-    /// access point.
-    pub fn metrics(&mut self) -> Option<&mut MetricsRegistry> {
-        self.metrics.as_deref_mut()
-    }
-
-    /// Detach the registry. The runner does this when a rank finishes
-    /// (snapshotting into the rank's result); engines that do
-    /// out-of-band reporting collectives after the benchmarked program
-    /// take it earlier, at the same point they suspend tracing, so the
-    /// metric totals keep matching the stats snapshot.
-    pub fn take_metrics(&mut self) -> Option<Box<MetricsRegistry>> {
-        self.metrics.take()
-    }
-
     /// The shared job state (runner-internal).
     pub(crate) fn job(&self) -> &Arc<JobState> {
         &self.job
@@ -250,60 +173,25 @@ impl Comm {
         self.job_id
     }
 
-    /// Record one structured log event into this rank's flight
-    /// recorder. Always on and allocation-free: the ring overwrites
-    /// its oldest event when full, so layers above `Comm` (runtime
-    /// library, executor) log freely without gating.
-    pub fn log(&mut self, level: LogLevel, code: &'static str, a: u64, b: u64) {
-        self.flight.record(level, code, a, b, self.clock);
+    /// Record one observation, stamped with the current clock: the one
+    /// instrumentation entry point. Which sinks see the event is
+    /// decided in [`crate::observe`], never at the site.
+    #[inline]
+    pub fn record(&mut self, ev: Event<'_>) {
+        self.obs.record(self.clock, ev);
     }
 
-    /// Read-only view of this rank's flight recorder.
-    pub fn flight(&self) -> &FlightRecorder {
-        &self.flight
+    /// Snapshot this rank's clock, stats and metric registry, and stop
+    /// tracing and metering. Engines call this before their out-of-band
+    /// reporting collectives, so all three totals keep matching.
+    pub fn freeze(&mut self) -> Observations {
+        self.obs.freeze(self.clock)
     }
 
-    /// Drain the flight recorder into an owned event list (oldest
-    /// first). The runner does this when the rank finishes, moving the
-    /// tail into the rank's result or failure record.
-    pub fn take_flight(&mut self) -> Vec<FlightEvent> {
-        let events = self.flight.events();
-        self.flight = FlightRecorder::with_capacity(self.flight.capacity());
-        events
-    }
-
-    /// Record one finished collective: an invocation counter labeled
-    /// by collective and schedule, plus a duration histogram.
-    pub(crate) fn note_collective(&mut self, name: &'static str, algo: &'static str, t0: f64) {
-        let dt = self.clock - t0;
-        self.log(LogLevel::Debug, "comm.collective", 0, 0);
-        if let Some(m) = self.metrics.as_deref_mut() {
-            m.inc("collectives_total", &[("coll", name), ("algo", algo)], 1);
-            m.observe("collective_seconds", &[("coll", name)], dt);
-        }
-    }
-
-    /// Stop recording trace events on this endpoint for the rest of
-    /// the program. Engines call this before their out-of-band
-    /// reporting collectives so trace totals keep matching the stats
-    /// snapshot taken at the same point.
-    pub fn suspend_tracing(&mut self) {
-        self.tracing = false;
-    }
-
-    /// Record a span from `t_start` to the current clock. No-op (and
-    /// no event construction — callers should pre-check
-    /// [`Comm::trace_enabled`] for spans with computed names) when
-    /// tracing is off.
-    pub fn emit_span(&self, kind: EventKind, t_start: f64) {
-        if self.tracing {
-            self.sink.record(TraceEvent {
-                rank: self.rank,
-                t_start,
-                t_end: self.clock,
-                kind,
-            });
-        }
+    /// The flight recorder's events (oldest first), for the rank's
+    /// result or failure record.
+    pub(crate) fn flight(&self) -> Vec<FlightEvent> {
+        self.obs.flight()
     }
 
     /// Charge `flop_units` of modeled computation (in units of one
@@ -311,20 +199,7 @@ impl Comm {
     pub fn compute(&mut self, flop_units: f64) {
         let dt = flop_units * self.machine.cpu.flop_time();
         self.clock += dt;
-        self.stats.compute_time += dt;
-        if self.tracing && dt > 0.0 {
-            self.emit_span(EventKind::Compute, self.clock - dt);
-        }
-    }
-
-    /// Advance the clock by raw virtual seconds (used by the runtime
-    /// for memory-traffic charges).
-    pub fn advance(&mut self, seconds: f64) {
-        self.clock += seconds;
-        self.stats.compute_time += seconds;
-        if self.tracing && seconds > 0.0 {
-            self.emit_span(EventKind::Compute, self.clock - seconds);
-        }
+        self.record(Event::Compute { dt });
     }
 
     /// One message-target validity check, shared by send and recv so
@@ -368,7 +243,7 @@ impl Comm {
         if let Some(f) = self.faults.as_deref_mut() {
             if f.note_op() {
                 let op_index = f.ops;
-                self.log(LogLevel::Error, "fault.crash", op_index, 0);
+                self.record(Event::Note(Note::Crashed { op_index }));
                 return Err(CommError::InjectedCrash {
                     rank: self.rank,
                     op_index,
@@ -394,31 +269,12 @@ impl Comm {
     ) -> Result<(), CommError> {
         self.check_peer(to, "send to")?;
         self.fault_op()?;
-        let bytes = data.len() * 8;
-        let dt = self.machine.message_time(self.rank, to, bytes, concurrent);
+        let bytes = (data.len() * 8) as u64;
+        let dt = self
+            .machine
+            .message_time(self.rank, to, bytes as usize, concurrent);
         self.clock += dt;
-        self.stats.send_time += dt;
-        self.stats.messages_sent += 1;
-        self.stats.bytes_sent += bytes as u64;
-        if self.tracing {
-            let seq = self.send_seq[to];
-            self.send_seq[to] += 1;
-            self.emit_span(
-                EventKind::Send {
-                    to,
-                    bytes: bytes as u64,
-                    seq,
-                },
-                self.clock - dt,
-            );
-        }
-        if let Some(m) = self.metrics.as_deref_mut() {
-            m.inc("comm_messages_total", &[], 1);
-            m.inc("comm_bytes_total", &[], bytes as u64);
-            m.observe("message_bytes", &[], bytes as f64);
-            m.observe("send_seconds", &[], dt);
-        }
-        self.log(LogLevel::Debug, "comm.send", to as u64, bytes as u64);
+        self.record(Event::Send { to, bytes, dt });
         let mut send_clock = self.clock;
         let disposition = self.faults.as_deref_mut().map(|f| f.outgoing(to));
         match disposition {
@@ -426,11 +282,11 @@ impl Comm {
             // The sender believes the send succeeded: time and
             // stats are charged, the packet just never arrives.
             Some(SendDisposition::Drop) => {
-                self.log(LogLevel::Warn, "fault.drop", to as u64, bytes as u64);
+                self.record(Event::Note(Note::Dropped { to, bytes }));
                 return Ok(());
             }
             Some(SendDisposition::Delay(s)) => {
-                self.log(LogLevel::Warn, "fault.delay", to as u64, bytes as u64);
+                self.record(Event::Note(Note::Delayed { to, bytes }));
                 send_clock += s;
             }
         }
@@ -440,7 +296,7 @@ impl Comm {
         // send failed after the charge.
         match self.job.state_of(to) {
             RankState::Finished | RankState::Failed => {
-                self.log(LogLevel::Error, "comm.dead_peer", to as u64, 0);
+                self.record(Event::Note(Note::DeadPeer { peer: to }));
                 Err(CommError::PeerTerminated {
                     rank: self.rank,
                     peer: to,
@@ -478,7 +334,7 @@ impl Comm {
         if let Some(p) = self.mailboxes[self.rank].try_pop(from) {
             return Ok(p);
         }
-        self.log(LogLevel::Debug, "sched.park", from as u64, 0);
+        self.record(Event::Note(Note::Park { from }));
         self.job.set_waiting(self.rank, from);
         self.sched.release();
         // The poll interval backs off exponentially (capped at 16x the
@@ -562,16 +418,12 @@ impl Comm {
         // deadlocked to a detector walking the wait-for graph.
         self.job.set_running(self.rank);
         self.sched.acquire(self.rank);
-        match &result {
-            Ok(_) => self.log(LogLevel::Debug, "sched.unpark", from as u64, 0),
-            Err(CommError::Deadlock { waiting_on, .. }) => {
-                self.log(LogLevel::Error, "comm.deadlock", *waiting_on as u64, 0)
-            }
-            Err(CommError::Stalled { waiting_on, .. }) => {
-                self.log(LogLevel::Error, "comm.stall", *waiting_on as u64, 0)
-            }
-            Err(_) => self.log(LogLevel::Error, "comm.dead_peer", from as u64, 0),
-        }
+        self.record(Event::Note(match &result {
+            Ok(_) => Note::Unpark { from },
+            &Err(CommError::Deadlock { waiting_on, .. }) => Note::Deadlock { waiting_on },
+            &Err(CommError::Stalled { waiting_on, .. }) => Note::Stall { waiting_on },
+            Err(_) => Note::DeadPeer { peer: from },
+        }));
         result
     }
 
@@ -584,32 +436,10 @@ impl Comm {
         self.check_peer(from, "recv from")?;
         self.fault_op()?;
         let pkt = self.recv_packet(from)?;
-        let entered_at = self.clock;
-        if pkt.send_clock > self.clock {
-            self.stats.wait_time += pkt.send_clock - self.clock;
-            self.clock = pkt.send_clock;
-            if let Some(m) = self.metrics.as_deref_mut() {
-                m.observe("recv_wait_seconds", &[], self.clock - entered_at);
-            }
-        }
-        if self.tracing {
-            let seq = self.recv_seq[from];
-            self.recv_seq[from] += 1;
-            self.emit_span(
-                EventKind::Recv {
-                    from,
-                    bytes: (pkt.data.len() * 8) as u64,
-                    seq,
-                },
-                entered_at,
-            );
-        }
-        self.log(
-            LogLevel::Debug,
-            "comm.recv",
-            from as u64,
-            (pkt.data.len() * 8) as u64,
-        );
+        let t0 = self.clock;
+        self.clock = self.clock.max(pkt.send_clock);
+        let bytes = (pkt.data.len() * 8) as u64;
+        self.record(Event::Recv { from, bytes, t0 });
         Ok(pkt.data)
     }
 
@@ -842,23 +672,6 @@ mod tests {
             assert!((t.comm - s.send_time).abs() < 1e-12);
             assert!((t.idle - s.wait_time).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn untraced_run_is_untouched() {
-        let sink = Arc::new(MemorySink::new());
-        // No trace in the options: Comm must not see the sink at all.
-        let res = run_spmd(&meiko_cs2(), 2, |c| {
-            assert!(!c.trace_enabled());
-            if c.rank() == 0 {
-                c.send(1, &[1.0])?;
-            } else {
-                c.recv(0)?;
-            }
-            Ok(c.clock())
-        });
-        assert!(res[0].value > 0.0);
-        assert!(sink.is_empty());
     }
 
     #[test]

@@ -48,15 +48,17 @@ pub mod comm;
 pub mod error;
 pub mod fault;
 mod mailbox;
+pub mod observe;
 pub mod runner;
 mod sched;
 mod state;
 
 pub use admission::{JobGate, JobPermit};
 pub use collectives::{CollectiveAlgo, ReduceOp};
-pub use comm::{Comm, CommStats};
+pub use comm::Comm;
 pub use error::{find_wait_cycle, CommError, WaitEdge};
 pub use fault::{FaultAction, FaultPlan};
+pub use observe::{CommStats, Event, Note, Observations};
 pub use runner::{
     default_workers, job_time, run_spmd, run_spmd_with, FailureReport, JobFailure, JobResult,
     RankFailure, RankResult, SpmdOptions,

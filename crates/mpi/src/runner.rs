@@ -14,12 +14,13 @@ use crate::comm::Comm;
 use crate::error::CommError;
 use crate::fault::FaultPlan;
 use crate::mailbox::Mailbox;
+use crate::observe::{CommStats, Event, Note, Observations};
 use crate::sched::Scheduler;
 use crate::state::JobState;
 use otter_log::{FlightEvent, JobId, DEFAULT_RECORDER_CAPACITY};
 use otter_machine::Machine;
 use otter_metrics::MetricsSnapshot;
-use otter_trace::{NoopSink, TraceSink};
+use otter_trace::TraceSink;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
@@ -65,7 +66,7 @@ pub struct RankResult<R> {
     pub rank: usize,
     pub value: R,
     pub clock: f64,
-    pub stats: crate::comm::CommStats,
+    pub stats: CommStats,
     /// Frozen per-rank metric registry; `None` unless the job ran with
     /// [`SpmdOptions::metrics`] on.
     pub metrics: Option<MetricsSnapshot>,
@@ -80,7 +81,7 @@ pub struct SpmdOptions {
     /// Schedule the un-suffixed collective methods use on every rank.
     pub algo: CollectiveAlgo,
     /// Event sink shared by every rank; `None` means tracing is off
-    /// (ranks get a no-op sink and skip event construction entirely).
+    /// (ranks skip event construction entirely).
     pub trace: Option<Arc<dyn TraceSink>>,
     /// Give every rank its own metric registry, snapshotted into
     /// [`RankResult::metrics`] when the rank finishes. Off by default:
@@ -141,7 +142,7 @@ pub struct RankFailure {
     /// Virtual clock when the rank failed.
     pub clock: f64,
     /// Counters up to the failure point.
-    pub stats: crate::comm::CommStats,
+    pub stats: CommStats,
     /// Partial metric registry, when metrics were on.
     pub metrics: Option<MetricsSnapshot>,
     /// The rank's flight-recorder tail at the moment of failure,
@@ -273,19 +274,16 @@ where
     job.set_done(rank, result.is_ok());
     job.note_progress();
     comm.wake_ranks_blocked_on_me();
-    match &result {
-        Ok(_) => comm.log(otter_log::LogLevel::Info, "rank.done", 0, 0),
-        Err(e) => comm.log(
-            otter_log::LogLevel::Error,
-            "rank.failed",
-            e.rank() as u64,
-            0,
-        ),
-    }
-    let clock = comm.clock();
-    let stats = comm.stats();
-    let metrics = comm.take_metrics().map(|r| r.snapshot());
-    let flight = comm.take_flight();
+    comm.record(Event::Note(match &result {
+        Ok(_) => Note::RankDone,
+        Err(e) => Note::RankFailed { rank: e.rank() },
+    }));
+    let Observations {
+        clock,
+        stats,
+        metrics,
+    } = comm.freeze();
+    let flight = comm.flight();
     comm.release_worker();
     match result {
         Ok(value) => RankOutcome::Ok(RankResult {
@@ -322,7 +320,7 @@ fn invalid_config<R>(p: usize, reason: &str) -> JobFailure<R> {
                 },
                 blocked_peers: Vec::new(),
                 clock: 0.0,
-                stats: crate::comm::CommStats::default(),
+                stats: CommStats::default(),
                 metrics: None,
                 flight: Vec::new(),
             }],
@@ -365,7 +363,6 @@ where
     // multiplexed over the worker pool.
     let workers = opts.workers.unwrap_or_else(default_workers).min(p);
     let machine = Arc::new(machine.clone());
-    let sink: Arc<dyn TraceSink> = opts.trace.clone().unwrap_or_else(|| Arc::new(NoopSink));
     let job = Arc::new(JobState::new(p));
     let mailboxes: Arc<Vec<Mailbox>> = Arc::new((0..p).map(|_| Mailbox::new()).collect());
     let sched = Arc::new(Scheduler::new(workers, p));
@@ -380,7 +377,6 @@ where
             Arc::clone(&mailboxes),
             Arc::clone(&sched),
             &opts,
-            Arc::clone(&sink),
             Arc::clone(&job),
         ));
     }

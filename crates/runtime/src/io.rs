@@ -11,7 +11,7 @@
 
 use crate::dense::Dense;
 use crate::matrix::DistMatrix;
-use otter_mpi::{Comm, CommError};
+use otter_mpi::{Comm, CommError, Event};
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -93,15 +93,14 @@ pub fn write_matrix_file(path: &Path, m: &Dense) -> Result<(), String> {
 /// Distributed load: rank 0 reads the file and scatters
 /// (`ML_load`). Every rank must call.
 pub fn load_distributed(comm: &mut Comm, path: &Path) -> Result<DistMatrix, LoadError> {
-    let t0 = comm.clock();
+    let (name, t0) = ("ML_load", comm.clock());
     let dense = if comm.rank() == 0 {
         Some(read_matrix_file(path)?)
     } else {
         None
     };
     let m = DistMatrix::scatter_from(comm, 0, dense.as_ref())?;
-    comm.emit_span(otter_trace::EventKind::Phase { name: "ML_load" }, t0);
-    crate::note_rt_op(comm, "ML_load", t0);
+    comm.record(Event::Phase { name, t0 });
     Ok(m)
 }
 

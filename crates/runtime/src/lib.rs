@@ -40,13 +40,3 @@ pub use dist::Block;
 pub use io::LoadError;
 pub use matrix::DistMatrix;
 pub use otter_mpi::CommError;
-
-/// Record one finished `ML_*` library call as an
-/// `rt_op_seconds{op=...}` observation of modeled virtual seconds.
-/// No-op (and no key construction) when the rank runs without metrics.
-pub(crate) fn note_rt_op(comm: &mut otter_mpi::Comm, op: &'static str, t0: f64) {
-    let dt = comm.clock() - t0;
-    if let Some(m) = comm.metrics() {
-        m.observe("rt_op_seconds", &[("op", op)], dt);
-    }
-}

@@ -6,8 +6,7 @@
 use crate::dense::Dense;
 use crate::dist::Block;
 use crate::matrix::DistMatrix;
-use otter_mpi::{Comm, CommError};
-use otter_trace::EventKind;
+use otter_mpi::{Comm, CommError, Event};
 
 impl DistMatrix {
     /// Distributed matrix multiply, `C = A · B` (`ML_matrix_multiply`).
@@ -19,15 +18,9 @@ impl DistMatrix {
     /// `p` steps, each moving `(k/p)·n` elements — the standard 1-D
     /// rotation algorithm a row-distributed 1998 run-time would use.
     pub fn matmul(&self, comm: &mut Comm, other: &DistMatrix) -> Result<DistMatrix, CommError> {
-        let t0 = comm.clock();
+        let (name, t0) = ("ML_matrix_multiply", comm.clock());
         let out = self.matmul_impl(comm, other)?;
-        comm.emit_span(
-            EventKind::Phase {
-                name: "ML_matrix_multiply",
-            },
-            t0,
-        );
-        crate::note_rt_op(comm, "ML_matrix_multiply", t0);
+        comm.record(Event::Phase { name, t0 });
         Ok(out)
     }
 
@@ -127,7 +120,7 @@ impl DistMatrix {
     /// already correctly distributed because `A`'s row blocks coincide
     /// with `y`'s element blocks.
     pub fn matvec(&self, comm: &mut Comm, x: &DistMatrix) -> Result<DistMatrix, CommError> {
-        let t0 = comm.clock();
+        let (name, t0) = ("ML_matrix_vector_multiply", comm.clock());
         assert!(x.is_vector(), "matvec needs a vector");
         assert_eq!(
             self.cols(),
@@ -142,13 +135,7 @@ impl DistMatrix {
         let mut local = vec![0.0; self.local().len() / w.max(1)];
         crate::kernels::matvec_into(&mut local, self.local(), w, &x_full);
         comm.compute(2.0 * local.len() as f64 * w as f64);
-        comm.emit_span(
-            EventKind::Phase {
-                name: "ML_matrix_vector_multiply",
-            },
-            t0,
-        );
-        crate::note_rt_op(comm, "ML_matrix_vector_multiply", t0);
+        comm.record(Event::Phase { name, t0 });
         Ok(DistMatrix::from_local(comm, self.rows(), 1, local))
     }
 
@@ -156,7 +143,7 @@ impl DistMatrix {
     /// distributed like any `m×n` result. `v` is allgathered; `u` is
     /// already aligned with the result's rows.
     pub fn outer(comm: &mut Comm, u: &DistMatrix, v: &DistMatrix) -> Result<DistMatrix, CommError> {
-        let t0 = comm.clock();
+        let (name, t0) = ("ML_outer", comm.clock());
         assert!(u.is_vector() && v.is_vector(), "outer needs vectors");
         let (m, n) = (u.len(), v.len());
         let v_full = v.gather_all(comm)?.into_data();
@@ -169,8 +156,7 @@ impl DistMatrix {
             }
         }
         comm.compute(u.local_els() as f64 * n as f64);
-        comm.emit_span(EventKind::Phase { name: "ML_outer" }, t0);
-        crate::note_rt_op(comm, "ML_outer", t0);
+        comm.record(Event::Phase { name, t0 });
         Ok(DistMatrix::from_local(comm, m, n, local))
     }
 
@@ -178,15 +164,9 @@ impl DistMatrix {
     /// intersection of its row panel with every destination's column
     /// panel.
     pub fn transpose(&self, comm: &mut Comm) -> Result<DistMatrix, CommError> {
-        let t0 = comm.clock();
+        let (name, t0) = ("ML_transpose", comm.clock());
         let out = self.transpose_impl(comm)?;
-        comm.emit_span(
-            EventKind::Phase {
-                name: "ML_transpose",
-            },
-            t0,
-        );
-        crate::note_rt_op(comm, "ML_transpose", t0);
+        comm.record(Event::Phase { name, t0 });
         Ok(out)
     }
 

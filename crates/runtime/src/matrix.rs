@@ -18,8 +18,7 @@
 
 use crate::dense::Dense;
 use crate::dist::Block;
-use otter_mpi::{Comm, CommError};
-use otter_trace::EventKind;
+use otter_mpi::{Comm, CommError, Event};
 
 /// A matrix or vector distributed across the ranks of a job.
 #[derive(Debug, PartialEq)]
@@ -170,8 +169,7 @@ impl DistMatrix {
     /// Distribute a dense value every rank already holds (matrix
     /// literals and results of replicated scalar computation): each
     /// rank slices out its block, no communication.
-    pub fn from_replicated(comm: &Comm, full: &Dense) -> DistMatrix {
-        let t0 = comm.clock();
+    pub fn from_replicated(comm: &mut Comm, full: &Dense) -> DistMatrix {
         let mut m = Self::alloc(comm, full.rows(), full.cols());
         let b = m.block();
         let r = comm.rank();
@@ -190,17 +188,13 @@ impl DistMatrix {
                 m.local[li * w..(li + 1) * w].copy_from_slice(full.row(gi));
             }
         }
-        comm.emit_span(
-            EventKind::Phase {
-                name: "ML_distribute",
-            },
-            t0,
-        );
+        let name = "ML_distribute";
+        comm.record(Event::Mark { name });
         m
     }
 
     /// Distribute the MATLAB range `start:step:stop` as a row vector.
-    pub fn range(comm: &Comm, start: f64, step: f64, stop: f64) -> DistMatrix {
+    pub fn range(comm: &mut Comm, start: f64, step: f64, stop: f64) -> DistMatrix {
         // Cheap enough to build locally: each rank materializes only
         // its block.
         let full = Dense::range(start, step, stop);
@@ -214,7 +208,7 @@ impl DistMatrix {
         root: usize,
         full: Option<&Dense>,
     ) -> Result<DistMatrix, CommError> {
-        let t0 = comm.clock();
+        let (name, t0) = ("ML_scatter", comm.clock());
         // Broadcast the shape first.
         let shape = match full {
             Some(d) => vec![d.rows() as f64, d.cols() as f64],
@@ -241,27 +235,20 @@ impl DistMatrix {
             Vec::new()
         };
         m.local = comm.scatter(root, &parts)?;
-        comm.emit_span(EventKind::Phase { name: "ML_scatter" }, t0);
-        crate::note_rt_op(comm, "ML_scatter", t0);
+        comm.record(Event::Phase { name, t0 });
         Ok(m)
     }
 
     /// Gather the full matrix onto every rank (used by `disp`, small
     /// intermediates, and test oracles).
     pub fn gather_all(&self, comm: &mut Comm) -> Result<Dense, CommError> {
-        let t0 = comm.clock();
+        let (name, t0) = ("ML_gather_all", comm.clock());
         let parts = comm.allgather(&self.local)?;
         let mut data = Vec::with_capacity(self.len());
         for p in parts {
             data.extend_from_slice(&p);
         }
-        comm.emit_span(
-            EventKind::Phase {
-                name: "ML_gather_all",
-            },
-            t0,
-        );
-        crate::note_rt_op(comm, "ML_gather_all", t0);
+        comm.record(Event::Phase { name, t0 });
         Ok(if self.is_vector() && self.rows > 1 {
             Dense::from_vec(self.rows, 1, data)
         } else if self.is_vector() {
@@ -273,10 +260,9 @@ impl DistMatrix {
 
     /// Gather onto `root` only; others get `None`.
     pub fn gather_to(&self, comm: &mut Comm, root: usize) -> Result<Option<Dense>, CommError> {
-        let t0 = comm.clock();
+        let (name, t0) = ("ML_gather", comm.clock());
         let parts = comm.gather(root, &self.local)?;
-        comm.emit_span(EventKind::Phase { name: "ML_gather" }, t0);
-        crate::note_rt_op(comm, "ML_gather", t0);
+        comm.record(Event::Phase { name, t0 });
         let Some(parts) = parts else { return Ok(None) };
         let mut data = Vec::with_capacity(self.len());
         for p in parts {

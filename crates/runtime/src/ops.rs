@@ -300,7 +300,7 @@ mod tests {
     use otter_machine::meiko_cs2;
     use otter_mpi::run_spmd;
 
-    fn dist_counting(comm: &Comm, rows: usize, cols: usize) -> DistMatrix {
+    fn dist_counting(comm: &mut Comm, rows: usize, cols: usize) -> DistMatrix {
         let d = Dense::from_vec(rows, cols, (0..rows * cols).map(|k| k as f64).collect());
         DistMatrix::from_replicated(comm, &d)
     }

@@ -8,8 +8,8 @@
 //! matcom, otter) all trace through this one schema.
 //!
 //! Tracing is opt-in and zero-cost when disabled: callers hold an
-//! `Arc<dyn TraceSink>` that defaults to [`NoopSink`], and emitters gate on a
-//! cached `enabled()` flag so the disabled path never constructs an event.
+//! `Option<Arc<dyn TraceSink>>`, and `None` means the disabled path never
+//! constructs an event.
 //!
 //! On top of the raw stream this crate provides:
 //!
@@ -27,4 +27,4 @@ mod sink;
 pub use analyze::{critical_path, timelines, CriticalPath, RankTimeline};
 pub use chrome::chrome_trace;
 pub use event::{EventKind, TraceEvent};
-pub use sink::{MemorySink, NoopSink, TraceSink};
+pub use sink::{MemorySink, TraceSink};

@@ -6,15 +6,10 @@ use std::sync::Mutex;
 /// Destination for trace events. Shared by every rank thread, so
 /// implementations must be `Send + Sync`.
 ///
-/// The no-op-sink guarantee: emitters cache `enabled()` once and skip event
-/// construction entirely when it is false, so a disabled sink costs one
-/// branch per would-be event and perturbs no modeled numbers.
+/// Tracing off is the absence of a sink: emitters hold an
+/// `Option<Arc<dyn TraceSink>>`, so the disabled path costs one branch per
+/// would-be event and perturbs no modeled numbers.
 pub trait TraceSink: Send + Sync {
-    /// Whether emitters should bother constructing events.
-    fn enabled(&self) -> bool {
-        true
-    }
-
     /// Record one event. May be called concurrently from rank threads.
     fn record(&self, ev: TraceEvent);
 
@@ -23,18 +18,6 @@ pub trait TraceSink: Send + Sync {
     fn snapshot(&self) -> Option<Vec<TraceEvent>> {
         None
     }
-}
-
-/// The disabled sink: reports `enabled() == false` and drops everything.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopSink;
-
-impl TraceSink for NoopSink {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn record(&self, _ev: TraceEvent) {}
 }
 
 /// Retains every event in memory; the sink used by `harness trace`,
@@ -88,17 +71,8 @@ mod tests {
     }
 
     #[test]
-    fn noop_sink_reports_disabled() {
-        let s = NoopSink;
-        assert!(!s.enabled());
-        s.record(ev(0, 0.0, 1.0));
-        assert!(s.snapshot().is_none());
-    }
-
-    #[test]
     fn memory_sink_retains_in_order() {
         let s = MemorySink::new();
-        assert!(s.enabled());
         s.record(ev(0, 0.0, 1.0));
         s.record(ev(1, 0.5, 2.0));
         let evs = s.snapshot().unwrap();

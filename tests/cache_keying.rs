@@ -85,7 +85,10 @@ fn every_compile_relevant_knob_changes_the_fingerprint() {
                 .m_files(otter_frontend::MapProvider::new().with("f", "function y = f(x)\ny = x;"))
                 .build(),
         ),
-        ("fusion", EngineOptions::builder().fusion(false).build()),
+        (
+            "fusion",
+            EngineOptions::builder().disable_pass("fusion").build(),
+        ),
         ("tile size", EngineOptions::builder().tile_size(8).build()),
     ];
     let mut seen = vec![("default", base)];

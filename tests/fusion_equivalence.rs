@@ -7,8 +7,19 @@
 mod common;
 
 use common::run_compiled;
+use otter_core::engines::EngineOptionsBuilder;
 use otter_core::{compile, EngineOptions, EngineReport};
 use otter_machine::meiko_cs2;
+
+/// An options builder with the loop-fusion pass on or off.
+fn fusion(on: bool) -> EngineOptionsBuilder {
+    let b = EngineOptions::builder();
+    if on {
+        b
+    } else {
+        b.disable_pass("fusion")
+    }
+}
 
 /// FNV-1a over every result variable's dimensions and element bits —
 /// byte-identical runs hash identically, any flipped bit does not.
@@ -52,16 +63,13 @@ fn fusion_and_tiling_never_change_a_result_bit() {
     for app in otter_apps::test_apps() {
         for p in [1usize, 2, 4, 8] {
             let reference = result_fingerprint(&app, &run_with(&app, &EngineOptions::default(), p));
-            for fusion in [true, false] {
+            for on in [true, false] {
                 for tile in [1usize, 8, 64] {
-                    let opts = EngineOptions::builder()
-                        .fusion(fusion)
-                        .tile_size(tile)
-                        .build();
+                    let opts = fusion(on).tile_size(tile).build();
                     let got = result_fingerprint(&app, &run_with(&app, &opts, p));
                     assert_eq!(
                         got, reference,
-                        "{} p={p}: fusion={fusion} tile={tile} changed result bits",
+                        "{} p={p}: fusion={on} tile={tile} changed result bits",
                         app.id
                     );
                 }
@@ -76,11 +84,8 @@ fn fusion_never_raises_the_workspace_peak() {
     // allocator high-water mark must never grow because of it.
     for app in otter_apps::test_apps() {
         for p in [1usize, 4] {
-            let peak = |fusion: bool| {
-                let opts = EngineOptions::builder()
-                    .metrics(true)
-                    .fusion(fusion)
-                    .build();
+            let peak = |on: bool| {
+                let opts = fusion(on).metrics(true).build();
                 let report = run_with(&app, &opts, p);
                 report
                     .metrics
@@ -107,10 +112,7 @@ fn fig2_with_knobs_off_is_byte_identical_to_the_prechange_figure() {
     use otter_bench::render::render_fig2_csv;
     let fixture = include_str!("fixtures/fig2_test.csv");
     for tile in [8usize, 64] {
-        let opts = EngineOptions::builder()
-            .fusion(false)
-            .tile_size(tile)
-            .build();
+        let opts = fusion(false).tile_size(tile).build();
         let csv = render_fig2_csv(&fig2_with(Scale::Test, &opts));
         assert_eq!(
             csv, fixture,

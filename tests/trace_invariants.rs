@@ -6,9 +6,10 @@
 //! accounting paths (stats are charged inside `Comm`, events are
 //! recorded by the sink) is a tracing bug.
 
-use otter_core::{run_engine, EngineOptions, OtterEngine};
+use otter_core::{compile, run_engine, try_run, EngineOptions, OtterEngine, RunRequest};
 use otter_machine::meiko_cs2;
-use otter_trace::{timelines, EventKind, MemorySink, TraceSink};
+use otter_mpi::FaultPlan;
+use otter_trace::{timelines, EventKind, MemorySink, TraceEvent, TraceSink};
 use std::sync::Arc;
 
 /// Relative tolerance for summed floating-point durations. The event
@@ -19,6 +20,18 @@ const REL_EPS: f64 = 1e-9;
 
 fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= REL_EPS * a.abs().max(b.abs()).max(1e-30)
+}
+
+/// Count and byte sum of one rank's `Send` events.
+fn sends_of(events: &[TraceEvent], rank: usize) -> (u64, u64) {
+    events
+        .iter()
+        .filter(|e| e.rank == rank)
+        .filter_map(|e| match e.kind {
+            EventKind::Send { bytes, .. } => Some(bytes),
+            _ => None,
+        })
+        .fold((0, 0), |(n, sum), bytes| (n + 1, sum + bytes))
 }
 
 #[test]
@@ -42,20 +55,9 @@ fn trace_totals_agree_with_rank_counters_for_every_app() {
 
                 // Message/byte counts are integers: demand exact
                 // agreement between Send events and the counters.
-                let sends: Vec<_> = events
-                    .iter()
-                    .filter(|e| e.rank == tl.rank)
-                    .filter_map(|e| match e.kind {
-                        EventKind::Send { bytes, .. } => Some(bytes),
-                        _ => None,
-                    })
-                    .collect();
-                assert_eq!(sends.len() as u64, rc.messages, "{tag}: message count");
-                assert_eq!(
-                    sends.iter().copied().sum::<u64>(),
-                    rc.bytes,
-                    "{tag}: bytes sent"
-                );
+                let (sends, sent_bytes) = sends_of(&events, tl.rank);
+                assert_eq!(sends, rc.messages, "{tag}: message count");
+                assert_eq!(sent_bytes, rc.bytes, "{tag}: bytes sent");
 
                 // Seconds are sums of clock differences: near-exact.
                 assert!(
@@ -114,6 +116,60 @@ fn trace_totals_agree_with_rank_counters_for_every_app() {
                 assert_eq!(cp.hops, 0, "{}: no cross-rank hops on one CPU", app.id);
             }
         }
+    }
+}
+
+/// The streams must agree when a job fails, too: every rank's partial
+/// stats, its `Send` events, and the merged partial registries are
+/// folds of the same events, and a failed rank's flight tail ends
+/// with the failure. The crash lands inside the program proper, while
+/// every sink is still on (the engine freezes trace and metrics before
+/// its out-of-band reporting gathers).
+#[test]
+fn streams_agree_after_an_injected_crash() {
+    let app = otter_apps::test_apps()
+        .into_iter()
+        .find(|a| a.id == "cg")
+        .expect("cg app");
+    let sink = Arc::new(MemorySink::new());
+    let opts = EngineOptions::builder()
+        .trace(Arc::clone(&sink))
+        .metrics(true)
+        .faults(FaultPlan::new().crash(2, 12))
+        .build();
+    let artifact = compile(&app.script, &opts).expect("compiles");
+    let failure = try_run(&artifact, &RunRequest::on(meiko_cs2(), 4))
+        .expect("no driver error")
+        .expect_err("the injected crash must surface");
+    let events = sink.snapshot().expect("memory sink retains events");
+
+    let failed = failure
+        .report
+        .failures
+        .iter()
+        .map(|f| (f.rank, f.stats.messages_sent, f.stats.bytes_sent));
+    let survived = failure
+        .survivors
+        .iter()
+        .map(|s| (s.rank, s.messages, s.bytes));
+    let ranks: Vec<(usize, u64, u64)> = failed.chain(survived).collect();
+    assert_eq!(ranks.len(), 4, "every rank is accounted for");
+    for &(rank, messages, bytes) in &ranks {
+        assert_eq!(
+            sends_of(&events, rank),
+            (messages, bytes),
+            "rank {rank}: Send events vs stats"
+        );
+    }
+    let total: u64 = ranks.iter().map(|&(_, messages, _)| messages).sum();
+    assert!(total > 0, "the crash must land mid-program");
+    let merged = failure.metrics.as_ref().expect("metrics were on");
+    assert_eq!(merged.counter("comm_messages_total", &[]), Some(total));
+
+    for f in &failure.report.failures {
+        let (_, tail) = &failure.flight[f.rank];
+        let last = tail.last().expect("failed ranks record events");
+        assert_eq!(last.code, "rank.failed", "rank {}", f.rank);
     }
 }
 
