@@ -29,7 +29,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Uniform per-rank communication counters.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RankCounters {
     pub rank: usize,
     /// Messages this rank sent.
@@ -148,10 +148,6 @@ impl EngineReport {
         op_counts: BTreeMap<String, u64>,
         peak_bytes: usize,
     ) -> EngineReport {
-        let stats = CommStats {
-            compute_time: modeled_seconds,
-            ..CommStats::default()
-        };
         EngineReport {
             engine,
             job_id: JobId(0),
@@ -163,12 +159,12 @@ impl EngineReport {
             bytes: 0,
             peak_rank_bytes: peak_bytes,
             peak_temp_bytes: peak_bytes,
-            per_rank: vec![RankCounters::observed(
-                0,
-                modeled_seconds,
-                &stats,
+            per_rank: vec![RankCounters {
+                clock: modeled_seconds,
                 peak_bytes,
-            )],
+                compute_seconds: modeled_seconds,
+                ..RankCounters::default()
+            }],
             critical_path: None,
             metrics: None,
             comm_sites: Vec::new(),

@@ -229,6 +229,13 @@ impl FlightRecorder {
         out
     }
 
+    /// The last `n` events in record order.
+    pub fn tail(&self, n: usize) -> Vec<FlightEvent> {
+        let all = self.events();
+        let skip = all.len().saturating_sub(n);
+        all[skip..].to_vec()
+    }
+
     /// Events at `level` or more severe, in record order.
     pub fn filtered(&self, max_level: LogLevel) -> Vec<FlightEvent> {
         self.events()
@@ -298,11 +305,13 @@ mod tests {
     }
 
     #[test]
-    fn filter_by_level() {
+    fn tail_and_filter() {
         let mut fr = FlightRecorder::with_capacity(8);
         fr.record(LogLevel::Debug, "a", 0, 0, 0.0);
         fr.record(LogLevel::Error, "b", 1, 0, 0.0);
         fr.record(LogLevel::Info, "c", 2, 0, 0.0);
+        assert_eq!(fr.tail(2).iter().map(|e| e.a).collect::<Vec<_>>(), [1, 2]);
+        assert_eq!(fr.tail(99).len(), 3);
         let errs = fr.filtered(LogLevel::Error);
         assert_eq!(errs.len(), 1);
         assert_eq!(errs[0].code, "b");

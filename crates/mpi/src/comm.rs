@@ -197,9 +197,14 @@ impl Comm {
     /// Charge `flop_units` of modeled computation (in units of one
     /// sustained flop; see `otter_machine::OpClass::weight`).
     pub fn compute(&mut self, flop_units: f64) {
-        let dt = flop_units * self.machine.cpu.flop_time();
-        self.clock += dt;
-        self.record(Event::Compute { dt });
+        self.advance(flop_units * self.machine.cpu.flop_time());
+    }
+
+    /// Advance the clock by raw virtual seconds (used by the runtime
+    /// for memory-traffic charges).
+    pub fn advance(&mut self, seconds: f64) {
+        self.clock += seconds;
+        self.record(Event::Compute { dt: seconds });
     }
 
     /// One message-target validity check, shared by send and recv so
@@ -672,6 +677,22 @@ mod tests {
             assert!((t.comm - s.send_time).abs() < 1e-12);
             assert!((t.idle - s.wait_time).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn untraced_run_is_untouched() {
+        let sink = Arc::new(MemorySink::new());
+        // No trace in the options: Comm must not see the sink at all.
+        let res = run_spmd(&meiko_cs2(), 2, |c| {
+            if c.rank() == 0 {
+                c.send(1, &[1.0])?;
+            } else {
+                c.recv(0)?;
+            }
+            Ok(c.clock())
+        });
+        assert!(res[0].value > 0.0);
+        assert!(sink.is_empty());
     }
 
     #[test]
