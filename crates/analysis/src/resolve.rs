@@ -40,7 +40,7 @@ pub fn resolve(src: &str, provider: &dyn SourceProvider) -> Result<Resolved> {
 }
 
 /// Resolve an already-parsed program against an M-file provider.
-/// This is pass 2 proper; the pass manager runs it after a separate
+/// This is pass 2 proper; the compile driver runs it after a separate
 /// parse pass so the two stages are timed and dumped independently.
 pub fn resolve_program(mut program: Program, provider: &dyn SourceProvider) -> Result<Resolved> {
     // Work-list of function names still to load.

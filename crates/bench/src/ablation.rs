@@ -22,7 +22,7 @@ pub struct PeepholeAblation {
 }
 
 /// Run one app with and without the peephole pass (pass 6 is a
-/// toggleable optional pass in the pass manager).
+/// toggleable optional pass of the compile driver).
 pub fn peephole_ablation(app: &App, p: usize) -> PeepholeAblation {
     let machine = meiko_cs2();
     let with = compile(&app.script, &EngineOptions::default())

@@ -510,11 +510,11 @@ fn run_lint(args: &[String]) {
 
     let mut total_warnings = 0usize;
     for app in apps {
-        let compiled = compile_str(&app.script).unwrap_or_else(|e| {
+        let artifact = compile_str(&app.script).unwrap_or_else(|e| {
             eprintln!("{}: {e}", app.id);
             std::process::exit(1);
         });
-        let r = &compiled.lint;
+        let r = &artifact.compiled().lint;
         println!(
             "{}: {} warning(s), {} collective site(s), {} point-to-point site(s), {}",
             app.id,
@@ -1178,7 +1178,7 @@ fn print_excerpts() {
     let src1 = "n = 8;\nb = ones(n, n);\nc = ones(n, n);\nd = eye(n);\ni = 2;\nj = 3;\na = b * c + d(i, j);";
     let compiled = otter_core::compile_str(src1).expect("excerpt 1 compiles");
     println!("--- a = b * c + d(i,j); ---");
-    for line in compiled.c_source.lines() {
+    for line in compiled.compiled().c_source.lines() {
         let t = line.trim();
         if t.contains("ML_matrix_multiply")
             || t.contains("ML_broadcast")
@@ -1193,7 +1193,7 @@ fn print_excerpts() {
         "n = 8;\na = ones(n, n);\nb = ones(n, n);\ni = 2;\nj = 3;\na(i, j) = a(i, j) / b(j, i);";
     let compiled = otter_core::compile_str(src2).expect("excerpt 2 compiles");
     println!("--- a(i,j) = a(i,j) / b(j,i); ---");
-    for line in compiled.c_source.lines() {
+    for line in compiled.compiled().c_source.lines() {
         let t = line.trim();
         if t.contains("ML_broadcast") || t.contains("ML_owner") || t.contains("ML_realaddr2") {
             println!("{line}");
@@ -1260,23 +1260,17 @@ fn run_memory(scale: Scale) {
 /// what each of the paper's passes costs and what it does to the
 /// program (statement / IR-instruction / runtime-call counts).
 fn run_passes(scale: Scale) {
-    use otter_core::{CompileOptions, PassManager};
-    println!("Per-pass instrumentation (PassManager), four benchmark applications.");
+    println!("Per-pass instrumentation, four benchmark applications.");
     for app in scale.apps() {
-        let report = PassManager::standard()
-            .compile(
-                &app.script,
-                &otter_frontend::EmptyProvider,
-                &CompileOptions::default(),
-            )
-            .unwrap_or_else(|e| panic!("{}: {e}", app.id));
+        let artifact =
+            otter_core::compile_str(&app.script).unwrap_or_else(|e| panic!("{}: {e}", app.id));
         println!();
         println!("{}:", app.name);
         println!(
             "  {:<10} {:>12} {:>8} {:>9} {:>8}",
             "pass", "wall (µs)", "stmts", "IR", "rtcalls"
         );
-        for s in &report.passes {
+        for s in artifact.pass_stats() {
             println!(
                 "  {:<10} {:>12.1} {:>8} {:>9} {:>8}",
                 s.name,

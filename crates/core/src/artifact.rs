@@ -1,5 +1,5 @@
 //! The compile/run API split: a [`CompiledArtifact`] produced by
-//! [`compile`] and executed — any number of times, on any machine
+//! [`compile`](crate::compile()) and executed — any number of times, on any machine
 //! model, at any rank count — by [`run`]/[`try_run`].
 //!
 //! This is the surface every driver shares: `otterc`, the bench and
@@ -30,11 +30,11 @@
 //! assert_eq!(artifact.cache_key(), again.cache_key());
 //! ```
 
-use crate::compile::{CompileOptions, Compiled};
+use crate::compile::Compiled;
 use crate::engines::{CommSiteReport, EngineOptions, EngineReport, RankCounters, SpmdJobFailure};
 use crate::error::{OtterError, Result};
 use crate::exec::{ExecError, ExecOptions, ExecOutcome, Executor, XVal};
-use crate::pass::{PassDump, PassManager, PassStats};
+use crate::pass::PassStats;
 use otter_interp::Value;
 use otter_log::JobId;
 use otter_machine::Machine;
@@ -104,7 +104,7 @@ impl Fingerprint {
 }
 
 /// A fully compiled, immutable, cheaply cloneable program: the output
-/// of [`compile`] and the unit the serve-side artifact cache stores.
+/// of [`compile`](crate::compile()) and the unit the serve-side artifact cache stores.
 ///
 /// Cloning bumps one `Arc`; the IR, the emitted C, the inference
 /// record, and the per-pass statistics are shared. The artifact also
@@ -127,11 +127,9 @@ struct ArtifactInner {
 }
 
 impl CompiledArtifact {
-    /// Wrap the output of an explicitly configured [`PassManager`] run
-    /// (timing, dumps, custom pass sets). [`compile`] is the standard
-    /// path; this constructor exists for drivers like `otterc` that
-    /// configure the manager first.
-    pub fn from_parts(
+    /// Wrap what [`crate::compile_with`] produced, keyed by the source
+    /// and options it was produced from.
+    pub(crate) fn new(
         compiled: Compiled,
         passes: Vec<PassStats>,
         src: &str,
@@ -178,36 +176,6 @@ impl CompiledArtifact {
     pub fn cache_key(&self) -> (u64, u64) {
         (self.inner.source_hash, self.inner.options_fingerprint)
     }
-}
-
-/// Compile a script under `opts` with the standard pipeline. The
-/// compile half of the API split: no machine, no rank count, nothing
-/// run-time enters here, so the result is reusable across every
-/// subsequent [`run`].
-pub fn compile(src: &str, opts: &EngineOptions) -> Result<CompiledArtifact> {
-    compile_managed(&PassManager::standard(), src, opts).map(|(artifact, _)| artifact)
-}
-
-/// [`compile`] through a caller-configured [`PassManager`] (disabled
-/// passes beyond the options, `--dump-after` requests). Returns the
-/// artifact plus any requested dumps.
-pub fn compile_managed(
-    pm: &PassManager,
-    src: &str,
-    opts: &EngineOptions,
-) -> Result<(CompiledArtifact, Vec<PassDump>)> {
-    let empty = otter_frontend::MapProvider::new();
-    let provider = opts.m_files.as_ref().unwrap_or(&empty);
-    let copts = CompileOptions {
-        data_dir: opts.data_dir.clone(),
-        disabled_passes: opts.disabled_passes.clone(),
-        lint: opts.lint,
-    };
-    let report = pm.compile(src, provider, &copts)?;
-    Ok((
-        CompiledArtifact::from_parts(report.compiled, report.passes, src, opts),
-        report.dumps,
-    ))
 }
 
 /// Everything that may vary per execution of one artifact: the machine
@@ -325,7 +293,7 @@ pub fn run(artifact: &CompiledArtifact, req: &RunRequest) -> Result<EngineReport
 /// channel.
 ///
 /// Only run work happens here: passes 1–6 ran once, inside
-/// [`compile`]. A metrics-on run therefore reports **no**
+/// [`compile`](crate::compile()). A metrics-on run therefore reports **no**
 /// `compile_pass_seconds` series — that is the observable proof a
 /// cache-served job skipped compilation (the engine-level
 /// [`crate::Engine::run`], which owns its compile, merges the pass
@@ -342,7 +310,7 @@ pub fn try_run(
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     });
     let exec_opts = ExecOptions {
-        data_dir: compiled.data_dir.clone(),
+        data_dir: opts.data_dir.clone(),
         analyze: opts.analyze,
         tile_size: opts.tile_size,
         threads: (budget / req.ranks.max(1)).max(1),

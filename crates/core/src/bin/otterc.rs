@@ -25,9 +25,9 @@
 //! M-file functions are resolved from the script's directory, like the
 //! MATLAB path; `load` reads sample data files from the same place.
 
+use otter_core::engines::EngineOptionsBuilder;
 use otter_core::{
-    run, CompileOptions, CompileReport, CompiledArtifact, DumpRequest, EngineOptions, EngineReport,
-    LintMode, PassManager, RunRequest,
+    compile_with, run, DumpRequest, EngineOptions, EngineReport, PassStats, RunRequest,
 };
 use otter_frontend::DirProvider;
 use otter_machine::{enterprise_smp, meiko_cs2, sparc20_cluster, workstation, Machine};
@@ -44,14 +44,11 @@ struct Args {
     p: usize,
     workers: Option<usize>,
     machine: Machine,
-    no_peephole: bool,
-    no_fusion: bool,
     timing: bool,
-    trace: bool,
     dump_after: Option<String>,
     lint: bool,
-    lint_deny: bool,
-    analyze: bool,
+    /// What the flags ask of the compiler (`main` adds the data dir).
+    opts: EngineOptionsBuilder,
 }
 
 #[derive(PartialEq)]
@@ -79,14 +76,10 @@ fn parse_args() -> Args {
     let mut p = 1usize;
     let mut workers = None;
     let mut machine = meiko_cs2();
-    let mut no_peephole = false;
-    let mut no_fusion = false;
     let mut timing = false;
-    let mut trace = false;
     let mut dump_after = None;
     let mut lint = false;
-    let mut lint_deny = false;
-    let mut analyze = false;
+    let mut opts = EngineOptions::builder();
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -122,15 +115,15 @@ fn parse_args() -> Args {
                     _ => usage(),
                 }
             }
-            "--no-peephole" => no_peephole = true,
-            "--no-fusion" => no_fusion = true,
+            "--no-peephole" => opts = opts.disable_pass("peephole"),
+            "--no-fusion" => opts = opts.disable_pass("fusion"),
             "--timing" => timing = true,
-            "--trace" => trace = true,
+            "--trace" => opts = opts.trace(Arc::new(MemorySink::new())),
             "--lint" => lint = true,
-            "--analyze" => analyze = true,
+            "--analyze" => opts = opts.analyze(true),
             "--lint=deny" => {
                 lint = true;
-                lint_deny = true;
+                opts = opts.deny_lints();
             }
             "--dump-after" => dump_after = Some(it.next().unwrap_or_else(|| usage())),
             other if other.starts_with("--dump-after=") => {
@@ -151,14 +144,10 @@ fn parse_args() -> Args {
         p,
         workers,
         machine,
-        no_peephole,
-        no_fusion,
         timing,
-        trace,
         dump_after,
         lint,
-        lint_deny,
-        analyze,
+        opts,
     }
 }
 
@@ -187,12 +176,12 @@ fn print_trace_summary(r: &EngineReport) {
     }
 }
 
-fn print_timing(report: &CompileReport) {
+fn print_timing(passes: &[PassStats]) {
     eprintln!(
         "{:<10} {:>12} {:>8} {:>8} {:>9} {:>9} {:>7} {:>7}",
         "pass", "wall (µs)", "stmts", "Δstmts", "IR", "ΔIR", "rtcall", "Δrt"
     );
-    for s in &report.passes {
+    for s in passes {
         eprintln!(
             "{:<10} {:>12.1} {:>8} {:>+8} {:>9} {:>+9} {:>7} {:>+7}",
             s.name,
@@ -282,34 +271,22 @@ fn main() {
         .unwrap_or(Path::new("."))
         .to_path_buf();
     let provider = DirProvider::new(&dir);
-    let mut opts = CompileOptions {
-        data_dir: Some(dir),
-        disabled_passes: Vec::new(),
-        lint: if args.lint_deny {
-            LintMode::Deny
-        } else {
-            LintMode::Warn
-        },
-    };
-    let mut pm = PassManager::standard();
-    if args.no_peephole {
-        opts = opts.without_pass("peephole");
-    }
-    if args.no_fusion {
-        opts = opts.without_pass("fusion");
-    }
-    if let Some(name) = &args.dump_after {
-        let req = if name == "all" {
-            DumpRequest::All
-        } else {
-            DumpRequest::After(name.clone())
-        };
-        if let Err(e) = pm.dump_after(req) {
+    let opts = args.opts.data_dir(dir).build();
+    let wanted = match &args.dump_after {
+        None => DumpRequest::None,
+        Some(name) => DumpRequest::parse(name).unwrap_or_else(|e| {
             eprintln!("otterc: {e}");
             exit(2);
-        }
-    }
-    let report = match pm.compile(&src, &provider, &opts) {
+        }),
+    };
+    // `--emit ast` prints the program after resolution + SSA: the
+    // `ssa-infer` dump.
+    let dump = if args.emit == Emit::Ast {
+        DumpRequest::All
+    } else {
+        wanted
+    };
+    let (artifact, dumps) = match compile_with(&src, &provider, &opts, dump) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("otterc: {}: {e}", args.input.display());
@@ -317,17 +294,16 @@ fn main() {
         }
     };
     if args.timing {
-        print_timing(&report);
+        print_timing(artifact.pass_stats());
     }
-    for dump in &report.dumps {
+    for dump in dumps.iter().filter(|d| wanted.wants(d.pass)) {
         println!("=== after pass `{}` ===", dump.pass);
         print!("{}", dump.text);
         if !dump.text.ends_with('\n') {
             println!();
         }
     }
-    let passes = report.passes;
-    let compiled = report.compiled;
+    let compiled = artifact.compiled();
     if args.lint {
         for w in &compiled.lint.warnings {
             eprintln!("{}", w.clone().in_file(args.input.display().to_string()));
@@ -345,27 +321,15 @@ fn main() {
         );
     }
 
-    if args.analyze {
-        print_analysis(&compiled, args.p);
+    if opts.analyze {
+        print_analysis(compiled, args.p);
     }
 
     match args.emit {
         Emit::Ir => print!("{}", compiled.ir_text()),
         Emit::Ast => {
-            // Show the program after resolution + SSA (re-run the front
-            // half; cheap and keeps Compiled lean).
-            match otter_analysis::resolve(&src, &provider) {
-                Ok(resolved) => {
-                    let mut program = resolved.program;
-                    let info = otter_analysis::ssa_rename(&program.script, &[]);
-                    program.script = info.block;
-                    print!("{}", otter_frontend::pretty::program_to_string(&program));
-                }
-                Err(e) => {
-                    eprintln!("otterc: {e}");
-                    exit(1);
-                }
-            }
+            let ast = dumps.iter().find(|d| d.pass == "ssa-infer");
+            print!("{}", ast.map_or("", |d| d.text.as_str()));
         }
         Emit::C => {
             let out_path = args
@@ -386,20 +350,6 @@ fn main() {
     }
 
     if args.run {
-        // Reconstruct the engine-level options this compile ran under
-        // so the artifact's fingerprint (and run-time knobs like the
-        // trace sink) match what the pipeline actually saw.
-        let mut eopts = if args.trace {
-            EngineOptions::builder()
-                .trace(Arc::new(MemorySink::new()))
-                .build()
-        } else {
-            EngineOptions::default()
-        };
-        eopts.data_dir = compiled.data_dir.clone();
-        eopts.disabled_passes = opts.disabled_passes;
-        eopts.lint = opts.lint;
-        let artifact = CompiledArtifact::from_parts(compiled, passes, &src, &eopts);
         let mut req = RunRequest::on(args.machine.clone(), args.p);
         if let Some(w) = args.workers {
             req = req.with_workers(w);
@@ -418,7 +368,7 @@ fn main() {
                     r.total_ops(),
                     r.peak_temp_bytes,
                 );
-                if args.trace {
+                if opts.trace.is_some() {
                     print_trace_summary(&r);
                 }
             }

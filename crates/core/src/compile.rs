@@ -1,5 +1,5 @@
-//! The compiler driver: the paper's passes, run by the
-//! [`crate::pass::PassManager`].
+//! The compiler driver: [`compile_with`] is the paper's pipeline,
+//! written top to bottom as the rows of [`crate::pass::PASSES`].
 //!
 //! 1. scan + parse (otter-frontend)                      — `parse`
 //! 2. identifier resolution, M-file loading              — `resolve`
@@ -9,50 +9,27 @@
 //! 6. peephole optimization (optional)                   — `peephole`
 //! 7. temporaries de-allocation + C emission             — `frees`, `emit-c`
 //!
-//! Two read-only analyses ride along: `lint` (SPMD dataflow + shape
-//! safety, between 5 and 6) and `analyze` (the static communication
-//! oracle + in-place legality, between `frees` and `emit-c`, where the
-//! IR's leaf-site numbering matches what the executor instruments).
+//! Three more stages ride along: the read-only `lint` (SPMD dataflow +
+//! shape safety, between 5 and 6), the optional loop `fusion` (after
+//! `frees`), and `analyze` (the static communication oracle + in-place
+//! legality, just before `emit-c`, where the IR's leaf-site numbering
+//! matches what the executor instruments; it does its work only under
+//! [`EngineOptions::analyze`]).
+//!
+//! [`compile`] and [`compile_str`] are that one function with the
+//! provider and dump request filled in; there is no other way in.
 
-use crate::error::Result;
-use crate::pass::{GuardStats, PassManager};
-use otter_analysis::Inference;
+use crate::artifact::CompiledArtifact;
+use crate::engines::EngineOptions;
+use crate::error::{OtterError, Result};
+use crate::pass::{ir_text, Artefact, DumpRequest, PassDump, Recorder};
+use otter_analysis::{infer, resolve_program, ssa_rename, InferOptions, Inference};
 use otter_codegen::peephole::PeepholeStats;
-use otter_codegen::FusionStats;
-use otter_frontend::SourceProvider;
-use otter_ir::IrProgram;
-use otter_lint::{LintMode, LintReport};
-use std::path::PathBuf;
-
-/// Compilation options.
-#[derive(Debug, Clone, Default)]
-pub struct CompileOptions {
-    /// Directory for sample data files (`load`) — used at compile time
-    /// for inference and at run time for the actual read.
-    pub data_dir: Option<PathBuf>,
-    /// Names of optional passes to skip (e.g. `"peephole"` for the
-    /// pass-6 ablation). Unknown names are ignored here; use
-    /// [`PassManager::disable`] for validated toggling.
-    pub disabled_passes: Vec<String>,
-    /// How the lint pass treats its findings: [`LintMode::Warn`]
-    /// collects them on [`Compiled::lint`], [`LintMode::Deny`] fails
-    /// the pipeline on the first warning.
-    pub lint: LintMode,
-}
-
-impl CompileOptions {
-    /// Builder: skip an optional pass by name.
-    pub fn without_pass(mut self, name: &str) -> Self {
-        self.disabled_passes.push(name.to_string());
-        self
-    }
-
-    /// Builder: treat lint warnings as pipeline errors.
-    pub fn deny_lints(mut self) -> Self {
-        self.lint = LintMode::Deny;
-        self
-    }
-}
+use otter_codegen::{emit_c, fuse, insert_frees, lower, peephole, FusionStats};
+use otter_frontend::{parse, Program, Severity, SourceProvider};
+use otter_ir::{Instr, IrProgram};
+use otter_lint::oracle::SitePrediction;
+use otter_lint::{lint_program, LintMode, LintReport};
 
 /// A fully compiled program.
 #[derive(Debug, Clone)]
@@ -63,7 +40,7 @@ pub struct Compiled {
     pub inference: Inference,
     /// Emitted SPMD C translation unit.
     pub c_source: String,
-    /// What pass 6 rewrote.
+    /// What pass 6 rewrote (zeros when disabled).
     pub peephole_stats: PeepholeStats,
     /// What the loop-fusion pass rewrote (zeros when disabled).
     pub fusion_stats: FusionStats,
@@ -72,34 +49,9 @@ pub struct Compiled {
     /// What the lint pass found (empty when linting was disabled).
     pub lint: LintReport,
     /// Static communication-volume predictions, one per leaf site in
-    /// [`otter_ir::leaf_sites`] order (from the `analyze` pass).
-    pub analysis: Vec<otter_lint::oracle::SitePrediction>,
-    /// Data directory carried to execution.
-    pub data_dir: Option<PathBuf>,
-}
-
-/// Compile a MATLAB script with the full pipeline (standard pass
-/// order, no instrumentation collected). This is the low-level,
-/// provider-explicit entry; most callers want [`crate::compile`],
-/// which takes [`crate::EngineOptions`] and returns a cacheable
-/// [`crate::CompiledArtifact`].
-pub fn compile_program(
-    src: &str,
-    provider: &dyn SourceProvider,
-    opts: &CompileOptions,
-) -> Result<Compiled> {
-    Ok(PassManager::standard()
-        .compile(src, provider, opts)?
-        .compiled)
-}
-
-/// Convenience: compile with no M-files and defaults.
-pub fn compile_str(src: &str) -> Result<Compiled> {
-    compile_program(
-        src,
-        &otter_frontend::EmptyProvider,
-        &CompileOptions::default(),
-    )
+    /// [`otter_ir::leaf_sites`] order. Empty unless compiled with
+    /// [`EngineOptions::analyze`] on.
+    pub analysis: Vec<SitePrediction>,
 }
 
 impl Compiled {
@@ -109,5 +61,218 @@ impl Compiled {
     }
 }
 
-// Re-exported for bench/ablation callers.
-pub use otter_codegen::peephole::PeepholeStats as Pass6Stats;
+/// What the owner-computes guard pass found (pass 5). Lowering emits
+/// the guards inline with each element store/fetch; this pass audits
+/// and counts them so the construct is visible in compiler output.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GuardStats {
+    /// `if (ML_owner(...))`-style guarded element stores.
+    pub store_guards: usize,
+    /// Owner-broadcast element fetches.
+    pub broadcast_guards: usize,
+}
+
+/// Compile a script under `opts`. The compile half of the API split:
+/// no machine, no rank count, nothing run-time enters here, so the
+/// result is reusable across every subsequent [`crate::run`]. M-file
+/// functions come from [`EngineOptions::m_files`].
+pub fn compile(src: &str, opts: &EngineOptions) -> Result<CompiledArtifact> {
+    let provider: &dyn SourceProvider = match &opts.m_files {
+        Some(m_files) => m_files,
+        None => &otter_frontend::EmptyProvider,
+    };
+    Ok(compile_with(src, provider, opts, DumpRequest::None)?.0)
+}
+
+/// Convenience: compile with no M-files and default options.
+pub fn compile_str(src: &str) -> Result<CompiledArtifact> {
+    compile(src, &EngineOptions::default())
+}
+
+/// The pipeline. Every compile goes through here: `provider` resolves
+/// M-file functions (`otterc` passes the script's directory; it takes
+/// precedence over [`EngineOptions::m_files`]), `dump` selects the
+/// artefact snapshots returned beside the artifact.
+///
+/// Each stage takes the values the stages before it produced, so the
+/// order below is the only order there is; the recorder adds the
+/// timing, size statistics, dumps and error labels around each.
+pub fn compile_with(
+    src: &str,
+    provider: &dyn SourceProvider,
+    opts: &EngineOptions,
+    dump: DumpRequest,
+) -> Result<(CompiledArtifact, Vec<PassDump>)> {
+    let mut rec = Recorder::new(&opts.disabled_passes, dump)?;
+
+    // Pass 1: scan + parse.
+    let program = rec.stage(
+        "parse",
+        || {
+            let file = parse(src)?;
+            Ok(Program {
+                script: file.script,
+                functions: file.functions,
+            })
+        },
+        |program| Artefact::Ast(program),
+    )?;
+
+    // Pass 2: identifier resolution + M-file loading.
+    let program = rec.stage(
+        "resolve",
+        || Ok(resolve_program(program, provider)?.program),
+        |program| Artefact::Ast(program),
+    )?;
+
+    // Pass 3: SSA web renaming + type/rank/shape inference.
+    let (program, inference) = rec.stage(
+        "ssa-infer",
+        || {
+            let mut program = program;
+            program.script = ssa_rename(&program.script, &[]).block;
+            for f in &mut program.functions {
+                f.body = ssa_rename(&f.body, &f.params).block;
+            }
+            let inference = infer(
+                &program,
+                InferOptions {
+                    data_dir: opts.data_dir.clone(),
+                },
+            )?;
+            Ok((program, inference))
+        },
+        |(program, _)| Artefact::Ast(program),
+    )?;
+
+    // Pass 4: expression rewriting — lower the typed AST to SPMD IR.
+    let mut ir = rec.stage(
+        "rewrite",
+        || Ok(lower(&program, &inference)?),
+        |ir| Artefact::Ir(ir),
+    )?;
+
+    // Pass 5: owner-computes guards.
+    let guard_stats = rec.ir_stage("guards", &mut ir, |ir| audit_guards(ir), ir_text)?;
+
+    // Pass 6: peephole optimization (optional — the ablation toggles it).
+    let peephole_stats = rec.ir_stage("peephole", &mut ir, |ir| Ok(peephole(ir)), ir_text)?;
+
+    // SPMD lint, on the IR as it will actually execute — after the
+    // peephole pass has fused and pruned (else every transpose temp
+    // the fuser is about to absorb reads as dead code), but before
+    // `frees` inserts `Free` instructions that would count as uses.
+    // Read-only: it never changes what later stages see.
+    let lint = rec.ir_stage(
+        "lint",
+        &mut ir,
+        |ir| lint_stage(ir, opts.lint),
+        |_, report| {
+            if report.warnings.is_empty() {
+                return "(lint: no warnings)\n".to_string();
+            }
+            report.warnings.iter().map(|w| format!("{w}\n")).collect()
+        },
+    )?;
+
+    // De-allocation of dead temporaries (paper §4: the run-time
+    // library allocates *and de-allocates*). Memory hygiene, not an
+    // optimization — always runs.
+    let _freed = rec.ir_stage("frees", &mut ir, |ir| Ok(insert_frees(ir)), ir_text)?;
+
+    // Loop fusion (optional). After `frees` so each fused temporary's
+    // `Free` exists to consume, and before `analyze` so the oracle
+    // predicts the fused program's communication sites.
+    let fusion_stats = rec.ir_stage("fusion", &mut ir, |ir| Ok(fuse(ir)), ir_text)?;
+
+    // Static analysis over the final IR, when asked for: the
+    // communication-volume oracle and the SSA-web in-place legality
+    // sets. After `frees` so the leaf-site numbering it predicts is
+    // exactly the numbering the modeled executor instruments (`Free`
+    // instructions are sites). The in-place annotation is metadata
+    // only — the emitted C is byte-identical with or without it.
+    let analysis = rec.ir_stage(
+        "analyze",
+        &mut ir,
+        |ir| {
+            if !opts.analyze {
+                return Ok(Vec::new());
+            }
+            otter_lint::shape::annotate_in_place(ir);
+            Ok(otter_lint::oracle::predict(ir))
+        },
+        |_, sites: &Vec<SitePrediction>| match (opts.analyze, sites.is_empty()) {
+            (false, _) => "(analyze: off)\n".to_string(),
+            (true, true) => "(analyze: no sites)\n".to_string(),
+            (true, false) => sites.iter().map(|p| format!("{p}\n")).collect(),
+        },
+    )?;
+
+    // Pass 7: C emission.
+    let c_source = rec.stage("emit-c", || Ok(emit_c(&ir)), |c| Artefact::C(c))?;
+
+    let compiled = Compiled {
+        ir,
+        inference,
+        c_source,
+        peephole_stats,
+        fusion_stats,
+        guard_stats,
+        lint,
+        analysis,
+    };
+    Ok((
+        CompiledArtifact::new(compiled, rec.stats, src, opts),
+        rec.dumps,
+    ))
+}
+
+/// Pass 5. Lowering emits the guards inline (`StoreElem` executes only
+/// on the owning rank; `BroadcastElem` broadcasts from the owner), so
+/// this audits and counts those constructs rather than inserting them:
+/// every guarded instruction must target a variable the IR knows to be
+/// a distributed matrix.
+fn audit_guards(ir: &IrProgram) -> Result<GuardStats> {
+    let mut stats = GuardStats::default();
+    for site in otter_ir::leaf_sites(ir) {
+        let (m, what, count) = match site.instr {
+            Instr::StoreElem { m, .. } => {
+                (m, "owner-computes guard targets", &mut stats.store_guards)
+            }
+            Instr::BroadcastElem { m, .. } => {
+                (m, "owner broadcast reads", &mut stats.broadcast_guards)
+            }
+            _ => continue,
+        };
+        let known = match site.func.map(|name| &ir.functions[name]) {
+            None => ir.var_ranks.contains_key(m),
+            Some(f) => {
+                f.var_ranks.contains_key(m)
+                    || f.params.iter().chain(&f.outs).any(|(name, _)| name == m)
+            }
+        };
+        if !known {
+            return Err(OtterError::codegen(format!("{what} unknown matrix `{m}`")));
+        }
+        *count += 1;
+    }
+    Ok(stats)
+}
+
+/// The lint stage: distribution-state dataflow, collective-divergence
+/// detection and the communication-site census. Under
+/// [`LintMode::Deny`] the first warning becomes the compile error.
+fn lint_stage(ir: &IrProgram, mode: LintMode) -> Result<LintReport> {
+    let report = lint_program(ir);
+    if mode == LintMode::Deny {
+        if let Some(first) = report.warnings.first() {
+            let mut d = first.clone().with_severity(Severity::Error);
+            let rest = report.warnings.len() - 1;
+            if rest > 0 {
+                d.message = format!("{} ({rest} more lint warning(s) follow)", d.message);
+            }
+            return Err(OtterError(d));
+        }
+    }
+    Ok(report)
+}

@@ -12,7 +12,8 @@
 //!   on `p` ranks over the machine model; modeled time = slowest
 //!   rank's virtual clock.
 
-use crate::artifact::{compile, run, CompiledArtifact, Fingerprint, RunRequest};
+use crate::artifact::{run, CompiledArtifact, Fingerprint, RunRequest};
+use crate::compile::compile;
 use crate::error::{OtterError, Result};
 use otter_interp::{assemble_program, Interp, Value};
 use otter_lint::LintMode;
@@ -198,7 +199,9 @@ pub struct EngineOptions {
     pub data_dir: Option<PathBuf>,
     /// M-file provider for user function files.
     pub m_files: Option<otter_frontend::MapProvider>,
-    /// Optional passes the Otter engine skips (ablations).
+    /// Optional passes the Otter engine skips (ablations). Checked
+    /// against [`crate::pass::PASSES`] at the top of every compile —
+    /// see [`EngineOptionsBuilder::disable_pass`].
     pub disabled_passes: Vec<String>,
     /// Schedule the SPMD collectives use (tree by default).
     pub collective_algo: CollectiveAlgo,
@@ -221,11 +224,13 @@ pub struct EngineOptions {
     /// ([`LintMode::Warn`] collects, [`LintMode::Deny`] fails the
     /// compile on the first warning).
     pub lint: LintMode,
-    /// Run the static-analysis pass at compile time (symbolic shapes,
-    /// shape-safety lints, in-place legality, the communication-volume
-    /// oracle) and record per-site realized traffic at run time so the
-    /// two can be cross-validated. Off by default: analysis costs
-    /// compile time and a stats snapshot per executed instruction.
+    /// Make the `analyze` pass do its work at compile time (in-place
+    /// legality sets, the communication-volume oracle) and record
+    /// per-site realized traffic at run time so the two can be
+    /// cross-validated. Off by default: analysis costs compile time
+    /// and a stats snapshot per executed instruction; with it off
+    /// [`crate::Compiled::analysis`] is empty and no `in_place` set is
+    /// annotated.
     pub analyze: bool,
     /// k-tile of the cache-blocked runtime kernels (see
     /// [`otter_rt::kernels`]). Any tile yields bit-identical results;
@@ -275,7 +280,7 @@ impl EngineOptions {
     }
 
     /// A stable 64-bit fingerprint of every option that can change
-    /// what [`crate::compile`] produces or what a run of the artifact
+    /// what [`crate::compile()`] produces or what a run of the artifact
     /// deterministically reports: the data directory, the registered
     /// M-files, disabled passes, the lint mode, the collective
     /// schedule, the metrics switch, the fault plan, and the analyze
@@ -390,7 +395,12 @@ impl EngineOptionsBuilder {
         self
     }
 
-    /// Skip an optional compiler pass (may be called repeatedly).
+    /// Skip an optional compiler pass (may be called repeatedly). Only
+    /// the optional rows of [`crate::pass::PASSES`] may be named:
+    /// `peephole`, `lint`, `fusion`. Any other name makes every compile
+    /// under these options fail with a typed error — ``unknown pass
+    /// `x` (registered: …)`` for a name not in the table, ``pass `x` is
+    /// mandatory`` for one that is — before any stage runs.
     pub fn disable_pass(mut self, name: impl Into<String>) -> Self {
         self.opts.disabled_passes.push(name.into());
         self
@@ -625,7 +635,7 @@ impl Engine for MatcomEngine {
 // ---- the Otter SPMD engine ------------------------------------------------
 
 /// The real pipeline behind the [`Engine`] trait: a thin wrapper over
-/// the compile/run split. `prepare` is [`crate::compile`] (producing a
+/// the compile/run split. `prepare` is [`crate::compile()`] (producing a
 /// cacheable [`CompiledArtifact`]); `run` is [`crate::run`] on that
 /// artifact, plus the compile-side pass timings merged back into the
 /// metrics snapshot (the engine owns its compile, so its report covers

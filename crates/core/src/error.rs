@@ -7,7 +7,7 @@
 //! format regardless of which crate the error started in. The
 //! per-crate error types keep their own shapes; the `From` impls here
 //! (and the `Diagnostic` conversions they build on) do the lifting,
-//! and the pass manager re-labels `pass` with the concrete stage name.
+//! and the compile driver re-labels `pass` with the concrete stage name.
 
 use otter_frontend::Diagnostic;
 use std::fmt;

@@ -10,16 +10,18 @@
 //!                ──► otter-core::exec (SPMD execution over otter-rt / otter-mpi)
 //! ```
 //!
-//! The driver is an instrumented [`pass::PassManager`] (per-pass wall
-//! time, size statistics, artifact dumps, optional-pass toggles), and
-//! the paper's three evaluation systems run behind the
+//! The driver is one function, [`compile_with`], whose body is the
+//! paper's pipeline — one stage per row of the pass table
+//! [`pass::PASSES`], each wrapped in the same instrumentation (per-pass
+//! wall time, size statistics, artifact dumps, optional-pass toggles).
+//! The paper's three evaluation systems run behind the
 //! [`engines::Engine`] trait: [`InterpreterEngine`] (the MathWorks
 //! baseline), [`MatcomEngine`] (the commercial sequential compiler
 //! baseline), and [`OtterEngine`] (compile + SPMD execution on a
 //! modeled machine). Every engine reports through one
 //! [`EngineReport`] schema.
 //!
-//! The compile side and the run side are split: [`compile`] turns a
+//! The compile side and the run side are split: [`compile()`] turns a
 //! script plus [`EngineOptions`] into a [`CompiledArtifact`] — an
 //! immutable, cheaply cloneable snapshot keyed by `(source hash,
 //! option fingerprint)` — and [`run`] executes an artifact on a
@@ -49,10 +51,8 @@ pub mod exec;
 pub mod pass;
 pub mod postmortem;
 
-pub use artifact::{
-    compile, compile_managed, run, source_hash, try_run, CompiledArtifact, RunRequest,
-};
-pub use compile::{compile_program, compile_str, CompileOptions, Compiled};
+pub use artifact::{run, source_hash, try_run, CompiledArtifact, RunRequest};
+pub use compile::{compile, compile_str, compile_with, Compiled, GuardStats};
 pub use engines::{
     run_engine, standard_engines, Engine, EngineOptions, EngineReport, InterpreterEngine,
     MatcomEngine, OtterEngine, RankCounters, SpmdJobFailure,
@@ -64,10 +64,7 @@ pub use exec::{ExecError, ExecOptions, Executor, XVal};
 /// `otter-lint` dependency).
 pub use otter_lint::oracle as analysis;
 pub use otter_lint::{lint_program, LintMode, LintReport};
-pub use pass::{
-    pass_metrics, CompileReport, DumpRequest, GuardStats, Pass, PassDump, PassManager, PassStats,
-    PipelineState,
-};
+pub use pass::{pass_metrics, pass_names, DumpRequest, PassDump, PassInfo, PassStats, PASSES};
 pub use postmortem::{
     build_postmortem, parse_postmortem, write_postmortem, PostmortemSummary, POSTMORTEM_SCHEMA,
 };

@@ -1,81 +1,67 @@
-//! The pass-manager spine of the compiler driver.
+//! The pass table and the per-stage recorder of the compile driver.
 //!
-//! The paper describes Otter as an explicit multi-pass pipeline
-//! (§3: scan/parse, identifier resolution, SSA + type inference,
-//! expression rewriting, owner-computes guards, peephole
-//! optimization, then C emission). Each of those stages is a named
-//! [`Pass`] here, registered in paper order on a [`PassManager`],
-//! which times every pass, records before/after program statistics,
-//! can disable optional passes (the peephole ablation), and can dump
-//! the intermediate artifact after any pass (`otterc
+//! The paper describes Otter as a fixed multi-pass pipeline (§3:
+//! scan/parse, identifier resolution, SSA + type inference, expression
+//! rewriting, owner-computes guards, peephole optimization, then C
+//! emission). [`PASSES`] names those stages in execution order and says
+//! which may be disabled; [`crate::compile_with`] *is* the pipeline,
+//! one stage per row. Around each stage the recorder skips it when
+//! disabled, times it, records before/after program sizes
+//! ([`PassStats`]), labels its errors with the stage name, and
+//! snapshots the artefact when a [`DumpRequest`] asks (`otterc
 //! --dump-after=<pass>`).
+//!
+//! A new pass is one row in the table and one stage in the function.
 
-use crate::compile::{CompileOptions, Compiled};
 use crate::error::{OtterError, Result};
-use otter_analysis::{infer, resolve_program, ssa_rename, InferOptions, Inference};
-use otter_codegen::peephole::PeepholeStats;
-use otter_codegen::{emit_c, fuse, insert_frees, lower, peephole, FusionStats};
-use otter_frontend::{parse, Program, Severity, SourceProvider};
-use otter_ir::{Instr, IrProgram};
-use otter_lint::{lint_program, LintMode, LintReport};
-use std::collections::BTreeSet;
+use otter_frontend::Program;
+use otter_ir::IrProgram;
 use std::time::{Duration, Instant};
 
-/// Everything a pass may read or write. Artifacts appear as the
-/// pipeline advances: the AST after `parse`, inference results after
-/// `ssa-infer`, IR after `rewrite`, C source after `emit-c`.
-pub struct PipelineState<'a> {
-    pub src: &'a str,
-    pub provider: &'a dyn SourceProvider,
-    pub opts: &'a CompileOptions,
-    pub program: Option<Program>,
-    pub inference: Option<Inference>,
-    pub ir: Option<IrProgram>,
-    pub c_source: Option<String>,
-    pub peephole_stats: PeepholeStats,
-    pub fusion_stats: FusionStats,
-    pub guard_stats: GuardStats,
-    pub lint: LintReport,
-    pub analysis: Vec<otter_lint::oracle::SitePrediction>,
+/// One row of the pass table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PassInfo {
+    /// Stable name used by `--dump-after`, `disabled_passes`, reports
+    /// and `error[<pass>]` labels.
+    pub name: &'static str,
+    /// Whether the pass may be disabled (optional optimisations and
+    /// the read-only lint only — you cannot ablate the parser).
+    pub optional: bool,
 }
 
-/// What the owner-computes guard pass found (pass 5). Lowering emits
-/// the guards inline with each element store/fetch; this pass audits
-/// and counts them so the construct is visible in compiler output.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GuardStats {
-    /// `if (ML_owner(...))`-style guarded element stores.
-    pub store_guards: usize,
-    /// Owner-broadcast element fetches.
-    pub broadcast_guards: usize,
+const fn row(name: &'static str, optional: bool) -> PassInfo {
+    PassInfo { name, optional }
 }
 
-/// One named unit of the compilation pipeline.
-pub trait Pass {
-    /// Stable name used by `--dump-after`, toggles, and reports.
-    fn name(&self) -> &'static str;
+/// The pipeline, paper order: passes 1–6 of §3 (with the read-only
+/// lint slotted between 5 and 6), then de-allocation, loop fusion, the
+/// static analysis, and C emission.
+pub const PASSES: [PassInfo; 11] = [
+    row("parse", false),
+    row("resolve", false),
+    row("ssa-infer", false),
+    row("rewrite", false),
+    row("guards", false),
+    row("peephole", true),
+    row("lint", true),
+    row("frees", false),
+    row("fusion", true),
+    row("analyze", false),
+    row("emit-c", false),
+];
 
-    /// Whether the pass may be disabled (optional optimisations only).
-    fn optional(&self) -> bool {
-        false
-    }
+/// Pass names, in execution order.
+pub fn pass_names() -> Vec<&'static str> {
+    PASSES.iter().map(|p| p.name).collect()
+}
 
-    /// Transform the pipeline state.
-    fn run(&self, state: &mut PipelineState) -> Result<()>;
-
-    /// Render the most relevant artifact after this pass ran.
-    fn dump(&self, state: &PipelineState) -> String {
-        if let Some(c) = &state.c_source {
-            return c.clone();
-        }
-        if let Some(ir) = &state.ir {
-            return otter_ir::display::program_to_string(ir);
-        }
-        if let Some(p) = &state.program {
-            return otter_frontend::pretty::program_to_string(p);
-        }
-        state.src.to_string()
-    }
+fn lookup(name: &str) -> Result<&'static PassInfo> {
+    PASSES.iter().find(|p| p.name == name).ok_or_else(|| {
+        OtterError::analysis(format!(
+            "unknown pass `{name}` (registered: {})",
+            pass_names().join(", ")
+        ))
+    })
 }
 
 /// Timing and size statistics for one executed pass.
@@ -118,620 +104,342 @@ pub struct PassDump {
     pub text: String,
 }
 
-/// The result of a managed compilation: the compiled program plus the
-/// per-pass record.
-#[derive(Debug, Clone)]
-pub struct CompileReport {
-    pub compiled: Compiled,
-    pub passes: Vec<PassStats>,
-    pub dumps: Vec<PassDump>,
-}
-
 /// Which passes to snapshot for dumping.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum DumpRequest {
     #[default]
     None,
-    /// One named pass.
-    After(String),
-    /// Every registered pass.
+    /// One pass of [`PASSES`].
+    After(&'static str),
+    /// Every pass.
     All,
 }
 
-/// Runs registered passes in order with instrumentation.
-pub struct PassManager {
-    passes: Vec<Box<dyn Pass>>,
-    disabled: BTreeSet<String>,
-    dump: DumpRequest,
+impl DumpRequest {
+    /// The `--dump-after` argument: `all`, or one pass name (checked
+    /// against the table — an unknown name is an error here, not a
+    /// dump that silently never appears).
+    pub fn parse(arg: &str) -> Result<DumpRequest> {
+        if arg == "all" {
+            return Ok(DumpRequest::All);
+        }
+        Ok(DumpRequest::After(lookup(arg)?.name))
+    }
+
+    /// Whether a dump after pass `name` was asked for.
+    pub fn wants(self, name: &str) -> bool {
+        match self {
+            DumpRequest::None => false,
+            DumpRequest::All => true,
+            DumpRequest::After(n) => n == name,
+        }
+    }
 }
 
-impl PassManager {
-    /// An empty manager (register passes yourself).
-    pub fn new() -> Self {
-        PassManager {
-            passes: Vec::new(),
-            disabled: BTreeSet::new(),
-            dump: DumpRequest::None,
+/// Program size as [`PassStats`] reports it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Sizes {
+    stmts: usize,
+    ir_instrs: usize,
+    runtime_calls: usize,
+}
+
+/// What a producing stage leaves behind: the artefact the recorder
+/// sizes and, on request, dumps.
+pub(crate) enum Artefact<'a> {
+    Ast(&'a Program),
+    Ir(&'a IrProgram),
+    C(&'a str),
+}
+
+impl Artefact<'_> {
+    /// Sizes after the stage: the artefact's own, the rest carried
+    /// over (the AST is final once the IR exists; emitting C changes
+    /// neither).
+    fn sizes(&self, before: Sizes) -> Sizes {
+        match self {
+            Artefact::Ast(p) => Sizes {
+                stmts: p.stmt_count(),
+                ..before
+            },
+            Artefact::Ir(ir) => Sizes {
+                ir_instrs: ir.instr_count(),
+                runtime_calls: ir.runtime_call_count(),
+                ..before
+            },
+            Artefact::C(_) => before,
         }
     }
 
-    /// The standard pipeline, paper order: parse → resolve →
-    /// ssa-infer → rewrite → guards → peephole (optional) → lint →
-    /// frees → fusion (optional) → analyze → emit-c.
-    pub fn standard() -> Self {
-        let mut pm = PassManager::new();
-        pm.register(Box::new(ParsePass));
-        pm.register(Box::new(ResolvePass));
-        pm.register(Box::new(SsaInferPass));
-        pm.register(Box::new(RewritePass));
-        pm.register(Box::new(GuardsPass));
-        pm.register(Box::new(PeepholePass));
-        pm.register(Box::new(LintPass));
-        pm.register(Box::new(FreesPass));
-        pm.register(Box::new(FusionPass));
-        pm.register(Box::new(AnalyzePass));
-        pm.register(Box::new(EmitCPass));
-        pm
-    }
-
-    /// Append a pass.
-    pub fn register(&mut self, pass: Box<dyn Pass>) {
-        self.passes.push(pass);
-    }
-
-    /// Registered pass names, in execution order.
-    pub fn pass_names(&self) -> Vec<&'static str> {
-        self.passes.iter().map(|p| p.name()).collect()
-    }
-
-    /// Disable an optional pass by name. Errors for unknown passes and
-    /// for mandatory ones (you cannot ablate the parser).
-    pub fn disable(&mut self, name: &str) -> Result<()> {
-        let Some(pass) = self.passes.iter().find(|p| p.name() == name) else {
-            return Err(OtterError::analysis(format!(
-                "unknown pass `{name}` (registered: {})",
-                self.pass_names().join(", ")
-            )));
-        };
-        if !pass.optional() {
-            return Err(OtterError::analysis(format!("pass `{name}` is mandatory")));
+    fn text(&self) -> String {
+        match self {
+            Artefact::Ast(p) => otter_frontend::pretty::program_to_string(p),
+            Artefact::Ir(ir) => otter_ir::display::program_to_string(ir),
+            Artefact::C(c) => c.to_string(),
         }
-        self.disabled.insert(name.to_string());
-        Ok(())
     }
+}
 
-    /// Request an artifact dump after the named pass (or all passes).
-    pub fn dump_after(&mut self, req: DumpRequest) -> Result<()> {
-        if let DumpRequest::After(name) = &req {
-            if !self.passes.iter().any(|p| p.name() == name) {
-                return Err(OtterError::analysis(format!(
-                    "unknown pass `{name}` (registered: {})",
-                    self.pass_names().join(", ")
-                )));
+/// The default dump of an IR stage: the IR as it now stands.
+pub(crate) fn ir_text<T>(ir: &IrProgram, _: &T) -> String {
+    otter_ir::display::program_to_string(ir)
+}
+
+/// The instrumentation [`crate::compile_with`] wraps around each
+/// stage. Each stage's "after" sizes are the next stage's "before", so
+/// the program is walked once per pass.
+pub(crate) struct Recorder<'a> {
+    disabled: &'a [String],
+    dump: DumpRequest,
+    sizes: Sizes,
+    pub stats: Vec<PassStats>,
+    pub dumps: Vec<PassDump>,
+}
+
+impl<'a> Recorder<'a> {
+    /// The one check of [`crate::EngineOptions::disabled_passes`], at
+    /// the top of every compile: every name must be an optional row of
+    /// [`PASSES`], or there is no recorder to run stages with.
+    pub fn new(disabled: &'a [String], dump: DumpRequest) -> Result<Self> {
+        for name in disabled {
+            if !lookup(name)?.optional {
+                return Err(OtterError::analysis(format!("pass `{name}` is mandatory")));
             }
         }
-        self.dump = req;
-        Ok(())
-    }
-
-    /// Run the full pipeline over a source script.
-    pub fn compile(
-        &self,
-        src: &str,
-        provider: &dyn SourceProvider,
-        opts: &CompileOptions,
-    ) -> Result<CompileReport> {
-        let mut state = PipelineState {
-            src,
-            provider,
-            opts,
-            program: None,
-            inference: None,
-            ir: None,
-            c_source: None,
-            peephole_stats: PeepholeStats::default(),
-            fusion_stats: FusionStats::default(),
-            guard_stats: GuardStats::default(),
-            lint: LintReport::default(),
-            analysis: Vec::new(),
-        };
-        let mut stats = Vec::with_capacity(self.passes.len());
-        let mut dumps = Vec::new();
-        for pass in &self.passes {
-            let name = pass.name();
-            if self.disabled.contains(name) || opts.disabled_passes.iter().any(|d| d == name) {
-                continue;
-            }
-            let (stmts_before, ir_instrs_before, runtime_calls_before) = measure(&state);
-            let start = Instant::now();
-            // Label errors with the concrete stage that failed: a rank
-            // conflict raised inside `ssa-infer` reads `error[ssa-infer]`,
-            // not the generic `error[analysis]`.
-            pass.run(&mut state).map_err(|e| e.with_pass(name))?;
-            let wall = start.elapsed();
-            let (stmts_after, ir_instrs_after, runtime_calls_after) = measure(&state);
-            stats.push(PassStats {
-                name,
-                wall,
-                stmts_before,
-                stmts_after,
-                ir_instrs_before,
-                ir_instrs_after,
-                runtime_calls_before,
-                runtime_calls_after,
-            });
-            let wanted = match &self.dump {
-                DumpRequest::None => false,
-                DumpRequest::All => true,
-                DumpRequest::After(n) => n == name,
-            };
-            if wanted {
-                dumps.push(PassDump {
-                    pass: name,
-                    text: pass.dump(&state),
-                });
-            }
-        }
-        let compiled = Compiled {
-            ir: state.ir.take().ok_or_else(|| {
-                OtterError::codegen("pipeline produced no IR (rewrite pass disabled?)")
-            })?,
-            inference: state.inference.take().ok_or_else(|| {
-                OtterError::analysis("pipeline ran no inference (ssa-infer disabled?)")
-            })?,
-            c_source: state.c_source.take().unwrap_or_default(),
-            peephole_stats: state.peephole_stats,
-            fusion_stats: state.fusion_stats,
-            guard_stats: state.guard_stats,
-            lint: std::mem::take(&mut state.lint),
-            analysis: std::mem::take(&mut state.analysis),
-            data_dir: opts.data_dir.clone(),
-        };
-        Ok(CompileReport {
-            compiled,
-            passes: stats,
-            dumps,
+        Ok(Recorder {
+            disabled,
+            dump,
+            sizes: Sizes::default(),
+            stats: Vec::with_capacity(PASSES.len()),
+            dumps: Vec::new(),
         })
     }
-}
 
-impl Default for PassManager {
-    fn default() -> Self {
-        PassManager::standard()
-    }
-}
-
-fn measure(state: &PipelineState) -> (usize, usize, usize) {
-    (
-        state.program.as_ref().map_or(0, |p| p.stmt_count()),
-        state.ir.as_ref().map_or(0, |ir| ir.instr_count()),
-        state.ir.as_ref().map_or(0, |ir| ir.runtime_call_count()),
-    )
-}
-
-// ---- the standard passes --------------------------------------------------
-
-/// Pass 1: scan + parse.
-struct ParsePass;
-
-impl Pass for ParsePass {
-    fn name(&self) -> &'static str {
-        "parse"
+    /// A stage that produces the next artefact from the ones before
+    /// it. Such a stage has no "skipped" outcome: whatever follows
+    /// takes its value.
+    pub fn stage<T>(
+        &mut self,
+        name: &'static str,
+        run: impl FnOnce() -> Result<T>,
+        view: impl FnOnce(&T) -> Artefact<'_>,
+    ) -> Result<T> {
+        let start = Instant::now();
+        // Label errors with the concrete stage that failed: a rank
+        // conflict raised inside `ssa-infer` reads `error[ssa-infer]`,
+        // not the generic `error[analysis]`.
+        let out = run().map_err(|e| e.with_pass(name))?;
+        let wall = start.elapsed();
+        let artefact = view(&out);
+        self.record(name, wall, artefact.sizes(self.sizes), || artefact.text());
+        Ok(out)
     }
 
-    fn run(&self, state: &mut PipelineState) -> Result<()> {
-        let file = parse(state.src)?;
-        state.program = Some(Program {
-            script: file.script,
-            functions: file.functions,
+    /// A stage that reads or rewrites the IR in place and reports what
+    /// it did. Disabled, it leaves the IR alone and reports
+    /// `T::default()` (zero rewrites, no findings).
+    pub fn ir_stage<T: Default>(
+        &mut self,
+        name: &'static str,
+        ir: &mut IrProgram,
+        run: impl FnOnce(&mut IrProgram) -> Result<T>,
+        dump: impl FnOnce(&IrProgram, &T) -> String,
+    ) -> Result<T> {
+        if self.disabled.iter().any(|d| d == name) {
+            return Ok(T::default());
+        }
+        let start = Instant::now();
+        let out = run(ir).map_err(|e| e.with_pass(name))?;
+        let wall = start.elapsed();
+        let after = Artefact::Ir(ir).sizes(self.sizes);
+        self.record(name, wall, after, || dump(ir, &out));
+        Ok(out)
+    }
+
+    fn record(
+        &mut self,
+        name: &'static str,
+        wall: Duration,
+        after: Sizes,
+        dump: impl FnOnce() -> String,
+    ) {
+        let before = std::mem::replace(&mut self.sizes, after);
+        self.stats.push(PassStats {
+            name,
+            wall,
+            stmts_before: before.stmts,
+            stmts_after: after.stmts,
+            ir_instrs_before: before.ir_instrs,
+            ir_instrs_after: after.ir_instrs,
+            runtime_calls_before: before.runtime_calls,
+            runtime_calls_after: after.runtime_calls,
         });
-        Ok(())
-    }
-}
-
-/// Pass 2: identifier resolution + M-file loading.
-struct ResolvePass;
-
-impl Pass for ResolvePass {
-    fn name(&self) -> &'static str {
-        "resolve"
-    }
-
-    fn run(&self, state: &mut PipelineState) -> Result<()> {
-        let program = state.program.take().expect("parse ran");
-        let resolved = resolve_program(program, state.provider)?;
-        state.program = Some(resolved.program);
-        Ok(())
-    }
-}
-
-/// Pass 3: SSA web renaming + type/rank/shape inference.
-struct SsaInferPass;
-
-impl Pass for SsaInferPass {
-    fn name(&self) -> &'static str {
-        "ssa-infer"
-    }
-
-    fn run(&self, state: &mut PipelineState) -> Result<()> {
-        let mut program = state.program.take().expect("resolve ran");
-        let info = ssa_rename(&program.script, &[]);
-        program.script = info.block;
-        for f in &mut program.functions {
-            let finfo = ssa_rename(&f.body, &f.params);
-            f.body = finfo.block;
+        if self.dump.wants(name) {
+            self.dumps.push(PassDump {
+                pass: name,
+                text: dump(),
+            });
         }
-        let inference = infer(
-            &program,
-            InferOptions {
-                data_dir: state.opts.data_dir.clone(),
-            },
-        )?;
-        state.inference = Some(inference);
-        state.program = Some(program);
-        Ok(())
-    }
-}
-
-/// Pass 4: expression rewriting — lower the typed AST to SPMD IR.
-struct RewritePass;
-
-impl Pass for RewritePass {
-    fn name(&self) -> &'static str {
-        "rewrite"
-    }
-
-    fn run(&self, state: &mut PipelineState) -> Result<()> {
-        let program = state.program.as_ref().expect("ssa-infer ran");
-        let inference = state.inference.as_ref().expect("ssa-infer ran");
-        state.ir = Some(lower(program, inference)?);
-        Ok(())
-    }
-}
-
-/// Pass 5: owner-computes guards. Lowering emits the guards inline
-/// (`StoreElem` executes only on the owning rank; `BroadcastElem`
-/// broadcasts from the owner), so this pass audits and counts those
-/// constructs rather than inserting them: every guarded instruction
-/// must target a variable the IR knows to be a distributed matrix.
-struct GuardsPass;
-
-impl Pass for GuardsPass {
-    fn name(&self) -> &'static str {
-        "guards"
-    }
-
-    fn run(&self, state: &mut PipelineState) -> Result<()> {
-        let ir = state.ir.as_ref().expect("rewrite ran");
-        fn audit(
-            body: &[Instr],
-            stats: &mut GuardStats,
-            known: &dyn Fn(&str) -> bool,
-        ) -> Result<()> {
-            for i in body {
-                match i {
-                    Instr::StoreElem { m, .. } => {
-                        if !known(m) {
-                            return Err(OtterError::codegen(format!(
-                                "owner-computes guard targets unknown matrix `{m}`"
-                            )));
-                        }
-                        stats.store_guards += 1;
-                    }
-                    Instr::BroadcastElem { m, .. } => {
-                        if !known(m) {
-                            return Err(OtterError::codegen(format!(
-                                "owner broadcast reads unknown matrix `{m}`"
-                            )));
-                        }
-                        stats.broadcast_guards += 1;
-                    }
-                    Instr::If {
-                        then_body,
-                        else_body,
-                        ..
-                    } => {
-                        audit(then_body, stats, known)?;
-                        audit(else_body, stats, known)?;
-                    }
-                    Instr::While { pre, body, .. } => {
-                        audit(pre, stats, known)?;
-                        audit(body, stats, known)?;
-                    }
-                    Instr::For { body, .. } => audit(body, stats, known)?,
-                    _ => {}
-                }
-            }
-            Ok(())
-        }
-        let mut stats = GuardStats::default();
-        audit(&ir.main, &mut stats, &|name| {
-            ir.var_ranks.contains_key(name)
-        })?;
-        for f in ir.functions.values() {
-            let known = |name: &str| {
-                f.var_ranks.contains_key(name)
-                    || f.params.iter().any(|(p, _)| p == name)
-                    || f.outs.iter().any(|(o, _)| o == name)
-            };
-            audit(&f.body, &mut stats, &known)?;
-        }
-        state.guard_stats = stats;
-        Ok(())
-    }
-}
-
-/// SPMD lint: distribution-state dataflow, collective-divergence
-/// detection, and the communication-site census. Runs on the IR as it
-/// will actually execute — after the peephole pass has fused and
-/// pruned (else every transpose temp the fuser is about to absorb
-/// reads as dead code), but before `frees` inserts `Free`
-/// instructions that would count as uses. Read-only: it never changes
-/// what later passes see. Under [`LintMode::Deny`] any warning aborts
-/// the pipeline.
-struct LintPass;
-
-impl Pass for LintPass {
-    fn name(&self) -> &'static str {
-        "lint"
-    }
-
-    fn optional(&self) -> bool {
-        true
-    }
-
-    fn run(&self, state: &mut PipelineState) -> Result<()> {
-        let ir = state.ir.as_ref().expect("rewrite ran");
-        let report = lint_program(ir);
-        if state.opts.lint == LintMode::Deny {
-            if let Some(first) = report.warnings.first() {
-                let mut d = first.clone().with_severity(Severity::Error);
-                let rest = report.warnings.len() - 1;
-                if rest > 0 {
-                    d.message = format!("{} ({rest} more lint warning(s) follow)", d.message);
-                }
-                return Err(OtterError(d));
-            }
-        }
-        state.lint = report;
-        Ok(())
-    }
-
-    fn dump(&self, state: &PipelineState) -> String {
-        if state.lint.warnings.is_empty() {
-            "(lint: no warnings)\n".to_string()
-        } else {
-            state
-                .lint
-                .warnings
-                .iter()
-                .map(|w| format!("{w}\n"))
-                .collect()
-        }
-    }
-}
-
-/// Pass 6: peephole optimization (optional — the ablation toggles it).
-struct PeepholePass;
-
-impl Pass for PeepholePass {
-    fn name(&self) -> &'static str {
-        "peephole"
-    }
-
-    fn optional(&self) -> bool {
-        true
-    }
-
-    fn run(&self, state: &mut PipelineState) -> Result<()> {
-        let ir = state.ir.as_mut().expect("rewrite ran");
-        state.peephole_stats = peephole(ir);
-        Ok(())
-    }
-}
-
-/// De-allocation of dead temporaries (paper §4: the run-time library
-/// allocates *and de-allocates*). Memory hygiene, not an optimization
-/// — always runs.
-struct FreesPass;
-
-impl Pass for FreesPass {
-    fn name(&self) -> &'static str {
-        "frees"
-    }
-
-    fn run(&self, state: &mut PipelineState) -> Result<()> {
-        let ir = state.ir.as_mut().expect("rewrite ran");
-        let _ = insert_frees(ir);
-        Ok(())
-    }
-}
-
-/// Loop fusion (optional — the ablation and the `fusion` engine knob
-/// toggle it). Runs after `frees` so each fused temporary's `Free`
-/// exists to consume, and before `analyze` so the oracle predicts the
-/// fused program's communication sites.
-struct FusionPass;
-
-impl Pass for FusionPass {
-    fn name(&self) -> &'static str {
-        "fusion"
-    }
-
-    fn optional(&self) -> bool {
-        true
-    }
-
-    fn run(&self, state: &mut PipelineState) -> Result<()> {
-        let ir = state.ir.as_mut().expect("rewrite ran");
-        state.fusion_stats = fuse(ir);
-        Ok(())
-    }
-}
-
-/// Static analysis over the final IR: the communication-volume oracle
-/// and the SSA-web in-place legality sets. Runs after `frees` so the
-/// leaf-site numbering it predicts is exactly the numbering the
-/// modeled executor instruments (`Free` instructions are sites), and
-/// before `emit-c` so the in-place annotation lands in the IR the rest
-/// of the toolchain sees. The annotation is metadata only — the
-/// emitted C is byte-identical with or without this pass.
-struct AnalyzePass;
-
-impl Pass for AnalyzePass {
-    fn name(&self) -> &'static str {
-        "analyze"
-    }
-
-    fn run(&self, state: &mut PipelineState) -> Result<()> {
-        let ir = state.ir.as_mut().expect("rewrite ran");
-        otter_lint::shape::annotate_in_place(ir);
-        state.analysis = otter_lint::oracle::predict(ir);
-        Ok(())
-    }
-
-    fn dump(&self, state: &PipelineState) -> String {
-        if state.analysis.is_empty() {
-            return "(analyze: no sites)\n".to_string();
-        }
-        state.analysis.iter().map(|p| format!("{p}\n")).collect()
-    }
-}
-
-/// Pass 7: C emission.
-struct EmitCPass;
-
-impl Pass for EmitCPass {
-    fn name(&self) -> &'static str {
-        "emit-c"
-    }
-
-    fn run(&self, state: &mut PipelineState) -> Result<()> {
-        let ir = state.ir.as_ref().expect("rewrite ran");
-        state.c_source = Some(emit_c(ir));
-        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{compile, compile_str, compile_with, CompiledArtifact, EngineOptions};
     use otter_frontend::EmptyProvider;
 
     const SRC: &str = "a = [1, 2; 3, 4];\nb = a * a;\ns = sum(b(:, 1));";
+
+    fn without(pass: &str) -> Result<CompiledArtifact> {
+        compile(SRC, &EngineOptions::builder().disable_pass(pass).build())
+    }
+
+    fn ran(artifact: &CompiledArtifact) -> Vec<&'static str> {
+        artifact.pass_stats().iter().map(|s| s.name).collect()
+    }
+
+    fn dumps(request: &str) -> Vec<PassDump> {
+        let request = DumpRequest::parse(request).unwrap();
+        let opts = EngineOptions::default();
+        compile_with(SRC, &EmptyProvider, &opts, request).unwrap().1
+    }
 
     /// The default pass order is the paper's: passes 1–6 in §3 order
     /// (with the read-only lint stage slotted between passes 5 and 6),
     /// then the two emission-side stages.
     #[test]
     fn default_order_matches_paper() {
-        let pm = PassManager::standard();
-        assert_eq!(
-            pm.pass_names(),
-            [
-                "parse",
-                "resolve",
-                "ssa-infer",
-                "rewrite",
-                "guards",
-                "peephole",
-                "lint",
-                "frees",
-                "fusion",
-                "analyze",
-                "emit-c"
-            ],
-        );
+        let order = [
+            "parse",
+            "resolve",
+            "ssa-infer",
+            "rewrite",
+            "guards",
+            "peephole",
+            "lint",
+            "frees",
+            "fusion",
+            "analyze",
+            "emit-c",
+        ];
+        assert_eq!(pass_names(), order);
         // The paper's numbered passes 1–6 appear in order once the
         // lint and fusion additions are filtered out.
-        let paper: Vec<_> = pm
-            .pass_names()
+        let paper: Vec<_> = pass_names()
             .into_iter()
             .filter(|n| *n != "lint" && *n != "fusion")
             .take(6)
             .collect();
-        assert_eq!(
-            paper,
-            [
-                "parse",
-                "resolve",
-                "ssa-infer",
-                "rewrite",
-                "guards",
-                "peephole"
-            ],
-        );
+        assert_eq!(paper, order[..6]);
+        // The function runs its stages in table order.
+        assert_eq!(ran(&compile_str(SRC).unwrap()), order);
     }
 
     #[test]
     fn every_pass_reports_stats() {
-        let pm = PassManager::standard();
-        let report = pm
-            .compile(SRC, &EmptyProvider, &CompileOptions::default())
-            .unwrap();
-        assert_eq!(report.passes.len(), pm.pass_names().len());
-        for s in &report.passes {
+        let artifact = compile_str(SRC).unwrap();
+        let passes = artifact.pass_stats();
+        assert_eq!(passes.len(), pass_names().len());
+        for s in passes {
             // Wall time is measured (zero is possible but the field is
             // real); sizes are coherent.
             assert!(s.stmts_after > 0 || s.ir_instrs_after > 0, "{s:?}");
         }
         // Rewrite creates the IR.
-        let rewrite = report.passes.iter().find(|s| s.name == "rewrite").unwrap();
+        let rewrite = passes.iter().find(|s| s.name == "rewrite").unwrap();
         assert_eq!(rewrite.ir_instrs_before, 0);
         assert!(rewrite.ir_instrs_after > 0);
         assert!(rewrite.runtime_calls_after > 0);
+        // Each stage's "before" is the previous stage's "after".
+        for w in passes.windows(2) {
+            assert_eq!(w[1].stmts_before, w[0].stmts_after, "{w:?}");
+            assert_eq!(w[1].ir_instrs_before, w[0].ir_instrs_after, "{w:?}");
+            assert_eq!(w[1].runtime_calls_before, w[0].runtime_calls_after);
+        }
     }
 
-    /// `--dump-after` produces an artifact for every registered pass
-    /// name.
+    /// `--dump-after` produces an artifact for every pass name.
     #[test]
     fn dump_after_emits_at_every_pass() {
-        let names = PassManager::standard().pass_names();
-        for name in names {
-            let mut pm = PassManager::standard();
-            pm.dump_after(DumpRequest::After(name.to_string())).unwrap();
-            let report = pm
-                .compile(SRC, &EmptyProvider, &CompileOptions::default())
-                .unwrap();
-            assert_eq!(report.dumps.len(), 1, "pass {name}");
-            assert_eq!(report.dumps[0].pass, name);
-            assert!(
-                !report.dumps[0].text.is_empty(),
-                "pass {name} dumped nothing"
-            );
+        for name in pass_names() {
+            let dumps = dumps(name);
+            assert_eq!(dumps.len(), 1, "pass {name}");
+            assert_eq!(dumps[0].pass, name);
+            assert!(!dumps[0].text.is_empty(), "pass {name} dumped nothing");
         }
+        assert!(DumpRequest::parse("no-such-pass").is_err());
     }
 
     #[test]
     fn dump_all_emits_everything() {
-        let mut pm = PassManager::standard();
-        pm.dump_after(DumpRequest::All).unwrap();
-        let report = pm
-            .compile(SRC, &EmptyProvider, &CompileOptions::default())
-            .unwrap();
-        assert_eq!(report.dumps.len(), pm.pass_names().len());
+        assert_eq!(dumps("all").len(), pass_names().len());
     }
 
+    /// Every name in `disabled_passes` is checked against the table
+    /// before any stage runs: a mandatory or unknown name is a typed
+    /// error (never a panic or a half-built artifact), an optional one
+    /// is skipped.
     #[test]
     fn only_optional_passes_can_be_disabled() {
-        let mut pm = PassManager::standard();
-        pm.disable("peephole").unwrap();
-        assert!(pm.disable("parse").is_err());
-        assert!(pm.disable("no-such-pass").is_err());
-        let report = pm
-            .compile(SRC, &EmptyProvider, &CompileOptions::default())
-            .unwrap();
-        assert!(report.passes.iter().all(|s| s.name != "peephole"));
+        let artifact = without("peephole").unwrap();
+        assert!(without("parse").is_err());
+        assert!(without("no-such-pass").is_err());
+        assert!(artifact.pass_stats().iter().all(|s| s.name != "peephole"));
+
+        let (optional, mandatory): (Vec<PassInfo>, Vec<PassInfo>) =
+            PASSES.iter().partition(|p| p.optional);
+        assert_eq!(optional.len(), 3);
+        assert_eq!(mandatory.len(), 8);
+        for pass in mandatory {
+            let name = pass.name;
+            assert_eq!(
+                without(name).expect_err(name).to_string(),
+                format!("error[analysis]: pass `{name}` is mandatory")
+            );
+        }
+        assert_eq!(
+            without("nope").unwrap_err().to_string(),
+            "error[analysis]: unknown pass `nope` (registered: parse, resolve, ssa-infer, \
+             rewrite, guards, peephole, lint, frees, fusion, analyze, emit-c)"
+        );
+        // A valid name does not excuse an invalid one beside it.
+        let both = EngineOptions::builder()
+            .disable_pass("peephole")
+            .disable_pass("emit-c");
+        assert!(compile(SRC, &both.build()).is_err());
+        for pass in optional {
+            let artifact = without(pass.name).expect(pass.name);
+            let mut expected = pass_names();
+            expected.retain(|n| *n != pass.name);
+            assert_eq!(ran(&artifact), expected);
+            assert!(!artifact.compiled().c_source.is_empty(), "{}", pass.name);
+        }
+    }
+
+    /// The `analyze` stage does its work only when the options ask:
+    /// off, there are no predictions and no in-place sets; the emitted
+    /// C and the IR text are the same either way.
+    #[test]
+    fn analyze_stage_follows_its_flag() {
+        let apps = otter_apps::test_apps();
+        let nbody = &apps.iter().find(|a| a.id == "nbody").unwrap().script;
+        let off = compile_str(nbody).unwrap();
+        let on = compile(nbody, &EngineOptions::builder().analyze(true).build()).unwrap();
+        assert!(off.compiled().analysis.is_empty());
+        assert!(off.compiled().ir.in_place.is_empty());
+        assert!(!on.compiled().analysis.is_empty());
+        assert!(!on.compiled().ir.in_place.is_empty());
+        assert_eq!(off.compiled().c_source, on.compiled().c_source);
+        assert_eq!(off.compiled().ir_text(), on.compiled().ir_text());
+        assert_ne!(off.cache_key(), on.cache_key());
     }
 
     #[test]
     fn guards_are_counted() {
         // Element store into a matrix → owner-computes guard.
         let src = "a = zeros(4, 4);\na(2, 3) = 7;\ns = a(2, 3);";
-        let report = PassManager::standard()
-            .compile(src, &EmptyProvider, &CompileOptions::default())
-            .unwrap();
-        let g = report.compiled.guard_stats;
+        let g = compile_str(src).unwrap().compiled().guard_stats;
         assert!(g.store_guards > 0, "{g:?}");
     }
 }

@@ -361,7 +361,8 @@ pub fn parse_postmortem(text: &str) -> Result<PostmortemSummary, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::artifact::{compile, try_run, RunRequest};
+    use crate::artifact::{try_run, RunRequest};
+    use crate::compile::compile;
     use crate::engines::EngineOptions;
     use otter_machine::meiko_cs2;
     use otter_mpi::FaultPlan;

@@ -6,21 +6,11 @@ use otter_frontend::MapProvider;
 use otter_machine::{enterprise_smp, meiko_cs2, sparc20_cluster, workstation, Machine};
 use otter_rt::Dense;
 
-/// Run an already-compiled program on `p` CPUs of `machine`.
-fn run_compiled(
-    compiled: &Compiled,
-    machine: &Machine,
-    p: usize,
-) -> Result<EngineReport, OtterError> {
-    let artifact =
-        CompiledArtifact::from_parts(compiled.clone(), Vec::new(), "", &EngineOptions::default());
-    run(&artifact, &RunRequest::on(machine.clone(), p))
-}
-
 /// Compile a script and execute on `p` CPUs; panic on any failure.
 fn otter(src: &str, p: usize) -> EngineReport {
     let compiled = compile_str(src).unwrap_or_else(|e| panic!("compile: {e}\n{src}"));
-    run_compiled(&compiled, &meiko_cs2(), p).unwrap_or_else(|e| panic!("exec(p={p}): {e}\n{src}"))
+    run(&compiled, &RunRequest::on(meiko_cs2(), p))
+        .unwrap_or_else(|e| panic!("exec(p={p}): {e}\n{src}"))
 }
 
 /// The interpreter baseline with options.
@@ -198,7 +188,7 @@ fn end_keyword_in_compiled_code() {
 #[test]
 fn display_output_on_root_only() {
     let compiled = compile_str("x = 41 + 1\n").unwrap();
-    let run = run_compiled(&compiled, &meiko_cs2(), 4).unwrap();
+    let run = run(&compiled, &RunRequest::on(meiko_cs2(), 4)).unwrap();
     assert!(run.output.contains("x ="), "{}", run.output);
     assert!(run.output.contains("42"), "{}", run.output);
 }
@@ -209,7 +199,7 @@ fn c_source_contains_runtime_calls() {
         "n = 4;\nb = ones(n, n);\nc = ones(n, n);\nd = eye(n);\ni = 2;\nj = 2;\na = b * c + d(i, j);",
     )
     .unwrap();
-    let c = &compiled.c_source;
+    let c = &compiled.compiled().c_source;
     assert!(c.contains("ML_matrix_multiply"), "{c}");
     assert!(c.contains("ML_broadcast"), "{c}");
     assert!(c.contains("realbase["), "{c}");
@@ -220,21 +210,17 @@ fn c_source_contains_runtime_calls() {
 fn peephole_reduces_instruction_count() {
     let src = "n = 32;\nv = ones(n, 1);\nw = ones(n, 1);\nd = sum(v .* w);";
     let with = compile_str(src).unwrap();
-    let without = compile_program(
+    let without = compile(
         src,
-        &otter_frontend::EmptyProvider,
-        &CompileOptions::default().without_pass("peephole"),
+        &EngineOptions::builder().disable_pass("peephole").build(),
     )
     .unwrap();
-    assert!(
-        with.peephole_stats.dots_fused >= 1,
-        "{:?}",
-        with.peephole_stats
-    );
-    assert!(with.ir.instr_count() < without.ir.instr_count());
+    let stats = with.compiled().peephole_stats;
+    assert!(stats.dots_fused >= 1, "{stats:?}");
+    assert!(with.compiled().ir.instr_count() < without.compiled().ir.instr_count());
     // Same answer either way.
-    let a = run_compiled(&with, &meiko_cs2(), 4).unwrap();
-    let b = run_compiled(&without, &meiko_cs2(), 4).unwrap();
+    let a = run(&with, &RunRequest::on(meiko_cs2(), 4)).unwrap();
+    let b = run(&without, &RunRequest::on(meiko_cs2(), 4)).unwrap();
     assert_eq!(a.scalar("d"), b.scalar("d"));
     assert_eq!(a.scalar("d"), Some(32.0));
 }
@@ -244,10 +230,10 @@ fn modeled_speedup_on_compute_bound_code() {
     // A big matmul should speed up with more CPUs on the Meiko.
     let src = "n = 64;\na = ones(n, n);\nb = ones(n, n);\nc = a * b;\ns = sum(sum(c));";
     let compiled = compile_str(src).unwrap();
-    let t1 = run_compiled(&compiled, &meiko_cs2(), 1)
+    let t1 = run(&compiled, &RunRequest::on(meiko_cs2(), 1))
         .unwrap()
         .modeled_seconds;
-    let t8 = run_compiled(&compiled, &meiko_cs2(), 8)
+    let t8 = run(&compiled, &RunRequest::on(meiko_cs2(), 8))
         .unwrap()
         .modeled_seconds;
     assert!(t8 < t1 / 3.0, "t1={t1} t8={t8}");
@@ -260,7 +246,7 @@ fn interpreter_slower_than_compiled_modeled() {
     let interp = run_interpreter(src, &workstation(), &opts).unwrap();
     let matcom = run_engine(&mut MatcomEngine::new(opts.clone()), src, &workstation(), 1).unwrap();
     let compiled = compile_str(src).unwrap();
-    let otter = run_compiled(&compiled, &workstation(), 1).unwrap();
+    let otter = run(&compiled, &RunRequest::on(workstation(), 1)).unwrap();
     assert!(interp.modeled_seconds > matcom.modeled_seconds);
     assert!(matcom.modeled_seconds > otter.modeled_seconds * 0.1);
     assert_eq!(interp.scalar("s"), otter.scalar("s"));
@@ -272,16 +258,16 @@ fn cluster_flattens_on_fine_grain_code() {
     // should benefit far less than the Meiko.
     let src = "n = 2000;\nv = ones(n, 1);\ns = 0;\nfor it = 1:5\ns = s + sum(v);\nend";
     let compiled = compile_str(src).unwrap();
-    let meiko_1 = run_compiled(&compiled, &meiko_cs2(), 1)
+    let meiko_1 = run(&compiled, &RunRequest::on(meiko_cs2(), 1))
         .unwrap()
         .modeled_seconds;
-    let meiko_8 = run_compiled(&compiled, &meiko_cs2(), 8)
+    let meiko_8 = run(&compiled, &RunRequest::on(meiko_cs2(), 8))
         .unwrap()
         .modeled_seconds;
-    let cl_1 = run_compiled(&compiled, &sparc20_cluster(), 1)
+    let cl_1 = run(&compiled, &RunRequest::on(sparc20_cluster(), 1))
         .unwrap()
         .modeled_seconds;
-    let cl_8 = run_compiled(&compiled, &sparc20_cluster(), 8)
+    let cl_8 = run(&compiled, &RunRequest::on(sparc20_cluster(), 8))
         .unwrap()
         .modeled_seconds;
     let meiko_speedup = meiko_1 / meiko_8;
@@ -295,7 +281,7 @@ fn cluster_flattens_on_fine_grain_code() {
 #[test]
 fn smp_limits_enforced() {
     let compiled = compile_str("x = 1;").unwrap();
-    assert!(run_compiled(&compiled, &enterprise_smp(), 8).is_ok());
+    assert!(run(&compiled, &RunRequest::on(enterprise_smp(), 8)).is_ok());
 }
 
 #[test]
@@ -510,10 +496,10 @@ fn per_rank_memory_shrinks_with_p() {
     let src =
         "n = 128;\nu = (1:n) / n;\nA = u' * u + n * eye(n);\nb = A * ones(n, 1);\ns = norm(b);";
     let compiled = compile_str(src).unwrap();
-    let p1 = run_compiled(&compiled, &meiko_cs2(), 1)
+    let p1 = run(&compiled, &RunRequest::on(meiko_cs2(), 1))
         .unwrap()
         .peak_rank_bytes;
-    let p8 = run_compiled(&compiled, &meiko_cs2(), 8)
+    let p8 = run(&compiled, &RunRequest::on(meiko_cs2(), 8))
         .unwrap()
         .peak_rank_bytes;
     let ratio = p1 as f64 / p8 as f64;
@@ -533,11 +519,11 @@ fn temporaries_are_freed() {
     );
     let compiled = compile_str(&src).unwrap();
     assert!(
-        compiled.ir_text().contains("free "),
+        compiled.compiled().ir_text().contains("free "),
         "frees must be inserted:\n{}",
-        compiled.ir_text()
+        compiled.compiled().ir_text()
     );
-    let run = run_compiled(&compiled, &meiko_cs2(), 1).unwrap();
+    let run = run(&compiled, &RunRequest::on(meiko_cs2(), 1)).unwrap();
     let one_matrix = n * n * 8;
     assert!(
         run.peak_rank_bytes < 4 * one_matrix,
@@ -579,7 +565,7 @@ fn engine_reports_are_consistent() {
 fn otter_counts_per_ir_opcode() {
     let src = "n = 8;\na = ones(n, n);\nb = a * a;\ns = sum(sum(b));";
     let compiled = compile_str(src).unwrap();
-    let run = run_compiled(&compiled, &meiko_cs2(), 2).unwrap();
+    let run = run(&compiled, &RunRequest::on(meiko_cs2(), 2)).unwrap();
     assert!(
         run.op_counts.get("matmul").copied().unwrap_or(0) >= 1,
         "{:?}",
@@ -596,7 +582,7 @@ fn otter_counts_per_ir_opcode() {
 fn peak_temp_bytes_reported() {
     let src = "n = 32;\na = ones(n, n);\nb = a + a;\ns = sum(sum(b));";
     let compiled = compile_str(src).unwrap();
-    let run = run_compiled(&compiled, &meiko_cs2(), 1).unwrap();
+    let run = run(&compiled, &RunRequest::on(meiko_cs2(), 1)).unwrap();
     // At least one full n×n matrix was live at peak.
     assert!(
         run.peak_temp_bytes >= 32 * 32 * 8,
@@ -673,4 +659,43 @@ fn disabled_tracing_changes_nothing() {
     assert!(plain.critical_path.is_none());
     assert!(traced.critical_path.is_some());
     assert!(sink.snapshot().unwrap().len() > 100);
+}
+
+/// Every pass recurses over the tree the parser built; the parser's
+/// depth cap must leave all of them room on the 2 MiB stack of an
+/// `otterd` connection thread, in this unoptimised build.
+#[test]
+fn nesting_at_the_parser_cap_compiles_end_to_end() {
+    let compile_on_small_stack = |src: String| {
+        let opts = EngineOptions::builder().analyze(true).build();
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || compile(&src, &opts))
+            .unwrap()
+            .join()
+            .expect("no pass may overflow its stack")
+    };
+    let cap = otter_frontend::parser::MAX_NESTING;
+    let wrap = |open: &str, close: &str, n: usize| {
+        format!(
+            "v = ones(4, 1);\nx = {}v{};",
+            open.repeat(n),
+            close.repeat(n)
+        )
+    };
+    for (open, close) in [("abs(", ")"), ("-", ""), ("", " + v"), ("", "'")] {
+        let at_cap = compile_on_small_stack(wrap(open, close, cap - 1));
+        at_cap.unwrap_or_else(|e| panic!("{open}…{close} at the cap: {e}"));
+        let err = compile_on_small_stack(wrap(open, close, 10_000)).unwrap_err();
+        let expected = format!("nesting deeper than {cap}");
+        assert!(err.to_string().starts_with("error[parse] 2:"), "{err}");
+        assert!(err.to_string().ends_with(&expected), "{err}");
+    }
+    // Blocks around `x + 1`, itself two levels.
+    let blocks = format!(
+        "x = 0;\n{}x = x + 1;\n{}",
+        "if x < 1\n".repeat(cap - 2),
+        "end\n".repeat(cap - 2)
+    );
+    compile_on_small_stack(blocks).expect("blocks at the cap");
 }

@@ -5,7 +5,7 @@
 //! `otterc` and the benchmark harness print a single consistent
 //! format: `error[<pass>] <file>:<line>:<col>: <message>`. The crate
 //! errors themselves stay as they are — `From` impls do the lifting —
-//! and the pass manager re-labels `pass` with the name of the pipeline
+//! and the compile driver re-labels `pass` with the name of the pipeline
 //! stage that actually failed.
 //!
 //! Diagnostics carry a [`Severity`]: errors abort the pipeline, while
@@ -85,7 +85,7 @@ impl Diagnostic {
         self
     }
 
-    /// Re-label the originating pass (the pass manager applies the
+    /// Re-label the originating pass (the compile driver applies the
     /// concrete pipeline-stage name to errors raised inside a pass).
     pub fn with_pass(mut self, pass: impl Into<String>) -> Self {
         self.pass = pass.into();

@@ -25,6 +25,8 @@ pub enum FrontendErrorKind {
     Expected { expected: String, found: String },
     /// A construct we deliberately do not support, with the reason.
     Unsupported(String),
+    /// Nesting deeper than the parser's fixed limit.
+    TooDeep(usize),
 }
 
 impl FrontendError {
@@ -54,6 +56,7 @@ impl FrontendError {
                 format!("expected {expected}, found {found}")
             }
             FrontendErrorKind::Unsupported(what) => format!("unsupported construct: {what}"),
+            FrontendErrorKind::TooDeep(limit) => format!("nesting deeper than {limit}"),
         }
     }
 }

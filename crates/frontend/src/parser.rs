@@ -29,10 +29,26 @@ use crate::lexer::tokenize;
 use crate::span::Span;
 use crate::token::{Token, TokenKind};
 
+/// Deepest tree the parser builds. Every level counts against the one
+/// limit: parenthesised, argument and matrix-element expressions,
+/// unary-operator chains, `if`/`for`/`while`/function blocks, and —
+/// because they deepen the tree just the same — each link of a binary
+/// operator, transpose or `elseif` chain. Recursive descent (here and
+/// in every later pass over the tree) spends stack per level, and
+/// `otterd` compiles client scripts on 2 MiB threads, so depth is
+/// bounded rather than left to overflow the stack and abort the
+/// process. Measured on a 2 MiB thread in an unoptimised build: the
+/// costliest production, nested calls, compiles end to end down to
+/// depth 58 (chains to 137, blocks to 142); optimised builds reach
+/// about ten times deeper.
+pub const MAX_NESTING: usize = 40;
+
 /// Parser state over a scanned token stream.
 pub struct Parser {
     toks: Vec<Token>,
     pos: usize,
+    /// Depth of the tree under construction (see [`MAX_NESTING`]).
+    depth: usize,
     /// Nesting depth of index/call parentheses — controls whether
     /// `end` is a value and whether newlines are ignored.
     paren_depth: u32,
@@ -45,6 +61,7 @@ impl Parser {
         Parser {
             toks,
             pos: 0,
+            depth: 0,
             paren_depth: 0,
             bracket_depth: 0,
         }
@@ -69,6 +86,27 @@ impl Parser {
             self.skip_separators();
         }
         Ok(SourceFile { script, functions })
+    }
+
+    /// Take the tree under construction one level deeper, or refuse at
+    /// [`MAX_NESTING`].
+    fn deepen(&mut self) -> Result<()> {
+        if self.depth == MAX_NESTING {
+            return Err(FrontendError::new(
+                FrontendErrorKind::TooDeep(MAX_NESTING),
+                self.peek_span(),
+            ));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Run one recursive production a level deeper.
+    fn nested<T>(&mut self, production: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        self.deepen()?;
+        let out = production(self);
+        self.depth -= 1;
+        out
     }
 
     // ---- token plumbing -------------------------------------------------
@@ -306,9 +344,13 @@ impl Parser {
         let body = self.block(&[TokenKind::ElseIf, TokenKind::Else, TokenKind::End])?;
         arms.push((cond, body));
         let mut else_body = None;
+        let outer = self.depth;
         loop {
             match self.peek() {
                 TokenKind::ElseIf => {
+                    // Each further arm lowers to an `if` nested in the
+                    // previous arm's `else`.
+                    self.deepen()?;
                     self.bump();
                     let c = self.expression()?;
                     self.skip_separators();
@@ -329,6 +371,7 @@ impl Parser {
                 _ => return Err(self.err_expected("`elseif`, `else`, or `end`")),
             }
         }
+        self.depth = outer;
         self.finish_stmt(StmtKind::If { arms, else_body }, start)
     }
 
@@ -357,16 +400,18 @@ impl Parser {
 
     /// Parse statements until one of `terminators` (not consumed).
     fn block(&mut self, terminators: &[TokenKind]) -> Result<Block> {
-        let mut stmts = Block::new();
-        self.skip_separators();
-        while !terminators.contains(self.peek()) {
-            if self.at(&TokenKind::Eof) {
-                return Err(self.err_expected("`end`"));
+        self.nested(|p| {
+            let mut stmts = Block::new();
+            p.skip_separators();
+            while !terminators.contains(p.peek()) {
+                if p.at(&TokenKind::Eof) {
+                    return Err(p.err_expected("`end`"));
+                }
+                stmts.push(p.statement()?);
+                p.skip_separators();
             }
-            stmts.push(self.statement()?);
-            self.skip_separators();
-        }
-        Ok(stmts)
+            Ok(stmts)
+        })
     }
 
     fn function_def(&mut self) -> Result<Function> {
@@ -452,73 +497,55 @@ impl Parser {
 
     /// Entry point: lowest-precedence expression.
     pub fn expression(&mut self) -> Result<Expr> {
-        self.or_expr()
+        self.nested(Self::or_expr)
+    }
+
+    /// A left-associative chain `operand (op operand)*`. The parser
+    /// loops rather than recurses here, but every link pushes the
+    /// first operand one level further down the tree's left spine, so
+    /// links count against [`MAX_NESTING`] like any other level.
+    fn binary_chain(
+        &mut self,
+        operand: fn(&mut Self) -> Result<Expr>,
+        op_of: fn(&TokenKind) -> Option<BinOp>,
+    ) -> Result<Expr> {
+        let mut lhs = operand(self)?;
+        let outer = self.depth;
+        while let Some(op) = op_of(self.peek()) {
+            self.deepen()?;
+            self.bump();
+            self.skip_newlines_in_parens();
+            let rhs = operand(self)?;
+            lhs = binary(op, lhs, rhs);
+        }
+        self.depth = outer;
+        Ok(lhs)
     }
 
     fn or_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.and_expr()?;
-        while self.at(&TokenKind::Pipe) {
-            self.bump();
-            self.skip_newlines_in_parens();
-            let rhs = self.and_expr()?;
-            let span = lhs.span.to(rhs.span);
-            lhs = Expr::new(
-                ExprKind::Binary {
-                    op: BinOp::Or,
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                },
-                span,
-            );
-        }
-        Ok(lhs)
+        self.binary_chain(Self::and_expr, |t| match t {
+            TokenKind::Pipe => Some(BinOp::Or),
+            _ => None,
+        })
     }
 
     fn and_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.cmp_expr()?;
-        while self.at(&TokenKind::Amp) {
-            self.bump();
-            self.skip_newlines_in_parens();
-            let rhs = self.cmp_expr()?;
-            let span = lhs.span.to(rhs.span);
-            lhs = Expr::new(
-                ExprKind::Binary {
-                    op: BinOp::And,
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                },
-                span,
-            );
-        }
-        Ok(lhs)
+        self.binary_chain(Self::cmp_expr, |t| match t {
+            TokenKind::Amp => Some(BinOp::And),
+            _ => None,
+        })
     }
 
     fn cmp_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.range_expr()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::EqEq => BinOp::Eq,
-                TokenKind::NotEq => BinOp::Ne,
-                TokenKind::Lt => BinOp::Lt,
-                TokenKind::LtEq => BinOp::Le,
-                TokenKind::Gt => BinOp::Gt,
-                TokenKind::GtEq => BinOp::Ge,
-                _ => break,
-            };
-            self.bump();
-            self.skip_newlines_in_parens();
-            let rhs = self.range_expr()?;
-            let span = lhs.span.to(rhs.span);
-            lhs = Expr::new(
-                ExprKind::Binary {
-                    op,
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                },
-                span,
-            );
-        }
-        Ok(lhs)
+        self.binary_chain(Self::range_expr, |t| match t {
+            TokenKind::EqEq => Some(BinOp::Eq),
+            TokenKind::NotEq => Some(BinOp::Ne),
+            TokenKind::Lt => Some(BinOp::Lt),
+            TokenKind::LtEq => Some(BinOp::Le),
+            TokenKind::Gt => Some(BinOp::Gt),
+            TokenKind::GtEq => Some(BinOp::Ge),
+            _ => None,
+        })
     }
 
     /// `a:b` or `a:b:c`. The colon in MATLAB binds looser than
@@ -556,55 +583,23 @@ impl Parser {
     }
 
     fn add_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Plus => BinOp::Add,
-                TokenKind::Minus => BinOp::Sub,
-                _ => break,
-            };
-            self.bump();
-            self.skip_newlines_in_parens();
-            let rhs = self.mul_expr()?;
-            let span = lhs.span.to(rhs.span);
-            lhs = Expr::new(
-                ExprKind::Binary {
-                    op,
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                },
-                span,
-            );
-        }
-        Ok(lhs)
+        self.binary_chain(Self::mul_expr, |t| match t {
+            TokenKind::Plus => Some(BinOp::Add),
+            TokenKind::Minus => Some(BinOp::Sub),
+            _ => None,
+        })
     }
 
     fn mul_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.unary_expr()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Star => BinOp::Mul,
-                TokenKind::Slash => BinOp::Div,
-                TokenKind::Backslash => BinOp::LeftDiv,
-                TokenKind::DotStar => BinOp::ElemMul,
-                TokenKind::DotSlash => BinOp::ElemDiv,
-                TokenKind::DotBackslash => BinOp::ElemLeftDiv,
-                _ => break,
-            };
-            self.bump();
-            self.skip_newlines_in_parens();
-            let rhs = self.unary_expr()?;
-            let span = lhs.span.to(rhs.span);
-            lhs = Expr::new(
-                ExprKind::Binary {
-                    op,
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                },
-                span,
-            );
-        }
-        Ok(lhs)
+        self.binary_chain(Self::unary_expr, |t| match t {
+            TokenKind::Star => Some(BinOp::Mul),
+            TokenKind::Slash => Some(BinOp::Div),
+            TokenKind::Backslash => Some(BinOp::LeftDiv),
+            TokenKind::DotStar => Some(BinOp::ElemMul),
+            TokenKind::DotSlash => Some(BinOp::ElemDiv),
+            TokenKind::DotBackslash => Some(BinOp::ElemLeftDiv),
+            _ => None,
+        })
     }
 
     fn unary_expr(&mut self) -> Result<Expr> {
@@ -617,7 +612,7 @@ impl Parser {
         };
         if let Some(op) = op {
             self.bump();
-            let operand = self.unary_expr()?;
+            let operand = self.nested(Self::unary_expr)?;
             let span = start.to(operand.span);
             Ok(Expr::new(
                 ExprKind::Unary {
@@ -633,12 +628,14 @@ impl Parser {
 
     fn pow_expr(&mut self) -> Result<Expr> {
         let mut lhs = self.postfix_expr()?;
+        let outer = self.depth;
         loop {
             let op = match self.peek() {
                 TokenKind::Caret => BinOp::Pow,
                 TokenKind::DotCaret => BinOp::ElemPow,
                 _ => break,
             };
+            self.deepen()?;
             self.bump();
             self.skip_newlines_in_parens();
             // MATLAB allows a unary sign directly after `^`: 2^-3.
@@ -650,48 +647,33 @@ impl Parser {
             } else {
                 self.postfix_expr()?
             };
-            let span = lhs.span.to(rhs.span);
-            lhs = Expr::new(
-                ExprKind::Binary {
-                    op,
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                },
-                span,
-            );
+            lhs = binary(op, lhs, rhs);
         }
+        self.depth = outer;
         Ok(lhs)
     }
 
     fn postfix_expr(&mut self) -> Result<Expr> {
         let mut e = self.primary_expr()?;
+        let outer = self.depth;
         loop {
-            match self.peek() {
-                TokenKind::Transpose => {
-                    let t = self.bump();
-                    let span = e.span.to(t.span);
-                    e = Expr::new(
-                        ExprKind::Transpose {
-                            op: TransposeOp::Conjugate,
-                            operand: Box::new(e),
-                        },
-                        span,
-                    );
-                }
-                TokenKind::DotTranspose => {
-                    let t = self.bump();
-                    let span = e.span.to(t.span);
-                    e = Expr::new(
-                        ExprKind::Transpose {
-                            op: TransposeOp::Plain,
-                            operand: Box::new(e),
-                        },
-                        span,
-                    );
-                }
+            let op = match self.peek() {
+                TokenKind::Transpose => TransposeOp::Conjugate,
+                TokenKind::DotTranspose => TransposeOp::Plain,
                 _ => break,
-            }
+            };
+            self.deepen()?;
+            let t = self.bump();
+            let span = e.span.to(t.span);
+            e = Expr::new(
+                ExprKind::Transpose {
+                    op,
+                    operand: Box::new(e),
+                },
+                span,
+            );
         }
+        self.depth = outer;
         Ok(e)
     }
 
@@ -834,6 +816,18 @@ impl Parser {
         let end = self.toks[self.pos.saturating_sub(1)].span;
         Ok(Expr::new(ExprKind::Matrix(rows), start.to(end)))
     }
+}
+
+fn binary(op: BinOp, lhs: Expr, rhs: Expr) -> Expr {
+    let span = lhs.span.to(rhs.span);
+    Expr::new(
+        ExprKind::Binary {
+            op,
+            lhs: Box::new(lhs),
+            rhs: Box::new(rhs),
+        },
+        span,
+    )
 }
 
 /// Parse a complete M-file from source text.
@@ -1216,5 +1210,57 @@ mod tests {
         let err = parse("x = ;").unwrap_err();
         assert_eq!(err.span.line, 1);
         assert_eq!(err.span.col, 5);
+    }
+
+    /// `n` levels of one nesting production around a scalar.
+    fn nest(open: &str, close: &str, n: usize) -> String {
+        format!("x = {}1{};", open.repeat(n), close.repeat(n))
+    }
+
+    /// Parse on the 2 MiB stack an `otterd` connection thread has.
+    fn parse_on_small_stack(src: String) -> Result<SourceFile> {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || parse(&src))
+            .unwrap()
+            .join()
+            .expect("parser must not overflow its stack")
+    }
+
+    #[test]
+    fn hostile_nesting_is_a_typed_error() {
+        let blocks = format!(
+            "{}x = 1;\n{}",
+            "if 1\n".repeat(10_000),
+            "end\n".repeat(10_000)
+        );
+        for src in [
+            nest("(", ")", 10_000),
+            nest("[", "]", 10_000),
+            nest("abs(", ")", 10_000),
+            nest("-", "", 10_000),
+            nest("2^-", "", 10_000),
+            nest("", "+1", 10_000),
+            nest("", "'", 10_000),
+            blocks,
+        ] {
+            let err = parse_on_small_stack(src).unwrap_err();
+            assert_eq!(err.kind, FrontendErrorKind::TooDeep(MAX_NESTING));
+            assert_eq!(err.message(), format!("nesting deeper than {MAX_NESTING}"));
+        }
+    }
+
+    #[test]
+    fn nesting_at_the_cap_parses() {
+        // The assignment's right-hand side is level one.
+        let inner = MAX_NESTING - 1;
+        for (open, close) in [("(", ")"), ("abs(", ")"), ("-", ""), ("", "+1"), ("", "'")] {
+            parse_on_small_stack(nest(open, close, inner)).expect("at the cap");
+            let err = parse_on_small_stack(nest(open, close, inner + 1)).unwrap_err();
+            assert_eq!(err.kind, FrontendErrorKind::TooDeep(MAX_NESTING));
+        }
+        let blocks = |n: usize| format!("{}x = 1;\n{}", "while 1\n".repeat(n), "end\n".repeat(n));
+        parse_on_small_stack(blocks(inner)).expect("at the cap");
+        assert!(parse_on_small_stack(blocks(inner + 1)).is_err());
     }
 }

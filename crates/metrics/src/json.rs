@@ -58,11 +58,13 @@ impl Json {
         }
     }
 
-    /// Parse a complete JSON document (trailing garbage is an error).
+    /// Parse a complete JSON document. Trailing garbage is an error;
+    /// so is array/object nesting deeper than 128 levels.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -131,9 +133,20 @@ impl fmt::Display for Json {
     }
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts (its docs
+/// quote the number). The parser,
+/// the printer and `Drop` all recurse once per level, and `otterd`
+/// parses request lines from the socket on 2 MiB threads, so depth is
+/// bounded rather than left to overflow the stack and abort the
+/// process. Measured: an unoptimised build on a 2 MiB thread survives
+/// 1 500 levels; nothing this system writes nests deeper than ten.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -175,11 +188,21 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -357,5 +380,38 @@ mod tests {
     fn unicode_and_escapes() {
         let v = Json::parse(r#""café — ünïcode\t""#).unwrap();
         assert_eq!(v.as_str(), Some("café — ünïcode\t"));
+    }
+
+    /// Parse on the 2 MiB stack an `otterd` connection thread has.
+    fn parse_on_small_stack(text: String) -> Result<Json, String> {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || Json::parse(&text))
+            .unwrap()
+            .join()
+            .expect("parser must not overflow its stack")
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        for text in ["[".repeat(10_000), "{\"a\":".repeat(10_000)] {
+            let err = parse_on_small_stack(text).unwrap_err();
+            assert!(
+                err.contains(&format!("nesting deeper than {MAX_DEPTH}")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn nesting_at_the_cap_round_trips() {
+        let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let objects = |n: usize| format!("{}1{}", "{\"a\":".repeat(n), "}".repeat(n));
+        for text in [arrays(MAX_DEPTH), objects(MAX_DEPTH)] {
+            let v = parse_on_small_stack(text.clone()).expect("at the cap");
+            assert_eq!(v.to_string(), text);
+        }
+        assert!(parse_on_small_stack(arrays(MAX_DEPTH + 1)).is_err());
+        assert!(parse_on_small_stack(objects(MAX_DEPTH + 1)).is_err());
     }
 }

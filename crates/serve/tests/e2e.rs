@@ -4,7 +4,9 @@
 //! twice (round two must be all cache hits), the stats and metrics
 //! ops, the HTTP scrape endpoint (`/metrics`, `/jobs`,
 //! `/trace/<job_id>`), the `logs` op, the postmortem path of a
-//! crashed job, and a protocol-level shutdown.
+//! crashed job, hostile requests (invalid pass names, pathological
+//! nesting in the script and in the request line itself), and a
+//! protocol-level shutdown.
 
 use otter_metrics::Json;
 use otter_serve::{JobOptions, Request, ServeClient, ServeConfig, Server, ServerHandle};
@@ -270,6 +272,117 @@ fn errors_are_replies_not_disconnects() {
     assert!(!err.is_empty());
     // The session survives both failures.
     client.ping().expect("session still alive");
+}
+
+/// ROADMAP 4c: requests built to break the daemon get an `ok:false`
+/// reply each, and nothing else happens — the session stays usable,
+/// later sessions work, the shared cache is not wedged, and the job
+/// table records the failures.
+#[test]
+fn hostile_requests_are_replies_and_the_daemon_survives() {
+    let daemon = spawn_daemon(true);
+    let mut client = daemon.client();
+    let mut failed_jobs = Vec::new();
+    let mut expect_error = |client: &mut ServeClient, req: Request, needles: &[&str]| {
+        let body = client.request_raw(&req).expect("one reply per request");
+        assert!(matches!(body.get("ok"), Some(Json::Bool(false))), "{body}");
+        let error = body.get("error").and_then(Json::as_str).unwrap_or("");
+        for needle in needles {
+            assert!(error.contains(needle), "`{needle}` not named in: {error}");
+        }
+        let job_id = body.get("job_id").and_then(Json::as_str).expect("job_id");
+        failed_jobs.push(job_id.to_string());
+        // The session survived the request.
+        client.ping().expect("session still alive");
+    };
+
+    // (a) Pass names that are mandatory or unknown, on both job ops.
+    for (pass, needles) in [
+        ("parse", ["`parse`", "mandatory"]),
+        ("emit-c", ["`emit-c`", "mandatory"]),
+        ("nope", ["unknown pass `nope`", "registered: parse,"]),
+    ] {
+        let options = JobOptions {
+            disabled_passes: vec![pass.to_string()],
+            ..JobOptions::default()
+        };
+        let compile = Request::Compile {
+            source: "x = 2;".to_string(),
+            options: options.clone(),
+        };
+        expect_error(&mut client, compile, &needles);
+        let run = Request::Run {
+            source: "x = 2;".to_string(),
+            options,
+            machine: "meiko".to_string(),
+            ranks: 2,
+            workers: None,
+        };
+        expect_error(&mut client, run, &needles);
+    }
+
+    // (b) A script nested far past any stack.
+    let deep = Request::Run {
+        source: format!("x = {}1{};", "(".repeat(10_000), ")".repeat(10_000)),
+        options: JobOptions::default(),
+        machine: "meiko".to_string(),
+        ranks: 2,
+        workers: None,
+    };
+    expect_error(&mut client, deep, &["error[parse]", "nesting deeper than"]);
+
+    // (c) A request line that is itself nested far past any stack. It
+    // never parses as a request, so it is answered but mints no job.
+    let mut raw = std::os::unix::net::UnixStream::connect(&daemon.socket).expect("connect");
+    raw.write_all(format!("{}\n", "[".repeat(10_000)).as_bytes())
+        .expect("send raw line");
+    raw.write_all(b"{\"op\":\"ping\"}\n").expect("send ping");
+    let mut lines = std::io::BufRead::lines(std::io::BufReader::new(raw));
+    let reply = Json::parse(&lines.next().expect("a reply").expect("read")).expect("JSON reply");
+    assert!(
+        matches!(reply.get("ok"), Some(Json::Bool(false))),
+        "{reply}"
+    );
+    let error = reply.get("error").and_then(Json::as_str).unwrap_or("");
+    assert!(error.contains("bad JSON"), "{error}");
+    assert!(error.contains("nesting deeper than"), "{error}");
+    assert!(reply.get("job_id").is_none(), "{reply}");
+    // Exactly one reply: the next line answers the ping.
+    let pong = Json::parse(&lines.next().expect("a reply").expect("read")).expect("JSON reply");
+    assert!(matches!(pong.get("ok"), Some(Json::Bool(true))), "{pong}");
+
+    // Afterwards: a fresh session runs a normal job, stats answers
+    // (the cache mutex is not poisoned), and the job table lists every
+    // failed job as an error.
+    let mut fresh = daemon.client();
+    let ok = fresh
+        .run("x = 2;", JobOptions::default(), "meiko", 2, None)
+        .expect("normal job after the hostile ones");
+    assert_eq!(
+        ok.body
+            .get("scalars")
+            .and_then(|s| s.get("x"))
+            .and_then(Json::as_num),
+        Some(2.0)
+    );
+    let stats = fresh.stats().expect("stats");
+    assert_eq!(stats.get("cache_entries").and_then(Json::as_num), Some(1.0));
+    let jobs = http_get(daemon.metrics_addr.expect("http"), "/jobs");
+    let jobs = Json::parse(jobs.split("\r\n\r\n").nth(1).expect("body")).expect("jobs JSON");
+    let rows = jobs.get("jobs").and_then(Json::as_arr).expect("rows");
+    assert_eq!(failed_jobs.len(), 7);
+    for job_id in &failed_jobs {
+        let row = rows
+            .iter()
+            .find(|r| r.get("job_id").and_then(Json::as_str) == Some(job_id))
+            .unwrap_or_else(|| panic!("job {job_id} missing from /jobs"));
+        assert_eq!(row.get("status").and_then(Json::as_str), Some("error"));
+    }
+    assert_eq!(
+        rows.len(),
+        failed_jobs.len() + 1,
+        "the raw line minted no job"
+    );
 }
 
 #[test]

@@ -43,7 +43,8 @@ s = sum(sum(a));
 
     eprintln!("Compiling: {label}\n");
     match compile_str(&source) {
-        Ok(compiled) => {
+        Ok(artifact) => {
+            let compiled = artifact.compiled();
             println!("/* ===== IR ===== ");
             print!("{}", compiled.ir_text());
             println!("*/");

@@ -39,10 +39,12 @@ fn recursion_rejected_with_interpreter_fallback() {
         "fact",
         "function y = fact(n)\nif n <= 1\ny = 1;\nelse\ny = n * fact(n - 1);\nend\n",
     );
-    let err =
-        otter_core::compile_program("f = fact(5);", &m, &otter_core::CompileOptions::default())
-            .unwrap_err()
-            .to_string();
+    let opts = otter_core::EngineOptions::builder()
+        .m_files(m.clone())
+        .build();
+    let err = otter_core::compile("f = fact(5);", &opts)
+        .unwrap_err()
+        .to_string();
     assert!(err.contains("recursive"), "{err}");
     let out = run_script("f = fact(5);", Some(&m)).unwrap();
     assert_eq!(out.scalar("f"), Some(120.0));
@@ -115,10 +117,9 @@ fn unsupported_indexing_form_is_explicit() {
 #[test]
 fn conflicting_function_signatures_explained() {
     let m = otter_frontend::MapProvider::new().with("idy", "function y = idy(x)\ny = x;\n");
-    let err = otter_core::compile_program(
+    let err = otter_core::compile(
         "a = idy(1);\nb = idy(ones(2, 2));",
-        &m,
-        &otter_core::CompileOptions::default(),
+        &otter_core::EngineOptions::builder().m_files(m).build(),
     )
     .unwrap_err()
     .to_string();
@@ -138,6 +139,6 @@ fn large_generated_program_compiles_quickly() {
     let t0 = std::time::Instant::now();
     let compiled = compile_str(&src).expect("large program compiles");
     let elapsed = t0.elapsed();
-    assert!(compiled.ir.instr_count() >= 600);
+    assert!(compiled.compiled().ir.instr_count() >= 600);
     assert!(elapsed.as_secs() < 20, "compile took {elapsed:?}");
 }

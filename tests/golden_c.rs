@@ -23,7 +23,7 @@ j = 3;
 a = b * c + d(i, j);
 ";
     let compiled = compile_str(src).expect("compiles");
-    let c = &compiled.c_source;
+    let c = &compiled.compiled().c_source;
 
     // The three-statement structure survives the pipeline.
     let mm_line = c
@@ -59,7 +59,7 @@ j = 3;
 a(i, j) = a(i, j) / b(j, i);
 ";
     let compiled = compile_str(src).expect("compiles");
-    let c = &compiled.c_source;
+    let c = &compiled.compiled().c_source;
 
     // Exactly one broadcast: the read of a(i,j) itself must become
     // the in-guard ML_realaddr2 read, not a second broadcast.
@@ -87,7 +87,7 @@ a(i, j) = a(i, j) / b(j, i);
 #[test]
 fn generated_c_has_spmd_scaffolding() {
     let compiled = compile_str("x = 1;\ny = x * 2;").unwrap();
-    let c = &compiled.c_source;
+    let c = &compiled.compiled().c_source;
     for needle in [
         "#include <mpi.h>",
         "#include \"ml_runtime.h\"",
@@ -104,7 +104,7 @@ fn generated_c_has_spmd_scaffolding() {
 #[test]
 fn declarations_match_inferred_ranks() {
     let compiled = compile_str("n = 4;\nm = ones(n, n);\nv = m(:, 1);\ns = sum(v);").unwrap();
-    let c = &compiled.c_source;
+    let c = &compiled.compiled().c_source;
     assert!(c.contains("double n;"), "{c}");
     assert!(c.contains("MATRIX *m;"), "{c}");
     assert!(c.contains("MATRIX *v;"), "{c}");
@@ -115,13 +115,14 @@ fn declarations_match_inferred_ranks() {
 fn functions_become_c_functions() {
     let provider = otter_frontend::MapProvider::new()
         .with("axpy", "function y = axpy(a, x, b)\ny = a * x + b;\n");
-    let compiled = otter_core::compile_program(
+    let compiled = otter_core::compile(
         "x = ones(4, 1);\nb = ones(4, 1);\ny = axpy(2, x, b);",
-        &provider,
-        &otter_core::CompileOptions::default(),
+        &otter_core::EngineOptions::builder()
+            .m_files(provider)
+            .build(),
     )
     .unwrap();
-    let c = &compiled.c_source;
+    let c = &compiled.compiled().c_source;
     assert!(
         c.contains("void ML_fn_axpy(double a, MATRIX *x, MATRIX *b, MATRIX **ML_out_y)"),
         "{c}"
@@ -159,7 +160,7 @@ fn benchmark_scripts_emit_c_without_temps_leaking() {
     // balanced braces.
     for app in otter_apps::test_apps() {
         let compiled = otter_core::compile_str(&app.script).unwrap();
-        let c = &compiled.c_source;
+        let c = &compiled.compiled().c_source;
         let opens = c.matches('{').count();
         let closes = c.matches('}').count();
         assert_eq!(opens, closes, "{}: unbalanced braces", app.id);

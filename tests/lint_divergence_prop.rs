@@ -17,8 +17,8 @@ use std::sync::Arc;
 fn lint_clean_apps_complete_with_paired_sendrecv_at_all_rank_counts() {
     for app in otter_apps::test_apps() {
         let compiled = compile_str(&app.script).expect(app.id);
-        assert!(compiled.lint.divergence_free, "{}", app.id);
-        assert!(compiled.lint.sendrecv_matched, "{}", app.id);
+        assert!(compiled.compiled().lint.divergence_free, "{}", app.id);
+        assert!(compiled.compiled().lint.sendrecv_matched, "{}", app.id);
 
         for p in [1usize, 2, 4, 8] {
             let sink = Arc::new(MemorySink::new());
@@ -63,7 +63,9 @@ fn lint_clean_apps_complete_with_paired_sendrecv_at_all_rank_counts() {
             // collectives is not observable here (collectives expand
             // into sends), but a program with no communication sites
             // at all must stay silent on one rank.
-            if compiled.lint.collective_sites == 0 && compiled.lint.p2p_sites == 0 {
+            if compiled.compiled().lint.collective_sites == 0
+                && compiled.compiled().lint.p2p_sites == 0
+            {
                 assert!(sends.is_empty(), "{} x{p}", app.id);
             }
         }
@@ -80,7 +82,7 @@ fn fixture_scripts_also_run_to_completion() {
         include_str!("fixtures/lint_churn.m"),
     ] {
         let compiled = compile_str(src).unwrap();
-        assert!(compiled.lint.divergence_free);
+        assert!(compiled.compiled().lint.divergence_free);
         for p in [1usize, 2, 4, 8] {
             run_engine(
                 &mut OtterEngine::new(EngineOptions::default()),

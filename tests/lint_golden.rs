@@ -11,8 +11,7 @@
 //! Finally, linting must be read-only: disabling the pass changes
 //! nothing downstream.
 
-use otter_core::{compile_program, compile_str, CompileOptions, LintReport};
-use otter_frontend::EmptyProvider;
+use otter_core::{compile, compile_str, EngineOptions, LintReport};
 use otter_ir::{Instr, IrProgram, MatInit, RedOp, SBinOp, SExpr, VarRank};
 use otter_lint::lint_program;
 
@@ -21,7 +20,8 @@ const CHURN_FIXTURE: &str = include_str!("fixtures/lint_churn.m");
 const SHAPE_FIXTURE: &str = include_str!("fixtures/lint_shape.m");
 
 fn lint_of(src: &str) -> LintReport {
-    compile_str(src).expect("fixture compiles").lint
+    let artifact = compile_str(src).expect("fixture compiles");
+    artifact.compiled().lint.clone()
 }
 
 fn rendered(report: &LintReport) -> Vec<String> {
@@ -102,8 +102,8 @@ fn shape_fixture_golden() {
 
 #[test]
 fn shape_errors_fail_deny_mode() {
-    let opts = CompileOptions::default().deny_lints();
-    let err = compile_program(SHAPE_FIXTURE, &EmptyProvider, &opts).unwrap_err();
+    let opts = EngineOptions::builder().deny_lints().build();
+    let err = compile(SHAPE_FIXTURE, &opts).unwrap_err();
     let msg = err.to_string();
     assert!(msg.starts_with("error[lint]"), "{msg}");
     assert!(msg.contains("out of bounds"), "{msg}");
@@ -111,16 +111,15 @@ fn shape_errors_fail_deny_mode() {
 
 #[test]
 fn deny_mode_fails_the_pipeline() {
-    let opts = CompileOptions::default().deny_lints();
-    let err = compile_program(DIST_FIXTURE, &EmptyProvider, &opts).unwrap_err();
+    let opts = EngineOptions::builder().deny_lints().build();
+    let err = compile(DIST_FIXTURE, &opts).unwrap_err();
     let msg = err.to_string();
     assert!(msg.starts_with("error[lint]"), "{msg}");
     assert!(msg.contains("dead distributed value"), "{msg}");
     assert!(msg.contains("1 more lint warning"), "{msg}");
     // Clean programs are unaffected by deny mode.
     for app in otter_apps::test_apps() {
-        compile_program(&app.script, &EmptyProvider, &opts)
-            .unwrap_or_else(|e| panic!("{} under --lint=deny: {e}", app.id));
+        compile(&app.script, &opts).unwrap_or_else(|e| panic!("{} under --lint=deny: {e}", app.id));
     }
 }
 
@@ -139,12 +138,9 @@ fn lint_is_read_only() {
         .collect();
     for src in sources {
         let with = compile_str(&src).unwrap();
-        let without = compile_program(
-            &src,
-            &EmptyProvider,
-            &CompileOptions::default().without_pass("lint"),
-        )
-        .unwrap();
+        let without =
+            compile(&src, &EngineOptions::builder().disable_pass("lint").build()).unwrap();
+        let (with, without) = (with.compiled(), without.compiled());
         assert_eq!(with.ir_text(), without.ir_text());
         assert_eq!(with.c_source, without.c_source);
         assert_eq!(with.peephole_stats, without.peephole_stats);
