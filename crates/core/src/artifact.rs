@@ -258,7 +258,7 @@ impl Default for RunRequest {
 
 /// What one rank hands back when its program ran to completion.
 struct RankOutput {
-    /// Fully gathered workspace (identical on every rank).
+    /// Fully gathered workspace on rank 0; empty on every other rank.
     workspace: HashMap<String, Value>,
     /// The executor's outcome, its distributed workspace drained.
     exec: ExecOutcome,
@@ -335,19 +335,23 @@ pub fn try_run(
                 // benchmarked computation). Tracing stops at the same
                 // point so event totals keep matching the stats.
                 let finished = comm.freeze();
-                // Gather every matrix so rank 0 can report a
-                // machine-independent workspace. Iterate in sorted
-                // order: gathers are collectives, so every rank
-                // must visit variables in the same sequence.
+                // Gather every matrix to rank 0, the only rank whose
+                // workspace the report reads: one copy per matrix, on
+                // one rank. Iterate in sorted order: gathers are
+                // collectives, so every rank must visit variables in
+                // the same sequence.
                 let mut local: Vec<(String, XVal)> = o.workspace.drain().collect();
                 local.sort_by(|a, b| a.0.cmp(&b.0));
+                let root = comm.rank() == 0;
                 let mut workspace: HashMap<String, Value> = HashMap::new();
                 for (name, val) in local {
                     let val = match val {
-                        XVal::S(v) => Value::Scalar(v),
-                        XVal::M(m) => Value::Matrix(m.gather_all(comm)?).normalized(),
+                        XVal::S(v) => root.then_some(Value::Scalar(v)),
+                        XVal::M(m) => m.gather_to(comm, 0)?.map(|d| Value::Matrix(d).normalized()),
                     };
-                    workspace.insert(name, val);
+                    if let Some(val) = val {
+                        workspace.insert(name, val);
+                    }
                 }
                 Ok(Ok(RankOutput {
                     workspace,
@@ -400,9 +404,9 @@ pub fn try_run(
             }));
         }
     };
-    // All ranks computed the same workspace (and executed the same
-    // instruction sequence — SPMD); rank 0's stand for the job, and
-    // the counters fold over every rank.
+    // All ranks executed the same instruction sequence (SPMD); rank 0
+    // holds the gathered workspace and its output and op counts stand
+    // for the job, and the counters fold over every rank.
     let mut outputs = Vec::with_capacity(results.len());
     for r in results {
         outputs.push((r.rank, r.value.map_err(OtterError::execution)?));

@@ -10,6 +10,15 @@
 //! the rank's virtual clock: a tiny dispatch charge per instruction
 //! plus a run-time-library call overhead, with element work charged
 //! inside the run-time library itself.
+//!
+//! Element-wise loops (`ElemWise`, the `MatMulEw`/`MatVecEw` epilogue,
+//! and `ReduceEw`) are strip-mined: `compile_ew` flattens the
+//! expression tree into a postfix `EwProgram` once per instruction
+//! execution, and the program then runs over 256-lane strips,
+//! one tight loop per node, on a stack of strip registers allocated
+//! once per execution. Every lane performs the same IEEE operations,
+//! in the same order, as the per-element tree walk it replaced, so the
+//! bits are unchanged (DESIGN.md §17).
 
 use crate::error::{OtterError, Result};
 use otter_det::DetRng;
@@ -377,42 +386,14 @@ impl<'a> Executor<'a> {
         Ok(())
     }
 
-    /// Compile an element-wise expression against an operand list:
-    /// scalar subtrees fold to constants once (the environment cannot
-    /// change mid-loop) and matrix leaves resolve to slice indices, so
-    /// the per-element loop does no name lookups or scalar re-evaluation.
-    /// `dst_alias` maps one matrix name to [`CEw::Dst`] — the buffer the
-    /// loop writes (in-place destination or fused product).
-    fn compile_ew(&self, e: &EwExpr, slices: &[String], dst_alias: Option<&str>) -> Result<CEw> {
-        Ok(match e {
-            EwExpr::Mat(m) => {
-                if Some(m.as_str()) == dst_alias {
-                    CEw::Dst
-                } else {
-                    CEw::Slice(
-                        slices
-                            .iter()
-                            .position(|n| n == m)
-                            .expect("every matrix operand is in the slice list"),
-                    )
-                }
-            }
-            EwExpr::Scalar(s) => CEw::Const(self.eval_s(s)?),
-            EwExpr::Neg(x) => CEw::Neg(Box::new(self.compile_ew(x, slices, dst_alias)?)),
-            EwExpr::Not(x) => CEw::Not(Box::new(self.compile_ew(x, slices, dst_alias)?)),
-            EwExpr::Bin(op, a, b) => CEw::Bin(
-                *op,
-                Box::new(self.compile_ew(a, slices, dst_alias)?),
-                Box::new(self.compile_ew(b, slices, dst_alias)?),
-            ),
-            EwExpr::Call(f, args) => {
-                let mut compiled = Vec::with_capacity(args.len());
-                for a in args {
-                    compiled.push(self.compile_ew(a, slices, dst_alias)?);
-                }
-                CEw::Call(*f, compiled)
-            }
-        })
+    /// [`compile_ew`] with this rank's scalar environment.
+    fn compile_ew(
+        &self,
+        e: &EwExpr,
+        slices: &[String],
+        dst_alias: Option<&str>,
+    ) -> Result<EwProgram> {
+        compile_ew(e, slices, dst_alias, &|s| self.eval_s(s))
     }
 
     fn exec_elemwise(&mut self, dst: &str, expr: &EwExpr) -> Result<()> {
@@ -434,32 +415,23 @@ impl<'a> Executor<'a> {
         if inplace {
             let slice_names: Vec<String> =
                 ops.iter().filter(|n| n.as_str() != dst).cloned().collect();
-            let cew = self.compile_ew(expr, &slice_names, Some(dst))?;
+            let program = self.compile_ew(expr, &slice_names, Some(dst))?;
             let Some(XVal::M(mut dmat)) = self.scopes.last_mut().unwrap().remove(dst) else {
                 unreachable!("checked matrix above")
             };
-            {
-                let scopes = &self.scopes;
-                let slices = collect_slices(scopes, &slice_names)?;
-                let buf = dmat.local_mut();
-                len = buf.len();
-                for k in 0..len {
-                    let v = ceval(&cew, &slices, buf, k);
-                    buf[k] = v;
-                }
-            }
+            len = dmat.local_els();
+            program.run_in_place(
+                &collect_slices(&self.scopes, &slice_names)?,
+                dmat.local_mut(),
+            );
             self.env().insert(dst.to_string(), XVal::M(dmat));
         } else {
-            let cew = self.compile_ew(expr, &ops, None)?;
+            let program = self.compile_ew(expr, &ops, None)?;
             let result = {
                 let model = env_mat(&self.scopes, &first)?;
                 let slices = collect_slices(&self.scopes, &ops)?;
                 len = model.local_els();
-                let mut out = vec![0.0; len];
-                for (k, slot) in out.iter_mut().enumerate() {
-                    *slot = ceval(&cew, &slices, &[], k);
-                }
-                model.with_local(out)
+                model.with_local(program.run_fresh(&slices, len))
             };
             self.env().insert(dst.to_string(), XVal::M(result));
         }
@@ -480,25 +452,19 @@ impl<'a> Executor<'a> {
     ) -> Result<()> {
         let ops = self.ew_operands(expr, Some(tmp))?;
         self.check_ew_alignment(tmp, &prod, &ops)?;
-        let cew = self.compile_ew(expr, &ops, Some(tmp))?;
+        let program = self.compile_ew(expr, &ops, Some(tmp))?;
         let len = prod.local_els();
-        {
-            let slices = collect_slices(&self.scopes, &ops)?;
-            let buf = prod.local_mut();
-            for k in 0..len {
-                let v = ceval(&cew, &slices, buf, k);
-                buf[k] = v;
-            }
-        }
+        program.run_in_place(&collect_slices(&self.scopes, &ops)?, prod.local_mut());
         self.comm.compute(len as f64 * expr.flop_weight().max(1.0));
         self.env().insert(dst.to_string(), XVal::M(prod));
         Ok(())
     }
 
-    /// Fused ElemWise → Reduce: evaluate the producer expression on the
-    /// fly and fold it per-element — no temporary matrix is materialized.
-    /// Charges mirror the eliminated `ElemWise` plus the exact fold and
-    /// allreduce of [`otter_rt`]'s reduction kernels.
+    /// Fused ElemWise → Reduce: evaluate the producer expression strip
+    /// by strip and fold the lanes in ascending index order — no
+    /// temporary matrix is materialized. Charges mirror the eliminated
+    /// `ElemWise` plus the exact fold and allreduce of [`otter_rt`]'s
+    /// reduction kernels.
     fn exec_fused_reduce(&mut self, op: RedOp, expr: &EwExpr) -> ExecResult<f64> {
         let ops = self.ew_operands(expr, None)?;
         let first = ops
@@ -509,26 +475,15 @@ impl<'a> Executor<'a> {
             let model = env_mat(&self.scopes, &first)?;
             self.check_ew_alignment(&first, model, &ops[1..])?;
         }
-        let cew = self.compile_ew(expr, &ops, None)?;
+        let program = self.compile_ew(expr, &ops, None)?;
         let (len, global_len, local) = {
             let model = env_mat(&self.scopes, &first)?;
             let len = model.local_els();
-            let slices = collect_slices(&self.scopes, &ops)?;
-            let each = |k: usize| ceval(&cew, &slices, &[], k);
-            let local = match op {
-                RedOp::SumAll | RedOp::MeanAll => (0..len).map(each).sum::<f64>(),
-                RedOp::MaxAll => (0..len).map(each).fold(f64::NEG_INFINITY, f64::max),
-                RedOp::MinAll => (0..len).map(each).fold(f64::INFINITY, f64::min),
-                RedOp::ProdAll => (0..len).map(each).product::<f64>(),
-                RedOp::Norm2 => (0..len).map(each).map(|x| x * x).sum::<f64>(),
-                RedOp::AnyAll | RedOp::AllAll | RedOp::Trapz => {
-                    return Err(OtterError::execution(format!(
-                        "reduction `{}` cannot be fused",
-                        op.c_name()
-                    ))
-                    .into())
-                }
-            };
+            let local = program
+                .reduce(op, &collect_slices(&self.scopes, &ops)?, len)
+                .ok_or_else(|| {
+                    OtterError::execution(format!("reduction `{}` cannot be fused", op.c_name()))
+                })?;
             (len, model.len(), local)
         };
         // The eliminated element-wise loop's charge...
@@ -1067,33 +1022,405 @@ fn collect_slices<'e>(
         .collect()
 }
 
-/// One node of a compiled element-wise expression (see
-/// [`Executor::compile_ew`]).
-enum CEw {
-    /// Element `k` of operand slice `i`.
+// ---- strip-mined element-wise programs ------------------------------------
+
+/// Lanes per strip: 256 doubles are 2 KiB a register, so the few
+/// registers a program holds at once stay in L1 while each node's loop
+/// streams over them.
+const STRIP: usize = 256;
+
+/// Where an operand's lanes come from.
+#[derive(Debug, Clone, Copy)]
+enum Leaf {
+    /// Operand slice `i` (an aligned matrix's local block).
     Slice(usize),
-    /// Element `k` of the destination buffer's previous contents.
+    /// The destination buffer's previous contents (in-place loops).
     Dst,
+    /// A replicated scalar, folded when the program was compiled.
     Const(f64),
-    Neg(Box<CEw>),
-    Not(Box<CEw>),
-    Bin(EwOp, Box<CEw>, Box<CEw>),
-    Call(SFun, Vec<CEw>),
 }
 
-fn ceval(e: &CEw, slices: &[&[f64]], dst: &[f64], k: usize) -> f64 {
-    match e {
-        CEw::Slice(i) => slices[*i][k],
-        CEw::Dst => dst[k],
-        CEw::Const(v) => *v,
-        CEw::Neg(x) => -ceval(x, slices, dst, k),
-        CEw::Not(x) => f64::from(ceval(x, slices, dst, k) == 0.0),
-        CEw::Bin(op, a, b) => op.eval(ceval(a, slices, dst, k), ceval(b, slices, dst, k)),
-        CEw::Call(f, args) => {
-            let vals: Vec<f64> = args.iter().map(|a| ceval(a, slices, dst, k)).collect();
-            f.eval(&vals)
+/// A one-operand lane operation.
+#[derive(Debug, Clone, Copy)]
+enum Op1 {
+    Neg,
+    Not,
+    Fun(SFun),
+}
+
+/// A two-operand lane operation.
+#[derive(Debug, Clone, Copy)]
+enum Op2 {
+    Ew(EwOp),
+    Fun(SFun),
+}
+
+/// One node of an [`EwProgram`]; each runs as one loop over a strip.
+/// "Top" is the most recently pushed register.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// Push a register holding the leaf's lanes.
+    Load(Leaf),
+    /// `top ← op(top)`.
+    Unary(Op1),
+    /// `top ← op(top, leaf)`, or `op(leaf, top)` when `swap`.
+    WithLeaf { op: Op2, leaf: Leaf, swap: bool },
+    /// Pop `top` into the register below it: `below ← op(below, top)`,
+    /// or `op(top, below)` when `swap`.
+    Pop { op: Op2, swap: bool },
+}
+
+/// A flat postfix element-wise program (see [`compile_ew`]). Running it
+/// walks `steps` once per strip — no recursion, no per-lane dispatch.
+#[derive(Debug)]
+struct EwProgram {
+    steps: Vec<Step>,
+    /// Registers live at once: the tree's Sethi–Ullman number, because
+    /// of two non-leaf operands the one needing more registers is
+    /// evaluated first.
+    depth: usize,
+}
+
+/// What an expression node computes, once its leaves are resolved.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    Leaf(Leaf),
+    Unary(Op1),
+    Binary(Op2),
+}
+
+/// One expression node, flattened in pre-order by [`compile_ew`].
+struct Node {
+    kind: Kind,
+    /// Nodes in the subtree: a binary node's second operand is node
+    /// `i + 1 + nodes[i + 1].size`.
+    size: usize,
+    /// Registers the subtree needs.
+    need: usize,
+}
+
+/// A pending action of [`compile_ew`]'s post-order emission.
+enum Task {
+    Visit(usize),
+    Emit(Step),
+}
+
+/// Compile an element-wise expression against an operand list into a
+/// flat postfix [`EwProgram`]. Runs once per instruction execution:
+/// scalar leaves fold to the values they hold now (the environment
+/// cannot change mid-loop) and matrix leaves resolve to slice indices,
+/// so the strip loops do no name lookups or scalar re-evaluation.
+/// `dst_alias` maps one matrix name to [`Leaf::Dst`] — the buffer the
+/// loop writes (in-place destination or fused product).
+///
+/// Leaves fold into the node that consumes them, and of two non-leaf
+/// operands the one needing more registers is evaluated first, so a
+/// fused chain of any length runs in one or two registers. All three
+/// passes use explicit work lists: fusion builds trees thousands of
+/// nodes deep, and ranks run on 1 MiB stacks.
+fn compile_ew(
+    e: &EwExpr,
+    slices: &[String],
+    dst_alias: Option<&str>,
+    scalar: &dyn Fn(&SExpr) -> Result<f64>,
+) -> Result<EwProgram> {
+    // Pre-order, left to right: scalar leaves evaluate in reading order.
+    let mut nodes: Vec<Node> = Vec::new();
+    let mut todo = vec![e];
+    while let Some(e) = todo.pop() {
+        let kind = match e {
+            EwExpr::Mat(m) if Some(m.as_str()) == dst_alias => Kind::Leaf(Leaf::Dst),
+            EwExpr::Mat(m) => Kind::Leaf(Leaf::Slice(
+                slices
+                    .iter()
+                    .position(|n| n == m)
+                    .expect("every matrix operand is in the slice list"),
+            )),
+            EwExpr::Scalar(s) => Kind::Leaf(Leaf::Const(scalar(s)?)),
+            EwExpr::Neg(x) => {
+                todo.push(x);
+                Kind::Unary(Op1::Neg)
+            }
+            EwExpr::Not(x) => {
+                todo.push(x);
+                Kind::Unary(Op1::Not)
+            }
+            EwExpr::Bin(op, a, b) => {
+                todo.extend([&**b, &**a]);
+                Kind::Binary(Op2::Ew(*op))
+            }
+            EwExpr::Call(f, args) if args.len() == f.arity() => {
+                todo.extend(args.iter().rev());
+                if args.len() == 1 {
+                    Kind::Unary(Op1::Fun(*f))
+                } else {
+                    Kind::Binary(Op2::Fun(*f))
+                }
+            }
+            EwExpr::Call(f, args) => {
+                return Err(OtterError::execution(format!(
+                    "`{}` takes {} argument(s), got {}",
+                    f.c_name(),
+                    f.arity(),
+                    args.len()
+                )))
+            }
+        };
+        nodes.push(Node {
+            kind,
+            size: 1,
+            need: 1,
+        });
+    }
+    // Reverse pre-order visits children before parents: sizes and
+    // register needs, bottom-up.
+    for i in (0..nodes.len()).rev() {
+        let (size, need) = match nodes[i].kind {
+            Kind::Leaf(_) => (1, 1),
+            Kind::Unary(_) => (1 + nodes[i + 1].size, nodes[i + 1].need),
+            Kind::Binary(_) => {
+                let (a, b) = (&nodes[i + 1], &nodes[i + 1 + nodes[i + 1].size]);
+                let need = match (a.kind, b.kind) {
+                    (_, Kind::Leaf(_)) => a.need,
+                    (Kind::Leaf(_), _) => b.need,
+                    _ if a.need == b.need => a.need + 1,
+                    _ => a.need.max(b.need),
+                };
+                (1 + a.size + b.size, need)
+            }
+        };
+        nodes[i].size = size;
+        nodes[i].need = need;
+    }
+    // Post-order emission.
+    let mut steps = Vec::with_capacity(nodes.len());
+    let mut tasks = vec![Task::Visit(0)];
+    while let Some(task) = tasks.pop() {
+        let i = match task {
+            Task::Emit(step) => {
+                steps.push(step);
+                continue;
+            }
+            Task::Visit(i) => i,
+        };
+        match nodes[i].kind {
+            Kind::Leaf(leaf) => steps.push(Step::Load(leaf)),
+            Kind::Unary(op) => tasks.extend([Task::Emit(Step::Unary(op)), Task::Visit(i + 1)]),
+            Kind::Binary(op) => {
+                let (ia, ib) = (i + 1, i + 1 + nodes[i + 1].size);
+                match (nodes[ia].kind, nodes[ib].kind) {
+                    (_, Kind::Leaf(leaf)) => tasks.extend([
+                        Task::Emit(Step::WithLeaf {
+                            op,
+                            leaf,
+                            swap: false,
+                        }),
+                        Task::Visit(ia),
+                    ]),
+                    (Kind::Leaf(leaf), _) => tasks.extend([
+                        Task::Emit(Step::WithLeaf {
+                            op,
+                            leaf,
+                            swap: true,
+                        }),
+                        Task::Visit(ib),
+                    ]),
+                    _ => {
+                        let swap = nodes[ia].need < nodes[ib].need;
+                        let (first, second) = if swap { (ib, ia) } else { (ia, ib) };
+                        tasks.extend([
+                            Task::Emit(Step::Pop { op, swap }),
+                            Task::Visit(second),
+                            Task::Visit(first),
+                        ]);
+                    }
+                }
+            }
         }
     }
+    Ok(EwProgram {
+        steps,
+        depth: nodes[0].need,
+    })
+}
+
+/// One operand's lanes over the current strip.
+#[derive(Clone, Copy)]
+enum Lanes<'a> {
+    Strip(&'a [f64]),
+    Splat(f64),
+}
+
+/// The buffers a program's leaves read.
+#[derive(Clone, Copy)]
+struct Operands<'a> {
+    slices: &'a [&'a [f64]],
+    dst: &'a [f64],
+}
+
+impl<'a> Operands<'a> {
+    fn lanes(self, leaf: Leaf, base: usize, n: usize) -> Lanes<'a> {
+        match leaf {
+            Leaf::Slice(i) => Lanes::Strip(&self.slices[i][base..base + n]),
+            Leaf::Dst => Lanes::Strip(&self.dst[base..base + n]),
+            Leaf::Const(v) => Lanes::Splat(v),
+        }
+    }
+}
+
+/// `(base, lanes)` of every strip covering `0..len`, ascending.
+fn strips(len: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..len)
+        .step_by(STRIP)
+        .map(move |base| (base, STRIP.min(len - base)))
+}
+
+impl EwProgram {
+    /// The register stack, allocated once per instruction execution.
+    fn registers(&self) -> Vec<[f64; STRIP]> {
+        vec![[0.0; STRIP]; self.depth]
+    }
+
+    /// Evaluate lanes `base..base + n` and return them (register 0).
+    fn strip<'r>(
+        &self,
+        regs: &'r mut [[f64; STRIP]],
+        src: Operands<'_>,
+        base: usize,
+        n: usize,
+    ) -> &'r [f64] {
+        let mut top = 0;
+        for step in &self.steps {
+            match *step {
+                Step::Load(leaf) => {
+                    let r = &mut regs[top][..n];
+                    match src.lanes(leaf, base, n) {
+                        Lanes::Strip(s) => r.copy_from_slice(s),
+                        Lanes::Splat(v) => r.fill(v),
+                    }
+                    top += 1;
+                }
+                Step::Unary(op) => unary(op, &mut regs[top - 1][..n]),
+                Step::WithLeaf { op, leaf, swap } => {
+                    binary(op, &mut regs[top - 1][..n], src.lanes(leaf, base, n), swap)
+                }
+                Step::Pop { op, swap } => {
+                    top -= 1;
+                    let (below, above) = regs.split_at_mut(top);
+                    binary(
+                        op,
+                        &mut below[top - 1][..n],
+                        Lanes::Strip(&above[0][..n]),
+                        swap,
+                    );
+                }
+            }
+        }
+        &regs[0][..n]
+    }
+
+    /// `buf[k] ← program(k)` for every lane. `Dst` leaves read `buf`'s
+    /// old lanes, and a strip is read before it is written.
+    fn run_in_place(&self, slices: &[&[f64]], buf: &mut [f64]) {
+        let mut regs = self.registers();
+        for (base, n) in strips(buf.len()) {
+            let src = Operands { slices, dst: buf };
+            let lanes = self.strip(&mut regs, src, base, n);
+            buf[base..base + n].copy_from_slice(lanes);
+        }
+    }
+
+    /// The program's `len` lanes as a fresh buffer.
+    fn run_fresh(&self, slices: &[&[f64]], len: usize) -> Vec<f64> {
+        let mut regs = self.registers();
+        let mut out = Vec::with_capacity(len);
+        for (base, n) in strips(len) {
+            let src = Operands { slices, dst: &[] };
+            out.extend_from_slice(self.strip(&mut regs, src, base, n));
+        }
+        out
+    }
+
+    /// Fold the program's `len` lanes in ascending index order, from
+    /// `init`.
+    fn fold(&self, slices: &[&[f64]], len: usize, init: f64, f: impl Fn(f64, f64) -> f64) -> f64 {
+        let mut regs = self.registers();
+        let mut acc = init;
+        for (base, n) in strips(len) {
+            let src = Operands { slices, dst: &[] };
+            for &x in self.strip(&mut regs, src, base, n) {
+                acc = f(acc, x);
+            }
+        }
+        acc
+    }
+
+    /// This rank's partial of a fused full reduction (`None` for the
+    /// reductions fusion never forms). The initial values are those of
+    /// `Iterator::sum` (−0.0, so a sum of −0.0 lanes stays −0.0) and
+    /// `Iterator::product`, with ±∞ for `max`/`min`.
+    fn reduce(&self, op: RedOp, slices: &[&[f64]], len: usize) -> Option<f64> {
+        Some(match op {
+            RedOp::SumAll | RedOp::MeanAll => self.fold(slices, len, -0.0, |acc, x| acc + x),
+            RedOp::MaxAll => self.fold(slices, len, f64::NEG_INFINITY, f64::max),
+            RedOp::MinAll => self.fold(slices, len, f64::INFINITY, f64::min),
+            RedOp::ProdAll => self.fold(slices, len, 1.0, |acc, x| acc * x),
+            RedOp::Norm2 => self.fold(slices, len, -0.0, |acc, x| acc + x * x),
+            RedOp::AnyAll | RedOp::AllAll | RedOp::Trapz => return None,
+        })
+    }
+}
+
+/// `r[l] ← f(r[l])` over one strip.
+#[inline(always)]
+fn map1(r: &mut [f64], f: impl Fn(f64) -> f64) {
+    for x in r {
+        *x = f(*x);
+    }
+}
+
+/// `r[l] ← f(r[l], b[l])`, or `f(b[l], r[l])` when `swap`, over one
+/// strip.
+#[inline(always)]
+fn map2(r: &mut [f64], b: Lanes<'_>, swap: bool, f: impl Fn(f64, f64) -> f64) {
+    match (b, swap) {
+        (Lanes::Strip(s), false) => r.iter_mut().zip(s).for_each(|(x, &y)| *x = f(*x, y)),
+        (Lanes::Strip(s), true) => r.iter_mut().zip(s).for_each(|(x, &y)| *x = f(y, *x)),
+        (Lanes::Splat(c), false) => r.iter_mut().for_each(|x| *x = f(*x, c)),
+        (Lanes::Splat(c), true) => r.iter_mut().for_each(|x| *x = f(c, *x)),
+    }
+}
+
+/// One strip of a one-operand node. Each arm names its operation as a
+/// constant, so its loop is monomorphized with the operation inlined;
+/// a function missing from the list still runs, through the generic
+/// last arm.
+fn unary(op: Op1, r: &mut [f64]) {
+    macro_rules! funs {
+        ($($f:ident)*) => {
+            match op {
+                Op1::Neg => map1(r, |x| -x),
+                Op1::Not => map1(r, |x| f64::from(x == 0.0)),
+                $(Op1::Fun(SFun::$f) => map1(r, |x| SFun::$f.eval(&[x])),)*
+                Op1::Fun(f) => map1(r, |x| f.eval(&[x])),
+            }
+        };
+    }
+    funs!(Sqrt Abs Sin Cos Tan Exp Log Log2 Floor Ceil Round Sign)
+}
+
+/// One strip of a two-operand node (see [`unary`]).
+fn binary(op: Op2, r: &mut [f64], b: Lanes<'_>, swap: bool) {
+    macro_rules! ops {
+        ($($e:ident)*; $($f:ident)*) => {
+            match op {
+                $(Op2::Ew(EwOp::$e) => map2(r, b, swap, |x, y| EwOp::$e.eval(x, y)),)*
+                $(Op2::Fun(SFun::$f) => map2(r, b, swap, |x, y| SFun::$f.eval(&[x, y])),)*
+                Op2::Fun(f) => map2(r, b, swap, |x, y| f.eval(&[x, y])),
+            }
+        };
+    }
+    ops!(Add Sub Mul Div Pow Eq Ne Lt Le Gt Ge And Or; Pow Mod Rem Max Min)
 }
 
 /// Convert a linear (column-major) 0-based index into (row, col).
@@ -1133,4 +1460,351 @@ pub struct ExecOutcome {
     /// Realized communication per leaf site in [`otter_ir::leaf_sites`]
     /// order; empty unless [`ExecOptions::analyze`] was set.
     pub site_comm: Vec<SiteComm>,
+}
+
+#[cfg(test)]
+mod tests {
+    //! The strip evaluator against the per-element tree walk it
+    //! replaced, which lives on here as the reference implementation.
+
+    use super::*;
+    use otter_det::DetRng;
+
+    /// The pre-strip compiled tree: one boxed node per expression node.
+    enum CEw {
+        /// Element `k` of operand slice `i`.
+        Slice(usize),
+        /// Element `k` of the destination buffer's previous contents.
+        Dst,
+        Const(f64),
+        Neg(Box<CEw>),
+        Not(Box<CEw>),
+        Bin(EwOp, Box<CEw>, Box<CEw>),
+        Call(SFun, Vec<CEw>),
+    }
+
+    /// The pre-strip per-element evaluator.
+    fn ceval(e: &CEw, slices: &[&[f64]], dst: &[f64], k: usize) -> f64 {
+        match e {
+            CEw::Slice(i) => slices[*i][k],
+            CEw::Dst => dst[k],
+            CEw::Const(v) => *v,
+            CEw::Neg(x) => -ceval(x, slices, dst, k),
+            CEw::Not(x) => f64::from(ceval(x, slices, dst, k) == 0.0),
+            CEw::Bin(op, a, b) => op.eval(ceval(a, slices, dst, k), ceval(b, slices, dst, k)),
+            CEw::Call(f, args) => {
+                let vals: Vec<f64> = args.iter().map(|a| ceval(a, slices, dst, k)).collect();
+                f.eval(&vals)
+            }
+        }
+    }
+
+    /// The pre-strip `compile_ew` (scalar leaves are constants here).
+    fn reference_compile(e: &EwExpr, slices: &[String], dst_alias: Option<&str>) -> CEw {
+        let sub = |x: &EwExpr| Box::new(reference_compile(x, slices, dst_alias));
+        match e {
+            EwExpr::Mat(m) if Some(m.as_str()) == dst_alias => CEw::Dst,
+            EwExpr::Mat(m) => CEw::Slice(slices.iter().position(|n| n == m).unwrap()),
+            EwExpr::Scalar(s) => CEw::Const(constant(s).unwrap()),
+            EwExpr::Neg(x) => CEw::Neg(sub(x)),
+            EwExpr::Not(x) => CEw::Not(sub(x)),
+            EwExpr::Bin(op, a, b) => CEw::Bin(*op, sub(a), sub(b)),
+            EwExpr::Call(f, args) => CEw::Call(
+                *f,
+                args.iter()
+                    .map(|a| reference_compile(a, slices, dst_alias))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// The pre-strip fused-reduction fold.
+    fn reference_reduce(op: RedOp, e: &CEw, slices: &[&[f64]], len: usize) -> f64 {
+        let each = |k: usize| ceval(e, slices, &[], k);
+        match op {
+            RedOp::SumAll | RedOp::MeanAll => (0..len).map(each).sum::<f64>(),
+            RedOp::MaxAll => (0..len).map(each).fold(f64::NEG_INFINITY, f64::max),
+            RedOp::MinAll => (0..len).map(each).fold(f64::INFINITY, f64::min),
+            RedOp::ProdAll => (0..len).map(each).product::<f64>(),
+            RedOp::Norm2 => (0..len).map(each).map(|x| x * x).sum::<f64>(),
+            RedOp::AnyAll | RedOp::AllAll | RedOp::Trapz => unreachable!("never fused"),
+        }
+    }
+
+    fn constant(s: &SExpr) -> Result<f64> {
+        match s {
+            SExpr::Const(v) => Ok(*v),
+            other => Err(OtterError::execution(format!("not a constant: {other:?}"))),
+        }
+    }
+
+    const FOLDS: [RedOp; 6] = [
+        RedOp::SumAll,
+        RedOp::MeanAll,
+        RedOp::MaxAll,
+        RedOp::MinAll,
+        RedOp::ProdAll,
+        RedOp::Norm2,
+    ];
+    const EW_OPS: [EwOp; 13] = [
+        EwOp::Add,
+        EwOp::Sub,
+        EwOp::Mul,
+        EwOp::Div,
+        EwOp::Pow,
+        EwOp::Eq,
+        EwOp::Ne,
+        EwOp::Lt,
+        EwOp::Le,
+        EwOp::Gt,
+        EwOp::Ge,
+        EwOp::And,
+        EwOp::Or,
+    ];
+    const SFUNS: [SFun; 17] = [
+        SFun::Sqrt,
+        SFun::Abs,
+        SFun::Sin,
+        SFun::Cos,
+        SFun::Tan,
+        SFun::Exp,
+        SFun::Log,
+        SFun::Log2,
+        SFun::Floor,
+        SFun::Ceil,
+        SFun::Round,
+        SFun::Sign,
+        SFun::Pow,
+        SFun::Mod,
+        SFun::Rem,
+        SFun::Max,
+        SFun::Min,
+    ];
+    /// Operand values IEEE edge cases live at.
+    const SPECIAL: [f64; 16] = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+        0.0,
+        5e-324,
+        -5e-324,
+        f64::MIN_POSITIVE / 4.0,
+        1.0,
+        -1.0,
+        0.5,
+        2.0,
+        -2.5,
+        3.75,
+        1e308,
+        -7.0,
+    ];
+    const LENS: [usize; 7] = [0, 1, 255, 256, 257, 513, 5000];
+    /// Matrix operand names; `m0` doubles as the in-place destination.
+    const MATS: [&str; 3] = ["m0", "m1", "m2"];
+
+    fn value(rng: &mut DetRng) -> f64 {
+        if rng.gen_index(4) == 0 {
+            rng.gen_range(-10.0..10.0)
+        } else {
+            SPECIAL[rng.gen_index(SPECIAL.len())]
+        }
+    }
+
+    fn leaf(rng: &mut DetRng) -> EwExpr {
+        if rng.gen_index(3) == 0 {
+            EwExpr::Scalar(SExpr::Const(value(rng)))
+        } else {
+            EwExpr::mat(MATS[rng.gen_index(MATS.len())])
+        }
+    }
+
+    fn call(f: SFun, rng: &mut DetRng, depth: usize) -> EwExpr {
+        EwExpr::Call(f, (0..f.arity()).map(|_| tree(rng, depth)).collect())
+    }
+
+    fn tree(rng: &mut DetRng, depth: usize) -> EwExpr {
+        if depth == 0 || rng.gen_index(4) == 0 {
+            return leaf(rng);
+        }
+        match rng.gen_index(4) {
+            0 => EwExpr::Neg(Box::new(tree(rng, depth - 1))),
+            1 => EwExpr::Not(Box::new(tree(rng, depth - 1))),
+            2 => EwExpr::bin(
+                EW_OPS[rng.gen_index(EW_OPS.len())],
+                tree(rng, depth - 1),
+                tree(rng, depth - 1),
+            ),
+            _ => call(SFUNS[rng.gen_index(SFUNS.len())], rng, depth - 1),
+        }
+    }
+
+    fn same_bits(got: f64, want: f64) -> bool {
+        got.to_bits() == want.to_bits()
+    }
+
+    /// Every way the executor runs `e` — out of place, in place over
+    /// `m0`, and each fused fold — against the reference, bit for bit.
+    fn check(e: &EwExpr, data: &[Vec<f64>]) {
+        let len = data[0].len();
+        let names: Vec<String> = MATS.iter().map(|s| s.to_string()).collect();
+        let slices: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
+
+        let program = compile_ew(e, &names, None, &constant).unwrap();
+        let cew = reference_compile(e, &names, None);
+        let got = program.run_fresh(&slices, len);
+        for (k, &g) in got.iter().enumerate() {
+            let want = ceval(&cew, &slices, &[], k);
+            assert!(
+                same_bits(g, want),
+                "len {len} lane {k}: {g} vs {want}\n{e:?}"
+            );
+        }
+        assert_eq!(got.len(), len);
+        for op in FOLDS {
+            let (g, want) = (
+                program.reduce(op, &slices, len).unwrap(),
+                reference_reduce(op, &cew, &slices, len),
+            );
+            assert!(same_bits(g, want), "len {len} {op:?}: {g} vs {want}\n{e:?}");
+        }
+
+        let (dst, rest) = (Some("m0"), &names[1..]);
+        let program = compile_ew(e, rest, dst, &constant).unwrap();
+        let cew = reference_compile(e, rest, dst);
+        let mut got = data[0].clone();
+        program.run_in_place(&slices[1..], &mut got);
+        let mut want = data[0].clone();
+        for k in 0..len {
+            let v = ceval(&cew, &slices[1..], &want, k);
+            want[k] = v;
+        }
+        for k in 0..len {
+            assert!(
+                same_bits(got[k], want[k]),
+                "in place, len {len} lane {k}: {} vs {}\n{e:?}",
+                got[k],
+                want[k]
+            );
+        }
+    }
+
+    #[test]
+    fn strip_programs_match_the_per_element_walk_bit_for_bit() {
+        let mut rng = DetRng::seed_from_u64(0x5712_1998);
+        // Every operator and function at the root of a random tree,
+        // then free-form trees.
+        let mut trees: Vec<EwExpr> = EW_OPS
+            .iter()
+            .map(|&op| EwExpr::bin(op, tree(&mut rng, 2), tree(&mut rng, 2)))
+            .collect();
+        for f in SFUNS {
+            trees.push(call(f, &mut rng, 2));
+        }
+        for _ in 0..24 {
+            trees.push(tree(&mut rng, 5));
+        }
+        for len in LENS {
+            let data: Vec<Vec<f64>> = MATS
+                .iter()
+                .map(|_| (0..len).map(|_| value(&mut rng)).collect())
+                .collect();
+            for e in &trees {
+                check(e, &data);
+            }
+        }
+    }
+
+    #[test]
+    fn fused_folds_keep_their_edge_cases() {
+        let m0 = EwExpr::mat("m0");
+        let run = |op: RedOp, lanes: Vec<f64>| {
+            let len = lanes.len();
+            let data = vec![lanes, vec![1.0; len], vec![1.0; len]];
+            check(&m0, &data);
+            let slices: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
+            let names: Vec<String> = MATS.iter().map(|s| s.to_string()).collect();
+            let program = compile_ew(&m0, &names, None, &constant).unwrap();
+            program.reduce(op, &slices, len).unwrap()
+        };
+        // A sum of −0.0 lanes stays −0.0, across strip boundaries too.
+        for len in LENS {
+            let s = run(RedOp::SumAll, vec![-0.0; len]);
+            assert!(same_bits(s, -0.0), "len {len}: {s:?}");
+        }
+        // max/min skip NaN operands; an all-NaN fold keeps its initial ±∞.
+        let mut lanes = vec![f64::NAN; 600];
+        lanes[300] = 2.0;
+        lanes[5] = -3.0;
+        assert_eq!(run(RedOp::MaxAll, lanes.clone()), 2.0);
+        assert_eq!(run(RedOp::MinAll, lanes), -3.0);
+        assert_eq!(run(RedOp::MaxAll, vec![f64::NAN; 257]), f64::NEG_INFINITY);
+        // prod with 0·∞ is NaN.
+        let mut lanes = vec![1.0; 513];
+        lanes[3] = 0.0;
+        lanes[400] = f64::INFINITY;
+        assert!(run(RedOp::ProdAll, lanes).is_nan());
+    }
+
+    #[test]
+    fn deep_fused_chains_run_in_two_registers() {
+        // `x = x .* 0.5 + 1;` folded 1 000 times is a 2 000-deep tree;
+        // with leaves folded into their consumers and the deeper child
+        // first, every shape of chain needs at most two registers.
+        let links: [fn(EwExpr) -> EwExpr; 4] = [
+            |x| {
+                EwExpr::bin(
+                    EwOp::Add,
+                    EwExpr::bin(EwOp::Mul, x, EwExpr::Scalar(SExpr::c(0.5))),
+                    EwExpr::Scalar(SExpr::c(1.0)),
+                )
+            },
+            |x| {
+                EwExpr::bin(
+                    EwOp::Add,
+                    EwExpr::Scalar(SExpr::c(1.0)),
+                    EwExpr::bin(EwOp::Mul, EwExpr::Scalar(SExpr::c(0.5)), x),
+                )
+            },
+            |x| {
+                EwExpr::bin(
+                    EwOp::Sub,
+                    x,
+                    EwExpr::bin(EwOp::Mul, EwExpr::mat("m1"), EwExpr::mat("m2")),
+                )
+            },
+            |x| {
+                EwExpr::bin(
+                    EwOp::Div,
+                    EwExpr::Call(SFun::Max, vec![EwExpr::mat("m1"), EwExpr::mat("m2")]),
+                    x,
+                )
+            },
+        ];
+        let mut rng = DetRng::seed_from_u64(7);
+        let data: Vec<Vec<f64>> = MATS
+            .iter()
+            .map(|_| (0..300).map(|_| rng.gen_range(0.5..2.0)).collect())
+            .collect();
+        let names: Vec<String> = MATS.iter().map(|s| s.to_string()).collect();
+        for link in links {
+            let mut e = EwExpr::mat("m0");
+            for _ in 0..1000 {
+                e = link(e);
+            }
+            let program = compile_ew(&e, &names, None, &constant).unwrap();
+            assert!(program.depth <= 2, "depth {}", program.depth);
+            check(&e, &data);
+        }
+    }
+
+    #[test]
+    fn wrong_arity_is_an_error_not_a_panic() {
+        let e = EwExpr::Call(SFun::Max, vec![EwExpr::mat("m0")]);
+        let err = compile_ew(&e, &["m0".to_string()], None, &constant).unwrap_err();
+        assert!(
+            err.to_string().contains("takes 2 argument(s), got 1"),
+            "{err}"
+        );
+    }
 }

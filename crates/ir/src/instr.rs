@@ -61,6 +61,7 @@ impl SFun {
 
     /// Evaluate on doubles (the executor's semantics; `ML_mod` is
     /// MATLAB's sign-following `mod`).
+    #[inline]
     pub fn eval(self, args: &[f64]) -> f64 {
         match self {
             SFun::Sqrt => args[0].sqrt(),
@@ -226,6 +227,7 @@ pub enum EwOp {
 }
 
 impl EwOp {
+    #[inline]
     pub fn eval(self, a: f64, b: f64) -> f64 {
         match self {
             EwOp::Add => a + b,

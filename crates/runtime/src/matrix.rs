@@ -244,18 +244,8 @@ impl DistMatrix {
     pub fn gather_all(&self, comm: &mut Comm) -> Result<Dense, CommError> {
         let (name, t0) = ("ML_gather_all", comm.clock());
         let parts = comm.allgather(&self.local)?;
-        let mut data = Vec::with_capacity(self.len());
-        for p in parts {
-            data.extend_from_slice(&p);
-        }
         comm.record(Event::Phase { name, t0 });
-        Ok(if self.is_vector() && self.rows > 1 {
-            Dense::from_vec(self.rows, 1, data)
-        } else if self.is_vector() {
-            Dense::from_vec(1, self.cols, data)
-        } else {
-            Dense::from_vec(self.rows, self.cols, data)
-        })
+        Ok(self.assemble(parts))
     }
 
     /// Gather onto `root` only; others get `None`.
@@ -263,18 +253,24 @@ impl DistMatrix {
         let (name, t0) = ("ML_gather", comm.clock());
         let parts = comm.gather(root, &self.local)?;
         comm.record(Event::Phase { name, t0 });
-        let Some(parts) = parts else { return Ok(None) };
-        let mut data = Vec::with_capacity(self.len());
-        for p in parts {
-            data.extend_from_slice(&p);
-        }
-        Ok(Some(if self.is_vector() && self.rows > 1 {
+        Ok(parts.map(|parts| self.assemble(parts)))
+    }
+
+    /// The dense matrix whose row-major data is `parts` in rank order.
+    /// A lone part (p = 1) is already an owned copy and becomes the
+    /// storage as it is, so a p = 1 gather copies the data once.
+    fn assemble(&self, parts: Vec<Vec<f64>>) -> Dense {
+        let data = match <[Vec<f64>; 1]>::try_from(parts) {
+            Ok([lone]) => lone,
+            Err(parts) => parts.concat(),
+        };
+        if self.is_vector() && self.rows > 1 {
             Dense::from_vec(self.rows, 1, data)
         } else if self.is_vector() {
             Dense::from_vec(1, self.cols, data)
         } else {
             Dense::from_vec(self.rows, self.cols, data)
-        }))
+        }
     }
 
     // ---- element access ------------------------------------------------------
@@ -560,5 +556,28 @@ mod tests {
         });
         let haves: Vec<bool> = res.iter().map(|r| r.value).collect();
         assert_eq!(haves, vec![false, false, true, false]);
+    }
+
+    #[test]
+    fn gathers_rebuild_the_same_dense_at_every_p() {
+        // p = 1 hands its lone part over as the storage; p > 1
+        // concatenates. Either way the shape and every element match,
+        // including the remainder blocks of 7 items over 2 and 3 ranks.
+        for (rows, cols) in [(1usize, 7usize), (7, 1), (7, 3)] {
+            let d = counting_dense(rows, cols);
+            for p in [1usize, 2, 3] {
+                let dd = d.clone();
+                let res = run_spmd(&meiko_cs2(), p, move |c| {
+                    let m = DistMatrix::from_replicated(c, &dd);
+                    Ok((m.gather_all(c)?, m.gather_to(c, 0)?))
+                });
+                for r in &res {
+                    let (all, to_root) = &r.value;
+                    assert_eq!(all, &d, "{rows}x{cols} p={p} gather_all");
+                    let expect = (r.rank == 0).then(|| d.clone());
+                    assert_eq!(to_root, &expect, "{rows}x{cols} p={p} gather_to");
+                }
+            }
+        }
     }
 }

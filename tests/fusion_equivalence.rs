@@ -78,6 +78,62 @@ fn fusion_and_tiling_never_change_a_result_bit() {
     }
 }
 
+/// Shape and element bits of each of `names` in the workspace.
+fn workspace_bits(report: &EngineReport, names: &[&str]) -> Vec<(usize, usize, Vec<u64>)> {
+    names
+        .iter()
+        .map(|name| {
+            let m = report.workspace[*name].to_matrix().expect("numeric");
+            let bits = (0..m.rows())
+                .flat_map(|r| (0..m.cols()).map(move |c| (r, c)))
+                .map(|(r, c)| m.get(r, c).to_bits())
+                .collect();
+            (m.rows(), m.cols(), bits)
+        })
+        .collect()
+}
+
+#[test]
+fn a_thousand_link_fused_chain_runs_and_matches_unfused_bits() {
+    // Fusion folds an SSA-renamed chain into one 2 000-deep expression,
+    // which the executor must run on a rank's stack (the caller's at
+    // p = 1, a 1 MiB carrier at p = 4) in this unoptimised build, with
+    // the unfused program's exact bits. The compile passes recurse over
+    // that tree, so they get the 8 MiB of a main thread (`otterc`).
+    // `x .* 0.5 + 1` converges to 2 within ~60 links; the second chain
+    // adds one per pair and keeps every link's rounding in the bits.
+    let chains = [
+        "x = x .* 0.5 + 1;\n".repeat(1000),
+        "x = x .* 0.5 + 1;\nx = x .* 2 - 1;\n".repeat(500),
+    ];
+    for chain in chains {
+        let src = format!("x = (1:600) / 7;\n{chain}y = x;\n");
+        let build = |on: bool| {
+            let src = src.clone();
+            std::thread::Builder::new()
+                .stack_size(8 << 20)
+                .spawn(move || compile(&src, &fusion(on).build()))
+                .unwrap()
+                .join()
+                .expect("compile thread")
+                .unwrap_or_else(|e| panic!("fusion={on}: {e}"))
+        };
+        let (fused, unfused) = (build(true), build(false));
+        let chains = fused.compiled().fusion_stats.elemwise_chains;
+        assert!(chains >= 999, "only {chains} links fused");
+        for p in [1usize, 4] {
+            let run = |a| {
+                let report = run_compiled(a, &meiko_cs2(), p);
+                workspace_bits(
+                    &report.unwrap_or_else(|e| panic!("p={p}: {e}")),
+                    &["x", "y"],
+                )
+            };
+            assert_eq!(run(&fused), run(&unfused), "p={p}");
+        }
+    }
+}
+
 #[test]
 fn fusion_never_raises_the_workspace_peak() {
     // Fusion eliminates full-matrix temporaries; the per-rank
