@@ -3,10 +3,10 @@
 //! A [`MetricsRegistry`] is a per-rank, single-owner store (ranks are
 //! threads and each owns its registry, so there are no locks on the
 //! record path — the same design as `otter_rt::alloc`). Recording
-//! goes through either the one-shot methods (`inc`/`gauge_max`/
-//! `observe`, which look the key up by name + labels) or through a
-//! pre-registered [`MetricId`] handle for hot paths that record the
-//! same metric thousands of times.
+//! goes through the one-shot methods (`inc`/`gauge_max`/`observe`,
+//! which look the key up by name + labels); histograms, the one kind a
+//! hot path records thousands of times, also take a pre-registered
+//! [`MetricId`] handle.
 //!
 //! At the end of a run every rank's registry freezes into a
 //! [`MetricsSnapshot`] — a sorted, immutable map — and snapshots merge
@@ -120,35 +120,9 @@ impl MetricsRegistry {
         i
     }
 
-    /// Pre-register a counter and get a hot-path handle.
-    pub fn counter(&mut self, name: &str, labels: &[(&str, &str)]) -> MetricId {
-        MetricId(self.slot(name, labels, || MetricValue::Counter(0)))
-    }
-
-    /// Pre-register a (max-)gauge and get a hot-path handle.
-    pub fn gauge(&mut self, name: &str, labels: &[(&str, &str)]) -> MetricId {
-        MetricId(self.slot(name, labels, || MetricValue::Gauge(f64::NEG_INFINITY)))
-    }
-
     /// Pre-register a histogram and get a hot-path handle.
     pub fn histogram(&mut self, name: &str, labels: &[(&str, &str)]) -> MetricId {
         MetricId(self.slot(name, labels, || MetricValue::Histogram(Histogram::new())))
-    }
-
-    /// Add `by` to the counter behind `id`.
-    pub fn inc_id(&mut self, id: MetricId, by: u64) {
-        match &mut self.entries[id.0].1 {
-            MetricValue::Counter(c) => *c += by,
-            other => panic!("MetricId is a {}, not a counter", other.kind()),
-        }
-    }
-
-    /// Raise the gauge behind `id` to at least `v`.
-    pub fn gauge_max_id(&mut self, id: MetricId, v: f64) {
-        match &mut self.entries[id.0].1 {
-            MetricValue::Gauge(g) => *g = g.max(v),
-            other => panic!("MetricId is a {}, not a gauge", other.kind()),
-        }
     }
 
     /// Record `v` into the histogram behind `id`.
@@ -159,18 +133,22 @@ impl MetricsRegistry {
         }
     }
 
-    /// One-shot counter increment (looks the key up; use
-    /// [`MetricsRegistry::counter`] + [`MetricsRegistry::inc_id`] on
-    /// hot paths).
+    /// One-shot counter increment.
     pub fn inc(&mut self, name: &str, labels: &[(&str, &str)], by: u64) {
-        let id = self.counter(name, labels);
-        self.inc_id(id, by);
+        let i = self.slot(name, labels, || MetricValue::Counter(0));
+        match &mut self.entries[i].1 {
+            MetricValue::Counter(c) => *c += by,
+            other => panic!("metric `{name}` is a {}, not a counter", other.kind()),
+        }
     }
 
     /// One-shot high-water-mark update.
     pub fn gauge_max(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        let id = self.gauge(name, labels);
-        self.gauge_max_id(id, v);
+        let i = self.slot(name, labels, || MetricValue::Gauge(f64::NEG_INFINITY));
+        match &mut self.entries[i].1 {
+            MetricValue::Gauge(g) => *g = g.max(v),
+            other => panic!("metric `{name}` is a {}, not a gauge", other.kind()),
+        }
     }
 
     /// One-shot histogram observation.
@@ -394,12 +372,13 @@ mod tests {
     #[test]
     fn one_shot_and_handles_hit_the_same_metric() {
         let mut r = MetricsRegistry::new();
-        let id = r.counter("msgs", &[("dir", "send")]);
-        r.inc_id(id, 2);
-        r.inc("msgs", &[("dir", "send")], 3);
+        let id = r.histogram("lat", &[("dir", "send")]);
+        r.observe_id(id, 2.0);
+        r.observe("lat", &[("dir", "send")], 3.0);
         let s = r.snapshot();
-        assert_eq!(s.counter("msgs", &[("dir", "send")]), Some(5));
-        assert_eq!(s.counter("msgs", &[]), None);
+        let h = s.histogram("lat", &[("dir", "send")]).unwrap();
+        assert_eq!((h.count(), h.sum()), (2, 5.0));
+        assert_eq!(s.histogram("lat", &[]), None);
     }
 
     #[test]

@@ -14,6 +14,11 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// The one timer left in a blocked receive: a rank whose peer is alive
+/// but silent, with no wait-for cycle to diagnose, gives up as
+/// `Stalled` once the whole job has been quiet this long.
+const STALL_TIMEOUT: Duration = Duration::from_secs(30);
+
 /// One message: a vector of doubles stamped with the sender's virtual
 /// clock at completion of the send.
 #[derive(Debug, Clone)]
@@ -39,13 +44,6 @@ pub struct Comm {
     /// The job's worker-slot scheduler; a blocked receive releases its
     /// slot here and re-acquires on wake.
     sched: Arc<Scheduler>,
-    /// Deadlock-detector cadence (from `SpmdOptions`): how often a
-    /// blocked receive re-checks the wait-for registry, how long a
-    /// cycle snapshot must hold, and the hard fallback for a peer that
-    /// is alive but silent.
-    poll: Duration,
-    confirm: Duration,
-    stall: Duration,
     clock: f64,
     /// Schedule used by the un-suffixed collective methods.
     algo: CollectiveAlgo,
@@ -84,9 +82,6 @@ impl Comm {
             machine,
             mailboxes,
             sched,
-            poll: opts.poll_interval,
-            confirm: opts.confirm_window,
-            stall: opts.stall_timeout,
             clock: 0.0,
             algo: opts.algo,
             obs: Observer::new(rank, size, opts),
@@ -115,10 +110,9 @@ impl Comm {
     }
 
     /// Wake every rank currently parked waiting on *this* rank, so a
-    /// finishing/failing rank's peers re-check its state immediately
-    /// instead of sleeping out their poll interval (the replacement
-    /// for mpsc's disconnect signal). Called by the runner right after
-    /// `set_done`.
+    /// finishing/failing rank's peers see its final state and give up
+    /// (the replacement for mpsc's disconnect signal). Called by the
+    /// runner right after `set_done`.
     pub(crate) fn wake_ranks_blocked_on_me(&self) {
         for r in self.job.waiters_on(self.rank) {
             self.mailboxes[r].notify();
@@ -197,14 +191,9 @@ impl Comm {
     /// Charge `flop_units` of modeled computation (in units of one
     /// sustained flop; see `otter_machine::OpClass::weight`).
     pub fn compute(&mut self, flop_units: f64) {
-        self.advance(flop_units * self.machine.cpu.flop_time());
-    }
-
-    /// Advance the clock by raw virtual seconds (used by the runtime
-    /// for memory-traffic charges).
-    pub fn advance(&mut self, seconds: f64) {
-        self.clock += seconds;
-        self.record(Event::Compute { dt: seconds });
+        let dt = flop_units * self.machine.cpu.flop_time();
+        self.clock += dt;
+        self.record(Event::Compute { dt });
     }
 
     /// One message-target validity check, shared by send and recv so
@@ -308,13 +297,11 @@ impl Comm {
                 })
             }
             _ => {
-                self.mailboxes[to].push(
-                    self.rank,
-                    Packet {
-                        data: data.to_vec(),
-                        send_clock,
-                    },
-                );
+                let pkt = Packet {
+                    data: data.to_vec(),
+                    send_clock,
+                };
+                self.mailboxes[to].push(self.rank, pkt, || self.job.release(to, self.rank));
                 self.job.note_progress();
                 Ok(())
             }
@@ -328,101 +315,56 @@ impl Comm {
 
     /// Block until the next packet from `from` is available. This is
     /// the scheduler's park point: a receive that finds nothing
-    /// buffered publishes its blocked state to the wait-for registry,
-    /// *releases its worker slot* so another virtual rank can run, and
-    /// sleeps on its own mailbox condvar — re-checking the registry on
-    /// every poll so deadlocks and dead peers are still diagnosed in
-    /// tens of milliseconds, then re-acquiring a slot once unblocked.
+    /// buffered publishes its wait to the wait-for registry (under its
+    /// mailbox lock; see `crate::state`), *releases its worker slot*
+    /// so another virtual rank can run, walks the wait-for graph once,
+    /// and sleeps on its own mailbox condvar until a push, a
+    /// terminated peer or a deadlock verdict ends the wait. It
+    /// re-acquires a slot before returning.
     fn recv_packet(&mut self, from: usize) -> Result<Packet, CommError> {
-        // Fast path: already buffered — never touches the registry or
-        // the scheduler.
-        if let Some(p) = self.mailboxes[self.rank].try_pop(from) {
+        let publish_wait = || self.job.set_waiting(self.rank, from);
+        if let Some(p) = self.mailboxes[self.rank].pop_or(from, publish_wait) {
             return Ok(p);
         }
         self.record(Event::Note(Note::Park { from }));
-        self.job.set_waiting(self.rank, from);
         self.sched.release();
-        // The poll interval backs off exponentially (capped at 16x the
-        // base) while nothing changes: packet arrival wakes the condvar
-        // directly, so backing off only delays *detection* of deadlocks
-        // and dead peers, and cuts the wakeup storm of thousands of
-        // parked ranks from O(p / poll) to a trickle.
-        let mut wait = self.poll;
-        let wait_cap = self.poll * 16;
+        let (rank, job) = (self.rank, &self.job);
+        if let Some(cycle) = job.diagnose_deadlock(rank) {
+            // Every member now holds its verdict; wake them to take it.
+            for e in cycle.iter().filter(|e| e.waiter != rank) {
+                self.mailboxes[e.waiter].notify();
+            }
+        }
         // The stall clock restarts whenever the job as a whole makes
         // progress: on a starved pool a rank may legitimately sit
         // blocked for many multiples of the timeout while packets flow
-        // elsewhere. Only a globally-quiet 30s is a hang.
-        let mut blocked_at = Instant::now();
-        let mut last_progress = self.job.progress();
-        let result = loop {
-            if let Some(p) = self.mailboxes[self.rank].pop_or_wait(from, wait) {
-                break Ok(p);
-            }
-            wait = (wait * 2).min(wait_cap);
-            if let Some(v) = self.job.take_verdict(self.rank) {
-                match self.mailboxes[self.rank].try_pop(from) {
-                    Some(p) => break Ok(p), // verdict lost the race
-                    None => break Err(v),
+        // elsewhere. Only a globally quiet `STALL_TIMEOUT` is a hang.
+        let mut quiet = (job.progress(), Instant::now());
+        let result = self.mailboxes[rank].pop_or_wait(from, || {
+            let err = if let Some(verdict) = job.take_verdict(rank) {
+                verdict
+            } else if matches!(job.state_of(from), RankState::Finished | RankState::Failed) {
+                CommError::PeerTerminated { rank, peer: from }
+            } else {
+                let progress = job.progress();
+                if progress != quiet.0 {
+                    quiet = (progress, Instant::now());
                 }
-            }
-            match self.job.state_of(from) {
-                RankState::Finished | RankState::Failed => {
-                    // Final drain: the peer may have sent just before
-                    // ending.
-                    match self.mailboxes[self.rank].try_pop(from) {
-                        Some(p) => break Ok(p),
-                        None => {
-                            break Err(CommError::PeerTerminated {
-                                rank: self.rank,
-                                peer: from,
-                            })
-                        }
-                    }
+                match STALL_TIMEOUT.checked_sub(quiet.1.elapsed()) {
+                    Some(left) => return Ok(left),
+                    None => CommError::Stalled {
+                        rank,
+                        waiting_on: from,
+                        seconds: STALL_TIMEOUT.as_secs(),
+                    },
                 }
-                RankState::WaitingOn(_) => {
-                    let pending = |r: usize, s: usize| self.mailboxes[r].has_from(s);
-                    if let Some(err) =
-                        self.job
-                            .diagnose_deadlock(self.rank, from, self.confirm, pending)
-                    {
-                        match self.mailboxes[self.rank].try_pop(from) {
-                            Some(p) => break Ok(p),
-                            None => {
-                                // Wake the other members so they take
-                                // their verdicts now, not next poll.
-                                if let CommError::Deadlock { cycle, .. } = &err {
-                                    for e in cycle {
-                                        if e.waiter != self.rank {
-                                            self.mailboxes[e.waiter].notify();
-                                        }
-                                    }
-                                }
-                                break Err(err);
-                            }
-                        }
-                    }
-                }
-                RankState::Running => {}
-            }
-            let progress = self.job.progress();
-            if progress != last_progress {
-                last_progress = progress;
-                blocked_at = Instant::now();
-            }
-            if blocked_at.elapsed() >= self.stall {
-                break Err(CommError::Stalled {
-                    rank: self.rank,
-                    waiting_on: from,
-                    seconds: self.stall.as_secs(),
-                });
-            }
-        };
-        // Clear the published wait *before* queueing for a slot: a
-        // rank that is merely waiting for a free worker must not look
-        // deadlocked to a detector walking the wait-for graph.
-        self.job.set_running(self.rank);
-        self.sched.acquire(self.rank);
+            };
+            // Leave the wait here, under the lock pushes take, so a
+            // push cannot end it a second time.
+            job.set_running(rank);
+            Err(err)
+        });
+        self.sched.acquire(rank);
         self.record(Event::Note(match &result {
             Ok(_) => Note::Unpark { from },
             &Err(CommError::Deadlock { waiting_on, .. }) => Note::Deadlock { waiting_on },

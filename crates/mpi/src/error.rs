@@ -21,54 +21,72 @@ impl fmt::Display for WaitEdge {
     }
 }
 
+/// Follow wait-for edges from `start` until a rank repeats: the one
+/// walk both the live detector (`JobState::diagnose_deadlock`) and
+/// the offline [`find_wait_cycle`] run. `next_of(r)` answers "whom
+/// does `r` wait on", plus whatever the caller wants recorded beside
+/// that edge (the live detector records the slot epoch it read).
+/// Returns the walked path, `path[0]` leaving `start`, and the index
+/// where its cycle begins; `None` if the chain reaches a rank that
+/// waits on nobody. Path waiters are distinct, so the walk ends within
+/// `p` steps.
+pub(crate) fn walk_wait_chain<T>(
+    start: usize,
+    mut next_of: impl FnMut(usize) -> Option<(usize, T)>,
+) -> Option<(Vec<(WaitEdge, T)>, usize)> {
+    let mut path: Vec<(WaitEdge, T)> = Vec::new();
+    let mut cur = start;
+    loop {
+        let (next, seen) = next_of(cur)?;
+        path.push((
+            WaitEdge {
+                waiter: cur,
+                waiting_on: next,
+            },
+            seen,
+        ));
+        if let Some(pos) = path.iter().position(|(e, _)| e.waiter == next) {
+            return Some((path, pos));
+        }
+        cur = next;
+    }
+}
+
+/// Rotate a cycle to start at its smallest member: the one spelling
+/// every report — live verdicts and postmortem re-diagnosis — uses.
+pub(crate) fn canonical_cycle(mut cycle: Vec<WaitEdge>) -> Vec<WaitEdge> {
+    if let Some(min_pos) = (0..cycle.len()).min_by_key(|&i| cycle[i].waiter) {
+        cycle.rotate_left(min_pos);
+    }
+    cycle
+}
+
 /// Find a wait-for cycle in a static edge snapshot, canonicalized to
-/// start at its smallest member — the same spelling the live detector
-/// (`JobState::diagnose_deadlock`) produces.
+/// start at its smallest member — the same walk and spelling the live
+/// detector (`JobState::diagnose_deadlock`) uses.
 ///
 /// This is the *offline* half of deadlock diagnosis: a postmortem
 /// bundle serializes the final wait-for edges, and `harness postmortem`
 /// re-runs the cycle search from the bundle alone, with no live job.
-/// Unlike the live detector there are no epochs or confirmation
-/// windows to consult; the snapshot is already final.
+/// Unlike the live detector there are no epochs to re-read; the
+/// snapshot is already final.
 pub fn find_wait_cycle(edges: &[WaitEdge]) -> Option<Vec<WaitEdge>> {
     // Walk from each waiter in turn; the first closed walk wins. Edges
     // come from per-rank failure records, so each waiter appears once.
-    let next_of = |r: usize| edges.iter().find(|e| e.waiter == r).map(|e| e.waiting_on);
+    let next_of = |r: usize| {
+        edges
+            .iter()
+            .find(|e| e.waiter == r)
+            .map(|e| (e.waiting_on, ()))
+    };
     let mut starts: Vec<usize> = edges.iter().map(|e| e.waiter).collect();
     starts.sort_unstable();
-    for &start in &starts {
-        let mut path: Vec<usize> = Vec::new();
-        let mut cur = start;
-        while let Some(next) = next_of(cur) {
-            path.push(cur);
-            if let Some(pos) = path.iter().position(|&r| r == next) {
-                let cycle = &path[pos..];
-                let min_pos = cycle
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|&(_, &r)| r)
-                    .map(|(i, _)| i)
-                    .unwrap();
-                let n = cycle.len();
-                return Some(
-                    (0..n)
-                        .map(|i| {
-                            let waiter = cycle[(min_pos + i) % n];
-                            WaitEdge {
-                                waiter,
-                                waiting_on: next_of(waiter).unwrap(),
-                            }
-                        })
-                        .collect(),
-                );
-            }
-            if path.len() > edges.len() {
-                break;
-            }
-            cur = next;
-        }
-    }
-    None
+    starts.into_iter().find_map(|start| {
+        let (path, pos) = walk_wait_chain(start, next_of)?;
+        Some(canonical_cycle(
+            path[pos..].iter().map(|&(e, ())| e).collect(),
+        ))
+    })
 }
 
 /// Why a communication operation failed on one rank.
@@ -79,12 +97,12 @@ pub fn find_wait_cycle(edges: &[WaitEdge]) -> Option<Vec<WaitEdge>> {
 pub enum CommError {
     /// This rank is part of (or transitively blocked on) a wait-for
     /// cycle: every rank in `cycle` is blocked in a receive that only
-    /// another member of the cycle could satisfy. Diagnosed from a
-    /// confirmed wait-for snapshot, not a timeout.
+    /// another member of the cycle could satisfy. Diagnosed from one
+    /// consistent wait-for snapshot, not a timeout.
     Deadlock {
         rank: usize,
         waiting_on: usize,
-        /// The confirmed cycle, starting at its smallest member.
+        /// The proven cycle, starting at its smallest member.
         cycle: Vec<WaitEdge>,
     },
     /// The peer this rank was talking to is gone: it finished the
@@ -116,8 +134,8 @@ pub enum CommError {
     /// The rank was killed by the job's `FaultPlan` at its
     /// `op_index`-th communication operation (1-based).
     InjectedCrash { rank: usize, op_index: u64 },
-    /// A blocking receive exceeded the hard fallback timeout with the
-    /// peer still running and no diagnosable wait-for cycle.
+    /// A blocking receive waited out the stall timeout with the peer
+    /// still running, no wait-for cycle, and the whole job quiet.
     Stalled {
         rank: usize,
         waiting_on: usize,

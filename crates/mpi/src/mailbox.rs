@@ -10,97 +10,104 @@
 //! neighbors, not all peers.
 //!
 //! Ordering: per-edge FIFO is preserved exactly as mpsc channels
-//! preserved it — each `(sender, receiver)` edge has its own queue and
-//! `push`/`try_pop` operate on queue ends. Only the owning rank ever
-//! *waits* on its mailbox condvar; senders and the completion-wakeup
-//! path only notify.
+//! preserved it — each `(sender, receiver)` edge has its own queue.
+//!
+//! The mailbox lock is also the lock of the wait-for invariant
+//! (`crate::state`): the owner publishes a wait under it after finding
+//! the awaited queue empty ([`Mailbox::pop_or`]), and a push ends that
+//! wait under it ([`Mailbox::push`]). Only the owner waits on the
+//! condvar; a push wakes it only when the push ended its wait, and
+//! everything else that can end a wait (a peer finishing, a verdict)
+//! calls [`Mailbox::notify`].
 
 use crate::comm::Packet;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
+type Queues = HashMap<usize, VecDeque<Packet>>;
+
 /// One rank's inbox: per-sender FIFO queues plus the condvar its owner
 /// parks on while blocked in `recv`.
 pub(crate) struct Mailbox {
-    inner: Mutex<HashMap<usize, VecDeque<Packet>>>,
+    queues: Mutex<Queues>,
     cv: Condvar,
+}
+
+fn pop(queues: &mut Queues, from: usize) -> Option<Packet> {
+    let q = queues.get_mut(&from)?;
+    let pkt = q.pop_front();
+    if q.is_empty() {
+        queues.remove(&from);
+    }
+    pkt
 }
 
 impl Mailbox {
     pub fn new() -> Self {
         Mailbox {
-            inner: Mutex::new(HashMap::new()),
+            queues: Mutex::new(HashMap::new()),
             cv: Condvar::new(),
         }
     }
 
-    /// Deliver a packet on the `(from → owner)` edge and wake the
-    /// owner if it is parked.
-    pub fn push(&self, from: usize, pkt: Packet) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.entry(from).or_default().push_back(pkt);
-        drop(inner);
-        self.cv.notify_all();
+    /// Deliver a packet on the `(from → owner)` edge. `end_wait` runs
+    /// under the lock, after the enqueue, and ends the owner's wait if
+    /// it is blocked on exactly this edge (`JobState::release`); the
+    /// owner is woken only when it did.
+    pub fn push(&self, from: usize, pkt: Packet, end_wait: impl FnOnce() -> bool) {
+        let mut queues = self.queues.lock().expect("mailbox lock poisoned");
+        queues.entry(from).or_default().push_back(pkt);
+        let ended = end_wait();
+        drop(queues);
+        if ended {
+            self.cv.notify_one();
+        }
     }
 
-    /// Whether a packet from `from` is queued. The deadlock detector
-    /// uses this to tell a genuinely blocked rank from a starved one
-    /// that just hasn't consumed its mail yet.
-    pub fn has_from(&self, from: usize) -> bool {
-        self.inner
-            .lock()
-            .unwrap()
-            .get(&from)
-            .is_some_and(|q| !q.is_empty())
-    }
-
-    /// Non-blocking take of the next packet from `from`.
-    pub fn try_pop(&self, from: usize) -> Option<Packet> {
-        let mut inner = self.inner.lock().unwrap();
-        let q = inner.get_mut(&from)?;
-        let pkt = q.pop_front();
-        if q.is_empty() {
-            inner.remove(&from);
+    /// Take the next packet from `from`; if none is queued, run
+    /// `publish_wait` under the same lock, so no push can slip between
+    /// finding the queue empty and the wait becoming visible.
+    pub fn pop_or(&self, from: usize, publish_wait: impl FnOnce()) -> Option<Packet> {
+        let mut queues = self.queues.lock().expect("mailbox lock poisoned");
+        let pkt = pop(&mut queues, from);
+        if pkt.is_none() {
+            publish_wait();
         }
         pkt
     }
 
-    /// Take the next packet from `from`, parking on the mailbox
-    /// condvar for at most `timeout` if none is queued. Returns `None`
-    /// on timeout or when woken for a reason other than a matching
-    /// packet (a peer finishing, a verdict being posted) — the caller
-    /// re-checks the job state and calls again.
-    pub fn pop_or_wait(&self, from: usize, timeout: Duration) -> Option<Packet> {
-        let mut inner = self.inner.lock().unwrap();
-        if let Some(q) = inner.get_mut(&from) {
-            if let Some(pkt) = q.pop_front() {
-                if q.is_empty() {
-                    inner.remove(&from);
-                }
-                return Some(pkt);
+    /// Park until a packet from `from` arrives. Before every wait,
+    /// `check` runs under the lock: `Ok(d)` parks for at most `d`,
+    /// `Err(e)` gives up with `e`. Whoever can change `check`'s answer
+    /// takes this lock to notify, so no wakeup is lost.
+    pub fn pop_or_wait<E>(
+        &self,
+        from: usize,
+        mut check: impl FnMut() -> Result<Duration, E>,
+    ) -> Result<Packet, E> {
+        let mut queues = self.queues.lock().expect("mailbox lock poisoned");
+        loop {
+            if let Some(pkt) = pop(&mut queues, from) {
+                return Ok(pkt);
             }
+            queues = self
+                .cv
+                .wait_timeout(queues, check()?)
+                .expect("mailbox lock poisoned")
+                .0;
         }
-        let (mut inner, _timed_out) = self.cv.wait_timeout(inner, timeout).unwrap();
-        let q = inner.get_mut(&from)?;
-        let pkt = q.pop_front();
-        if q.is_empty() {
-            inner.remove(&from);
-        }
-        pkt
     }
 
     /// Wake the owner without delivering anything, so a parked rank
-    /// re-checks peer states immediately (used when a peer finishes or
-    /// a deadlock verdict is posted, replacing the mpsc disconnect
-    /// signal).
+    /// re-runs its check now (a peer finished, a verdict was posted).
     pub fn notify(&self) {
         // Taking the lock orders this wakeup after the state change
-        // the owner must observe: the owner either holds the lock in
-        // `pop_or_wait` (and will re-check after waking) or has not
-        // yet entered it (and will see the state on its fast path).
-        drop(self.inner.lock().unwrap());
-        self.cv.notify_all();
+        // the owner must observe: the owner either is parked (and
+        // re-checks after waking) or has not yet run its check under
+        // the lock (and will see the change there).
+        drop(self.queues.lock().expect("mailbox lock poisoned"));
+        self.cv.notify_one();
     }
 }
 
@@ -120,20 +127,30 @@ mod tests {
     fn per_edge_fifo_is_preserved() {
         let mb = Mailbox::new();
         for i in 0..5 {
-            mb.push(1, pkt(i as f64));
+            mb.push(1, pkt(i as f64), || false);
         }
-        mb.push(2, pkt(100.0));
+        mb.push(2, pkt(100.0), || false);
         for i in 0..5 {
-            assert_eq!(mb.try_pop(1).unwrap().data, vec![i as f64]);
+            assert_eq!(mb.pop_or(1, || ()).unwrap().data, vec![i as f64]);
         }
-        assert!(mb.try_pop(1).is_none());
-        assert_eq!(mb.try_pop(2).unwrap().data, vec![100.0]);
+        assert!(mb.pop_or(1, || ()).is_none());
+        assert_eq!(mb.pop_or(2, || ()).unwrap().data, vec![100.0]);
     }
 
     #[test]
     fn pop_or_wait_times_out_empty() {
         let mb = Mailbox::new();
-        assert!(mb.pop_or_wait(0, Duration::from_millis(1)).is_none());
+        let mut checks = 0;
+        let got = mb.pop_or_wait(0, || {
+            checks += 1;
+            if checks == 1 {
+                Ok(Duration::from_millis(1))
+            } else {
+                Err("timed out")
+            }
+        });
+        assert_eq!(got.unwrap_err(), "timed out");
+        assert_eq!(checks, 2);
     }
 
     #[test]
@@ -143,37 +160,39 @@ mod tests {
             let mb = Arc::clone(&mb);
             std::thread::spawn(move || {
                 std::thread::sleep(Duration::from_millis(10));
-                mb.push(3, pkt(7.0));
+                mb.push(3, pkt(7.0), || true);
             })
         };
-        // Generous deadline; the push should land within the first
-        // couple of waits.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        let got = loop {
-            if let Some(p) = mb.pop_or_wait(3, Duration::from_millis(20)) {
-                break p;
-            }
-            assert!(std::time::Instant::now() < deadline, "push never arrived");
-        };
-        assert_eq!(got.data, vec![7.0]);
+        let t0 = std::time::Instant::now();
+        let got = mb.pop_or_wait(3, || -> Result<_, ()> { Ok(Duration::from_secs(30)) });
+        assert_eq!(got.unwrap().data, vec![7.0]);
+        assert!(t0.elapsed() < Duration::from_secs(10), "push must wake");
         pusher.join().unwrap();
     }
 
     #[test]
     fn notify_wakes_without_delivery() {
         let mb = Arc::new(Mailbox::new());
+        let woken = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let waker = {
-            let mb = Arc::clone(&mb);
+            let (mb, woken) = (Arc::clone(&mb), Arc::clone(&woken));
             std::thread::spawn(move || {
                 std::thread::sleep(Duration::from_millis(5));
+                woken.store(true, std::sync::atomic::Ordering::SeqCst);
                 mb.notify();
             })
         };
-        // A long timeout cut short by notify still returns None —
-        // the caller is expected to re-check job state.
+        // A long park cut short by notify re-runs the check, which now
+        // gives up: the caller re-checks job state, not the queue.
         let t0 = std::time::Instant::now();
-        let got = mb.pop_or_wait(0, Duration::from_secs(30));
-        assert!(got.is_none());
+        let got = mb.pop_or_wait(0, || {
+            if woken.load(std::sync::atomic::Ordering::SeqCst) {
+                Err(())
+            } else {
+                Ok(Duration::from_secs(30))
+            }
+        });
+        assert!(got.is_err());
         assert!(t0.elapsed() < Duration::from_secs(10), "notify must wake");
         waker.join().unwrap();
     }

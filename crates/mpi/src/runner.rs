@@ -8,6 +8,12 @@
 //! its own mailbox — so thousands of logical ranks multiplex over a
 //! handful of workers. With `W >= p` no rank ever queues and behavior
 //! is identical to one-thread-per-rank.
+//!
+//! A parked rank has no timer to poll on: a push, a finishing peer or
+//! a deadlock verdict wakes it, and the wait-for graph is walked once
+//! per park (see `crate::state`). The only clock is the 30 s stall
+//! fallback for a peer that is alive but silent while the whole job
+//! is quiet; no option tunes any of it.
 
 use crate::collectives::CollectiveAlgo;
 use crate::comm::Comm;
@@ -23,25 +29,6 @@ use otter_metrics::MetricsSnapshot;
 use otter_trace::TraceSink;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Duration;
-
-/// Default deadlock-detector poll cadence: how often a blocked receive
-/// wakes up to consult the wait-for registry. Short enough that a
-/// deadlock diagnosis lands in tens of milliseconds; a receive whose
-/// message is already buffered never waits at all.
-pub const DEFAULT_POLL_INTERVAL: Duration = Duration::from_millis(20);
-
-/// Default confirmation window: how long a wait-for snapshot must hold
-/// before a cycle counts as a confirmed deadlock. Longer than one poll
-/// interval, so a peer that really did send to us (and whose packet is
-/// racing in) invalidates the snapshot by consuming-side epoch bumps
-/// before we conclude.
-pub const DEFAULT_CONFIRM_WINDOW: Duration = Duration::from_millis(60);
-
-/// Default hard fallback for a receive whose peer is still running but
-/// never sends (e.g. spinning in modeled compute). No cycle to
-/// diagnose, so this is the only case that still needs a timeout.
-pub const DEFAULT_STALL_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Stack size for a rank's carrier thread. Rank bodies are shallow
 /// (compiled SPMD programs and test closures), so 1 MiB instead of the
@@ -95,14 +82,6 @@ pub struct SpmdOptions {
     /// pool is capped at `p` since extra workers could never run.
     /// `Some(0)` is an [`CommError::InvalidConfig`].
     pub workers: Option<usize>,
-    /// How often a blocked receive re-checks the wait-for registry.
-    pub poll_interval: Duration,
-    /// How long a wait-for cycle snapshot must hold to be a confirmed
-    /// deadlock. Tests tighten this together with `poll_interval` to
-    /// diagnose fixtures in milliseconds.
-    pub confirm_window: Duration,
-    /// Hard fallback for a receive whose peer is alive but silent.
-    pub stall_timeout: Duration,
     /// Correlation key stamped on every observability artifact this
     /// job produces (flight events, failure reports, postmortems).
     /// Purely observational: it never affects modeled results.
@@ -121,9 +100,6 @@ impl Default for SpmdOptions {
             metrics: false,
             faults: None,
             workers: None,
-            poll_interval: DEFAULT_POLL_INTERVAL,
-            confirm_window: DEFAULT_CONFIRM_WINDOW,
-            stall_timeout: DEFAULT_STALL_TIMEOUT,
             job_id: JobId(0),
             recorder_capacity: DEFAULT_RECORDER_CAPACITY,
         }
@@ -542,26 +518,27 @@ mod tests {
     }
 
     #[test]
-    fn tight_intervals_diagnose_deadlock_quickly() {
-        let opts = SpmdOptions {
-            poll_interval: std::time::Duration::from_millis(2),
-            confirm_window: std::time::Duration::from_millis(8),
-            ..SpmdOptions::default()
-        };
-        let t0 = std::time::Instant::now();
-        let res = run_spmd_with(&meiko_cs2(), 2, opts, |c| {
-            c.recv(1 - c.rank())?;
-            Ok(())
-        });
-        let failure = res.unwrap_err();
-        assert!(
-            t0.elapsed() < std::time::Duration::from_secs(5),
-            "tight intervals took {:?}",
+    fn deadlock_is_diagnosed_without_a_confirm_sleep() {
+        // The last rank to park proves the cycle from one snapshot and
+        // wakes the other: no window to sleep out, so a p=2 diagnosis
+        // costs about as much as spawning the job.
+        let diagnose = || {
+            let t0 = std::time::Instant::now();
+            let failure = run_spmd_with(&meiko_cs2(), 2, SpmdOptions::default(), |c| {
+                c.recv(1 - c.rank())?;
+                Ok(())
+            })
+            .unwrap_err();
+            for f in &failure.report.failures {
+                assert_eq!(f.error.code(), "deadlock", "{}", f.error);
+            }
             t0.elapsed()
+        };
+        let best = (0..3).map(|_| diagnose()).min().unwrap();
+        assert!(
+            best < std::time::Duration::from_millis(50),
+            "best of 3 took {best:?}"
         );
-        for f in &failure.report.failures {
-            assert_eq!(f.error.code(), "deadlock", "{}", f.error);
-        }
     }
 
     #[test]
@@ -853,9 +830,8 @@ mod detector_stress {
     /// allreduce phases into a "cycle" that never coexisted — the
     /// confirmation then re-anchored on fresh states instead of the
     /// walk's observations and blessed it. At p=3000 on a few workers
-    /// this fired within a run or two. Ignored by default (takes
-    /// seconds); `harness scale` and CI's scaling smoke exercise the
-    /// same path at p=4096.
+    /// this fired within a run or two. Ignored by default; CI's
+    /// scaling smoke runs it with `--ignored`.
     #[test]
     #[ignore]
     fn tree_allreduce_loop_survives_p3000() {

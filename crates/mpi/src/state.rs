@@ -1,16 +1,33 @@
 //! Shared job state: the wait-for registry every rank publishes its
-//! blocking state into, and the cycle detector that replaces the old
-//! blunt 60-second deadlock timeout.
+//! blocking state into, and the exact deadlock detector over it.
 //!
-//! Each rank owns one packed `AtomicU64` slot, `(epoch << 16) | tag`:
+//! Each rank has one packed `AtomicU64` slot, `(epoch << 16) | tag`:
 //! the tag is the peer index the rank is blocked receiving from, or
 //! one of the `RUNNING` / `FINISHED` / `FAILED` sentinels; the epoch
-//! increments on every transition so a detector can tell "still in
-//! the same blocked receive" from "blocked again on the same peer".
-//! Only the owning rank writes its slot, so plain release stores
-//! suffice.
+//! increments on every transition, so a reader can tell "still in the
+//! same blocked receive" from "blocked again on the same peer".
+//!
+//! **The invariant.** Rank `r` leaves `WaitingOn(s)` only through `s`
+//! — a packet pushed on the `s → r` edge, or `s` terminating — or a
+//! posted deadlock verdict. `r` publishes the wait under its mailbox
+//! lock after finding the `s` queue empty, and a push from `s` ends it
+//! under that same lock ([`JobState::release`]), so a waiting rank
+//! never has mail on its awaited edge. The owner makes every other
+//! transition itself; a push writes another rank's slot only by one
+//! compare-exchange on the exact `(epoch, WaitingOn(s))` word, so it
+//! can never overwrite a transition the owner made.
+//!
+//! **Why one snapshot proves a deadlock.** The walk reads slots at
+//! different instants, so the chain it sees may be a chimera of waits
+//! that never coexisted. Re-reading every rank on it with its epoch
+//! unchanged proves each wait held across the instant between the two
+//! passes, so all of them held at once. From then on, by the
+//! invariant, a cycle member can be released only by another member,
+//! which is itself waiting: none can move first. Publish and walk are
+//! `SeqCst`, so the last member to park sees the whole cycle, and one
+//! walk per park is enough.
 
-use crate::error::{CommError, WaitEdge};
+use crate::error::{canonical_cycle, walk_wait_chain, CommError, WaitEdge};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -18,11 +35,16 @@ const TAG_RUNNING: u64 = 0xFFFF;
 const TAG_FINISHED: u64 = 0xFFFE;
 const TAG_FAILED: u64 = 0xFFFD;
 
+/// Packed slot word for `tag` one epoch after `v`.
+fn next_word(v: u64, tag: u64) -> u64 {
+    (((v >> 16) + 1) << 16) | tag
+}
+
 /// State shared by every rank of one SPMD job.
 pub(crate) struct JobState {
     /// Packed `(epoch << 16) | tag` per rank.
     slots: Vec<AtomicU64>,
-    /// One-shot failure verdicts posted by whichever rank confirms a
+    /// One-shot failure verdicts posted by whichever rank proves a
     /// deadlock cycle, so every member of the cycle reports the same
     /// diagnosis instead of a racy mix of deadlock/peer-terminated.
     verdicts: Vec<Mutex<Option<CommError>>>,
@@ -64,18 +86,24 @@ impl JobState {
         self.progress.load(Ordering::Relaxed)
     }
 
+    /// The owner's own transition. An atomic read-modify-write, so a
+    /// concurrent [`JobState::release`] either lands first or fails;
+    /// the two never share an epoch.
     fn store(&self, rank: usize, tag: u64) {
-        let epoch = self.slots[rank].load(Ordering::Relaxed) >> 16;
-        self.slots[rank].store(((epoch + 1) << 16) | tag, Ordering::Release);
+        let _ = self.slots[rank].fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| {
+            Some(next_word(v, tag))
+        });
     }
 
-    /// Publish "rank is blocked receiving from peer".
+    /// Publish "rank is blocked receiving from peer". Called under the
+    /// rank's mailbox lock, after finding the `peer` queue empty.
     pub fn set_waiting(&self, rank: usize, peer: usize) {
         debug_assert!(peer < TAG_FAILED as usize);
         self.store(rank, peer as u64);
     }
 
-    /// Publish "rank is computing again".
+    /// Publish "rank is computing again": the owner leaving a wait on
+    /// its own (a verdict, a terminated peer, a stall).
     pub fn set_running(&self, rank: usize) {
         self.store(rank, TAG_RUNNING);
     }
@@ -85,9 +113,27 @@ impl JobState {
         self.store(rank, if ok { TAG_FINISHED } else { TAG_FAILED });
     }
 
+    /// The state half of a push on the `from → rank` edge, run under
+    /// `rank`'s mailbox lock: if `rank` waits on exactly `from`, end
+    /// that wait. One compare-exchange on the word just read, so it
+    /// fails if the owner moved in between. Returns whether it ended a
+    /// wait (the owner then needs waking).
+    pub fn release(&self, rank: usize, from: usize) -> bool {
+        let v = self.slots[rank].load(Ordering::SeqCst);
+        v & 0xFFFF == from as u64
+            && self.slots[rank]
+                .compare_exchange(
+                    v,
+                    next_word(v, TAG_RUNNING),
+                    Ordering::SeqCst,
+                    Ordering::SeqCst,
+                )
+                .is_ok()
+    }
+
     /// Raw epoch+state snapshot of one slot.
     fn load(&self, rank: usize) -> (u64, RankState) {
-        let v = self.slots[rank].load(Ordering::Acquire);
+        let v = self.slots[rank].load(Ordering::SeqCst);
         let state = match v & 0xFFFF {
             TAG_RUNNING => RankState::Running,
             TAG_FINISHED => RankState::Finished,
@@ -123,118 +169,68 @@ impl JobState {
         }
     }
 
-    /// Walk the wait-for chain from `start`. Returns the cycle as the
-    /// list of `(rank, epoch, waiting_on)` observations the walk made
-    /// if the chain revisits a node; `None` if it reaches a running,
-    /// finished, or failed rank — those cases resolve on their own.
-    ///
-    /// The epochs matter: the walk reads each slot at a different
-    /// instant, so the "cycle" may be a chimera stitched from waits
-    /// that never coexisted. The caller re-checks that every member
-    /// still holds its *observed* `(epoch, peer)` — epochs increment
-    /// on every transition, so an unchanged epoch proves the slot held
-    /// that exact wait for the whole interval between the two reads.
-    fn find_cycle(&self, start: usize) -> Option<Vec<(usize, u64, usize)>> {
-        let mut path: Vec<(usize, u64, usize)> = Vec::new();
-        let mut cur = start;
-        loop {
-            let (epoch, next) = match self.load(cur) {
-                (e, RankState::WaitingOn(peer)) => (e, peer),
-                _ => return None,
-            };
-            path.push((cur, epoch, next));
-            if let Some(pos) = path.iter().position(|&(r, _, _)| r == next) {
-                return Some(path[pos..].to_vec());
-            }
-            cur = next;
-            if path.len() > self.slots.len() {
-                return None; // corrupt snapshot; let the poll retry
-            }
+    /// The wait `rank` holds, with the epoch it holds it at; the step
+    /// function of the detector's walk.
+    fn observe(&self, rank: usize) -> Option<(usize, u64)> {
+        match self.load(rank) {
+            (epoch, RankState::WaitingOn(peer)) => Some((peer, epoch)),
+            _ => None,
         }
     }
 
-    /// Try to diagnose a deadlock involving `rank` (currently blocked
-    /// on `waiting_on`): find a wait-for cycle reachable from `rank`,
-    /// confirm it is stable across `confirm`, and if so post a
-    /// verdict to every member and return this rank's error.
-    ///
-    /// Three guards defeat the in-flight-message race. First, every
-    /// member must still hold the exact `(epoch, peer)` the walk
-    /// observed — the walk reads slots at different instants, and a
-    /// rank that progressed between reads can stitch a chimera
-    /// "cycle" out of waits that never coexisted (the later reads are
-    /// real waits, the earlier ones already over); an unchanged epoch
-    /// proves the wait held continuously, so one consistent re-read
-    /// proves all the waits coexist *simultaneously*. Second, the
-    /// same re-read after the confirm window catches members that
-    /// made progress during it: consuming a packet bumps the
-    /// consumer's epoch. Third, the `pending` predicate — "does rank
-    /// r have a packet queued from rank s?", answered by the caller
-    /// from the mailboxes — catches members that *could* move but
-    /// haven't been scheduled: a starved rank can sit on a
-    /// deliverable packet for longer than any confirm window while
-    /// its slot still reads `WaitingOn`, and that wait is
-    /// satisfiable, not deadlocked. A cycle counts only if every
-    /// member's awaited edge is empty at both ends of the window.
-    pub fn diagnose_deadlock(
-        &self,
-        rank: usize,
-        waiting_on: usize,
-        confirm: std::time::Duration,
-        pending: impl Fn(usize, usize) -> bool,
-    ) -> Option<CommError> {
-        let observed = self.find_cycle(rank)?;
-        let still_observed = || {
-            observed
-                .iter()
-                .all(|&(r, epoch, s)| self.load(r) == (epoch, RankState::WaitingOn(s)))
-        };
-        let awaited_edges_empty = || observed.iter().all(|&(r, _, s)| !pending(r, s));
-        if !still_observed() || !awaited_edges_empty() {
-            return None;
-        }
-        std::thread::sleep(confirm);
-        if !still_observed() || !awaited_edges_empty() {
-            return None;
-        }
-        // Canonicalize: start the cycle at its smallest member.
-        let min_pos = observed
+    /// Whether every wait the walk observed is still the exact
+    /// `(epoch, peer)` it read.
+    fn unchanged(&self, observed: &[(WaitEdge, u64)]) -> bool {
+        observed
             .iter()
-            .enumerate()
-            .min_by_key(|&(_, &(r, _, _))| r)
-            .map(|(i, _)| i)
-            .unwrap();
-        let n = observed.len();
-        let cycle: Vec<WaitEdge> = (0..n)
-            .map(|i| {
-                let (waiter, _, waiting_on) = observed[(min_pos + i) % n];
-                WaitEdge { waiter, waiting_on }
-            })
-            .collect();
-        for e in &cycle {
-            if e.waiter != rank {
-                self.post_verdict(
-                    e.waiter,
-                    CommError::Deadlock {
-                        rank: e.waiter,
-                        waiting_on: e.waiting_on,
-                        cycle: cycle.clone(),
-                    },
-                );
-            }
+            .all(|&(e, epoch)| self.observe(e.waiter) == Some((e.waiting_on, epoch)))
+    }
+
+    /// Diagnose a deadlock from `rank`, which has just published its
+    /// wait: walk the chain without locks, re-read every rank on it,
+    /// and if none moved, the cycle the walk closed is proven (module
+    /// docs). Posts the canonical verdict to `rank` and to every cycle
+    /// member and returns the cycle, so the caller can wake them. Ranks
+    /// on the chain between `rank` and the cycle get no verdict; they
+    /// learn of it as `PeerTerminated` when the rank they wait on
+    /// fails.
+    pub fn diagnose_deadlock(&self, rank: usize) -> Option<Vec<WaitEdge>> {
+        let (observed, pos) = walk_wait_chain(rank, |r| self.observe(r))?;
+        if !self.unchanged(&observed) {
+            return None;
         }
-        Some(CommError::Deadlock {
-            rank,
-            waiting_on,
-            cycle,
-        })
+        let cycle = canonical_cycle(observed[pos..].iter().map(|&(e, _)| e).collect());
+        for &(e, _) in observed[..1].iter().chain(&observed[pos.max(1)..]) {
+            self.post_verdict(
+                e.waiter,
+                CommError::Deadlock {
+                    rank: e.waiter,
+                    waiting_on: e.waiting_on,
+                    cycle: cycle.clone(),
+                },
+            );
+        }
+        Some(cycle)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
+    use crate::comm::Packet;
+    use crate::mailbox::Mailbox;
+
+    fn edge(waiter: usize, waiting_on: usize) -> WaitEdge {
+        WaitEdge { waiter, waiting_on }
+    }
+
+    fn deadlock(rank: usize, waiting_on: usize, cycle: &[WaitEdge]) -> Option<CommError> {
+        Some(CommError::Deadlock {
+            rank,
+            waiting_on,
+            cycle: cycle.to_vec(),
+        })
+    }
 
     #[test]
     fn transitions_bump_epoch_and_decode() {
@@ -255,40 +251,61 @@ mod tests {
     }
 
     #[test]
+    fn push_on_the_awaited_edge_releases_the_wait_and_bumps_the_epoch() {
+        let js = JobState::new(2);
+        let mb = Mailbox::new();
+        assert!(mb.pop_or(1, || js.set_waiting(0, 1)).is_none());
+        let (e, _) = js.load(0);
+        let pkt = Packet {
+            data: vec![1.0],
+            send_clock: 0.0,
+        };
+        mb.push(1, pkt, || js.release(0, 1));
+        assert_eq!(js.load(0), (e + 1, RankState::Running));
+        assert!(!js.release(0, 1), "a second push finds nothing to end");
+    }
+
+    #[test]
+    fn push_on_another_edge_leaves_the_wait() {
+        let js = JobState::new(3);
+        let mb = Mailbox::new();
+        assert!(mb.pop_or(1, || js.set_waiting(0, 1)).is_none());
+        let before = js.load(0);
+        let pkt = Packet {
+            data: vec![2.0],
+            send_clock: 0.0,
+        };
+        mb.push(2, pkt, || js.release(0, 2));
+        assert_eq!(js.load(0), before);
+    }
+
+    #[test]
+    fn set_done_racing_a_release_is_never_overwritten() {
+        for _ in 0..200 {
+            let js = JobState::new(2);
+            js.set_waiting(0, 1);
+            let (e, _) = js.load(0);
+            let released = std::thread::scope(|s| {
+                let pusher = s.spawn(|| js.release(0, 1));
+                js.set_done(0, false);
+                pusher.join().unwrap()
+            });
+            // Whichever lands first, the owner's write stands and each
+            // transition got its own epoch.
+            assert_eq!(js.load(0), (e + 1 + released as u64, RankState::Failed));
+        }
+    }
+
+    #[test]
     fn two_cycle_is_diagnosed_and_verdict_posted() {
         let js = JobState::new(4);
         js.set_waiting(2, 3);
         js.set_waiting(3, 2);
-        let err = js
-            .diagnose_deadlock(3, 2, Duration::from_millis(1), |_, _| false)
-            .expect("cycle must be found");
-        match &err {
-            CommError::Deadlock {
-                rank,
-                waiting_on,
-                cycle,
-            } => {
-                assert_eq!((*rank, *waiting_on), (3, 2));
-                assert_eq!(
-                    cycle.as_slice(),
-                    &[
-                        WaitEdge {
-                            waiter: 2,
-                            waiting_on: 3
-                        },
-                        WaitEdge {
-                            waiter: 3,
-                            waiting_on: 2
-                        }
-                    ]
-                );
-            }
-            other => panic!("expected deadlock, got {other:?}"),
-        }
-        // The other member got the same cycle as a verdict.
-        let v = js.take_verdict(2).expect("verdict posted for rank 2");
-        assert_eq!(v.waiting_on(), Some(3));
-        assert!(js.take_verdict(3).is_none(), "initiator keeps its own");
+        let cycle = js.diagnose_deadlock(3).expect("cycle must be found");
+        assert_eq!(cycle, [edge(2, 3), edge(3, 2)]);
+        // Every member, the initiator included, holds the same cycle.
+        assert_eq!(js.take_verdict(2), deadlock(2, 3, &cycle));
+        assert_eq!(js.take_verdict(3), deadlock(3, 2, &cycle));
     }
 
     #[test]
@@ -305,25 +322,27 @@ mod tests {
     }
 
     #[test]
-    fn member_that_moves_mid_confirm_vetoes_the_diagnosis() {
-        // 2↔3 look deadlocked at walk time, but rank 3 makes progress
-        // during the confirm window and re-enters the *same* wait. The
-        // state alone is indistinguishable; the epoch is not.
-        let js = std::sync::Arc::new(JobState::new(4));
+    fn epoch_changed_between_walk_and_reread_vetoes_the_cycle() {
+        // A chimera: the walk reads 2 → 3, then, before it reads rank 3,
+        // rank 3 sends to 2 (ending that wait) and parks on 2. Each read
+        // was a real wait, but the two never coexisted.
+        let js = JobState::new(4);
         js.set_waiting(2, 3);
-        js.set_waiting(3, 2);
-        let mover = {
-            let js = std::sync::Arc::clone(&js);
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(20));
-                js.set_running(3);
+        let mut reads = 0;
+        let (observed, _) = walk_wait_chain(2, |r| {
+            if reads == 1 {
+                assert!(js.release(2, 3));
                 js.set_waiting(3, 2);
-            })
-        };
-        let verdict = js.diagnose_deadlock(2, 3, Duration::from_millis(200), |_, _| false);
-        mover.join().unwrap();
-        assert!(verdict.is_none(), "a member that moved is not deadlocked");
-        assert!(js.take_verdict(3).is_none(), "no verdict may be posted");
+            }
+            reads += 1;
+            js.observe(r)
+        })
+        .expect("the walk closes 2 → 3 → 2");
+        assert!(!js.unchanged(&observed), "rank 2 moved after its read");
+        // Rank 2 re-entering the *same* wait does not revive it: the
+        // state is indistinguishable, the epoch is not.
+        js.set_waiting(2, 3);
+        assert!(!js.unchanged(&observed));
     }
 
     #[test]
@@ -331,9 +350,8 @@ mod tests {
         let js = JobState::new(3);
         js.set_waiting(0, 1);
         js.set_waiting(1, 2); // rank 2 still running
-        assert!(js
-            .diagnose_deadlock(0, 1, Duration::from_millis(1), |_, _| false)
-            .is_none());
+        assert!(js.diagnose_deadlock(0).is_none());
+        assert!(js.take_verdict(0).is_none());
     }
 
     #[test]
@@ -344,15 +362,10 @@ mod tests {
         js.set_waiting(0, 1);
         js.set_waiting(1, 2);
         js.set_waiting(2, 1);
-        let err = js
-            .diagnose_deadlock(0, 1, Duration::from_millis(1), |_, _| false)
-            .expect("transitive deadlock");
-        match err {
-            CommError::Deadlock { cycle, .. } => {
-                assert_eq!(cycle.len(), 2);
-                assert_eq!(cycle[0].waiter, 1);
-            }
-            other => panic!("{other:?}"),
-        }
+        let cycle = js.diagnose_deadlock(0).expect("transitive deadlock");
+        assert_eq!(cycle, [edge(1, 2), edge(2, 1)]);
+        assert_eq!(js.take_verdict(0), deadlock(0, 1, &cycle));
+        assert_eq!(js.take_verdict(1), deadlock(1, 2, &cycle));
+        assert_eq!(js.take_verdict(2), deadlock(2, 1, &cycle));
     }
 }

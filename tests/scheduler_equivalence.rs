@@ -209,8 +209,7 @@ fn oversubscribed_cg_at_p256_on_two_workers() {
 
 /// A crash mid-ring at p = 256 on two workers: the cascade is long
 /// (every rank downstream of the victim dies waiting) and entirely
-/// deterministic in membership. Tight detector intervals keep the
-/// 150+-step cascade fast.
+/// deterministic in membership.
 #[test]
 fn injected_crash_at_p256_on_two_workers() {
     let p = 256usize;
@@ -220,8 +219,6 @@ fn injected_crash_at_p256_on_two_workers() {
         // The victim's ops: recv is op 1, send is op 2 — it dies at
         // its send, after consuming its predecessor's message.
         faults: Some(FaultPlan::new().crash(victim, 2)),
-        poll_interval: Duration::from_millis(2),
-        confirm_window: Duration::from_millis(8),
         ..SpmdOptions::default()
     };
     let failure = run_spmd_with(&meiko_cs2(), p, opts, |c| {
@@ -267,8 +264,6 @@ fn deadlock_fixture_at_p256_on_two_workers() {
     let t0 = std::time::Instant::now();
     let opts = SpmdOptions {
         workers: Some(2),
-        poll_interval: Duration::from_millis(2),
-        confirm_window: Duration::from_millis(8),
         ..SpmdOptions::default()
     };
     let failure = run_spmd_with(&meiko_cs2(), 256, opts, |c| {
