@@ -1,8 +1,7 @@
 //! Ablation studies for the design decisions DESIGN.md calls out.
 
-use crate::figures::run_compiled;
 use otter_apps::App;
-use otter_core::{compile, run_engine, EngineOptions, InterpreterEngine};
+use otter_core::{compile, run, run_engine, Engine, EngineOptions, RunRequest};
 use otter_machine::{meiko_cs2, Machine};
 
 /// Pass-6 ablation result for one application.
@@ -32,8 +31,8 @@ pub fn peephole_ablation(app: &App, p: usize) -> PeepholeAblation {
         &EngineOptions::builder().disable_pass("peephole").build(),
     )
     .unwrap();
-    let run_with = run_compiled(&with, &machine, p).unwrap();
-    let run_without = run_compiled(&without, &machine, p).unwrap();
+    let run_with = run(&with, &RunRequest::on(machine.clone(), p)).unwrap();
+    let run_without = run(&without, &RunRequest::on(machine, p)).unwrap();
     // Sanity: same answers.
     for v in &app.result_vars {
         let a = run_with.scalar(v);
@@ -76,8 +75,8 @@ pub fn typeinfer_ablation(app: &App, p: usize) -> TypeInferAblation {
     let complex = real.assuming_complex();
     let compiled = compile(&app.script, &EngineOptions::default())
         .unwrap_or_else(|e| panic!("{}: {e}", app.id));
-    let run_real = run_compiled(&compiled, &real, p).unwrap();
-    let run_complex = run_compiled(&compiled, &complex, p).unwrap();
+    let run_real = run(&compiled, &RunRequest::on(real, p)).unwrap();
+    let run_complex = run(&compiled, &RunRequest::on(complex, p)).unwrap();
     TypeInferAblation {
         app: app.name.to_string(),
         p,
@@ -153,18 +152,12 @@ pub fn grain_sweep(machine: &Machine, p: usize, sizes: &[usize]) -> Vec<GrainPoi
                 iters: 20,
                 tol: 0.0,
             });
-            let interp = run_engine(
-                &mut InterpreterEngine::new(EngineOptions::default()),
-                &app.script,
-                machine,
-                1,
-            )
-            .unwrap();
-            let compiled = compile(&app.script, &EngineOptions::default()).unwrap();
-            let run = run_compiled(&compiled, machine, p).unwrap();
+            let opts = EngineOptions::default();
+            let interp = run_engine(Engine::Interpreter, &app.script, &opts, machine, 1).unwrap();
+            let otter = run_engine(Engine::Otter, &app.script, &opts, machine, p).unwrap();
             GrainPoint {
                 n,
-                speedup: interp.modeled_seconds / run.modeled_seconds,
+                speedup: interp.modeled_seconds / otter.modeled_seconds,
             }
         })
         .collect()

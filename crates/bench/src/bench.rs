@@ -1,33 +1,27 @@
-//! The statistical bench driver behind `harness bench`.
+//! The deterministic bench driver behind `harness bench`.
 //!
 //! One [`BenchSpec`] runs every selected (app, engine, ranks)
-//! combination with metrics on: `warmup` untimed repetitions, then
-//! `repeat` measured ones. Each combination yields a [`BenchResult`]
-//! carrying two kinds of numbers:
-//!
-//! * **Deterministic simulation outputs** — `modeled_seconds`,
-//!   `messages`, `bytes` — identical on every machine and every
-//!   repetition, because the SPMD substrate runs on virtual clocks.
-//!   These are what [`check`] gates regressions on: a committed
-//!   baseline stays valid across hosts and CI runners.
-//! * **Host wall-clock statistics** — median/min/max/IQR over the
-//!   measured repetitions. These vary with the machine and its load,
-//!   so [`check`] never gates them; wall-clock questions belong to
-//!   the `benchmark/` harness (see `benchmark/README.md`).
+//! combination once, with metrics on. Each combination yields a
+//! [`BenchResult`] of simulation outputs only — `modeled_seconds`,
+//! `messages`, `bytes` and the job's metric snapshot — identical on
+//! every machine and every run, because the SPMD substrate runs on
+//! virtual clocks. [`check`] gates regressions on them, so a committed
+//! baseline stays valid across hosts and CI runners. Host wall-clock
+//! questions belong to the `benchmark/` harness (see
+//! `benchmark/README.md`).
 //!
 //! Reports round-trip through the hand-rolled [`Json`] tree under the
-//! `otter-bench/v1` schema, so `harness bench --check baseline.json`
+//! `otter-bench/v2` schema, so `harness bench --check baseline.json`
 //! can parse a checked-in baseline without any external dependency.
 
 use crate::figures::Scale;
-use otter_core::{run_engine, Engine, EngineOptions, EngineReport, OtterError};
+use otter_core::{run_engine, Engine, EngineOptions, OtterError};
 use otter_machine::meiko_cs2;
 use otter_metrics::{Json, MetricsSnapshot};
-use std::time::Instant;
 
 /// The `"schema"` tag every report carries; bump on breaking format
 /// changes.
-pub const BENCH_SCHEMA: &str = "otter-bench/v1";
+pub const BENCH_SCHEMA: &str = "otter-bench/v2";
 
 /// What to benchmark.
 #[derive(Debug, Clone)]
@@ -40,13 +34,8 @@ pub struct BenchSpec {
     /// entry (sequential engines always run on one CPU, once).
     pub ranks: Vec<usize>,
     /// Worker-pool size for the SPMD scheduler; `None` uses the host's
-    /// parallelism. Deterministic outputs are identical either way, so
-    /// gated quantities never depend on this.
+    /// parallelism. Every reported quantity is identical either way.
     pub workers: Option<usize>,
-    /// Measured repetitions per combination.
-    pub repeat: usize,
-    /// Untimed warm-up repetitions per combination.
-    pub warmup: usize,
 }
 
 impl Default for BenchSpec {
@@ -56,49 +45,6 @@ impl Default for BenchSpec {
             app_id: "all".to_string(),
             ranks: vec![4],
             workers: None,
-            repeat: 5,
-            warmup: 1,
-        }
-    }
-}
-
-/// Order statistics of the measured wall-clock samples.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WallStats {
-    pub median: f64,
-    pub min: f64,
-    pub max: f64,
-    /// Interquartile range (q3 − q1, nearest-rank quartiles).
-    pub iqr: f64,
-}
-
-impl WallStats {
-    /// Summarize a non-empty sample set.
-    pub fn from_samples(samples: &[f64]) -> WallStats {
-        assert!(!samples.is_empty(), "wall stats need at least one sample");
-        let mut s = samples.to_vec();
-        s.sort_by(|a, b| a.total_cmp(b));
-        let n = s.len();
-        let median = if n % 2 == 1 {
-            s[n / 2]
-        } else {
-            (s[n / 2 - 1] + s[n / 2]) / 2.0
-        };
-        // Nearest-rank quartiles degenerate below four samples: both
-        // rank formulas land on interior (or identical) elements and
-        // report a zero IQR for genuinely dispersed data. Clamp small
-        // samples to the conservative full range instead — one sample
-        // has no dispersion at all, so it stays zero.
-        let iqr = match n {
-            1 => 0.0,
-            2 | 3 => s[n - 1] - s[0],
-            _ => s[(3 * (n - 1)) / 4] - s[(n - 1) / 4],
-        };
-        WallStats {
-            median,
-            min: s[0],
-            max: s[n - 1],
-            iqr,
         }
     }
 }
@@ -115,12 +61,7 @@ pub struct BenchResult {
     pub messages: u64,
     /// Total bytes across ranks (deterministic).
     pub bytes: u64,
-    /// Host wall-clock statistics over the measured repetitions
-    /// (informational; never gated).
-    pub wall: WallStats,
-    /// The job-level metric snapshot from the last measured repetition
-    /// (rank registries merged; identical across repetitions except
-    /// for the host-time `compile_pass_seconds` series).
+    /// The job-level metric snapshot (rank registries merged).
     pub metrics: MetricsSnapshot,
 }
 
@@ -130,16 +71,7 @@ pub struct BenchResult {
 pub struct BenchReport {
     pub scale: String,
     pub machine: String,
-    pub repeat: usize,
-    pub warmup: usize,
     pub results: Vec<BenchResult>,
-}
-
-fn make_engine(name: &str, opts: &EngineOptions) -> Box<dyn Engine> {
-    otter_core::standard_engines(opts)
-        .into_iter()
-        .find(|e| e.name() == name)
-        .unwrap_or_else(|| panic!("no engine named `{name}`"))
 }
 
 /// Run the spec on the Meiko CS-2 model. Fails if an app id matches
@@ -158,7 +90,6 @@ pub fn run_bench(spec: &BenchSpec) -> Result<BenchReport, OtterError> {
             spec.app_id
         )));
     }
-    let repeat = spec.repeat.max(1);
     let mut opts = EngineOptions::builder().metrics(true).build();
     opts.workers = spec.workers;
     let ranks = if spec.ranks.is_empty() {
@@ -170,65 +101,35 @@ pub fn run_bench(spec: &BenchSpec) -> Result<BenchReport, OtterError> {
     for app in &apps {
         // Sequential engines model one CPU; only the SPMD engine sees
         // the requested rank counts (one combination per count).
-        let mut combos = vec![("interpreter", 1), ("matcom", 1)];
-        combos.extend(ranks.iter().map(|&p| ("otter", p)));
-        for (engine_name, p) in combos {
-            for _ in 0..spec.warmup {
-                run_engine(
-                    make_engine(engine_name, &opts).as_mut(),
-                    &app.script,
-                    &machine,
-                    p,
-                )?;
-            }
-            let mut walls = Vec::with_capacity(repeat);
-            let mut last: Option<EngineReport> = None;
-            for _ in 0..repeat {
-                let t0 = Instant::now();
-                let report = run_engine(
-                    make_engine(engine_name, &opts).as_mut(),
-                    &app.script,
-                    &machine,
-                    p,
-                )?;
-                walls.push(t0.elapsed().as_secs_f64());
-                last = Some(report);
-            }
-            let report = last.expect("repeat >= 1");
+        let mut combos = vec![(Engine::Interpreter, 1), (Engine::Matcom, 1)];
+        combos.extend(ranks.iter().map(|&p| (Engine::Otter, p)));
+        for (engine, p) in combos {
+            let report = run_engine(engine, &app.script, &opts, &machine, p)?;
             results.push(BenchResult {
                 app: app.id.to_string(),
-                engine: engine_name.to_string(),
+                engine: engine.name().to_string(),
                 ranks: p,
                 modeled_seconds: report.modeled_seconds,
                 messages: report.messages,
                 bytes: report.bytes,
-                wall: WallStats::from_samples(&walls),
                 metrics: report.metrics.unwrap_or_default(),
             });
         }
     }
     Ok(BenchReport {
-        scale: match spec.scale {
-            Scale::Paper => "paper".to_string(),
-            Scale::Test => "test".to_string(),
-            Scale::Large => "large".to_string(),
-        },
+        scale: spec.scale.name().to_string(),
         machine: machine.name,
-        repeat,
-        warmup: spec.warmup,
         results,
     })
 }
 
 impl BenchReport {
-    /// Serialize under the `otter-bench/v1` schema.
+    /// Serialize under the `otter-bench/v2` schema.
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("schema".to_string(), Json::Str(BENCH_SCHEMA.to_string())),
             ("scale".to_string(), Json::Str(self.scale.clone())),
             ("machine".to_string(), Json::Str(self.machine.clone())),
-            ("repeat".to_string(), Json::Num(self.repeat as f64)),
-            ("warmup".to_string(), Json::Num(self.warmup as f64)),
             (
                 "results".to_string(),
                 Json::Arr(
@@ -242,15 +143,6 @@ impl BenchReport {
                                 ("modeled_seconds".to_string(), Json::Num(r.modeled_seconds)),
                                 ("messages".to_string(), Json::Num(r.messages as f64)),
                                 ("bytes".to_string(), Json::Num(r.bytes as f64)),
-                                (
-                                    "wall_seconds".to_string(),
-                                    Json::Obj(vec![
-                                        ("median".to_string(), Json::Num(r.wall.median)),
-                                        ("min".to_string(), Json::Num(r.wall.min)),
-                                        ("max".to_string(), Json::Num(r.wall.max)),
-                                        ("iqr".to_string(), Json::Num(r.wall.iqr)),
-                                    ]),
-                                ),
                                 ("metrics".to_string(), r.metrics.to_json()),
                             ])
                         })
@@ -288,9 +180,6 @@ impl BenchReport {
             .and_then(Json::as_arr)
             .ok_or("bench report missing `results`")?
         {
-            let wall = r
-                .get("wall_seconds")
-                .ok_or("result missing `wall_seconds`")?;
             let metrics = match r.get("metrics") {
                 Some(m) => MetricsSnapshot::from_json(m)?,
                 None => MetricsSnapshot::default(),
@@ -302,20 +191,12 @@ impl BenchReport {
                 modeled_seconds: num_field(r, "modeled_seconds")?,
                 messages: num_field(r, "messages")? as u64,
                 bytes: num_field(r, "bytes")? as u64,
-                wall: WallStats {
-                    median: num_field(wall, "median")?,
-                    min: num_field(wall, "min")?,
-                    max: num_field(wall, "max")?,
-                    iqr: num_field(wall, "iqr")?,
-                },
                 metrics,
             });
         }
         Ok(BenchReport {
             scale: str_field(json, "scale")?,
             machine: str_field(json, "machine")?,
-            repeat: num_field(json, "repeat")? as usize,
-            warmup: num_field(json, "warmup")? as usize,
             results,
         })
     }
@@ -324,21 +205,17 @@ impl BenchReport {
     pub fn render(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
+        let _ = writeln!(out, "bench: {} scale on {}", self.scale, self.machine);
         let _ = writeln!(
             out,
-            "bench: {} scale on {}, {} repetition(s) after {} warmup(s)",
-            self.scale, self.machine, self.repeat, self.warmup
-        );
-        let _ = writeln!(
-            out,
-            "{:<7} {:<12} {:>5} {:>14} {:>10} {:>12} {:>12}",
-            "app", "engine", "ranks", "modeled (s)", "messages", "wall med (s)", "wall IQR (s)"
+            "{:<7} {:<12} {:>5} {:>14} {:>10} {:>12}",
+            "app", "engine", "ranks", "modeled (s)", "messages", "bytes"
         );
         for r in &self.results {
             let _ = writeln!(
                 out,
-                "{:<7} {:<12} {:>5} {:>14.6} {:>10} {:>12.4} {:>12.4}",
-                r.app, r.engine, r.ranks, r.modeled_seconds, r.messages, r.wall.median, r.wall.iqr
+                "{:<7} {:<12} {:>5} {:>14.6} {:>10} {:>12}",
+                r.app, r.engine, r.ranks, r.modeled_seconds, r.messages, r.bytes
             );
         }
         out
@@ -352,7 +229,7 @@ pub struct Regression {
     pub engine: String,
     pub ranks: usize,
     /// Which gated quantity regressed (`modeled_seconds`, `messages`,
-    /// `bytes`, `wall_seconds`, or `missing`).
+    /// `bytes`, or `missing`).
     pub what: String,
     pub baseline: f64,
     pub current: f64,
@@ -370,8 +247,7 @@ impl std::fmt::Display for Regression {
 
 /// Gate `current` against `baseline`: every baseline combination must
 /// exist in `current`, and its deterministic outputs must not exceed
-/// the baseline by more than `tolerance_pct` percent. Wall-clock stats
-/// are never gated — they are host-dependent.
+/// the baseline by more than `tolerance_pct` percent.
 pub fn check(baseline: &BenchReport, current: &BenchReport, tolerance_pct: f64) -> Vec<Regression> {
     let allowed = 1.0 + tolerance_pct / 100.0;
     let mut regressions = Vec::new();
@@ -416,43 +292,10 @@ pub fn check(baseline: &BenchReport, current: &BenchReport, tolerance_pct: f64) 
 mod tests {
     use super::*;
 
-    #[test]
-    fn wall_stats_order_statistics() {
-        let s = WallStats::from_samples(&[5.0, 1.0, 3.0, 2.0, 4.0]);
-        assert_eq!(s.median, 3.0);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 5.0);
-        assert_eq!(s.iqr, 2.0, "q3=4, q1=2 under nearest-rank");
-        let even = WallStats::from_samples(&[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(even.median, 2.5);
-    }
-
-    #[test]
-    fn wall_stats_small_samples_do_not_degenerate() {
-        // One sample: no dispersion to report.
-        let one = WallStats::from_samples(&[7.0]);
-        assert_eq!(one.median, 7.0);
-        assert_eq!(one.iqr, 0.0);
-        // Two and three samples: nearest-rank quartiles would both
-        // land on s[0] (n=2) or report a misleading interior spread
-        // (n=3); the clamp reports the conservative full range.
-        let two = WallStats::from_samples(&[1.0, 5.0]);
-        assert_eq!(two.median, 3.0);
-        assert_eq!(two.iqr, 4.0);
-        let three = WallStats::from_samples(&[1.0, 2.0, 9.0]);
-        assert_eq!(three.median, 2.0);
-        assert_eq!(three.iqr, 8.0);
-        // Four samples: back on nearest-rank (q1 = s[0], q3 = s[2]).
-        let four = WallStats::from_samples(&[1.0, 2.0, 3.0, 10.0]);
-        assert_eq!(four.iqr, 2.0);
-    }
-
     fn tiny_report(modeled: f64, messages: u64) -> BenchReport {
         BenchReport {
             scale: "test".to_string(),
             machine: "m".to_string(),
-            repeat: 3,
-            warmup: 1,
             results: vec![BenchResult {
                 app: "cg".to_string(),
                 engine: "otter".to_string(),
@@ -460,12 +303,6 @@ mod tests {
                 modeled_seconds: modeled,
                 messages,
                 bytes: 1000,
-                wall: WallStats {
-                    median: 0.1,
-                    min: 0.05,
-                    max: 0.2,
-                    iqr: 0.02,
-                },
                 metrics: MetricsSnapshot::default(),
             }],
         }
@@ -479,8 +316,23 @@ mod tests {
         assert_eq!(back.results.len(), 1);
         assert_eq!(back.results[0].modeled_seconds, 1.5);
         assert_eq!(back.results[0].messages, 42);
-        assert_eq!(back.results[0].wall, report.results[0].wall);
         assert_eq!(back.scale, "test");
+    }
+
+    /// Everything a report carries is a pure function of the code: the
+    /// JSON is byte-identical across runs and worker-pool sizes.
+    #[test]
+    fn reports_are_byte_identical_across_worker_pools() {
+        let json = |workers| {
+            let spec = BenchSpec {
+                app_id: "ocean".to_string(),
+                ranks: vec![1, 4],
+                workers: Some(workers),
+                ..BenchSpec::default()
+            };
+            run_bench(&spec).unwrap().to_json().to_string()
+        };
+        assert_eq!(json(1), json(2));
     }
 
     #[test]

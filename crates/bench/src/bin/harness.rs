@@ -1,5 +1,5 @@
 //! The experiment harness: regenerates every table and figure of the
-//! paper, and fronts the serve/load machinery.
+//! paper, and fronts the `otterd` load generator.
 //!
 //! ```text
 //! harness table1                 # Table 1 (survey)
@@ -11,7 +11,6 @@
 //! harness excerpts              # the §3 generated-C excerpts
 //! harness ablation               # peephole + typing + grain studies
 //! harness memory [--paper]      # §7's larger-problems memory claim
-//! harness passes [--paper]      # per-pass compile instrumentation
 //! harness trace <app> [--ranks N] [--machine M] [--chrome out.json]
 //!                                # per-rank timeline + critical path
 //! harness lint <app|all> [--deny]
@@ -32,18 +31,15 @@
 //!                                # pretty-print an otter-postmortem/v1 bundle
 //!                                # and re-run the deadlock-cycle diagnosis
 //!                                # offline, from the bundle alone
-//! harness bench <app|all> [--ranks N[,N...]] [--workers W] [--repeat K]
-//!               [--warmup W] [--scale test|large|paper] [--json out.json]
+//! harness bench <app|all> [--ranks N[,N...]] [--workers W]
+//!               [--scale test|large|paper] [--json out.json]
 //!               [--check baseline.json] [--tolerance PCT]
-//!                                # statistical bench + regression gate
+//!                                # modeled outputs, one run per combination,
+//!                                # + regression gate
 //! harness scale <app> [--ranks N[,N...]] [--workers W] [--json out.json]
 //!                                # virtual-rank sweep far past the paper's
 //!                                # 16 CPUs (default 64,256,1024,4096) on a
 //!                                # fixed worker pool
-//! harness serve  [--socket PATH] [--workers W] [--cache N]
-//!                [--metrics-addr HOST:PORT] [--postmortem-dir D]
-//!                                # run the otterd compile-and-run service
-//!                                # in the foreground (otter-serve/v1)
 //! harness load   [--clients N] [--scripts M] [--requests R]
 //!                [--arrival open|closed] [--rate JOBS/S] [--ranks P]
 //!                [--workers W] [--machine M] [--socket PATH]
@@ -320,7 +316,6 @@ fn main() {
         "postmortem" => run_postmortem(rest),
         "bench" => run_bench_cmd(rest),
         "scale" => run_scale_cmd(rest),
-        "serve" => run_serve(rest),
         "load" => run_load_cmd(rest),
         "ablation" => {
             let pa = parse_or_exit(rest, &plain_spec("ablation", "harness ablation [--paper]"));
@@ -329,10 +324,6 @@ fn main() {
         "memory" => {
             let pa = parse_or_exit(rest, &plain_spec("memory", "harness memory [--paper]"));
             run_memory(scale_of(&pa));
-        }
-        "passes" => {
-            let pa = parse_or_exit(rest, &plain_spec("passes", "harness passes [--paper]"));
-            run_passes(scale_of(&pa));
         }
         "all" => {
             let pa = parse_or_exit(rest, &plain_spec("all", "harness all [--paper]"));
@@ -351,12 +342,10 @@ fn main() {
             run_ablations(scale);
             println!();
             run_memory(scale);
-            println!();
-            run_passes(scale);
         }
         other => {
             eprintln!(
-                "unknown command `{other}`; expected table1|fig2|fig3|fig4|fig5|fig6|excerpts|trace|lint|analyze|faults|postmortem|bench|scale|serve|load|ablation|memory|passes|all"
+                "unknown command `{other}`; expected table1|fig2|fig3|fig4|fig5|fig6|excerpts|trace|lint|analyze|faults|postmortem|bench|scale|load|ablation|memory|all"
             );
             std::process::exit(2);
         }
@@ -375,7 +364,7 @@ fn scale_note(scale: Scale) -> &'static str {
     match scale {
         Scale::Paper => "paper-scale problems",
         Scale::Test => "test-scale problems (pass --paper for full size)",
-        Scale::Large => "large-scale problems (kernel-bound, CI wall gate)",
+        Scale::Large => "large-scale problems (kernel-bound)",
     }
 }
 
@@ -395,7 +384,7 @@ fn find_app(scale: Scale, app_id: &str) -> otter_apps::App {
 /// per-rank timeline plus the critical path; optionally dump the raw
 /// events as Chrome `trace_event` JSON for chrome://tracing / Perfetto.
 fn run_trace(args: &[String]) {
-    use otter_core::{run_engine, EngineOptions, OtterEngine};
+    use otter_core::{run_engine, Engine, EngineOptions};
     use otter_trace::{chrome_trace, MemorySink, TraceSink};
     use std::sync::Arc;
 
@@ -432,8 +421,8 @@ fn run_trace(args: &[String]) {
     let sink = Arc::new(MemorySink::new());
     let mut opts = EngineOptions::builder().trace(Arc::clone(&sink)).build();
     opts.workers = workers;
-    let report = run_engine(&mut OtterEngine::new(opts), &app.script, &machine, ranks)
-        .unwrap_or_else(|e| {
+    let report =
+        run_engine(Engine::Otter, &app.script, &opts, &machine, ranks).unwrap_or_else(|e| {
             eprintln!("trace run failed: {e}");
             std::process::exit(1);
         });
@@ -830,15 +819,13 @@ fn run_postmortem(args: &[String]) {
     );
 }
 
-/// `harness bench <app|all> [--ranks N] [--repeat K] [--warmup W]
-/// [--scale test|large|paper] [--json out.json] [--check baseline.json]
-/// [--tolerance PCT]`:
-/// run the statistical bench (all three engines per app, K measured
-/// repetitions after W warmups), print the summary table, optionally
-/// export `otter-bench/v1` JSON, and optionally gate against a
-/// baseline report — exiting 1 on any regression. Only the
-/// deterministic outputs are gated; wall time is machine-dependent
-/// and measured by `benchmark/`.
+/// `harness bench <app|all> [--ranks N] [--scale test|large|paper]
+/// [--json out.json] [--check baseline.json] [--tolerance PCT]`:
+/// run every engine once per app (the SPMD engine once per rank
+/// count), print the modeled outputs, optionally export
+/// `otter-bench/v2` JSON, and optionally gate against a baseline
+/// report — exiting 1 on any regression. Wall time is measured by
+/// `benchmark/`, not here.
 fn run_bench_cmd(args: &[String]) {
     use otter_bench::bench::{check, run_bench, BenchReport, BenchSpec};
     use otter_metrics::Json;
@@ -846,16 +833,9 @@ fn run_bench_cmd(args: &[String]) {
     let argspec = ArgSpec {
         cmd: "bench",
         usage: "harness bench <cg|ocean|nbody|tc|all> [--ranks N[,N...]] [--workers W] \
-                [--repeat K] [--warmup W] [--scale test|large|paper] [--json out.json] \
-                [--check baseline.json] [--tolerance PCT] [--paper]",
-        value_flags: &[
-            "--repeat",
-            "--warmup",
-            "--scale",
-            "--json",
-            "--check",
-            "--tolerance",
-        ],
+                [--scale test|large|paper] [--json out.json] [--check baseline.json] \
+                [--tolerance PCT] [--paper]",
+        value_flags: &["--scale", "--json", "--check", "--tolerance"],
         switches: &[],
         positionals: 1,
     };
@@ -863,12 +843,7 @@ fn run_bench_cmd(args: &[String]) {
     // `--scale` names the size directly; the shared `--paper` switch
     // stays as the back-compatible spelling of `--scale paper`.
     let scale = flag_or_exit(
-        pa.parse_with("--scale", "test|large|paper", |v| match v {
-            "test" => Some(Scale::Test),
-            "large" => Some(Scale::Large),
-            "paper" => Some(Scale::Paper),
-            _ => None,
-        }),
+        pa.parse_with("--scale", "test|large|paper", Scale::parse),
         &argspec,
     )
     .unwrap_or_else(|| scale_of(&pa));
@@ -880,12 +855,6 @@ fn run_bench_cmd(args: &[String]) {
         spec.ranks = ranks;
     }
     spec.workers = flag_or_exit(pa.workers(), &argspec);
-    if let Some(k) = flag_or_exit(pa.count("--repeat"), &argspec) {
-        spec.repeat = k;
-    }
-    if let Some(w) = flag_or_exit(pa.count("--warmup"), &argspec) {
-        spec.warmup = w;
-    }
     if let Some(id) = pa.positional() {
         spec.app_id = id.to_string();
     }
@@ -996,53 +965,6 @@ fn run_scale_cmd(args: &[String]) {
     }
 }
 
-/// `harness serve [--socket PATH] [--workers W] [--cache N]
-/// [--metrics-addr HOST:PORT]`: run the otterd service in the
-/// foreground. Jobs arrive as `otter-serve/v1` JSON lines on the Unix
-/// socket; a `shutdown` op (or SIGTERM to the `otterd` binary proper)
-/// winds it down.
-fn run_serve(args: &[String]) {
-    use otter_serve::{ServeConfig, Server};
-
-    let argspec = ArgSpec {
-        cmd: "serve",
-        usage: "harness serve [--socket PATH] [--workers W] [--cache N] \
-                [--metrics-addr HOST:PORT] [--postmortem-dir D]",
-        value_flags: &["--socket", "--cache", "--metrics-addr", "--postmortem-dir"],
-        switches: &[],
-        positionals: 0,
-    };
-    let pa = parse_or_exit(args, &argspec);
-    let mut cfg = ServeConfig::default();
-    if let Some(path) = pa.get("--socket") {
-        cfg.socket = path.into();
-    }
-    if let Some(w) = flag_or_exit(pa.workers(), &argspec) {
-        cfg.workers = w;
-    }
-    if let Some(c) = flag_or_exit(pa.count("--cache"), &argspec) {
-        cfg.cache_capacity = c;
-    }
-    if let Some(addr) = pa.get("--metrics-addr") {
-        cfg.metrics_addr = Some(addr.to_string());
-    }
-    if let Some(dir) = pa.get("--postmortem-dir") {
-        cfg.postmortem_dir = dir.into();
-    }
-    let server = Server::bind(cfg).unwrap_or_else(|e| {
-        eprintln!("harness serve: bind failed: {e}");
-        std::process::exit(1);
-    });
-    eprintln!("harness serve: listening on {}", server.socket().display());
-    if let Some(addr) = server.metrics_addr() {
-        eprintln!("harness serve: metrics on http://{addr}/metrics");
-    }
-    if let Err(e) = server.run() {
-        eprintln!("harness serve: accept loop failed: {e}");
-        std::process::exit(1);
-    }
-}
-
 /// `harness load [--clients N] [--scripts M] [--requests R]
 /// [--arrival open|closed] [--rate JOBS/S] [--ranks P] [--workers W]
 /// [--machine M] [--socket PATH] [--json out.json]
@@ -1051,7 +973,7 @@ fn run_serve(args: &[String]) {
 /// drives concurrent clients through distinct scripts, and reports
 /// throughput, latency percentiles, cold/warm compile times, and the
 /// cache-hit rate. The deterministic per-script outputs ride in an
-/// embedded `otter-bench/v1` section, gated by `--check` exactly like
+/// embedded `otter-bench/v2` section, gated by `--check` exactly like
 /// `harness bench`.
 fn run_load_cmd(args: &[String]) {
     use otter_bench::load::{run_load, Arrival, LoadReport, LoadSpec, LOAD_SCHEMA};
@@ -1206,7 +1128,7 @@ fn print_excerpts() {
 /// Show the per-CPU memory high-water mark of the conjugate-gradient
 /// problem across machine sizes.
 fn run_memory(scale: Scale) {
-    use otter_core::{compile, run, run_engine, EngineOptions, InterpreterEngine, RunRequest};
+    use otter_core::{compile, run, run_engine, Engine, EngineOptions, RunRequest};
     use otter_machine::workstation;
     let n = match scale {
         Scale::Paper => 2048,
@@ -1218,14 +1140,9 @@ fn run_memory(scale: Scale) {
         iters: 2,
         tol: 0.0,
     });
-    let interp = run_engine(
-        &mut InterpreterEngine::new(EngineOptions::default()),
-        &app.script,
-        &workstation(),
-        1,
-    )
-    .unwrap();
-    let artifact = compile(&app.script, &EngineOptions::default()).unwrap();
+    let opts = EngineOptions::default();
+    let interp = run_engine(Engine::Interpreter, &app.script, &opts, &workstation(), 1).unwrap();
+    let artifact = compile(&app.script, &opts).unwrap();
     println!("Paper §7 memory claim: per-CPU peak memory, conjugate gradient n = {n}.");
     println!("{:<34} {:>16}", "configuration", "peak MB per CPU");
     println!("{}", "-".repeat(52));
@@ -1254,33 +1171,6 @@ fn run_memory(scale: Scale) {
     println!("the whole matrix on a workstation needs ~1/p of it per node —");
     println!("\"a parallel computer may have far more primary memory than an");
     println!("individual workstation\" (paper §7).");
-}
-
-/// Per-pass compile-time instrumentation for the four benchmark apps:
-/// what each of the paper's passes costs and what it does to the
-/// program (statement / IR-instruction / runtime-call counts).
-fn run_passes(scale: Scale) {
-    println!("Per-pass instrumentation, four benchmark applications.");
-    for app in scale.apps() {
-        let artifact =
-            otter_core::compile_str(&app.script).unwrap_or_else(|e| panic!("{}: {e}", app.id));
-        println!();
-        println!("{}:", app.name);
-        println!(
-            "  {:<10} {:>12} {:>8} {:>9} {:>8}",
-            "pass", "wall (µs)", "stmts", "IR", "rtcalls"
-        );
-        for s in artifact.pass_stats() {
-            println!(
-                "  {:<10} {:>12.1} {:>8} {:>9} {:>8}",
-                s.name,
-                s.wall.as_secs_f64() * 1e6,
-                s.stmts_after,
-                s.ir_instrs_after,
-                s.runtime_calls_after
-            );
-        }
-    }
 }
 
 fn run_ablations(scale: Scale) {

@@ -5,21 +5,9 @@
 //! "speedup over MATLAB" axes.
 
 use otter_apps::App;
-use otter_core::{
-    compile, run, run_engine, standard_engines, CompiledArtifact, EngineOptions, EngineReport,
-    RunRequest,
-};
+use otter_core::{compile, run, run_engine, Engine, EngineOptions, EngineReport, RunRequest};
 use otter_machine::{enterprise_smp, meiko_cs2, sparc20_cluster, workstation, Machine};
 use std::collections::BTreeMap;
-
-/// Run a compiled artifact on `p` CPUs of `machine`.
-pub(crate) fn run_compiled(
-    artifact: &CompiledArtifact,
-    machine: &Machine,
-    p: usize,
-) -> otter_core::error::Result<EngineReport> {
-    run(artifact, &RunRequest::on(machine.clone(), p))
-}
 
 /// Which problem sizes to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,13 +16,29 @@ pub enum Scale {
     Paper,
     /// Scaled-down problems for CI and debug builds.
     Test,
-    /// Between test and paper: large enough that kernel wall time
-    /// dominates dispatch overhead, so the wall-time bench gate sees
-    /// kernel wins and regressions above noise.
+    /// Between test and paper: large enough that the dense kernels,
+    /// not per-operation dispatch, dominate the work (the size of the
+    /// second `harness bench --check` baseline).
     Large,
 }
 
 impl Scale {
+    /// The name reports carry and `harness bench --scale` accepts.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Paper => "paper",
+            Scale::Test => "test",
+            Scale::Large => "large",
+        }
+    }
+
+    /// The scale called `name` (the inverse of [`Scale::name`]).
+    pub fn parse(name: &str) -> Option<Scale> {
+        [Scale::Test, Scale::Large, Scale::Paper]
+            .into_iter()
+            .find(|s| s.name() == name)
+    }
+
     pub fn apps(self) -> Vec<App> {
         match self {
             Scale::Paper => otter_apps::paper_apps(),
@@ -99,7 +103,7 @@ impl Fig2Row {
 }
 
 /// Figure 2 — relative performance of the three systems on one
-/// UltraSPARC CPU. Every engine runs behind the [`Engine`] trait and
+/// UltraSPARC CPU. Every engine runs through [`run_engine`] and
 /// reports through the same [`EngineReport`] schema.
 pub fn fig2(scale: Scale) -> Vec<Fig2Row> {
     fig2_with(scale, &EngineOptions::default())
@@ -113,19 +117,16 @@ pub fn fig2_with(scale: Scale, opts: &EngineOptions) -> Vec<Fig2Row> {
         .apps()
         .iter()
         .map(|app| {
-            let mut reports: BTreeMap<&'static str, EngineReport> = BTreeMap::new();
-            for mut engine in standard_engines(opts) {
-                let name = engine.name();
-                let r = run_engine(engine.as_mut(), &app.script, &ws, 1)
-                    .unwrap_or_else(|e| panic!("{}: {name}: {e}", app.id));
-                reports.insert(name, r);
-            }
-            let t0 = reports["interpreter"].modeled_seconds;
+            let [interpreter, matcom, otter] = Engine::ALL.map(|engine| {
+                run_engine(engine, &app.script, opts, &ws, 1)
+                    .unwrap_or_else(|e| panic!("{}: {}: {e}", app.id, engine.name()))
+            });
+            let t0 = interpreter.modeled_seconds;
             Fig2Row {
                 app: app.name.to_string(),
-                interpreter: Fig2Cell::from_report(&reports["interpreter"], t0),
-                matcom: Fig2Cell::from_report(&reports["matcom"], t0),
-                otter: Fig2Cell::from_report(&reports["otter"], t0),
+                interpreter: Fig2Cell::from_report(&interpreter, t0),
+                matcom: Fig2Cell::from_report(&matcom, t0),
+                otter: Fig2Cell::from_report(&otter, t0),
             }
         })
         .collect()
@@ -166,26 +167,22 @@ pub fn cpu_sweep(machine: &Machine) -> Vec<usize> {
 /// three modeled parallel machines.
 pub fn speedup_figure(figure: &'static str, app: &App) -> FigureData {
     let machines = [meiko_cs2(), sparc20_cluster(), enterprise_smp()];
-    let compiled = compile(&app.script, &EngineOptions::default())
-        .unwrap_or_else(|e| panic!("{}: compile: {e}", app.id));
+    let opts = EngineOptions::default();
+    let compiled =
+        compile(&app.script, &opts).unwrap_or_else(|e| panic!("{}: compile: {e}", app.id));
     let mut series = Vec::new();
     let mut messages_at_max = 0;
     for m in &machines {
-        let interp = run_engine(
-            &mut otter_core::InterpreterEngine::new(EngineOptions::default()),
-            &app.script,
-            m,
-            1,
-        )
-        .unwrap_or_else(|e| panic!("{}: interp: {e}", app.id));
+        let interp = run_engine(Engine::Interpreter, &app.script, &opts, m, 1)
+            .unwrap_or_else(|e| panic!("{}: interp: {e}", app.id));
         let t0 = interp.modeled_seconds;
         let mut points = Vec::new();
         for p in cpu_sweep(m) {
-            let run =
-                run_compiled(&compiled, m, p).unwrap_or_else(|e| panic!("{}: p={p}: {e}", app.id));
-            points.push((p, t0 / run.modeled_seconds));
+            let report = run(&compiled, &RunRequest::on(m.clone(), p))
+                .unwrap_or_else(|e| panic!("{}: p={p}: {e}", app.id));
+            points.push((p, t0 / report.modeled_seconds));
             if m.name.contains("Meiko") && p == m.max_cpus {
-                messages_at_max = run.messages;
+                messages_at_max = report.messages;
             }
         }
         series.push(SpeedupSeries {

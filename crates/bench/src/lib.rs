@@ -14,9 +14,10 @@
 //! (peephole pass, problem-size/grain-size sweeps) and the §3 C-code
 //! excerpts. The `harness` binary renders everything as text tables
 //! (`harness fig2 --csv` emits the machine-readable rows with the
-//! uniform `EngineReport` counters); the plain-timing benches in
-//! `benches/` measure real wall-clock time of the same workloads on
-//! the host.
+//! uniform `EngineReport` counters). Every number here is modeled
+//! virtual time or a count, except `harness scale`'s and `harness
+//! load`'s host timings; wall-clock measurement of the same workloads
+//! is the separate `benchmark/` package.
 
 pub mod ablation;
 pub mod analyze;
@@ -31,9 +32,7 @@ pub use ablation::{
     collectives_ablation, grain_sweep, peephole_ablation, typeinfer_ablation, CollectiveAblation,
     GrainPoint, PeepholeAblation, TypeInferAblation,
 };
-pub use bench::{
-    check, run_bench, BenchReport, BenchResult, BenchSpec, Regression, WallStats, BENCH_SCHEMA,
-};
+pub use bench::{check, run_bench, BenchReport, BenchResult, BenchSpec, Regression, BENCH_SCHEMA};
 pub use figures::{
     fig2, fig2_with, speedup_figure, Fig2Cell, Fig2Row, FigureData, Scale, SpeedupSeries,
 };

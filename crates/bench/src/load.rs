@@ -7,20 +7,19 @@
 //! benchmark apps, plus comment-suffixed variants past four, so every
 //! variant compiles identically but occupies its own cache entry).
 //!
-//! The [`LoadReport`] separates two kinds of numbers, exactly like the
-//! statistical bench it is modeled on:
+//! The [`LoadReport`] separates two kinds of numbers:
 //!
 //! * **Informational traffic statistics** — throughput, p50/p95/p99
 //!   round-trip latency, cold vs warm compile percentiles, cache-hit
 //!   rate. Host- and schedule-dependent; never gated.
 //! * **Deterministic per-script outputs** — `modeled_seconds`,
 //!   `messages`, `bytes` of each distinct script, embedded as a full
-//!   `otter-bench/v1` report under the `bench` key (engine `"serve"`).
+//!   `otter-bench/v2` report under the `bench` key (engine `"serve"`).
 //!   `harness load --check baseline.json` feeds that section through
 //!   the same [`crate::bench::check`] gate the bench baseline uses, so
 //!   one mechanism guards both paths.
 
-use crate::bench::{check, BenchReport, BenchResult, Regression, WallStats};
+use crate::bench::{check, BenchReport, BenchResult, Regression};
 use crate::figures::Scale;
 use otter_core::OtterError;
 use otter_metrics::{Json, MetricsSnapshot};
@@ -180,7 +179,7 @@ pub struct LoadReport {
     /// Printed, never serialized (ids are fresh each run, so they
     /// would churn baselines without gating anything).
     pub job_ids: Vec<String>,
-    /// Deterministic per-script outputs in `otter-bench/v1` form, for
+    /// Deterministic per-script outputs in `otter-bench/v2` form, for
     /// the shared regression gate.
     pub bench: BenchReport,
 }
@@ -343,11 +342,9 @@ pub fn run_load(spec: &LoadSpec) -> Result<LoadReport, OtterError> {
     // job of a script — take the first) become the bench section.
     let mut results = Vec::new();
     for (i, script) in scripts.iter().enumerate() {
-        let of_script: Vec<&JobSample> = samples.iter().filter(|s| s.script == i).collect();
-        let Some(first) = of_script.first() else {
+        let Some(first) = samples.iter().find(|s| s.script == i) else {
             continue; // never reached by the schedule; not gated
         };
-        let walls: Vec<f64> = of_script.iter().map(|s| s.latency).collect();
         results.push(BenchResult {
             app: script.id.clone(),
             engine: "serve".to_string(),
@@ -355,19 +352,12 @@ pub fn run_load(spec: &LoadSpec) -> Result<LoadReport, OtterError> {
             modeled_seconds: first.modeled_seconds,
             messages: first.messages,
             bytes: first.bytes,
-            wall: WallStats::from_samples(&walls),
             metrics: MetricsSnapshot::default(),
         });
     }
     let bench = BenchReport {
-        scale: match spec.scale {
-            Scale::Paper => "paper".to_string(),
-            Scale::Test => "test".to_string(),
-            Scale::Large => "large".to_string(),
-        },
+        scale: spec.scale.name().to_string(),
         machine: spec.machine.clone(),
-        repeat: requests,
-        warmup: 0,
         results,
     };
 

@@ -14,9 +14,7 @@
 //! honest cost of simulating that many ranks.
 
 use crate::figures::Scale;
-use otter_core::{
-    compile, run, run_engine, EngineOptions, InterpreterEngine, OtterError, RunRequest,
-};
+use otter_core::{compile, run, run_engine, Engine, EngineOptions, OtterError, RunRequest};
 use otter_machine::meiko_cs2;
 use otter_metrics::Json;
 use std::time::Instant;
@@ -91,14 +89,8 @@ pub fn run_scale(spec: &ScaleSpec) -> Result<ScaleReport, OtterError> {
             spec.app_id
         ))
     })?;
-    let interp = run_engine(
-        &mut InterpreterEngine::new(EngineOptions::default()),
-        &app.script,
-        &machine,
-        1,
-    )?;
-    let t0 = interp.modeled_seconds;
     let opts = EngineOptions::builder().metrics(true).build();
+    let t0 = run_engine(Engine::Interpreter, &app.script, &opts, &machine, 1)?.modeled_seconds;
     let artifact = compile(&app.script, &opts)
         .map_err(|e| OtterError::execution(format!("scale: {}: compile: {e}", app.id)))?;
     let mut points = Vec::new();

@@ -293,11 +293,9 @@ pub fn run(artifact: &CompiledArtifact, req: &RunRequest) -> Result<EngineReport
 /// channel.
 ///
 /// Only run work happens here: passes 1–6 ran once, inside
-/// [`compile`](crate::compile()). A metrics-on run therefore reports **no**
-/// `compile_pass_seconds` series — that is the observable proof a
-/// cache-served job skipped compilation (the engine-level
-/// [`crate::Engine::run`], which owns its compile, merges the pass
-/// timings back in).
+/// [`compile`](crate::compile()), and their host wall time stays on
+/// [`CompiledArtifact::pass_stats`]. Every time a run reports is
+/// modeled virtual time, never host time.
 pub fn try_run(
     artifact: &CompiledArtifact,
     req: &RunRequest,

@@ -1,20 +1,20 @@
-//! The three execution engines the paper's evaluation compares,
-//! unified behind the [`Engine`] trait: prepare a MATLAB script, run
-//! it on a modeled machine, and get back an [`EngineReport`] — the
+//! The three execution engines the paper's evaluation compares, as
+//! one [`Engine`] enum and one function: [`run_engine`] runs a MATLAB
+//! script on a modeled machine and returns an [`EngineReport`] — the
 //! one schema every figure, ablation, and future backend reports
 //! through.
 //!
-//! * [`InterpreterEngine`] — the MathWorks-interpreter stand-in (the
+//! * [`Engine::Interpreter`] — the MathWorks-interpreter stand-in (the
 //!   baseline of every figure).
-//! * [`MatcomEngine`] — MATCOM-style sequential compiled code: same
+//! * [`Engine::Matcom`] — MATCOM-style sequential compiled code: same
 //!   evaluator, compiled-code cost coefficients.
-//! * [`OtterEngine`] — the real pipeline: compile to SPMD IR, execute
+//! * [`Engine::Otter`] — the real pipeline: compile to SPMD IR, execute
 //!   on `p` ranks over the machine model; modeled time = slowest
 //!   rank's virtual clock.
 
-use crate::artifact::{run, CompiledArtifact, Fingerprint, RunRequest};
+use crate::artifact::{run, Fingerprint, RunRequest};
 use crate::compile::compile;
-use crate::error::{OtterError, Result};
+use crate::error::Result;
 use otter_interp::{assemble_program, Interp, Value};
 use otter_lint::LintMode;
 use otter_log::{FlightEvent, JobId};
@@ -290,7 +290,7 @@ impl EngineOptions {
     /// size is invisible to every deterministic output) and the trace
     /// sink (observation, not behavior). The fingerprint is half of
     /// the artifact-cache key — see
-    /// [`CompiledArtifact::cache_key`] — so it is FNV-1a over
+    /// [`crate::CompiledArtifact::cache_key`] — so it is FNV-1a over
     /// explicitly serialized fields, stable across platforms and
     /// releases, never `std::hash`.
     pub fn fingerprint(&self) -> u64 {
@@ -467,54 +467,60 @@ impl EngineOptionsBuilder {
     }
 }
 
-/// One execution backend. `prepare` does the engine's compile-time
-/// work (parse/assemble or the full Otter pipeline); `run` executes
-/// on a machine model and reports through the uniform schema.
-pub trait Engine {
-    /// Stable engine name used in report rows (`interpreter`,
-    /// `matcom`, `otter`).
-    fn name(&self) -> &'static str;
-
-    /// Ingest and prepare a script. Must be called before `run`.
-    fn prepare(&mut self, src: &str) -> Result<()>;
-
-    /// Execute the prepared script on `p` CPUs of `machine`.
-    /// Sequential engines model a single CPU and ignore `p`.
-    fn run(&mut self, machine: &Machine, p: usize) -> Result<EngineReport>;
+/// One of the paper's three evaluation systems. Every engine runs
+/// through [`run_engine`] and reports through [`EngineReport`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Engine {
+    /// The MathWorks-interpreter baseline (one CPU).
+    Interpreter,
+    /// The MATCOM sequential-compiler baseline (one CPU).
+    Matcom,
+    /// The real pipeline: [`crate::compile()`] then [`crate::run`] on
+    /// `p` ranks.
+    Otter,
 }
 
-/// Prepare and run in one call.
+impl Engine {
+    /// All three, in figure order.
+    pub const ALL: [Engine; 3] = [Engine::Interpreter, Engine::Matcom, Engine::Otter];
+
+    /// Stable engine name used in report rows (`interpreter`,
+    /// `matcom`, `otter`).
+    pub fn name(self) -> &'static str {
+        match self {
+            Engine::Interpreter => "interpreter",
+            Engine::Matcom => "matcom",
+            Engine::Otter => "otter",
+        }
+    }
+}
+
+/// Run `src` on `p` CPUs of `machine` under `engine`. The Otter arm is
+/// exactly `run(&compile(src, opts)?, &RunRequest::on(machine, p))`;
+/// the sequential engines model a single CPU and ignore `p`.
 pub fn run_engine(
-    engine: &mut dyn Engine,
+    engine: Engine,
     src: &str,
+    opts: &EngineOptions,
     machine: &Machine,
     p: usize,
 ) -> Result<EngineReport> {
-    engine.prepare(src)?;
-    engine.run(machine, p)
+    let style = match engine {
+        Engine::Interpreter => ExecutionStyle::Interpreter,
+        Engine::Matcom => ExecutionStyle::Matcom,
+        Engine::Otter => return run(&compile(src, opts)?, &RunRequest::on(machine.clone(), p)),
+    };
+    run_sequential(engine.name(), style, assemble(src, opts)?, machine, opts)
 }
-
-/// All three paper engines, ready to prepare.
-pub fn standard_engines(opts: &EngineOptions) -> Vec<Box<dyn Engine>> {
-    vec![
-        Box::new(InterpreterEngine::new(opts.clone())),
-        Box::new(MatcomEngine::new(opts.clone())),
-        Box::new(OtterEngine::new(opts.clone())),
-    ]
-}
-
-// ---- sequential engines ---------------------------------------------------
 
 fn run_sequential(
     name: &'static str,
     style: ExecutionStyle,
-    program: Option<&otter_frontend::Program>,
+    program: otter_frontend::Program,
     machine: &Machine,
     opts: &EngineOptions,
 ) -> Result<EngineReport> {
-    let program =
-        program.ok_or_else(|| OtterError::execution(format!("{name}: prepare() not called")))?;
-    let mut interp = Interp::with_style(program.clone(), style);
+    let mut interp = Interp::with_style(program, style);
     interp.data_dir = opts.data_dir.clone();
     if let Some(sink) = &opts.trace {
         // Sequential engines emit per-statement spans (rank 0), scaled
@@ -560,116 +566,6 @@ fn assemble(src: &str, opts: &EngineOptions) -> Result<otter_frontend::Program> 
     Ok(assemble_program(src, provider)?)
 }
 
-/// The MathWorks-interpreter baseline (one CPU).
-pub struct InterpreterEngine {
-    opts: EngineOptions,
-    program: Option<otter_frontend::Program>,
-}
-
-impl InterpreterEngine {
-    pub fn new(opts: EngineOptions) -> Self {
-        InterpreterEngine {
-            opts,
-            program: None,
-        }
-    }
-}
-
-impl Engine for InterpreterEngine {
-    fn name(&self) -> &'static str {
-        "interpreter"
-    }
-
-    fn prepare(&mut self, src: &str) -> Result<()> {
-        self.program = Some(assemble(src, &self.opts)?);
-        Ok(())
-    }
-
-    fn run(&mut self, machine: &Machine, _p: usize) -> Result<EngineReport> {
-        run_sequential(
-            self.name(),
-            ExecutionStyle::Interpreter,
-            self.program.as_ref(),
-            machine,
-            &self.opts,
-        )
-    }
-}
-
-/// The MATCOM sequential-compiler baseline (one CPU).
-pub struct MatcomEngine {
-    opts: EngineOptions,
-    program: Option<otter_frontend::Program>,
-}
-
-impl MatcomEngine {
-    pub fn new(opts: EngineOptions) -> Self {
-        MatcomEngine {
-            opts,
-            program: None,
-        }
-    }
-}
-
-impl Engine for MatcomEngine {
-    fn name(&self) -> &'static str {
-        "matcom"
-    }
-
-    fn prepare(&mut self, src: &str) -> Result<()> {
-        self.program = Some(assemble(src, &self.opts)?);
-        Ok(())
-    }
-
-    fn run(&mut self, machine: &Machine, _p: usize) -> Result<EngineReport> {
-        run_sequential(
-            self.name(),
-            ExecutionStyle::Matcom,
-            self.program.as_ref(),
-            machine,
-            &self.opts,
-        )
-    }
-}
-
-// ---- the Otter SPMD engine ------------------------------------------------
-
-/// The real pipeline behind the [`Engine`] trait: a thin wrapper over
-/// the compile/run split. `prepare` is [`crate::compile()`] (producing a
-/// cacheable [`CompiledArtifact`]); `run` is [`crate::run`] on that
-/// artifact, plus the compile-side pass timings merged back into the
-/// metrics snapshot (the engine owns its compile, so its report covers
-/// both halves — a cache-served `otterd` job, which only runs, shows
-/// no pass time at all).
-pub struct OtterEngine {
-    opts: EngineOptions,
-    artifact: Option<CompiledArtifact>,
-}
-
-impl OtterEngine {
-    pub fn new(opts: EngineOptions) -> Self {
-        OtterEngine {
-            opts,
-            artifact: None,
-        }
-    }
-
-    /// Wrap an already-compiled artifact (skips `prepare`). The
-    /// artifact's compiled-in options drive the run.
-    pub fn with_artifact(artifact: CompiledArtifact) -> Self {
-        OtterEngine {
-            opts: artifact.options().clone(),
-            artifact: Some(artifact),
-        }
-    }
-
-    /// The compiled artifact, if `prepare` ran (or the engine was
-    /// built with [`OtterEngine::with_artifact`]).
-    pub fn artifact(&self) -> Option<&CompiledArtifact> {
-        self.artifact.as_ref()
-    }
-}
-
 /// A failed SPMD run as data: which ranks failed and why (with the
 /// wait-for information behind each), plus the counters of the ranks
 /// that completed the program.
@@ -698,30 +594,3 @@ impl fmt::Display for SpmdJobFailure {
 }
 
 impl std::error::Error for SpmdJobFailure {}
-
-impl Engine for OtterEngine {
-    fn name(&self) -> &'static str {
-        "otter"
-    }
-
-    fn prepare(&mut self, src: &str) -> Result<()> {
-        self.artifact = Some(compile(src, &self.opts)?);
-        Ok(())
-    }
-
-    fn run(&mut self, machine: &Machine, p: usize) -> Result<EngineReport> {
-        let artifact = self
-            .artifact
-            .as_ref()
-            .ok_or_else(|| OtterError::execution("otter: prepare() not called"))?;
-        let mut report = run(artifact, &RunRequest::on(machine.clone(), p))?;
-        // The engine compiled this artifact itself, so its report
-        // accounts for the compile too: merge the per-pass timings
-        // into the job snapshot (run() alone reports none — that
-        // absence is how a cache hit proves passes 1-6 were skipped).
-        if let Some(job) = report.metrics.as_mut() {
-            job.merge_from(&crate::pass::pass_metrics(artifact.pass_stats()));
-        }
-        Ok(report)
-    }
-}

@@ -14,12 +14,11 @@
 //! paper's pipeline — one stage per row of the pass table
 //! [`pass::PASSES`], each wrapped in the same instrumentation (per-pass
 //! wall time, size statistics, artifact dumps, optional-pass toggles).
-//! The paper's three evaluation systems run behind the
-//! [`engines::Engine`] trait: [`InterpreterEngine`] (the MathWorks
-//! baseline), [`MatcomEngine`] (the commercial sequential compiler
-//! baseline), and [`OtterEngine`] (compile + SPMD execution on a
-//! modeled machine). Every engine reports through one
-//! [`EngineReport`] schema.
+//! The paper's three evaluation systems are the variants of
+//! [`Engine`]: `Interpreter` (the MathWorks baseline), `Matcom` (the
+//! commercial sequential compiler baseline), and `Otter` (compile +
+//! SPMD execution on a modeled machine). [`run_engine`] runs any of
+//! them, and every engine reports through one [`EngineReport`] schema.
 //!
 //! The compile side and the run side are split: [`compile()`] turns a
 //! script plus [`EngineOptions`] into a [`CompiledArtifact`] — an
@@ -53,10 +52,7 @@ pub mod postmortem;
 
 pub use artifact::{run, source_hash, try_run, CompiledArtifact, RunRequest};
 pub use compile::{compile, compile_str, compile_with, Compiled, GuardStats};
-pub use engines::{
-    run_engine, standard_engines, Engine, EngineOptions, EngineReport, InterpreterEngine,
-    MatcomEngine, OtterEngine, RankCounters, SpmdJobFailure,
-};
+pub use engines::{run_engine, Engine, EngineOptions, EngineReport, RankCounters, SpmdJobFailure};
 pub use error::OtterError;
 pub use exec::{ExecError, ExecOptions, Executor, XVal};
 /// The static communication-volume oracle (re-exported so drivers can
@@ -64,7 +60,7 @@ pub use exec::{ExecError, ExecOptions, Executor, XVal};
 /// `otter-lint` dependency).
 pub use otter_lint::oracle as analysis;
 pub use otter_lint::{lint_program, LintMode, LintReport};
-pub use pass::{pass_metrics, pass_names, DumpRequest, PassDump, PassInfo, PassStats, PASSES};
+pub use pass::{pass_names, DumpRequest, PassDump, PassInfo, PassStats, PASSES};
 pub use postmortem::{
     build_postmortem, parse_postmortem, write_postmortem, PostmortemSummary, POSTMORTEM_SCHEMA,
 };

@@ -81,22 +81,6 @@ pub struct PassStats {
     pub runtime_calls_after: usize,
 }
 
-/// Render per-pass compile timings as a metric snapshot: one
-/// `compile_pass_seconds{pass=...}` histogram per executed pass (host
-/// wall-clock — the only wall time in the metric set; everything the
-/// run side records is modeled virtual time).
-pub fn pass_metrics(passes: &[PassStats]) -> otter_metrics::MetricsSnapshot {
-    let mut reg = otter_metrics::MetricsRegistry::new();
-    for s in passes {
-        reg.observe(
-            "compile_pass_seconds",
-            &[("pass", s.name)],
-            s.wall.as_secs_f64(),
-        );
-    }
-    reg.snapshot()
-}
-
 /// An artifact snapshot taken after a pass (for `--dump-after`).
 #[derive(Debug, Clone)]
 pub struct PassDump {

@@ -3,7 +3,7 @@
 
 use crate::*;
 use otter_frontend::MapProvider;
-use otter_machine::{enterprise_smp, meiko_cs2, sparc20_cluster, workstation, Machine};
+use otter_machine::{enterprise_smp, meiko_cs2, sparc20_cluster, workstation};
 use otter_rt::Dense;
 
 /// Compile a script and execute on `p` CPUs; panic on any failure.
@@ -13,30 +13,17 @@ fn otter(src: &str, p: usize) -> EngineReport {
         .unwrap_or_else(|e| panic!("exec(p={p}): {e}\n{src}"))
 }
 
-/// The interpreter baseline with options.
-fn run_interpreter(
-    src: &str,
-    machine: &Machine,
-    opts: &EngineOptions,
-) -> Result<EngineReport, OtterError> {
-    run_engine(&mut InterpreterEngine::new(opts.clone()), src, machine, 1)
-}
-
-/// The Otter engine end-to-end (compile + run) with options.
-fn run_otter(
-    src: &str,
-    machine: &Machine,
-    p: usize,
-    opts: &EngineOptions,
-) -> Result<EngineReport, OtterError> {
-    run_engine(&mut OtterEngine::new(opts.clone()), src, machine, p)
-}
-
 /// Oracle comparison: compiled result equals interpreter result for
 /// every listed variable, at several processor counts.
 fn check_matches_interpreter(src: &str, vars: &[&str]) {
-    let base = run_interpreter(src, &workstation(), &EngineOptions::default())
-        .unwrap_or_else(|e| panic!("interp: {e}\n{src}"));
+    let base = run_engine(
+        Engine::Interpreter,
+        src,
+        &EngineOptions::default(),
+        &workstation(),
+        1,
+    )
+    .unwrap_or_else(|e| panic!("interp: {e}\n{src}"));
     for p in [1usize, 2, 3, 4, 8] {
         let run = otter(src, p);
         for v in vars {
@@ -155,8 +142,8 @@ fn user_functions_compiled() {
         m_files: Some(m.clone()),
         ..Default::default()
     };
-    let base = run_interpreter(src, &workstation(), &opts).unwrap();
-    let run = run_otter(src, &meiko_cs2(), 3, &opts).unwrap();
+    let base = run_engine(Engine::Interpreter, src, &opts, &workstation(), 1).unwrap();
+    let run = run_engine(Engine::Otter, src, &opts, &meiko_cs2(), 3).unwrap();
     assert_eq!(base.scalar("d"), run.scalar("d"));
     assert!((run.scalar("d").unwrap() - (2.0f64 * 2.0 * 6.0).sqrt()).abs() < 1e-12);
 }
@@ -243,8 +230,8 @@ fn modeled_speedup_on_compute_bound_code() {
 fn interpreter_slower_than_compiled_modeled() {
     let src = "n = 50;\ns = 0;\nfor i = 1:n\ns = s + i * i;\nend";
     let opts = EngineOptions::default();
-    let interp = run_interpreter(src, &workstation(), &opts).unwrap();
-    let matcom = run_engine(&mut MatcomEngine::new(opts.clone()), src, &workstation(), 1).unwrap();
+    let interp = run_engine(Engine::Interpreter, src, &opts, &workstation(), 1).unwrap();
+    let matcom = run_engine(Engine::Matcom, src, &opts, &workstation(), 1).unwrap();
     let compiled = compile_str(src).unwrap();
     let otter = run(&compiled, &RunRequest::on(workstation(), 1)).unwrap();
     assert!(interp.modeled_seconds > matcom.modeled_seconds);
@@ -304,7 +291,7 @@ fn load_through_pipeline() {
         data_dir: Some(dir.clone()),
         ..Default::default()
     };
-    let run = run_otter(src, &meiko_cs2(), 3, &opts).unwrap();
+    let run = run_engine(Engine::Otter, src, &opts, &meiko_cs2(), 3).unwrap();
     assert_eq!(run.scalar("s"), Some(66.0));
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -409,7 +396,7 @@ fn nested_function_calls_compiled() {
         m_files: Some(m),
         ..Default::default()
     };
-    let run = run_otter(src, &meiko_cs2(), 3, &opts).unwrap();
+    let run = run_engine(Engine::Otter, src, &opts, &meiko_cs2(), 3).unwrap();
     assert_eq!(run.scalar("s"), Some(20.0));
 }
 
@@ -424,8 +411,8 @@ fn function_with_control_flow_compiled() {
         m_files: Some(m.clone()),
         ..Default::default()
     };
-    let base = run_interpreter(src, &workstation(), &opts).unwrap();
-    let run = run_otter(src, &meiko_cs2(), 4, &opts).unwrap();
+    let base = run_engine(Engine::Interpreter, src, &opts, &workstation(), 1).unwrap();
+    let run = run_engine(Engine::Otter, src, &opts, &meiko_cs2(), 4).unwrap();
     assert_eq!(base.scalar("s"), run.scalar("s"));
     assert_eq!(run.scalar("s"), Some(2.0)); // -1 + -1 + -1 + 0 + 1 + 2 + 2
 }
@@ -465,7 +452,7 @@ fn function_called_with_two_shapes() {
         m_files: Some(m),
         ..Default::default()
     };
-    let run = run_otter(src, &meiko_cs2(), 3, &opts).unwrap();
+    let run = run_engine(Engine::Otter, src, &opts, &meiko_cs2(), 3).unwrap();
     assert_eq!(run.scalar("c"), Some(15.0));
 }
 
@@ -539,8 +526,8 @@ fn engine_reports_are_consistent() {
     // the same script.
     let src = "n = 16;\na = ones(n, n);\nb = a * a;\ns = sum(sum(b));";
     let mut reports = Vec::new();
-    for mut e in standard_engines(&EngineOptions::default()) {
-        let r = run_engine(e.as_mut(), src, &meiko_cs2(), 4).unwrap();
+    for engine in Engine::ALL {
+        let r = run_engine(engine, src, &EngineOptions::default(), &meiko_cs2(), 4).unwrap();
         assert_eq!(r.scalar("s"), Some((16 * 16 * 16) as f64), "{}", r.engine);
         assert!(r.total_ops() > 0, "{}: op_counts empty", r.engine);
         assert!(r.modeled_seconds > 0.0, "{}", r.engine);
@@ -600,15 +587,11 @@ fn traced_engines_emit_statement_and_phase_events() {
 
     // Sequential engines (interpreter + matcom) span every MATLAB
     // statement on rank 0.
-    for style in ["interpreter", "matcom"] {
+    for engine in [Engine::Interpreter, Engine::Matcom] {
+        let style = engine.name();
         let sink = Arc::new(MemorySink::new());
         let opts = EngineOptions::builder().trace(Arc::clone(&sink)).build();
-        let mut engine: Box<dyn Engine> = if style == "interpreter" {
-            Box::new(InterpreterEngine::new(opts))
-        } else {
-            Box::new(MatcomEngine::new(opts))
-        };
-        run_engine(engine.as_mut(), src, &meiko_cs2(), 1).unwrap();
+        run_engine(engine, src, &opts, &meiko_cs2(), 1).unwrap();
         let events = sink.snapshot().unwrap();
         assert!(!events.is_empty(), "{style}: no events");
         assert!(
@@ -625,7 +608,7 @@ fn traced_engines_emit_statement_and_phase_events() {
     // collective/primitive events.
     let sink = Arc::new(MemorySink::new());
     let opts = EngineOptions::builder().trace(Arc::clone(&sink)).build();
-    run_engine(&mut OtterEngine::new(opts), src, &meiko_cs2(), 4).unwrap();
+    run_engine(Engine::Otter, src, &opts, &meiko_cs2(), 4).unwrap();
     let events = sink.snapshot().unwrap();
     let has = |pred: &dyn Fn(&otter_trace::TraceEvent) -> bool| events.iter().any(pred);
     assert!(has(&|e| matches!(e.kind, EventKind::Statement { .. })));
@@ -643,16 +626,10 @@ fn disabled_tracing_changes_nothing() {
     // A traced run and an untraced run of the same program model the
     // exact same time and counters: tracing is observation only.
     let src = "n = 16;\na = ones(n, n);\nb = a * a;\ns = sum(sum(b));";
-    let plain = run_engine(
-        &mut OtterEngine::new(EngineOptions::default()),
-        src,
-        &meiko_cs2(),
-        4,
-    )
-    .unwrap();
+    let plain = otter(src, 4);
     let sink = Arc::new(MemorySink::new());
     let opts = EngineOptions::builder().trace(Arc::clone(&sink)).build();
-    let traced = run_engine(&mut OtterEngine::new(opts), src, &meiko_cs2(), 4).unwrap();
+    let traced = run_engine(Engine::Otter, src, &opts, &meiko_cs2(), 4).unwrap();
     assert_eq!(plain.modeled_seconds, traced.modeled_seconds);
     assert_eq!(plain.messages, traced.messages);
     assert_eq!(plain.bytes, traced.bytes);

@@ -13,7 +13,7 @@
 //! cargo run --release --example heat_diffusion
 //! ```
 
-use otter_core::{compile, run, run_engine, EngineOptions, InterpreterEngine, RunRequest};
+use otter_core::{compile, run, run_engine, Engine, EngineOptions, RunRequest};
 use otter_machine::{meiko_cs2, workstation};
 
 fn main() {
@@ -46,8 +46,9 @@ center = u(floor(n / 2));
 
     // Scientists' workflow: interpreter first...
     let interp = run_engine(
-        &mut InterpreterEngine::new(EngineOptions::default()),
+        Engine::Interpreter,
         &script,
+        &EngineOptions::default(),
         &workstation(),
         1,
     )

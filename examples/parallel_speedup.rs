@@ -9,7 +9,7 @@
 //! ```
 
 use otter_apps::cg;
-use otter_core::{compile, run, run_engine, EngineOptions, InterpreterEngine, RunRequest};
+use otter_core::{compile, run, run_engine, Engine, EngineOptions, RunRequest};
 use otter_machine::{enterprise_smp, meiko_cs2, sparc20_cluster};
 
 fn main() {
@@ -27,8 +27,9 @@ fn main() {
     let artifact = compile(&app.script, &EngineOptions::default()).expect("CG compiles");
     for machine in [meiko_cs2(), sparc20_cluster(), enterprise_smp()] {
         let interp = run_engine(
-            &mut InterpreterEngine::new(EngineOptions::default()),
+            Engine::Interpreter,
             &app.script,
+            &EngineOptions::default(),
             &machine,
             1,
         )

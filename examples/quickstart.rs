@@ -6,7 +6,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use otter_core::{compile, run, run_engine, EngineOptions, InterpreterEngine, RunRequest};
+use otter_core::{compile, run, run_engine, Engine, EngineOptions, RunRequest};
 use otter_machine::{meiko_cs2, workstation};
 
 fn main() {
@@ -51,8 +51,9 @@ resid = norm(b - A * x);
     let t1 = run(&artifact, &RunRequest::on(machine.clone(), 1)).expect("p=1 runs");
     let t16 = run(&artifact, &RunRequest::on(machine.clone(), 16)).expect("p=16 runs");
     let interp = run_engine(
-        &mut InterpreterEngine::new(EngineOptions::default()),
+        Engine::Interpreter,
         script,
+        &EngineOptions::default(),
         &workstation(),
         1,
     )

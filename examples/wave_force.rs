@@ -9,7 +9,7 @@
 //! ```
 
 use otter_apps::ocean;
-use otter_core::{compile, run, run_engine, EngineOptions, InterpreterEngine, RunRequest};
+use otter_core::{compile, run, run_engine, Engine, EngineOptions, RunRequest};
 use otter_machine::{meiko_cs2, workstation};
 
 fn main() {
@@ -18,8 +18,9 @@ fn main() {
     // Engineers debug in the interpreter first (the workflow the
     // paper's introduction describes)...
     let interp = run_engine(
-        &mut InterpreterEngine::new(EngineOptions::default()),
+        Engine::Interpreter,
         &app.script,
+        &EngineOptions::default(),
         &workstation(),
         1,
     )

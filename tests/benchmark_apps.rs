@@ -4,28 +4,26 @@
 //! interpreter oracle, at every processor count on every modeled
 //! machine.
 
-mod common;
-
-use common::{run_compiled, run_interpreter};
-use otter_core::{compile, EngineOptions, EngineReport};
+use otter_core::{compile, run, run_engine, Engine, EngineOptions, EngineReport, RunRequest};
 use otter_machine::{enterprise_smp, meiko_cs2, sparc20_cluster, workstation, Machine};
 
 fn assert_app_matches(app: &otter_apps::App, machine: &Machine, ps: &[usize]) {
-    let base = run_interpreter(&app.script, &workstation())
+    let opts = EngineOptions::default();
+    let base = run_engine(Engine::Interpreter, &app.script, &opts, &workstation(), 1)
         .unwrap_or_else(|e| panic!("{}: interpreter: {e}", app.id));
-    let compiled = compile(&app.script, &EngineOptions::default())
-        .unwrap_or_else(|e| panic!("{}: compile: {e}", app.id));
+    let compiled =
+        compile(&app.script, &opts).unwrap_or_else(|e| panic!("{}: compile: {e}", app.id));
     for &p in ps {
         if p > machine.max_cpus {
             continue;
         }
-        let run: EngineReport = run_compiled(&compiled, machine, p)
+        let report: EngineReport = run(&compiled, &RunRequest::on(machine.clone(), p))
             .unwrap_or_else(|e| panic!("{}: p={p}: {e}", app.id));
         for v in &app.result_vars {
             let a = base
                 .scalar(v)
                 .unwrap_or_else(|| panic!("{}: interpreter has no scalar `{v}`", app.id));
-            let b = run
+            let b = report
                 .scalar(v)
                 .unwrap_or_else(|| panic!("{}: compiled has no scalar `{v}`", app.id));
             assert!(
@@ -88,17 +86,21 @@ fn odd_processor_counts_work() {
 
 #[test]
 fn all_three_engines_agree_on_every_benchmark_app() {
-    // Acceptance check for the unified `Engine` trait: the
+    // Acceptance check for the one `run_engine` path: the
     // interpreter, MATCOM, and Otter engines produce numerically equal
     // results on the four benchmark apps, and every report carries the
     // uniform counters.
-    use otter_core::{run_engine, standard_engines, EngineOptions};
     for app in otter_apps::test_apps() {
         let mut reports = Vec::new();
-        for mut engine in standard_engines(&EngineOptions::default()) {
-            let name = engine.name();
-            let r = run_engine(engine.as_mut(), &app.script, &meiko_cs2(), 8)
-                .unwrap_or_else(|e| panic!("{}: {name}: {e}", app.id));
+        for engine in Engine::ALL {
+            let r = run_engine(
+                engine,
+                &app.script,
+                &EngineOptions::default(),
+                &meiko_cs2(),
+                8,
+            )
+            .unwrap_or_else(|e| panic!("{}: {}: {e}", app.id, engine.name()));
             assert!(r.total_ops() > 0, "{}: {}: no op counts", app.id, r.engine);
             assert!(r.modeled_seconds > 0.0, "{}: {}", app.id, r.engine);
             reports.push(r);
@@ -139,11 +141,11 @@ fn all_three_engines_agree_on_every_benchmark_app() {
 fn cg_actually_converges_in_compiled_form() {
     let app = otter_apps::cg::conjugate_gradient(otter_apps::cg::Params::test());
     let compiled = compile(&app.script, &EngineOptions::default()).unwrap();
-    let run = run_compiled(&compiled, &meiko_cs2(), 8).unwrap();
+    let report = run(&compiled, &RunRequest::on(meiko_cs2(), 8)).unwrap();
     assert!(
-        run.scalar("err").unwrap() < 1e-6,
+        report.scalar("err").unwrap() < 1e-6,
         "err={:?}",
-        run.scalar("err")
+        report.scalar("err")
     );
 }
 
@@ -152,6 +154,6 @@ fn transitive_closure_is_total_in_compiled_form() {
     let p = otter_apps::transitive::Params::test();
     let app = otter_apps::transitive::transitive_closure(p);
     let compiled = compile(&app.script, &EngineOptions::default()).unwrap();
-    let run = run_compiled(&compiled, &meiko_cs2(), 6).unwrap();
-    assert_eq!(run.scalar("reach"), Some((p.n * p.n) as f64));
+    let report = run(&compiled, &RunRequest::on(meiko_cs2(), 6)).unwrap();
+    assert_eq!(report.scalar("reach"), Some((p.n * p.n) as f64));
 }

@@ -15,7 +15,7 @@
 //!   at every rank count, and its metrics contain no
 //!   `compile_pass_seconds` series (passes 1–6 never ran).
 
-use otter_core::{compile, run, source_hash, EngineOptions, EngineReport, OtterEngine, RunRequest};
+use otter_core::{compile, run, source_hash, EngineOptions, EngineReport, RunRequest};
 use otter_machine::meiko_cs2;
 use otter_mpi::{CollectiveAlgo, FaultPlan};
 use otter_serve::ArtifactCache;
@@ -187,21 +187,5 @@ fn warm_runs_carry_no_pass_timings() {
             .keys()
             .any(|k| k.name == "compile_pass_seconds"),
         "a served (cached) job must not report compiler-pass time: passes 1-6 never ran"
-    );
-
-    // The engine-owned path (compile inside run) DOES report pass
-    // timings — the contrast is the observable proof the serve path
-    // skipped them.
-    use otter_core::Engine;
-    let mut engine = OtterEngine::new(EngineOptions::builder().metrics(true).build());
-    engine.prepare(SRC).expect("compiles");
-    let owned = engine.run(&meiko_cs2(), 4).expect("runs");
-    let owned_metrics = owned.metrics.expect("metrics were requested");
-    assert!(
-        owned_metrics
-            .entries
-            .keys()
-            .any(|k| k.name == "compile_pass_seconds"),
-        "the engine path owns its compile and must account for it"
     );
 }

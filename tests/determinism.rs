@@ -4,10 +4,7 @@
 //! regardless of host scheduling. These properties are what make the
 //! benchmark harness's figures reproducible.
 
-mod common;
-
-use common::run_compiled;
-use otter_core::{compile, EngineOptions};
+use otter_core::{compile, run, EngineOptions, RunRequest};
 use otter_machine::{meiko_cs2, sparc20_cluster};
 
 const SRC: &str = "\
@@ -26,9 +23,9 @@ z = norm(t - w);
 fn repeated_runs_are_bitwise_identical() {
     let compiled = compile(SRC, &EngineOptions::default()).unwrap();
     let machine = meiko_cs2();
-    let first = run_compiled(&compiled, &machine, 8).unwrap();
+    let first = run(&compiled, &RunRequest::on(machine.clone(), 8)).unwrap();
     for _ in 0..3 {
-        let again = run_compiled(&compiled, &machine, 8).unwrap();
+        let again = run(&compiled, &RunRequest::on(machine.clone(), 8)).unwrap();
         for v in ["d", "s", "z"] {
             assert_eq!(
                 first.scalar(v).unwrap().to_bits(),
@@ -47,10 +44,10 @@ fn modeled_time_is_a_pure_function_of_machine_and_p() {
     let compiled = compile(SRC, &EngineOptions::default()).unwrap();
     for machine in [meiko_cs2(), sparc20_cluster()] {
         for p in [1usize, 2, 5, 8] {
-            let a = run_compiled(&compiled, &machine, p)
+            let a = run(&compiled, &RunRequest::on(machine.clone(), p))
                 .unwrap()
                 .modeled_seconds;
-            let b = run_compiled(&compiled, &machine, p)
+            let b = run(&compiled, &RunRequest::on(machine.clone(), p))
                 .unwrap()
                 .modeled_seconds;
             assert_eq!(a, b, "{} p={p}", machine.name);
@@ -65,12 +62,12 @@ fn results_are_p_invariant_within_tolerance() {
     // tight tolerance.
     let compiled = compile(SRC, &EngineOptions::default()).unwrap();
     let machine = meiko_cs2();
-    let base = run_compiled(&compiled, &machine, 1).unwrap();
+    let base = run(&compiled, &RunRequest::on(machine.clone(), 1)).unwrap();
     for p in [2usize, 3, 7, 16] {
-        let run = run_compiled(&compiled, &machine, p).unwrap();
+        let report = run(&compiled, &RunRequest::on(machine.clone(), p)).unwrap();
         for v in ["d", "s", "z"] {
             let a = base.scalar(v).unwrap();
-            let b = run.scalar(v).unwrap();
+            let b = report.scalar(v).unwrap();
             assert!(
                 (a - b).abs() <= 1e-10 * (1.0 + a.abs()),
                 "{v}: p=1 gives {a}, p={p} gives {b}"
@@ -82,8 +79,8 @@ fn results_are_p_invariant_within_tolerance() {
 #[test]
 fn machine_model_changes_time_not_answers() {
     let compiled = compile(SRC, &EngineOptions::default()).unwrap();
-    let meiko = run_compiled(&compiled, &meiko_cs2(), 8).unwrap();
-    let cluster = run_compiled(&compiled, &sparc20_cluster(), 8).unwrap();
+    let meiko = run(&compiled, &RunRequest::on(meiko_cs2(), 8)).unwrap();
+    let cluster = run(&compiled, &RunRequest::on(sparc20_cluster(), 8)).unwrap();
     for v in ["d", "s", "z"] {
         assert_eq!(
             meiko.scalar(v).unwrap().to_bits(),
@@ -106,9 +103,9 @@ fn seeded_rand_is_p_invariant() {
     let src = "a = rand(12, 12);\ns = sum(sum(a));\ne = a(3, 4);";
     let compiled = compile(src, &EngineOptions::default()).unwrap();
     let machine = meiko_cs2();
-    let r1 = run_compiled(&compiled, &machine, 1).unwrap();
+    let r1 = run(&compiled, &RunRequest::on(machine.clone(), 1)).unwrap();
     for p in [2usize, 5, 8] {
-        let rp = run_compiled(&compiled, &machine, p).unwrap();
+        let rp = run(&compiled, &RunRequest::on(machine.clone(), p)).unwrap();
         assert_eq!(
             r1.scalar("e").unwrap().to_bits(),
             rp.scalar("e").unwrap().to_bits(),

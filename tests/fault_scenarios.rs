@@ -10,7 +10,7 @@
 //! constructed directly, exactly as the fixture's closure diverges on
 //! `rank()`).
 
-use otter_core::{compile, try_run, Engine, EngineOptions, OtterEngine, RunRequest};
+use otter_core::{compile, run_engine, try_run, Engine, EngineOptions, RunRequest};
 use otter_ir::{Instr, MatInit, RedOp, SExpr};
 use otter_lint::divergence::lint_scope;
 use otter_machine::meiko_cs2;
@@ -307,7 +307,7 @@ fn injected_crash_at_p8_names_dead_rank_and_blocked_peers() {
     );
 }
 
-/// The engine's string-error path still works: `Engine::run` folds the
+/// The engine's string-error path still works: `run_engine` folds the
 /// failure report into an `OtterError` whose message names the root
 /// cause, so callers that never opted into `try_run` keep working.
 #[test]
@@ -319,10 +319,7 @@ fn engine_run_formats_the_failure_report() {
     let opts = EngineOptions::builder()
         .faults(FaultPlan::new().crash(1, 1))
         .build();
-    let mut engine = OtterEngine::new(opts);
-    engine.prepare(&app.script).expect("compiles");
-    let err = engine
-        .run(&meiko_cs2(), 4)
+    let err = run_engine(Engine::Otter, &app.script, &opts, &meiko_cs2(), 4)
         .expect_err("the crash must surface");
     let msg = err.to_string();
     assert!(msg.contains("SPMD job failed"), "{msg}");

@@ -4,11 +4,8 @@
 //! properties let the fusion pass default to on without invalidating
 //! any figure, golden file, or cached artifact result.
 
-mod common;
-
-use common::run_compiled;
 use otter_core::engines::EngineOptionsBuilder;
-use otter_core::{compile, EngineOptions, EngineReport};
+use otter_core::{compile, run, EngineOptions, EngineReport, RunRequest};
 use otter_machine::meiko_cs2;
 
 /// An options builder with the loop-fusion pass on or off.
@@ -52,7 +49,8 @@ fn result_fingerprint(app: &otter_apps::App, report: &EngineReport) -> u64 {
 fn run_with(app: &otter_apps::App, opts: &EngineOptions, p: usize) -> EngineReport {
     let compiled =
         compile(&app.script, opts).unwrap_or_else(|e| panic!("{}: compile: {e}", app.id));
-    run_compiled(&compiled, &meiko_cs2(), p).unwrap_or_else(|e| panic!("{}: p={p}: {e}", app.id))
+    run(&compiled, &RunRequest::on(meiko_cs2(), p))
+        .unwrap_or_else(|e| panic!("{}: p={p}: {e}", app.id))
 }
 
 #[test]
@@ -122,14 +120,14 @@ fn a_thousand_link_fused_chain_runs_and_matches_unfused_bits() {
         let chains = fused.compiled().fusion_stats.elemwise_chains;
         assert!(chains >= 999, "only {chains} links fused");
         for p in [1usize, 4] {
-            let run = |a| {
-                let report = run_compiled(a, &meiko_cs2(), p);
+            let bits = |a| {
+                let report = run(a, &RunRequest::on(meiko_cs2(), p));
                 workspace_bits(
                     &report.unwrap_or_else(|e| panic!("p={p}: {e}")),
                     &["x", "y"],
                 )
             };
-            assert_eq!(run(&fused), run(&unfused), "p={p}");
+            assert_eq!(bits(&fused), bits(&unfused), "p={p}");
         }
     }
 }

@@ -7,7 +7,7 @@
 //! trace subsystem's dependency edges (the same `seq` numbers the
 //! critical-path analysis follows).
 
-use otter_core::{compile_str, run_engine, EngineOptions, OtterEngine};
+use otter_core::{compile_str, run, run_engine, Engine, EngineOptions, RunRequest};
 use otter_machine::meiko_cs2;
 use otter_trace::{EventKind, MemorySink, TraceSink};
 use std::collections::BTreeMap;
@@ -23,7 +23,7 @@ fn lint_clean_apps_complete_with_paired_sendrecv_at_all_rank_counts() {
         for p in [1usize, 2, 4, 8] {
             let sink = Arc::new(MemorySink::new());
             let opts = EngineOptions::builder().trace(Arc::clone(&sink)).build();
-            let report = run_engine(&mut OtterEngine::new(opts), &app.script, &meiko_cs2(), p)
+            let report = run_engine(Engine::Otter, &app.script, &opts, &meiko_cs2(), p)
                 .unwrap_or_else(|e| panic!("{} x{p}: {e}", app.id));
 
             // Completion: every rank reports a final clock — nobody is
@@ -84,13 +84,8 @@ fn fixture_scripts_also_run_to_completion() {
         let compiled = compile_str(src).unwrap();
         assert!(compiled.compiled().lint.divergence_free);
         for p in [1usize, 2, 4, 8] {
-            run_engine(
-                &mut OtterEngine::new(EngineOptions::default()),
-                src,
-                &meiko_cs2(),
-                p,
-            )
-            .unwrap_or_else(|e| panic!("fixture x{p}: {e}"));
+            run(&compiled, &RunRequest::on(meiko_cs2(), p))
+                .unwrap_or_else(|e| panic!("fixture x{p}: {e}"));
         }
     }
 }

@@ -10,10 +10,7 @@
 //! implementation. Programs are generated from a seeded [`DetRng`]
 //! stream, so every run (and every CI failure) is reproducible.
 
-mod common;
-
-use common::{run_compiled, run_interpreter};
-use otter_core::{compile, EngineOptions};
+use otter_core::{compile, run, run_engine, Engine, EngineOptions, RunRequest};
 use otter_det::DetRng;
 use otter_machine::{meiko_cs2, workstation};
 
@@ -106,7 +103,13 @@ fn render_stmt(s: &GenStmt) -> String {
 }
 
 fn check_program(src: &str) {
-    let base = match run_interpreter(src, &workstation()) {
+    let base = match run_engine(
+        Engine::Interpreter,
+        src,
+        &EngineOptions::default(),
+        &workstation(),
+        1,
+    ) {
         Ok(r) => r,
         Err(e) => panic!("interpreter rejected generated program: {e}\n{src}"),
     };
@@ -115,11 +118,11 @@ fn check_program(src: &str) {
         Err(e) => panic!("compiler rejected generated program: {e}\n{src}"),
     };
     for p in [1usize, 3, 4] {
-        let run = run_compiled(&compiled, &meiko_cs2(), p)
+        let report = run(&compiled, &RunRequest::on(meiko_cs2(), p))
             .unwrap_or_else(|e| panic!("execution failed (p={p}): {e}\n{src}"));
         for d in ["d0", "d1", "d2", "d3"] {
             let a = base.scalar(d).unwrap();
-            let b = run.scalar(d).unwrap();
+            let b = report.scalar(d).unwrap();
             let tol = 1e-9 * (1.0 + a.abs());
             assert!(
                 (a - b).abs() <= tol || (a.is_nan() && b.is_nan()),

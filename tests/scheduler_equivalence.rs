@@ -9,8 +9,6 @@
 //! and a deadlock, to prove the failure machinery is also
 //! pool-size-blind.
 
-mod common;
-
 use otter_core::{compile, run, EngineOptions, EngineReport, RunRequest};
 use otter_machine::meiko_cs2;
 use otter_mpi::{run_spmd_with, FaultPlan, SpmdOptions, WaitEdge};

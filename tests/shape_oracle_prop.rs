@@ -15,10 +15,8 @@
 //!   dimensions, equal the shapes the reference interpreter actually
 //!   produces for every surviving workspace matrix.
 
-mod common;
-
 use otter_core::analysis::{refined_shapes, Execs};
-use otter_core::{compile, EngineOptions};
+use otter_core::{compile, run, EngineOptions, RunRequest};
 use otter_machine::meiko_cs2;
 
 #[test]
@@ -30,7 +28,7 @@ fn oracle_is_exact_for_every_app_and_rank_count() {
         assert!(!predictions.is_empty(), "{}: no predictions", app.id);
 
         for p in [1usize, 2, 4, 8] {
-            let report = common::run_compiled(&artifact, &meiko_cs2(), p)
+            let report = run(&artifact, &RunRequest::on(meiko_cs2(), p))
                 .unwrap_or_else(|e| panic!("{} at p={p}: {e}", app.id));
             assert_eq!(
                 report.comm_sites.len(),
