@@ -65,6 +65,18 @@ pub struct SsaInfo {
     pub webs_per_var: BTreeMap<String, Vec<String>>,
     /// Map from final (web) names back to their base variable.
     pub base_of: BTreeMap<String, String>,
+    /// The web each base variable holds when the block ends — the web
+    /// of its current version after the last statement. A function's
+    /// outputs and the script's reported workspace read these webs.
+    pub exit_webs: BTreeMap<String, String>,
+}
+
+impl SsaInfo {
+    /// The web `name` holds when the block ends; `name` itself when it
+    /// has none (never referenced in the block).
+    pub fn exit_web<'a>(&'a self, name: &'a str) -> &'a str {
+        self.exit_webs.get(name).map_or(name, String::as_str)
+    }
 }
 
 /// Per-variable version state during the walk.
@@ -182,9 +194,13 @@ pub fn ssa_rename(block: &Block, params: &[String]) -> SsaInfo {
     let mut webs_per_var: BTreeMap<String, Vec<String>> = BTreeMap::new();
     let mut base_of: BTreeMap<String, String> = BTreeMap::new();
     let mut versions_per_var: BTreeMap<String, usize> = BTreeMap::new();
+    // Exit webs: where each variable's current version ended up. The
+    // entry version of a name never referenced has no web.
+    let mut exit_webs: BTreeMap<String, String> = BTreeMap::new();
     let names: Vec<String> = b.vers.ids.keys().cloned().collect();
     for name in names {
         let ids = b.vers.ids[&name].clone();
+        let exit_id = ids[b.vers.current[&name]];
         versions_per_var.insert(name.clone(), ids.len());
         let mut seen_roots: Vec<usize> = Vec::new();
         for id in ids {
@@ -208,6 +224,9 @@ pub fn ssa_rename(block: &Block, params: &[String]) -> SsaInfo {
                 web_name.insert(root, final_name);
             }
         }
+        if let Some(web) = web_name.get(&b.uf.find(exit_id)) {
+            exit_webs.insert(name, web.clone());
+        }
     }
 
     // Second walk: rename using the recorded version stream.
@@ -224,6 +243,7 @@ pub fn ssa_rename(block: &Block, params: &[String]) -> SsaInfo {
         versions_per_var,
         webs_per_var,
         base_of,
+        exit_webs,
     }
 }
 
@@ -611,6 +631,22 @@ mod tests {
             rename_src("x = 0;\nfor i = 1:3\nx = x + i;\nend\nx = [1, 2];\ny = x(1);");
         assert_eq!(info.webs_per_var["x"].len(), 2, "{printed}");
         assert!(printed.contains("y = x__1(1)"), "{printed}");
+    }
+
+    #[test]
+    fn exit_webs_name_the_last_definition() {
+        let (info, _) = rename_src("s = 1;\ns = s * 2;\nt = s;");
+        assert_eq!(info.exit_web("s"), "s__1");
+        assert_eq!(info.exit_web("t"), "t");
+        // The intermediate web of a loop body is not the exit web: the
+        // loop-carried one is.
+        let (info, printed) =
+            rename_src("c = 1;\nfor i = 1:3\nc = c * c;\nc = c + 1;\nend\nd = c;");
+        assert!(printed.contains("c__1 = c * c"), "{printed}");
+        assert_eq!(info.exit_web("c"), "c");
+        // Both arms of an `if` join into one web.
+        let (info, _) = rename_src("c = 1;\nx = 1;\nx = 2;\nif c > 0\nx = 3;\nend");
+        assert_eq!(info.exit_web("x"), "x__1");
     }
 
     #[test]

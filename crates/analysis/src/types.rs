@@ -47,10 +47,6 @@ impl BaseTy {
             (a, b) => a.max(b),
         }
     }
-
-    pub fn is_numeric(self) -> bool {
-        matches!(self, BaseTy::Integer | BaseTy::Real | BaseTy::Complex)
-    }
 }
 
 /// Rank lattice: scalar vs matrix (vectors are matrices with a
@@ -82,9 +78,8 @@ pub struct RankConflict;
 
 /// A symbolic dimension expression: the affine vocabulary the paper's
 /// sample-file mechanism needs. Symbols are minted from sample-file
-/// dimensions (`"cg.dat:rows"`) and M-file parameters; sums, products
-/// and ceil-divisions arise from concatenation, flattening (`v(:)`),
-/// and block distribution (`⌈n/p⌉`).
+/// dimensions (`"cg.dat:rows"`) and M-file parameters; sums and
+/// products arise from concatenation and flattening (`v(:)`).
 ///
 /// Expressions are hash-consed into a process-global interner, so a
 /// [`Dim`] stays `Copy`/`Eq`/`Hash` and id-equality *is* structural
@@ -99,8 +94,6 @@ pub enum DimExpr {
     Add(Dim, Dim),
     /// `a * b`, operands canonically ordered.
     Mul(Dim, Dim),
-    /// `ceil(a / k)` — block-distribution arithmetic.
-    CeilDiv(Dim, usize),
 }
 
 /// Handle of an interned [`DimExpr`].
@@ -177,17 +170,6 @@ impl Dim {
         }
     }
 
-    /// `ceil(a / k)`, constant-folded; `k` must be positive.
-    pub fn ceil_div(a: Dim, k: usize) -> Dim {
-        match (a, k) {
-            (_, 0) => Dim::Unknown,
-            (d, 1) => d,
-            (Dim::Known(n), k) => Dim::Known(n.div_ceil(k)),
-            (Dim::Unknown, _) => Dim::Unknown,
-            (d, k) => Dim::Sym(intern(DimExpr::CeilDiv(d, k))),
-        }
-    }
-
     pub fn join(self, other: Dim) -> Dim {
         if self == other {
             self
@@ -231,7 +213,6 @@ impl Dim {
                 DimExpr::Sym { sample, .. } => sample,
                 DimExpr::Add(a, b) => Some(a.eval_sample()? + b.eval_sample()?),
                 DimExpr::Mul(a, b) => Some(a.eval_sample()? * b.eval_sample()?),
-                DimExpr::CeilDiv(a, k) => Some(a.eval_sample()?.div_ceil(k)),
             },
         }
     }
@@ -281,7 +262,6 @@ impl fmt::Display for Dim {
                         write!(f, "{b}")
                     }
                 }
-                DimExpr::CeilDiv(a, k) => write!(f, "ceil({a}/{k})"),
             },
         }
     }
@@ -590,8 +570,6 @@ mod tests {
         assert_eq!(Dim::mul(n, Dim::Known(0)), Dim::Known(0));
         assert_eq!(Dim::mul(Dim::Unknown, Dim::Known(0)), Dim::Known(0));
         assert_eq!(Dim::add(n, Dim::Unknown), Dim::Unknown);
-        assert_eq!(Dim::ceil_div(Dim::Known(10), 4), Dim::Known(3));
-        assert_eq!(Dim::ceil_div(n, 1), n);
     }
 
     #[test]
@@ -601,7 +579,6 @@ mod tests {
         assert_eq!(r.eval_sample(), Some(12));
         assert_eq!(Dim::mul(r, c).eval_sample(), Some(60));
         assert_eq!(Dim::add(r, Dim::Known(1)).eval_sample(), Some(13));
-        assert_eq!(Dim::ceil_div(r, 8).eval_sample(), Some(2));
         // A parameter symbol with no sample cannot evaluate.
         let p = Dim::sym("f.param:x", None);
         assert_eq!(p.eval_sample(), None);
@@ -622,7 +599,6 @@ mod tests {
             Dim::mul(Dim::add(r, Dim::Known(1)), c).to_string(),
             "(1+a:rows)*a:cols"
         );
-        assert_eq!(Dim::ceil_div(r, 8).to_string(), "ceil(a:rows/8)");
     }
 
     #[test]

@@ -333,11 +333,7 @@ pub fn run_analyze(spec: &AnalyzeSpec) -> Result<AnalyzeReport, OtterError> {
     }
 
     Ok(AnalyzeReport {
-        scale: match spec.scale {
-            Scale::Paper => "paper".to_string(),
-            Scale::Test => "test".to_string(),
-            Scale::Large => "large".to_string(),
-        },
+        scale: spec.scale.name().to_string(),
         machine: machine.name.to_string(),
         ranks: spec.ranks.clone(),
         apps: out,

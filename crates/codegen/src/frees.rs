@@ -16,51 +16,15 @@ use otter_ir::*;
 /// outputs).
 pub fn insert_frees(p: &mut IrProgram) -> usize {
     let mut count = 0;
-    process_block(&mut p.main, &[], &mut count);
-    for f in p.functions.values_mut() {
-        let outs: Vec<String> = f.outs.iter().map(|(n, _)| n.clone()).collect();
-        process_block(&mut f.body, &outs, &mut count);
-    }
+    p.visit_blocks_mut(&mut |block, live_out| free_block(block, live_out, &mut count));
     count
 }
 
-fn is_temp(name: &str) -> bool {
-    name.starts_with("ML_tmp")
-}
-
-fn process_block(block: &mut Vec<Instr>, live_out: &[String], count: &mut usize) {
-    // Recurse first, threading while-condition liveness exactly like
-    // the peephole pass.
-    for instr in block.iter_mut() {
-        match instr {
-            Instr::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                process_block(then_body, live_out, count);
-                process_block(else_body, live_out, count);
-            }
-            Instr::While { pre, cond, body } => {
-                let mut live = live_out.to_vec();
-                sexpr_reads(cond, &mut live);
-                let mut pre_reads = Vec::new();
-                for i in pre.iter() {
-                    crate::peephole::instr_reads(i, &mut pre_reads);
-                }
-                let mut body_live = live.clone();
-                body_live.extend(pre_reads);
-                process_block(pre, &live, count);
-                process_block(body, &body_live, count);
-            }
-            Instr::For { body, .. } => process_block(body, live_out, count),
-            _ => {}
-        }
-    }
-    // Find each temp's defining index and last-use index in this block.
+/// Free each temporary defined in `block` after its last use there.
+fn free_block(block: &mut Vec<Instr>, live_out: &[String], count: &mut usize) {
     let mut i = 0;
     while i < block.len() {
-        let Some(dst) = crate::peephole::instr_dst(&block[i]) else {
+        let Some(dst) = block[i].dst().map(str::to_string) else {
             i += 1;
             continue;
         };
@@ -72,7 +36,7 @@ fn process_block(block: &mut Vec<Instr>, live_out: &[String], count: &mut usize)
         let mut last_use: Option<usize> = None;
         for (off, instr) in block[i + 1..].iter().enumerate() {
             let mut reads = Vec::new();
-            crate::peephole::instr_reads(instr, &mut reads);
+            instr.reads(&mut reads);
             if reads.iter().any(|r| r == &dst) {
                 last_use = Some(i + 1 + off);
             }

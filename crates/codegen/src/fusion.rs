@@ -19,9 +19,10 @@
 //!    quantize through 0/1 first).
 //!
 //! Legality is deliberately strict: the temporary must be
-//! compiler-generated (an `ML_tmp*` or an SSA rename containing
-//! `"__"`), every read of it program-wide must sit inside the adjacent
-//! consumer, and it must not escape as a function output. Producer and
+//! compiler-generated (an `ML_tmp*` or an SSA rename `x__N`), every
+//! read of it program-wide must sit inside the adjacent consumer, and
+//! it must not escape as a function output or as a web the script's
+//! workspace reports (an exit web). Producer and
 //! consumer are adjacent, so fusing never reorders reads or writes —
 //! results are bit-identical with fusion on or off. The pass runs
 //! after `frees` (so the temporary's `Free` exists to consume) and
@@ -56,15 +57,16 @@ impl FusionStats {
 /// Fuse a program in place; returns what was rewritten.
 pub fn fuse(p: &mut IrProgram) -> FusionStats {
     let mut stats = FusionStats::default();
+    let main_live = p.live_out();
     // One site per iteration: every rewrite invalidates the read
     // counts, so recount from scratch (programs are small).
     loop {
         let counts = read_counts(p);
-        let mut fused = fuse_one(&mut p.main, &[], &counts, &mut stats);
+        let mut fused = fuse_one(&mut p.main, &main_live, &counts, &mut stats);
         if !fused {
             for f in p.functions.values_mut() {
-                let outs: Vec<String> = f.outs.iter().map(|(n, _)| n.clone()).collect();
-                if fuse_one(&mut f.body, &outs, &counts, &mut stats) {
+                let live_out = f.live_out();
+                if fuse_one(&mut f.body, &live_out, &counts, &mut stats) {
                     fused = true;
                     break;
                 }
@@ -76,20 +78,18 @@ pub fn fuse(p: &mut IrProgram) -> FusionStats {
     }
 }
 
-/// A temporary the compiler made up (never a user variable).
+/// A temporary the compiler made up (never a user variable): an
+/// `ML_tmp*` or an SSA rename `x__N`.
 fn eligible(name: &str) -> bool {
-    name.starts_with("ML_tmp") || name.contains("__")
+    is_temp(name) || split_web(name).is_some()
 }
 
 /// Read occurrences of every name across the whole program
 /// (`Instr::reads` recurses into nested blocks; `Free` is not a read).
 fn read_counts(p: &IrProgram) -> HashMap<String, usize> {
     let mut reads = Vec::new();
-    for i in &p.main {
-        i.reads(&mut reads);
-    }
-    for f in p.functions.values() {
-        for i in &f.body {
+    for (_, body) in p.bodies() {
+        for i in body {
             i.reads(&mut reads);
         }
     }

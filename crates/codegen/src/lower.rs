@@ -148,7 +148,7 @@ impl<'a> Cx<'a> {
 
     fn fresh_tmp(&mut self, rank: VarRank) -> String {
         self.tmp += 1;
-        let name = format!("ML_tmp{}", self.tmp);
+        let name = format!("{TEMP_PREFIX}{}", self.tmp);
         TMP_RANKS.with(|t| t.borrow_mut().push((name.clone(), rank)));
         name
     }

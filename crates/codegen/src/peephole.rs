@@ -28,51 +28,15 @@ pub struct PeepholeStats {
 /// Optimize a program in place; returns what was rewritten.
 pub fn peephole(p: &mut IrProgram) -> PeepholeStats {
     let mut stats = PeepholeStats::default();
-    optimize_block(&mut p.main, &[], &mut stats);
-    for f in p.functions.values_mut() {
-        // Function outputs are live on exit.
-        let outs: Vec<String> = f.outs.iter().map(|(n, _)| n.clone()).collect();
-        optimize_block(&mut f.body, &outs, &mut stats);
-    }
+    p.visit_blocks_mut(&mut |block, live_out| optimize_block(block, live_out, &mut stats));
     stats
 }
 
-/// `live_out` — names read *after* this block by the enclosing
-/// construct: a `while` condition's variables for its pre/body blocks,
-/// the function outputs for a function body. Everything a rewrite
-/// wants to treat as dead must also be absent from this set.
+/// Rewrite one block whose nested blocks are already optimized.
+/// `live_out` — names read *after* this block (see
+/// [`visit_blocks_mut`]): everything a rewrite wants to treat as dead
+/// must also be absent from this set.
 fn optimize_block(block: &mut Vec<Instr>, live_out: &[String], stats: &mut PeepholeStats) {
-    // Recurse into nested blocks first.
-    for instr in block.iter_mut() {
-        match instr {
-            Instr::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                optimize_block(then_body, live_out, stats);
-                optimize_block(else_body, live_out, stats);
-            }
-            Instr::While { pre, cond, body } => {
-                // The condition executes after the pre-block (and the
-                // pre-block re-executes after the body), so its inputs
-                // are live-out of both.
-                let mut live = live_out.to_vec();
-                sexpr_reads(cond, &mut live);
-                // The pre-block also re-reads whatever it reads.
-                let mut pre_reads = Vec::new();
-                for i in pre.iter() {
-                    reads_of(i, &mut pre_reads);
-                }
-                let mut body_live = live.clone();
-                body_live.extend(pre_reads);
-                optimize_block(pre, &live, stats);
-                optimize_block(body, &body_live, stats);
-            }
-            Instr::For { body, .. } => optimize_block(body, live_out, stats),
-            _ => {}
-        }
-    }
     // Iterate local rewrites until a fixed point.
     loop {
         let before = *stats;
@@ -119,12 +83,9 @@ fn eliminate_dead(block: &mut Vec<Instr>, live_out: &[String], stats: &mut Peeph
     let mut i = 0;
     while i < block.len() {
         let removable = is_pure(&block[i])
-            && match dst_of(&block[i]) {
-                Some(d) => {
-                    is_temp(&d) && !used_later(&d, &block[i + 1..]) && !live_out.contains(&d)
-                }
-                None => false,
-            };
+            && block[i].dst().is_some_and(|d| {
+                is_temp(d) && !used_later(d, &block[i + 1..]) && !live_out.iter().any(|l| l == d)
+            });
         if removable {
             block.remove(i);
             stats.dead_removed += 1;
@@ -134,42 +95,12 @@ fn eliminate_dead(block: &mut Vec<Instr>, live_out: &[String], stats: &mut Peeph
     }
 }
 
-fn is_temp(name: &str) -> bool {
-    name.starts_with("ML_tmp")
-}
-
-/// All variable names an instruction *reads* (conservatively includes
-/// nested blocks). Thin crate-wide alias over [`Instr::reads`], which
-/// moved into `otter-ir` so the lint analyses share the exact same
-/// liveness facts as the rewrites here.
-pub(crate) fn instr_reads(instr: &Instr, out: &mut Vec<String>) {
-    instr.reads(out)
-}
-
-/// The destination an instruction writes, if any (crate-wide alias
-/// over [`Instr::dst`]).
-pub(crate) fn instr_dst(instr: &Instr) -> Option<String> {
-    dst_of(instr)
-}
-
-fn reads_of(instr: &Instr, out: &mut Vec<String>) {
-    instr.reads(out)
-}
-
-fn dst_of(instr: &Instr) -> Option<String> {
-    instr.dst().map(str::to_string)
-}
-
-fn dst_of_mut(instr: &mut Instr) -> Option<&mut String> {
-    instr.dst_mut()
-}
-
 /// Is a temp read anywhere in `rest`? (Temps are single-assignment by
 /// construction, so reads are the only conflict.)
 fn used_later(name: &str, rest: &[Instr]) -> bool {
     let mut reads = Vec::new();
     for i in rest {
-        reads_of(i, &mut reads);
+        i.reads(&mut reads);
     }
     reads.iter().any(|r| r == name)
 }
@@ -181,7 +112,7 @@ fn collapse_pairs(block: &mut Vec<Instr>, live_out: &[String], stats: &mut Peeph
         let collapse = match (&block[i], &block[i + 1]) {
             (first, Instr::CopyMatrix { dst, src })
                 if is_temp(src)
-                    && dst_of(first).as_deref() == Some(src)
+                    && first.dst() == Some(src.as_str())
                     && !used_later(src, &block[i + 2..])
                     && !live_out.contains(src)
                     && dst != src =>
@@ -195,7 +126,7 @@ fn collapse_pairs(block: &mut Vec<Instr>, live_out: &[String], stats: &mut Peeph
                     expr: EwExpr::Mat(src),
                 },
             ) if is_temp(src)
-                && dst_of(first).as_deref() == Some(src.as_str())
+                && first.dst() == Some(src.as_str())
                 && !used_later(src, &block[i + 2..])
                 && !live_out.contains(src)
                 && dst != src =>
@@ -209,7 +140,7 @@ fn collapse_pairs(block: &mut Vec<Instr>, live_out: &[String], stats: &mut Peeph
                     src: SExpr::Var(src),
                 },
             ) if is_temp(src)
-                && dst_of(first).as_deref() == Some(src.as_str())
+                && first.dst() == Some(src.as_str())
                 && !used_later(src, &block[i + 2..])
                 && !live_out.contains(src)
                 && dst != src =>
@@ -219,7 +150,7 @@ fn collapse_pairs(block: &mut Vec<Instr>, live_out: &[String], stats: &mut Peeph
             _ => None,
         };
         if let Some((new_dst, scalar)) = collapse {
-            if let Some(d) = dst_of_mut(&mut block[i]) {
+            if let Some(d) = block[i].dst_mut() {
                 *d = new_dst;
             }
             block.remove(i + 1);

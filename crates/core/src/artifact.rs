@@ -333,22 +333,26 @@ pub fn try_run(
                 // benchmarked computation). Tracing stops at the same
                 // point so event totals keep matching the stats.
                 let finished = comm.freeze();
-                // Gather every matrix to rank 0, the only rank whose
-                // workspace the report reads: one copy per matrix, on
-                // one rank. Iterate in sorted order: gathers are
-                // collectives, so every rank must visit variables in
-                // the same sequence.
-                let mut local: Vec<(String, XVal)> = o.workspace.drain().collect();
-                local.sort_by(|a, b| a.0.cmp(&b.0));
+                // The workspace is each script variable's exit web,
+                // under its source name; temporaries and superseded
+                // webs stay behind. Gather every matrix to rank 0, the
+                // only rank whose workspace the report reads: one copy
+                // per matrix, on one rank. Iterate in name order:
+                // gathers are collectives, so every rank must visit
+                // variables in the same sequence.
+                let mut webs = std::mem::take(&mut o.workspace);
                 let root = comm.rank() == 0;
                 let mut workspace: HashMap<String, Value> = HashMap::new();
-                for (name, val) in local {
+                for (name, web) in &compiled.ir.exit_webs {
+                    let Some(val) = webs.remove(web) else {
+                        continue;
+                    };
                     let val = match val {
                         XVal::S(v) => root.then_some(Value::Scalar(v)),
                         XVal::M(m) => m.gather_to(comm, 0)?.map(|d| Value::Matrix(d).normalized()),
                     };
                     if let Some(val) = val {
-                        workspace.insert(name, val);
+                        workspace.insert(name.clone(), val);
                     }
                 }
                 Ok(Ok(RankOutput {

@@ -125,14 +125,23 @@ pub fn compile_with(
         |program| Artefact::Ast(program),
     )?;
 
-    // Pass 3: SSA web renaming + type/rank/shape inference.
-    let (program, inference) = rec.stage(
+    // Pass 3: SSA web renaming + type/rank/shape inference. A function
+    // returns the webs its outputs hold at the end of its body; the
+    // script's exit webs are what the workspace reports.
+    let (program, inference, exit_webs) = rec.stage(
         "ssa-infer",
         || {
             let mut program = program;
-            program.script = ssa_rename(&program.script, &[]).block;
+            let script = ssa_rename(&program.script, &[]);
+            program.script = script.block;
             for f in &mut program.functions {
-                f.body = ssa_rename(&f.body, &f.params).block;
+                let info = ssa_rename(&f.body, &f.params);
+                f.outs = f
+                    .outs
+                    .iter()
+                    .map(|o| info.exit_web(o).to_string())
+                    .collect();
+                f.body = info.block;
             }
             let inference = infer(
                 &program,
@@ -140,15 +149,19 @@ pub fn compile_with(
                     data_dir: opts.data_dir.clone(),
                 },
             )?;
-            Ok((program, inference))
+            Ok((program, inference, script.exit_webs))
         },
-        |(program, _)| Artefact::Ast(program),
+        |(program, _, _)| Artefact::Ast(program),
     )?;
 
     // Pass 4: expression rewriting — lower the typed AST to SPMD IR.
     let mut ir = rec.stage(
         "rewrite",
-        || Ok(lower(&program, &inference)?),
+        || {
+            let mut ir = lower(&program, &inference)?;
+            ir.exit_webs = exit_webs;
+            Ok(ir)
+        },
         |ir| Artefact::Ir(ir),
     )?;
 

@@ -27,31 +27,37 @@ fn check_matches_interpreter(src: &str, vars: &[&str]) {
     for p in [1usize, 2, 3, 4, 8] {
         let run = otter(src, p);
         for v in vars {
-            let a = base
-                .workspace
-                .get(*v)
-                .unwrap_or_else(|| panic!("interp lacks {v}"));
-            let b = run
-                .workspace
-                .get(*v)
-                .unwrap_or_else(|| panic!("otter lacks {v}"));
-            match (a.to_matrix(), b.to_matrix()) {
-                (Some(ma), Some(mb)) => {
-                    assert_eq!(
-                        (ma.rows(), ma.cols()),
-                        (mb.rows(), mb.cols()),
-                        "{v} shape, p={p}"
-                    );
-                    for (x, y) in ma.data().iter().zip(mb.data()) {
-                        assert!(
-                            (x - y).abs() <= 1e-9 * (1.0 + x.abs()),
-                            "{v}: {x} vs {y} (p={p})"
-                        );
-                    }
-                }
-                _ => panic!("{v} not numeric"),
+            assert_same_value(&base, &run, v, p);
+        }
+    }
+}
+
+/// `v` has the same shape in both reports and equal elements, up to
+/// the reassociation of reductions across ranks.
+fn assert_same_value(want: &EngineReport, got: &EngineReport, v: &str, p: usize) {
+    let a = want
+        .workspace
+        .get(v)
+        .unwrap_or_else(|| panic!("{} lacks {v}", want.engine));
+    let b = got
+        .workspace
+        .get(v)
+        .unwrap_or_else(|| panic!("{} lacks {v} (p={p})", got.engine));
+    match (a.to_matrix(), b.to_matrix()) {
+        (Some(ma), Some(mb)) => {
+            assert_eq!(
+                (ma.rows(), ma.cols()),
+                (mb.rows(), mb.cols()),
+                "{v} shape, p={p}"
+            );
+            for (x, y) in ma.data().iter().zip(mb.data()) {
+                assert!(
+                    (x - y).abs() <= 1e-9 * (1.0 + x.abs()),
+                    "{v}: {x} vs {y} (p={p})"
+                );
             }
         }
+        _ => panic!("{v} not numeric"),
     }
 }
 
@@ -146,6 +152,51 @@ fn user_functions_compiled() {
     let run = run_engine(Engine::Otter, src, &opts, &meiko_cs2(), 3).unwrap();
     assert_eq!(base.scalar("d"), run.scalar("d"));
     assert!((run.scalar("d").unwrap() - (2.0f64 * 2.0 * 6.0).sqrt()).abs() < 1e-12);
+}
+
+#[test]
+fn function_outputs_return_their_exit_web() {
+    // Each output is redefined straight-line, so its final value lives
+    // in a later SSA web than its first definition (or its parameter).
+    let m = MapProvider::new()
+        .with("f", "function s = f(v)\ns = sum(v);\ns = s * 2;\n")
+        .with("dbl", "function x = dbl(x)\nx = x * 2;\n");
+    let opts = EngineOptions {
+        m_files: Some(m),
+        ..Default::default()
+    };
+    let src = "v = ones(2, 1);\nr = f(v);\nw = dbl(v);";
+    let base = run_engine(Engine::Interpreter, src, &opts, &workstation(), 1).unwrap();
+    assert_eq!(base.scalar("r"), Some(4.0));
+    for p in [1usize, 4] {
+        let run = run_engine(Engine::Otter, src, &opts, &meiko_cs2(), p).unwrap();
+        for v in ["r", "w"] {
+            assert_same_value(&base, &run, v, p);
+        }
+    }
+}
+
+#[test]
+fn app_workspaces_match_the_interpreter() {
+    let opts = EngineOptions::default();
+    for app in otter_apps::test_apps() {
+        let want = run_engine(Engine::Interpreter, &app.script, &opts, &workstation(), 1)
+            .unwrap_or_else(|e| panic!("{}: {e}", app.id));
+        let artifact = compile(&app.script, &opts).unwrap();
+        for p in [1usize, 4] {
+            let got = run(&artifact, &RunRequest::on(meiko_cs2(), p))
+                .unwrap_or_else(|e| panic!("{} at p={p}: {e}", app.id));
+            // Source names only: no SSA web or temporary is reported.
+            let mut names: Vec<&String> = got.workspace.keys().collect();
+            let mut want_names: Vec<&String> = want.workspace.keys().collect();
+            names.sort();
+            want_names.sort();
+            assert_eq!(names, want_names, "{} at p={p}", app.id);
+            for v in want_names {
+                assert_same_value(&want, &got, v, p);
+            }
+        }
+    }
 }
 
 #[test]
@@ -668,11 +719,14 @@ fn nesting_at_the_parser_cap_compiles_end_to_end() {
         assert!(err.to_string().starts_with("error[parse] 2:"), "{err}");
         assert!(err.to_string().ends_with(&expected), "{err}");
     }
-    // Blocks around `x + 1`, itself two levels.
-    let blocks = format!(
-        "x = 0;\n{}x = x + 1;\n{}",
-        "if x < 1\n".repeat(cap - 2),
-        "end\n".repeat(cap - 2)
-    );
-    compile_on_small_stack(blocks).expect("blocks at the cap");
+    // Blocks around `x + 1`, itself two levels. The `for` nest puts
+    // every loop-depth-sensitive analysis at the cap.
+    for header in ["if x < 1\n", "for i = 1:2\n"] {
+        let blocks = format!(
+            "x = 0;\n{}x = x + 1;\n{}",
+            header.repeat(cap - 2),
+            "end\n".repeat(cap - 2)
+        );
+        compile_on_small_stack(blocks).expect("blocks at the cap");
+    }
 }

@@ -817,60 +817,28 @@ pub struct IrProgram {
     /// Script variables proven safe to update in place. Filled by the
     /// analyze pass; metadata only.
     pub in_place: BTreeSet<String>,
+    /// The SSA web each script variable holds when the script ends,
+    /// keyed by source name. The workspace report reads these webs
+    /// under their source names, so they are live on exit.
+    pub exit_webs: BTreeMap<String, String>,
 }
 
 impl IrProgram {
-    /// Count instructions recursively (used by compiler statistics and
-    /// the peephole pass's tests).
+    /// Every instruction of every scope, nested bodies included (used
+    /// by compiler statistics and the peephole pass's tests).
     pub fn instr_count(&self) -> usize {
-        fn count(body: &[Instr]) -> usize {
-            body.iter()
-                .map(|i| match i {
-                    Instr::If {
-                        then_body,
-                        else_body,
-                        ..
-                    } => 1 + count(then_body) + count(else_body),
-                    Instr::While { pre, body, .. } => 1 + count(pre) + count(body),
-                    Instr::For { body, .. } => 1 + count(body),
-                    _ => 1,
-                })
-                .sum()
-        }
-        count(&self.main)
-            + self
-                .functions
-                .values()
-                .map(|f| count(&f.body))
-                .sum::<usize>()
+        self.instrs().count()
     }
 
-    /// Count instructions (recursively) that call into the `ML_*`
-    /// run-time library — the "runtime-call count" pass statistic.
+    /// Instructions that call into the `ML_*` run-time library — the
+    /// "runtime-call count" pass statistic.
     pub fn runtime_call_count(&self) -> usize {
-        fn count(body: &[Instr]) -> usize {
-            body.iter()
-                .map(|i| {
-                    let own = usize::from(i.is_runtime_call());
-                    match i {
-                        Instr::If {
-                            then_body,
-                            else_body,
-                            ..
-                        } => own + count(then_body) + count(else_body),
-                        Instr::While { pre, body, .. } => own + count(pre) + count(body),
-                        Instr::For { body, .. } => own + count(body),
-                        _ => own,
-                    }
-                })
-                .sum()
-        }
-        count(&self.main)
-            + self
-                .functions
-                .values()
-                .map(|f| count(&f.body))
-                .sum::<usize>()
+        self.instrs().filter(|i| i.is_runtime_call()).count()
+    }
+
+    fn instrs(&self) -> impl Iterator<Item = &Instr> {
+        self.bodies()
+            .flat_map(|(_, body)| crate::walk::preorder(body).map(|(i, _)| i))
     }
 }
 

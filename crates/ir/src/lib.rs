@@ -15,12 +15,20 @@
 //! element-wise work remains as expression trees ([`EwExpr`]) that
 //! compile to communication-free per-element loops. Scalar expressions
 //! ([`SExpr`]) are replicated computations, identical on every rank.
+//!
+//! Passes and analyses walk nested bodies through the two traversals
+//! in [`walk`], and read the temporary/SSA-web naming rules from
+//! [`names`].
 
 pub mod display;
 pub mod flow;
 pub mod instr;
+pub mod names;
 pub mod sites;
+pub mod walk;
 
 pub use flow::{sexpr_reads, CommProfile};
 pub use instr::*;
+pub use names::{is_temp, split_web, web_name, TEMP_PREFIX};
 pub use sites::{is_leaf, leaf_sites, SiteRef};
+pub use walk::{preorder, visit_blocks_mut};

@@ -19,6 +19,7 @@
 //! the callee).
 
 use crate::instr::{Instr, IrProgram};
+use crate::walk::preorder;
 
 /// Where a site lives, for display.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,53 +48,23 @@ pub fn is_leaf(i: &Instr) -> bool {
     )
 }
 
-fn walk<'p, F: FnMut(&'p Instr, u32)>(body: &'p [Instr], depth: u32, f: &mut F) {
-    for i in body {
-        match i {
-            Instr::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                walk(then_body, depth, f);
-                walk(else_body, depth, f);
-            }
-            Instr::While { pre, body, .. } => {
-                walk(pre, depth + 1, f);
-                walk(body, depth + 1, f);
-            }
-            Instr::For { body, .. } => walk(body, depth + 1, f),
-            Instr::Call { .. } | Instr::Break | Instr::Continue => {}
-            leaf => f(leaf, depth),
-        }
-    }
-}
-
-/// Enumerate every leaf site of `prog` in the canonical order.
+/// Enumerate every leaf site of `prog` in the canonical order: the
+/// leaves of [`preorder`] over each of [`IrProgram::bodies`].
 pub fn leaf_sites(prog: &IrProgram) -> Vec<SiteRef<'_>> {
-    let mut out = Vec::new();
-    let mut id = 0u32;
-    walk(&prog.main, 0, &mut |instr, loop_depth| {
-        out.push(SiteRef {
+    prog.bodies()
+        .flat_map(|(func, body)| {
+            preorder(body)
+                .filter(|(i, _)| is_leaf(i))
+                .map(move |(instr, loop_depth)| (func, instr, loop_depth))
+        })
+        .zip(0..)
+        .map(|((func, instr, loop_depth), id)| SiteRef {
             id,
-            func: None,
+            func,
             instr,
             loop_depth,
-        });
-        id += 1;
-    });
-    for (name, f) in &prog.functions {
-        walk(&f.body, 0, &mut |instr, loop_depth| {
-            out.push(SiteRef {
-                id,
-                func: Some(name.as_str()),
-                instr,
-                loop_depth,
-            });
-            id += 1;
-        });
-    }
-    out
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -114,32 +114,11 @@ pub trait Analysis {
 /// All variables defined anywhere inside a block, nested bodies
 /// included.
 pub fn block_defs(body: &[Instr]) -> BTreeSet<String> {
-    fn walk(body: &[Instr], out: &mut BTreeSet<String>) {
-        for instr in body {
-            let mut defs = Vec::new();
-            instr.defs(&mut defs);
-            out.extend(defs);
-            match instr {
-                Instr::If {
-                    then_body,
-                    else_body,
-                    ..
-                } => {
-                    walk(then_body, out);
-                    walk(else_body, out);
-                }
-                Instr::While { pre, body, .. } => {
-                    walk(pre, out);
-                    walk(body, out);
-                }
-                Instr::For { body, .. } => walk(body, out),
-                _ => {}
-            }
-        }
+    let mut defs = Vec::new();
+    for (instr, _) in preorder(body) {
+        instr.defs(&mut defs);
     }
-    let mut out = BTreeSet::new();
-    walk(body, &mut out);
-    out
+    defs.into_iter().collect()
 }
 
 /// Run an analysis over a block in execution order.

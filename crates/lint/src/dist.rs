@@ -316,9 +316,9 @@ impl Analysis for AvailBcast {
     }
 }
 
-/// Lint 3: distributed values never consumed. `live_out` names
-/// (function outputs) and final SSA webs of user variables are
-/// workspace-visible and never flagged.
+/// Lint 3: distributed values never consumed. `live_out` names (the
+/// script's exit webs, a function's outputs) and the highest web of
+/// each user variable are never flagged.
 pub fn dead_distributed(
     body: &[Instr],
     ranks: &BTreeMap<String, VarRank>,
@@ -332,93 +332,49 @@ pub fn dead_distributed(
     }
     let read_set: BTreeSet<&String> = reads.iter().collect();
 
-    // Final web per base name: `x` is web 0, `x__N` is web N; only
-    // the highest web of a base is workspace-live at end of scope.
-    let mut final_web: BTreeMap<String, usize> = BTreeMap::new();
+    // Highest web per base name (`x` is web 0, `x__N` is web N): an
+    // unread web below it was overwritten by a later one.
+    fn web_of(name: &str) -> (&str, usize) {
+        split_web(name).unwrap_or((name, 0))
+    }
+    let mut final_web: BTreeMap<&str, usize> = BTreeMap::new();
     for name in ranks.keys() {
-        let (base, web) = split_web(name);
-        let e = final_web.entry(base.to_string()).or_insert(web);
+        let (base, web) = web_of(name);
+        let e = final_web.entry(base).or_insert(web);
         *e = (*e).max(web);
     }
 
     // First definition of each candidate, in program order.
-    let mut seen: BTreeSet<String> = BTreeSet::new();
-    visit_defs(body, &mut |instr: &Instr| {
-        let Some(dst) = instr.dst() else { return };
-        if !seen.insert(dst.to_string()) {
-            return;
+    let mut seen: BTreeSet<&str> = BTreeSet::new();
+    for (instr, _) in preorder(body) {
+        let Some(dst) = instr.dst() else { continue };
+        if !seen.insert(dst) {
+            continue;
         }
         if !matches!(ranks.get(dst), Some(VarRank::Matrix)) {
-            return; // only *distributed* values
+            continue; // only *distributed* values
         }
         if read_set.contains(&dst.to_string()) || live_out.iter().any(|o| o == dst) {
-            return;
+            continue;
         }
-        let (base, web) = split_web(dst);
-        let flagged = if dst.starts_with("ML_tmp") {
-            true // compiler temp nobody consumes
+        let (base, web) = web_of(dst);
+        let superseded = if is_temp(dst) {
+            String::new() // compiler temp nobody consumes
         } else {
             // A superseded SSA web: a later web of the same base
             // exists, so this def was overwritten without a read.
-            final_web.get(base).is_some_and(|f| *f > web)
+            match final_web.get(base) {
+                Some(&f) if f > web => format!(" before `{}` overwrites it", web_name(base, f)),
+                _ => continue,
+            }
         };
-        if flagged {
-            let superseded = if dst.starts_with("ML_tmp") {
-                String::new()
-            } else {
-                format!(
-                    " before `{}` overwrites it",
-                    rejoin_web(base, final_web[base])
-                )
-            };
-            findings.push(Finding {
-                anchor: dst.to_string(),
-                message: format!(
-                    "dead distributed value: `{dst}` is allocated and computed on every \
-                     rank but never read{superseded}"
-                ),
-            });
-        }
-    });
-}
-
-/// Split `x__3` into (`x`, 3); plain names are web 0.
-fn split_web(name: &str) -> (&str, usize) {
-    if let Some(pos) = name.rfind("__") {
-        if let Ok(web) = name[pos + 2..].parse::<usize>() {
-            return (&name[..pos], web);
-        }
-    }
-    (name, 0)
-}
-
-fn rejoin_web(base: &str, web: usize) -> String {
-    if web == 0 {
-        base.to_string()
-    } else {
-        format!("{base}__{web}")
-    }
-}
-
-fn visit_defs(body: &[Instr], f: &mut impl FnMut(&Instr)) {
-    for instr in body {
-        f(instr);
-        match instr {
-            Instr::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                visit_defs(then_body, f);
-                visit_defs(else_body, f);
-            }
-            Instr::While { pre, body, .. } => {
-                visit_defs(pre, f);
-                visit_defs(body, f);
-            }
-            Instr::For { body, .. } => visit_defs(body, f),
-            _ => {}
-        }
+        findings.push(Finding {
+            anchor: dst.to_string(),
+            message: format!(
+                "dead distributed value: `{dst}` is allocated and computed on every \
+                 rank but never read{superseded}"
+            ),
+        });
     }
 }
 

@@ -242,48 +242,6 @@ impl Analysis for DivergenceAnalysis {
     }
 }
 
-/// Static communication-site census of one scope (nested bodies
-/// included) — the denominator for send/recv matching.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct CommSites {
-    pub point_to_point: usize,
-    pub collective: usize,
-}
-
-pub fn count_sites(body: &[Instr]) -> CommSites {
-    let mut sites = CommSites::default();
-    walk_sites(body, &mut sites);
-    sites
-}
-
-fn walk_sites(body: &[Instr], sites: &mut CommSites) {
-    for instr in body {
-        let p = instr.comm_profile();
-        if p.point_to_point {
-            sites.point_to_point += 1;
-        }
-        if p.collective {
-            sites.collective += 1;
-        }
-        match instr {
-            Instr::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                walk_sites(then_body, sites);
-                walk_sites(else_body, sites);
-            }
-            Instr::While { pre, body, .. } => {
-                walk_sites(pre, sites);
-                walk_sites(body, sites);
-            }
-            Instr::For { body, .. } => walk_sites(body, sites),
-            _ => {}
-        }
-    }
-}
-
 /// Run the divergence lint over one scope. Returns the findings plus
 /// whether the scope is provably divergence-free.
 pub fn lint_scope(body: &[Instr], predefined: &[String]) -> (Vec<Finding>, bool) {
@@ -433,25 +391,5 @@ mod tests {
         let body = vec![reduce("s", "m")];
         let seeds = read_before_def(&body, &["m".to_string()]);
         assert!(seeds.is_empty());
-    }
-
-    #[test]
-    fn site_census_counts_comm_classes() {
-        let body = vec![
-            Instr::Transpose {
-                dst: "b".into(),
-                a: "a".into(),
-            },
-            Instr::For {
-                var: "i".into(),
-                start: SExpr::c(1.0),
-                step: SExpr::c(1.0),
-                stop: SExpr::c(3.0),
-                body: vec![reduce("s", "a")],
-            },
-        ];
-        let sites = count_sites(&body);
-        assert_eq!(sites.point_to_point, 1);
-        assert_eq!(sites.collective, 1);
     }
 }

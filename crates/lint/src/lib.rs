@@ -13,8 +13,9 @@
 //!   and dead distributed values.
 //! * [`divergence`] — rank-dependence taint analysis flagging
 //!   communication reachable only under rank-divergent control flow
-//!   (collective deadlock / unpaired point-to-point traffic), plus a
-//!   static census of communication sites.
+//!   (collective deadlock / unpaired point-to-point traffic).
+//!   [`lint_program`] adds a static census of communication sites, a
+//!   fold of `comm_profile` over [`otter_ir::leaf_sites`].
 //! * [`shape`] — shape-safety *errors* (mismatched elementwise /
 //!   matmul / dot operands, constant indices provably out of bounds)
 //!   plus the SSA-web in-place legality analysis, both driven by the
@@ -33,7 +34,7 @@ pub mod oracle;
 pub mod shape;
 
 use otter_frontend::{Diagnostic, Span};
-use otter_ir::{IrFunction, IrProgram, VarRank};
+use otter_ir::{leaf_sites, IrFunction, IrProgram, VarRank};
 use std::collections::BTreeMap;
 
 /// A raw lint finding: a message anchored to the variable whose
@@ -89,27 +90,33 @@ pub fn lint_program(p: &IrProgram) -> LintReport {
         sendrecv_matched: true,
         ..Default::default()
     };
-    let mut raw: Vec<(Finding, Span)> = Vec::new();
+    // The communication-site census: the denominator for send/recv
+    // matching.
+    for site in leaf_sites(p) {
+        let profile = site.instr.comm_profile();
+        report.p2p_sites += usize::from(profile.point_to_point);
+        report.collective_sites += usize::from(profile.collective);
+    }
 
+    let mut raw: Vec<(Finding, Span)> = Vec::new();
     lint_scope(
         &p.main,
         &p.var_ranks,
         &p.def_spans,
         &[],
-        &[],
+        &p.live_out(),
         None,
         &mut raw,
         &mut report,
     );
     for f in p.functions.values() {
         let params: Vec<String> = f.params.iter().map(|(n, _)| n.clone()).collect();
-        let outs: Vec<String> = f.outs.iter().map(|(n, _)| n.clone()).collect();
         lint_scope(
             &f.body,
             &f.var_ranks,
             &f.def_spans,
             &params,
-            &outs,
+            &f.live_out(),
             Some(f),
             &mut raw,
             &mut report,
@@ -172,10 +179,6 @@ fn lint_scope(
     findings.extend(div_findings);
     report.divergence_free &= free;
 
-    let sites = divergence::count_sites(body);
-    report.p2p_sites += sites.point_to_point;
-    report.collective_sites += sites.collective;
-
     for mut f in findings {
         if f.message.starts_with("send/recv mismatch") {
             report.sendrecv_matched = false;
@@ -228,6 +231,43 @@ mod tests {
         assert!(r.sendrecv_matched);
         assert_eq!(r.collective_sites, 1);
         assert_eq!(r.p2p_sites, 0);
+    }
+
+    #[test]
+    fn site_census_counts_comm_classes() {
+        let reduce = |dst: &str| Instr::Reduce {
+            dst: dst.into(),
+            op: RedOp::SumAll,
+            m: "a".into(),
+        };
+        let mut p = IrProgram {
+            main: vec![
+                Instr::Transpose {
+                    dst: "b".into(),
+                    a: "a".into(),
+                },
+                Instr::For {
+                    var: "i".into(),
+                    start: SExpr::c(1.0),
+                    step: SExpr::c(1.0),
+                    stop: SExpr::c(3.0),
+                    body: vec![reduce("s")],
+                },
+            ],
+            ..Default::default()
+        };
+        // Function bodies count too.
+        p.functions.insert(
+            "f".into(),
+            IrFunction {
+                name: "f".into(),
+                body: vec![reduce("t")],
+                ..Default::default()
+            },
+        );
+        let r = lint_program(&p);
+        assert_eq!(r.p2p_sites, 1);
+        assert_eq!(r.collective_sites, 2);
     }
 
     #[test]

@@ -27,7 +27,9 @@
 //! p ∈ {1, 2, 4, 8}.
 
 use otter_analysis::{Dim, Shape};
-use otter_ir::{leaf_sites, DimSel, Instr, IrProgram, MatInit, PrintTarget, RedOp, SExpr, VarRank};
+use otter_ir::{
+    leaf_sites, preorder, DimSel, Instr, IrProgram, MatInit, PrintTarget, RedOp, SExpr, VarRank,
+};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -768,19 +770,13 @@ pub fn refined_shapes(
     shapes: &BTreeMap<String, Shape>,
     consts: &BTreeMap<String, f64>,
 ) -> BTreeMap<String, Shape> {
-    let mut out = shapes.clone();
-    refine_walk(body, consts, &mut out);
-    out
-}
-
-fn refine_walk(
-    body: &[Instr],
-    consts: &BTreeMap<String, f64>,
-    shapes: &mut BTreeMap<String, Shape>,
-) {
-    for i in body {
+    let mut shapes = shapes.clone();
+    for (i, _) in preorder(body) {
         // Borrow-friendly one-shot context over the growing map.
-        let cx = Scope { shapes, consts };
+        let cx = Scope {
+            shapes: &shapes,
+            consts,
+        };
         let ev = |e: &SExpr| cx.eval(e).filter(|v| *v >= 0.0).map(|v| v as usize);
         let dims = |v: &str| cx.shape(v).concrete();
         let derived: Option<(String, usize, usize)> = match i {
@@ -825,23 +821,8 @@ fn refine_walk(
         if let Some((dst, r, c)) = derived {
             shapes.entry(dst).or_insert_with(|| Shape::known(r, c));
         }
-        match i {
-            Instr::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                refine_walk(then_body, consts, shapes);
-                refine_walk(else_body, consts, shapes);
-            }
-            Instr::While { pre, body, .. } => {
-                refine_walk(pre, consts, shapes);
-                refine_walk(body, consts, shapes);
-            }
-            Instr::For { body, .. } => refine_walk(body, consts, shapes),
-            _ => {}
-        }
     }
+    shapes
 }
 
 /// Predict every leaf site of a program, in [`leaf_sites`] order.
@@ -885,26 +866,6 @@ pub fn predict(prog: &IrProgram) -> Vec<SitePrediction> {
             model,
         })
         .collect()
-}
-
-/// Whole-program totals at machine size `p`: `Σ_site per_exec(p) ·
-/// execs` over sites with static trip counts. `None` if any site with
-/// a non-free model is dynamic or unresolved (the caller should fall
-/// back to per-site comparison with measured exec counts).
-pub fn total_static(preds: &[SitePrediction], p: usize) -> Option<SiteCost> {
-    let mut total = SiteCost::default();
-    for s in preds {
-        let per = s.model.per_exec(p)?;
-        match s.execs {
-            Execs::Static(n) => {
-                total.messages += per.messages * n;
-                total.bytes += per.bytes * n;
-            }
-            Execs::Dynamic if per == SiteCost::default() => {}
-            Execs::Dynamic => return None,
-        }
-    }
-    Some(total)
 }
 
 #[cfg(test)]
@@ -1044,13 +1005,6 @@ mod tests {
                 bytes: 48
             }
         );
-        assert_eq!(
-            total_static(&preds, 4).unwrap(),
-            SiteCost {
-                messages: 120,
-                bytes: 960
-            }
-        );
     }
 
     #[test]
@@ -1086,7 +1040,6 @@ mod tests {
         let preds = predict(&prog);
         assert_eq!(preds.len(), 2);
         assert!(preds.iter().all(|s| s.execs == Execs::Dynamic));
-        assert_eq!(total_static(&preds, 4), None);
     }
 
     #[test]

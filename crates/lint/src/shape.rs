@@ -19,7 +19,7 @@
 
 use crate::oracle::Scope;
 use otter_frontend::{Diagnostic, Span};
-use otter_ir::{sexpr_reads, Instr, IrProgram, SExpr, VarRank};
+use otter_ir::{preorder, sexpr_reads, split_web, Instr, IrProgram, SExpr, VarRank};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A shape-safety finding: message + anchor variable (resolved to a
@@ -37,10 +37,7 @@ pub(crate) fn lint_scope(
     def_spans: &BTreeMap<String, Span>,
     func: Option<&str>,
 ) -> Vec<Diagnostic> {
-    let cx = Scope { shapes, consts };
-    let mut findings = Vec::new();
-    walk(body, &cx, &mut findings);
-    findings
+    check_scope(body, &Scope { shapes, consts })
         .into_iter()
         .map(|f| {
             let span = def_spans.get(&f.anchor).copied().unwrap_or(Span::DUMMY);
@@ -53,26 +50,13 @@ pub(crate) fn lint_scope(
         .collect()
 }
 
-fn walk(body: &[Instr], cx: &Scope, out: &mut Vec<ShapeFinding>) {
-    for i in body {
-        check_instr(i, cx, out);
-        match i {
-            Instr::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                walk(then_body, cx, out);
-                walk(else_body, cx, out);
-            }
-            Instr::While { pre, body, .. } => {
-                walk(pre, cx, out);
-                walk(body, cx, out);
-            }
-            Instr::For { body, .. } => walk(body, cx, out),
-            _ => {}
-        }
+/// Every shape finding of one scope, in pre-order.
+fn check_scope(body: &[Instr], cx: &Scope) -> Vec<ShapeFinding> {
+    let mut findings = Vec::new();
+    for (i, _) in preorder(body) {
+        check_instr(i, cx, &mut findings);
     }
+    findings
 }
 
 /// Concrete `(rows, cols)` when both dims resolve.
@@ -458,76 +442,75 @@ fn check_range(
 
 // ---- SSA-web in-place legality ---------------------------------------------
 
-/// The SSA web a renamed variable belongs to: the base name before
-/// the `__N` suffix the renamer appends.
-fn web_base(name: &str) -> &str {
-    if let Some(pos) = name.rfind("__") {
-        let (base, suffix) = (&name[..pos], &name[pos + 2..]);
-        if !base.is_empty() && !suffix.is_empty() && suffix.bytes().all(|b| b.is_ascii_digit()) {
-            return base;
-        }
-    }
-    name
-}
-
-/// One flattened def/use event.
-#[derive(Default)]
-struct Event {
-    defs: Vec<String>,
-    uses: Vec<String>,
-}
-
-/// Defs and uses of one instruction, from the IR's own dataflow facts
-/// (scalar names are recorded too; the web grouping filters by rank
-/// later). Control flow contributes only its header expressions here:
-/// [`flatten`] walks the bodies.
-fn event_of(i: &Instr) -> Event {
-    let mut ev = Event::default();
-    i.defs(&mut ev.defs);
+/// Names one instruction mentions, defined or read, from the IR's own
+/// dataflow facts (scalar names are recorded too; the web grouping
+/// filters by rank later). Control flow contributes only its header
+/// expressions here: the pre-order walk reaches the bodies.
+fn mentions(i: &Instr, out: &mut Vec<String>) {
+    i.defs(out);
     match i {
-        Instr::If { cond, .. } | Instr::While { cond, .. } => sexpr_reads(cond, &mut ev.uses),
+        Instr::If { cond, .. } | Instr::While { cond, .. } => sexpr_reads(cond, out),
         Instr::For {
             start, step, stop, ..
         } => {
             for e in [start, step, stop] {
-                sexpr_reads(e, &mut ev.uses);
+                sexpr_reads(e, out);
             }
         }
-        _ => i.reads(&mut ev.uses),
+        _ => i.reads(out),
     }
-    ev
 }
 
-/// Flatten a scope into a linear event sequence. Loop bodies are
-/// emitted twice so a value defined in one iteration and read in the
-/// next (a back-edge use) shows an overlapping interval — the classic
-/// conservative unrolling for interval-based liveness.
-fn flatten(body: &[Instr], out: &mut Vec<Event>) {
-    for i in body {
-        out.push(event_of(i));
-        match i {
-            Instr::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                flatten(then_body, out);
-                flatten(else_body, out);
-            }
-            Instr::While { pre, body, .. } => {
-                for _ in 0..2 {
-                    flatten(pre, out);
-                    flatten(body, out);
-                }
-            }
-            Instr::For { body, .. } => {
-                for _ in 0..2 {
-                    flatten(body, out);
-                }
-            }
-            _ => {}
+/// Live interval `[first mention, last mention]` per name, in slots of
+/// one linear pre-order pass, plus the number of slots used. Each
+/// loop body is walked once. When control leaves a loop, every name
+/// mentioned inside it is extended to one virtual back-edge slot past
+/// the body: the next iteration may mention it again, so a value
+/// defined in one iteration and read in the next overlaps whatever is
+/// born in between.
+fn live_intervals(body: &[Instr]) -> (BTreeMap<String, (usize, usize)>, usize) {
+    let mut interval: BTreeMap<String, (usize, usize)> = BTreeMap::new();
+    // First body slot of each enclosing loop, outermost first.
+    let mut loops: Vec<usize> = Vec::new();
+    let mut slot = 0;
+    let mut names = Vec::new();
+    for (i, depth) in preorder(body) {
+        leave_loops(&mut loops, depth as usize, &mut interval, &mut slot);
+        mentions(i, &mut names);
+        for name in names.drain(..) {
+            interval
+                .entry(name)
+                .and_modify(|(_, end)| *end = slot)
+                .or_insert((slot, slot));
+        }
+        slot += 1;
+        if matches!(i, Instr::While { .. } | Instr::For { .. }) {
+            loops.push(slot);
         }
     }
+    leave_loops(&mut loops, 0, &mut interval, &mut slot);
+    (interval, slot)
+}
+
+/// Leave every loop nested deeper than `depth`: the names mentioned
+/// since the outermost of them began its body reach one fresh
+/// back-edge slot.
+fn leave_loops(
+    loops: &mut Vec<usize>,
+    depth: usize,
+    interval: &mut BTreeMap<String, (usize, usize)>,
+    slot: &mut usize,
+) {
+    let Some(&body_start) = loops.get(depth) else {
+        return;
+    };
+    loops.truncate(depth);
+    for (_, end) in interval.values_mut() {
+        if *end >= body_start {
+            *end = *slot;
+        }
+    }
+    *slot += 1;
 }
 
 /// Matrix variables of one scope proven safe to update in place:
@@ -540,30 +523,29 @@ pub(crate) fn in_place_scope(
     shapes: &BTreeMap<String, otter_analysis::Shape>,
     live_out: &[String],
 ) -> BTreeSet<String> {
-    let mut events = Vec::new();
-    flatten(body, &mut events);
+    let (interval, slots) = live_intervals(body);
+    in_place_webs(interval, slots, ranks, shapes, live_out)
+}
 
-    // Live interval [first def, last mention] per variable.
-    let mut interval: BTreeMap<String, (usize, usize)> = BTreeMap::new();
-    for (idx, ev) in events.iter().enumerate() {
-        for name in ev.defs.iter().chain(&ev.uses) {
-            interval
-                .entry(name.clone())
-                .and_modify(|(_, end)| *end = idx)
-                .or_insert((idx, idx));
-        }
-    }
+fn in_place_webs(
+    mut interval: BTreeMap<String, (usize, usize)>,
+    slots: usize,
+    ranks: &BTreeMap<String, VarRank>,
+    shapes: &BTreeMap<String, otter_analysis::Shape>,
+    live_out: &[String],
+) -> BTreeSet<String> {
     // Scope outputs stay live past the last instruction.
     for name in live_out {
         if let Some((_, end)) = interval.get_mut(name) {
-            *end = events.len();
+            *end = slots;
         }
     }
 
     let mut webs: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
     for name in interval.keys() {
         if ranks.get(name) == Some(&VarRank::Matrix) {
-            webs.entry(web_base(name)).or_default().push(name);
+            let base = split_web(name).map_or(name.as_str(), |(base, _)| base);
+            webs.entry(base).or_default().push(name);
         }
     }
 
@@ -595,13 +577,10 @@ pub(crate) fn in_place_scope(
 /// Annotate a whole program's `in_place` legality sets.
 pub fn annotate_in_place(prog: &mut IrProgram) {
     let main_shapes = crate::oracle::refined_shapes(&prog.main, &prog.var_shapes, &prog.var_consts);
-    prog.in_place = in_place_scope(&prog.main, &prog.var_ranks, &main_shapes, &[]);
-    let names: Vec<String> = prog.functions.keys().cloned().collect();
-    for name in names {
-        let f = prog.functions.get_mut(&name).expect("key exists");
-        let outs: Vec<String> = f.outs.iter().map(|(n, _)| n.clone()).collect();
+    prog.in_place = in_place_scope(&prog.main, &prog.var_ranks, &main_shapes, &prog.live_out());
+    for f in prog.functions.values_mut() {
         let f_shapes = crate::oracle::refined_shapes(&f.body, &f.var_shapes, &f.var_consts);
-        f.in_place = in_place_scope(&f.body, &f.var_ranks, &f_shapes, &outs);
+        f.in_place = in_place_scope(&f.body, &f.var_ranks, &f_shapes, &f.live_out());
     }
 }
 
@@ -626,16 +605,6 @@ mod tests {
     }
 
     #[test]
-    fn web_base_strips_ssa_suffix() {
-        assert_eq!(web_base("c__1"), "c");
-        assert_eq!(web_base("c__12"), "c");
-        assert_eq!(web_base("c"), "c");
-        assert_eq!(web_base("ML_tmp3"), "ML_tmp3");
-        assert_eq!(web_base("a__b"), "a__b");
-        assert_eq!(web_base("__1"), "__1");
-    }
-
-    #[test]
     fn mismatched_dot_and_oob_index_are_errors() {
         let shapes = shapes(&[("a", 1, 16), ("b", 1, 9), ("m", 4, 4)]);
         let consts = BTreeMap::new();
@@ -653,8 +622,7 @@ mod tests {
                 j: Some(SExpr::c(1.0)),
             },
         ];
-        let mut findings = Vec::new();
-        walk(&body, &cx, &mut findings);
+        let findings = check_scope(&body, &cx);
         assert_eq!(
             findings.len(),
             2,
@@ -683,8 +651,7 @@ mod tests {
                 b: "a".into(),
             },
         ];
-        let mut findings = Vec::new();
-        walk(&body, &cx, &mut findings);
+        let findings = check_scope(&body, &cx);
         assert!(
             findings.is_empty(),
             "{:?}",
@@ -713,8 +680,7 @@ mod tests {
                 hi: SExpr::c(9.0),
             },
         ];
-        let mut findings = Vec::new();
-        walk(&body, &cx, &mut findings);
+        let findings = check_scope(&body, &cx);
         assert_eq!(findings.len(), 1);
         assert!(findings[0].message.contains("range 3:9 out of bounds"));
     }
@@ -769,10 +735,8 @@ mod tests {
         .into();
         let shapes = shapes(&[("a", 4, 4), ("a__1", 4, 4)]);
         // Inside a loop, a__1 = f(a) then a = g(a__1): the next
-        // iteration reads a again, so the doubled body overlaps the
-        // intervals (def of a__1 in copy 1 precedes use of a in copy
-        // 2 only if a's interval is extended — which the second copy
-        // does).
+        // iteration reads a again, so a's interval reaches the loop's
+        // back-edge slot, past a__1's birth.
         let body = vec![Instr::For {
             var: "i".into(),
             start: SExpr::c(1.0),
@@ -791,5 +755,151 @@ mod tests {
         }];
         let ok = in_place_scope(&body, &ranks, &shapes, &[]);
         assert!(ok.is_empty(), "{ok:?}");
+    }
+
+    /// The reference: emit every loop body twice (the classic
+    /// conservative unrolling for interval liveness), 2^depth events.
+    fn doubled_intervals(body: &[Instr]) -> (BTreeMap<String, (usize, usize)>, usize) {
+        fn flatten(body: &[Instr], out: &mut Vec<Vec<String>>) {
+            for i in body {
+                let mut names = Vec::new();
+                mentions(i, &mut names);
+                out.push(names);
+                match i {
+                    Instr::If {
+                        then_body,
+                        else_body,
+                        ..
+                    } => {
+                        flatten(then_body, out);
+                        flatten(else_body, out);
+                    }
+                    Instr::While { pre, body, .. } => {
+                        for _ in 0..2 {
+                            flatten(pre, out);
+                            flatten(body, out);
+                        }
+                    }
+                    Instr::For { body, .. } => {
+                        for _ in 0..2 {
+                            flatten(body, out);
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let mut events = Vec::new();
+        flatten(body, &mut events);
+        let mut interval: BTreeMap<String, (usize, usize)> = BTreeMap::new();
+        for (idx, names) in events.iter().enumerate() {
+            for name in names {
+                interval
+                    .entry(name.clone())
+                    .and_modify(|(_, end)| *end = idx)
+                    .or_insert((idx, idx));
+            }
+        }
+        (interval, events.len())
+    }
+
+    /// xorshift64: deterministic and dependency-free.
+    fn next(rng: &mut u64, n: u64) -> usize {
+        *rng ^= *rng << 13;
+        *rng ^= *rng >> 7;
+        *rng ^= *rng << 17;
+        (*rng % n) as usize
+    }
+
+    /// A random nest of `if`/`while`/`for` over two small SSA webs.
+    fn random_block(rng: &mut u64, depth: u32) -> Vec<Instr> {
+        const NAMES: [&str; 7] = ["a", "a__1", "a__2", "b", "b__1", "b__2", "s"];
+        let mut block = Vec::new();
+        for _ in 0..next(rng, 4) {
+            let (dst, src) = (NAMES[next(rng, 6)], NAMES[next(rng, 7)]);
+            let kind = if depth < 4 { next(rng, 6) } else { 0 };
+            let cond = SExpr::var(NAMES[next(rng, 7)]);
+            block.push(match kind {
+                0..=2 => Instr::Transpose {
+                    dst: dst.into(),
+                    a: src.into(),
+                },
+                3 => Instr::If {
+                    cond,
+                    then_body: random_block(rng, depth + 1),
+                    else_body: random_block(rng, depth + 1),
+                },
+                4 => Instr::While {
+                    pre: random_block(rng, depth + 1),
+                    cond,
+                    body: random_block(rng, depth + 1),
+                },
+                _ => Instr::For {
+                    var: "i".into(),
+                    start: SExpr::c(1.0),
+                    step: SExpr::c(1.0),
+                    stop: cond,
+                    body: random_block(rng, depth + 1),
+                },
+            });
+        }
+        block
+    }
+
+    #[test]
+    fn linear_intervals_give_the_doubled_walks_in_place_sets() {
+        let names = ["a", "a__1", "a__2", "b", "b__1", "b__2"];
+        let mut ranks: BTreeMap<String, VarRank> = names
+            .iter()
+            .map(|n| (n.to_string(), VarRank::Matrix))
+            .collect();
+        ranks.insert("s".into(), VarRank::Scalar);
+        let shapes = shapes(&names.map(|n| (n, 4, 4)));
+        let (mut rng, mut nonempty) = (0x9e37_79b9_7f4a_7c15u64, 0);
+        for case in 0..2000 {
+            let body = random_block(&mut rng, 0);
+            let live_out: Vec<String> = if case % 3 == 0 {
+                vec!["a__2".into()]
+            } else {
+                Vec::new()
+            };
+            let (lin, lin_slots) = live_intervals(&body);
+            let (dbl, dbl_slots) = doubled_intervals(&body);
+            let got = in_place_webs(lin, lin_slots, &ranks, &shapes, &live_out);
+            let want = in_place_webs(dbl, dbl_slots, &ranks, &shapes, &live_out);
+            assert_eq!(got, want, "case {case}: {body:?}");
+            nonempty += usize::from(!want.is_empty());
+        }
+        assert!(nonempty > 100, "only {nonempty} cases had an in-place web");
+    }
+
+    #[test]
+    fn in_place_analysis_is_linear_in_loop_depth() {
+        // 38 nested loops: the doubled walk would emit 2^38 events.
+        let mut body = vec![Instr::Transpose {
+            dst: "a__1".into(),
+            a: "a".into(),
+        }];
+        for _ in 0..38 {
+            body = vec![Instr::For {
+                var: "i".into(),
+                start: SExpr::c(1.0),
+                step: SExpr::c(1.0),
+                stop: SExpr::c(2.0),
+                body,
+            }];
+        }
+        let mut prog = IrProgram {
+            main: body,
+            ..Default::default()
+        };
+        prog.var_ranks = [("a", VarRank::Matrix), ("a__1", VarRank::Matrix)]
+            .map(|(n, r)| (n.to_string(), r))
+            .into();
+        prog.var_shapes = shapes(&[("a", 4, 4), ("a__1", 4, 4)]);
+        let t = std::time::Instant::now();
+        annotate_in_place(&mut prog);
+        assert!(t.elapsed().as_secs_f64() < 1.0, "{:?}", t.elapsed());
+        assert!(prog.in_place.is_empty(), "a is re-read every iteration");
     }
 }

@@ -143,12 +143,6 @@ impl Machine {
         self.link(from, to).transfer_time(bytes, concurrent)
     }
 
-    /// True if a `from → to` message crosses the slow inter-node
-    /// network of a cluster.
-    pub fn crosses_nodes(&self, from: usize, to: usize) -> bool {
-        self.node_of(from) != self.node_of(to)
-    }
-
     /// The machine as experienced by a compiler that *cannot* prove
     /// values are real (the ablation of the paper's §3 claim that
     /// "recognizing that a variable is of type real rather than type
@@ -243,8 +237,6 @@ mod tests {
         // Ranks 0 and 4 are on different nodes: Ethernet.
         let slow = m.message_time(0, 4, 8000, 1);
         assert!(slow > 10.0 * fast, "fast={fast} slow={slow}");
-        assert!(m.crosses_nodes(0, 4));
-        assert!(!m.crosses_nodes(0, 3));
     }
 
     #[test]

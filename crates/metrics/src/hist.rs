@@ -118,11 +118,6 @@ impl Histogram {
             .map(|(i, &c)| (i, Self::bucket_le(i), c))
     }
 
-    /// Raw count in bucket `i`.
-    pub fn bucket_count(&self, i: usize) -> u64 {
-        self.buckets[i]
-    }
-
     /// Rebuild from serialized parts (sparse `(index, count)` pairs).
     /// `min`/`max` are only meaningful when `count > 0`.
     pub fn from_parts(count: u64, sum: f64, min: f64, max: f64, sparse: &[(usize, u64)]) -> Self {

@@ -72,21 +72,6 @@ impl JobGate {
             granted: want,
         }
     }
-
-    /// [`JobGate::admit`] without blocking: `None` when fewer than
-    /// `want` (clamped) workers are free right now.
-    pub fn try_admit(&self, want: usize) -> Option<JobPermit> {
-        let want = want.clamp(1, self.inner.total);
-        let mut free = self.inner.free.lock().unwrap();
-        if *free < want {
-            return None;
-        }
-        *free -= want;
-        Some(JobPermit {
-            gate: Arc::clone(&self.inner),
-            granted: want,
-        })
-    }
 }
 
 impl JobPermit {
@@ -129,7 +114,6 @@ mod tests {
         let p = gate.admit(100);
         assert_eq!(p.workers(), 2);
         assert_eq!(gate.available(), 0);
-        assert!(gate.try_admit(1).is_none());
     }
 
     #[test]

@@ -150,12 +150,6 @@ impl Comm {
         self.algo
     }
 
-    /// Change the collective schedule mid-program (ablations flip this
-    /// to compare tree vs linear on one endpoint).
-    pub fn set_collective_algo(&mut self, algo: CollectiveAlgo) {
-        self.algo = algo;
-    }
-
     /// The shared job state (runner-internal).
     pub(crate) fn job(&self) -> &Arc<JobState> {
         &self.job

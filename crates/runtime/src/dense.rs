@@ -115,11 +115,6 @@ impl Dense {
         &self.data
     }
 
-    /// Mutable raw data, row-major.
-    pub fn data_mut(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Consume into the raw buffer.
     pub fn into_data(self) -> Vec<f64> {
         self.data

@@ -64,11 +64,6 @@ impl Block {
     pub fn to_local(&self, i: usize) -> usize {
         i - self.start(self.owner(i))
     }
-
-    /// Largest per-rank count — the load-balance bound.
-    pub fn max_count(&self) -> usize {
-        self.count(0)
-    }
 }
 
 #[cfg(test)]
@@ -147,7 +142,6 @@ mod tests {
                 let max = (0..p).map(|r| b.count(r)).max().unwrap();
                 let min = (0..p).map(|r| b.count(r)).min().unwrap();
                 assert!(max - min <= 1, "n={n} p={p}");
-                assert_eq!(b.max_count(), max);
             }
         }
     }

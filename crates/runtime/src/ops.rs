@@ -61,25 +61,6 @@ impl DistMatrix {
         self.map(comm, class, |x| f(x, s))
     }
 
-    /// In-place element-wise update from an aligned object (the
-    /// compiler's fused `a = a ⊕ b` form).
-    pub fn zip_assign(
-        &mut self,
-        comm: &mut Comm,
-        other: &DistMatrix,
-        class: OpClass,
-        f: impl Fn(f64, f64) -> f64,
-    ) {
-        assert!(
-            self.aligned_with(other),
-            "element-wise update on unaligned shapes"
-        );
-        for (a, &b) in self.local_mut().iter_mut().zip(other.local()) {
-            *a = f(*a, b);
-        }
-        comm.compute(self.local_els() as f64 * class.weight());
-    }
-
     // ---- vector shifts ---------------------------------------------------
 
     /// Circular shift of a distributed vector by `k` (positive =
@@ -325,18 +306,6 @@ mod tests {
                 .gather_all(c)
         });
         assert_eq!(res[0].value.data()[3], 6.0);
-    }
-
-    #[test]
-    fn zip_assign_updates_in_place() {
-        let res = run_spmd(&meiko_cs2(), 2, |c| {
-            let mut a = DistMatrix::ones(c, 4, 4);
-            let b = dist_counting(c, 4, 4);
-            a.zip_assign(c, &b, OpClass::Add, |x, y| x + y);
-            Ok(a.gather_all(c)?.sum_all())
-        });
-        // sum(ones) + sum(0..16) = 16 + 120
-        assert_eq!(res[0].value, 136.0);
     }
 
     #[test]

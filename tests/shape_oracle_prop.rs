@@ -72,31 +72,6 @@ fn oracle_is_exact_for_every_app_and_rank_count() {
     }
 }
 
-/// The final SSA version of source variable `base` (`x`, `x__1`, …)
-/// in the shape map, if any version is recorded.
-fn final_version<'a>(
-    shapes: &'a std::collections::BTreeMap<String, otter_analysis::Shape>,
-    base: &str,
-) -> Option<&'a otter_analysis::Shape> {
-    let mut best: Option<(u64, &otter_analysis::Shape)> = None;
-    for (name, shape) in shapes {
-        let idx = if name == base {
-            Some(0)
-        } else {
-            name.strip_prefix(base)
-                .and_then(|rest| rest.strip_prefix("__"))
-                .and_then(|digits| digits.parse::<u64>().ok())
-                .map(|k| k + 1)
-        };
-        if let Some(idx) = idx {
-            if best.is_none_or(|(b, _)| idx >= b) {
-                best = Some((idx, shape));
-            }
-        }
-    }
-    best.map(|(_, s)| s)
-}
-
 #[test]
 fn symbolic_shapes_match_interpreter_shapes() {
     for app in otter_apps::test_apps() {
@@ -111,11 +86,12 @@ fn symbolic_shapes_match_interpreter_shapes() {
             let otter_interp::Value::Matrix(m) = value else {
                 continue;
             };
-            // The interpreter's final value corresponds to the last
-            // SSA version; compare whenever that shape is statically
+            // The interpreter's final value is the script's exit web
+            // of `name`; compare whenever that shape is statically
             // concrete (symbolic-only shapes are legal, wrong concrete
             // ones are not).
-            if let Some((r, c)) = final_version(&shapes, name).and_then(|s| s.concrete()) {
+            let exit_shape = ir.exit_webs.get(name).and_then(|web| shapes.get(web));
+            if let Some((r, c)) = exit_shape.and_then(|s| s.concrete()) {
                 assert_eq!(
                     (r, c),
                     (m.rows(), m.cols()),
