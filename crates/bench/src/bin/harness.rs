@@ -15,11 +15,6 @@
 //!                                # per-rank timeline + critical path
 //! harness lint <app|all> [--deny]
 //!                                # SPMD lint report (deny: exit 1 on warnings)
-//! harness analyze <app|all> [--ranks N[,N...]] [--json out.json]
-//!                                # static comm-volume oracle vs the modeled
-//!                                # run: per-site messages(p)/bytes(p) table,
-//!                                # exact-equality verdict, in-place sets;
-//!                                # exit 1 on any mismatch or shape error
 //! harness faults [--scenario crash|drop|delay|seeded|none] [--seed S]
 //!                [--ranks N] [--app A] [--postmortem-dir D]
 //!                                # fault-injection smoke: run one app under a
@@ -35,19 +30,13 @@
 //!               [--scale test|large|paper] [--json out.json]
 //!               [--check baseline.json] [--tolerance PCT]
 //!                                # modeled outputs, one run per combination,
-//!                                # + regression gate
-//! harness scale <app> [--ranks N[,N...]] [--workers W] [--json out.json]
-//!                                # virtual-rank sweep far past the paper's
-//!                                # 16 CPUs (default 64,256,1024,4096) on a
-//!                                # fixed worker pool
-//! harness load   [--clients N] [--scripts M] [--requests R]
-//!                [--arrival open|closed] [--rate JOBS/S] [--ranks P]
+//!                                # + regression gate; ranks may go far past
+//!                                # the paper's 16 CPUs on a fixed pool
+//! harness load   [--clients N] [--scripts M] [--requests R] [--ranks P]
 //!                [--workers W] [--machine M] [--socket PATH]
-//!                [--json out.json] [--check baseline.json]
-//!                [--tolerance PCT]
-//!                                # serve-mode traffic generator: throughput,
-//!                                # latency percentiles, cache-hit rate, and
-//!                                # a gated otter-bench section
+//!                [--json out.json]
+//!                                # serve-mode traffic generator: completed
+//!                                # jobs, cache hits and misses, job ids
 //! harness all    [--paper]      # every table and figure above
 //! ```
 //!
@@ -180,7 +169,7 @@ impl ParsedArgs {
         self.parse_with(flag, "an unsigned integer", |v| v.parse::<u64>().ok())
     }
 
-    /// A positive float flag (rates, tolerances).
+    /// A positive float flag (tolerances).
     fn rate(&self, flag: &str) -> Result<Option<f64>, ArgError> {
         self.parse_with(flag, "a positive number", |v| {
             v.parse::<f64>().ok().filter(|&x| x > 0.0)
@@ -311,11 +300,9 @@ fn main() {
         }
         "trace" => run_trace(rest),
         "lint" => run_lint(rest),
-        "analyze" => run_analyze_cmd(rest),
         "faults" => run_faults(rest),
         "postmortem" => run_postmortem(rest),
         "bench" => run_bench_cmd(rest),
-        "scale" => run_scale_cmd(rest),
         "load" => run_load_cmd(rest),
         "ablation" => {
             let pa = parse_or_exit(rest, &plain_spec("ablation", "harness ablation [--paper]"));
@@ -345,7 +332,7 @@ fn main() {
         }
         other => {
             eprintln!(
-                "unknown command `{other}`; expected table1|fig2|fig3|fig4|fig5|fig6|excerpts|trace|lint|analyze|faults|postmortem|bench|scale|load|ablation|memory|all"
+                "unknown command `{other}`; expected table1|fig2|fig3|fig4|fig5|fig6|excerpts|trace|lint|faults|postmortem|bench|load|ablation|memory|all"
             );
             std::process::exit(2);
         }
@@ -523,63 +510,6 @@ fn run_lint(args: &[String]) {
     }
     if deny && total_warnings > 0 {
         eprintln!("harness lint: {total_warnings} warning(s) with --deny");
-        std::process::exit(1);
-    }
-}
-
-/// `harness analyze <app|all> [--ranks N[,N...]] [--json out.json]`:
-/// run the static communication-volume oracle and verify it site by
-/// site against the modeled run — exact equality, no tolerance. Prints
-/// the per-site formula table; `--json` exports the `otter-analyze/v1`
-/// report. Exits 1 on any mismatch or compile-time shape error, which
-/// makes it a CI smoke step.
-fn run_analyze_cmd(args: &[String]) {
-    use otter_bench::analyze::{run_analyze, AnalyzeSpec, ANALYZE_SCHEMA};
-
-    let spec = ArgSpec {
-        cmd: "analyze",
-        usage: "harness analyze <cg|ocean|nbody|tc|all> [--ranks N[,N...]] \
-                [--json out.json] [--paper]",
-        value_flags: &["--json"],
-        switches: &[],
-        positionals: 1,
-    };
-    let pa = parse_or_exit(args, &spec);
-    let mut aspec = AnalyzeSpec {
-        scale: scale_of(&pa),
-        ..AnalyzeSpec::default()
-    };
-    if let Some(ranks) = flag_or_exit(pa.ranks_list(), &spec) {
-        aspec.ranks = ranks;
-    }
-    if let Some(id) = pa.positional() {
-        aspec.app_id = id.to_string();
-    }
-    let json_path = pa.get("--json").map(str::to_string);
-
-    let report = run_analyze(&aspec).unwrap_or_else(|e| {
-        eprintln!("harness analyze: {e}");
-        std::process::exit(1);
-    });
-    print!("{}", report.render());
-
-    if let Some(path) = &json_path {
-        let mut text = report.to_json().to_string();
-        text.push('\n');
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("wrote analyze report ({ANALYZE_SCHEMA}) to {path}");
-    }
-
-    let shape_errors: usize = report.apps.iter().map(|a| a.shape_errors).sum();
-    if !report.matched() || shape_errors > 0 {
-        eprintln!(
-            "harness analyze: oracle mismatch or shape error(s) \
-             (matched={}, shape_errors={shape_errors})",
-            report.matched(),
-        );
         std::process::exit(1);
     }
 }
@@ -917,85 +847,27 @@ fn run_bench_cmd(args: &[String]) {
     }
 }
 
-/// `harness scale <app> [--ranks N[,N...]] [--workers W] [--json out.json]`:
-/// sweep one app's SPMD run across rank counts far beyond the
-/// machine's physical CPUs — the virtual-rank scheduler multiplexes
-/// them over a fixed worker pool. Prints the sweep table; optionally
-/// exports `otter-scale/v1` JSON.
-fn run_scale_cmd(args: &[String]) {
-    use otter_bench::scale::{run_scale, ScaleSpec, SCALE_SCHEMA};
-
-    let argspec = ArgSpec {
-        cmd: "scale",
-        usage: "harness scale <cg|ocean|nbody|tc> [--ranks N[,N...]] [--workers W] \
-                [--json out.json] [--paper]",
-        value_flags: &["--json"],
-        switches: &[],
-        positionals: 1,
-    };
-    let pa = parse_or_exit(args, &argspec);
-    let mut spec = ScaleSpec {
-        scale: scale_of(&pa),
-        ..ScaleSpec::default()
-    };
-    if let Some(ranks) = flag_or_exit(pa.ranks_list(), &argspec) {
-        spec.ranks = ranks;
-    }
-    spec.workers = flag_or_exit(pa.workers(), &argspec);
-    if let Some(id) = pa.positional() {
-        spec.app_id = id.to_string();
-    }
-    let json_path = pa.get("--json").map(str::to_string);
-
-    let report = run_scale(&spec).unwrap_or_else(|e| {
-        eprintln!("harness scale: {e}");
-        std::process::exit(1);
-    });
-    print!("{}", report.render());
-
-    if let Some(path) = &json_path {
-        let mut text = report.to_json().to_string();
-        text.push('\n');
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        println!();
-        println!("wrote scale report ({SCALE_SCHEMA}) to {path}");
-    }
-}
-
-/// `harness load [--clients N] [--scripts M] [--requests R]
-/// [--arrival open|closed] [--rate JOBS/S] [--ranks P] [--workers W]
-/// [--machine M] [--socket PATH] [--json out.json]
-/// [--check baseline.json] [--tolerance PCT]`: the serve-mode traffic
-/// generator. Spins up an in-process daemon (or targets `--socket`),
-/// drives concurrent clients through distinct scripts, and reports
-/// throughput, latency percentiles, cold/warm compile times, and the
-/// cache-hit rate. The deterministic per-script outputs ride in an
-/// embedded `otter-bench/v2` section, gated by `--check` exactly like
-/// `harness bench`.
+/// `harness load [--clients N] [--scripts M] [--requests R] [--ranks P]
+/// [--workers W] [--machine M] [--socket PATH] [--json out.json]`: the
+/// serve-mode traffic generator. Spins up an in-process daemon (or
+/// targets `--socket`), drives concurrent clients through distinct
+/// scripts, and reports completed jobs, cache hits and misses, and the
+/// served job ids.
 fn run_load_cmd(args: &[String]) {
-    use otter_bench::load::{run_load, Arrival, LoadReport, LoadSpec, LOAD_SCHEMA};
-    use otter_metrics::Json;
+    use otter_bench::load::{run_load, LoadSpec, LOAD_SCHEMA};
 
     let argspec = ArgSpec {
         cmd: "load",
-        usage: "harness load [--clients N] [--scripts M] [--requests R] \
-                [--arrival open|closed] [--rate JOBS/S] [--ranks P] [--workers W] \
-                [--machine meiko|cluster|smp|workstation] [--socket PATH] \
-                [--json out.json] [--check baseline.json] [--tolerance PCT] [--paper]",
+        usage: "harness load [--clients N] [--scripts M] [--requests R] [--ranks P] \
+                [--workers W] [--machine meiko|cluster|smp|workstation] [--socket PATH] \
+                [--json out.json] [--paper]",
         value_flags: &[
             "--clients",
             "--scripts",
             "--requests",
-            "--arrival",
-            "--rate",
             "--machine",
             "--socket",
             "--json",
-            "--check",
-            "--tolerance",
         ],
         switches: &[],
         positionals: 0,
@@ -1022,24 +894,7 @@ fn run_load_cmd(args: &[String]) {
     if let Some(path) = pa.get("--socket") {
         spec.socket = Some(path.into());
     }
-    let rate = flag_or_exit(pa.rate("--rate"), &argspec);
-    spec.arrival = match pa.get("--arrival") {
-        None | Some("closed") => Arrival::Closed,
-        Some("open") => Arrival::Open {
-            rate: rate.unwrap_or(100.0),
-        },
-        Some(other) => flag_or_exit(
-            Err(ArgError::BadValue {
-                flag: "--arrival".to_string(),
-                value: other.to_string(),
-                expected: "open|closed",
-            }),
-            &argspec,
-        ),
-    };
     let json_path = pa.get("--json").map(str::to_string);
-    let check_path = pa.get("--check").map(str::to_string);
-    let tolerance = flag_or_exit(pa.rate("--tolerance"), &argspec).unwrap_or(10.0);
 
     let report = run_load(&spec).unwrap_or_else(|e| {
         eprintln!("harness load: {e}");
@@ -1056,40 +911,6 @@ fn run_load_cmd(args: &[String]) {
         }
         println!();
         println!("wrote load report ({LOAD_SCHEMA}) to {path}");
-    }
-
-    if let Some(path) = &check_path {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read baseline {path}: {e}");
-            std::process::exit(1);
-        });
-        let baseline = Json::parse(&text)
-            .and_then(|j| LoadReport::from_json(&j))
-            .unwrap_or_else(|e| {
-                eprintln!("cannot parse baseline {path}: {e}");
-                std::process::exit(1);
-            });
-        if baseline.scale != report.scale {
-            eprintln!(
-                "harness load: baseline is {} scale but this run is {} scale",
-                baseline.scale, report.scale
-            );
-            std::process::exit(1);
-        }
-        let regressions = report.check_against(&baseline, tolerance);
-        println!();
-        if regressions.is_empty() {
-            println!(
-                "regression check against {path}: OK ({} script(s), tolerance {tolerance}%)",
-                baseline.bench.results.len()
-            );
-        } else {
-            eprintln!("regression check against {path} FAILED (tolerance {tolerance}%):");
-            for r in &regressions {
-                eprintln!("  {r}");
-            }
-            std::process::exit(1);
-        }
     }
 }
 

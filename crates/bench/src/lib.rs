@@ -15,17 +15,14 @@
 //! excerpts. The `harness` binary renders everything as text tables
 //! (`harness fig2 --csv` emits the machine-readable rows with the
 //! uniform `EngineReport` counters). Every number here is modeled
-//! virtual time or a count, except `harness scale`'s and `harness
-//! load`'s host timings; wall-clock measurement of the same workloads
-//! is the separate `benchmark/` package.
+//! virtual time or a count; wall-clock measurement of the same
+//! workloads is the separate `benchmark/` package.
 
 pub mod ablation;
-pub mod analyze;
 pub mod bench;
 pub mod figures;
 pub mod load;
 pub mod render;
-pub mod scale;
 pub mod table1;
 
 pub use ablation::{
@@ -36,6 +33,5 @@ pub use bench::{check, run_bench, BenchReport, BenchResult, BenchSpec, Regressio
 pub use figures::{
     fig2, fig2_with, speedup_figure, Fig2Cell, Fig2Row, FigureData, Scale, SpeedupSeries,
 };
-pub use load::{run_load, Arrival, LatencyStats, LoadReport, LoadSpec, LOAD_SCHEMA};
-pub use scale::{run_scale, ScalePoint, ScaleReport, ScaleSpec, SCALE_SCHEMA};
+pub use load::{run_load, LoadReport, LoadSpec, LOAD_SCHEMA};
 pub use table1::TABLE1;

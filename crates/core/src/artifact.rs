@@ -39,6 +39,7 @@ use otter_interp::Value;
 use otter_log::JobId;
 use otter_machine::Machine;
 use otter_metrics::{MetricsRegistry, MetricsSnapshot};
+use otter_mpi::observe::{LOAD_IMBALANCE_RATIO, RANK_CLOCK_SECONDS};
 use otter_mpi::{run_spmd_with, Observations};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -440,14 +441,14 @@ pub fn try_run(
     if let Some(job) = job_metrics.as_mut() {
         let mut reg = MetricsRegistry::new();
         for rc in &per_rank {
-            reg.observe("rank_clock_seconds", &[], rc.clock);
+            reg.observe(RANK_CLOCK_SECONDS, &[], rc.clock);
         }
         let min_clock = per_rank
             .iter()
             .map(|r| r.clock)
             .fold(f64::INFINITY, f64::min);
         if min_clock > 0.0 {
-            reg.gauge_max("load_imbalance_ratio", &[], max_clock / min_clock);
+            reg.gauge_max(LOAD_IMBALANCE_RATIO, &[], max_clock / min_clock);
         }
         job.merge_from(&reg.snapshot());
     }

@@ -20,7 +20,7 @@ use otter_lint::LintMode;
 use otter_log::{FlightEvent, JobId};
 use otter_machine::{ExecutionStyle, Machine};
 use otter_metrics::{MetricsRegistry, MetricsSnapshot};
-use otter_mpi::observe::{OPS_TOTAL, WORKSPACE_PEAK_BYTES};
+use otter_mpi::observe::{OPS_TOTAL, RANK_CLOCK_SECONDS, WORKSPACE_PEAK_BYTES};
 use otter_mpi::{CollectiveAlgo, CommStats, FailureReport, FaultAction, FaultPlan, SpmdOptions};
 use otter_rt::Dense;
 use otter_trace::{CriticalPath, TraceSink};
@@ -554,7 +554,7 @@ fn run_sequential(
             reg.inc(OPS_TOTAL, &[("op", op)], *n);
         }
         reg.gauge_max(WORKSPACE_PEAK_BYTES, &[], peak as f64);
-        reg.observe("rank_clock_seconds", &[], modeled);
+        reg.observe(RANK_CLOCK_SECONDS, &[], modeled);
         report.metrics = Some(reg.snapshot());
     }
     Ok(report)

@@ -23,6 +23,10 @@ use std::sync::Arc;
 /// Metric names the sequential engines' reports share with this fold.
 pub const OPS_TOTAL: &str = "ops_total";
 pub const WORKSPACE_PEAK_BYTES: &str = "workspace_peak_bytes";
+/// Job-wide series: each rank's final virtual clock, and the gauge of
+/// max/min rank clock.
+pub const RANK_CLOCK_SECONDS: &str = "rank_clock_seconds";
+pub const LOAD_IMBALANCE_RATIO: &str = "load_imbalance_ratio";
 
 /// Communication/computation counters a rank accumulates; used by the
 /// benchmark harness to report message counts and volumes per

@@ -17,40 +17,8 @@ use otter_machine::OpClass;
 use otter_mpi::{Comm, CommError};
 
 impl DistMatrix {
-    /// Element-wise unary map; charges `len · weight` flop units.
-    pub fn map(&self, comm: &mut Comm, class: OpClass, f: impl Fn(f64) -> f64) -> DistMatrix {
-        let local: Vec<f64> = self.local().iter().map(|&x| f(x)).collect();
-        comm.compute(local.len() as f64 * class.weight());
-        DistMatrix::from_local(comm, self.rows(), self.cols(), local)
-    }
-
-    /// Element-wise binary combine of two aligned objects.
-    pub fn zip(
-        &self,
-        comm: &mut Comm,
-        other: &DistMatrix,
-        class: OpClass,
-        f: impl Fn(f64, f64) -> f64,
-    ) -> DistMatrix {
-        assert!(
-            self.aligned_with(other),
-            "element-wise op on unaligned shapes {}x{} vs {}x{}",
-            self.rows(),
-            self.cols(),
-            other.rows(),
-            other.cols()
-        );
-        let local: Vec<f64> = self
-            .local()
-            .iter()
-            .zip(other.local())
-            .map(|(&a, &b)| f(a, b))
-            .collect();
-        comm.compute(local.len() as f64 * class.weight());
-        DistMatrix::from_local(comm, self.rows(), self.cols(), local)
-    }
-
-    /// Element-wise combine with a replicated scalar on the right.
+    /// Element-wise combine with a replicated scalar on the right;
+    /// charges `len · weight` flop units.
     pub fn map_scalar(
         &self,
         comm: &mut Comm,
@@ -58,7 +26,9 @@ impl DistMatrix {
         class: OpClass,
         f: impl Fn(f64, f64) -> f64,
     ) -> DistMatrix {
-        self.map(comm, class, |x| f(x, s))
+        let local: Vec<f64> = self.local().iter().map(|&x| f(x, s)).collect();
+        comm.compute(local.len() as f64 * class.weight());
+        DistMatrix::from_local(comm, self.rows(), self.cols(), local)
     }
 
     // ---- vector shifts ---------------------------------------------------
@@ -287,18 +257,6 @@ mod tests {
     }
 
     #[test]
-    fn zip_adds_elementwise() {
-        let res = run_spmd(&meiko_cs2(), 4, |c| {
-            let a = dist_counting(c, 6, 3);
-            let b = DistMatrix::ones(c, 6, 3);
-            a.zip(c, &b, OpClass::Add, |x, y| x + y).gather_all(c)
-        });
-        for (k, &v) in res[0].value.data().iter().enumerate() {
-            assert_eq!(v, k as f64 + 1.0);
-        }
-    }
-
-    #[test]
     fn map_scalar_multiplies() {
         let res = run_spmd(&meiko_cs2(), 3, |c| {
             let a = dist_counting(c, 1, 7);
@@ -424,18 +382,6 @@ mod tests {
         });
         assert_eq!(res[0].value.0, 0);
         assert_eq!(res[0].value.1, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "unaligned")]
-    fn zip_rejects_unaligned() {
-        // p = 1 runs inline, so the panic message survives intact.
-        run_spmd(&meiko_cs2(), 1, |c| {
-            let a = DistMatrix::zeros(c, 3, 2);
-            let b = DistMatrix::zeros(c, 2, 3);
-            a.zip(c, &b, OpClass::Add, |x, y| x + y);
-            Ok(())
-        });
     }
 }
 

@@ -82,8 +82,23 @@ fn four_apps_twice_second_round_is_all_hits() {
     client.ping().expect("ping");
     let apps = otter_apps::test_apps();
     assert_eq!(apps.len(), 4);
+    // What a direct run of the same artifact reports; the wire prints
+    // f64s round-trip-exactly, so every reply must match bit for bit.
+    let direct: Vec<_> = apps
+        .iter()
+        .map(|app| {
+            let artifact =
+                otter_core::compile(&app.script, &JobOptions::default().to_engine_options())
+                    .expect("compile");
+            otter_core::run(
+                &artifact,
+                &otter_core::RunRequest::on(otter_machine::meiko_cs2(), 4),
+            )
+            .expect("direct run")
+        })
+        .collect();
     for round in 0..2 {
-        for app in &apps {
+        for (app, want) in apps.iter().zip(&direct) {
             let reply = client
                 .run(&app.script, JobOptions::default(), "meiko", 4, None)
                 .unwrap_or_else(|e| panic!("{} round {round}: {e}", app.id));
@@ -93,6 +108,20 @@ fn four_apps_twice_second_round_is_all_hits() {
                 "{} round {round}: first sight compiles, second round must hit",
                 app.id
             );
+            let num = |k: &str| reply.body.get(k).and_then(Json::as_num).expect(k);
+            assert_eq!(
+                num("modeled_seconds").to_bits(),
+                want.modeled_seconds.to_bits(),
+                "{} round {round}: modeled_seconds",
+                app.id
+            );
+            assert_eq!(
+                num("messages") as u64,
+                want.messages,
+                "{} round {round}",
+                app.id
+            );
+            assert_eq!(num("bytes") as u64, want.bytes, "{} round {round}", app.id);
         }
     }
     let stats = client.stats().expect("stats");
