@@ -32,6 +32,7 @@ pub fn lower(program: &Program, inference: &Inference) -> Result<IrProgram> {
         inference,
         types: &inference.script_vars,
         tmp: 0,
+        tmp_ranks: Vec::new(),
         self_elem: None,
         def_spans: Default::default(),
     };
@@ -47,9 +48,7 @@ pub fn lower(program: &Program, inference: &Inference) -> Result<IrProgram> {
         }
     }
     // Temps introduced during lowering.
-    for name in cx.tmp_ranks_drain() {
-        ir.var_ranks.insert(name.0, name.1);
-    }
+    ir.var_ranks.extend(cx.tmp_ranks);
     for f in &program.functions {
         let Some(sig) = inference.functions.get(&f.name) else {
             // Function present but never called: skip it (the paper's
@@ -60,6 +59,7 @@ pub fn lower(program: &Program, inference: &Inference) -> Result<IrProgram> {
             inference,
             types: &sig.vars,
             tmp: 0,
+            tmp_ranks: Vec::new(),
             self_elem: None,
             def_spans: Default::default(),
         };
@@ -69,9 +69,7 @@ pub fn lower(program: &Program, inference: &Inference) -> Result<IrProgram> {
             .iter()
             .map(|(n, t)| (n.clone(), rank_of(t)))
             .collect();
-        for (n, r) in fcx.tmp_ranks_drain() {
-            var_ranks.insert(n, r);
-        }
+        var_ranks.extend(fcx.tmp_ranks);
         let mut var_shapes = std::collections::BTreeMap::new();
         let mut var_consts = std::collections::BTreeMap::new();
         for (n, t) in &sig.vars {
@@ -127,10 +125,11 @@ enum Frag {
 }
 
 struct Cx<'a> {
-    #[allow(dead_code)]
     inference: &'a Inference,
     types: &'a ScopeTypes,
     tmp: usize,
+    /// Rank of each `ML_tmp*` this scope created, in creation order.
+    tmp_ranks: Vec<(String, VarRank)>,
     /// While lowering `m(i,j) = rhs`: the store target, so reads of
     /// the same element become [`SExpr::OwnElem`] (paper's in-guard
     /// read) instead of a broadcast.
@@ -141,15 +140,10 @@ struct Cx<'a> {
 }
 
 impl<'a> Cx<'a> {
-    fn tmp_ranks_drain(&mut self) -> Vec<(String, VarRank)> {
-        // Temp ranks are recorded as they are created.
-        TMP_RANKS.with(|t| t.borrow_mut().drain(..).collect())
-    }
-
     fn fresh_tmp(&mut self, rank: VarRank) -> String {
         self.tmp += 1;
         let name = format!("{TEMP_PREFIX}{}", self.tmp);
-        TMP_RANKS.with(|t| t.borrow_mut().push((name.clone(), rank)));
+        self.tmp_ranks.push((name.clone(), rank));
         name
     }
 
@@ -1271,14 +1265,6 @@ impl<'a> Cx<'a> {
             )),
         }
     }
-}
-
-// Temp rank side-channel: the lowering context hands temp names to the
-// program builder. Thread-local keeps the recursive lowering signatures
-// small; lowering is single-threaded per program.
-thread_local! {
-    static TMP_RANKS: std::cell::RefCell<Vec<(String, VarRank)>> =
-        const { std::cell::RefCell::new(Vec::new()) };
 }
 
 fn as_ew(f: Frag) -> EwExpr {

@@ -31,7 +31,7 @@
 //! ```
 
 use crate::compile::Compiled;
-use crate::engines::{CommSiteReport, EngineOptions, EngineReport, RankCounters, SpmdJobFailure};
+use crate::engines::{EngineOptions, EngineReport, RankCounters, SpmdJobFailure};
 use crate::error::{OtterError, Result};
 use crate::exec::{ExecError, ExecOptions, ExecOutcome, Executor, XVal};
 use crate::pass::PassStats;
@@ -111,8 +111,7 @@ impl Fingerprint {
 /// record, and the per-pass statistics are shared. The artifact also
 /// snapshots the [`EngineOptions`] it was compiled under, so a bare
 /// [`RunRequest`] (machine + ranks) is enough to execute it with the
-/// collective schedule, fault plan, and metrics setting the compiler
-/// saw.
+/// fault plan and metrics setting the compiler saw.
 #[derive(Debug, Clone)]
 pub struct CompiledArtifact {
     inner: Arc<ArtifactInner>,
@@ -310,8 +309,6 @@ pub fn try_run(
     });
     let exec_opts = ExecOptions {
         data_dir: opts.data_dir.clone(),
-        analyze: opts.analyze,
-        tile_size: opts.tile_size,
         threads: (budget / req.ranks.max(1)).max(1),
         ..Default::default()
     };
@@ -425,18 +422,8 @@ pub fn try_run(
     let peak_rank_bytes = outputs.iter().map(|(_, o)| o.exec.peak_local_bytes).max();
     let peak_temp_bytes = per_rank.iter().map(|r| r.peak_bytes).max();
     let mut job_metrics = merged(outputs.iter().map(|(_, o)| &o.finished.metrics));
-    let mut outputs = outputs.into_iter().map(|(_, out)| out);
-    let first = outputs.next().expect("at least one rank");
+    let first = outputs.into_iter().next().expect("at least one rank").1;
     let (workspace, rank0) = (first.workspace, first.exec);
-    // Per-site traffic is a job-wide total (sum over ranks);
-    // execution counts are SPMD-replicated, so rank 0's stand.
-    let mut site_comm = rank0.site_comm;
-    for out in outputs {
-        for (total, rs) in site_comm.iter_mut().zip(&out.exec.site_comm) {
-            total.messages += rs.messages;
-            total.bytes += rs.bytes;
-        }
-    }
     // Job-wide series the per-rank registries cannot see.
     if let Some(job) = job_metrics.as_mut() {
         let mut reg = MetricsRegistry::new();
@@ -452,21 +439,6 @@ pub fn try_run(
         }
         job.merge_from(&reg.snapshot());
     }
-    // Rejoin the per-site totals with their site identities: the
-    // executor indexed them by `leaf_sites` order over this same IR,
-    // so a fresh enumeration lines up element-for-element.
-    let comm_sites: Vec<CommSiteReport> = otter_ir::leaf_sites(&compiled.ir)
-        .iter()
-        .zip(&site_comm)
-        .map(|(site, sc)| CommSiteReport {
-            site: site.id,
-            func: site.func.map(str::to_string),
-            opcode: site.instr.opcode().to_string(),
-            execs: sc.execs,
-            messages: sc.messages,
-            bytes: sc.bytes,
-        })
-        .collect();
     // With a retaining sink the critical path comes along for free.
     let critical_path = req
         .trace
@@ -492,6 +464,5 @@ pub fn try_run(
         per_rank,
         critical_path,
         metrics: job_metrics,
-        comm_sites,
     }))
 }

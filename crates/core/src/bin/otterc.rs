@@ -30,6 +30,8 @@ use otter_core::{
     compile_with, run, DumpRequest, EngineOptions, EngineReport, PassStats, RunRequest,
 };
 use otter_frontend::DirProvider;
+use otter_ir::IrProgram;
+use otter_lint::oracle::Execs;
 use otter_machine::{enterprise_smp, meiko_cs2, sparc20_cluster, workstation, Machine};
 use otter_trace::MemorySink;
 use std::path::{Path, PathBuf};
@@ -47,6 +49,7 @@ struct Args {
     timing: bool,
     dump_after: Option<String>,
     lint: bool,
+    analyze: bool,
     /// What the flags ask of the compiler (`main` adds the data dir).
     opts: EngineOptionsBuilder,
 }
@@ -79,6 +82,7 @@ fn parse_args() -> Args {
     let mut timing = false;
     let mut dump_after = None;
     let mut lint = false;
+    let mut analyze = false;
     let mut opts = EngineOptions::builder();
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -120,7 +124,7 @@ fn parse_args() -> Args {
             "--timing" => timing = true,
             "--trace" => opts = opts.trace(Arc::new(MemorySink::new())),
             "--lint" => lint = true,
-            "--analyze" => opts = opts.analyze(true),
+            "--analyze" => analyze = true,
             "--lint=deny" => {
                 lint = true;
                 opts = opts.deny_lints();
@@ -147,6 +151,7 @@ fn parse_args() -> Args {
         timing,
         dump_after,
         lint,
+        analyze,
         opts,
     }
 }
@@ -198,17 +203,21 @@ fn print_timing(passes: &[PassStats]) {
 
 /// The `--analyze` report: one line per leaf site — static trip
 /// count, symbolic messages/bytes formulas, and the model evaluated at
-/// the requested rank count — then the in-place legality sets.
-fn print_analysis(compiled: &otter_core::Compiled, p: usize) {
+/// the requested rank count — then the in-place legality sets. The
+/// oracle runs on a copy of the compiled IR; the artifact is untouched.
+fn print_analysis(ir: &IrProgram, p: usize) {
+    let mut ir = ir.clone();
+    otter_lint::shape::annotate_in_place(&mut ir);
+    let analysis = otter_lint::oracle::predict(&ir);
     eprintln!(
         "{:>4} {:<8} {:<15} {:>5} {:>6} {:>24} {:>10} {:>24} {:>12}",
         "site", "scope", "opcode", "depth", "execs", "messages(p)", "@p", "bytes(p)", "@p"
     );
-    for pred in &compiled.analysis {
+    for pred in &analysis {
         let cost = pred.model.per_exec(p);
         let execs = match pred.execs {
-            otter_core::analysis::Execs::Static(n) => n.to_string(),
-            otter_core::analysis::Execs::Dynamic => "dyn".to_string(),
+            Execs::Static(n) => n.to_string(),
+            Execs::Dynamic => "dyn".to_string(),
         };
         eprintln!(
             "{:>4} {:<8} {:<15} {:>5} {:>6} {:>24} {:>10} {:>24} {:>12}",
@@ -223,29 +232,19 @@ fn print_analysis(compiled: &otter_core::Compiled, p: usize) {
             cost.map_or("?".to_string(), |c| c.bytes.to_string()),
         );
     }
-    let free = compiled
-        .analysis
-        .iter()
-        .filter(|s| s.model.is_free())
-        .count();
+    let free = analysis.iter().filter(|s| s.model.is_free()).count();
     eprintln!(
         "otterc: analyze: {} site(s), {} communication-free, evaluated at p={p}",
-        compiled.analysis.len(),
+        analysis.len(),
         free,
     );
-    if !compiled.ir.in_place.is_empty() {
+    if !ir.in_place.is_empty() {
         eprintln!(
             "otterc: analyze: in-place updatable (main): {}",
-            compiled
-                .ir
-                .in_place
-                .iter()
-                .cloned()
-                .collect::<Vec<_>>()
-                .join(", ")
+            ir.in_place.iter().cloned().collect::<Vec<_>>().join(", ")
         );
     }
-    for (name, f) in &compiled.ir.functions {
+    for (name, f) in &ir.functions {
         if !f.in_place.is_empty() {
             eprintln!(
                 "otterc: analyze: in-place updatable ({name}): {}",
@@ -321,8 +320,8 @@ fn main() {
         );
     }
 
-    if opts.analyze {
-        print_analysis(compiled, args.p);
+    if args.analyze {
+        print_analysis(&compiled.ir, args.p);
     }
 
     match args.emit {

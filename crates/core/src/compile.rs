@@ -9,12 +9,13 @@
 //! 6. peephole optimization (optional)                   — `peephole`
 //! 7. temporaries de-allocation + C emission             — `frees`, `emit-c`
 //!
-//! Three more stages ride along: the read-only `lint` (SPMD dataflow +
-//! shape safety, between 5 and 6), the optional loop `fusion` (after
-//! `frees`), and `analyze` (the static communication oracle + in-place
-//! legality, just before `emit-c`, where the IR's leaf-site numbering
-//! matches what the executor instruments; it does its work only under
-//! [`EngineOptions::analyze`]).
+//! Two more stages ride along: the read-only `lint` (SPMD dataflow +
+//! shape safety, between 5 and 6) and the optional loop `fusion`
+//! (after `frees`). The static communication oracle and the in-place
+//! legality sets are not a stage: `otterc --analyze` runs
+//! `otter_lint::{shape::annotate_in_place, oracle::predict}` on a copy
+//! of the finished IR, whose leaf-site numbering is the one the
+//! executor instruments.
 //!
 //! [`compile`] and [`compile_str`] are that one function with the
 //! provider and dump request filled in; there is no other way in.
@@ -28,7 +29,6 @@ use otter_codegen::peephole::PeepholeStats;
 use otter_codegen::{emit_c, fuse, insert_frees, lower, peephole, FusionStats};
 use otter_frontend::{parse, Program, Severity, SourceProvider};
 use otter_ir::{Instr, IrProgram};
-use otter_lint::oracle::SitePrediction;
 use otter_lint::{lint_program, LintMode, LintReport};
 
 /// A fully compiled program.
@@ -48,10 +48,6 @@ pub struct Compiled {
     pub guard_stats: GuardStats,
     /// What the lint pass found (empty when linting was disabled).
     pub lint: LintReport,
-    /// Static communication-volume predictions, one per leaf site in
-    /// [`otter_ir::leaf_sites`] order. Empty unless compiled with
-    /// [`EngineOptions::analyze`] on.
-    pub analysis: Vec<SitePrediction>,
 }
 
 impl Compiled {
@@ -194,32 +190,8 @@ pub fn compile_with(
     let _freed = rec.ir_stage("frees", &mut ir, |ir| Ok(insert_frees(ir)), ir_text)?;
 
     // Loop fusion (optional). After `frees` so each fused temporary's
-    // `Free` exists to consume, and before `analyze` so the oracle
-    // predicts the fused program's communication sites.
+    // `Free` exists to consume.
     let fusion_stats = rec.ir_stage("fusion", &mut ir, |ir| Ok(fuse(ir)), ir_text)?;
-
-    // Static analysis over the final IR, when asked for: the
-    // communication-volume oracle and the SSA-web in-place legality
-    // sets. After `frees` so the leaf-site numbering it predicts is
-    // exactly the numbering the modeled executor instruments (`Free`
-    // instructions are sites). The in-place annotation is metadata
-    // only — the emitted C is byte-identical with or without it.
-    let analysis = rec.ir_stage(
-        "analyze",
-        &mut ir,
-        |ir| {
-            if !opts.analyze {
-                return Ok(Vec::new());
-            }
-            otter_lint::shape::annotate_in_place(ir);
-            Ok(otter_lint::oracle::predict(ir))
-        },
-        |_, sites: &Vec<SitePrediction>| match (opts.analyze, sites.is_empty()) {
-            (false, _) => "(analyze: off)\n".to_string(),
-            (true, true) => "(analyze: no sites)\n".to_string(),
-            (true, false) => sites.iter().map(|p| format!("{p}\n")).collect(),
-        },
-    )?;
 
     // Pass 7: C emission.
     let c_source = rec.stage("emit-c", || Ok(emit_c(&ir)), |c| Artefact::C(c))?;
@@ -232,7 +204,6 @@ pub fn compile_with(
         fusion_stats,
         guard_stats,
         lint,
-        analysis,
     };
     Ok((
         CompiledArtifact::new(compiled, rec.stats, src, opts),

@@ -21,7 +21,7 @@ use otter_log::{FlightEvent, JobId};
 use otter_machine::{ExecutionStyle, Machine};
 use otter_metrics::{MetricsRegistry, MetricsSnapshot};
 use otter_mpi::observe::{OPS_TOTAL, RANK_CLOCK_SECONDS, WORKSPACE_PEAK_BYTES};
-use otter_mpi::{CollectiveAlgo, CommStats, FailureReport, FaultAction, FaultPlan, SpmdOptions};
+use otter_mpi::{CommStats, FailureReport, FaultAction, FaultPlan, SpmdOptions};
 use otter_rt::Dense;
 use otter_trace::{CriticalPath, TraceSink};
 use std::collections::{BTreeMap, HashMap};
@@ -67,26 +67,6 @@ impl RankCounters {
     }
 }
 
-/// Realized communication at one leaf site, summed across every rank
-/// and every execution of the site. Populated only by the Otter engine
-/// when [`EngineOptions::analyze`] is on; the static oracle
-/// (`otter-lint::oracle`) predicts exactly these totals.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CommSiteReport {
-    /// Site index in [`otter_ir::leaf_sites`] order.
-    pub site: u32,
-    /// Enclosing function, or `None` for the script body.
-    pub func: Option<String>,
-    /// The site's instruction opcode.
-    pub opcode: String,
-    /// Times rank 0 executed the site (SPMD: identical on all ranks).
-    pub execs: u64,
-    /// Messages all ranks sent from this site.
-    pub messages: u64,
-    /// Bytes all ranks sent from this site.
-    pub bytes: u64,
-}
-
 /// What every engine reports: results plus uniform counters, so
 /// Figure 2–6 comparisons and future backends share one schema.
 #[derive(Debug, Clone)]
@@ -130,11 +110,6 @@ pub struct EngineReport {
     /// plus job-wide series like `rank_clock_seconds`. `Some` only
     /// when the engine ran with [`EngineOptions::metrics`] on.
     pub metrics: Option<MetricsSnapshot>,
-    /// Per-leaf-site realized communication, in
-    /// [`otter_ir::leaf_sites`] order. Empty unless the run executed
-    /// with [`EngineOptions::analyze`] on (sequential engines never
-    /// fill it).
-    pub comm_sites: Vec<CommSiteReport>,
 }
 
 impl EngineReport {
@@ -168,7 +143,6 @@ impl EngineReport {
             }],
             critical_path: None,
             metrics: None,
-            comm_sites: Vec::new(),
         }
     }
 
@@ -192,7 +166,7 @@ impl EngineReport {
 /// struct is `#[non_exhaustive]` so future knobs — like the trace sink
 /// added in this revision — stop being breaking struct-literal
 /// changes.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 #[non_exhaustive]
 pub struct EngineOptions {
     /// Directory `load` resolves data files against.
@@ -203,8 +177,6 @@ pub struct EngineOptions {
     /// against [`crate::pass::PASSES`] at the top of every compile —
     /// see [`EngineOptionsBuilder::disable_pass`].
     pub disabled_passes: Vec<String>,
-    /// Schedule the SPMD collectives use (tree by default).
-    pub collective_algo: CollectiveAlgo,
     /// Event sink every engine layer records into; `None` disables
     /// tracing (the zero-cost default).
     pub trace: Option<Arc<dyn TraceSink>>,
@@ -224,36 +196,6 @@ pub struct EngineOptions {
     /// ([`LintMode::Warn`] collects, [`LintMode::Deny`] fails the
     /// compile on the first warning).
     pub lint: LintMode,
-    /// Make the `analyze` pass do its work at compile time (in-place
-    /// legality sets, the communication-volume oracle) and record
-    /// per-site realized traffic at run time so the two can be
-    /// cross-validated. Off by default: analysis costs compile time
-    /// and a stats snapshot per executed instruction; with it off
-    /// [`crate::Compiled::analysis`] is empty and no `in_place` set is
-    /// annotated.
-    pub analyze: bool,
-    /// k-tile of the cache-blocked runtime kernels (see
-    /// [`otter_rt::kernels`]). Any tile yields bit-identical results;
-    /// the knob is baked into the artifact so cached runs honor it.
-    pub tile_size: usize,
-}
-
-impl Default for EngineOptions {
-    fn default() -> Self {
-        EngineOptions {
-            data_dir: None,
-            m_files: None,
-            disabled_passes: Vec::new(),
-            collective_algo: CollectiveAlgo::default(),
-            trace: None,
-            metrics: false,
-            faults: None,
-            workers: None,
-            lint: LintMode::default(),
-            analyze: false,
-            tile_size: otter_rt::kernels::DEFAULT_TILE,
-        }
-    }
 }
 
 impl fmt::Debug for EngineOptions {
@@ -262,14 +204,11 @@ impl fmt::Debug for EngineOptions {
             .field("data_dir", &self.data_dir)
             .field("m_files", &self.m_files)
             .field("disabled_passes", &self.disabled_passes)
-            .field("collective_algo", &self.collective_algo)
             .field("trace", &self.trace.as_ref().map(|_| "<sink>"))
             .field("metrics", &self.metrics)
             .field("faults", &self.faults)
             .field("workers", &self.workers)
             .field("lint", &self.lint)
-            .field("analyze", &self.analyze)
-            .field("tile_size", &self.tile_size)
             .finish()
     }
 }
@@ -282,9 +221,8 @@ impl EngineOptions {
     /// A stable 64-bit fingerprint of every option that can change
     /// what [`crate::compile()`] produces or what a run of the artifact
     /// deterministically reports: the data directory, the registered
-    /// M-files, disabled passes, the lint mode, the collective
-    /// schedule, the metrics switch, the fault plan, and the analyze
-    /// switch.
+    /// M-files, disabled passes, the lint mode, the metrics switch and
+    /// the fault plan.
     ///
     /// **Excluded** as run-time-only: `workers` (the scheduler's pool
     /// size is invisible to every deterministic output) and the trace
@@ -317,7 +255,6 @@ impl EngineOptions {
             LintMode::Warn => 0,
             LintMode::Deny => 1,
         });
-        fp.tag(b'c').str(self.collective_algo.label());
         fp.tag(b's').tag(self.metrics as u8);
         fp.tag(b'f');
         if let Some(plan) = &self.faults {
@@ -345,15 +282,12 @@ impl EngineOptions {
                 }
             }
         }
-        fp.tag(b'a').tag(self.analyze as u8);
-        fp.tag(b't').u64(self.tile_size as u64);
         fp.finish()
     }
 
     /// The SPMD launch options these engine options imply.
     pub(crate) fn spmd_options(&self) -> SpmdOptions {
         SpmdOptions {
-            algo: self.collective_algo,
             trace: self.trace.clone(),
             metrics: self.metrics,
             faults: self.faults.clone(),
@@ -406,12 +340,6 @@ impl EngineOptionsBuilder {
         self
     }
 
-    /// Collective schedule for the SPMD engine.
-    pub fn collective_algo(mut self, algo: CollectiveAlgo) -> Self {
-        self.opts.collective_algo = algo;
-        self
-    }
-
     /// Record trace events into `sink`. Pass an
     /// `Arc<otter_trace::MemorySink>` to retain events for analysis.
     pub fn trace(mut self, sink: Arc<impl TraceSink + 'static>) -> Self {
@@ -439,26 +367,11 @@ impl EngineOptionsBuilder {
         self
     }
 
-    /// Run the static-analysis pass at compile time and record
-    /// per-site realized communication at run time (see
-    /// [`EngineOptions::analyze`]).
-    pub fn analyze(mut self, on: bool) -> Self {
-        self.opts.analyze = on;
-        self
-    }
-
     /// Fix the SPMD worker-pool size instead of using the host's
     /// parallelism. Any value yields identical deterministic outputs;
     /// small pools let many more ranks than cores run.
     pub fn workers(mut self, n: usize) -> Self {
         self.opts.workers = Some(n);
-        self
-    }
-
-    /// k-tile for the cache-blocked runtime kernels (see
-    /// [`EngineOptions::tile_size`]).
-    pub fn tile_size(mut self, tile: usize) -> Self {
-        self.opts.tile_size = tile;
         self
     }
 

@@ -117,22 +117,19 @@ enum Flow {
     Continue,
 }
 
+/// Seed for `rand` matrix initializers (replicated across ranks so
+/// every rank agrees on the data).
+const RAND_SEED: u64 = 0x07732;
+
 /// Options controlling one SPMD execution.
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
     pub data_dir: Option<PathBuf>,
-    /// Seed for `rand` matrix initializers (replicated across ranks so
-    /// every rank agrees on the data).
-    pub rand_seed: u64,
     /// Record per-site communication (messages/bytes/executions per
     /// leaf instruction in [`otter_ir::leaf_sites`] order) so the
     /// static oracle's predictions can be cross-validated against the
     /// realized traffic.
     pub analyze: bool,
-    /// k-tile of the cache-blocked kernels this rank runs
-    /// (see [`otter_rt::kernels`]). Never changes results — the
-    /// kernels accumulate in ascending k for every tile size.
-    pub tile_size: usize,
     /// Intra-rank kernel threads (the hybrid ranks × threads level).
     /// Never changes results — threads split disjoint output rows.
     pub threads: usize,
@@ -142,9 +139,7 @@ impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
             data_dir: None,
-            rand_seed: 0x07732,
             analyze: false,
-            tile_size: otter_rt::kernels::DEFAULT_TILE,
             threads: 1,
         }
     }
@@ -219,7 +214,7 @@ impl<'a> Executor<'a> {
     pub fn run(mut self) -> ExecResult<ExecOutcome> {
         otter_rt::alloc::reset();
         // Each rank is an OS thread; give it its kernel budget.
-        otter_rt::kernels::configure(self.opts.tile_size, self.opts.threads);
+        otter_rt::kernels::configure(otter_rt::kernels::DEFAULT_TILE, self.opts.threads);
         self.comm.record(Event::Note(Note::ExecStart {
             instrs: self.program.main.len(),
         }));
@@ -962,8 +957,7 @@ impl<'a> Executor<'a> {
                 // matrix from the same seed and keeps its block, so
                 // the data is identical no matter how many CPUs run.
                 self.rand_calls += 1;
-                let mut rng =
-                    DetRng::seed_from_u64(self.opts.rand_seed.wrapping_add(self.rand_calls));
+                let mut rng = DetRng::seed_from_u64(RAND_SEED.wrapping_add(self.rand_calls));
                 let data: Vec<f64> = (0..r * c).map(|_| rng.gen_range(0.0..1.0)).collect();
                 let dense = Dense::from_vec(r, c, data);
                 self.comm.compute((r * c) as f64 * 4.0);

@@ -56,8 +56,8 @@ pub use engines::{run_engine, Engine, EngineOptions, EngineReport, RankCounters,
 pub use error::OtterError;
 pub use exec::{ExecError, ExecOptions, Executor, XVal};
 /// The static communication-volume oracle (re-exported so drivers can
-/// evaluate [`Compiled::analysis`] predictions without a direct
-/// `otter-lint` dependency).
+/// predict and evaluate per-site traffic without a direct `otter-lint`
+/// dependency).
 pub use otter_lint::oracle as analysis;
 pub use otter_lint::{lint_program, LintMode, LintReport};
 pub use pass::{pass_names, DumpRequest, PassDump, PassInfo, PassStats, PASSES};

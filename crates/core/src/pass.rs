@@ -34,9 +34,9 @@ const fn row(name: &'static str, optional: bool) -> PassInfo {
 }
 
 /// The pipeline, paper order: passes 1–6 of §3 (with the read-only
-/// lint slotted between 5 and 6), then de-allocation, loop fusion, the
-/// static analysis, and C emission.
-pub const PASSES: [PassInfo; 11] = [
+/// lint slotted between 5 and 6), then de-allocation, loop fusion and
+/// C emission.
+pub const PASSES: [PassInfo; 10] = [
     row("parse", false),
     row("resolve", false),
     row("ssa-infer", false),
@@ -46,7 +46,6 @@ pub const PASSES: [PassInfo; 11] = [
     row("lint", true),
     row("frees", false),
     row("fusion", true),
-    row("analyze", false),
     row("emit-c", false),
 ];
 
@@ -304,7 +303,6 @@ mod tests {
             "lint",
             "frees",
             "fusion",
-            "analyze",
             "emit-c",
         ];
         assert_eq!(pass_names(), order);
@@ -374,7 +372,7 @@ mod tests {
         let (optional, mandatory): (Vec<PassInfo>, Vec<PassInfo>) =
             PASSES.iter().partition(|p| p.optional);
         assert_eq!(optional.len(), 3);
-        assert_eq!(mandatory.len(), 8);
+        assert_eq!(mandatory.len(), 7);
         for pass in mandatory {
             let name = pass.name;
             assert_eq!(
@@ -385,7 +383,7 @@ mod tests {
         assert_eq!(
             without("nope").unwrap_err().to_string(),
             "error[analysis]: unknown pass `nope` (registered: parse, resolve, ssa-infer, \
-             rewrite, guards, peephole, lint, frees, fusion, analyze, emit-c)"
+             rewrite, guards, peephole, lint, frees, fusion, emit-c)"
         );
         // A valid name does not excuse an invalid one beside it.
         let both = EngineOptions::builder()
@@ -399,24 +397,6 @@ mod tests {
             assert_eq!(ran(&artifact), expected);
             assert!(!artifact.compiled().c_source.is_empty(), "{}", pass.name);
         }
-    }
-
-    /// The `analyze` stage does its work only when the options ask:
-    /// off, there are no predictions and no in-place sets; the emitted
-    /// C and the IR text are the same either way.
-    #[test]
-    fn analyze_stage_follows_its_flag() {
-        let apps = otter_apps::test_apps();
-        let nbody = &apps.iter().find(|a| a.id == "nbody").unwrap().script;
-        let off = compile_str(nbody).unwrap();
-        let on = compile(nbody, &EngineOptions::builder().analyze(true).build()).unwrap();
-        assert!(off.compiled().analysis.is_empty());
-        assert!(off.compiled().ir.in_place.is_empty());
-        assert!(!on.compiled().analysis.is_empty());
-        assert!(!on.compiled().ir.in_place.is_empty());
-        assert_eq!(off.compiled().c_source, on.compiled().c_source);
-        assert_eq!(off.compiled().ir_text(), on.compiled().ir_text());
-        assert_ne!(off.cache_key(), on.cache_key());
     }
 
     #[test]

@@ -690,15 +690,21 @@ fn disabled_tracing_changes_nothing() {
 }
 
 /// Every pass recurses over the tree the parser built; the parser's
-/// depth cap must leave all of them room on the 2 MiB stack of an
-/// `otterd` connection thread, in this unoptimised build.
+/// depth cap must leave all of them, and the `otterc --analyze`
+/// oracle, room on the 2 MiB stack of an `otterd` connection thread,
+/// in this unoptimised build.
 #[test]
 fn nesting_at_the_parser_cap_compiles_end_to_end() {
     let compile_on_small_stack = |src: String| {
-        let opts = EngineOptions::builder().analyze(true).build();
         std::thread::Builder::new()
             .stack_size(2 << 20)
-            .spawn(move || compile(&src, &opts))
+            .spawn(move || {
+                let artifact = compile_str(&src)?;
+                let mut ir = artifact.compiled().ir.clone();
+                otter_lint::shape::annotate_in_place(&mut ir);
+                otter_lint::oracle::predict(&ir);
+                Ok::<_, OtterError>(artifact)
+            })
             .unwrap()
             .join()
             .expect("no pass may overflow its stack")
@@ -729,4 +735,28 @@ fn nesting_at_the_parser_cap_compiles_end_to_end() {
         );
         compile_on_small_stack(blocks).expect("blocks at the cap");
     }
+}
+
+/// Lowering keeps the temporaries it creates on its own context, so a
+/// compile that fails half-way through `rewrite` leaves nothing behind
+/// for the next compile on the same thread (`otterd` compiles every
+/// client's scripts on its connection threads).
+#[test]
+fn a_failed_compile_leaks_no_temporaries_into_the_next() {
+    let clean = "y = 1;";
+    let compiled = |a: &CompiledArtifact| {
+        let c = a.compiled();
+        (c.c_source.clone(), c.ir.var_ranks.clone())
+    };
+    let fresh = std::thread::spawn(move || compiled(&compile_str(clean).unwrap()))
+        .join()
+        .unwrap();
+    let after_failure = std::thread::spawn(move || {
+        let err = compile_str("x = ones(3, 1) + ones(3, 1) + rand;").unwrap_err();
+        assert!(err.to_string().starts_with("error[rewrite]"), "{err}");
+        compiled(&compile_str(clean).unwrap())
+    })
+    .join()
+    .unwrap();
+    assert_eq!(after_failure, fresh);
 }

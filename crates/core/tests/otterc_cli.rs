@@ -117,21 +117,28 @@ fn timing_prints_one_line_per_pass() {
         String::from_utf8_lossy(&out.stderr)
     );
     let stderr = String::from_utf8_lossy(&out.stderr);
-    for pass in [
-        "parse",
-        "resolve",
-        "ssa-infer",
-        "rewrite",
-        "guards",
-        "peephole",
-        "frees",
-        "emit-c",
-    ] {
-        assert!(
-            stderr.lines().any(|l| l.starts_with(pass)),
-            "missing `{pass}` timing line:\n{stderr}"
-        );
-    }
+    let rows: Vec<&str> = stderr
+        .lines()
+        .skip(1)
+        .filter(|l| !l.starts_with("otterc:"))
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    assert_eq!(
+        rows,
+        [
+            "parse",
+            "resolve",
+            "ssa-infer",
+            "rewrite",
+            "guards",
+            "peephole",
+            "lint",
+            "frees",
+            "fusion",
+            "emit-c",
+        ],
+        "{stderr}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -192,5 +199,55 @@ fn dump_after_unknown_pass_is_an_error() {
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("frobnicate"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--analyze` runs the oracle on the compiled IR: one table row per
+/// leaf site, then a summary whose counts are `predict`'s on the same
+/// compile.
+#[test]
+fn analyze_prints_one_row_per_site() {
+    let dir = workdir("analyze");
+    let m = dir.join("cg.m");
+    let app = otter_apps::test_apps()
+        .into_iter()
+        .find(|a| a.id == "cg")
+        .unwrap();
+    std::fs::write(&m, &app.script).unwrap();
+    let out = otterc()
+        .arg(&m)
+        .args(["--analyze", "-p", "4"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+
+    let opts = otter_core::EngineOptions::builder().data_dir(&dir).build();
+    let artifact = otter_core::compile(&app.script, &opts).unwrap();
+    let mut ir = artifact.compiled().ir.clone();
+    otter_lint::shape::annotate_in_place(&mut ir);
+    let predictions = otter_lint::oracle::predict(&ir);
+    let free = predictions.iter().filter(|p| p.model.is_free()).count();
+    assert!(free > 0 && free < predictions.len(), "{free}");
+
+    let rows = stderr
+        .lines()
+        .filter(|l| {
+            l.split_whitespace()
+                .next()
+                .is_some_and(|w| w.parse::<u32>().is_ok())
+        })
+        .count();
+    assert_eq!(rows, predictions.len(), "{stderr}");
+    assert_eq!(rows, otter_ir::leaf_sites(&ir).len());
+    let summary = format!(
+        "otterc: analyze: {} site(s), {free} communication-free, evaluated at p=4",
+        predictions.len()
+    );
+    assert!(stderr.lines().any(|l| l == summary), "{summary}\n{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -31,7 +31,6 @@ use otter_ir::{
     leaf_sites, preorder, DimSel, Instr, IrProgram, MatInit, PrintTarget, RedOp, SExpr, VarRank,
 };
 use std::collections::BTreeMap;
-use std::fmt;
 
 /// Exact message/byte totals (summed over all ranks) for one
 /// execution of a site at machine size `p`.
@@ -392,24 +391,6 @@ pub struct SitePrediction {
     /// Static trip product of the enclosing loop nest, when provable.
     pub execs: Execs,
     pub model: Model,
-}
-
-impl fmt::Display for SitePrediction {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let execs = match self.execs {
-            Execs::Static(n) => n.to_string(),
-            Execs::Dynamic => "dyn".to_string(),
-        };
-        write!(
-            f,
-            "site {:3} {:15} execs={:>4} msgs={} bytes={}",
-            self.site,
-            self.opcode,
-            execs,
-            self.model.messages_formula(),
-            self.model.bytes_formula()
-        )
-    }
 }
 
 /// Per-scope static facts the model builder reads (shared with the

@@ -21,10 +21,11 @@
 //!
 //! `options` is the compile-relevant [`EngineOptions`] subset that
 //! makes sense over a wire: `disabled_passes` (array of pass names),
-//! `collective_algo` (`"tree"`/`"linear"`), `metrics` (bool),
-//! `crash` (`{"rank": R, "op": N}`: inject a rank crash to exercise
-//! the failure path), plus the run-time-only `trace` (bool: retain a
-//! Chrome trace for `GET /trace/<job_id>`). The hashes echo the
+//! `metrics` (bool), `crash` (`{"rank": R, "op": N}`, non-negative
+//! integers: inject a rank crash to exercise the failure path), plus
+//! the run-time-only `trace` (bool: retain a Chrome trace for
+//! `GET /trace/<job_id>`). Any other key, or a value of the wrong
+//! type, is an error naming the key. The hashes echo the
 //! artifact's cache key so
 //! clients can correlate jobs with cache entries; `compile` and `run`
 //! responses additionally carry the daemon-minted `job_id` correlation
@@ -33,7 +34,6 @@
 use otter_core::EngineOptions;
 use otter_log::LogLevel;
 use otter_metrics::Json;
-use otter_mpi::CollectiveAlgo;
 
 /// The `"schema"` tag on every response.
 pub const SERVE_SCHEMA: &str = "otter-serve/v1";
@@ -43,8 +43,6 @@ pub const SERVE_SCHEMA: &str = "otter-serve/v1";
 pub struct JobOptions {
     /// Optional passes to skip (e.g. `"peephole"`).
     pub disabled_passes: Vec<String>,
-    /// `None` keeps the engine default (tree).
-    pub collective_algo: Option<CollectiveAlgo>,
     /// Collect per-job metrics (merged into the daemon's exposition).
     pub metrics: bool,
     /// Retain a Chrome trace of the run, served afterwards by
@@ -70,51 +68,50 @@ impl JobOptions {
         for pass in &self.disabled_passes {
             b = b.disable_pass(pass.clone());
         }
-        if let Some(algo) = self.collective_algo {
-            b = b.collective_algo(algo);
-        }
         if let Some((rank, op)) = self.crash {
             b = b.faults(otter_mpi::FaultPlan::new().crash(rank, op));
         }
         b.build()
     }
 
-    /// Parse the `options` object of a request (absent → defaults).
+    /// Parse the `options` object of a request (absent or `null` →
+    /// defaults). Unknown keys and ill-typed values are errors that
+    /// name the key: an option the daemon would ignore must not look
+    /// accepted.
     pub fn from_json(json: Option<&Json>) -> Result<JobOptions, String> {
         let mut opts = JobOptions::default();
-        let Some(json) = json else {
-            return Ok(opts);
+        let fields = match json {
+            None | Some(Json::Null) => return Ok(opts),
+            Some(Json::Obj(fields)) => fields,
+            Some(_) => return Err("options must be an object".to_string()),
         };
-        if let Some(arr) = json.get("disabled_passes").and_then(Json::as_arr) {
-            for p in arr {
-                opts.disabled_passes.push(
-                    p.as_str()
-                        .ok_or("disabled_passes entries must be strings")?
-                        .to_string(),
-                );
-            }
-        }
-        if let Some(algo) = json.get("collective_algo") {
-            opts.collective_algo = Some(match algo.as_str() {
-                Some("tree") => CollectiveAlgo::Tree,
-                Some("linear") => CollectiveAlgo::Linear,
-                _ => return Err("collective_algo must be \"tree\" or \"linear\"".to_string()),
-            });
-        }
-        if let Some(m) = json.get("metrics") {
-            opts.metrics = matches!(m, Json::Bool(true));
-        }
-        if let Some(t) = json.get("trace") {
-            opts.trace = matches!(t, Json::Bool(true));
-        }
-        if let Some(c) = json.get("crash") {
-            let rank = c.get("rank").and_then(Json::as_num);
-            let op = c.get("op").and_then(Json::as_num);
-            match (rank, op) {
-                (Some(r), Some(o)) if r >= 0.0 && r.fract() == 0.0 && o >= 0.0 => {
-                    opts.crash = Some((r as usize, o as u64));
+        let flag = |key: &str, v: &Json| v.as_bool().ok_or(format!("{key} must be a boolean"));
+        for (key, value) in fields {
+            match key.as_str() {
+                "disabled_passes" => {
+                    let err = || "disabled_passes must be an array of strings".to_string();
+                    for p in value.as_arr().ok_or_else(err)? {
+                        opts.disabled_passes
+                            .push(p.as_str().ok_or_else(err)?.to_string());
+                    }
                 }
-                _ => return Err("crash must be an object with numeric `rank` and `op`".to_string()),
+                "metrics" => opts.metrics = flag(key, value)?,
+                "trace" => opts.trace = flag(key, value)?,
+                "crash" => {
+                    let rank = value.get("rank").and_then(as_index);
+                    let op = value.get("op").and_then(as_index);
+                    let (Some(rank), Some(op)) = (rank, op) else {
+                        return Err("crash must be an object with non-negative integer \
+                                    `rank` and `op`"
+                            .to_string());
+                    };
+                    opts.crash = Some((rank as usize, op));
+                }
+                other => {
+                    return Err(format!(
+                        "unknown option `{other}` (expected disabled_passes|metrics|trace|crash)"
+                    ))
+                }
             }
         }
         Ok(opts)
@@ -132,12 +129,6 @@ impl JobOptions {
                         .map(|p| Json::Str(p.clone()))
                         .collect(),
                 ),
-            ));
-        }
-        if let Some(algo) = self.collective_algo {
-            fields.push((
-                "collective_algo".to_string(),
-                Json::Str(algo.label().to_string()),
             ));
         }
         if self.metrics {
@@ -305,12 +296,13 @@ fn required_source(json: &Json) -> Result<String, String> {
 }
 
 fn as_count(j: &Json) -> Option<usize> {
+    as_index(j).filter(|&n| n >= 1).map(|n| n as usize)
+}
+
+/// A non-negative integer.
+fn as_index(j: &Json) -> Option<u64> {
     let n = j.as_num()?;
-    if n >= 1.0 && n.fract() == 0.0 {
-        Some(n as usize)
-    } else {
-        None
-    }
+    (n >= 0.0 && n.fract() == 0.0).then_some(n as u64)
 }
 
 fn op_obj(op: &str, mut rest: Vec<(String, Json)>) -> Json {
@@ -369,7 +361,6 @@ mod tests {
                 source: "x = 1;\n".to_string(),
                 options: JobOptions {
                     disabled_passes: vec!["peephole".to_string()],
-                    collective_algo: Some(CollectiveAlgo::Linear),
                     metrics: true,
                     trace: false,
                     crash: None,
@@ -426,6 +417,34 @@ mod tests {
             (
                 r#"{"op":"run","source":"x=1;","options":{"crash":{"rank":1}}}"#,
                 "crash",
+            ),
+            (
+                r#"{"op":"run","source":"x=1;","options":{"crash":{"rank":1,"op":-1}}}"#,
+                "crash",
+            ),
+            (
+                r#"{"op":"run","source":"x=1;","options":{"crash":{"rank":1,"op":2.5}}}"#,
+                "crash",
+            ),
+            (
+                r#"{"op":"run","source":"x=1;","options":{"collective_algo":"linear"}}"#,
+                "collective_algo",
+            ),
+            (
+                r#"{"op":"compile","source":"x=1;","options":{"metrics":"yes"}}"#,
+                "metrics",
+            ),
+            (
+                r#"{"op":"run","source":"x=1;","options":{"trace":1}}"#,
+                "trace",
+            ),
+            (
+                r#"{"op":"compile","source":"x=1;","options":{"disabled_passes":"peephole"}}"#,
+                "disabled_passes",
+            ),
+            (
+                r#"{"op":"compile","source":"x=1;","options":[]}"#,
+                "options",
             ),
         ] {
             let err = Request::from_json(&Json::parse(line).unwrap()).unwrap_err();

@@ -5,9 +5,8 @@
 //! compile and collapses everything that cannot:
 //!
 //! * Any source edit (even a comment) and any compile-relevant option
-//!   knob (disabled pass, collective algorithm, fault plan, metrics,
-//!   lint mode, analyze mode, data dir, M-file set) must give a
-//!   distinct key.
+//!   knob (disabled pass, fault plan, metrics, lint mode, data dir,
+//!   M-file set) must give a distinct key.
 //! * Run-time-only knobs — the worker-pool size, a trace sink — must
 //!   NOT change the key: a warm artifact serves jobs at any pool size.
 //! * A cache hit must be *observably* a re-run of the same program:
@@ -17,7 +16,7 @@
 
 use otter_core::{compile, run, source_hash, EngineOptions, EngineReport, RunRequest};
 use otter_machine::meiko_cs2;
-use otter_mpi::{CollectiveAlgo, FaultPlan};
+use otter_mpi::FaultPlan;
 use otter_serve::ArtifactCache;
 
 const SRC: &str = "a = [1, 2; 3, 4];\nb = a * a;\ns = sum(b(:, 1));\n";
@@ -57,12 +56,6 @@ fn every_compile_relevant_knob_changes_the_fingerprint() {
     let base = EngineOptions::default().fingerprint();
     let variants: Vec<(&str, EngineOptions)> = vec![
         (
-            "collective_algo",
-            EngineOptions::builder()
-                .collective_algo(CollectiveAlgo::Linear)
-                .build(),
-        ),
-        (
             "disabled pass",
             EngineOptions::builder().disable_pass("peephole").build(),
         ),
@@ -74,7 +67,6 @@ fn every_compile_relevant_knob_changes_the_fingerprint() {
         ),
         ("metrics", EngineOptions::builder().metrics(true).build()),
         ("lint mode", EngineOptions::builder().deny_lints().build()),
-        ("analyze", EngineOptions::builder().analyze(true).build()),
         (
             "data dir",
             EngineOptions::builder().data_dir("/tmp/otter-data").build(),
@@ -89,7 +81,6 @@ fn every_compile_relevant_knob_changes_the_fingerprint() {
             "fusion",
             EngineOptions::builder().disable_pass("fusion").build(),
         ),
-        ("tile size", EngineOptions::builder().tile_size(8).build()),
     ];
     let mut seen = vec![("default", base)];
     for (what, opts) in &variants {
@@ -108,11 +99,11 @@ fn every_compile_relevant_knob_changes_the_fingerprint() {
 fn fingerprints_are_stable_across_calls() {
     let a = EngineOptions::builder()
         .disable_pass("peephole")
-        .collective_algo(CollectiveAlgo::Linear)
+        .faults(FaultPlan::new().crash(1, 2))
         .build();
     let b = EngineOptions::builder()
         .disable_pass("peephole")
-        .collective_algo(CollectiveAlgo::Linear)
+        .faults(FaultPlan::new().crash(1, 2))
         .build();
     assert_eq!(a.fingerprint(), b.fingerprint());
     assert_eq!(a.fingerprint(), a.fingerprint());

@@ -15,57 +15,91 @@
 //!   dimensions, equal the shapes the reference interpreter actually
 //!   produces for every surviving workspace matrix.
 
-use otter_core::analysis::{refined_shapes, Execs};
-use otter_core::{compile, run, EngineOptions, RunRequest};
+use otter_core::analysis::{predict, refined_shapes, Execs};
+use otter_core::exec::SiteComm;
+use otter_core::{compile, EngineOptions, ExecError, ExecOptions, Executor};
+use otter_ir::IrProgram;
 use otter_machine::meiko_cs2;
+use otter_mpi::{run_spmd_with, SpmdOptions};
+
+/// Realized traffic per leaf site of one modeled run of `ir` on `p`
+/// ranks, in [`otter_ir::leaf_sites`] order: messages and bytes summed
+/// over ranks, execution counts from rank 0 (SPMD: every rank runs
+/// every site equally often).
+fn measured_sites(ir: &IrProgram, p: usize) -> Vec<SiteComm> {
+    let opts = ExecOptions {
+        analyze: true,
+        ..ExecOptions::default()
+    };
+    let ranks = run_spmd_with(
+        &meiko_cs2(),
+        p,
+        SpmdOptions::default(),
+        |comm| match Executor::new(ir, comm, opts.clone()).run() {
+            Ok(outcome) => Ok(outcome.site_comm),
+            Err(ExecError::Comm(e)) => Err(e),
+            Err(ExecError::App(e)) => panic!("p={p}: {e}"),
+        },
+    )
+    .unwrap_or_else(|failure| panic!("p={p}: {}", failure.report));
+    let mut ranks = ranks.into_iter().map(|r| r.value);
+    let mut total = ranks.next().expect("at least one rank");
+    for rank in ranks {
+        for (sum, site) in total.iter_mut().zip(rank) {
+            sum.messages += site.messages;
+            sum.bytes += site.bytes;
+        }
+    }
+    total
+}
 
 #[test]
 fn oracle_is_exact_for_every_app_and_rank_count() {
     for app in otter_apps::test_apps() {
-        let opts = EngineOptions::builder().analyze(true).build();
-        let artifact = compile(&app.script, &opts).expect("app compiles");
-        let predictions = &artifact.compiled().analysis;
+        let artifact = compile(&app.script, &EngineOptions::default()).expect("app compiles");
+        let mut ir = artifact.compiled().ir.clone();
+        otter_lint::shape::annotate_in_place(&mut ir);
+        let predictions = predict(&ir);
         assert!(!predictions.is_empty(), "{}: no predictions", app.id);
+        let sites = otter_ir::leaf_sites(&ir);
 
         for p in [1usize, 2, 4, 8] {
-            let report = run(&artifact, &RunRequest::on(meiko_cs2(), p))
-                .unwrap_or_else(|e| panic!("{} at p={p}: {e}", app.id));
+            let measured = measured_sites(&ir, p);
             assert_eq!(
-                report.comm_sites.len(),
+                measured.len(),
                 predictions.len(),
                 "{} at p={p}: oracle and executor disagree on the site list",
                 app.id
             );
-            for (pred, site) in predictions.iter().zip(&report.comm_sites) {
-                assert_eq!(pred.site, site.site, "{}: site order", app.id);
+            for ((pred, site), got) in predictions.iter().zip(&sites).zip(&measured) {
+                let opcode = site.instr.opcode();
+                assert_eq!(pred.site, site.id, "{}: site order", app.id);
                 if let Execs::Static(k) = pred.execs {
                     assert_eq!(
-                        k, site.execs,
-                        "{} site {} ({}) at p={p}: static trip product",
-                        app.id, site.site, site.opcode
+                        k, got.execs,
+                        "{} site {} ({opcode}) at p={p}: static trip product",
+                        app.id, site.id
                     );
                 }
                 let per = pred.model.per_exec(p).unwrap_or_else(|| {
                     panic!(
-                        "{} site {} ({}): model did not resolve at p={p}",
-                        app.id, site.site, site.opcode
+                        "{} site {} ({opcode}): model did not resolve at p={p}",
+                        app.id, site.id
                     )
                 });
                 assert_eq!(
-                    per.messages * site.execs,
-                    site.messages,
-                    "{} site {} ({}) at p={p}: messages",
+                    per.messages * got.execs,
+                    got.messages,
+                    "{} site {} ({opcode}) at p={p}: messages",
                     app.id,
-                    site.site,
-                    site.opcode
+                    site.id
                 );
                 assert_eq!(
-                    per.bytes * site.execs,
-                    site.bytes,
-                    "{} site {} ({}) at p={p}: bytes",
+                    per.bytes * got.execs,
+                    got.bytes,
+                    "{} site {} ({opcode}) at p={p}: bytes",
                     app.id,
-                    site.site,
-                    site.opcode
+                    site.id
                 );
             }
         }
