@@ -4,7 +4,7 @@
 //! *loops*: a producer whose only consumer is the next instruction in
 //! the same block fuses into one instruction, eliminating the
 //! full-matrix temporary between them (and the `Free` the frees pass
-//! inserted for it). Three producer→consumer shapes fuse:
+//! inserted for it). Four producer→consumer shapes fuse:
 //!
 //! 1. **ElemWise → ElemWise** — the producer's expression substitutes
 //!    into the consumer's `Mat(tmp)` leaves: two element loops become
@@ -17,6 +17,10 @@
 //!    materialized. Only allreduce-backed reductions fuse (`Trapz`
 //!    needs a halo exchange over the materialized vector; `any`/`all`
 //!    quantize through 0/1 first).
+//! 4. **ElemWise → ColReduce** — the column twin of 3
+//!    ([`Instr::ColReduceEw`]): each row's lanes fold into per-column
+//!    partials as they are evaluated, for `sum`/`mean`/`prod`/`max`/
+//!    `min` (`any`/`all` stay unfused, as in 3).
 //!
 //! Legality is deliberately strict: the temporary must be
 //! compiler-generated (an `ML_tmp*` or an SSA rename `x__N`), every
@@ -42,6 +46,8 @@ pub struct FusionStats {
     pub matvec_epilogues: usize,
     /// ElemWise → Reduce on-the-fly folds.
     pub reduce_epilogues: usize,
+    /// ElemWise → ColReduce on-the-fly column folds.
+    pub col_reduce_epilogues: usize,
     /// Full-matrix temporaries no longer materialized.
     pub temps_eliminated: usize,
     /// `Free` instructions consumed along with their temporaries.
@@ -50,7 +56,11 @@ pub struct FusionStats {
 
 impl FusionStats {
     pub fn fused(&self) -> usize {
-        self.elemwise_chains + self.matmul_epilogues + self.matvec_epilogues + self.reduce_epilogues
+        self.elemwise_chains
+            + self.matmul_epilogues
+            + self.matvec_epilogues
+            + self.reduce_epilogues
+            + self.col_reduce_epilogues
     }
 }
 
@@ -152,6 +162,12 @@ fn fusible_reduction(op: RedOp) -> bool {
     )
 }
 
+/// Column reductions that fold through one allreduce of per-column
+/// partials.
+fn fusible_col_reduction(op: ColRedOp) -> bool {
+    !matches!(op, ColRedOp::Any | ColRedOp::All)
+}
+
 /// Find one fusion site (left to right, outer before nested) and apply
 /// it. Returns whether anything changed.
 fn fuse_one(
@@ -203,7 +219,7 @@ fn fuse_one(
     false
 }
 
-/// Try the three producer→consumer shapes on one adjacent pair.
+/// Try the four producer→consumer shapes on one adjacent pair.
 /// Returns the fused instruction and the eliminated temporary's name.
 fn try_pair(
     producer: &Instr,
@@ -264,6 +280,21 @@ fn try_pair(
             stats.reduce_epilogues += 1;
             Some((
                 Instr::ReduceEw {
+                    dst: dst.clone(),
+                    op: *op,
+                    tmp: t.clone(),
+                    expr: expr.clone(),
+                },
+                t.clone(),
+            ))
+        }
+        // 4. ElemWise → ColReduce: fold the expression into columns.
+        (Instr::ElemWise { dst: t, expr }, Instr::ColReduce { dst, op, m })
+            if m == t && fusible_col_reduction(*op) && dead_after(t, 1, counts, live_out) =>
+        {
+            stats.col_reduce_epilogues += 1;
+            Some((
+                Instr::ColReduceEw {
                     dst: dst.clone(),
                     op: *op,
                     tmp: t.clone(),
@@ -364,6 +395,51 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn col_reduce_epilogue_fuses_and_consumes_free() {
+        // ocean's energy: ML_tmp14 = field .* field; colsum(ML_tmp14).
+        let mut p = prog(vec![
+            Instr::ElemWise {
+                dst: "ML_tmp14".into(),
+                expr: EwExpr::bin(EwOp::Mul, EwExpr::mat("field"), EwExpr::mat("field")),
+            },
+            Instr::ColReduce {
+                dst: "ML_tmp15".into(),
+                op: ColRedOp::Sum,
+                m: "ML_tmp14".into(),
+            },
+            Instr::Free {
+                name: "ML_tmp14".into(),
+            },
+        ]);
+        let stats = fuse(&mut p);
+        assert_eq!(stats.col_reduce_epilogues, 1);
+        assert_eq!(stats.frees_consumed, 1);
+        assert_eq!(p.main.len(), 1);
+        assert!(
+            matches!(&p.main[0], Instr::ColReduceEw { dst, op: ColRedOp::Sum, tmp, .. }
+                if dst == "ML_tmp15" && tmp == "ML_tmp14")
+        );
+    }
+
+    #[test]
+    fn boolean_col_reductions_do_not_fuse() {
+        for op in [ColRedOp::Any, ColRedOp::All] {
+            let mut p = prog(vec![
+                Instr::ElemWise {
+                    dst: "ML_tmp1".into(),
+                    expr: EwExpr::bin(EwOp::Mul, EwExpr::mat("x"), EwExpr::mat("x")),
+                },
+                Instr::ColReduce {
+                    dst: "s".into(),
+                    op,
+                    m: "ML_tmp1".into(),
+                },
+            ]);
+            assert_eq!(fuse(&mut p).fused(), 0, "{op:?}");
+        }
     }
 
     #[test]

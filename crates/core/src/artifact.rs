@@ -334,10 +334,11 @@ pub fn try_run(
                 // The workspace is each script variable's exit web,
                 // under its source name; temporaries and superseded
                 // webs stay behind. Gather every matrix to rank 0, the
-                // only rank whose workspace the report reads: one copy
-                // per matrix, on one rank. Iterate in name order:
-                // gathers are collectives, so every rank must visit
-                // variables in the same sequence.
+                // only rank whose workspace the report reads: each web
+                // is consumed, so rank 0's own block moves into the
+                // report and at p = 1 nothing is copied. Iterate in
+                // name order: gathers are collectives, so every rank
+                // must visit variables in the same sequence.
                 let mut webs = std::mem::take(&mut o.workspace);
                 let root = comm.rank() == 0;
                 let mut workspace: HashMap<String, Value> = HashMap::new();

@@ -12,9 +12,9 @@
 //! inside the run-time library itself.
 //!
 //! Element-wise loops (`ElemWise`, the `MatMulEw`/`MatVecEw` epilogue,
-//! and `ReduceEw`) are strip-mined: `compile_ew` flattens the
-//! expression tree into a postfix `EwProgram` once per instruction
-//! execution, and the program then runs over 256-lane strips,
+//! `ReduceEw` and `ColReduceEw`) are strip-mined: `compile_ew`
+//! flattens the expression tree into a postfix `EwProgram` once per
+//! instruction execution, and the program then runs over 256-lane strips,
 //! one tight loop per node, on a stack of strip registers allocated
 //! once per execution. Every lane performs the same IEEE operations,
 //! in the same order, as the per-element tree walk it replaced, so the
@@ -25,7 +25,7 @@ use otter_det::DetRng;
 use otter_ir::*;
 use otter_machine::{ExecutionStyle, StyleCosts};
 use otter_mpi::{Comm, CommError, Event, Note, ReduceOp};
-use otter_rt::{io as rtio, Dense, DistMatrix, LoadError};
+use otter_rt::{io as rtio, ColOp, Dense, DistMatrix, LoadError};
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 
@@ -461,18 +461,9 @@ impl<'a> Executor<'a> {
     /// `ElemWise` plus the exact fold and allreduce of [`otter_rt`]'s
     /// reduction kernels.
     fn exec_fused_reduce(&mut self, op: RedOp, expr: &EwExpr) -> ExecResult<f64> {
-        let ops = self.ew_operands(expr, None)?;
-        let first = ops
-            .first()
-            .cloned()
-            .ok_or_else(|| OtterError::execution("element-wise loop without matrix operands"))?;
-        {
-            let model = env_mat(&self.scopes, &first)?;
-            self.check_ew_alignment(&first, model, &ops[1..])?;
-        }
-        let program = self.compile_ew(expr, &ops, None)?;
+        let (ops, program) = self.fold_program(expr)?;
         let (len, global_len, local) = {
-            let model = env_mat(&self.scopes, &first)?;
+            let model = env_mat(&self.scopes, &ops[0])?;
             let len = model.local_els();
             let local = program
                 .reduce(op, &collect_slices(&self.scopes, &ops)?, len)
@@ -512,6 +503,39 @@ impl<'a> Executor<'a> {
             RedOp::AnyAll | RedOp::AllAll | RedOp::Trapz => unreachable!("rejected above"),
         };
         Ok(v)
+    }
+
+    /// Fused ElemWise → ColReduce: evaluate the producer expression row
+    /// by row and fold each strip's lanes into per-column partials —
+    /// no temporary matrix is materialized. Charges mirror the
+    /// eliminated `ElemWise` plus [`DistMatrix::col_reduce`]'s own.
+    fn exec_fused_col_reduce(&mut self, op: ColOp, expr: &EwExpr) -> ExecResult<DistMatrix> {
+        let (ops, program) = self.fold_program(expr)?;
+        let (len, partial) = {
+            let model = env_mat(&self.scopes, &ops[0])?;
+            let width = (!model.is_vector()).then(|| model.cols());
+            let slices = collect_slices(&self.scopes, &ops)?;
+            let len = model.local_els();
+            (len, program.col_partials(op, &slices, len, width))
+        };
+        // The eliminated element-wise loop's charge, then the column
+        // reduction's fold, allreduce and (for `mean`) divide.
+        self.comm.compute(len as f64 * expr.flop_weight().max(1.0));
+        let (scopes, comm) = (&self.scopes, &mut *self.comm);
+        Ok(env_mat(scopes, &ops[0])?.col_reduce_partials(comm, op, &partial)?)
+    }
+
+    /// The operands of a fused fold's producer expression, checked
+    /// aligned with the first (which gives the fold its shape), and the
+    /// expression compiled against them.
+    fn fold_program(&self, expr: &EwExpr) -> Result<(Vec<String>, EwProgram)> {
+        let ops = self.ew_operands(expr, None)?;
+        let first = ops
+            .first()
+            .ok_or_else(|| OtterError::execution("element-wise loop without matrix operands"))?;
+        self.check_ew_alignment(first, env_mat(&self.scopes, first)?, &ops[1..])?;
+        let program = self.compile_ew(expr, &ops, None)?;
+        Ok((ops, program))
     }
 
     // ---- instructions ---------------------------------------------------------
@@ -702,16 +726,12 @@ impl<'a> Executor<'a> {
             Instr::ColReduce { dst, op, m } => {
                 self.comm.compute(self.costs.op_overhead);
                 let (scopes, comm) = (&self.scopes, &mut *self.comm);
-                let mat = env_mat(scopes, m)?;
-                let r = match op {
-                    ColRedOp::Sum => mat.sum(comm)?,
-                    ColRedOp::Mean => mat.mean(comm)?,
-                    ColRedOp::Prod => mat.prod(comm)?,
-                    ColRedOp::Max => mat.max(comm)?,
-                    ColRedOp::Min => mat.min(comm)?,
-                    ColRedOp::Any => mat.any(comm)?,
-                    ColRedOp::All => mat.all(comm)?,
-                };
+                let r = env_mat(scopes, m)?.col_reduce(comm, col_op(*op))?;
+                self.env().insert(dst.clone(), XVal::M(r));
+            }
+            Instr::ColReduceEw { dst, op, expr, .. } => {
+                self.comm.compute(self.costs.op_overhead);
+                let r = self.exec_fused_col_reduce(col_op(*op), expr)?;
                 self.env().insert(dst.clone(), XVal::M(r));
             }
             Instr::Shift { dst, v, k } => {
@@ -1362,6 +1382,53 @@ impl EwProgram {
             RedOp::Norm2 => self.fold(slices, len, -0.0, |acc, x| acc + x * x),
             RedOp::AnyAll | RedOp::AllAll | RedOp::Trapz => return None,
         })
+    }
+
+    /// This rank's partials of column reduction `op` over the program's
+    /// `len` lanes, for [`DistMatrix::col_reduce_partials`]. A vector
+    /// (`width` is `None`) folds every lane into one accumulator in
+    /// index order; a matrix folds its rows of `width` lanes into
+    /// per-column accumulators in ascending row order, with the strips
+    /// inside each row, exactly as `col_reduce` folds the stored rows.
+    fn col_partials(
+        &self,
+        op: ColOp,
+        slices: &[&[f64]],
+        len: usize,
+        width: Option<usize>,
+    ) -> Vec<f64> {
+        let mut regs = self.registers();
+        let src = Operands { slices, dst: &[] };
+        let Some(w) = width else {
+            let mut acc = op.identity();
+            for (base, n) in strips(len) {
+                acc = op.fold(acc, self.strip(&mut regs, src, base, n));
+            }
+            return vec![acc];
+        };
+        let mut acc = vec![op.identity(); w];
+        for row in (0..len).step_by(w.max(1)) {
+            for (base, n) in strips(w) {
+                op.fold_row(
+                    &mut acc[base..base + n],
+                    self.strip(&mut regs, src, row + base, n),
+                );
+            }
+        }
+        acc
+    }
+}
+
+/// The run-time column reduction an IR `ColRedOp` names.
+fn col_op(op: ColRedOp) -> ColOp {
+    match op {
+        ColRedOp::Sum => ColOp::Sum,
+        ColRedOp::Mean => ColOp::Mean,
+        ColRedOp::Prod => ColOp::Prod,
+        ColRedOp::Max => ColOp::Max,
+        ColRedOp::Min => ColOp::Min,
+        ColRedOp::Any => ColOp::Any,
+        ColRedOp::All => ColOp::All,
     }
 }
 

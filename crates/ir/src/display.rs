@@ -38,6 +38,19 @@ pub fn program_to_string(p: &IrProgram) -> String {
     out
 }
 
+/// The IR listing's name for a column reduction.
+fn colred_name(op: ColRedOp) -> &'static str {
+    match op {
+        ColRedOp::Sum => "colsum",
+        ColRedOp::Mean => "colmean",
+        ColRedOp::Prod => "colprod",
+        ColRedOp::Max => "colmax",
+        ColRedOp::Min => "colmin",
+        ColRedOp::Any => "colany",
+        ColRedOp::All => "colall",
+    }
+}
+
 fn rank_str(r: VarRank) -> &'static str {
     match r {
         VarRank::Scalar => "scalar",
@@ -244,17 +257,16 @@ pub fn write_instr(out: &mut String, i: &Instr, indent: usize) {
                 op.c_name()
             );
         }
+        Instr::ColReduceEw { dst, op, tmp, expr } => {
+            let _ = writeln!(
+                out,
+                "{pad}fused: forall k: {tmp}[k] = {}; {dst} = {}({tmp});",
+                ewexpr_to_string(expr),
+                colred_name(*op)
+            );
+        }
         Instr::ColReduce { dst, op, m } => {
-            let name = match op {
-                ColRedOp::Sum => "colsum",
-                ColRedOp::Mean => "colmean",
-                ColRedOp::Prod => "colprod",
-                ColRedOp::Max => "colmax",
-                ColRedOp::Min => "colmin",
-                ColRedOp::Any => "colany",
-                ColRedOp::All => "colall",
-            };
-            let _ = writeln!(out, "{pad}{dst} = {name}({m});");
+            let _ = writeln!(out, "{pad}{dst} = {}({m});", colred_name(*op));
         }
         Instr::Shift { dst, v, k } => {
             let _ = writeln!(out, "{pad}{dst} = shift({v}, {});", sexpr_to_string(k));

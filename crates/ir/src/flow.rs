@@ -121,7 +121,8 @@ impl Instr {
             | Instr::AssignScalar { dst, .. }
             | Instr::MatMulEw { dst, .. }
             | Instr::MatVecEw { dst, .. }
-            | Instr::ReduceEw { dst, .. } => Some(dst),
+            | Instr::ReduceEw { dst, .. }
+            | Instr::ColReduceEw { dst, .. } => Some(dst),
             _ => None,
         }
     }
@@ -150,7 +151,8 @@ impl Instr {
             | Instr::AssignScalar { dst, .. }
             | Instr::MatMulEw { dst, .. }
             | Instr::MatVecEw { dst, .. }
-            | Instr::ReduceEw { dst, .. } => Some(dst),
+            | Instr::ReduceEw { dst, .. }
+            | Instr::ColReduceEw { dst, .. } => Some(dst),
             _ => None,
         }
     }
@@ -237,7 +239,7 @@ impl Instr {
                 out.push(x.clone());
                 ew_reads_except(expr, tmp, out);
             }
-            Instr::ReduceEw { tmp, expr, .. } => {
+            Instr::ReduceEw { tmp, expr, .. } | Instr::ColReduceEw { tmp, expr, .. } => {
                 ew_reads_except(expr, tmp, out);
             }
             Instr::Outer { u, v, .. } => {
@@ -386,6 +388,7 @@ impl Instr {
             | Instr::MatVec { .. }
             | Instr::MatVecEw { .. }
             | Instr::ReduceEw { .. }
+            | Instr::ColReduceEw { .. }
             | Instr::Outer { .. }
             | Instr::ExtractRow { .. }
             | Instr::ExtractStrided { .. }

@@ -549,6 +549,17 @@ pub enum Instr {
         op: ColRedOp,
         m: String,
     },
+    /// Fused `tmp(k) = expr(k); dst = colreduce(tmp)` pair, the column
+    /// twin of [`Instr::ReduceEw`]: each local row's lanes fold into
+    /// per-column partials as they are evaluated, so the temporary never
+    /// exists at run time. Only `sum`/`mean`/`prod`/`max`/`min` are
+    /// formed (see [`Instr::MatMulEw`] for the `tmp` contract).
+    ColReduceEw {
+        dst: String,
+        op: ColRedOp,
+        tmp: String,
+        expr: EwExpr,
+    },
     /// Circular shift of a vector.
     Shift {
         dst: String,
@@ -690,6 +701,7 @@ impl Instr {
             Instr::MatVecEw { .. } => "matvec-ew",
             Instr::ReduceEw { .. } => "reduce-ew",
             Instr::ColReduce { .. } => "col-reduce",
+            Instr::ColReduceEw { .. } => "col-reduce-ew",
             Instr::Shift { .. } => "shift",
             Instr::ExtractRow { .. } => "extract-row",
             Instr::ExtractCol { .. } => "extract-col",

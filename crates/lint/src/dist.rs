@@ -165,9 +165,10 @@ impl Analysis for DistAnalysis<'_> {
             | Instr::MatMul { .. }
             | Instr::MatMulEw { .. }
             | Instr::Outer { .. } => Some(DistState::RowDist),
-            Instr::MatVec { .. } | Instr::MatVecEw { .. } | Instr::ColReduce { .. } => {
-                Some(DistState::BlockVec)
-            }
+            Instr::MatVec { .. }
+            | Instr::MatVecEw { .. }
+            | Instr::ColReduce { .. }
+            | Instr::ColReduceEw { .. } => Some(DistState::BlockVec),
             Instr::ExtractRow { .. }
             | Instr::ExtractCol { .. }
             | Instr::ExtractRange { .. }

@@ -518,6 +518,16 @@ fn matmul_model(cx: &Scope, a: &str, b: &str) -> Model {
     }
 }
 
+/// Communication of a column reduction of `m`: one allreduce of the
+/// per-column partials (a single scalar for a vector).
+fn col_reduce_model(cx: &Scope, m: &str) -> Model {
+    match cx.is_vector(m) {
+        Some(true) => Model::Atoms(allreduce(Dim::Known(1))),
+        Some(false) => Model::Atoms(allreduce(cx.shape(m).cols)),
+        None => Model::Unknown,
+    }
+}
+
 /// Build the communication model of one leaf instruction, mirroring
 /// the run-time library's dispatch.
 fn model_of(i: &Instr, cx: &Scope, ranks: &BTreeMap<String, VarRank>) -> Model {
@@ -589,11 +599,14 @@ fn model_of(i: &Instr, cx: &Scope, ranks: &BTreeMap<String, VarRank>) -> Model {
             atoms(v)
         }
 
-        Instr::ColReduce { op: _, m, .. } => match cx.is_vector(m) {
-            Some(true) => atoms(allreduce(Dim::Known(1))),
-            Some(false) => atoms(allreduce(cx.shape(m).cols)),
-            None => Model::Unknown,
-        },
+        Instr::ColReduce { m, .. } => col_reduce_model(cx, m),
+        // The eliminated temporary has its operands' shape.
+        Instr::ColReduceEw { expr, .. } => {
+            let mut ops = Vec::new();
+            expr.mat_operands(&mut ops);
+            ops.first()
+                .map_or(Model::Unknown, |m| col_reduce_model(cx, m))
+        }
 
         Instr::Shift { v, k, .. } => atoms(vec![Atom::ShiftSeg {
             len: cx.numel(v),

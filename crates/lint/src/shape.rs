@@ -177,7 +177,7 @@ fn check_instr(i: &Instr, cx: &Scope, out: &mut Vec<ShapeFinding>) {
                 }
             }
         }
-        Instr::ReduceEw { dst, tmp, expr, .. } => {
+        Instr::ReduceEw { dst, tmp, expr, .. } | Instr::ColReduceEw { dst, tmp, expr, .. } => {
             // Same alignment rule as `ElemWise`, minus the internal
             // temporary.
             let mut ops = Vec::new();

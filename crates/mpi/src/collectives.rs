@@ -286,11 +286,13 @@ impl Comm {
     /// in rank order. Non-root ranks get `None`. Always linear — the
     /// payloads differ per rank so a tree saves little, and gather in
     /// the generated code is I/O-bound anyway (paper §3 assumption 5:
-    /// "one processor coordinates all I/O").
+    /// "one processor coordinates all I/O"). The caller's block is
+    /// taken by value: the root moves it into its own part and every
+    /// other rank moves it into the message, so nothing is copied.
     pub fn gather(
         &mut self,
         root: usize,
-        data: &[f64],
+        mut data: Vec<f64>,
     ) -> Result<Option<Vec<Vec<f64>>>, CommError> {
         let p = self.size();
         self.check_root(root, "gather root")?;
@@ -299,14 +301,14 @@ impl Comm {
             let mut parts: Vec<Vec<f64>> = Vec::with_capacity(p);
             for r in 0..p {
                 if r == root {
-                    parts.push(data.to_vec());
+                    parts.push(std::mem::take(&mut data));
                 } else {
                     parts.push(self.recv(r)?);
                 }
             }
             Some(parts)
         } else {
-            self.send(root, data)?;
+            self.send_payload(root, data, 1)?;
             None
         };
         let (name, algo, op) = ("gather", CollectiveAlgo::Linear, None);
@@ -322,7 +324,7 @@ impl Comm {
             return Ok(vec![data.to_vec()]);
         }
         let t0 = self.clock();
-        let gathered = self.gather(0, data)?;
+        let gathered = self.gather(0, data.to_vec())?;
         // Flatten with a length header so the broadcast is one message.
         let flat = match gathered {
             Some(parts) => {
@@ -502,7 +504,7 @@ mod tests {
     fn gather_concatenates_in_rank_order() {
         let res = run_spmd(&meiko_cs2(), 4, |c| {
             let mine = vec![c.rank() as f64; c.rank() + 1]; // variable lengths
-            c.gather(0, &mine)
+            c.gather(0, mine)
         });
         let parts = res[0].value.as_ref().unwrap();
         assert_eq!(parts.len(), 4);

@@ -255,9 +255,21 @@ impl Comm {
         data: &[f64],
         concurrent: usize,
     ) -> Result<(), CommError> {
+        self.send_payload(to, data, concurrent)
+    }
+
+    /// [`Comm::send_concurrent`] of a borrowed or owned payload: a
+    /// borrowed one is copied into the packet on delivery, an owned one
+    /// moves in.
+    pub(crate) fn send_payload(
+        &mut self,
+        to: usize,
+        data: impl AsRef<[f64]> + Into<Vec<f64>>,
+        concurrent: usize,
+    ) -> Result<(), CommError> {
         self.check_peer(to, "send to")?;
         self.fault_op()?;
-        let bytes = (data.len() * 8) as u64;
+        let bytes = (data.as_ref().len() * 8) as u64;
         let dt = self
             .machine
             .message_time(self.rank, to, bytes as usize, concurrent);
@@ -292,7 +304,7 @@ impl Comm {
             }
             _ => {
                 let pkt = Packet {
-                    data: data.to_vec(),
+                    data: data.into(),
                     send_clock,
                 };
                 self.mailboxes[to].push(self.rank, pkt, || self.job.release(to, self.rank));

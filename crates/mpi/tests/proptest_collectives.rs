@@ -110,7 +110,7 @@ fn scatter_gather_roundtrip() {
         let expect = parts.clone();
         let res = run_spmd(&meiko_cs2(), p, move |c| {
             let mine = c.scatter(0, &if c.rank() == 0 { parts.clone() } else { vec![] })?;
-            c.gather(0, &mine)
+            c.gather(0, mine)
         });
         assert_eq!(res[0].value.as_ref().unwrap(), &expect);
         for r in &res[1..] {

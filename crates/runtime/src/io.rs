@@ -112,7 +112,7 @@ pub fn print_distributed(
     name: &str,
     m: &DistMatrix,
 ) -> Result<Option<String>, CommError> {
-    let Some(full) = m.gather_to(comm, 0)? else {
+    let Some(full) = m.gather_block(comm, 0, m.local().to_vec())? else {
         return Ok(None);
     };
     let mut out = String::new();

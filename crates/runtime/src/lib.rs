@@ -40,3 +40,4 @@ pub use dist::Block;
 pub use io::LoadError;
 pub use matrix::DistMatrix;
 pub use otter_mpi::CommError;
+pub use reduce::ColOp;

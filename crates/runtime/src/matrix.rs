@@ -248,17 +248,34 @@ impl DistMatrix {
         Ok(self.assemble(parts))
     }
 
-    /// Gather onto `root` only; others get `None`.
-    pub fn gather_to(&self, comm: &mut Comm, root: usize) -> Result<Option<Dense>, CommError> {
+    /// Gather onto `root` only; others get `None`. Consumes the matrix:
+    /// its block moves into the gather (and leaves the allocation
+    /// accounting as it goes), so at p = 1 the result reuses the
+    /// block's storage and nothing is copied.
+    pub fn gather_to(mut self, comm: &mut Comm, root: usize) -> Result<Option<Dense>, CommError> {
+        let block = std::mem::take(&mut self.local);
+        crate::alloc::note_free(block.len() * 8);
+        self.gather_block(comm, root, block)
+    }
+
+    /// Gather `block` — this rank's part of an object shaped like
+    /// `self` — onto `root`. Callers that only borrow the matrix pass a
+    /// copy of [`DistMatrix::local`].
+    pub(crate) fn gather_block(
+        &self,
+        comm: &mut Comm,
+        root: usize,
+        block: Vec<f64>,
+    ) -> Result<Option<Dense>, CommError> {
         let (name, t0) = ("ML_gather", comm.clock());
-        let parts = comm.gather(root, &self.local)?;
+        let parts = comm.gather(root, block)?;
         comm.record(Event::Phase { name, t0 });
         Ok(parts.map(|parts| self.assemble(parts)))
     }
 
     /// The dense matrix whose row-major data is `parts` in rank order.
-    /// A lone part (p = 1) is already an owned copy and becomes the
-    /// storage as it is, so a p = 1 gather copies the data once.
+    /// A lone part (p = 1) becomes the storage as it is, so a p = 1
+    /// gather of an owned block copies nothing.
     fn assemble(&self, parts: Vec<Vec<f64>>) -> Dense {
         let data = match <[Vec<f64>; 1]>::try_from(parts) {
             Ok([lone]) => lone,
@@ -556,6 +573,44 @@ mod tests {
         });
         let haves: Vec<bool> = res.iter().map(|r| r.value).collect();
         assert_eq!(haves, vec![false, false, true, false]);
+    }
+
+    #[test]
+    fn gather_to_moves_the_block_it_consumes() {
+        // p = 1: the gathered dense *is* the block, same allocation.
+        let d = counting_dense(6, 4);
+        let res = run_spmd(&meiko_cs2(), 1, move |c| {
+            crate::alloc::reset();
+            let m = DistMatrix::from_replicated(c, &d);
+            let block = m.local().as_ptr();
+            let full = m.gather_to(c, 0)?.expect("root");
+            let reused = full.data().as_ptr() == block;
+            let rows_ok = full == d;
+            drop(full);
+            Ok((reused, rows_ok, crate::alloc::live_bytes()))
+        });
+        assert_eq!(res[0].value, (true, true, 0));
+
+        // p = 4: the root's own part moves into the gather, and every
+        // rank's accounting returns to zero.
+        let d = counting_dense(7, 3);
+        let res = run_spmd(&meiko_cs2(), 4, move |c| {
+            crate::alloc::reset();
+            let m = DistMatrix::from_replicated(c, &d);
+            let block = m.local().to_vec();
+            let own = block.as_ptr();
+            let moved = match c.gather(0, block)? {
+                Some(parts) => parts[0].as_ptr() == own,
+                None => true,
+            };
+            let full = m.gather_to(c, 0)?;
+            let rows_ok = full.as_ref().is_none_or(|f| *f == d);
+            drop(full);
+            Ok((moved, rows_ok, crate::alloc::live_bytes()))
+        });
+        for r in &res {
+            assert_eq!(r.value, (true, true, 0), "rank {}", r.rank);
+        }
     }
 
     #[test]

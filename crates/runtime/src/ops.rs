@@ -153,7 +153,7 @@ impl DistMatrix {
             "row assignment shape mismatch"
         );
         let owner = self.owner_rank(i, 0);
-        let full = v.gather_to(comm, owner)?;
+        let full = v.gather_block(comm, owner, v.local().to_vec())?;
         if let Some(full) = full {
             let b = self.block();
             let li = i - b.start(owner);

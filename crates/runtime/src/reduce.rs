@@ -8,7 +8,93 @@
 
 use crate::dense::Dense;
 use crate::matrix::DistMatrix;
+use otter_machine::OpClass;
 use otter_mpi::{Comm, CommError, ReduceOp};
+
+/// A MATLAB column reduction (`sum(A)`, `mean(A)`, ... of a matrix; a
+/// scalar for a vector). Each column folds in ascending row order from
+/// [`ColOp::identity`], and one allreduce combines the ranks' partials;
+/// `mean` is the `sum` divided by the count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ColOp {
+    Sum,
+    Mean,
+    Prod,
+    Max,
+    Min,
+    Any,
+    All,
+}
+
+/// `$body` with `$step` bound to `$op`'s fold step, so each operation
+/// gets its own loop with the step inlined.
+macro_rules! with_step {
+    ($op:expr, $step:ident => $body:expr) => {
+        match $op {
+            ColOp::Sum | ColOp::Mean => {
+                let $step = |acc: f64, x: f64| acc + x;
+                $body
+            }
+            ColOp::Prod => {
+                let $step = |acc: f64, x: f64| acc * x;
+                $body
+            }
+            ColOp::Max => {
+                let $step = f64::max;
+                $body
+            }
+            ColOp::Min => {
+                let $step = f64::min;
+                $body
+            }
+            ColOp::Any => {
+                let $step = |acc: f64, x: f64| f64::from(acc != 0.0 || x != 0.0);
+                $body
+            }
+            ColOp::All => {
+                let $step = |acc: f64, x: f64| f64::from(acc != 0.0 && x != 0.0);
+                $body
+            }
+        }
+    };
+}
+
+impl ColOp {
+    /// The value every column's fold starts from.
+    pub fn identity(self) -> f64 {
+        match self {
+            ColOp::Sum | ColOp::Mean | ColOp::Any => 0.0,
+            ColOp::Prod | ColOp::All => 1.0,
+            ColOp::Max => f64::NEG_INFINITY,
+            ColOp::Min => f64::INFINITY,
+        }
+    }
+
+    /// The allreduce that combines the ranks' partials.
+    fn comm_op(self) -> ReduceOp {
+        match self {
+            ColOp::Sum | ColOp::Mean => ReduceOp::Sum,
+            ColOp::Prod => ReduceOp::Prod,
+            ColOp::Max | ColOp::Any => ReduceOp::Max,
+            ColOp::Min | ColOp::All => ReduceOp::Min,
+        }
+    }
+
+    /// Fold `xs` into one accumulator, in order (a vector's reduction).
+    pub fn fold(self, acc: f64, xs: &[f64]) -> f64 {
+        with_step!(self, step => xs.iter().fold(acc, |acc, &x| step(acc, x)))
+    }
+
+    /// Fold one row into the per-column accumulators:
+    /// `acc[c] ← step(acc[c], row[c])`.
+    pub fn fold_row(self, acc: &mut [f64], row: &[f64]) {
+        with_step!(self, step => {
+            for (a, &x) in acc.iter_mut().zip(row) {
+                *a = step(*a, x);
+            }
+        })
+    }
+}
 
 impl DistMatrix {
     /// Dot product of two aligned distributed objects viewed as flat
@@ -43,48 +129,6 @@ impl DistMatrix {
         Ok(self.sum_all(comm)? / self.len() as f64)
     }
 
-    /// MATLAB `sum` convention: scalar total for vectors; column sums
-    /// (as a replicated-then-distributed row vector) for matrices.
-    pub fn sum(&self, comm: &mut Comm) -> Result<DistMatrix, CommError> {
-        self.col_reduce(comm, ReduceOp::Sum, |acc, x| acc + x, 0.0)
-    }
-
-    /// MATLAB `prod` with the `sum` conventions.
-    pub fn prod(&self, comm: &mut Comm) -> Result<DistMatrix, CommError> {
-        self.col_reduce(comm, ReduceOp::Prod, |acc, x| acc * x, 1.0)
-    }
-
-    /// MATLAB `max` convention: scalar for vectors, column maxima for
-    /// matrices.
-    pub fn max(&self, comm: &mut Comm) -> Result<DistMatrix, CommError> {
-        self.col_reduce(comm, ReduceOp::Max, f64::max, f64::NEG_INFINITY)
-    }
-
-    /// MATLAB `min` (see [`DistMatrix::max`]).
-    pub fn min(&self, comm: &mut Comm) -> Result<DistMatrix, CommError> {
-        self.col_reduce(comm, ReduceOp::Min, f64::min, f64::INFINITY)
-    }
-
-    /// MATLAB `any` with the `sum` conventions (0/1 results).
-    pub fn any(&self, comm: &mut Comm) -> Result<DistMatrix, CommError> {
-        self.col_reduce(
-            comm,
-            ReduceOp::Max,
-            |acc, x| f64::from(acc != 0.0 || x != 0.0),
-            0.0,
-        )
-    }
-
-    /// MATLAB `all` with the `sum` conventions (0/1 results).
-    pub fn all(&self, comm: &mut Comm) -> Result<DistMatrix, CommError> {
-        self.col_reduce(
-            comm,
-            ReduceOp::Min,
-            |acc, x| f64::from(acc != 0.0 && x != 0.0),
-            1.0,
-        )
-    }
-
     /// Product of every element, replicated.
     pub fn prod_all(&self, comm: &mut Comm) -> Result<f64, CommError> {
         let local: f64 = self.local().iter().product();
@@ -106,47 +150,52 @@ impl DistMatrix {
         comm.allreduce_scalar(local, ReduceOp::Min)
     }
 
-    /// Shared kernel for per-column reductions: fold local rows, then
-    /// combine across ranks with `comm_op`. Vectors reduce to a
-    /// replicated 1×1.
-    fn col_reduce(
-        &self,
-        comm: &mut Comm,
-        comm_op: ReduceOp,
-        fold: impl Fn(f64, f64) -> f64,
-        identity: f64,
-    ) -> Result<DistMatrix, CommError> {
-        if self.is_vector() {
-            let local = self.local().iter().copied().fold(identity, &fold);
-            comm.compute(self.local_els() as f64);
-            let s = comm.allreduce_scalar(local, comm_op)?;
-            return Ok(DistMatrix::from_replicated(
-                comm,
-                &Dense::from_vec(1, 1, vec![s]),
-            ));
-        }
-        let w = self.cols();
-        let mut partial = vec![identity; w];
-        for row in self.local().chunks_exact(w) {
-            for (acc, &x) in partial.iter_mut().zip(row) {
-                *acc = fold(*acc, x);
+    /// MATLAB column reduction `op` (`sum(A)`, `mean(A)`, ...): fold
+    /// the local rows, then combine across ranks into a replicated row
+    /// vector. Vectors reduce to a replicated 1×1.
+    pub fn col_reduce(&self, comm: &mut Comm, op: ColOp) -> Result<DistMatrix, CommError> {
+        let partial = if self.is_vector() {
+            vec![op.fold(op.identity(), self.local())]
+        } else {
+            let mut partial = vec![op.identity(); self.cols()];
+            for row in self.local().chunks_exact(self.cols().max(1)) {
+                op.fold_row(&mut partial, row);
             }
-        }
-        comm.compute(self.local_els() as f64);
-        let full = comm.allreduce(&partial, comm_op)?;
-        Ok(DistMatrix::from_replicated(comm, &Dense::row_vector(&full)))
+            partial
+        };
+        self.col_reduce_partials(comm, op, &partial)
     }
 
-    /// MATLAB `mean` with the `sum` conventions.
-    pub fn mean(&self, comm: &mut Comm) -> Result<DistMatrix, CommError> {
-        let n = if self.is_vector() {
+    /// Finish column reduction `op` of an object shaped like `self` from
+    /// this rank's partials — one per column for a matrix, one for a
+    /// vector — folded from [`ColOp::identity`] in ascending row order:
+    /// charge the local fold, combine the ranks' partials in one
+    /// allreduce, and divide by the count for `mean`.
+    pub fn col_reduce_partials(
+        &self,
+        comm: &mut Comm,
+        op: ColOp,
+        partial: &[f64],
+    ) -> Result<DistMatrix, CommError> {
+        let count = if self.is_vector() {
             self.len()
         } else {
             self.rows()
         };
-        assert!(n > 0, "mean of empty");
-        let s = self.sum(comm)?;
-        Ok(s.map_scalar(comm, n as f64, otter_machine::OpClass::Div, |x, d| x / d))
+        assert!(op != ColOp::Mean || count > 0, "mean of empty");
+        comm.compute(self.local_els() as f64);
+        let reduced = if self.is_vector() {
+            let s = comm.allreduce_scalar(partial[0], op.comm_op())?;
+            DistMatrix::from_replicated(comm, &Dense::from_vec(1, 1, vec![s]))
+        } else {
+            let full = comm.allreduce(partial, op.comm_op())?;
+            DistMatrix::from_replicated(comm, &Dense::row_vector(&full))
+        };
+        Ok(if op == ColOp::Mean {
+            reduced.map_scalar(comm, count as f64, OpClass::Div, |x, d| x / d)
+        } else {
+            reduced
+        })
     }
 
     /// Largest element, replicated.
@@ -303,7 +352,7 @@ mod tests {
         let res = run_spmd(&meiko_cs2(), 3, |c| {
             let d = Dense::from_vec(4, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
             let m = DistMatrix::from_replicated(c, &d);
-            m.sum(c)?.gather_all(c)
+            m.col_reduce(c, ColOp::Sum)?.gather_all(c)
         });
         assert_eq!(res[0].value.data(), &[16.0, 20.0]);
     }
@@ -313,7 +362,7 @@ mod tests {
         let res = run_spmd(&meiko_cs2(), 2, |c| {
             let d = Dense::from_vec(2, 2, vec![1.0, 10.0, 3.0, 30.0]);
             let m = DistMatrix::from_replicated(c, &d);
-            m.mean(c)?.gather_all(c)
+            m.col_reduce(c, ColOp::Mean)?.gather_all(c)
         });
         assert_eq!(res[0].value.data(), &[2.0, 20.0]);
     }

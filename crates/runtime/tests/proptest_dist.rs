@@ -5,7 +5,7 @@
 use otter_det::DetRng;
 use otter_machine::meiko_cs2;
 use otter_mpi::run_spmd;
-use otter_rt::{Block, Dense, DistMatrix};
+use otter_rt::{Block, ColOp, Dense, DistMatrix};
 
 fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-9 * (1.0 + a.abs().max(b.abs()))
@@ -236,13 +236,13 @@ fn column_reductions_match_dense() {
         let res = run_spmd(&meiko_cs2(), p, move |c| {
             let m = DistMatrix::from_replicated(c, &dd);
             Ok((
-                m.sum(c)?.gather_all(c)?,
-                m.mean(c)?.gather_all(c)?,
-                m.prod(c)?.gather_all(c)?,
-                m.max(c)?.gather_all(c)?,
-                m.min(c)?.gather_all(c)?,
-                m.any(c)?.gather_all(c)?,
-                m.all(c)?.gather_all(c)?,
+                m.col_reduce(c, ColOp::Sum)?.gather_all(c)?,
+                m.col_reduce(c, ColOp::Mean)?.gather_all(c)?,
+                m.col_reduce(c, ColOp::Prod)?.gather_all(c)?,
+                m.col_reduce(c, ColOp::Max)?.gather_all(c)?,
+                m.col_reduce(c, ColOp::Min)?.gather_all(c)?,
+                m.col_reduce(c, ColOp::Any)?.gather_all(c)?,
+                m.col_reduce(c, ColOp::All)?.gather_all(c)?,
             ))
         });
         let got = &res[0].value;

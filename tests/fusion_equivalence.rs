@@ -153,6 +153,76 @@ fn fusion_never_raises_the_workspace_peak() {
     }
 }
 
+/// `sum`/`mean`/`prod`/`max`/`min` of `a .* b` for three operand
+/// pairs: a 7×5 matrix (7 rows leave remainder blocks at p = 3 and 4)
+/// holding NaN, ±inf, ±0.0, subnormals, a product that overflows and
+/// a column whose sum cancels differently in any other order, and
+/// 1×5 and 5×1 vectors cut from that column. The vectors' shapes
+/// hang on a value the compiler cannot fold, so they lower to column
+/// reductions and take the run-time vector path.
+fn col_reduce_script() -> (String, Vec<String>) {
+    let mut src = String::from(
+        "x = [1.5, 1e16, NaN, 0.1, 3; -2, 3, 4, -Inf, -0; 1e300, -1e16, -7, 2, 0.3; \
+         0.7, 1, 5, 1, 1e-310; -0, 3, -1, 6, 9; 2.5, -8, 0.125, -3, 4; 1, 1, 1, 1, 1];\n\
+         y = [2, 1, 1, 0.2, -1; -0, 1, -2, 2, 7; 1e300, 1, 0.5, -0, 2; \
+         3, 1, 1e-10, -6, 0.5; 1, 0.1, 2, 2, -3; -1, 0.7, 8, 1e-310, 2; 0.3, 0.3, -4, 3, 0.1];\n\
+         r = rand(1, 1);\n\
+         k = 1 + floor(r(1) * 0);\n\
+         xr = zeros(k, 5);\n yr = zeros(k, 5);\n xc = zeros(5, k);\n yc = zeros(5, k);\n\
+         for j = 1:5\n\
+           xr(1, j) = x(j, 2);\n yr(1, j) = y(j, 5);\n\
+           xc(j, 1) = x(j, 2);\n yc(j, 1) = y(j, 2);\n\
+         end\n",
+    );
+    let mut results = Vec::new();
+    for (a, b) in [("x", "y"), ("xr", "yr"), ("xc", "yc")] {
+        for op in ["sum", "mean", "prod", "max", "min"] {
+            let name = format!("{op}_{a}");
+            src.push_str(&format!("{name} = {op}({a} .* {b});\n"));
+            results.push(name);
+        }
+    }
+    (src, results)
+}
+
+#[test]
+fn fused_column_reductions_keep_every_bit_and_message() {
+    // F4 folds `a .* b` into per-column partials instead of
+    // materializing it; the results, and the traffic, must not move.
+    let (src, results) = col_reduce_script();
+    let names: Vec<&str> = results.iter().map(String::as_str).collect();
+    let fused = compile(&src, &EngineOptions::default()).unwrap_or_else(|e| panic!("{e}"));
+    let unfused = compile(&src, &fusion(false).build()).unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(fused.compiled().fusion_stats.col_reduce_epilogues, 15);
+    for p in [1usize, 3, 4] {
+        let go =
+            |a| run(a, &RunRequest::on(meiko_cs2(), p)).unwrap_or_else(|e| panic!("p={p}: {e}"));
+        let (f, u) = (go(&fused), go(&unfused));
+        assert_eq!(
+            workspace_bits(&f, &names),
+            workspace_bits(&u, &names),
+            "p={p}"
+        );
+        assert_eq!((f.messages, f.bytes), (u.messages, u.bytes), "p={p}");
+        assert_eq!(f.op_counts["col-reduce-ew"], 15, "p={p}");
+    }
+}
+
+#[test]
+fn paper_ocean_materializes_one_field_not_two() {
+    // `sum(sum(field .* field))` at paper scale: F4 never allocates the
+    // nz×nt square, so the p = 1 allocator peak drops by a whole block.
+    let params = otter_apps::ocean::Params::paper();
+    let app = otter_apps::ocean::ocean_engineering(params);
+    let peak = |on: bool| run_with(&app, &fusion(on).build(), 1).peak_temp_bytes;
+    let (fused, unfused) = (peak(true), peak(false));
+    let block = params.nz * params.nt * 8;
+    assert!(
+        fused + block <= unfused,
+        "fused peak {fused} B is not a {block} B block below unfused {unfused} B"
+    );
+}
+
 #[test]
 fn fig2_with_knobs_off_is_byte_identical_to_the_prechange_figure() {
     // With fusion disabled, the kernels must reproduce the committed
