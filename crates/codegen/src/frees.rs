@@ -81,7 +81,7 @@ mod tests {
                 },
                 Instr::Reduce {
                     dst: "s".into(),
-                    op: RedOp::SumAll,
+                    op: RedOp::Fold(ColRedOp::Sum),
                     m: "ML_tmp1".into(),
                 },
                 Instr::AssignScalar {
@@ -120,7 +120,7 @@ mod tests {
                     stop: SExpr::c(3.0),
                     body: vec![Instr::Reduce {
                         dst: "s".into(),
-                        op: RedOp::SumAll,
+                        op: RedOp::Fold(ColRedOp::Sum),
                         m: "ML_tmp1".into(),
                     }],
                 },

@@ -149,22 +149,10 @@ fn dead_after(
         && counts.get(t) == Some(&uses_in_consumer)
 }
 
-/// Reductions that fold through one allreduce of a running scalar.
-fn fusible_reduction(op: RedOp) -> bool {
-    matches!(
-        op,
-        RedOp::SumAll
-            | RedOp::MeanAll
-            | RedOp::MaxAll
-            | RedOp::MinAll
-            | RedOp::ProdAll
-            | RedOp::Norm2
-    )
-}
-
-/// Column reductions that fold through one allreduce of per-column
-/// partials.
-fn fusible_col_reduction(op: ColRedOp) -> bool {
+/// Folds that fuse with their producer: every MATLAB fold but the
+/// boolean `any`/`all`. F3 also takes `norm`'s x·x fold; `trapz` needs
+/// neighbour halos and never fuses.
+fn fusible(op: ColRedOp) -> bool {
     !matches!(op, ColRedOp::Any | ColRedOp::All)
 }
 
@@ -275,7 +263,9 @@ fn try_pair(
         }
         // 3. ElemWise → Reduce: fold the expression on the fly.
         (Instr::ElemWise { dst: t, expr }, Instr::Reduce { dst, op, m })
-            if m == t && fusible_reduction(*op) && dead_after(t, 1, counts, live_out) =>
+            if m == t
+                && (matches!(op, RedOp::Fold(f) if fusible(*f)) || *op == RedOp::Norm2)
+                && dead_after(t, 1, counts, live_out) =>
         {
             stats.reduce_epilogues += 1;
             Some((
@@ -290,7 +280,7 @@ fn try_pair(
         }
         // 4. ElemWise → ColReduce: fold the expression into columns.
         (Instr::ElemWise { dst: t, expr }, Instr::ColReduce { dst, op, m })
-            if m == t && fusible_col_reduction(*op) && dead_after(t, 1, counts, live_out) =>
+            if m == t && fusible(*op) && dead_after(t, 1, counts, live_out) =>
         {
             stats.col_reduce_epilogues += 1;
             Some((
@@ -481,7 +471,7 @@ mod tests {
             },
             Instr::Reduce {
                 dst: "s".into(),
-                op: RedOp::SumAll,
+                op: RedOp::Fold(ColRedOp::Sum),
                 m: "ML_tmp2".into(),
             },
             Instr::Free {
@@ -529,7 +519,7 @@ mod tests {
             },
             Instr::Reduce {
                 dst: "s".into(),
-                op: RedOp::SumAll,
+                op: RedOp::Fold(ColRedOp::Sum),
                 m: "ML_tmp1".into(),
             },
         ]);

@@ -795,34 +795,25 @@ impl<'a> Cx<'a> {
                     "any" | "all" => BaseTy::Integer,
                     _ => ty.base,
                 };
+                let op = match callee {
+                    "sum" => ColRedOp::Sum,
+                    "mean" => ColRedOp::Mean,
+                    "prod" => ColRedOp::Prod,
+                    "max" => ColRedOp::Max,
+                    "min" => ColRedOp::Min,
+                    "any" => ColRedOp::Any,
+                    _ => ColRedOp::All,
+                };
                 if ty.shape.is_vector() {
                     let dst = self.fresh_tmp(VarRank::Scalar);
-                    let op = match callee {
-                        "sum" => RedOp::SumAll,
-                        "mean" => RedOp::MeanAll,
-                        "prod" => RedOp::ProdAll,
-                        "max" => RedOp::MaxAll,
-                        "min" => RedOp::MinAll,
-                        "any" => RedOp::AnyAll,
-                        _ => RedOp::AllAll,
-                    };
                     out.push(Instr::Reduce {
                         dst: dst.clone(),
-                        op,
+                        op: RedOp::Fold(op),
                         m,
                     });
                     one(Frag::S(SExpr::var(dst)), VarTy::scalar(result_base))
                 } else {
                     let dst = self.fresh_tmp(VarRank::Matrix);
-                    let op = match callee {
-                        "sum" => ColRedOp::Sum,
-                        "mean" => ColRedOp::Mean,
-                        "prod" => ColRedOp::Prod,
-                        "max" => ColRedOp::Max,
-                        "min" => ColRedOp::Min,
-                        "any" => ColRedOp::Any,
-                        _ => ColRedOp::All,
-                    };
                     out.push(Instr::ColReduce {
                         dst: dst.clone(),
                         op,

@@ -175,7 +175,7 @@ fn fuse_dots(block: &mut Vec<Instr>, live_out: &[String], stats: &mut PeepholeSt
                 Instr::ElemWise { dst: t, expr },
                 Instr::Reduce {
                     dst,
-                    op: RedOp::SumAll,
+                    op: RedOp::Fold(ColRedOp::Sum),
                     m,
                 },
             ) if t == m
@@ -259,7 +259,7 @@ mod tests {
             },
             Instr::Reduce {
                 dst: "s".into(),
-                op: RedOp::SumAll,
+                op: RedOp::Fold(ColRedOp::Sum),
                 m: "ML_tmp1".into(),
             },
         ]);
@@ -302,7 +302,7 @@ mod tests {
             },
             Instr::Reduce {
                 dst: "ML_tmp2".into(),
-                op: RedOp::SumAll,
+                op: RedOp::Fold(ColRedOp::Sum),
                 m: "ML_tmp1".into(),
             },
             Instr::AssignScalar {
@@ -332,12 +332,12 @@ mod tests {
             },
             Instr::Reduce {
                 dst: "s".into(),
-                op: RedOp::SumAll,
+                op: RedOp::Fold(ColRedOp::Sum),
                 m: "ML_tmp1".into(),
             },
             Instr::Reduce {
                 dst: "t".into(),
-                op: RedOp::MaxAll,
+                op: RedOp::Fold(ColRedOp::Max),
                 m: "ML_tmp1".into(),
             },
         ]);

@@ -458,51 +458,33 @@ impl<'a> Executor<'a> {
     /// Fused ElemWise → Reduce: evaluate the producer expression strip
     /// by strip and fold the lanes in ascending index order — no
     /// temporary matrix is materialized. Charges mirror the eliminated
-    /// `ElemWise` plus the exact fold and allreduce of [`otter_rt`]'s
-    /// reduction kernels.
+    /// `ElemWise` plus [`DistMatrix::reduce_all`]'s (or `norm2`'s) own.
     fn exec_fused_reduce(&mut self, op: RedOp, expr: &EwExpr) -> ExecResult<f64> {
         let (ops, program) = self.fold_program(expr)?;
-        let (len, global_len, local) = {
-            let model = env_mat(&self.scopes, &ops[0])?;
-            let len = model.local_els();
-            let local = program
-                .reduce(op, &collect_slices(&self.scopes, &ops)?, len)
-                .ok_or_else(|| {
-                    OtterError::execution(format!("reduction `{}` cannot be fused", op.c_name()))
-                })?;
-            (len, model.len(), local)
-        };
-        // The eliminated element-wise loop's charge...
-        self.comm.compute(len as f64 * expr.flop_weight().max(1.0));
-        // ...then the reduction kernel's own fold + allreduce charges.
-        let v = match op {
-            RedOp::SumAll => {
-                self.comm.compute(len as f64);
-                self.comm.allreduce_scalar(local, ReduceOp::Sum)?
-            }
-            RedOp::MeanAll => {
-                self.comm.compute(len as f64);
-                self.comm.allreduce_scalar(local, ReduceOp::Sum)? / global_len as f64
-            }
-            RedOp::MaxAll => {
-                self.comm.compute(len as f64);
-                self.comm.allreduce_scalar(local, ReduceOp::Max)?
-            }
-            RedOp::MinAll => {
-                self.comm.compute(len as f64);
-                self.comm.allreduce_scalar(local, ReduceOp::Min)?
-            }
-            RedOp::ProdAll => {
-                self.comm.compute(len as f64);
-                self.comm.allreduce_scalar(local, ReduceOp::Prod)?
+        let (scopes, comm) = (&self.scopes, &mut *self.comm);
+        let model = env_mat(scopes, &ops[0])?;
+        let slices = collect_slices(scopes, &ops)?;
+        let len = model.local_els();
+        // The eliminated element-wise loop's charge comes first.
+        let producer = len as f64 * expr.flop_weight().max(1.0);
+        match op {
+            RedOp::Fold(f) => {
+                let local = program.col_partials(col_op(f), &slices, len, None)[0];
+                comm.compute(producer);
+                Ok(model.reduce_all_partial(comm, col_op(f), local)?)
             }
             RedOp::Norm2 => {
-                self.comm.compute(2.0 * len as f64 + 8.0);
-                self.comm.allreduce_scalar(local, ReduceOp::Sum)?.sqrt()
+                let local = program.sum_squares(&slices, len);
+                comm.compute(producer);
+                comm.compute(2.0 * len as f64 + 8.0);
+                Ok(comm.allreduce_scalar(local, ReduceOp::Sum)?.sqrt())
             }
-            RedOp::AnyAll | RedOp::AllAll | RedOp::Trapz => unreachable!("rejected above"),
-        };
-        Ok(v)
+            RedOp::Trapz => Err(OtterError::execution(format!(
+                "reduction `{}` cannot be fused",
+                op.c_name()
+            ))
+            .into()),
+        }
     }
 
     /// Fused ElemWise → ColReduce: evaluate the producer expression row
@@ -699,13 +681,7 @@ impl<'a> Executor<'a> {
                 let (scopes, comm) = (&self.scopes, &mut *self.comm);
                 let mat = env_mat(scopes, m)?;
                 let v = match op {
-                    RedOp::SumAll => mat.sum_all(comm)?,
-                    RedOp::MeanAll => mat.mean_all(comm)?,
-                    RedOp::MaxAll => mat.max_all(comm)?,
-                    RedOp::MinAll => mat.min_all(comm)?,
-                    RedOp::ProdAll => mat.prod_all(comm)?,
-                    RedOp::AnyAll => mat.any_all(comm)?,
-                    RedOp::AllAll => mat.all_all(comm)?,
+                    RedOp::Fold(f) => mat.reduce_all(comm, col_op(*f))?,
                     RedOp::Norm2 => mat.norm2(comm)?,
                     RedOp::Trapz => mat.trapz(comm)?,
                 };
@@ -1369,27 +1345,20 @@ impl EwProgram {
         acc
     }
 
-    /// This rank's partial of a fused full reduction (`None` for the
-    /// reductions fusion never forms). The initial values are those of
-    /// `Iterator::sum` (−0.0, so a sum of −0.0 lanes stays −0.0) and
-    /// `Iterator::product`, with ±∞ for `max`/`min`.
-    fn reduce(&self, op: RedOp, slices: &[&[f64]], len: usize) -> Option<f64> {
-        Some(match op {
-            RedOp::SumAll | RedOp::MeanAll => self.fold(slices, len, -0.0, |acc, x| acc + x),
-            RedOp::MaxAll => self.fold(slices, len, f64::NEG_INFINITY, f64::max),
-            RedOp::MinAll => self.fold(slices, len, f64::INFINITY, f64::min),
-            RedOp::ProdAll => self.fold(slices, len, 1.0, |acc, x| acc * x),
-            RedOp::Norm2 => self.fold(slices, len, -0.0, |acc, x| acc + x * x),
-            RedOp::AnyAll | RedOp::AllAll | RedOp::Trapz => return None,
-        })
+    /// `norm`'s partial: the squares of the program's `len` lanes summed
+    /// in ascending index order from `sum`'s identity.
+    fn sum_squares(&self, slices: &[&[f64]], len: usize) -> f64 {
+        self.fold(slices, len, ColOp::Sum.identity(), |acc, x| acc + x * x)
     }
 
-    /// This rank's partials of column reduction `op` over the program's
-    /// `len` lanes, for [`DistMatrix::col_reduce_partials`]. A vector
+    /// This rank's partials of fold `op` over the program's `len` lanes,
+    /// for [`DistMatrix::reduce_all_partial`] or
+    /// [`DistMatrix::col_reduce_partials`]. A whole object or a vector
     /// (`width` is `None`) folds every lane into one accumulator in
     /// index order; a matrix folds its rows of `width` lanes into
     /// per-column accumulators in ascending row order, with the strips
-    /// inside each row, exactly as `col_reduce` folds the stored rows.
+    /// inside each row. Both start where [`ColOp`] says, exactly as
+    /// `reduce_all` and `col_reduce` fold the stored elements.
     fn col_partials(
         &self,
         op: ColOp,
@@ -1406,7 +1375,7 @@ impl EwProgram {
             }
             return vec![acc];
         };
-        let mut acc = vec![op.identity(); w];
+        let mut acc = vec![op.column_start(); w];
         for row in (0..len).step_by(w.max(1)) {
             for (base, n) in strips(w) {
                 op.fold_row(
@@ -1579,16 +1548,27 @@ mod tests {
         }
     }
 
-    /// The pre-strip fused-reduction fold.
+    /// The pre-strip fused-reduction fold, with `any`/`all` as
+    /// short-circuiting scans.
     fn reference_reduce(op: RedOp, e: &CEw, slices: &[&[f64]], len: usize) -> f64 {
         let each = |k: usize| ceval(e, slices, &[], k);
         match op {
-            RedOp::SumAll | RedOp::MeanAll => (0..len).map(each).sum::<f64>(),
-            RedOp::MaxAll => (0..len).map(each).fold(f64::NEG_INFINITY, f64::max),
-            RedOp::MinAll => (0..len).map(each).fold(f64::INFINITY, f64::min),
-            RedOp::ProdAll => (0..len).map(each).product::<f64>(),
+            RedOp::Fold(ColRedOp::Sum | ColRedOp::Mean) => (0..len).map(each).sum::<f64>(),
+            RedOp::Fold(ColRedOp::Max) => (0..len).map(each).fold(f64::NEG_INFINITY, f64::max),
+            RedOp::Fold(ColRedOp::Min) => (0..len).map(each).fold(f64::INFINITY, f64::min),
+            RedOp::Fold(ColRedOp::Prod) => (0..len).map(each).product::<f64>(),
+            RedOp::Fold(ColRedOp::Any) => f64::from((0..len).map(each).any(|x| x != 0.0)),
+            RedOp::Fold(ColRedOp::All) => f64::from((0..len).map(each).all(|x| x != 0.0)),
             RedOp::Norm2 => (0..len).map(each).map(|x| x * x).sum::<f64>(),
-            RedOp::AnyAll | RedOp::AllAll | RedOp::Trapz => unreachable!("never fused"),
+            RedOp::Trapz => unreachable!("never fused"),
+        }
+    }
+
+    /// The executor's fused partial of `op`.
+    fn fused(program: &EwProgram, op: RedOp, slices: &[&[f64]], len: usize) -> f64 {
+        match op {
+            RedOp::Fold(f) => program.col_partials(col_op(f), slices, len, None)[0],
+            _ => program.sum_squares(slices, len),
         }
     }
 
@@ -1599,12 +1579,14 @@ mod tests {
         }
     }
 
-    const FOLDS: [RedOp; 6] = [
-        RedOp::SumAll,
-        RedOp::MeanAll,
-        RedOp::MaxAll,
-        RedOp::MinAll,
-        RedOp::ProdAll,
+    const FOLDS: [RedOp; 8] = [
+        RedOp::Fold(ColRedOp::Sum),
+        RedOp::Fold(ColRedOp::Mean),
+        RedOp::Fold(ColRedOp::Max),
+        RedOp::Fold(ColRedOp::Min),
+        RedOp::Fold(ColRedOp::Prod),
+        RedOp::Fold(ColRedOp::Any),
+        RedOp::Fold(ColRedOp::All),
         RedOp::Norm2,
     ];
     const EW_OPS: [EwOp; 13] = [
@@ -1724,7 +1706,7 @@ mod tests {
         assert_eq!(got.len(), len);
         for op in FOLDS {
             let (g, want) = (
-                program.reduce(op, &slices, len).unwrap(),
+                fused(&program, op, &slices, len),
                 reference_reduce(op, &cew, &slices, len),
             );
             assert!(same_bits(g, want), "len {len} {op:?}: {g} vs {want}\n{e:?}");
@@ -1786,25 +1768,28 @@ mod tests {
             let slices: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
             let names: Vec<String> = MATS.iter().map(|s| s.to_string()).collect();
             let program = compile_ew(&m0, &names, None, &constant).unwrap();
-            program.reduce(op, &slices, len).unwrap()
+            fused(&program, op, &slices, len)
         };
         // A sum of −0.0 lanes stays −0.0, across strip boundaries too.
         for len in LENS {
-            let s = run(RedOp::SumAll, vec![-0.0; len]);
+            let s = run(RedOp::Fold(ColRedOp::Sum), vec![-0.0; len]);
             assert!(same_bits(s, -0.0), "len {len}: {s:?}");
         }
         // max/min skip NaN operands; an all-NaN fold keeps its initial ±∞.
         let mut lanes = vec![f64::NAN; 600];
         lanes[300] = 2.0;
         lanes[5] = -3.0;
-        assert_eq!(run(RedOp::MaxAll, lanes.clone()), 2.0);
-        assert_eq!(run(RedOp::MinAll, lanes), -3.0);
-        assert_eq!(run(RedOp::MaxAll, vec![f64::NAN; 257]), f64::NEG_INFINITY);
+        assert_eq!(run(RedOp::Fold(ColRedOp::Max), lanes.clone()), 2.0);
+        assert_eq!(run(RedOp::Fold(ColRedOp::Min), lanes), -3.0);
+        assert_eq!(
+            run(RedOp::Fold(ColRedOp::Max), vec![f64::NAN; 257]),
+            f64::NEG_INFINITY
+        );
         // prod with 0·∞ is NaN.
         let mut lanes = vec![1.0; 513];
         lanes[3] = 0.0;
         lanes[400] = f64::INFINITY;
-        assert!(run(RedOp::ProdAll, lanes).is_nan());
+        assert!(run(RedOp::Fold(ColRedOp::Prod), lanes).is_nan());
     }
 
     #[test]

@@ -93,68 +93,52 @@ impl CommProfile {
     }
 }
 
+/// `Some(dst)` for the instructions with one sole destination, by
+/// shared or mutable reference alike: the one variant list behind
+/// [`Instr::dst`] and [`Instr::dst_mut`].
+macro_rules! sole_dst {
+    ($instr:expr) => {
+        match $instr {
+            Instr::InitMatrix { dst, .. }
+            | Instr::CopyMatrix { dst, .. }
+            | Instr::LoadFile { dst, .. }
+            | Instr::ElemWise { dst, .. }
+            | Instr::MatMul { dst, .. }
+            | Instr::MatVec { dst, .. }
+            | Instr::Outer { dst, .. }
+            | Instr::Transpose { dst, .. }
+            | Instr::BroadcastElem { dst, .. }
+            | Instr::Reduce { dst, .. }
+            | Instr::Dot { dst, .. }
+            | Instr::TrapzXY { dst, .. }
+            | Instr::ColReduce { dst, .. }
+            | Instr::Shift { dst, .. }
+            | Instr::ExtractRow { dst, .. }
+            | Instr::ExtractCol { dst, .. }
+            | Instr::ExtractRange { dst, .. }
+            | Instr::ExtractStrided { dst, .. }
+            | Instr::AssignScalar { dst, .. }
+            | Instr::MatMulEw { dst, .. }
+            | Instr::MatVecEw { dst, .. }
+            | Instr::ReduceEw { dst, .. }
+            | Instr::ColReduceEw { dst, .. } => Some(dst),
+            _ => None,
+        }
+    };
+}
+
 impl Instr {
     /// The variable a simple instruction writes (its sole
     /// destination), if any. In-place mutations (`StoreElem`,
     /// `AssignRow`, fills) are *not* destinations — see
     /// [`Instr::defs`].
     pub fn dst(&self) -> Option<&str> {
-        match self {
-            Instr::InitMatrix { dst, .. }
-            | Instr::CopyMatrix { dst, .. }
-            | Instr::LoadFile { dst, .. }
-            | Instr::ElemWise { dst, .. }
-            | Instr::MatMul { dst, .. }
-            | Instr::MatVec { dst, .. }
-            | Instr::Outer { dst, .. }
-            | Instr::Transpose { dst, .. }
-            | Instr::BroadcastElem { dst, .. }
-            | Instr::Reduce { dst, .. }
-            | Instr::Dot { dst, .. }
-            | Instr::TrapzXY { dst, .. }
-            | Instr::ColReduce { dst, .. }
-            | Instr::Shift { dst, .. }
-            | Instr::ExtractRow { dst, .. }
-            | Instr::ExtractCol { dst, .. }
-            | Instr::ExtractRange { dst, .. }
-            | Instr::ExtractStrided { dst, .. }
-            | Instr::AssignScalar { dst, .. }
-            | Instr::MatMulEw { dst, .. }
-            | Instr::MatVecEw { dst, .. }
-            | Instr::ReduceEw { dst, .. }
-            | Instr::ColReduceEw { dst, .. } => Some(dst),
-            _ => None,
-        }
+        sole_dst!(self).map(String::as_str)
     }
 
     /// Mutable access to the destination, for retargeting rewrites.
     pub fn dst_mut(&mut self) -> Option<&mut String> {
-        match self {
-            Instr::InitMatrix { dst, .. }
-            | Instr::CopyMatrix { dst, .. }
-            | Instr::LoadFile { dst, .. }
-            | Instr::ElemWise { dst, .. }
-            | Instr::MatMul { dst, .. }
-            | Instr::MatVec { dst, .. }
-            | Instr::Outer { dst, .. }
-            | Instr::Transpose { dst, .. }
-            | Instr::BroadcastElem { dst, .. }
-            | Instr::Reduce { dst, .. }
-            | Instr::Dot { dst, .. }
-            | Instr::TrapzXY { dst, .. }
-            | Instr::ColReduce { dst, .. }
-            | Instr::Shift { dst, .. }
-            | Instr::ExtractRow { dst, .. }
-            | Instr::ExtractCol { dst, .. }
-            | Instr::ExtractRange { dst, .. }
-            | Instr::ExtractStrided { dst, .. }
-            | Instr::AssignScalar { dst, .. }
-            | Instr::MatMulEw { dst, .. }
-            | Instr::MatVecEw { dst, .. }
-            | Instr::ReduceEw { dst, .. }
-            | Instr::ColReduceEw { dst, .. } => Some(dst),
-            _ => None,
-        }
+        sole_dst!(self)
     }
 
     /// Every variable this instruction (re)defines or mutates at this
@@ -465,7 +449,7 @@ mod tests {
     fn comm_profile_classification() {
         let reduce = Instr::Reduce {
             dst: "s".into(),
-            op: RedOp::SumAll,
+            op: RedOp::Fold(ColRedOp::Sum),
             m: "a".into(),
         };
         assert!(reduce.comm_profile().collective);

@@ -343,16 +343,11 @@ impl EwExpr {
     }
 }
 
-/// Whole-object reductions producing a replicated scalar.
+/// Whole-object reductions producing a replicated scalar: one of the
+/// seven MATLAB folds over every element, or a kernel of its own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RedOp {
-    SumAll,
-    MeanAll,
-    MaxAll,
-    MinAll,
-    ProdAll,
-    AnyAll,
-    AllAll,
+    Fold(ColRedOp),
     Norm2,
     Trapz,
 }
@@ -360,13 +355,13 @@ pub enum RedOp {
 impl RedOp {
     pub fn c_name(self) -> &'static str {
         match self {
-            RedOp::SumAll => "ML_sum_all",
-            RedOp::MeanAll => "ML_mean_all",
-            RedOp::MaxAll => "ML_max_all",
-            RedOp::MinAll => "ML_min_all",
-            RedOp::ProdAll => "ML_prod_all",
-            RedOp::AnyAll => "ML_any_all",
-            RedOp::AllAll => "ML_all_all",
+            RedOp::Fold(ColRedOp::Sum) => "ML_sum_all",
+            RedOp::Fold(ColRedOp::Mean) => "ML_mean_all",
+            RedOp::Fold(ColRedOp::Max) => "ML_max_all",
+            RedOp::Fold(ColRedOp::Min) => "ML_min_all",
+            RedOp::Fold(ColRedOp::Prod) => "ML_prod_all",
+            RedOp::Fold(ColRedOp::Any) => "ML_any_all",
+            RedOp::Fold(ColRedOp::All) => "ML_all_all",
             RedOp::Norm2 => "ML_norm2",
             RedOp::Trapz => "ML_trapz",
         }
@@ -744,7 +739,9 @@ impl Instr {
     }
 }
 
-/// Column-aggregate reductions (`sum(A)`, `mean(A)` on matrices).
+/// The seven MATLAB folds: `sum`, `mean`, `prod`, `max`, `min`, `any`
+/// and `all`. A [`Instr::ColReduce`] applies one per column of a
+/// matrix; a [`RedOp::Fold`] applies one to every element.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ColRedOp {
     Sum,

@@ -451,7 +451,7 @@ mod tests {
             },
             Instr::Reduce {
                 dst: "s".into(),
-                op: RedOp::SumAll,
+                op: RedOp::Fold(ColRedOp::Sum),
                 m: "v".into(),
             },
         ];
@@ -593,7 +593,7 @@ mod tests {
             },
             Instr::Reduce {
                 dst: "s".into(),
-                op: RedOp::SumAll,
+                op: RedOp::Fold(ColRedOp::Sum),
                 m: "a__1".into(),
             },
         ];

@@ -263,7 +263,7 @@ mod tests {
     fn reduce(dst: &str, m: &str) -> Instr {
         Instr::Reduce {
             dst: dst.into(),
-            op: RedOp::SumAll,
+            op: RedOp::Fold(ColRedOp::Sum),
             m: m.into(),
         }
     }

@@ -213,7 +213,7 @@ mod tests {
                 rand_mat("a"),
                 Instr::Reduce {
                     dst: "s".into(),
-                    op: RedOp::SumAll,
+                    op: RedOp::Fold(ColRedOp::Sum),
                     m: "a".into(),
                 },
                 Instr::Print {
@@ -237,7 +237,7 @@ mod tests {
     fn site_census_counts_comm_classes() {
         let reduce = |dst: &str| Instr::Reduce {
             dst: dst.into(),
-            op: RedOp::SumAll,
+            op: RedOp::Fold(ColRedOp::Sum),
             m: "a".into(),
         };
         let mut p = IrProgram {

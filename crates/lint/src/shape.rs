@@ -588,7 +588,7 @@ pub fn annotate_in_place(prog: &mut IrProgram) {
 mod tests {
     use super::*;
     use otter_analysis::Shape;
-    use otter_ir::{MatInit, RedOp};
+    use otter_ir::{ColRedOp, MatInit, RedOp};
 
     fn scope<'a>(
         shapes: &'a BTreeMap<String, Shape>,
@@ -708,7 +708,7 @@ mod tests {
             },
             Instr::Reduce {
                 dst: "s".into(),
-                op: RedOp::SumAll,
+                op: RedOp::Fold(ColRedOp::Sum),
                 m: "c__1".into(),
             },
         ];
@@ -719,7 +719,7 @@ mod tests {
         let mut overlapping = sequential.clone();
         overlapping.push(Instr::Reduce {
             dst: "s".into(),
-            op: RedOp::SumAll,
+            op: RedOp::Fold(ColRedOp::Sum),
             m: "c".into(),
         });
         let bad = in_place_scope(&overlapping, &ranks, &shapes, &[]);

@@ -318,8 +318,9 @@ impl Dense {
         self.col_fold(f64::INFINITY, f64::min)
     }
 
+    /// An empty operand folds to `init` (`any`/`all` give 0 and 1);
+    /// the interpreter rejects `max`/`min` of empty before calling.
     fn col_fold(&self, init: f64, f: impl Fn(f64, f64) -> f64) -> Dense {
-        assert!(!self.is_empty(), "reduction of empty matrix");
         if self.is_vector() {
             Dense::from_vec(1, 1, vec![self.data.iter().copied().fold(init, &f)])
         } else {
@@ -344,14 +345,14 @@ impl Dense {
         self.col_fold(1.0, |a, b| f64::from(a != 0.0 && b != 0.0))
     }
 
-    /// MATLAB `mean` with the same vector/matrix convention as `sum`.
+    /// MATLAB `mean` with the same vector/matrix convention as `sum`:
+    /// the sum divided by the count, so NaN for an empty operand.
     pub fn mean(&self) -> Dense {
         let n = if self.is_vector() {
             self.len()
         } else {
             self.rows
         };
-        assert!(n > 0, "mean of empty");
         self.sum().map(|s| s / n as f64)
     }
 

@@ -273,21 +273,17 @@ impl DistMatrix {
         Ok(parts.map(|parts| self.assemble(parts)))
     }
 
-    /// The dense matrix whose row-major data is `parts` in rank order.
-    /// A lone part (p = 1) becomes the storage as it is, so a p = 1
-    /// gather of an owned block copies nothing.
+    /// The dense matrix whose row-major data is `parts` in rank order
+    /// (a vector's items are its elements in order, which is row-major
+    /// for either orientation, an empty `0×1` included). A lone part
+    /// (p = 1) becomes the storage as it is, so a p = 1 gather of an
+    /// owned block copies nothing.
     fn assemble(&self, parts: Vec<Vec<f64>>) -> Dense {
         let data = match <[Vec<f64>; 1]>::try_from(parts) {
             Ok([lone]) => lone,
             Err(parts) => parts.concat(),
         };
-        if self.is_vector() && self.rows > 1 {
-            Dense::from_vec(self.rows, 1, data)
-        } else if self.is_vector() {
-            Dense::from_vec(1, self.cols, data)
-        } else {
-            Dense::from_vec(self.rows, self.cols, data)
-        }
+        Dense::from_vec(self.rows, self.cols, data)
     }
 
     // ---- element access ------------------------------------------------------

@@ -1,4 +1,4 @@
-//! Distributed reductions: dot products, sums, means, extrema, norms,
+//! Distributed reductions: the seven MATLAB folds, dot products, norms,
 //! and trapezoidal integration — the `O(n)` building blocks of the
 //! paper's conjugate-gradient, ocean-engineering, and n-body scripts.
 //!
@@ -11,10 +11,19 @@ use crate::matrix::DistMatrix;
 use otter_machine::OpClass;
 use otter_mpi::{Comm, CommError, ReduceOp};
 
-/// A MATLAB column reduction (`sum(A)`, `mean(A)`, ... of a matrix; a
-/// scalar for a vector). Each column folds in ascending row order from
-/// [`ColOp::identity`], and one allreduce combines the ranks' partials;
-/// `mean` is the `sum` divided by the count.
+/// One of the seven MATLAB folds, the one table every reduction goes
+/// through: whole-object ([`DistMatrix::reduce_all`]), column
+/// ([`DistMatrix::col_reduce`]) and the executor's fused forms of both.
+/// A fold runs in ascending element (or row) order, and one allreduce
+/// combines the ranks' partials; `mean` is the `sum` divided by the
+/// count.
+///
+/// The zero rule is stated here and nowhere else: a whole object or a
+/// vector folds from [`ColOp::identity`], so `sum`/`mean` start from
+/// −0.0 as `Iterator::sum` (and so `Dense::sum_all`) does, and a sum of
+/// −0.0 stays −0.0; a matrix's per-column accumulators start from
+/// [`ColOp::column_start`], +0.0 for `sum`/`mean` as `Dense::sum`'s
+/// column loop does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ColOp {
     Sum,
@@ -60,13 +69,24 @@ macro_rules! with_step {
 }
 
 impl ColOp {
-    /// The value every column's fold starts from.
+    /// Where a whole object's or a vector's fold starts: the fold's
+    /// identity, −0.0 for `sum`/`mean`.
     pub fn identity(self) -> f64 {
         match self {
-            ColOp::Sum | ColOp::Mean | ColOp::Any => 0.0,
+            ColOp::Sum | ColOp::Mean => -0.0,
+            ColOp::Any => 0.0,
             ColOp::Prod | ColOp::All => 1.0,
             ColOp::Max => f64::NEG_INFINITY,
             ColOp::Min => f64::INFINITY,
+        }
+    }
+
+    /// Where each of a matrix's per-column accumulators starts: +0.0
+    /// for `sum`/`mean`, otherwise [`ColOp::identity`].
+    pub fn column_start(self) -> f64 {
+        match self {
+            ColOp::Sum | ColOp::Mean => 0.0,
+            _ => self.identity(),
         }
     }
 
@@ -115,49 +135,41 @@ impl DistMatrix {
         comm.allreduce_scalar(local, ReduceOp::Sum)
     }
 
-    /// Sum of all elements, replicated everywhere.
-    pub fn sum_all(&self, comm: &mut Comm) -> Result<f64, CommError> {
-        let local: f64 = self.local().iter().sum();
-        comm.compute(self.local_els() as f64);
-        comm.allreduce_scalar(local, ReduceOp::Sum)
+    /// Fold `op` over every element (MATLAB `sum(v)`, `mean(v)`, ... of
+    /// a vector, or of a whole object), replicated everywhere.
+    pub fn reduce_all(&self, comm: &mut Comm, op: ColOp) -> Result<f64, CommError> {
+        let partial = op.fold(op.identity(), self.local());
+        self.reduce_all_partial(comm, op, partial)
     }
 
-    /// Mean of all elements of a vector (MATLAB `mean` on vectors; the
-    /// n-body script's usage).
-    pub fn mean_all(&self, comm: &mut Comm) -> Result<f64, CommError> {
-        assert!(!self.is_empty(), "mean of empty");
-        Ok(self.sum_all(comm)? / self.len() as f64)
-    }
-
-    /// Product of every element, replicated.
-    pub fn prod_all(&self, comm: &mut Comm) -> Result<f64, CommError> {
-        let local: f64 = self.local().iter().product();
+    /// Finish whole-object fold `op` of an object shaped like `self`
+    /// from this rank's partial, folded from [`ColOp::identity`] in
+    /// ascending order: charge the local fold, combine the ranks'
+    /// partials in one allreduce, and divide by the count for `mean`.
+    pub fn reduce_all_partial(
+        &self,
+        comm: &mut Comm,
+        op: ColOp,
+        partial: f64,
+    ) -> Result<f64, CommError> {
         comm.compute(self.local_els() as f64);
-        comm.allreduce_scalar(local, ReduceOp::Prod)
-    }
-
-    /// 1.0 if any element is nonzero.
-    pub fn any_all(&self, comm: &mut Comm) -> Result<f64, CommError> {
-        let local = f64::from(self.local().iter().any(|&x| x != 0.0));
-        comm.compute(self.local_els() as f64);
-        comm.allreduce_scalar(local, ReduceOp::Max)
-    }
-
-    /// 1.0 if every element is nonzero.
-    pub fn all_all(&self, comm: &mut Comm) -> Result<f64, CommError> {
-        let local = f64::from(self.local().iter().all(|&x| x != 0.0));
-        comm.compute(self.local_els() as f64);
-        comm.allreduce_scalar(local, ReduceOp::Min)
+        let s = comm.allreduce_scalar(partial, op.comm_op())?;
+        Ok(if op == ColOp::Mean {
+            s / self.len() as f64
+        } else {
+            s
+        })
     }
 
     /// MATLAB column reduction `op` (`sum(A)`, `mean(A)`, ...): fold
     /// the local rows, then combine across ranks into a replicated row
-    /// vector. Vectors reduce to a replicated 1×1.
+    /// vector. Vectors fold whole, as [`DistMatrix::reduce_all`] does,
+    /// into a replicated 1×1.
     pub fn col_reduce(&self, comm: &mut Comm, op: ColOp) -> Result<DistMatrix, CommError> {
         let partial = if self.is_vector() {
             vec![op.fold(op.identity(), self.local())]
         } else {
-            let mut partial = vec![op.identity(); self.cols()];
+            let mut partial = vec![op.column_start(); self.cols()];
             for row in self.local().chunks_exact(self.cols().max(1)) {
                 op.fold_row(&mut partial, row);
             }
@@ -167,53 +179,30 @@ impl DistMatrix {
     }
 
     /// Finish column reduction `op` of an object shaped like `self` from
-    /// this rank's partials — one per column for a matrix, one for a
-    /// vector — folded from [`ColOp::identity`] in ascending row order:
-    /// charge the local fold, combine the ranks' partials in one
-    /// allreduce, and divide by the count for `mean`.
+    /// this rank's partials — one per column for a matrix, folded from
+    /// [`ColOp::column_start`] in ascending row order, or one for a
+    /// vector, folded from [`ColOp::identity`]: charge the local fold,
+    /// combine the ranks' partials in one allreduce, and divide by the
+    /// count for `mean`.
     pub fn col_reduce_partials(
         &self,
         comm: &mut Comm,
         op: ColOp,
         partial: &[f64],
     ) -> Result<DistMatrix, CommError> {
-        let count = if self.is_vector() {
-            self.len()
-        } else {
-            self.rows()
-        };
-        assert!(op != ColOp::Mean || count > 0, "mean of empty");
         comm.compute(self.local_els() as f64);
-        let reduced = if self.is_vector() {
-            let s = comm.allreduce_scalar(partial[0], op.comm_op())?;
-            DistMatrix::from_replicated(comm, &Dense::from_vec(1, 1, vec![s]))
-        } else {
-            let full = comm.allreduce(partial, op.comm_op())?;
-            DistMatrix::from_replicated(comm, &Dense::row_vector(&full))
-        };
+        let full = comm.allreduce(partial, op.comm_op())?;
+        let reduced = DistMatrix::from_replicated(comm, &Dense::row_vector(&full));
         Ok(if op == ColOp::Mean {
+            let count = if self.is_vector() {
+                self.len()
+            } else {
+                self.rows()
+            };
             reduced.map_scalar(comm, count as f64, OpClass::Div, |x, d| x / d)
         } else {
             reduced
         })
-    }
-
-    /// Largest element, replicated.
-    pub fn max_all(&self, comm: &mut Comm) -> Result<f64, CommError> {
-        let local = self
-            .local()
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max);
-        comm.compute(self.local_els() as f64);
-        comm.allreduce_scalar(local, ReduceOp::Max)
-    }
-
-    /// Smallest element, replicated.
-    pub fn min_all(&self, comm: &mut Comm) -> Result<f64, CommError> {
-        let local = self.local().iter().copied().fold(f64::INFINITY, f64::min);
-        comm.compute(self.local_els() as f64);
-        comm.allreduce_scalar(local, ReduceOp::Min)
     }
 
     /// Euclidean norm of the object viewed as a flat vector.
@@ -339,7 +328,7 @@ mod tests {
     fn sums_and_means_replicated_everywhere() {
         let res = run_spmd(&meiko_cs2(), 4, |c| {
             let v = DistMatrix::range(c, 1.0, 1.0, 100.0);
-            Ok((v.sum_all(c)?, v.mean_all(c)?))
+            Ok((v.reduce_all(c, ColOp::Sum)?, v.reduce_all(c, ColOp::Mean)?))
         });
         for r in &res {
             assert_eq!(r.value.0, 5050.0);
@@ -368,13 +357,47 @@ mod tests {
     }
 
     #[test]
+    fn sums_start_where_colop_says_and_empty_operands_answer() {
+        let res = run_spmd(&meiko_cs2(), 3, |c| {
+            let v = DistMatrix::from_replicated(c, &Dense::col_vector(&[-0.0; 5]));
+            let m = DistMatrix::from_replicated(c, &Dense::from_vec(3, 2, vec![-0.0; 6]));
+            let e = DistMatrix::from_replicated(c, &Dense::from_vec(0, 1, Vec::new()));
+            let mut whole = vec![v.reduce_all(c, ColOp::Sum)?];
+            for op in [ColOp::Mean, ColOp::Any, ColOp::All] {
+                whole.push(e.reduce_all(c, op)?);
+                whole.push(e.col_reduce(c, op)?.gather_all(c)?.get(0, 0));
+            }
+            let vcol = v.col_reduce(c, ColOp::Sum)?.gather_all(c)?;
+            let mcol = m.col_reduce(c, ColOp::Sum)?.gather_all(c)?;
+            // Bits, with every NaN as one canonical NaN.
+            let bits = |xs: &[f64]| {
+                xs.iter()
+                    .map(|&x| if x.is_nan() { f64::NAN } else { x }.to_bits())
+                    .collect::<Vec<_>>()
+            };
+            Ok((bits(&whole), bits(vcol.data()), bits(mcol.data())))
+        });
+        let (nz, z) = ((-0.0f64).to_bits(), 0.0f64.to_bits());
+        let nan = f64::NAN.to_bits();
+        for r in &res {
+            // A vector's sum of −0.0 stays −0.0; a matrix column's
+            // starts, and so ends, at +0.0.
+            assert_eq!(r.value.1, [nz]);
+            assert_eq!(r.value.2, [z, z]);
+            // mean of empty is NaN, any/all of empty are 0 and 1.
+            let one = 1.0f64.to_bits();
+            assert_eq!(r.value.0, [nz, nan, nan, z, z, one, one]);
+        }
+    }
+
+    #[test]
     fn extremes() {
         let res = run_spmd(&meiko_cs2(), 5, |c| {
             let v = DistMatrix::from_replicated(
                 c,
                 &Dense::row_vector(&[3.0, -7.0, 2.0, 9.0, 0.0, -1.0]),
             );
-            Ok((v.max_all(c)?, v.min_all(c)?))
+            Ok((v.reduce_all(c, ColOp::Max)?, v.reduce_all(c, ColOp::Min)?))
         });
         for r in &res {
             assert_eq!(r.value, (9.0, -7.0));
@@ -447,7 +470,7 @@ mod tests {
         let v = rand_vec(97, 6);
         let res = run_spmd(&meiko_cs2(), 8, move |c| {
             let x = DistMatrix::from_replicated(c, &Dense::row_vector(&v));
-            Ok(x.sum_all(c)?.to_bits())
+            Ok(x.reduce_all(c, ColOp::Sum)?.to_bits())
         });
         let first = res[0].value;
         assert!(res.iter().all(|r| r.value == first));

@@ -115,9 +115,9 @@ fn reductions_match_dense() {
         let res = run_spmd(&meiko_cs2(), p, move |c| {
             let x = DistMatrix::from_replicated(c, &d);
             Ok((
-                x.sum_all(c)?,
-                x.max_all(c)?,
-                x.min_all(c)?,
+                x.reduce_all(c, ColOp::Sum)?,
+                x.reduce_all(c, ColOp::Max)?,
+                x.reduce_all(c, ColOp::Min)?,
                 x.norm2(c)?,
                 x.trapz(c)?,
             ))

@@ -11,7 +11,7 @@
 //! `rank()`).
 
 use otter_core::{compile, run_engine, try_run, Engine, EngineOptions, RunRequest};
-use otter_ir::{Instr, MatInit, RedOp, SExpr};
+use otter_ir::{ColRedOp, Instr, MatInit, RedOp, SExpr};
 use otter_lint::divergence::lint_scope;
 use otter_machine::meiko_cs2;
 use otter_mpi::{run_spmd_with, CommError, FaultPlan, ReduceOp, SpmdOptions, WaitEdge};
@@ -76,7 +76,7 @@ fn lint_flags_the_mismatched_collective_statically() {
             cond: SExpr::var("r"),
             then_body: vec![Instr::Reduce {
                 dst: "s".into(),
-                op: RedOp::SumAll,
+                op: RedOp::Fold(ColRedOp::Sum),
                 m: "a".into(),
             }],
             else_body: vec![],

@@ -12,7 +12,7 @@
 //! nothing downstream.
 
 use otter_core::{compile, compile_str, EngineOptions, LintReport};
-use otter_ir::{Instr, IrProgram, MatInit, RedOp, SBinOp, SExpr, VarRank};
+use otter_ir::{ColRedOp, Instr, IrProgram, MatInit, RedOp, SBinOp, SExpr, VarRank};
 use otter_lint::lint_program;
 
 const DIST_FIXTURE: &str = include_str!("fixtures/lint_dist.m");
@@ -176,7 +176,7 @@ fn divergent_collective_golden() {
                 cond: SExpr::bin(SBinOp::Gt, SExpr::var("myrank"), SExpr::c(0.0)),
                 then_body: vec![Instr::Reduce {
                     dst: "s".into(),
-                    op: RedOp::SumAll,
+                    op: RedOp::Fold(ColRedOp::Sum),
                     m: "a".into(),
                 }],
                 else_body: vec![],
@@ -248,7 +248,7 @@ fn uniform_branches_around_collectives_stay_clean() {
                 cond: SExpr::bin(SBinOp::Gt, SExpr::var("n"), SExpr::c(2.0)),
                 then_body: vec![Instr::Reduce {
                     dst: "s".into(),
-                    op: RedOp::SumAll,
+                    op: RedOp::Fold(ColRedOp::Sum),
                     m: "a".into(),
                 }],
                 else_body: vec![],

@@ -160,3 +160,84 @@ fn fixed_regression_mix() {
     let src = render(&stmts);
     check_program(&src);
 }
+
+/// `op(a)` and the fusible `op(a .* b)` for each of the seven MATLAB
+/// folds over operands at the IEEE edges, with every shape known only
+/// at run time (`k` and `z` come from `rand`) except the two `s*`
+/// operands, which are statically row vectors and so take the
+/// whole-object path. Returns the script and its result names.
+fn fold_edge_script() -> (String, Vec<String>) {
+    let mut src = String::from(
+        "r = rand(1, 1);\n\
+         z = floor(r(1) * 0);\n\
+         k = 1 + z;\n\
+         x = [1, 2, -0, 3, -1; 2, -1, -0, 1, 1; -3, 1, -0, 2, 2; 1, 1, -0, -1, 3; \
+         2, 3, -0, 1, -2; -1, 2, -0, 2, 1; 1, -2, -0, 1, 1];\n\
+         m = x .* ones(7, 5 * k);\n mb = ones(7, 5 * k);\n\
+         c = -zeros(6, k);\n cb = ones(6, k);\n\
+         w = -zeros(k, 6);\n wb = ones(k, 6);\n\
+         e = zeros(z, 1);\n eb = ones(z, 1);\n\
+         s = -zeros(1, 6 * k);\n sb = ones(1, 6 * k);\n\
+         se = zeros(1, z);\n seb = ones(1, z);\n",
+    );
+    let mut results = Vec::new();
+    for a in ["m", "c", "w", "e", "s", "se"] {
+        for op in ["sum", "mean", "prod", "max", "min", "any", "all"] {
+            // MATLAB and the interpreter reject max/min of empty.
+            if matches!(a, "e" | "se") && matches!(op, "max" | "min") {
+                continue;
+            }
+            src.push_str(&format!("{op}_{a} = {op}({a});\n"));
+            src.push_str(&format!("f{op}_{a} = {op}({a} .* {a}b);\n"));
+            results.push(format!("{op}_{a}"));
+            results.push(format!("f{op}_{a}"));
+        }
+    }
+    (src, results)
+}
+
+/// Shape and element bits, with every NaN as one canonical NaN.
+fn result_bits(report: &otter_core::EngineReport, name: &str) -> (usize, usize, Vec<u64>) {
+    let m = report
+        .matrix(name)
+        .unwrap_or_else(|| panic!("missing result `{name}`"));
+    let bits = m
+        .data()
+        .iter()
+        .map(|x| if x.is_nan() { f64::NAN } else { *x }.to_bits())
+        .collect();
+    (m.rows(), m.cols(), bits)
+}
+
+#[test]
+fn folds_at_the_ieee_edges_match_the_interpreter_bit_for_bit() {
+    // A sum of −0.0 lanes is −0.0 for a vector (`Iterator::sum` starts
+    // there) and +0.0 for a matrix column (`Dense::sum`'s column loop);
+    // the mean of an empty vector is NaN; `any`/`all` of empty are 0/1.
+    let (src, results) = fold_edge_script();
+    let opts = EngineOptions::default();
+    let base = run_engine(Engine::Interpreter, &src, &opts, &workstation(), 1)
+        .unwrap_or_else(|e| panic!("interpreter: {e}"));
+    for fuse in [true, false] {
+        let opts = if fuse {
+            EngineOptions::default()
+        } else {
+            EngineOptions::builder().disable_pass("fusion").build()
+        };
+        let compiled = compile(&src, &opts).unwrap_or_else(|e| panic!("{e}"));
+        let stats = &compiled.compiled().fusion_stats;
+        let fused_folds = stats.reduce_epilogues + stats.col_reduce_epilogues;
+        assert_eq!(fused_folds > 0, fuse, "fused folds: {fused_folds}");
+        for p in [1usize, 3, 4] {
+            let report = run(&compiled, &RunRequest::on(meiko_cs2(), p))
+                .unwrap_or_else(|e| panic!("p={p} fusion={fuse}: {e}"));
+            for name in &results {
+                assert_eq!(
+                    result_bits(&report, name),
+                    result_bits(&base, name),
+                    "`{name}` at p={p} fusion={fuse}"
+                );
+            }
+        }
+    }
+}
