@@ -21,14 +21,21 @@
 //!    ([`Instr::ColReduceEw`]): each row's lanes fold into per-column
 //!    partials as they are evaluated, for `sum`/`mean`/`prod`/`max`/
 //!    `min` (`any`/`all` stay unfused, as in 3).
+//! 5. **Outer/eye → ElemWise** — a generator leaf ([`EwExpr::Gen`]):
+//!    the loop computes `u[i] * v[j]` or `(i == j)` for each element
+//!    it writes, so the full-size product or identity never exists.
+//!    The producer need not be adjacent (see [`try_generator`]). This
+//!    rule runs first, over every block, so it wins over 1–4.
 //!
 //! Legality is deliberately strict: the temporary must be
 //! compiler-generated (an `ML_tmp*` or an SSA rename `x__N`), every
-//! read of it program-wide must sit inside the adjacent consumer, and
+//! read of it program-wide must sit inside the consumer, and
 //! it must not escape as a function output or as a web the script's
-//! workspace reports (an exit web). Producer and
+//! workspace reports (an exit web). In 1–4 producer and
 //! consumer are adjacent, so fusing never reorders reads or writes —
-//! results are bit-identical with fusion on or off. The pass runs
+//! results are bit-identical with fusion on or off. A loop holding a
+//! generator leaf fuses no further (as a producer in 1, 3, 4 or a
+//! consumer in 2). The pass runs
 //! after `frees` (so the temporary's `Free` exists to consume) and
 //! iterates to a fixed point so chains fuse end-to-end.
 
@@ -48,6 +55,8 @@ pub struct FusionStats {
     pub reduce_epilogues: usize,
     /// ElemWise → ColReduce on-the-fly column folds.
     pub col_reduce_epilogues: usize,
+    /// Outer products and identities generated inside their consumer.
+    pub generator_leaves: usize,
     /// Full-matrix temporaries no longer materialized.
     pub temps_eliminated: usize,
     /// `Free` instructions consumed along with their temporaries.
@@ -61,17 +70,29 @@ impl FusionStats {
             + self.matvec_epilogues
             + self.reduce_epilogues
             + self.col_reduce_epilogues
+            + self.generator_leaves
     }
 }
 
 /// Fuse a program in place; returns what was rewritten.
 pub fn fuse(p: &mut IrProgram) -> FusionStats {
     let mut stats = FusionStats::default();
+    // F5 first, in one walk. A generator leaf changes no other name's
+    // read count, so the first count serves it and rule 1–4's first
+    // round alike.
+    let mut counts = read_counts(p);
+    p.visit_blocks_mut(&mut |block, live_out| {
+        let mut i = 0;
+        while i < block.len() {
+            if !try_generator(block, i, &counts, live_out, &mut stats) {
+                i += 1;
+            }
+        }
+    });
     let main_live = p.live_out();
-    // One site per iteration: every rewrite invalidates the read
+    // One site per iteration: every other rewrite invalidates the read
     // counts, so recount from scratch (programs are small).
     loop {
-        let counts = read_counts(p);
         let mut fused = fuse_one(&mut p.main, &main_live, &counts, &mut stats);
         if !fused {
             for f in p.functions.values_mut() {
@@ -85,6 +106,7 @@ pub fn fuse(p: &mut IrProgram) -> FusionStats {
         if !fused {
             return stats;
         }
+        counts = read_counts(p);
     }
 }
 
@@ -117,11 +139,16 @@ fn mat_uses(expr: &EwExpr, name: &str) -> usize {
     mats.iter().filter(|m| m.as_str() == name).count()
 }
 
+/// Whether a loop holds a generator leaf (and so fuses no further).
+fn generates(expr: &EwExpr) -> bool {
+    !expr.generators().is_empty()
+}
+
 /// Replace every `Mat(name)` leaf with a copy of `sub`.
 fn substitute(expr: &EwExpr, name: &str, sub: &EwExpr) -> EwExpr {
     match expr {
         EwExpr::Mat(m) if m == name => sub.clone(),
-        EwExpr::Mat(_) | EwExpr::Scalar(_) => expr.clone(),
+        EwExpr::Mat(_) | EwExpr::Scalar(_) | EwExpr::Gen { .. } => expr.clone(),
         EwExpr::Neg(x) => EwExpr::Neg(Box::new(substitute(x, name, sub))),
         EwExpr::Not(x) => EwExpr::Not(Box::new(substitute(x, name, sub))),
         EwExpr::Bin(op, a, b) => EwExpr::Bin(
@@ -207,6 +234,84 @@ fn fuse_one(
     false
 }
 
+/// F5: `t = outer(u, v)` or `t = eye(n)` at `block[i]` becomes a
+/// generator leaf of the one later `ElemWise` that reads `t`. Legal
+/// when `t` dies in that loop, nothing in between reads or writes `t`
+/// or writes `u`, `v` or `n`'s inputs, and no control flow lies in
+/// between. A `Free` of an input in between moves to just after the
+/// loop, and the `Free` of `t` among the ones following it goes.
+fn try_generator(
+    block: &mut Vec<Instr>,
+    i: usize,
+    counts: &HashMap<String, usize>,
+    live_out: &[String],
+    stats: &mut FusionStats,
+) -> bool {
+    let Some(gen) = Generator::of(&block[i]) else {
+        return false;
+    };
+    let t = block[i].dst().unwrap_or_default().to_string();
+    if !dead_after(&t, 1, counts, live_out) {
+        return false;
+    }
+    let mut inputs = Vec::new();
+    block[i].reads(&mut inputs);
+    let mut moved = Vec::new();
+    let mut consumer = None;
+    for (j, instr) in block.iter().enumerate().skip(i + 1) {
+        match instr {
+            Instr::ElemWise { expr, .. } if mat_uses(expr, &t) == 1 => {
+                consumer = Some(j);
+                break;
+            }
+            Instr::Free { name } if inputs.contains(name) => moved.push(j),
+            Instr::Free { name } if *name == t => return false,
+            Instr::If { .. }
+            | Instr::While { .. }
+            | Instr::For { .. }
+            | Instr::Break
+            | Instr::Continue => return false,
+            _ => {
+                let (mut reads, mut defs) = (Vec::new(), Vec::new());
+                instr.reads(&mut reads);
+                instr.defs(&mut defs);
+                if reads.contains(&t) || defs.iter().any(|d| *d == t || inputs.contains(d)) {
+                    return false;
+                }
+            }
+        }
+    }
+    let Some(j) = consumer else {
+        return false;
+    };
+    // Remove the producer and the moved Frees, from the back.
+    let frees: Vec<Instr> = moved.iter().rev().map(|&k| block.remove(k)).collect();
+    block.remove(i);
+    let j = j - 1 - frees.len();
+    if let Instr::ElemWise { expr, .. } = &mut block[j] {
+        let leaf = EwExpr::Gen {
+            tmp: t.clone(),
+            gen: Box::new(gen),
+        };
+        *expr = substitute(expr, &t, &leaf);
+    }
+    let mut k = j + 1;
+    while let Some(Instr::Free { name }) = block.get(k) {
+        if *name == t {
+            block.remove(k);
+            stats.frees_consumed += 1;
+            break;
+        }
+        k += 1;
+    }
+    for f in frees {
+        block.insert(j + 1, f);
+    }
+    stats.generator_leaves += 1;
+    stats.temps_eliminated += 1;
+    true
+}
+
 /// Try the four producer→consumer shapes on one adjacent pair.
 /// Returns the fused instruction and the eliminated temporary's name.
 fn try_pair(
@@ -219,7 +324,7 @@ fn try_pair(
     match (producer, consumer) {
         // 1. ElemWise → ElemWise: substitute, two loops become one.
         (Instr::ElemWise { dst: t, expr: e1 }, Instr::ElemWise { dst, expr: e2 })
-            if dead_after(t, mat_uses(e2, t), counts, live_out) =>
+            if dead_after(t, mat_uses(e2, t), counts, live_out) && !generates(e1) =>
         {
             stats.elemwise_chains += 1;
             Some((
@@ -232,7 +337,7 @@ fn try_pair(
         }
         // 2. MatMul/MatVec → ElemWise: epilogue over the product.
         (Instr::MatMul { dst: t, a, b }, Instr::ElemWise { dst, expr })
-            if dead_after(t, mat_uses(expr, t), counts, live_out) =>
+            if dead_after(t, mat_uses(expr, t), counts, live_out) && !generates(expr) =>
         {
             stats.matmul_epilogues += 1;
             Some((
@@ -247,7 +352,7 @@ fn try_pair(
             ))
         }
         (Instr::MatVec { dst: t, a, x }, Instr::ElemWise { dst, expr })
-            if dead_after(t, mat_uses(expr, t), counts, live_out) =>
+            if dead_after(t, mat_uses(expr, t), counts, live_out) && !generates(expr) =>
         {
             stats.matvec_epilogues += 1;
             Some((
@@ -265,7 +370,8 @@ fn try_pair(
         (Instr::ElemWise { dst: t, expr }, Instr::Reduce { dst, op, m })
             if m == t
                 && (matches!(op, RedOp::Fold(f) if fusible(*f)) || *op == RedOp::Norm2)
-                && dead_after(t, 1, counts, live_out) =>
+                && dead_after(t, 1, counts, live_out)
+                && !generates(expr) =>
         {
             stats.reduce_epilogues += 1;
             Some((
@@ -280,7 +386,7 @@ fn try_pair(
         }
         // 4. ElemWise → ColReduce: fold the expression into columns.
         (Instr::ElemWise { dst: t, expr }, Instr::ColReduce { dst, op, m })
-            if m == t && fusible(*op) && dead_after(t, 1, counts, live_out) =>
+            if m == t && fusible(*op) && dead_after(t, 1, counts, live_out) && !generates(expr) =>
         {
             stats.col_reduce_epilogues += 1;
             Some((
@@ -412,6 +518,145 @@ mod tests {
             matches!(&p.main[0], Instr::ColReduceEw { dst, op: ColRedOp::Sum, tmp, .. }
                 if dst == "ML_tmp15" && tmp == "ML_tmp14")
         );
+    }
+
+    /// cg's system matrix after `frees`: two outer products and an
+    /// identity, with a transpose and operand frees in between.
+    fn cg_build() -> Vec<Instr> {
+        let outer = |dst: &str, u: &str, v: &str| Instr::Outer {
+            dst: dst.into(),
+            u: u.into(),
+            v: v.into(),
+        };
+        let free = |name: &str| Instr::Free { name: name.into() };
+        vec![
+            Instr::Transpose {
+                dst: "ML_tmp2".into(),
+                a: "u".into(),
+            },
+            outer("ML_tmp3", "ML_tmp2", "u"),
+            free("ML_tmp2"),
+            Instr::Transpose {
+                dst: "ML_tmp4".into(),
+                a: "w".into(),
+            },
+            outer("ML_tmp5", "ML_tmp4", "w"),
+            free("ML_tmp4"),
+            Instr::InitMatrix {
+                dst: "ML_tmp6".into(),
+                init: MatInit::Eye { n: SExpr::var("n") },
+            },
+            Instr::ElemWise {
+                dst: "A".into(),
+                expr: EwExpr::bin(
+                    EwOp::Add,
+                    EwExpr::bin(EwOp::Add, EwExpr::mat("ML_tmp3"), EwExpr::mat("ML_tmp5")),
+                    EwExpr::bin(
+                        EwOp::Mul,
+                        EwExpr::Scalar(SExpr::var("n")),
+                        EwExpr::mat("ML_tmp6"),
+                    ),
+                ),
+            },
+            free("ML_tmp6"),
+            free("ML_tmp5"),
+            free("ML_tmp3"),
+        ]
+    }
+
+    #[test]
+    fn generators_fuse_past_operand_frees() {
+        let mut p = prog(cg_build());
+        let stats = fuse(&mut p);
+        assert_eq!(stats.generator_leaves, 3);
+        assert_eq!(stats.frees_consumed, 3);
+        let ops: Vec<&str> = p.main.iter().map(Instr::opcode).collect();
+        assert_eq!(ops, ["transpose", "transpose", "elemwise", "free", "free"]);
+        // The operands' frees moved to just after the loop, in order.
+        assert_eq!(
+            p.main[3],
+            Instr::Free {
+                name: "ML_tmp4".into()
+            }
+        );
+        assert_eq!(
+            p.main[4],
+            Instr::Free {
+                name: "ML_tmp2".into()
+            }
+        );
+        let Instr::ElemWise { expr, .. } = &p.main[2] else {
+            panic!("{:?}", p.main)
+        };
+        let gens: Vec<&str> = expr.generators().iter().map(|(t, _)| *t).collect();
+        assert_eq!(gens, ["ML_tmp3", "ML_tmp5", "ML_tmp6"]);
+        let mut mats = Vec::new();
+        expr.mat_operands(&mut mats);
+        assert!(mats.is_empty(), "{mats:?}");
+    }
+
+    #[test]
+    fn generators_do_not_fuse_past_a_write_of_their_inputs() {
+        // `n` changes between `eye(n)` and its reader, or `u` is stored
+        // into between `outer(ML_tmp2, u)` and its reader.
+        for write in [
+            Instr::AssignScalar {
+                dst: "n".into(),
+                src: SExpr::c(3.0),
+            },
+            Instr::StoreElem {
+                m: "u".into(),
+                i: SExpr::c(1.0),
+                j: None,
+                val: SExpr::c(0.0),
+            },
+        ] {
+            let mut body = cg_build();
+            body.insert(7, write.clone());
+            let mut p = prog(body);
+            let fused = fuse(&mut p).generator_leaves;
+            let held = match write {
+                Instr::AssignScalar { .. } => "ML_tmp6",
+                _ => "ML_tmp3",
+            };
+            assert_eq!(fused, 2, "{write:?}");
+            assert!(p.main.iter().any(|i| i.dst() == Some(held)), "{write:?}");
+        }
+    }
+
+    #[test]
+    fn generated_loops_fuse_no_further() {
+        // s = sum(outer(u, v) .* 2): the loop keeps its generator and
+        // stays a materialized temporary of its own.
+        let mut p = prog(vec![
+            Instr::Outer {
+                dst: "ML_tmp1".into(),
+                u: "u".into(),
+                v: "v".into(),
+            },
+            Instr::ElemWise {
+                dst: "ML_tmp2".into(),
+                expr: EwExpr::bin(
+                    EwOp::Mul,
+                    EwExpr::mat("ML_tmp1"),
+                    EwExpr::Scalar(SExpr::c(2.0)),
+                ),
+            },
+            Instr::Free {
+                name: "ML_tmp1".into(),
+            },
+            Instr::Reduce {
+                dst: "s".into(),
+                op: RedOp::Fold(ColRedOp::Sum),
+                m: "ML_tmp2".into(),
+            },
+            Instr::Free {
+                name: "ML_tmp2".into(),
+            },
+        ]);
+        let stats = fuse(&mut p);
+        assert_eq!((stats.generator_leaves, stats.reduce_epilogues), (1, 0));
+        assert_eq!(p.main.len(), 3);
     }
 
     #[test]

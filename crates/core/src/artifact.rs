@@ -41,6 +41,7 @@ use otter_machine::Machine;
 use otter_metrics::{MetricsRegistry, MetricsSnapshot};
 use otter_mpi::observe::{LOAD_IMBALANCE_RATIO, RANK_CLOCK_SECONDS};
 use otter_mpi::{run_spmd_with, Observations};
+use otter_rt::Gathered;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -256,10 +257,28 @@ impl Default for RunRequest {
     }
 }
 
+/// A workspace variable as rank 0 hands it back. A matrix stays in its
+/// gathered parts until the caller's thread assembles it: a rank
+/// thread's allocator arena that held a report-sized buffer would keep
+/// the pages after the job.
+enum Reported {
+    Scalar(f64),
+    Matrix(Gathered),
+}
+
+impl Reported {
+    fn into_value(self) -> Value {
+        match self {
+            Reported::Scalar(v) => Value::Scalar(v),
+            Reported::Matrix(m) => Value::Matrix(m.into_dense()).normalized(),
+        }
+    }
+}
+
 /// What one rank hands back when its program ran to completion.
 struct RankOutput {
     /// Fully gathered workspace on rank 0; empty on every other rank.
-    workspace: HashMap<String, Value>,
+    workspace: HashMap<String, Reported>,
     /// The executor's outcome, its distributed workspace drained.
     exec: ExecOutcome,
     /// Clock, stats and metrics when the program proper ended, before
@@ -341,14 +360,14 @@ pub fn try_run(
                 // must visit variables in the same sequence.
                 let mut webs = std::mem::take(&mut o.workspace);
                 let root = comm.rank() == 0;
-                let mut workspace: HashMap<String, Value> = HashMap::new();
+                let mut workspace = HashMap::new();
                 for (name, web) in &compiled.ir.exit_webs {
                     let Some(val) = webs.remove(web) else {
                         continue;
                     };
                     let val = match val {
-                        XVal::S(v) => root.then_some(Value::Scalar(v)),
-                        XVal::M(m) => m.gather_to(comm, 0)?.map(|d| Value::Matrix(d).normalized()),
+                        XVal::S(v) => root.then_some(Reported::Scalar(v)),
+                        XVal::M(m) => m.gather_to(comm, 0)?.map(Reported::Matrix),
                     };
                     if let Some(val) = val {
                         workspace.insert(name.clone(), val);
@@ -424,7 +443,12 @@ pub fn try_run(
     let peak_temp_bytes = per_rank.iter().map(|r| r.peak_bytes).max();
     let mut job_metrics = merged(outputs.iter().map(|(_, o)| &o.finished.metrics));
     let first = outputs.into_iter().next().expect("at least one rank").1;
-    let (workspace, rank0) = (first.workspace, first.exec);
+    let rank0 = first.exec;
+    let workspace = first
+        .workspace
+        .into_iter()
+        .map(|(name, val)| (name, val.into_value()))
+        .collect();
     // Job-wide series the per-rank registries cannot see.
     if let Some(job) = job_metrics.as_mut() {
         let mut reg = MetricsRegistry::new();

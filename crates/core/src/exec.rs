@@ -25,7 +25,7 @@ use otter_det::DetRng;
 use otter_ir::*;
 use otter_machine::{ExecutionStyle, StyleCosts};
 use otter_mpi::{Comm, CommError, Event, Note, ReduceOp};
-use otter_rt::{io as rtio, ColOp, Dense, DistMatrix, LoadError};
+use otter_rt::{io as rtio, ColOp, Dense, DistMatrix, Generated, LoadError};
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 
@@ -381,53 +381,88 @@ impl<'a> Executor<'a> {
         Ok(())
     }
 
-    /// [`compile_ew`] with this rank's scalar environment.
+    /// [`compile_ew`] with this rank's scalar environment and the
+    /// loop's generators, one per [`EwExpr::Gen`] leaf in reading order.
     fn compile_ew(
         &self,
         e: &EwExpr,
         slices: &[String],
         dst_alias: Option<&str>,
+        gens: Vec<Generated>,
     ) -> Result<EwProgram> {
-        compile_ew(e, slices, dst_alias, &|s| self.eval_s(s))
+        let mut program = compile_ew(e, slices, dst_alias, &|s| self.eval_s(s))?;
+        program.gens = gens;
+        Ok(program)
     }
 
-    fn exec_elemwise(&mut self, dst: &str, expr: &EwExpr) -> Result<()> {
+    /// Make a loop's generator leaves (fusion rule F5) ready, in reading
+    /// order: an outer product gathers its right factor and charges
+    /// what `ML_outer` charges; an identity charges nothing, as `eye`
+    /// does.
+    fn generate(&mut self, expr: &EwExpr) -> ExecResult<Vec<Generated>> {
+        let mut out = Vec::new();
+        for (_, gen) in expr.generators() {
+            out.push(match gen {
+                Generator::Outer { u, v } => {
+                    let (scopes, comm) = (&self.scopes, &mut *self.comm);
+                    Generated::outer(comm, env_mat(scopes, u)?, env_mat(scopes, v)?)?
+                }
+                Generator::Eye { n } => Generated::eye(self.comm, self.eval_s(n)? as usize),
+            });
+        }
+        Ok(out)
+    }
+
+    fn exec_elemwise(&mut self, dst: &str, expr: &EwExpr) -> ExecResult<()> {
+        let gens = self.generate(expr)?;
         let ops = self.ew_operands(expr, None)?;
-        let first = ops
-            .first()
-            .cloned()
-            .ok_or_else(|| OtterError::execution("element-wise loop without matrix operands"))?;
+        // The loop's shape and distribution: its first matrix
+        // operand's, or else its first generator's.
+        let (rows, cols, len) = match ops.first() {
+            Some(first) => {
+                let model = env_mat(&self.scopes, first)?;
+                self.check_ew_alignment(first, model, &ops[1..])?;
+                (model.rows(), model.cols(), model.local_els())
+            }
+            None => gens
+                .first()
+                .map(|g| (g.rows(), g.cols(), g.local_els()))
+                .ok_or_else(|| {
+                    OtterError::execution("element-wise loop without matrix operands")
+                })?,
+        };
+        if let Some(g) = gens
+            .iter()
+            .find(|g| (g.rows(), g.cols(), g.local_els()) != (rows, cols, len))
+        {
+            return Err(OtterError::execution(format!(
+                "generated element-wise operand is not aligned ({}x{} vs {rows}x{cols})",
+                g.rows(),
+                g.cols()
+            ))
+            .into());
+        }
         // Reuse the destination's buffer when it is already an aligned
         // matrix: no allocation, and reads of the old value (`Dst`
         // leaves) happen before the write of each element.
-        let inplace = {
-            let model = env_mat(&self.scopes, &first)?;
-            self.check_ew_alignment(&first, model, &ops[1..])?;
-            matches!(self.scopes.last().unwrap().get(dst),
-                     Some(XVal::M(d)) if d.aligned_with(model))
-        };
-        let len;
+        let inplace = matches!(self.scopes.last().unwrap().get(dst),
+                               Some(XVal::M(d)) if (d.rows(), d.cols()) == (rows, cols));
         if inplace {
             let slice_names: Vec<String> =
                 ops.iter().filter(|n| n.as_str() != dst).cloned().collect();
-            let program = self.compile_ew(expr, &slice_names, Some(dst))?;
+            let program = self.compile_ew(expr, &slice_names, Some(dst), gens)?;
             let Some(XVal::M(mut dmat)) = self.scopes.last_mut().unwrap().remove(dst) else {
                 unreachable!("checked matrix above")
             };
-            len = dmat.local_els();
             program.run_in_place(
                 &collect_slices(&self.scopes, &slice_names)?,
                 dmat.local_mut(),
             );
             self.env().insert(dst.to_string(), XVal::M(dmat));
         } else {
-            let program = self.compile_ew(expr, &ops, None)?;
-            let result = {
-                let model = env_mat(&self.scopes, &first)?;
-                let slices = collect_slices(&self.scopes, &ops)?;
-                len = model.local_els();
-                model.with_local(program.run_fresh(&slices, len))
-            };
+            let program = self.compile_ew(expr, &ops, None, gens)?;
+            let local = program.run_fresh(&collect_slices(&self.scopes, &ops)?, len);
+            let result = DistMatrix::from_local(self.comm, rows, cols, local);
             self.env().insert(dst.to_string(), XVal::M(result));
         }
         self.comm.compute(len as f64 * expr.flop_weight().max(1.0));
@@ -447,7 +482,7 @@ impl<'a> Executor<'a> {
     ) -> Result<()> {
         let ops = self.ew_operands(expr, Some(tmp))?;
         self.check_ew_alignment(tmp, &prod, &ops)?;
-        let program = self.compile_ew(expr, &ops, Some(tmp))?;
+        let program = self.compile_ew(expr, &ops, Some(tmp), Vec::new())?;
         let len = prod.local_els();
         program.run_in_place(&collect_slices(&self.scopes, &ops)?, prod.local_mut());
         self.comm.compute(len as f64 * expr.flop_weight().max(1.0));
@@ -469,7 +504,8 @@ impl<'a> Executor<'a> {
         let producer = len as f64 * expr.flop_weight().max(1.0);
         match op {
             RedOp::Fold(f) => {
-                let local = program.col_partials(col_op(f), &slices, len, None)[0];
+                let local =
+                    program.col_partials(nonempty(col_op(f), model)?, &slices, len, None)[0];
                 comm.compute(producer);
                 Ok(model.reduce_all_partial(comm, col_op(f), local)?)
             }
@@ -495,6 +531,7 @@ impl<'a> Executor<'a> {
         let (ops, program) = self.fold_program(expr)?;
         let (len, partial) = {
             let model = env_mat(&self.scopes, &ops[0])?;
+            nonempty(op, model)?;
             let width = (!model.is_vector()).then(|| model.cols());
             let slices = collect_slices(&self.scopes, &ops)?;
             let len = model.local_els();
@@ -516,7 +553,7 @@ impl<'a> Executor<'a> {
             .first()
             .ok_or_else(|| OtterError::execution("element-wise loop without matrix operands"))?;
         self.check_ew_alignment(first, env_mat(&self.scopes, first)?, &ops[1..])?;
-        let program = self.compile_ew(expr, &ops, None)?;
+        let program = self.compile_ew(expr, &ops, None, Vec::new())?;
         Ok((ops, program))
     }
 
@@ -681,7 +718,7 @@ impl<'a> Executor<'a> {
                 let (scopes, comm) = (&self.scopes, &mut *self.comm);
                 let mat = env_mat(scopes, m)?;
                 let v = match op {
-                    RedOp::Fold(f) => mat.reduce_all(comm, col_op(*f))?,
+                    RedOp::Fold(f) => mat.reduce_all(comm, nonempty(col_op(*f), mat)?)?,
                     RedOp::Norm2 => mat.norm2(comm)?,
                     RedOp::Trapz => mat.trapz(comm)?,
                 };
@@ -702,7 +739,8 @@ impl<'a> Executor<'a> {
             Instr::ColReduce { dst, op, m } => {
                 self.comm.compute(self.costs.op_overhead);
                 let (scopes, comm) = (&self.scopes, &mut *self.comm);
-                let r = env_mat(scopes, m)?.col_reduce(comm, col_op(*op))?;
+                let mat = env_mat(scopes, m)?;
+                let r = mat.col_reduce(comm, nonempty(col_op(*op), mat)?)?;
                 self.env().insert(dst.clone(), XVal::M(r));
             }
             Instr::ColReduceEw { dst, op, expr, .. } => {
@@ -1058,6 +1096,8 @@ enum Step {
     /// Pop `top` into the register below it: `below ← op(below, top)`,
     /// or `op(top, below)` when `swap`.
     Pop { op: Op2, swap: bool },
+    /// Push a register holding generator `i`'s lanes.
+    Gen(usize),
 }
 
 /// A flat postfix element-wise program (see [`compile_ew`]). Running it
@@ -1069,12 +1109,16 @@ struct EwProgram {
     /// of two non-leaf operands the one needing more registers is
     /// evaluated first.
     depth: usize,
+    /// What the [`Step::Gen`] steps generate, in reading order.
+    gens: Vec<Generated>,
 }
 
 /// What an expression node computes, once its leaves are resolved.
 #[derive(Debug, Clone, Copy)]
 enum Kind {
     Leaf(Leaf),
+    /// A generator leaf: it fills a register of its own.
+    Gen(usize),
     Unary(Op1),
     Binary(Op2),
 }
@@ -1116,6 +1160,7 @@ fn compile_ew(
 ) -> Result<EwProgram> {
     // Pre-order, left to right: scalar leaves evaluate in reading order.
     let mut nodes: Vec<Node> = Vec::new();
+    let mut gens = 0;
     let mut todo = vec![e];
     while let Some(e) = todo.pop() {
         let kind = match e {
@@ -1127,6 +1172,10 @@ fn compile_ew(
                     .expect("every matrix operand is in the slice list"),
             )),
             EwExpr::Scalar(s) => Kind::Leaf(Leaf::Const(scalar(s)?)),
+            EwExpr::Gen { .. } => {
+                gens += 1;
+                Kind::Gen(gens - 1)
+            }
             EwExpr::Neg(x) => {
                 todo.push(x);
                 Kind::Unary(Op1::Neg)
@@ -1166,7 +1215,7 @@ fn compile_ew(
     // register needs, bottom-up.
     for i in (0..nodes.len()).rev() {
         let (size, need) = match nodes[i].kind {
-            Kind::Leaf(_) => (1, 1),
+            Kind::Leaf(_) | Kind::Gen(_) => (1, 1),
             Kind::Unary(_) => (1 + nodes[i + 1].size, nodes[i + 1].need),
             Kind::Binary(_) => {
                 let (a, b) = (&nodes[i + 1], &nodes[i + 1 + nodes[i + 1].size]);
@@ -1195,6 +1244,7 @@ fn compile_ew(
         };
         match nodes[i].kind {
             Kind::Leaf(leaf) => steps.push(Step::Load(leaf)),
+            Kind::Gen(g) => steps.push(Step::Gen(g)),
             Kind::Unary(op) => tasks.extend([Task::Emit(Step::Unary(op)), Task::Visit(i + 1)]),
             Kind::Binary(op) => {
                 let (ia, ib) = (i + 1, i + 1 + nodes[i + 1].size);
@@ -1231,6 +1281,7 @@ fn compile_ew(
     Ok(EwProgram {
         steps,
         depth: nodes[0].need,
+        gens: Vec::new(),
     })
 }
 
@@ -1288,6 +1339,10 @@ impl EwProgram {
                         Lanes::Strip(s) => r.copy_from_slice(s),
                         Lanes::Splat(v) => r.fill(v),
                     }
+                    top += 1;
+                }
+                Step::Gen(g) => {
+                    self.gens[g].fill(base, &mut regs[top][..n]);
                     top += 1;
                 }
                 Step::Unary(op) => unary(op, &mut regs[top - 1][..n]),
@@ -1385,6 +1440,19 @@ impl EwProgram {
             }
         }
         acc
+    }
+}
+
+/// `op`, unless it is `max`/`min` of an empty operand: that is an error,
+/// as in the interpreter. The global element count decides, so every
+/// rank raises it before any communication.
+fn nonempty(op: ColOp, m: &DistMatrix) -> Result<ColOp> {
+    match op {
+        ColOp::Max | ColOp::Min if m.is_empty() => Err(OtterError::execution(format!(
+            "{} of empty matrix",
+            if op == ColOp::Max { "max" } else { "min" }
+        ))),
+        _ => Ok(op),
     }
 }
 
@@ -1545,6 +1613,7 @@ mod tests {
                     .map(|a| reference_compile(a, slices, dst_alias))
                     .collect(),
             ),
+            EwExpr::Gen { .. } => unreachable!("the random trees hold no generators"),
         }
     }
 

@@ -110,6 +110,10 @@ pub fn ewexpr_to_string(e: &EwExpr) -> String {
             let parts: Vec<String> = args.iter().map(ewexpr_to_string).collect();
             format!("{}({})", f.c_name(), parts.join(", "))
         }
+        EwExpr::Gen { gen, .. } => match &**gen {
+            Generator::Outer { u, v } => format!("outer({u}, {v})[k]"),
+            Generator::Eye { n } => format!("eye({})[k]", sexpr_to_string(n)),
+        },
     }
 }
 
@@ -168,7 +172,16 @@ pub fn write_instr(out: &mut String, i: &Instr, indent: usize) {
             let _ = writeln!(out, "{pad}{dst} = load('{path}');");
         }
         Instr::ElemWise { dst, expr } => {
-            let _ = writeln!(out, "{pad}forall k: {dst}[k] = {};", ewexpr_to_string(expr));
+            let fused = if expr.generators().is_empty() {
+                ""
+            } else {
+                "fused: "
+            };
+            let _ = writeln!(
+                out,
+                "{pad}{fused}forall k: {dst}[k] = {};",
+                ewexpr_to_string(expr)
+            );
         }
         Instr::MatMul { dst, a, b } => {
             let _ = writeln!(out, "{pad}{dst} = matmul({a}, {b});");

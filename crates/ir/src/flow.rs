@@ -43,21 +43,18 @@ fn ew_reads_except(expr: &EwExpr, tmp: &str, out: &mut Vec<String>) {
     collect_ew_scalars(expr, out);
 }
 
+/// Reads of an element-wise tree besides its aligned matrix operands:
+/// its scalar leaves' inputs, and the vectors and sizes its generator
+/// leaves read.
 fn collect_ew_scalars(e: &EwExpr, out: &mut Vec<String>) {
-    match e {
+    e.leaves(&mut |leaf| match leaf {
         EwExpr::Scalar(s) => sexpr_reads(s, out),
-        EwExpr::Neg(x) | EwExpr::Not(x) => collect_ew_scalars(x, out),
-        EwExpr::Bin(_, a, b) => {
-            collect_ew_scalars(a, out);
-            collect_ew_scalars(b, out);
-        }
-        EwExpr::Call(_, args) => {
-            for a in args {
-                collect_ew_scalars(a, out);
-            }
-        }
-        EwExpr::Mat(_) => {}
-    }
+        EwExpr::Gen { gen, .. } => match &**gen {
+            Generator::Outer { u, v } => out.extend([u.clone(), v.clone()]),
+            Generator::Eye { n } => sexpr_reads(n, out),
+        },
+        EwExpr::Mat(_) | EwExpr::Neg(_) | EwExpr::Not(_) | EwExpr::Bin(..) | EwExpr::Call(..) => {}
+    });
 }
 
 /// What communication an instruction performs when executed, matching
@@ -382,6 +379,15 @@ impl Instr {
                 target: PrintTarget::Matrix(_),
                 ..
             } => CommProfile::COLLECTIVE,
+            // A generated outer product gathers its right factor.
+            Instr::ElemWise { expr, .. }
+                if expr
+                    .generators()
+                    .iter()
+                    .any(|(_, g)| matches!(g, Generator::Outer { .. })) =>
+            {
+                CommProfile::COLLECTIVE
+            }
             // Point-to-point redistribution between rank pairs.
             Instr::Transpose { .. } | Instr::Shift { .. } | Instr::ExtractRange { .. } => {
                 CommProfile::POINT_TO_POINT

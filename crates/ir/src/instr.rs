@@ -282,6 +282,59 @@ pub enum EwExpr {
     Bin(EwOp, Box<EwExpr>, Box<EwExpr>),
     /// Element-wise scalar function application.
     Call(SFun, Vec<EwExpr>),
+    /// Fusion rule F5: the element of a matrix the loop generates
+    /// instead of reading. `tmp` names the temporary the producer used
+    /// to write, so the C emitter can re-expand it. The generator is
+    /// boxed so that this leaf does not double the size of every node.
+    Gen {
+        tmp: String,
+        gen: Box<Generator>,
+    },
+}
+
+/// A matrix defined element by element, which a fused loop generates
+/// lane by lane (see [`EwExpr::Gen`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Generator {
+    /// `u * v'` of two vectors, as [`Instr::Outer`] computes it.
+    Outer { u: String, v: String },
+    /// `eye(n)`, as [`MatInit::Eye`] builds it.
+    Eye { n: SExpr },
+}
+
+impl Generator {
+    /// The producer of `tmp` this generator was fused from: the
+    /// instruction the C emitter re-expands and the lint models read.
+    pub fn producer(&self, tmp: &str) -> Instr {
+        let dst = tmp.to_string();
+        match self {
+            Generator::Outer { u, v } => Instr::Outer {
+                dst,
+                u: u.clone(),
+                v: v.clone(),
+            },
+            Generator::Eye { n } => Instr::InitMatrix {
+                dst,
+                init: MatInit::Eye { n: n.clone() },
+            },
+        }
+    }
+
+    /// The generator of a producer `tmp = outer(u, v)` or
+    /// `tmp = eye(n)`, if `i` is one.
+    pub fn of(i: &Instr) -> Option<Generator> {
+        match i {
+            Instr::Outer { u, v, .. } => Some(Generator::Outer {
+                u: u.clone(),
+                v: v.clone(),
+            }),
+            Instr::InitMatrix {
+                init: MatInit::Eye { n },
+                ..
+            } => Some(Generator::Eye { n: n.clone() }),
+            _ => None,
+        }
+    }
 }
 
 impl EwExpr {
@@ -293,19 +346,40 @@ impl EwExpr {
         EwExpr::Bin(op, Box::new(a), Box::new(b))
     }
 
-    /// Matrix operand names referenced by this tree.
+    /// Matrix operand names referenced by this tree (the aligned
+    /// operands a loop reads; generator leaves are not among them).
     pub fn mat_operands(&self, out: &mut Vec<String>) {
+        self.leaves(&mut |e| {
+            if let EwExpr::Mat(m) = e {
+                out.push(m.clone());
+            }
+        });
+    }
+
+    /// The generator leaves of this tree, `(tmp, generator)` in
+    /// reading order.
+    pub fn generators(&self) -> Vec<(&str, &Generator)> {
+        let mut out = Vec::new();
+        self.leaves(&mut |e| {
+            if let EwExpr::Gen { tmp, gen } = e {
+                out.push((tmp.as_str(), &**gen));
+            }
+        });
+        out
+    }
+
+    /// Visit every leaf (`Mat`, `Scalar`, `Gen`) in reading order.
+    pub(crate) fn leaves<'a>(&'a self, f: &mut impl FnMut(&'a EwExpr)) {
         match self {
-            EwExpr::Mat(m) => out.push(m.clone()),
-            EwExpr::Scalar(_) => {}
-            EwExpr::Neg(e) | EwExpr::Not(e) => e.mat_operands(out),
+            EwExpr::Mat(_) | EwExpr::Scalar(_) | EwExpr::Gen { .. } => f(self),
+            EwExpr::Neg(e) | EwExpr::Not(e) => e.leaves(f),
             EwExpr::Bin(_, a, b) => {
-                a.mat_operands(out);
-                b.mat_operands(out);
+                a.leaves(f);
+                b.leaves(f);
             }
             EwExpr::Call(_, args) => {
                 for a in args {
-                    a.mat_operands(out);
+                    a.leaves(f);
                 }
             }
         }
@@ -315,7 +389,7 @@ impl EwExpr {
     /// used for modeled-time charging.
     pub fn flop_weight(&self) -> f64 {
         match self {
-            EwExpr::Mat(_) | EwExpr::Scalar(_) => 0.0,
+            EwExpr::Mat(_) | EwExpr::Scalar(_) | EwExpr::Gen { .. } => 0.0,
             EwExpr::Neg(e) | EwExpr::Not(e) => 1.0 + e.flop_weight(),
             EwExpr::Bin(op, a, b) => {
                 let w = match op {

@@ -538,7 +538,6 @@ fn model_of(i: &Instr, cx: &Scope, ranks: &BTreeMap<String, VarRank>) -> Model {
         Instr::AssignScalar { .. }
         | Instr::InitMatrix { .. }
         | Instr::CopyMatrix { .. }
-        | Instr::ElemWise { .. }
         | Instr::StoreElem { .. }
         | Instr::ExtractCol { .. }
         | Instr::AssignCol { .. }
@@ -546,6 +545,19 @@ fn model_of(i: &Instr, cx: &Scope, ranks: &BTreeMap<String, VarRank>) -> Model {
         | Instr::FillCol { .. }
         | Instr::FillRange { .. }
         | Instr::Free { .. } => free,
+
+        // A loop communicates only through its generator leaves, each
+        // exactly as the producer it was fused from.
+        Instr::ElemWise { expr, .. } => {
+            let mut all = Vec::new();
+            for (tmp, gen) in expr.generators() {
+                match model_of(&gen.producer(tmp), cx, ranks) {
+                    Model::Atoms(v) => all.extend(v),
+                    Model::Unknown => return Model::Unknown,
+                }
+            }
+            atoms(all)
+        }
 
         Instr::LoadFile { dst, .. } => match cx.extent_width(dst) {
             Some((extent, width)) => atoms(vec![
@@ -771,52 +783,57 @@ pub fn refined_shapes(
             shapes: &shapes,
             consts,
         };
-        let ev = |e: &SExpr| cx.eval(e).filter(|v| *v >= 0.0).map(|v| v as usize);
-        let dims = |v: &str| cx.shape(v).concrete();
-        let derived: Option<(String, usize, usize)> = match i {
-            Instr::InitMatrix { dst, init } => match init {
-                MatInit::Zeros { rows, cols }
-                | MatInit::Ones { rows, cols }
-                | MatInit::Rand { rows, cols } => {
-                    ev(rows).zip(ev(cols)).map(|(r, c)| (dst.clone(), r, c))
-                }
-                MatInit::Eye { n } => ev(n).map(|n| (dst.clone(), n, n)),
-                MatInit::Range { start, step, stop } => {
-                    trip_count(&cx, start, step, stop).map(|t| (dst.clone(), 1, t as usize))
-                }
-                MatInit::Literal { rows } => {
-                    Some((dst.clone(), rows.len(), rows.first().map_or(0, Vec::len)))
-                }
-                MatInit::Linspace { n, .. } => ev(n).map(|n| (dst.clone(), 1, n)),
-            },
-            Instr::CopyMatrix { dst, src } => dims(src).map(|(r, c)| (dst.clone(), r, c)),
-            Instr::Transpose { dst, a } => dims(a).map(|(r, c)| (dst.clone(), c, r)),
-            Instr::Shift { dst, v, .. } => dims(v).map(|(r, c)| (dst.clone(), r, c)),
-            Instr::ElemWise { dst, expr } => {
-                let mut ops = Vec::new();
-                expr.mat_operands(&mut ops);
-                ops.first()
-                    .and_then(|m| dims(m))
-                    .map(|(r, c)| (dst.clone(), r, c))
-            }
-            Instr::MatMul { dst, a, b } | Instr::MatMulEw { dst, a, b, .. } => dims(a)
-                .zip(dims(b))
-                .map(|((m, _), (_, n))| (dst.clone(), m, n)),
-            Instr::MatVec { dst, a, .. } | Instr::MatVecEw { dst, a, .. } => {
-                dims(a).map(|(m, _)| (dst.clone(), m, 1))
-            }
-            Instr::Outer { dst, u, v } => dims(u)
-                .zip(dims(v))
-                .map(|((ur, uc), (vr, vc))| (dst.clone(), ur * uc, vr * vc)),
-            Instr::ExtractRow { dst, m, .. } => dims(m).map(|(_, c)| (dst.clone(), 1, c)),
-            Instr::ExtractCol { dst, m, .. } => dims(m).map(|(r, _)| (dst.clone(), r, 1)),
-            _ => None,
-        };
-        if let Some((dst, r, c)) = derived {
-            shapes.entry(dst).or_insert_with(|| Shape::known(r, c));
+        if let (Some(dst), Some((r, c))) = (i.dst(), derived_shape(i, &cx)) {
+            shapes
+                .entry(dst.to_string())
+                .or_insert_with(|| Shape::known(r, c));
         }
     }
     shapes
+}
+
+/// The concrete shape `i` gives its destination, when its inputs'
+/// shapes resolve.
+fn derived_shape(i: &Instr, cx: &Scope) -> Option<(usize, usize)> {
+    let ev = |e: &SExpr| cx.eval(e).filter(|v| *v >= 0.0).map(|v| v as usize);
+    let dims = |v: &str| cx.shape(v).concrete();
+    match i {
+        Instr::InitMatrix { init, .. } => match init {
+            MatInit::Zeros { rows, cols }
+            | MatInit::Ones { rows, cols }
+            | MatInit::Rand { rows, cols } => ev(rows).zip(ev(cols)),
+            MatInit::Eye { n } => ev(n).map(|n| (n, n)),
+            MatInit::Range { start, step, stop } => {
+                trip_count(cx, start, step, stop).map(|t| (1, t as usize))
+            }
+            MatInit::Literal { rows } => Some((rows.len(), rows.first().map_or(0, Vec::len))),
+            MatInit::Linspace { n, .. } => ev(n).map(|n| (1, n)),
+        },
+        Instr::CopyMatrix { src, .. } => dims(src),
+        Instr::Transpose { a, .. } => dims(a).map(|(r, c)| (c, r)),
+        Instr::Shift { v, .. } => dims(v),
+        // The loop's first operand, or else its first generator's
+        // producer, gives the shape.
+        Instr::ElemWise { expr, .. } => {
+            let mut ops = Vec::new();
+            expr.mat_operands(&mut ops);
+            match (ops.first(), expr.generators().first()) {
+                (Some(m), _) => dims(m),
+                (None, Some((tmp, gen))) => derived_shape(&gen.producer(tmp), cx),
+                (None, None) => None,
+            }
+        }
+        Instr::MatMul { a, b, .. } | Instr::MatMulEw { a, b, .. } => {
+            dims(a).zip(dims(b)).map(|((m, _), (_, n))| (m, n))
+        }
+        Instr::MatVec { a, .. } | Instr::MatVecEw { a, .. } => dims(a).map(|(m, _)| (m, 1)),
+        Instr::Outer { u, v, .. } => dims(u)
+            .zip(dims(v))
+            .map(|((ur, uc), (vr, vc))| (ur * uc, vr * vc)),
+        Instr::ExtractRow { m, .. } => dims(m).map(|(_, c)| (1, c)),
+        Instr::ExtractCol { m, .. } => dims(m).map(|(r, _)| (r, 1)),
+        _ => None,
+    }
 }
 
 /// Predict every leaf site of a program, in [`leaf_sites`] order.

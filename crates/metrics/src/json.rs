@@ -62,6 +62,7 @@ impl Json {
     /// so is array/object nesting deeper than 128 levels.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -143,6 +144,7 @@ impl fmt::Display for Json {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects currently open.
@@ -259,12 +261,14 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash in
+                    // one go: ASCII delimiters are char boundaries.
+                    let end = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(&self.text[self.pos..end]);
+                    self.pos = end;
                 }
             }
         }
@@ -380,6 +384,22 @@ mod tests {
     fn unicode_and_escapes() {
         let v = Json::parse(r#""café — ünïcode\t""#).unwrap();
         assert_eq!(v.as_str(), Some("café — ünïcode\t"));
+    }
+
+    #[test]
+    fn a_mebibyte_string_round_trips() {
+        // Multi-byte UTF-8, every escape the printer writes and the
+        // parser reads, and `\u` sequences, repeated past 1 MiB.
+        let piece = "café — ünïcode 🦦 \" \\ / \n \r \t \u{8} \u{c} \u{1} \u{1f} plain ascii ";
+        let text: String = piece.repeat((1 << 20) / piece.len() + 1);
+        assert!(text.len() > 1 << 20);
+        let v = Json::Arr(vec![Json::Str(text.clone()), Json::Num(1.0)]);
+        assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
+        let escapes = r#"\"\\\/\b\f\n\r\t\u00e9\u0041\u2014"#;
+        let want = "\"\\/\u{8}\u{c}\n\r\té\u{41}—".repeat(40_000);
+        let long = format!("\"{}\"", escapes.repeat(40_000));
+        assert!(long.len() > 1 << 20);
+        assert_eq!(Json::parse(&long).unwrap().as_str(), Some(want.as_str()));
     }
 
     /// Parse on the 2 MiB stack an `otterd` connection thread has.

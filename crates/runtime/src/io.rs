@@ -10,7 +10,7 @@
 //! variable as well as its rank").
 
 use crate::dense::Dense;
-use crate::matrix::DistMatrix;
+use crate::matrix::{DistMatrix, Gathered};
 use otter_mpi::{Comm, CommError, Event};
 use std::fmt::Write as _;
 use std::path::Path;
@@ -112,7 +112,10 @@ pub fn print_distributed(
     name: &str,
     m: &DistMatrix,
 ) -> Result<Option<String>, CommError> {
-    let Some(full) = m.gather_block(comm, 0, m.local().to_vec())? else {
+    let Some(full) = m
+        .gather_block(comm, 0, m.local().to_vec())?
+        .map(Gathered::into_dense)
+    else {
         return Ok(None);
     };
     let mut out = String::new();

@@ -38,6 +38,7 @@ pub mod reduce;
 pub use dense::Dense;
 pub use dist::Block;
 pub use io::LoadError;
-pub use matrix::DistMatrix;
+pub use linalg::Generated;
+pub use matrix::{DistMatrix, Gathered};
 pub use otter_mpi::CommError;
 pub use reduce::ColOp;

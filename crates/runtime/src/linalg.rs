@@ -8,6 +8,112 @@ use crate::dist::Block;
 use crate::matrix::DistMatrix;
 use otter_mpi::{Comm, CommError, Event};
 
+/// One rank's block of a matrix defined element by element, `u · vᵀ`
+/// or `eye(n)`, ready to be written out strip by strip. A fused
+/// element-wise loop (fusion rule F5) fills its lanes from it instead
+/// of reading a stored matrix, and [`DistMatrix::outer`] and
+/// [`DistMatrix::eye`] fill their results from it, so the two agree bit
+/// for bit.
+#[derive(Debug)]
+pub struct Generated {
+    rows: usize,
+    cols: usize,
+    kind: GenKind,
+}
+
+#[derive(Debug)]
+enum GenKind {
+    /// Local element `k` is `u[k / v.len()] * v[k % v.len()]`: `u` is
+    /// this rank's block, which coincides with the result's row block,
+    /// and `v` is whole.
+    Outer { u: Vec<f64>, v: Vec<f64> },
+    /// Local row `i` has its one at column `row0 + i`.
+    Eye { row0: usize, local_rows: usize },
+}
+
+impl Generated {
+    /// `u · vᵀ`: allgathers `v` and charges the product's flops, as
+    /// `ML_outer` does.
+    pub fn outer(comm: &mut Comm, u: &DistMatrix, v: &DistMatrix) -> Result<Generated, CommError> {
+        let (name, t0) = ("ML_outer", comm.clock());
+        assert!(u.is_vector() && v.is_vector(), "outer needs vectors");
+        let v_full = v.gather_all(comm)?.into_data();
+        comm.compute(u.local_els() as f64 * v_full.len() as f64);
+        comm.record(Event::Phase { name, t0 });
+        Ok(Generated {
+            rows: u.len(),
+            cols: v_full.len(),
+            kind: GenKind::Outer {
+                u: u.local().to_vec(),
+                v: v_full,
+            },
+        })
+    }
+
+    /// The `n×n` identity (no communication, no charge).
+    pub fn eye(comm: &Comm, n: usize) -> Generated {
+        let rows = Block::new(n, comm.size());
+        Generated {
+            rows: n,
+            cols: n,
+            kind: GenKind::Eye {
+                row0: rows.start(comm.rank()),
+                local_rows: rows.count(comm.rank()),
+            },
+        }
+    }
+
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Elements this rank's block holds.
+    pub fn local_els(&self) -> usize {
+        match &self.kind {
+            GenKind::Outer { u, v } => u.len() * v.len(),
+            GenKind::Eye { local_rows, .. } => local_rows * self.cols,
+        }
+    }
+
+    /// Write local elements `base..base + out.len()` to `out`.
+    pub fn fill(&self, base: usize, out: &mut [f64]) {
+        let w = self.cols;
+        let mut k = base;
+        // One run per local row the span touches.
+        for run in chunk_rows(out, base, w) {
+            let (i, j) = (k / w, k % w);
+            match &self.kind {
+                GenKind::Outer { u, v } => {
+                    for (x, &vj) in run.iter_mut().zip(&v[j..]) {
+                        *x = u[i] * vj;
+                    }
+                }
+                GenKind::Eye { row0, .. } => {
+                    run.fill(0.0);
+                    if let Some(d) = (row0 + i).checked_sub(j).filter(|d| *d < run.len()) {
+                        run[d] = 1.0;
+                    }
+                }
+            }
+            k += run.len();
+        }
+    }
+}
+
+/// Split `out`, which holds local elements from `base` on of a block
+/// `w` wide, at its row boundaries.
+fn chunk_rows(out: &mut [f64], base: usize, w: usize) -> impl Iterator<Item = &mut [f64]> {
+    let first = (w - base % w.max(1)).min(out.len());
+    let (head, tail) = out.split_at_mut(first);
+    std::iter::once(head)
+        .filter(|h| !h.is_empty())
+        .chain(tail.chunks_mut(w.max(1)))
+}
+
 impl DistMatrix {
     /// Distributed matrix multiply, `C = A · B` (`ML_matrix_multiply`).
     ///
@@ -140,24 +246,12 @@ impl DistMatrix {
     }
 
     /// Outer product of two distributed vectors: `u · vᵀ`, row-block
-    /// distributed like any `m×n` result. `v` is allgathered; `u` is
-    /// already aligned with the result's rows.
+    /// distributed like any `m×n` result: [`Generated::outer`], filled.
     pub fn outer(comm: &mut Comm, u: &DistMatrix, v: &DistMatrix) -> Result<DistMatrix, CommError> {
-        let (name, t0) = ("ML_outer", comm.clock());
-        assert!(u.is_vector() && v.is_vector(), "outer needs vectors");
-        let (m, n) = (u.len(), v.len());
-        let v_full = v.gather_all(comm)?.into_data();
-        let rows = Block::new(m, comm.size());
-        // u's element blocks coincide with the result's row blocks.
-        let mut local = vec![0.0; rows.count(comm.rank()) * n];
-        for (li, &uv) in u.local().iter().enumerate() {
-            for (j, &vv) in v_full.iter().enumerate() {
-                local[li * n + j] = uv * vv;
-            }
-        }
-        comm.compute(u.local_els() as f64 * n as f64);
-        comm.record(Event::Phase { name, t0 });
-        Ok(DistMatrix::from_local(comm, m, n, local))
+        let g = Generated::outer(comm, u, v)?;
+        let mut local = vec![0.0; g.local_els()];
+        g.fill(0, &mut local);
+        Ok(DistMatrix::from_local(comm, g.rows, g.cols, local))
     }
 
     /// Distributed transpose: an all-to-all where rank `r` ships the
@@ -326,6 +420,35 @@ mod tests {
             DistMatrix::outer(c, &du, &dv)?.gather_all(c)
         });
         assert_close(&res[0].value, &oracle, 1e-12);
+    }
+
+    #[test]
+    fn generated_spans_match_the_stored_matrix() {
+        // A fused loop asks for spans that start and end mid-row; each
+        // must equal the same span of `eye` and `outer`'s stored blocks.
+        for p in [1usize, 3, 4] {
+            for n in [0usize, 1, 7, 9] {
+                let (u, v) = (rand_dense(n, 1, 3), rand_dense(1, n, 4));
+                let res = run_spmd(&meiko_cs2(), p, move |c| {
+                    let (du, dv) = (
+                        DistMatrix::from_replicated(c, &u),
+                        DistMatrix::from_replicated(c, &v),
+                    );
+                    let stored = [DistMatrix::eye(c, n), DistMatrix::outer(c, &du, &dv)?];
+                    let generated = [Generated::eye(c, n), Generated::outer(c, &du, &dv)?];
+                    for (m, g) in stored.iter().zip(&generated) {
+                        assert_eq!((g.rows(), g.cols(), g.local_els()), (n, n, m.local_els()));
+                        let mut spans = vec![0.0; m.local_els()];
+                        for (k, span) in spans.chunks_mut(5).enumerate() {
+                            g.fill(5 * k, span);
+                        }
+                        assert_eq!(spans, m.local(), "n={n}");
+                    }
+                    Ok(())
+                });
+                assert_eq!(res.len(), p);
+            }
+        }
     }
 
     #[test]

@@ -18,7 +18,34 @@
 
 use crate::dense::Dense;
 use crate::dist::Block;
+use crate::linalg::Generated;
 use otter_mpi::{Comm, CommError, Event};
+
+/// Every rank's block of a gathered matrix, in rank order, not yet
+/// one buffer. [`Gathered::into_dense`] allocates the result, so the
+/// caller chooses the thread (and so the allocator arena) that holds
+/// it.
+#[derive(Debug)]
+pub struct Gathered {
+    rows: usize,
+    cols: usize,
+    parts: Vec<Vec<f64>>,
+}
+
+impl Gathered {
+    /// The dense matrix whose row-major data is the parts in rank order
+    /// (a vector's items are its elements in order, which is row-major
+    /// for either orientation, an empty `0×1` included). A lone part
+    /// (p = 1) becomes the storage as it is, so a p = 1 gather of an
+    /// owned block copies nothing.
+    pub fn into_dense(self) -> Dense {
+        let data = match <[Vec<f64>; 1]>::try_from(self.parts) {
+            Ok([lone]) => lone,
+            Err(parts) => parts.concat(),
+        };
+        Dense::from_vec(self.rows, self.cols, data)
+    }
+}
 
 /// A matrix or vector distributed across the ranks of a job.
 #[derive(Debug, PartialEq)]
@@ -156,14 +183,13 @@ impl DistMatrix {
         m
     }
 
-    /// Distributed identity.
+    /// Distributed identity, filled from the same [`Generated`] block a
+    /// fused loop reads.
     pub fn eye(comm: &Comm, n: usize) -> DistMatrix {
-        let mut m = Self::alloc(comm, n, n);
-        let b = m.block();
-        for (li, gi) in b.range(comm.rank()).enumerate() {
-            m.local[li * n + gi] = 1.0;
-        }
-        m
+        let g = Generated::eye(comm, n);
+        let mut local = vec![0.0; g.local_els()];
+        g.fill(0, &mut local);
+        DistMatrix::from_local(comm, n, n, local)
     }
 
     /// Distribute a dense value every rank already holds (matrix
@@ -245,14 +271,18 @@ impl DistMatrix {
         let (name, t0) = ("ML_gather_all", comm.clock());
         let parts = comm.allgather(&self.local)?;
         comm.record(Event::Phase { name, t0 });
-        Ok(self.assemble(parts))
+        Ok(self.gathered(parts).into_dense())
     }
 
     /// Gather onto `root` only; others get `None`. Consumes the matrix:
     /// its block moves into the gather (and leaves the allocation
     /// accounting as it goes), so at p = 1 the result reuses the
     /// block's storage and nothing is copied.
-    pub fn gather_to(mut self, comm: &mut Comm, root: usize) -> Result<Option<Dense>, CommError> {
+    pub fn gather_to(
+        mut self,
+        comm: &mut Comm,
+        root: usize,
+    ) -> Result<Option<Gathered>, CommError> {
         let block = std::mem::take(&mut self.local);
         crate::alloc::note_free(block.len() * 8);
         self.gather_block(comm, root, block)
@@ -266,24 +296,19 @@ impl DistMatrix {
         comm: &mut Comm,
         root: usize,
         block: Vec<f64>,
-    ) -> Result<Option<Dense>, CommError> {
+    ) -> Result<Option<Gathered>, CommError> {
         let (name, t0) = ("ML_gather", comm.clock());
         let parts = comm.gather(root, block)?;
         comm.record(Event::Phase { name, t0 });
-        Ok(parts.map(|parts| self.assemble(parts)))
+        Ok(parts.map(|parts| self.gathered(parts)))
     }
 
-    /// The dense matrix whose row-major data is `parts` in rank order
-    /// (a vector's items are its elements in order, which is row-major
-    /// for either orientation, an empty `0×1` included). A lone part
-    /// (p = 1) becomes the storage as it is, so a p = 1 gather of an
-    /// owned block copies nothing.
-    fn assemble(&self, parts: Vec<Vec<f64>>) -> Dense {
-        let data = match <[Vec<f64>; 1]>::try_from(parts) {
-            Ok([lone]) => lone,
-            Err(parts) => parts.concat(),
-        };
-        Dense::from_vec(self.rows, self.cols, data)
+    fn gathered(&self, parts: Vec<Vec<f64>>) -> Gathered {
+        Gathered {
+            rows: self.rows,
+            cols: self.cols,
+            parts,
+        }
     }
 
     // ---- element access ------------------------------------------------------
@@ -366,9 +391,10 @@ impl DistMatrix {
         comm.broadcast_scalar(owner, v)
     }
 
-    /// Build from explicitly provided local data (used by the linear
-    /// algebra kernels). `local` must have exactly the right length.
-    pub(crate) fn from_local(comm: &Comm, rows: usize, cols: usize, local: Vec<f64>) -> DistMatrix {
+    /// Build from explicitly provided local data (the linear algebra
+    /// kernels' and element-wise loops' results). `local` must have
+    /// exactly the right length.
+    pub fn from_local(comm: &Comm, rows: usize, cols: usize, local: Vec<f64>) -> DistMatrix {
         let m = DistMatrix {
             rows,
             cols,
@@ -385,20 +411,6 @@ impl DistMatrix {
     /// (vectors).
     pub fn local_range(&self) -> std::ops::Range<usize> {
         self.block().range(self.rank)
-    }
-
-    /// New object with the same shape and distribution but replaced
-    /// local data (the result buffer of a fused element-wise loop).
-    pub fn with_local(&self, local: Vec<f64>) -> DistMatrix {
-        assert_eq!(local.len(), self.local_els(), "with_local length mismatch");
-        crate::alloc::note_alloc(local.len() * 8);
-        DistMatrix {
-            rows: self.rows,
-            cols: self.cols,
-            p: self.p,
-            rank: self.rank,
-            local,
-        }
     }
 }
 
@@ -579,7 +591,7 @@ mod tests {
             crate::alloc::reset();
             let m = DistMatrix::from_replicated(c, &d);
             let block = m.local().as_ptr();
-            let full = m.gather_to(c, 0)?.expect("root");
+            let full = m.gather_to(c, 0)?.expect("root").into_dense();
             let reused = full.data().as_ptr() == block;
             let rows_ok = full == d;
             drop(full);
@@ -599,7 +611,7 @@ mod tests {
                 Some(parts) => parts[0].as_ptr() == own,
                 None => true,
             };
-            let full = m.gather_to(c, 0)?;
+            let full = m.gather_to(c, 0)?.map(Gathered::into_dense);
             let rows_ok = full.as_ref().is_none_or(|f| *f == d);
             drop(full);
             Ok((moved, rows_ok, crate::alloc::live_bytes()))
@@ -620,7 +632,10 @@ mod tests {
                 let dd = d.clone();
                 let res = run_spmd(&meiko_cs2(), p, move |c| {
                     let m = DistMatrix::from_replicated(c, &dd);
-                    Ok((m.gather_all(c)?, m.gather_to(c, 0)?))
+                    Ok((
+                        m.gather_all(c)?,
+                        m.gather_to(c, 0)?.map(Gathered::into_dense),
+                    ))
                 });
                 for r in &res {
                     let (all, to_root) = &r.value;

@@ -12,7 +12,7 @@
 
 use crate::dense::Dense;
 use crate::dist::Block;
-use crate::matrix::DistMatrix;
+use crate::matrix::{DistMatrix, Gathered};
 use otter_machine::OpClass;
 use otter_mpi::{Comm, CommError};
 
@@ -154,7 +154,7 @@ impl DistMatrix {
         );
         let owner = self.owner_rank(i, 0);
         let full = v.gather_block(comm, owner, v.local().to_vec())?;
-        if let Some(full) = full {
+        if let Some(full) = full.map(Gathered::into_dense) {
             let b = self.block();
             let li = i - b.start(owner);
             let w = self.cols();

@@ -223,6 +223,114 @@ fn paper_ocean_materializes_one_field_not_two() {
     );
 }
 
+/// Fusion rule F5's shapes for an `n` only the run time knows: cg's
+/// system matrix (two outer products and a scaled identity, with no
+/// aligned operand), tc's `a + eye(n)`, and an outer product whose left
+/// factor holds NaN, ±inf, −0.0 and a subnormal.
+fn generator_script(n: usize) -> String {
+    format!(
+        "r = rand(1, 1);\n\
+         n = {n} + floor(r(1) * 0);\n\
+         s = 1.5 + floor(r(1) * 0);\n\
+         u = (1:n) / n;\n\
+         v = cos(u * 3);\n\
+         w = sin(u * 5) - 0.25;\n\
+         z = (n:-1:1) / 3;\n\
+         g = u' * v + w' * z + s * eye(n);\n\
+         a = rand(n, n);\n\
+         c = a + eye(n);\n\
+         e = u;\n\
+         e(1) = NaN;\n\
+         e(2) = Inf;\n\
+         e(3) = -Inf;\n\
+         e(4) = -0;\n\
+         e(5) = 1e-310;\n\
+         h = -(e' * v);\n"
+    )
+}
+
+/// NaN's sign and payload after arithmetic are unspecified (the
+/// optimizer may turn `-(a * b)` into `a * -b`), so a host-side
+/// reference compares every NaN as one canonical NaN.
+fn canonical(mut bits: Vec<(usize, usize, Vec<u64>)>) -> Vec<(usize, usize, Vec<u64>)> {
+    for (_, _, m) in &mut bits {
+        for b in m.iter_mut().filter(|b| f64::from_bits(**b).is_nan()) {
+            *b = f64::NAN.to_bits();
+        }
+    }
+    bits
+}
+
+/// `g`, `c` and `h` of [`generator_script`] recomputed on the host,
+/// element by element, from the vectors and matrix in the workspace:
+/// the unfused library calls and the generated lanes must both match.
+fn generator_reference(report: &EngineReport) -> Vec<(usize, usize, Vec<u64>)> {
+    let m = |name: &str| report.workspace[name].to_matrix().expect("numeric");
+    let (u, v, w, z, e, a) = (m("u"), m("v"), m("w"), m("z"), m("e"), m("a"));
+    let s = m("s").get(0, 0);
+    let n = u.cols();
+    let eye = |i: usize, j: usize| f64::from(i == j);
+    let square = |f: &dyn Fn(usize, usize) -> f64| {
+        let bits = (0..n)
+            .flat_map(|i| (0..n).map(move |j| (i, j)))
+            .map(|(i, j)| f(i, j).to_bits())
+            .collect();
+        (n, n, bits)
+    };
+    canonical(vec![
+        square(&|i, j| (u.get(0, i) * v.get(0, j) + w.get(0, i) * z.get(0, j)) + s * eye(i, j)),
+        square(&|i, j| a.get(i, j) + eye(i, j)),
+        square(&|i, j| -(e.get(0, i) * v.get(0, j))),
+    ])
+}
+
+#[test]
+fn generated_outer_products_and_identities_keep_every_bit_and_message() {
+    // F5 computes `u[i] * v[j]` and `(i == j)` inside the consuming
+    // loop; the bits, and the gathers of each `v`, must not move. Seven
+    // and nine rows leave uneven row blocks at p = 3 and 4.
+    for n in [7usize, 9] {
+        let src = generator_script(n);
+        let fused = compile(&src, &EngineOptions::default()).unwrap_or_else(|e| panic!("{e}"));
+        let unfused = compile(&src, &fusion(false).build()).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(fused.compiled().fusion_stats.generator_leaves, 5);
+        for p in [1usize, 3, 4] {
+            let go = |a| {
+                run(a, &RunRequest::on(meiko_cs2(), p))
+                    .unwrap_or_else(|e| panic!("n={n} p={p}: {e}"))
+            };
+            let (f, u) = (go(&fused), go(&unfused));
+            let bits = workspace_bits(&f, &["g", "c", "h"]);
+            assert_eq!(bits, workspace_bits(&u, &["g", "c", "h"]), "n={n} p={p}");
+            assert_eq!(canonical(bits), generator_reference(&f), "n={n} p={p}");
+            assert_eq!((f.messages, f.bytes), (u.messages, u.bytes), "n={n} p={p}");
+            assert_eq!(f.op_counts.get("outer"), None, "n={n} p={p}");
+        }
+    }
+}
+
+#[test]
+fn large_cg_materializes_one_matrix_not_four() {
+    // `A = u' * u + w' * w + n * eye(n)` at large scale: F5 allocates
+    // neither outer product nor the identity, so the p = 1 allocator
+    // peak is `A` plus the solver's vectors, where the unfused build
+    // holds four n×n blocks at once. (The fused peak is the CG loop's,
+    // nine vectors beside `A`, so it is not a clean three blocks lower.)
+    let params = otter_apps::cg::Params::large();
+    let app = otter_apps::cg::conjugate_gradient(params);
+    let peak = |on: bool| run_with(&app, &fusion(on).build(), 1).peak_temp_bytes;
+    let (fused, unfused) = (peak(true), peak(false));
+    let (block, vector) = (params.n * params.n * 8, params.n * 8);
+    assert!(
+        fused <= block + 16 * vector,
+        "fused peak {fused} B is more than one {block} B block plus vectors"
+    );
+    assert!(
+        unfused >= 4 * block,
+        "unfused peak {unfused} B is under four {block} B blocks"
+    );
+}
+
 #[test]
 fn fig2_with_knobs_off_is_byte_identical_to_the_prechange_figure() {
     // With fusion disabled, the kernels must reproduce the committed

@@ -240,4 +240,36 @@ fn folds_at_the_ieee_edges_match_the_interpreter_bit_for_bit() {
             }
         }
     }
+    // `max`/`min` of an empty operand whose shape only the run time
+    // knows is an error in both engines, fused or not, on every rank.
+    let (head, _) = fold_edge_script();
+    for (op, arg) in ["max", "min"].iter().flat_map(|op| {
+        ["e", "se"]
+            .iter()
+            .flat_map(move |a| [(*op, a.to_string()), (*op, format!("{a} .* {a}b"))])
+    }) {
+        let src = format!("{head}v = {op}({arg});\n");
+        let want = format!("{op} of empty matrix");
+        let err = run_engine(Engine::Interpreter, &src, &opts, &workstation(), 1)
+            .expect_err("interpreter")
+            .to_string();
+        assert!(err.contains(&want), "interpreter, {op}({arg}): {err}");
+        for fuse in [true, false] {
+            let opts = if fuse {
+                EngineOptions::default()
+            } else {
+                EngineOptions::builder().disable_pass("fusion").build()
+            };
+            let compiled = compile(&src, &opts).unwrap_or_else(|e| panic!("{e}"));
+            for p in [1usize, 3, 4] {
+                let err = run(&compiled, &RunRequest::on(meiko_cs2(), p))
+                    .expect_err(&format!("{op}({arg}) at p={p} fusion={fuse}"))
+                    .to_string();
+                assert!(
+                    err.contains(&want),
+                    "{op}({arg}) at p={p} fusion={fuse}: {err}"
+                );
+            }
+        }
+    }
 }
