@@ -2,42 +2,40 @@
 //!
 //! The peephole pass (pass 6) collapses *calls*; this pass collapses
 //! *loops*: a producer whose only consumer is the next instruction in
-//! the same block fuses into one instruction, eliminating the
+//! the same block (past any `Free`s) fuses into it, eliminating the
 //! full-matrix temporary between them (and the `Free` the frees pass
-//! inserted for it). Four producer→consumer shapes fuse:
+//! inserted for it). The result is always the paper's one per-element
+//! loop, an [`Instr::ElemWise`] or an [`Instr::Fused`] with a head
+//! and/or a tail, built by two moves:
 //!
-//! 1. **ElemWise → ElemWise** — the producer's expression substitutes
-//!    into the consumer's `Mat(tmp)` leaves: two element loops become
-//!    one, with no temporary at all.
-//! 2. **MatMul/MatVec → ElemWise** — the element-wise epilogue applies
-//!    in place over the product buffer ([`Instr::MatMulEw`] /
-//!    [`Instr::MatVecEw`]).
-//! 3. **ElemWise → Reduce** — the reduction folds the producer's
-//!    expression on the fly ([`Instr::ReduceEw`]); no temporary is
-//!    materialized. Only allreduce-backed reductions fuse (`Trapz`
-//!    needs a halo exchange over the materialized vector; `any`/`all`
-//!    quantize through 0/1 first).
-//! 4. **ElemWise → ColReduce** — the column twin of 3
-//!    ([`Instr::ColReduceEw`]): each row's lanes fold into per-column
-//!    partials as they are evaluated, for `sum`/`mean`/`prod`/`max`/
-//!    `min` (`any`/`all` stay unfused, as in 3).
-//! 5. **Outer/eye → ElemWise** — a generator leaf ([`EwExpr::Gen`]):
-//!    the loop computes `u[i] * v[j]` or `(i == j)` for each element
-//!    it writes, so the full-size product or identity never exists.
-//!    The producer need not be adjacent (see [`try_generator`]). This
-//!    rule runs first, over every block, so it wins over 1–4.
+//! 1. **Absorb a producer** into an `ElemWise` consumer. An `ElemWise`
+//!    producer's expression substitutes into the consumer's `Mat(tmp)`
+//!    leaves, so two loops become one. A `MatMul`/`MatVec` producer
+//!    becomes the loop's [`Product`] head: the loop overwrites the
+//!    product buffer in place.
+//! 2. **Attach a tail**: a `Reduce` or `ColReduce` of the loop's
+//!    destination folds each element as it is computed ([`Tail`]), so
+//!    the destination is never stored. Every fold but the boolean
+//!    `any`/`all` attaches, and so does `norm`; `trapz` needs neighbour
+//!    halos over the stored vector.
+//!
+//! Before both, an `outer(u, v)` or `eye(n)` producer becomes a
+//! generator leaf ([`EwExpr::Gen`]) of the one later `ElemWise` that
+//! reads it: the loop computes `u[i] * v[j]` or `(i == j)` for each
+//! element it writes, so the full-size product or identity never
+//! exists. The producer need not be adjacent (see [`try_generator`]).
 //!
 //! Legality is deliberately strict: the temporary must be
 //! compiler-generated (an `ML_tmp*` or an SSA rename `x__N`), every
-//! read of it program-wide must sit inside the consumer, and
-//! it must not escape as a function output or as a web the script's
-//! workspace reports (an exit web). In 1–4 producer and
-//! consumer are adjacent, so fusing never reorders reads or writes —
-//! results are bit-identical with fusion on or off. A loop holding a
-//! generator leaf fuses no further (as a producer in 1, 3, 4 or a
-//! consumer in 2). The pass runs
-//! after `frees` (so the temporary's `Free` exists to consume) and
-//! iterates to a fixed point so chains fuse end-to-end.
+//! read of it program-wide must sit inside the consumer, and it must
+//! not escape as a function output or as a web the script's workspace
+//! reports (an exit web). In both moves only `Free`s of other names
+//! lie between producer and consumer, so fusing never reorders reads
+//! or writes — results are bit-identical with fusion on or off. A loop
+//! holding a generator leaf substitutes into one read only, so that it
+//! gathers once. The pass runs after `frees` (so the temporary's `Free`
+//! exists to consume) and iterates to a fixed point so chains fuse
+//! end-to-end.
 
 use otter_ir::*;
 use std::collections::HashMap;
@@ -47,13 +45,13 @@ use std::collections::HashMap;
 pub struct FusionStats {
     /// ElemWise → ElemWise substitutions (two loops → one).
     pub elemwise_chains: usize,
-    /// MatMul → ElemWise epilogues.
+    /// MatMul products absorbed as a loop's head.
     pub matmul_epilogues: usize,
-    /// MatVec → ElemWise epilogues.
+    /// MatVec products absorbed as a loop's head.
     pub matvec_epilogues: usize,
-    /// ElemWise → Reduce on-the-fly folds.
+    /// Reduce tails: whole-object folds on the fly.
     pub reduce_epilogues: usize,
-    /// ElemWise → ColReduce on-the-fly column folds.
+    /// ColReduce tails: column folds on the fly.
     pub col_reduce_epilogues: usize,
     /// Outer products and identities generated inside their consumer.
     pub generator_leaves: usize,
@@ -78,7 +76,7 @@ impl FusionStats {
 pub fn fuse(p: &mut IrProgram) -> FusionStats {
     let mut stats = FusionStats::default();
     // F5 first, in one walk. A generator leaf changes no other name's
-    // read count, so the first count serves it and rule 1–4's first
+    // read count, so the first count serves it and the two moves' first
     // round alike.
     let mut counts = read_counts(p);
     p.visit_blocks_mut(&mut |block, live_out| {
@@ -139,11 +137,6 @@ fn mat_uses(expr: &EwExpr, name: &str) -> usize {
     mats.iter().filter(|m| m.as_str() == name).count()
 }
 
-/// Whether a loop holds a generator leaf (and so fuses no further).
-fn generates(expr: &EwExpr) -> bool {
-    !expr.generators().is_empty()
-}
-
 /// Replace every `Mat(name)` leaf with a copy of `sub`.
 fn substitute(expr: &EwExpr, name: &str, sub: &EwExpr) -> EwExpr {
     match expr {
@@ -193,17 +186,17 @@ fn fuse_one(
 ) -> bool {
     let mut i = 0;
     while i < block.len() {
-        if i + 1 < block.len() {
-            if let Some((fused, tmp)) = try_pair(&block[i], &block[i + 1], counts, live_out, stats)
-            {
+        // The consumer is the next instruction that is not a `Free`: a
+        // free of another name touches nothing the pair reads or writes.
+        let next = (i + 1..block.len()).find(|&j| !matches!(block[j], Instr::Free { .. }));
+        if let Some(j) = next {
+            let (producer, consumer) = (&block[i], &block[j]);
+            let fused = absorb(producer, consumer, counts, live_out, stats)
+                .or_else(|| attach(producer, consumer, counts, live_out, stats));
+            if let Some((fused, tmp)) = fused {
                 block[i] = fused;
-                block.remove(i + 1);
-                // Consume the temporary's Free (present for ML_tmp*;
-                // SSA renames never got one).
-                if matches!(block.get(i + 1), Some(Instr::Free { name }) if *name == tmp) {
-                    block.remove(i + 1);
-                    stats.frees_consumed += 1;
-                }
+                block.remove(j);
+                consume_free(block, i + 1, &tmp, stats);
                 stats.temps_eliminated += 1;
                 return true;
             }
@@ -232,6 +225,19 @@ fn fuse_one(
         i += 1;
     }
     false
+}
+
+/// Remove the `Free` of an eliminated temporary `t` from the run of
+/// `Free`s at `block[from..]` (present for `ML_tmp*`; SSA renames never
+/// got one).
+fn consume_free(block: &mut Vec<Instr>, from: usize, t: &str, stats: &mut FusionStats) {
+    let mut run = block[from..]
+        .iter()
+        .take_while(|i| matches!(i, Instr::Free { .. }));
+    if let Some(k) = run.position(|i| matches!(i, Instr::Free { name } if name == t)) {
+        block.remove(from + k);
+        stats.frees_consumed += 1;
+    }
 }
 
 /// F5: `t = outer(u, v)` or `t = eye(n)` at `block[i]` becomes a
@@ -295,15 +301,7 @@ fn try_generator(
         };
         *expr = substitute(expr, &t, &leaf);
     }
-    let mut k = j + 1;
-    while let Some(Instr::Free { name }) = block.get(k) {
-        if *name == t {
-            block.remove(k);
-            stats.frees_consumed += 1;
-            break;
-        }
-        k += 1;
-    }
+    consume_free(block, j + 1, &t, stats);
     for f in frees {
         block.insert(j + 1, f);
     }
@@ -312,95 +310,93 @@ fn try_generator(
     true
 }
 
-/// Try the four producer→consumer shapes on one adjacent pair.
-/// Returns the fused instruction and the eliminated temporary's name.
-fn try_pair(
+/// Move 1: absorb a producer into the adjacent `ElemWise` that reads
+/// it. Returns the fused instruction and the eliminated temporary.
+fn absorb(
     producer: &Instr,
     consumer: &Instr,
     counts: &HashMap<String, usize>,
     live_out: &[String],
     stats: &mut FusionStats,
 ) -> Option<(Instr, String)> {
-    match (producer, consumer) {
-        // 1. ElemWise → ElemWise: substitute, two loops become one.
-        (Instr::ElemWise { dst: t, expr: e1 }, Instr::ElemWise { dst, expr: e2 })
-            if dead_after(t, mat_uses(e2, t), counts, live_out) && !generates(e1) =>
-        {
-            stats.elemwise_chains += 1;
-            Some((
-                Instr::ElemWise {
-                    dst: dst.clone(),
-                    expr: substitute(e2, t, e1),
-                },
-                t.clone(),
-            ))
-        }
-        // 2. MatMul/MatVec → ElemWise: epilogue over the product.
-        (Instr::MatMul { dst: t, a, b }, Instr::ElemWise { dst, expr })
-            if dead_after(t, mat_uses(expr, t), counts, live_out) && !generates(expr) =>
-        {
-            stats.matmul_epilogues += 1;
-            Some((
-                Instr::MatMulEw {
-                    dst: dst.clone(),
-                    a: a.clone(),
-                    b: b.clone(),
-                    tmp: t.clone(),
-                    expr: expr.clone(),
-                },
-                t.clone(),
-            ))
-        }
-        (Instr::MatVec { dst: t, a, x }, Instr::ElemWise { dst, expr })
-            if dead_after(t, mat_uses(expr, t), counts, live_out) && !generates(expr) =>
-        {
-            stats.matvec_epilogues += 1;
-            Some((
-                Instr::MatVecEw {
-                    dst: dst.clone(),
-                    a: a.clone(),
-                    x: x.clone(),
-                    tmp: t.clone(),
-                    expr: expr.clone(),
-                },
-                t.clone(),
-            ))
-        }
-        // 3. ElemWise → Reduce: fold the expression on the fly.
-        (Instr::ElemWise { dst: t, expr }, Instr::Reduce { dst, op, m })
-            if m == t
-                && (matches!(op, RedOp::Fold(f) if fusible(*f)) || *op == RedOp::Norm2)
-                && dead_after(t, 1, counts, live_out)
-                && !generates(expr) =>
-        {
-            stats.reduce_epilogues += 1;
-            Some((
-                Instr::ReduceEw {
-                    dst: dst.clone(),
-                    op: *op,
-                    tmp: t.clone(),
-                    expr: expr.clone(),
-                },
-                t.clone(),
-            ))
-        }
-        // 4. ElemWise → ColReduce: fold the expression into columns.
-        (Instr::ElemWise { dst: t, expr }, Instr::ColReduce { dst, op, m })
-            if m == t && fusible(*op) && dead_after(t, 1, counts, live_out) && !generates(expr) =>
-        {
-            stats.col_reduce_epilogues += 1;
-            Some((
-                Instr::ColReduceEw {
-                    dst: dst.clone(),
-                    op: *op,
-                    tmp: t.clone(),
-                    expr: expr.clone(),
-                },
-                t.clone(),
-            ))
-        }
-        _ => None,
+    let Instr::ElemWise { dst, expr } = consumer else {
+        return None;
+    };
+    let (Instr::ElemWise { dst: t, .. }
+    | Instr::MatMul { dst: t, .. }
+    | Instr::MatVec { dst: t, .. }) = producer
+    else {
+        return None;
+    };
+    let uses = mat_uses(expr, t);
+    if !dead_after(t, uses, counts, live_out) {
+        return None;
     }
+    let fused = match producer {
+        Instr::ElemWise { expr: e1, .. } if uses == 1 || e1.generators().is_empty() => {
+            stats.elemwise_chains += 1;
+            Instr::ElemWise {
+                dst: dst.clone(),
+                expr: substitute(expr, t, e1),
+            }
+        }
+        Instr::MatMul { .. } | Instr::MatVec { .. } => {
+            let head = Product::of(producer)?;
+            match head {
+                Product::MatMul { .. } => stats.matmul_epilogues += 1,
+                Product::MatVec { .. } => stats.matvec_epilogues += 1,
+            }
+            let tail = Tail::Store { dst: dst.clone() };
+            Instr::fused(Some(head), expr.clone(), tail)
+        }
+        _ => return None,
+    };
+    Some((fused, t.to_string()))
+}
+
+/// Move 2: attach the adjacent fold of a loop's stored destination as
+/// the loop's tail. Returns the fused instruction and the eliminated
+/// temporary.
+fn attach(
+    producer: &Instr,
+    consumer: &Instr,
+    counts: &HashMap<String, usize>,
+    live_out: &[String],
+    stats: &mut FusionStats,
+) -> Option<(Instr, String)> {
+    let (head, expr, t) = match producer {
+        Instr::ElemWise { dst, expr } => (None, expr, dst),
+        Instr::Fused(f) => match f.tail() {
+            Tail::Store { dst } => (f.head(), f.expr(), dst),
+            _ => return None,
+        },
+        _ => return None,
+    };
+    let tail = match consumer {
+        Instr::Reduce { dst, op, m }
+            if m == t && (matches!(op, RedOp::Fold(f) if fusible(*f)) || *op == RedOp::Norm2) =>
+        {
+            Tail::Reduce {
+                dst: dst.clone(),
+                op: *op,
+                tmp: t.clone(),
+            }
+        }
+        Instr::ColReduce { dst, op, m } if m == t && fusible(*op) => Tail::ColReduce {
+            dst: dst.clone(),
+            op: *op,
+            tmp: t.clone(),
+        },
+        _ => return None,
+    };
+    if !dead_after(t, 1, counts, live_out) {
+        return None;
+    }
+    match tail {
+        Tail::ColReduce { .. } => stats.col_reduce_epilogues += 1,
+        _ => stats.reduce_epilogues += 1,
+    }
+    Some((Instr::fused(head.cloned(), expr.clone(), tail), t.clone()))
 }
 
 #[cfg(test)]
@@ -439,8 +435,10 @@ mod tests {
         assert_eq!(stats.matmul_epilogues, 1);
         assert_eq!(stats.frees_consumed, 1);
         assert_eq!(p.main.len(), 1);
-        assert!(matches!(&p.main[0], Instr::MatMulEw { dst, tmp, .. }
-                if dst == "c" && tmp == "ML_tmp1"));
+        assert_eq!(p.main[0].opcode(), "matmul-ew");
+        assert_eq!(p.main[0].dst(), Some("c"));
+        assert!(matches!(&p.main[0], Instr::Fused(f)
+                if f.head().map(Product::tmp) == Some("ML_tmp1")));
     }
 
     #[test]
@@ -484,13 +482,8 @@ mod tests {
         let stats = fuse(&mut p);
         assert_eq!(stats.reduce_epilogues, 1);
         assert_eq!(p.main.len(), 1);
-        assert!(matches!(
-            &p.main[0],
-            Instr::ReduceEw {
-                op: RedOp::Norm2,
-                ..
-            }
-        ));
+        assert!(matches!(&p.main[0], Instr::Fused(f)
+                if matches!(f.tail(), Tail::Reduce { op: RedOp::Norm2, .. })));
     }
 
     #[test]
@@ -514,10 +507,12 @@ mod tests {
         assert_eq!(stats.col_reduce_epilogues, 1);
         assert_eq!(stats.frees_consumed, 1);
         assert_eq!(p.main.len(), 1);
-        assert!(
-            matches!(&p.main[0], Instr::ColReduceEw { dst, op: ColRedOp::Sum, tmp, .. }
-                if dst == "ML_tmp15" && tmp == "ML_tmp14")
-        );
+        let tail = Tail::ColReduce {
+            dst: "ML_tmp15".into(),
+            op: ColRedOp::Sum,
+            tmp: "ML_tmp14".into(),
+        };
+        assert!(matches!(&p.main[0], Instr::Fused(f) if *f.tail() == tail));
     }
 
     /// cg's system matrix after `frees`: two outer products and an
@@ -625,9 +620,9 @@ mod tests {
     }
 
     #[test]
-    fn generated_loops_fuse_no_further() {
-        // s = sum(outer(u, v) .* 2): the loop keeps its generator and
-        // stays a materialized temporary of its own.
+    fn generated_loops_fuse_into_their_fold() {
+        // s = sum(outer(u, v) .* 2): the generator loop takes the fold
+        // as its tail, past the outer product's own (moved) free.
         let mut p = prog(vec![
             Instr::Outer {
                 dst: "ML_tmp1".into(),
@@ -655,8 +650,77 @@ mod tests {
             },
         ]);
         let stats = fuse(&mut p);
-        assert_eq!((stats.generator_leaves, stats.reduce_epilogues), (1, 0));
-        assert_eq!(p.main.len(), 3);
+        assert_eq!((stats.generator_leaves, stats.reduce_epilogues), (1, 1));
+        assert_eq!((stats.temps_eliminated, stats.frees_consumed), (2, 2));
+        let ops: Vec<&str> = p.main.iter().map(Instr::opcode).collect();
+        assert_eq!(ops, ["reduce-ew"]);
+    }
+
+    #[test]
+    fn a_generator_substitutes_into_one_read_only() {
+        // t = outer(u, v) .* 2; c = t .* t: substituting would generate
+        // (and gather) the outer product twice.
+        let mut p = prog(vec![
+            Instr::Outer {
+                dst: "ML_tmp1".into(),
+                u: "u".into(),
+                v: "v".into(),
+            },
+            Instr::ElemWise {
+                dst: "ML_tmp2".into(),
+                expr: EwExpr::bin(
+                    EwOp::Mul,
+                    EwExpr::mat("ML_tmp1"),
+                    EwExpr::Scalar(SExpr::c(2.0)),
+                ),
+            },
+            Instr::ElemWise {
+                dst: "c".into(),
+                expr: EwExpr::bin(EwOp::Mul, EwExpr::mat("ML_tmp2"), EwExpr::mat("ML_tmp2")),
+            },
+        ]);
+        let stats = fuse(&mut p);
+        assert_eq!((stats.generator_leaves, stats.elemwise_chains), (1, 0));
+        assert_eq!(p.main.len(), 2);
+    }
+
+    #[test]
+    fn a_product_loop_takes_a_fold_as_its_tail() {
+        // s = sum(A*x .* y): the matvec head, the loop and the fold
+        // become one instruction, and both temporaries go.
+        let mut p = prog(vec![
+            Instr::MatVec {
+                dst: "ML_tmp1".into(),
+                a: "A".into(),
+                x: "x".into(),
+            },
+            Instr::ElemWise {
+                dst: "ML_tmp2".into(),
+                expr: EwExpr::bin(EwOp::Mul, EwExpr::mat("ML_tmp1"), EwExpr::mat("y")),
+            },
+            Instr::Free {
+                name: "ML_tmp1".into(),
+            },
+            Instr::Reduce {
+                dst: "s".into(),
+                op: RedOp::Fold(ColRedOp::Sum),
+                m: "ML_tmp2".into(),
+            },
+            Instr::Free {
+                name: "ML_tmp2".into(),
+            },
+        ]);
+        let stats = fuse(&mut p);
+        assert_eq!((stats.matvec_epilogues, stats.reduce_epilogues), (1, 1));
+        assert_eq!(p.main.len(), 1);
+        let Instr::Fused(f) = &p.main[0] else {
+            panic!("{:?}", p.main)
+        };
+        let ops: Vec<&str> = f.unfused().iter().map(Instr::opcode).collect();
+        assert_eq!(ops, ["matvec", "elemwise", "reduce", "free", "free"]);
+        let mut reads = Vec::new();
+        p.main[0].reads(&mut reads);
+        assert_eq!(reads, ["A", "x", "y"]);
     }
 
     #[test]
@@ -704,7 +768,7 @@ mod tests {
 
     #[test]
     fn chains_fuse_to_a_fixed_point() {
-        // t1 = a + b; t2 = t1 * t1; s = sum(t2) → one ReduceEw.
+        // t1 = a + b; t2 = t1 * t1; s = sum(t2) → one reduce-ew loop.
         let mut p = prog(vec![
             Instr::ElemWise {
                 dst: "ML_tmp1".into(),
@@ -727,7 +791,7 @@ mod tests {
         assert_eq!(stats.elemwise_chains, 1);
         assert_eq!(stats.reduce_epilogues, 1);
         assert_eq!(p.main.len(), 1);
-        assert!(matches!(&p.main[0], Instr::ReduceEw { .. }));
+        assert_eq!(p.main[0].opcode(), "reduce-ew");
     }
 
     #[test]

@@ -32,7 +32,7 @@
 
 use crate::compile::Compiled;
 use crate::engines::{EngineOptions, EngineReport, RankCounters, SpmdJobFailure};
-use crate::error::{OtterError, Result};
+use crate::error::Result;
 use crate::exec::{ExecError, ExecOptions, ExecOutcome, Executor, XVal};
 use crate::pass::PassStats;
 use otter_interp::Value;
@@ -382,7 +382,7 @@ pub fn try_run(
             // Application errors are SPMD-replicated: every rank
             // raises the identical one, so they travel inside the
             // rank's value and the job itself still succeeds.
-            Err(ExecError::App(e)) => Ok(Err(e.to_string())),
+            Err(ExecError::App(e)) => Ok(Err(e)),
             // Communication failures abort the job; the runner
             // assembles the failure report.
             Err(ExecError::Comm(e)) => Err(e),
@@ -429,7 +429,7 @@ pub fn try_run(
     // for the job, and the counters fold over every rank.
     let mut outputs = Vec::with_capacity(results.len());
     for r in results {
-        outputs.push((r.rank, r.value.map_err(OtterError::execution)?));
+        outputs.push((r.rank, r.value?));
     }
     let per_rank: Vec<RankCounters> = outputs
         .iter()

@@ -11,12 +11,12 @@
 //! plus a run-time-library call overhead, with element work charged
 //! inside the run-time library itself.
 //!
-//! Element-wise loops (`ElemWise`, the `MatMulEw`/`MatVecEw` epilogue,
-//! `ReduceEw` and `ColReduceEw`) are strip-mined: `compile_ew`
-//! flattens the expression tree into a postfix `EwProgram` once per
-//! instruction execution, and the program then runs over 256-lane strips,
-//! one tight loop per node, on a stack of strip registers allocated
-//! once per execution. Every lane performs the same IEEE operations,
+//! Element-wise loops, `ElemWise` and `Fused` alike, run through one
+//! entry, `exec_loop`, and are strip-mined: `compile_ew` flattens the
+//! expression tree into a postfix `EwProgram` once per instruction
+//! execution, and the program then runs over 256-lane strips, one
+//! tight loop per node, on a stack of strip registers allocated once
+//! per execution. Every lane performs the same IEEE operations,
 //! in the same order, as the per-element tree walk it replaced, so the
 //! bits are unchanged (DESIGN.md §17).
 
@@ -25,7 +25,7 @@ use otter_det::DetRng;
 use otter_ir::*;
 use otter_machine::{ExecutionStyle, StyleCosts};
 use otter_mpi::{Comm, CommError, Event, Note, ReduceOp};
-use otter_rt::{io as rtio, ColOp, Dense, DistMatrix, Generated, LoadError};
+use otter_rt::{io as rtio, ColOp, Dense, DistMatrix, Generated, LayoutError, LoadError};
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 
@@ -70,6 +70,12 @@ impl From<LoadError> for ExecError {
             LoadError::App(msg) => ExecError::App(OtterError::execution(msg)),
             LoadError::Comm(c) => ExecError::Comm(c),
         }
+    }
+}
+
+impl From<LayoutError> for ExecError {
+    fn from(e: LayoutError) -> Self {
+        ExecError::App(OtterError::execution(e.to_string()))
     }
 }
 
@@ -350,20 +356,6 @@ impl<'a> Executor<'a> {
 
     // ---- element-wise loops ------------------------------------------------
 
-    /// Dedup operand names (first occurrence wins) and check that every
-    /// operand is aligned with the first. Returns the operand list.
-    fn ew_operands(&self, expr: &EwExpr, skip: Option<&str>) -> Result<Vec<String>> {
-        let mut names = Vec::new();
-        expr.mat_operands(&mut names);
-        let mut ops: Vec<String> = Vec::new();
-        for n in names {
-            if Some(n.as_str()) != skip && !ops.contains(&n) {
-                ops.push(n);
-            }
-        }
-        Ok(ops)
-    }
-
     fn check_ew_alignment(&self, first: &str, model: &DistMatrix, others: &[String]) -> Result<()> {
         for n in others {
             let m = env_mat(&self.scopes, n)?;
@@ -379,20 +371,6 @@ impl<'a> Executor<'a> {
             }
         }
         Ok(())
-    }
-
-    /// [`compile_ew`] with this rank's scalar environment and the
-    /// loop's generators, one per [`EwExpr::Gen`] leaf in reading order.
-    fn compile_ew(
-        &self,
-        e: &EwExpr,
-        slices: &[String],
-        dst_alias: Option<&str>,
-        gens: Vec<Generated>,
-    ) -> Result<EwProgram> {
-        let mut program = compile_ew(e, slices, dst_alias, &|s| self.eval_s(s))?;
-        program.gens = gens;
-        Ok(program)
     }
 
     /// Make a loop's generator leaves (fusion rule F5) ready, in reading
@@ -413,18 +391,52 @@ impl<'a> Executor<'a> {
         Ok(out)
     }
 
-    fn exec_elemwise(&mut self, dst: &str, expr: &EwExpr) -> ExecResult<()> {
+    /// Run one element-wise loop: an `ElemWise`, or a `Fused` loop's
+    /// head product, loop and tail. The loop overwrites the head's
+    /// buffer (or an aligned destination) in place, or folds its
+    /// elements as they are computed, so no eliminated temporary is
+    /// stored. Charges what the unfused sequence charges, in its order,
+    /// less the eliminated instructions' dispatch and call overheads.
+    fn exec_loop(
+        &mut self,
+        head: Option<&Product>,
+        expr: &EwExpr,
+        sink: Sink<'_>,
+    ) -> ExecResult<()> {
+        let (scopes, comm) = (&self.scopes, &mut *self.comm);
+        let mut buf = match head {
+            Some(Product::MatMul { a, b, .. }) => {
+                Some(env_mat(scopes, a)?.matmul(comm, env_mat(scopes, b)?)?)
+            }
+            Some(Product::MatVec { a, x, .. }) => {
+                Some(env_mat(scopes, a)?.matvec(comm, env_mat(scopes, x)?)?)
+            }
+            None => None,
+        };
+        let mut alias = head.map(Product::tmp);
         let gens = self.generate(expr)?;
-        let ops = self.ew_operands(expr, None)?;
-        // The loop's shape and distribution: its first matrix
-        // operand's, or else its first generator's.
-        let (rows, cols, len) = match ops.first() {
-            Some(first) => {
+        // The aligned operands, each once, in reading order.
+        let mut names = Vec::new();
+        expr.mat_operands(&mut names);
+        let mut ops: Vec<String> = Vec::new();
+        for n in names {
+            if Some(n.as_str()) != alias && !ops.contains(&n) {
+                ops.push(n);
+            }
+        }
+        // The loop's shape and distribution: the product's, else its
+        // first matrix operand's, else its first generator's.
+        let (rows, cols, len) = match (&buf, ops.first()) {
+            (Some(model), _) => {
+                self.check_ew_alignment(alias.unwrap_or_default(), model, &ops)?;
+                (model.rows(), model.cols(), model.local_els())
+            }
+            (None, Some(first)) => {
                 let model = env_mat(&self.scopes, first)?;
                 self.check_ew_alignment(first, model, &ops[1..])?;
                 (model.rows(), model.cols(), model.local_els())
             }
-            None => gens
+            (None, None) => gens
                 .first()
                 .map(|g| (g.rows(), g.cols(), g.local_els()))
                 .ok_or_else(|| {
@@ -442,119 +454,73 @@ impl<'a> Executor<'a> {
             ))
             .into());
         }
-        // Reuse the destination's buffer when it is already an aligned
-        // matrix: no allocation, and reads of the old value (`Dst`
-        // leaves) happen before the write of each element.
-        let inplace = matches!(self.scopes.last().unwrap().get(dst),
-                               Some(XVal::M(d)) if (d.rows(), d.cols()) == (rows, cols));
-        if inplace {
-            let slice_names: Vec<String> =
-                ops.iter().filter(|n| n.as_str() != dst).cloned().collect();
-            let program = self.compile_ew(expr, &slice_names, Some(dst), gens)?;
-            let Some(XVal::M(mut dmat)) = self.scopes.last_mut().unwrap().remove(dst) else {
-                unreachable!("checked matrix above")
-            };
-            program.run_in_place(
-                &collect_slices(&self.scopes, &slice_names)?,
-                dmat.local_mut(),
-            );
-            self.env().insert(dst.to_string(), XVal::M(dmat));
-        } else {
-            let program = self.compile_ew(expr, &ops, None, gens)?;
-            let local = program.run_fresh(&collect_slices(&self.scopes, &ops)?, len);
-            let result = DistMatrix::from_local(self.comm, rows, cols, local);
-            self.env().insert(dst.to_string(), XVal::M(result));
+        let (Sink::Store(dst) | Sink::Reduce(dst, _) | Sink::ColReduce(dst, _)) = sink;
+        // A stored loop without a head reuses its destination's buffer
+        // when that is already an aligned matrix: no allocation, and
+        // reads of the old value (`Dst` leaves) happen before the write
+        // of each element.
+        let shape = (rows, cols);
+        let in_place = buf.is_none()
+            && matches!(sink, Sink::Store(_))
+            && matches!(self.scopes.last().unwrap().get(dst),
+                        Some(XVal::M(d)) if (d.rows(), d.cols()) == shape);
+        if in_place {
+            alias = Some(dst);
+            ops.retain(|n| n != dst);
         }
-        self.comm.compute(len as f64 * expr.flop_weight().max(1.0));
-        Ok(())
-    }
-
-    /// Apply a fused element-wise epilogue in place over the just-computed
-    /// product (`Mat(tmp)` leaves read the buffer being overwritten), then
-    /// bind it to `dst`. Charges exactly what the eliminated stand-alone
-    /// `ElemWise` would have charged.
-    fn exec_fused_epilogue(
-        &mut self,
-        dst: &str,
-        tmp: &str,
-        mut prod: DistMatrix,
-        expr: &EwExpr,
-    ) -> Result<()> {
-        let ops = self.ew_operands(expr, Some(tmp))?;
-        self.check_ew_alignment(tmp, &prod, &ops)?;
-        let program = self.compile_ew(expr, &ops, Some(tmp), Vec::new())?;
-        let len = prod.local_els();
-        program.run_in_place(&collect_slices(&self.scopes, &ops)?, prod.local_mut());
-        self.comm.compute(len as f64 * expr.flop_weight().max(1.0));
-        self.env().insert(dst.to_string(), XVal::M(prod));
-        Ok(())
-    }
-
-    /// Fused ElemWise → Reduce: evaluate the producer expression strip
-    /// by strip and fold the lanes in ascending index order — no
-    /// temporary matrix is materialized. Charges mirror the eliminated
-    /// `ElemWise` plus [`DistMatrix::reduce_all`]'s (or `norm2`'s) own.
-    fn exec_fused_reduce(&mut self, op: RedOp, expr: &EwExpr) -> ExecResult<f64> {
-        let (ops, program) = self.fold_program(expr)?;
+        let mut program = compile_ew(expr, &ops, alias, &|s| self.eval_s(s))?;
+        program.gens = gens;
+        if in_place {
+            buf = Some(self.take_mat(dst)?);
+        }
         let (scopes, comm) = (&self.scopes, &mut *self.comm);
-        let model = env_mat(scopes, &ops[0])?;
         let slices = collect_slices(scopes, &ops)?;
-        let len = model.local_els();
-        // The eliminated element-wise loop's charge comes first.
-        let producer = len as f64 * expr.flop_weight().max(1.0);
-        match op {
-            RedOp::Fold(f) => {
-                let local =
-                    program.col_partials(nonempty(col_op(f), model)?, &slices, len, None)[0];
-                comm.compute(producer);
-                Ok(model.reduce_all_partial(comm, col_op(f), local)?)
-            }
-            RedOp::Norm2 => {
-                let local = program.sum_squares(&slices, len);
-                comm.compute(producer);
-                comm.compute(2.0 * len as f64 + 8.0);
-                Ok(comm.allreduce_scalar(local, ReduceOp::Sum)?.sqrt())
-            }
-            RedOp::Trapz => Err(OtterError::execution(format!(
-                "reduction `{}` cannot be fused",
-                op.c_name()
-            ))
-            .into()),
-        }
-    }
-
-    /// Fused ElemWise → ColReduce: evaluate the producer expression row
-    /// by row and fold each strip's lanes into per-column partials —
-    /// no temporary matrix is materialized. Charges mirror the
-    /// eliminated `ElemWise` plus [`DistMatrix::col_reduce`]'s own.
-    fn exec_fused_col_reduce(&mut self, op: ColOp, expr: &EwExpr) -> ExecResult<DistMatrix> {
-        let (ops, program) = self.fold_program(expr)?;
-        let (len, partial) = {
-            let model = env_mat(&self.scopes, &ops[0])?;
-            nonempty(op, model)?;
-            let width = (!model.is_vector()).then(|| model.cols());
-            let slices = collect_slices(&self.scopes, &ops)?;
-            let len = model.local_els();
-            (len, program.col_partials(op, &slices, len, width))
+        let src = Operands {
+            slices: &slices,
+            dst: buf.as_ref().map_or(&[][..], DistMatrix::local),
         };
-        // The eliminated element-wise loop's charge, then the column
-        // reduction's fold, allreduce and (for `mean`) divide.
-        self.comm.compute(len as f64 * expr.flop_weight().max(1.0));
-        let (scopes, comm) = (&self.scopes, &mut *self.comm);
-        Ok(env_mat(scopes, &ops[0])?.col_reduce_partials(comm, op, &partial)?)
-    }
-
-    /// The operands of a fused fold's producer expression, checked
-    /// aligned with the first (which gives the fold its shape), and the
-    /// expression compiled against them.
-    fn fold_program(&self, expr: &EwExpr) -> Result<(Vec<String>, EwProgram)> {
-        let ops = self.ew_operands(expr, None)?;
-        let first = ops
-            .first()
-            .ok_or_else(|| OtterError::execution("element-wise loop without matrix operands"))?;
-        self.check_ew_alignment(first, env_mat(&self.scopes, first)?, &ops[1..])?;
-        let program = self.compile_ew(expr, &ops, None, Vec::new())?;
-        Ok((ops, program))
+        let weight = len as f64 * expr.flop_weight().max(1.0);
+        let value = match sink {
+            Sink::Store(_) => {
+                let m = match buf {
+                    Some(mut m) => {
+                        program.run_in_place(&slices, m.local_mut());
+                        m
+                    }
+                    None => {
+                        DistMatrix::from_local(comm, rows, cols, program.run_fresh(&slices, len))?
+                    }
+                };
+                comm.compute(weight);
+                XVal::M(m)
+            }
+            Sink::Reduce(_, RedOp::Fold(f)) => {
+                let op = nonempty(col_op(f), rows * cols)?;
+                let local = program.col_partials(op, src, len, None)[0];
+                comm.compute(weight);
+                XVal::S(DistMatrix::reduce_all_partial(comm, op, local, shape, len)?)
+            }
+            Sink::Reduce(_, RedOp::Norm2) => {
+                let local = program.sum_squares(src, len);
+                comm.compute(weight);
+                comm.compute(2.0 * len as f64 + 8.0);
+                XVal::S(comm.allreduce_scalar(local, ReduceOp::Sum)?.sqrt())
+            }
+            Sink::Reduce(_, RedOp::Trapz) => {
+                return Err(OtterError::execution("reduction `ML_trapz` cannot be fused").into())
+            }
+            Sink::ColReduce(_, op) => {
+                let op = nonempty(col_op(op), rows * cols)?;
+                let width = (rows != 1 && cols != 1).then_some(cols);
+                let partial = program.col_partials(op, src, len, width);
+                comm.compute(weight);
+                XVal::M(DistMatrix::col_reduce_partials(
+                    comm, op, &partial, shape, len,
+                )?)
+            }
+        };
+        self.env().insert(dst.to_string(), value);
+        Ok(())
     }
 
     // ---- instructions ---------------------------------------------------------
@@ -598,13 +564,28 @@ impl<'a> Executor<'a> {
         self.comm.compute(self.costs.statement_dispatch);
         self.note_memory();
         *self.op_counts.entry(i.opcode()).or_insert(0) += 1;
+        // Every run-time library call, function call and print pays
+        // one call overhead before it runs.
+        if !matches!(
+            i,
+            Instr::AssignScalar { .. }
+                | Instr::CopyMatrix { .. }
+                | Instr::StoreElem { .. }
+                | Instr::Free { .. }
+                | Instr::If { .. }
+                | Instr::While { .. }
+                | Instr::For { .. }
+                | Instr::Break
+                | Instr::Continue
+        ) {
+            self.comm.compute(self.costs.op_overhead);
+        }
         match i {
             Instr::AssignScalar { dst, src } => {
                 let v = self.eval_s(src)?;
                 self.env().insert(dst.clone(), XVal::S(v));
             }
             Instr::InitMatrix { dst, init } => {
-                self.comm.compute(self.costs.op_overhead);
                 let m = self.exec_init(init)?;
                 self.env().insert(dst.clone(), XVal::M(m));
             }
@@ -614,7 +595,6 @@ impl<'a> Executor<'a> {
                 self.env().insert(dst.clone(), XVal::M(m));
             }
             Instr::LoadFile { dst, path } => {
-                self.comm.compute(self.costs.op_overhead);
                 let full = match &self.opts.data_dir {
                     Some(d) => d.join(path),
                     None => PathBuf::from(path),
@@ -622,68 +602,29 @@ impl<'a> Executor<'a> {
                 let m = rtio::load_distributed(self.comm, &full)?;
                 self.env().insert(dst.clone(), XVal::M(m));
             }
-            Instr::ElemWise { dst, expr } => {
-                self.comm.compute(self.costs.op_overhead);
-                self.exec_elemwise(dst, expr)?;
-            }
+            Instr::ElemWise { dst, expr } => self.exec_loop(None, expr, Sink::Store(dst))?,
+            Instr::Fused(f) => self.exec_loop(f.head(), f.expr(), Sink::from(f.tail()))?,
             Instr::MatMul { dst, a, b } => {
-                self.comm.compute(self.costs.op_overhead);
                 let (scopes, comm) = (&self.scopes, &mut *self.comm);
                 let m = env_mat(scopes, a)?.matmul(comm, env_mat(scopes, b)?)?;
                 self.env().insert(dst.clone(), XVal::M(m));
             }
             Instr::MatVec { dst, a, x } => {
-                self.comm.compute(self.costs.op_overhead);
                 let (scopes, comm) = (&self.scopes, &mut *self.comm);
                 let m = env_mat(scopes, a)?.matvec(comm, env_mat(scopes, x)?)?;
                 self.env().insert(dst.clone(), XVal::M(m));
             }
-            Instr::MatMulEw {
-                dst,
-                a,
-                b,
-                tmp,
-                expr,
-            } => {
-                // One runtime-call overhead for the fused pair; the
-                // product and the epilogue then charge exactly what
-                // their stand-alone forms would.
-                self.comm.compute(self.costs.op_overhead);
-                let (scopes, comm) = (&self.scopes, &mut *self.comm);
-                let prod = env_mat(scopes, a)?.matmul(comm, env_mat(scopes, b)?)?;
-                self.exec_fused_epilogue(dst, tmp, prod, expr)?;
-            }
-            Instr::MatVecEw {
-                dst,
-                a,
-                x,
-                tmp,
-                expr,
-            } => {
-                self.comm.compute(self.costs.op_overhead);
-                let (scopes, comm) = (&self.scopes, &mut *self.comm);
-                let prod = env_mat(scopes, a)?.matvec(comm, env_mat(scopes, x)?)?;
-                self.exec_fused_epilogue(dst, tmp, prod, expr)?;
-            }
-            Instr::ReduceEw { dst, op, expr, .. } => {
-                self.comm.compute(self.costs.op_overhead);
-                let v = self.exec_fused_reduce(*op, expr)?;
-                self.env().insert(dst.clone(), XVal::S(v));
-            }
             Instr::Outer { dst, u, v } => {
-                self.comm.compute(self.costs.op_overhead);
                 let (scopes, comm) = (&self.scopes, &mut *self.comm);
                 let m = DistMatrix::outer(comm, env_mat(scopes, u)?, env_mat(scopes, v)?)?;
                 self.env().insert(dst.clone(), XVal::M(m));
             }
             Instr::Transpose { dst, a } => {
-                self.comm.compute(self.costs.op_overhead);
                 let (scopes, comm) = (&self.scopes, &mut *self.comm);
                 let m = env_mat(scopes, a)?.transpose(comm)?;
                 self.env().insert(dst.clone(), XVal::M(m));
             }
             Instr::BroadcastElem { dst, m, i, j } => {
-                self.comm.compute(self.costs.op_overhead);
                 let mi = self.eval_index(i)?;
                 let (r, c) = match j {
                     Some(j) => (mi, self.eval_index(j)?),
@@ -714,63 +655,50 @@ impl<'a> Executor<'a> {
                 self.comm.compute(1.0);
             }
             Instr::Reduce { dst, op, m } => {
-                self.comm.compute(self.costs.op_overhead);
                 let (scopes, comm) = (&self.scopes, &mut *self.comm);
                 let mat = env_mat(scopes, m)?;
                 let v = match op {
-                    RedOp::Fold(f) => mat.reduce_all(comm, nonempty(col_op(*f), mat)?)?,
+                    RedOp::Fold(f) => mat.reduce_all(comm, nonempty(col_op(*f), mat.len())?)?,
                     RedOp::Norm2 => mat.norm2(comm)?,
                     RedOp::Trapz => mat.trapz(comm)?,
                 };
                 self.env().insert(dst.clone(), XVal::S(v));
             }
             Instr::Dot { dst, a, b } => {
-                self.comm.compute(self.costs.op_overhead);
                 let (scopes, comm) = (&self.scopes, &mut *self.comm);
                 let v = env_mat(scopes, a)?.dot(comm, env_mat(scopes, b)?)?;
                 self.env().insert(dst.clone(), XVal::S(v));
             }
             Instr::TrapzXY { dst, x, y } => {
-                self.comm.compute(self.costs.op_overhead);
                 let (scopes, comm) = (&self.scopes, &mut *self.comm);
                 let v = DistMatrix::trapz_xy(comm, env_mat(scopes, x)?, env_mat(scopes, y)?)?;
                 self.env().insert(dst.clone(), XVal::S(v));
             }
             Instr::ColReduce { dst, op, m } => {
-                self.comm.compute(self.costs.op_overhead);
                 let (scopes, comm) = (&self.scopes, &mut *self.comm);
                 let mat = env_mat(scopes, m)?;
-                let r = mat.col_reduce(comm, nonempty(col_op(*op), mat)?)?;
-                self.env().insert(dst.clone(), XVal::M(r));
-            }
-            Instr::ColReduceEw { dst, op, expr, .. } => {
-                self.comm.compute(self.costs.op_overhead);
-                let r = self.exec_fused_col_reduce(col_op(*op), expr)?;
+                let r = mat.col_reduce(comm, nonempty(col_op(*op), mat.len())?)?;
                 self.env().insert(dst.clone(), XVal::M(r));
             }
             Instr::Shift { dst, v, k } => {
-                self.comm.compute(self.costs.op_overhead);
                 let kk = self.eval_s(k)? as i64;
                 let (scopes, comm) = (&self.scopes, &mut *self.comm);
                 let m = env_mat(scopes, v)?.circshift(comm, kk)?;
                 self.env().insert(dst.clone(), XVal::M(m));
             }
             Instr::ExtractRow { dst, m, i } => {
-                self.comm.compute(self.costs.op_overhead);
                 let mi = self.eval_index(i)?;
                 let (scopes, comm) = (&self.scopes, &mut *self.comm);
                 let r = env_mat(scopes, m)?.extract_row(comm, mi)?;
                 self.env().insert(dst.clone(), XVal::M(r));
             }
             Instr::ExtractCol { dst, m, j } => {
-                self.comm.compute(self.costs.op_overhead);
                 let mj = self.eval_index(j)?;
                 let (scopes, comm) = (&self.scopes, &mut *self.comm);
                 let c = env_mat(scopes, m)?.extract_col(comm, mj);
                 self.env().insert(dst.clone(), XVal::M(c));
             }
             Instr::AssignRow { m, i, v } => {
-                self.comm.compute(self.costs.op_overhead);
                 let mi = self.eval_index(i)?;
                 // Take the target out of the environment, mutate it
                 // without copying, and put it back.
@@ -785,7 +713,6 @@ impl<'a> Executor<'a> {
                 self.env().insert(m.clone(), XVal::M(mat));
             }
             Instr::AssignCol { m, j, v } => {
-                self.comm.compute(self.costs.op_overhead);
                 let mj = self.eval_index(j)?;
                 let mut mat = self.take_mat(m)?;
                 if v == m {
@@ -798,7 +725,6 @@ impl<'a> Executor<'a> {
                 self.env().insert(m.clone(), XVal::M(mat));
             }
             Instr::ExtractRange { dst, v, lo, hi } => {
-                self.comm.compute(self.costs.op_overhead);
                 let l = self.eval_index(lo)?;
                 let h = self.eval_s(hi)? as usize; // inclusive 1-based == exclusive 0-based
                 let (scopes, comm) = (&self.scopes, &mut *self.comm);
@@ -812,7 +738,6 @@ impl<'a> Executor<'a> {
                 step,
                 hi,
             } => {
-                self.comm.compute(self.costs.op_overhead);
                 let l = self.eval_index(lo)?;
                 let st = self.eval_s(step)? as i64;
                 let h = self.eval_index(hi)?;
@@ -829,7 +754,6 @@ impl<'a> Executor<'a> {
                 self.env().insert(dst.clone(), XVal::M(m));
             }
             Instr::FillRow { m, i, val } => {
-                self.comm.compute(self.costs.op_overhead);
                 let mi = self.eval_index(i)?;
                 let v = self.eval_s(val)?;
                 let mut mat = self.take_mat(m)?;
@@ -837,7 +761,6 @@ impl<'a> Executor<'a> {
                 self.env().insert(m.clone(), XVal::M(mat));
             }
             Instr::FillCol { m, j, val } => {
-                self.comm.compute(self.costs.op_overhead);
                 let mj = self.eval_index(j)?;
                 let v = self.eval_s(val)?;
                 let mut mat = self.take_mat(m)?;
@@ -845,7 +768,6 @@ impl<'a> Executor<'a> {
                 self.env().insert(m.clone(), XVal::M(mat));
             }
             Instr::FillRange { m, lo, hi, val } => {
-                self.comm.compute(self.costs.op_overhead);
                 let l = self.eval_index(lo)?;
                 let h = self.eval_s(hi)? as usize;
                 let v = self.eval_s(val)?;
@@ -854,7 +776,6 @@ impl<'a> Executor<'a> {
                 self.env().insert(m.clone(), XVal::M(mat));
             }
             Instr::AssignRange { m, lo, hi, v } => {
-                self.comm.compute(self.costs.op_overhead);
                 let l = self.eval_index(lo)?;
                 let h = self.eval_s(hi)? as usize;
                 let mut mat = self.take_mat(m)?;
@@ -918,7 +839,6 @@ impl<'a> Executor<'a> {
             Instr::Break => return Ok(Flow::Break),
             Instr::Continue => return Ok(Flow::Continue),
             Instr::Call { fun, args, outs } => {
-                self.comm.compute(self.costs.op_overhead);
                 let f =
                     self.program.functions.get(fun).ok_or_else(|| {
                         OtterError::execution(format!("unknown IR function `{fun}`"))
@@ -948,25 +868,20 @@ impl<'a> Executor<'a> {
                     self.env().insert(dst.clone(), v);
                 }
             }
-            Instr::Print { name, target } => {
-                self.comm.compute(self.costs.op_overhead);
-                match target {
-                    PrintTarget::Scalar(s) => {
-                        let v = self.eval_s(s)?;
-                        if self.comm.rank() == 0 {
-                            self.output.push_str(&rtio::print_scalar(name, v));
-                        }
-                    }
-                    PrintTarget::Matrix(m) => {
-                        let (scopes, comm) = (&self.scopes, &mut *self.comm);
-                        if let Some(text) =
-                            rtio::print_distributed(comm, name, env_mat(scopes, m)?)?
-                        {
-                            self.output.push_str(&text);
-                        }
+            Instr::Print { name, target } => match target {
+                PrintTarget::Scalar(s) => {
+                    let v = self.eval_s(s)?;
+                    if self.comm.rank() == 0 {
+                        self.output.push_str(&rtio::print_scalar(name, v));
                     }
                 }
-            }
+                PrintTarget::Matrix(m) => {
+                    let (scopes, comm) = (&self.scopes, &mut *self.comm);
+                    if let Some(text) = rtio::print_distributed(comm, name, env_mat(scopes, m)?)? {
+                        self.output.push_str(&text);
+                    }
+                }
+            },
         }
         Ok(Flow::Normal)
     }
@@ -1024,6 +939,25 @@ impl<'a> Executor<'a> {
                 DistMatrix::from_replicated(self.comm, &dense)
             }
         })
+    }
+}
+
+/// Where a loop's elements go: the executor's borrowed view of a
+/// [`Tail`], which an `ElemWise` forms without allocating.
+#[derive(Clone, Copy)]
+enum Sink<'a> {
+    Store(&'a str),
+    Reduce(&'a str, RedOp),
+    ColReduce(&'a str, ColRedOp),
+}
+
+impl<'a> From<&'a Tail> for Sink<'a> {
+    fn from(tail: &'a Tail) -> Self {
+        match tail {
+            Tail::Store { dst } => Sink::Store(dst),
+            Tail::Reduce { dst, op, .. } => Sink::Reduce(dst, *op),
+            Tail::ColReduce { dst, op, .. } => Sink::ColReduce(dst, *op),
+        }
     }
 }
 
@@ -1388,11 +1322,10 @@ impl EwProgram {
 
     /// Fold the program's `len` lanes in ascending index order, from
     /// `init`.
-    fn fold(&self, slices: &[&[f64]], len: usize, init: f64, f: impl Fn(f64, f64) -> f64) -> f64 {
+    fn fold(&self, src: Operands<'_>, len: usize, init: f64, f: impl Fn(f64, f64) -> f64) -> f64 {
         let mut regs = self.registers();
         let mut acc = init;
         for (base, n) in strips(len) {
-            let src = Operands { slices, dst: &[] };
             for &x in self.strip(&mut regs, src, base, n) {
                 acc = f(acc, x);
             }
@@ -1402,8 +1335,8 @@ impl EwProgram {
 
     /// `norm`'s partial: the squares of the program's `len` lanes summed
     /// in ascending index order from `sum`'s identity.
-    fn sum_squares(&self, slices: &[&[f64]], len: usize) -> f64 {
-        self.fold(slices, len, ColOp::Sum.identity(), |acc, x| acc + x * x)
+    fn sum_squares(&self, src: Operands<'_>, len: usize) -> f64 {
+        self.fold(src, len, ColOp::Sum.identity(), |acc, x| acc + x * x)
     }
 
     /// This rank's partials of fold `op` over the program's `len` lanes,
@@ -1417,12 +1350,11 @@ impl EwProgram {
     fn col_partials(
         &self,
         op: ColOp,
-        slices: &[&[f64]],
+        src: Operands<'_>,
         len: usize,
         width: Option<usize>,
     ) -> Vec<f64> {
         let mut regs = self.registers();
-        let src = Operands { slices, dst: &[] };
         let Some(w) = width else {
             let mut acc = op.identity();
             for (base, n) in strips(len) {
@@ -1444,11 +1376,11 @@ impl EwProgram {
 }
 
 /// `op`, unless it is `max`/`min` of an empty operand: that is an error,
-/// as in the interpreter. The global element count decides, so every
-/// rank raises it before any communication.
-fn nonempty(op: ColOp, m: &DistMatrix) -> Result<ColOp> {
+/// as in the interpreter. The global element count `numel` decides, so
+/// every rank raises it before any communication.
+fn nonempty(op: ColOp, numel: usize) -> Result<ColOp> {
     match op {
-        ColOp::Max | ColOp::Min if m.is_empty() => Err(OtterError::execution(format!(
+        ColOp::Max | ColOp::Min if numel == 0 => Err(OtterError::execution(format!(
             "{} of empty matrix",
             if op == ColOp::Max { "max" } else { "min" }
         ))),
@@ -1635,6 +1567,7 @@ mod tests {
 
     /// The executor's fused partial of `op`.
     fn fused(program: &EwProgram, op: RedOp, slices: &[&[f64]], len: usize) -> f64 {
+        let slices = Operands { slices, dst: &[] };
         match op {
             RedOp::Fold(f) => program.col_partials(col_op(f), slices, len, None)[0],
             _ => program.sum_squares(slices, len),

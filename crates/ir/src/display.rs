@@ -236,47 +236,19 @@ pub fn write_instr(out: &mut String, i: &Instr, indent: usize) {
         Instr::TrapzXY { dst, x, y } => {
             let _ = writeln!(out, "{pad}{dst} = trapz({x}, {y});");
         }
-        Instr::MatMulEw {
-            dst,
-            a,
-            b,
-            tmp,
-            expr,
-        } => {
-            let _ = writeln!(
-                out,
-                "{pad}fused: {tmp} = matmul({a}, {b}); forall k: {dst}[k] = {};",
-                ewexpr_to_string(expr)
-            );
-        }
-        Instr::MatVecEw {
-            dst,
-            a,
-            x,
-            tmp,
-            expr,
-        } => {
-            let _ = writeln!(
-                out,
-                "{pad}fused: {tmp} = matvec({a}, {x}); forall k: {dst}[k] = {};",
-                ewexpr_to_string(expr)
-            );
-        }
-        Instr::ReduceEw { dst, op, tmp, expr } => {
-            let _ = writeln!(
-                out,
-                "{pad}fused: forall k: {tmp}[k] = {}; {dst} = {}({tmp});",
-                ewexpr_to_string(expr),
-                op.c_name()
-            );
-        }
-        Instr::ColReduceEw { dst, op, tmp, expr } => {
-            let _ = writeln!(
-                out,
-                "{pad}fused: forall k: {tmp}[k] = {}; {dst} = {}({tmp});",
-                ewexpr_to_string(expr),
-                colred_name(*op)
-            );
+        // One line: the unfused sequence without its frees.
+        Instr::Fused(f) => {
+            let mut parts = Vec::new();
+            for i in f
+                .unfused()
+                .iter()
+                .filter(|i| !matches!(i, Instr::Free { .. }))
+            {
+                let mut line = String::new();
+                write_instr(&mut line, i, 0);
+                parts.push(line.trim_start_matches("fused: ").trim_end().to_string());
+            }
+            let _ = writeln!(out, "{pad}fused: {}", parts.join(" "));
         }
         Instr::ColReduce { dst, op, m } => {
             let _ = writeln!(out, "{pad}{dst} = {}({m});", colred_name(*op));

@@ -33,16 +33,6 @@ fn collect_dimof(e: &SExpr, out: &mut Vec<String>) {
     }
 }
 
-/// Reads of a fused element-wise epilogue: every matrix operand and
-/// scalar input *except* the eliminated temporary `tmp`, which exists
-/// only inside the fused instruction and is never a live variable.
-fn ew_reads_except(expr: &EwExpr, tmp: &str, out: &mut Vec<String>) {
-    let mut mats = Vec::new();
-    expr.mat_operands(&mut mats);
-    out.extend(mats.into_iter().filter(|m| m != tmp));
-    collect_ew_scalars(expr, out);
-}
-
 /// Reads of an element-wise tree besides its aligned matrix operands:
 /// its scalar leaves' inputs, and the vectors and sizes its generator
 /// leaves read.
@@ -55,6 +45,13 @@ fn collect_ew_scalars(e: &EwExpr, out: &mut Vec<String>) {
         },
         EwExpr::Mat(_) | EwExpr::Neg(_) | EwExpr::Not(_) | EwExpr::Bin(..) | EwExpr::Call(..) => {}
     });
+}
+
+/// Whether a loop generates an outer product, which gathers a factor.
+fn gathers(expr: &EwExpr) -> bool {
+    expr.generators()
+        .iter()
+        .any(|(_, g)| matches!(g, Generator::Outer { .. }))
 }
 
 /// What communication an instruction performs when executed, matching
@@ -91,10 +88,10 @@ impl CommProfile {
 }
 
 /// `Some(dst)` for the instructions with one sole destination, by
-/// shared or mutable reference alike: the one variant list behind
-/// [`Instr::dst`] and [`Instr::dst_mut`].
+/// shared or mutable reference alike (`$borrow` is `&` or `&mut`): the
+/// one variant list behind [`Instr::dst`] and [`Instr::dst_mut`].
 macro_rules! sole_dst {
-    ($instr:expr) => {
+    ($instr:expr, $($borrow:tt)+) => {
         match $instr {
             Instr::InitMatrix { dst, .. }
             | Instr::CopyMatrix { dst, .. }
@@ -114,11 +111,12 @@ macro_rules! sole_dst {
             | Instr::ExtractCol { dst, .. }
             | Instr::ExtractRange { dst, .. }
             | Instr::ExtractStrided { dst, .. }
-            | Instr::AssignScalar { dst, .. }
-            | Instr::MatMulEw { dst, .. }
-            | Instr::MatVecEw { dst, .. }
-            | Instr::ReduceEw { dst, .. }
-            | Instr::ColReduceEw { dst, .. } => Some(dst),
+            | Instr::AssignScalar { dst, .. } => Some(dst),
+            Instr::Fused(f) => match $($borrow)+ f.tail {
+                Tail::Store { dst } | Tail::Reduce { dst, .. } | Tail::ColReduce { dst, .. } => {
+                    Some(dst)
+                }
+            },
             _ => None,
         }
     };
@@ -130,12 +128,12 @@ impl Instr {
     /// `AssignRow`, fills) are *not* destinations — see
     /// [`Instr::defs`].
     pub fn dst(&self) -> Option<&str> {
-        sole_dst!(self).map(String::as_str)
+        sole_dst!(self, &).map(String::as_str)
     }
 
     /// Mutable access to the destination, for retargeting rewrites.
     pub fn dst_mut(&mut self) -> Option<&mut String> {
-        sole_dst!(self)
+        sole_dst!(self, &mut)
     }
 
     /// Every variable this instruction (re)defines or mutates at this
@@ -206,22 +204,18 @@ impl Instr {
                 out.push(a.clone());
                 out.push(x.clone());
             }
-            Instr::MatMulEw {
-                a, b, tmp, expr, ..
-            } => {
-                out.push(a.clone());
-                out.push(b.clone());
-                ew_reads_except(expr, tmp, out);
-            }
-            Instr::MatVecEw {
-                a, x, tmp, expr, ..
-            } => {
-                out.push(a.clone());
-                out.push(x.clone());
-                ew_reads_except(expr, tmp, out);
-            }
-            Instr::ReduceEw { tmp, expr, .. } | Instr::ColReduceEw { tmp, expr, .. } => {
-                ew_reads_except(expr, tmp, out);
+            // The head's operands and the loop's, less the temporaries
+            // that exist only inside the fused loop.
+            Instr::Fused(f) => {
+                match &f.head {
+                    Some(Product::MatMul { a, b, .. }) => out.extend([a.clone(), b.clone()]),
+                    Some(Product::MatVec { a, x, .. }) => out.extend([a.clone(), x.clone()]),
+                    None => {}
+                }
+                let mut mats = Vec::new();
+                f.expr.mat_operands(&mut mats);
+                out.extend(mats.into_iter().filter(|m| !f.temps().any(|t| t == m)));
+                collect_ew_scalars(&f.expr, out);
             }
             Instr::Outer { u, v, .. } => {
                 out.push(u.clone());
@@ -367,9 +361,6 @@ impl Instr {
             | Instr::TrapzXY { .. }
             | Instr::ColReduce { .. }
             | Instr::MatVec { .. }
-            | Instr::MatVecEw { .. }
-            | Instr::ReduceEw { .. }
-            | Instr::ColReduceEw { .. }
             | Instr::Outer { .. }
             | Instr::ExtractRow { .. }
             | Instr::ExtractStrided { .. }
@@ -380,22 +371,22 @@ impl Instr {
                 ..
             } => CommProfile::COLLECTIVE,
             // A generated outer product gathers its right factor.
-            Instr::ElemWise { expr, .. }
-                if expr
-                    .generators()
-                    .iter()
-                    .any(|(_, g)| matches!(g, Generator::Outer { .. })) =>
-            {
-                CommProfile::COLLECTIVE
+            Instr::ElemWise { expr, .. } if gathers(expr) => CommProfile::COLLECTIVE,
+            // A fused loop communicates as its head, its generators and
+            // its fold do.
+            Instr::Fused(f) => {
+                let head = f.head.as_ref().map(|h| h.producer().comm_profile());
+                let mut profile = head.unwrap_or(CommProfile::LOCAL);
+                profile.collective |= gathers(&f.expr) || f.tail.tmp().is_some();
+                profile
             }
             // Point-to-point redistribution between rank pairs.
             Instr::Transpose { .. } | Instr::Shift { .. } | Instr::ExtractRange { .. } => {
                 CommProfile::POINT_TO_POINT
             }
             // Matmul allreduces partial tiles on one path and runs a
-            // send/recv ring on the other; the fused epilogue adds
-            // only local element-wise work on top.
-            Instr::MatMul { .. } | Instr::MatMulEw { .. } => CommProfile {
+            // send/recv ring on the other.
+            Instr::MatMul { .. } => CommProfile {
                 collective: true,
                 point_to_point: true,
             },

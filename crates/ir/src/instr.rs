@@ -1,5 +1,6 @@
 //! IR node definitions.
 
+use crate::names::is_temp;
 use otter_analysis::Shape;
 use otter_frontend::Span;
 use std::collections::{BTreeMap, BTreeSet};
@@ -575,42 +576,6 @@ pub enum Instr {
         x: String,
         y: String,
     },
-    // ---- fused pairs (loop-fusion pass output) ----
-    /// Fused `tmp = matmul(a, b); dst(k) = expr(k)` pair. The
-    /// element-wise epilogue reads the product through `Mat(tmp)`
-    /// leaves; at run time the product is folded straight into the
-    /// epilogue without materializing `tmp`. The temporary's name is
-    /// kept so the C emitter can reconstruct the unfused sequence
-    /// byte-for-byte (decls, loop counters, and the trailing
-    /// `ML_free` all reappear unchanged).
-    MatMulEw {
-        dst: String,
-        a: String,
-        b: String,
-        tmp: String,
-        expr: EwExpr,
-    },
-    /// Fused `tmp = matvec(a, x); dst(k) = expr(k)` pair (see
-    /// [`Instr::MatMulEw`] for the `tmp` contract).
-    MatVecEw {
-        dst: String,
-        a: String,
-        x: String,
-        tmp: String,
-        expr: EwExpr,
-    },
-    /// Fused `tmp(k) = expr(k); dst = reduce(tmp)` pair: the reduction
-    /// folds the element-wise expression directly, so the full-size
-    /// temporary never exists at run time. Only allocation-free
-    /// whole-object reductions are legal here (`sum`/`mean`/`max`/
-    /// `min`/`prod`/`norm2`); `trapz` needs neighbor halo elements and
-    /// the boolean reductions are excluded by the fusion pass.
-    ReduceEw {
-        dst: String,
-        op: RedOp,
-        tmp: String,
-        expr: EwExpr,
-    },
     /// MATLAB `sum`/`mean` of a true matrix → row vector of column
     /// aggregates.
     ColReduce {
@@ -618,17 +583,12 @@ pub enum Instr {
         op: ColRedOp,
         m: String,
     },
-    /// Fused `tmp(k) = expr(k); dst = colreduce(tmp)` pair, the column
-    /// twin of [`Instr::ReduceEw`]: each local row's lanes fold into
-    /// per-column partials as they are evaluated, so the temporary never
-    /// exists at run time. Only `sum`/`mean`/`prod`/`max`/`min` are
-    /// formed (see [`Instr::MatMulEw`] for the `tmp` contract).
-    ColReduceEw {
-        dst: String,
-        op: ColRedOp,
-        tmp: String,
-        expr: EwExpr,
-    },
+    /// A fused element-wise loop (loop-fusion pass output): the
+    /// paper's per-element loop with a product it overwrites in place
+    /// and/or a fold that consumes its elements as they are computed.
+    /// Its meaning is [`Fused::unfused`]. Boxed, so that it does not
+    /// widen every instruction.
+    Fused(Box<Fused>),
     /// Circular shift of a vector.
     Shift {
         dst: String,
@@ -766,11 +726,14 @@ impl Instr {
             Instr::Reduce { .. } => "reduce",
             Instr::Dot { .. } => "dot",
             Instr::TrapzXY { .. } => "trapz",
-            Instr::MatMulEw { .. } => "matmul-ew",
-            Instr::MatVecEw { .. } => "matvec-ew",
-            Instr::ReduceEw { .. } => "reduce-ew",
+            Instr::Fused(f) => match (&f.head, &f.tail) {
+                (Some(Product::MatMul { .. }), _) => "matmul-ew",
+                (Some(Product::MatVec { .. }), _) => "matvec-ew",
+                (None, Tail::Reduce { .. }) => "reduce-ew",
+                (None, Tail::ColReduce { .. }) => "col-reduce-ew",
+                (None, Tail::Store { .. }) => "elemwise",
+            },
             Instr::ColReduce { .. } => "col-reduce",
-            Instr::ColReduceEw { .. } => "col-reduce-ew",
             Instr::Shift { .. } => "shift",
             Instr::ExtractRow { .. } => "extract-row",
             Instr::ExtractCol { .. } => "extract-col",
@@ -810,6 +773,136 @@ impl Instr {
                 | Instr::Call { .. }
                 | Instr::Print { .. }
         )
+    }
+}
+
+/// The product at the head of a [`Fused`] loop: the buffer the loop
+/// overwrites in place, so `tmp` is never stored on its own.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Product {
+    /// `tmp = matmul(a, b)`.
+    MatMul { tmp: String, a: String, b: String },
+    /// `tmp = matvec(a, x)`.
+    MatVec { tmp: String, a: String, x: String },
+}
+
+impl Product {
+    /// The product `i` computes, if it is a matmul or a matvec.
+    pub fn of(i: &Instr) -> Option<Product> {
+        match i.clone() {
+            Instr::MatMul { dst: tmp, a, b } => Some(Product::MatMul { tmp, a, b }),
+            Instr::MatVec { dst: tmp, a, x } => Some(Product::MatVec { tmp, a, x }),
+            _ => None,
+        }
+    }
+
+    /// The temporary the product used to be stored in.
+    pub fn tmp(&self) -> &str {
+        match self {
+            Product::MatMul { tmp, .. } | Product::MatVec { tmp, .. } => tmp,
+        }
+    }
+
+    /// The stand-alone instruction this head was fused from.
+    pub fn producer(&self) -> Instr {
+        match self.clone() {
+            Product::MatMul { tmp, a, b } => Instr::MatMul { dst: tmp, a, b },
+            Product::MatVec { tmp, a, x } => Instr::MatVec { dst: tmp, a, x },
+        }
+    }
+}
+
+/// What a [`Fused`] loop does with the element it computes.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Tail {
+    /// Store it: `dst(k) = expr(k)`.
+    Store { dst: String },
+    /// Fold it into a replicated scalar, `dst = op(tmp)`.
+    Reduce { dst: String, op: RedOp, tmp: String },
+    /// Fold it into per-column partials, `dst = op(tmp)`.
+    ColReduce {
+        dst: String,
+        op: ColRedOp,
+        tmp: String,
+    },
+}
+
+impl Tail {
+    /// The temporary a fold used to read, which the loop no longer
+    /// stores.
+    pub fn tmp(&self) -> Option<&str> {
+        match self {
+            Tail::Store { .. } => None,
+            Tail::Reduce { tmp, .. } | Tail::ColReduce { tmp, .. } => Some(tmp),
+        }
+    }
+}
+
+/// One fused element-wise loop: an optional [`Product`] head, the
+/// per-element expression (`Mat(tmp)` leaves read the head's buffer),
+/// and a [`Tail`]. The fields are private outside this crate, so the
+/// one way to build it is [`Instr::fused`], which never builds a loop
+/// with neither head nor fold: that loop is an [`Instr::ElemWise`].
+///
+/// Every pass except fusion and the executor reads a fused loop as
+/// [`Fused::unfused`], the instruction sequence it replaced; the names
+/// of the eliminated temporaries are kept for that purpose.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Fused {
+    pub(crate) head: Option<Product>,
+    pub(crate) expr: EwExpr,
+    pub(crate) tail: Tail,
+}
+
+impl Fused {
+    pub fn head(&self) -> Option<&Product> {
+        self.head.as_ref()
+    }
+
+    pub fn expr(&self) -> &EwExpr {
+        &self.expr
+    }
+
+    pub fn tail(&self) -> &Tail {
+        &self.tail
+    }
+
+    /// The temporaries the loop no longer stores: the head's, then the
+    /// fold's.
+    pub fn temps(&self) -> impl Iterator<Item = &str> {
+        self.head.iter().map(Product::tmp).chain(self.tail.tmp())
+    }
+
+    /// The sequence this loop stands for: the head's product, the
+    /// element-wise loop, the fold, and a `Free` of each eliminated
+    /// compiler temporary.
+    pub fn unfused(&self) -> Vec<Instr> {
+        let mut seq: Vec<Instr> = self.head.iter().map(Product::producer).collect();
+        let (dst, fold) = match self.tail.clone() {
+            Tail::Store { dst } => (dst, None),
+            Tail::Reduce { dst, op, tmp } => (tmp.clone(), Some(Instr::Reduce { dst, op, m: tmp })),
+            Tail::ColReduce { dst, op, tmp } => {
+                (tmp.clone(), Some(Instr::ColReduce { dst, op, m: tmp }))
+            }
+        };
+        let expr = self.expr.clone();
+        seq.push(Instr::ElemWise { dst, expr });
+        seq.extend(fold);
+        seq.extend(self.temps().filter(|t| is_temp(t)).map(|t| Instr::Free {
+            name: t.to_string(),
+        }));
+        seq
+    }
+}
+
+impl Instr {
+    /// The loop `head; forall k: expr; tail`: an [`Instr::ElemWise`]
+    /// when it has neither head nor fold, else an [`Instr::Fused`].
+    pub fn fused(head: Option<Product>, expr: EwExpr, tail: Tail) -> Instr {
+        match (head, tail) {
+            (None, Tail::Store { dst }) => Instr::ElemWise { dst, expr },
+            (head, tail) => Instr::Fused(Box::new(Fused { head, expr, tail })),
+        }
     }
 }
 

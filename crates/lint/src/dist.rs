@@ -148,12 +148,17 @@ impl Analysis for DistAnalysis<'_> {
     type Fact = DistState;
 
     fn transfer(&mut self, instr: &Instr, env: &mut Env<DistState>, ctx: &FlowCtx) {
+        if let Instr::Fused(f) = instr {
+            for i in f.unfused() {
+                self.transfer(&i, env, ctx);
+            }
+            return;
+        }
         self.check_churn(instr, env, ctx);
         let state = match instr {
             Instr::AssignScalar { .. }
             | Instr::BroadcastElem { .. }
             | Instr::Reduce { .. }
-            | Instr::ReduceEw { .. }
             | Instr::Dot { .. }
             | Instr::TrapzXY { .. } => Some(DistState::Replicated),
             Instr::InitMatrix { init, .. } => Some(if vector_init(init) {
@@ -161,14 +166,10 @@ impl Analysis for DistAnalysis<'_> {
             } else {
                 DistState::RowDist
             }),
-            Instr::LoadFile { .. }
-            | Instr::MatMul { .. }
-            | Instr::MatMulEw { .. }
-            | Instr::Outer { .. } => Some(DistState::RowDist),
-            Instr::MatVec { .. }
-            | Instr::MatVecEw { .. }
-            | Instr::ColReduce { .. }
-            | Instr::ColReduceEw { .. } => Some(DistState::BlockVec),
+            Instr::LoadFile { .. } | Instr::MatMul { .. } | Instr::Outer { .. } => {
+                Some(DistState::RowDist)
+            }
+            Instr::MatVec { .. } | Instr::ColReduce { .. } => Some(DistState::BlockVec),
             Instr::ExtractRow { .. }
             | Instr::ExtractCol { .. }
             | Instr::ExtractRange { .. }

@@ -549,14 +549,8 @@ fn model_of(i: &Instr, cx: &Scope, ranks: &BTreeMap<String, VarRank>) -> Model {
         // A loop communicates only through its generator leaves, each
         // exactly as the producer it was fused from.
         Instr::ElemWise { expr, .. } => {
-            let mut all = Vec::new();
-            for (tmp, gen) in expr.generators() {
-                match model_of(&gen.producer(tmp), cx, ranks) {
-                    Model::Atoms(v) => all.extend(v),
-                    Model::Unknown => return Model::Unknown,
-                }
-            }
-            atoms(all)
+            let producers = expr.generators().into_iter().map(|(t, g)| g.producer(t));
+            sequence_model(producers, cx, ranks)
         }
 
         Instr::LoadFile { dst, .. } => match cx.extent_width(dst) {
@@ -567,16 +561,13 @@ fn model_of(i: &Instr, cx: &Scope, ranks: &BTreeMap<String, VarRank>) -> Model {
             None => Model::Unknown,
         },
 
-        // The fused variants communicate exactly like their base op —
-        // the element-wise half is local (aligned operands).
-        Instr::MatMul { a, b, .. } | Instr::MatMulEw { a, b, .. } => matmul_model(cx, a, b),
+        // A fused loop communicates exactly as its unfused sequence.
+        Instr::Fused(f) => sequence_model(f.unfused(), cx, ranks),
 
-        Instr::MatVec { x, .. } | Instr::MatVecEw { x, .. } => {
-            atoms(allgather(cx.numel(x), Dim::Known(1)))
-        }
+        Instr::MatMul { a, b, .. } => matmul_model(cx, a, b),
 
-        // Only allreduce-backed reductions are fused (no Trapz halo).
-        Instr::ReduceEw { .. } => atoms(allreduce(Dim::Known(1))),
+        Instr::MatVec { x, .. } => atoms(allgather(cx.numel(x), Dim::Known(1))),
+
         Instr::Outer { v, .. } => atoms(allgather(cx.numel(v), Dim::Known(1))),
 
         Instr::Transpose { a, .. } => match cx.is_vector(a) {
@@ -612,13 +603,6 @@ fn model_of(i: &Instr, cx: &Scope, ranks: &BTreeMap<String, VarRank>) -> Model {
         }
 
         Instr::ColReduce { m, .. } => col_reduce_model(cx, m),
-        // The eliminated temporary has its operands' shape.
-        Instr::ColReduceEw { expr, .. } => {
-            let mut ops = Vec::new();
-            expr.mat_operands(&mut ops);
-            ops.first()
-                .map_or(Model::Unknown, |m| col_reduce_model(cx, m))
-        }
 
         Instr::Shift { v, k, .. } => atoms(vec![Atom::ShiftSeg {
             len: cx.numel(v),
@@ -681,6 +665,22 @@ fn model_of(i: &Instr, cx: &Scope, ranks: &BTreeMap<String, VarRank>) -> Model {
         | Instr::Continue
         | Instr::Call { .. } => free,
     }
+}
+
+/// The communication of a straight-line sequence: its steps in order.
+fn sequence_model(
+    seq: impl IntoIterator<Item = Instr>,
+    cx: &Scope,
+    ranks: &BTreeMap<String, VarRank>,
+) -> Model {
+    let mut all = Vec::new();
+    for i in seq {
+        match model_of(&i, cx, ranks) {
+            Model::Atoms(v) => all.extend(v),
+            Model::Unknown => return Model::Unknown,
+        }
+    }
+    Model::Atoms(all)
 }
 
 /// Does this body contain a `break`/`continue` governed by the
@@ -777,7 +777,7 @@ pub fn refined_shapes(
     consts: &BTreeMap<String, f64>,
 ) -> BTreeMap<String, Shape> {
     let mut shapes = shapes.clone();
-    for (i, _) in preorder(body) {
+    let mut refine = |i: &Instr| {
         // Borrow-friendly one-shot context over the growing map.
         let cx = Scope {
             shapes: &shapes,
@@ -787,6 +787,12 @@ pub fn refined_shapes(
             shapes
                 .entry(dst.to_string())
                 .or_insert_with(|| Shape::known(r, c));
+        }
+    };
+    for (i, _) in preorder(body) {
+        match i {
+            Instr::Fused(f) => f.unfused().iter().for_each(&mut refine),
+            _ => refine(i),
         }
     }
     shapes
@@ -823,10 +829,8 @@ fn derived_shape(i: &Instr, cx: &Scope) -> Option<(usize, usize)> {
                 (None, None) => None,
             }
         }
-        Instr::MatMul { a, b, .. } | Instr::MatMulEw { a, b, .. } => {
-            dims(a).zip(dims(b)).map(|((m, _), (_, n))| (m, n))
-        }
-        Instr::MatVec { a, .. } | Instr::MatVecEw { a, .. } => dims(a).map(|(m, _)| (m, 1)),
+        Instr::MatMul { a, b, .. } => dims(a).zip(dims(b)).map(|((m, _), (_, n))| (m, n)),
+        Instr::MatVec { a, .. } => dims(a).map(|(m, _)| (m, 1)),
         Instr::Outer { u, v, .. } => dims(u)
             .zip(dims(v))
             .map(|((ur, uc), (vr, vc))| (ur * uc, vr * vc)),

@@ -74,6 +74,12 @@ fn shape_str(cx: &Scope, v: &str) -> String {
 
 #[allow(clippy::too_many_lines)]
 fn check_instr(i: &Instr, cx: &Scope, out: &mut Vec<ShapeFinding>) {
+    if let Instr::Fused(f) = i {
+        for i in f.unfused() {
+            check_instr(&i, cx, out);
+        }
+        return;
+    }
     let mut err = |anchor: &str, message: String| {
         out.push(ShapeFinding {
             anchor: anchor.to_string(),
@@ -147,56 +153,6 @@ fn check_instr(i: &Instr, cx: &Scope, out: &mut Vec<ShapeFinding>) {
                         dst,
                         format!("matvec needs a vector: `{x}` is {}", shape_str(cx, x)),
                     );
-                }
-            }
-        }
-        Instr::MatMulEw { dst, a, b, .. } => {
-            if let (Some((_, ka)), Some((kb, _))) = (dims(cx, a), dims(cx, b)) {
-                if ka != kb {
-                    err(
-                        dst,
-                        format!(
-                            "matmul inner dimensions disagree: `{a}` is {} but `{b}` is {}",
-                            shape_str(cx, a),
-                            shape_str(cx, b)
-                        ),
-                    );
-                }
-            }
-        }
-        Instr::MatVecEw { dst, a, x, .. } => {
-            if let (Some((_, ka)), Some(nx)) = (dims(cx, a), numel(cx, x)) {
-                if ka != nx {
-                    err(
-                        dst,
-                        format!(
-                            "matvec dimensions disagree: `{a}` is {} but `{x}` has {nx} elements",
-                            shape_str(cx, a)
-                        ),
-                    );
-                }
-            }
-        }
-        Instr::ReduceEw { dst, tmp, expr, .. } | Instr::ColReduceEw { dst, tmp, expr, .. } => {
-            // Same alignment rule as `ElemWise`, minus the internal
-            // temporary.
-            let mut ops = Vec::new();
-            expr.mat_operands(&mut ops);
-            ops.retain(|m| m != tmp);
-            ops.dedup();
-            for pair in ops.windows(2) {
-                let (a, b) = (&pair[0], &pair[1]);
-                if let (Some(da), Some(db)) = (dims(cx, a), dims(cx, b)) {
-                    if da != db {
-                        err(
-                            dst,
-                            format!(
-                                "elementwise shape mismatch: `{a}` is {} but `{b}` is {}",
-                                shape_str(cx, a),
-                                shape_str(cx, b)
-                            ),
-                        );
-                    }
                 }
             }
         }

@@ -39,6 +39,6 @@ pub use dense::Dense;
 pub use dist::Block;
 pub use io::LoadError;
 pub use linalg::Generated;
-pub use matrix::{DistMatrix, Gathered};
+pub use matrix::{DistMatrix, Gathered, LayoutError};
 pub use otter_mpi::CommError;
 pub use reduce::ColOp;

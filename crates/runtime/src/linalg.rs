@@ -23,30 +23,35 @@ pub struct Generated {
 
 #[derive(Debug)]
 enum GenKind {
-    /// Local element `k` is `u[k / v.len()] * v[k % v.len()]`: `u` is
-    /// this rank's block, which coincides with the result's row block,
-    /// and `v` is whole.
+    /// Local element `k` is `u[k / v.len()] * v[k % v.len()]`: the
+    /// block is `u.len()` runs of `v.len()` elements.
     Outer { u: Vec<f64>, v: Vec<f64> },
     /// Local row `i` has its one at column `row0 + i`.
     Eye { row0: usize, local_rows: usize },
 }
 
 impl Generated {
-    /// `u · vᵀ`: allgathers `v` and charges the product's flops, as
-    /// `ML_outer` does.
+    /// `u · vᵀ`, laid out like any `u.len() × v.len()` object, with the
+    /// product's flops charged as `ML_outer` charges them. A matrix or
+    /// a column is distributed by rows, as `u` is by elements, so each
+    /// rank pairs its block of `u` with all of `v`, allgathered. A
+    /// `1×n` row is distributed by elements, as `v` is, so each rank
+    /// pairs `u`'s one element, allgathered, with its block of `v`.
     pub fn outer(comm: &mut Comm, u: &DistMatrix, v: &DistMatrix) -> Result<Generated, CommError> {
         let (name, t0) = ("ML_outer", comm.clock());
         assert!(u.is_vector() && v.is_vector(), "outer needs vectors");
-        let v_full = v.gather_all(comm)?.into_data();
-        comm.compute(u.local_els() as f64 * v_full.len() as f64);
+        let (rows, cols) = (u.len(), v.len());
+        let (u, v) = if rows == 1 && cols > 1 {
+            (u.gather_all(comm)?.into_data(), v.local().to_vec())
+        } else {
+            (u.local().to_vec(), v.gather_all(comm)?.into_data())
+        };
+        comm.compute(u.len() as f64 * v.len() as f64);
         comm.record(Event::Phase { name, t0 });
         Ok(Generated {
-            rows: u.len(),
-            cols: v_full.len(),
-            kind: GenKind::Outer {
-                u: u.local().to_vec(),
-                v: v_full,
-            },
+            rows,
+            cols,
+            kind: GenKind::Outer { u, v },
         })
     }
 
@@ -79,9 +84,19 @@ impl Generated {
         }
     }
 
+    /// This rank's whole block.
+    pub fn block(&self) -> Vec<f64> {
+        let mut local = vec![0.0; self.local_els()];
+        self.fill(0, &mut local);
+        local
+    }
+
     /// Write local elements `base..base + out.len()` to `out`.
     pub fn fill(&self, base: usize, out: &mut [f64]) {
-        let w = self.cols;
+        let w = match &self.kind {
+            GenKind::Outer { v, .. } => v.len(),
+            GenKind::Eye { .. } => self.cols,
+        };
         let mut k = base;
         // One run per local row the span touches.
         for run in chunk_rows(out, base, w) {
@@ -216,7 +231,7 @@ impl DistMatrix {
                 cur_owner = (cur_owner + 1) % p;
             }
         }
-        Ok(DistMatrix::from_local(comm, m, n, c_local))
+        Ok(DistMatrix::from_block(comm, m, n, c_local))
     }
 
     /// Distributed matrix–vector product
@@ -242,16 +257,14 @@ impl DistMatrix {
         crate::kernels::matvec_into(&mut local, self.local(), w, &x_full);
         comm.compute(2.0 * local.len() as f64 * w as f64);
         comm.record(Event::Phase { name, t0 });
-        Ok(DistMatrix::from_local(comm, self.rows(), 1, local))
+        Ok(DistMatrix::from_block(comm, self.rows(), 1, local))
     }
 
-    /// Outer product of two distributed vectors: `u · vᵀ`, row-block
-    /// distributed like any `m×n` result: [`Generated::outer`], filled.
+    /// Outer product of two distributed vectors: `u · vᵀ`, laid out
+    /// like any object of its shape: [`Generated::outer`], filled.
     pub fn outer(comm: &mut Comm, u: &DistMatrix, v: &DistMatrix) -> Result<DistMatrix, CommError> {
         let g = Generated::outer(comm, u, v)?;
-        let mut local = vec![0.0; g.local_els()];
-        g.fill(0, &mut local);
-        Ok(DistMatrix::from_local(comm, g.rows, g.cols, local))
+        Ok(DistMatrix::from_block(comm, g.rows, g.cols, g.block()))
     }
 
     /// Distributed transpose: an all-to-all where rank `r` ships the
@@ -269,7 +282,7 @@ impl DistMatrix {
         if self.is_vector() {
             // A vector transpose only flips orientation; both
             // orientations share the same element distribution.
-            return Ok(DistMatrix::from_local(comm, n, m, self.local().to_vec()));
+            return Ok(DistMatrix::from_block(comm, n, m, self.local().to_vec()));
         }
         let p = comm.size();
         let rank = comm.rank();
@@ -316,7 +329,7 @@ impl DistMatrix {
             }
         }
         comm.compute(local.len() as f64);
-        Ok(DistMatrix::from_local(comm, n, m, local))
+        Ok(DistMatrix::from_block(comm, n, m, local))
     }
 }
 

@@ -47,6 +47,33 @@ impl Gathered {
     }
 }
 
+/// A local block whose length is not the one its matrix's layout gives
+/// this rank.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LayoutError {
+    pub rows: usize,
+    pub cols: usize,
+    pub expected: usize,
+    pub got: usize,
+}
+
+impl std::fmt::Display for LayoutError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let LayoutError {
+            rows,
+            cols,
+            expected,
+            got,
+        } = self;
+        write!(
+            f,
+            "a local block of a {rows}x{cols} matrix holds {got} elements, not {expected}"
+        )
+    }
+}
+
+impl std::error::Error for LayoutError {}
+
 /// A matrix or vector distributed across the ranks of a job.
 #[derive(Debug, PartialEq)]
 pub struct DistMatrix {
@@ -186,10 +213,7 @@ impl DistMatrix {
     /// Distributed identity, filled from the same [`Generated`] block a
     /// fused loop reads.
     pub fn eye(comm: &Comm, n: usize) -> DistMatrix {
-        let g = Generated::eye(comm, n);
-        let mut local = vec![0.0; g.local_els()];
-        g.fill(0, &mut local);
-        DistMatrix::from_local(comm, n, n, local)
+        DistMatrix::from_block(comm, n, n, Generated::eye(comm, n).block())
     }
 
     /// Distribute a dense value every rank already holds (matrix
@@ -391,10 +415,15 @@ impl DistMatrix {
         comm.broadcast_scalar(owner, v)
     }
 
-    /// Build from explicitly provided local data (the linear algebra
-    /// kernels' and element-wise loops' results). `local` must have
-    /// exactly the right length.
-    pub fn from_local(comm: &Comm, rows: usize, cols: usize, local: Vec<f64>) -> DistMatrix {
+    /// Build from explicitly provided local data (an element-wise
+    /// loop's result): an error unless `local` holds exactly this
+    /// rank's block of a `rows×cols` object.
+    pub fn from_local(
+        comm: &Comm,
+        rows: usize,
+        cols: usize,
+        local: Vec<f64>,
+    ) -> Result<DistMatrix, LayoutError> {
         let m = DistMatrix {
             rows,
             cols,
@@ -402,9 +431,23 @@ impl DistMatrix {
             rank: comm.rank(),
             local,
         };
-        debug_assert_eq!(m.local.len(), m.block().count(comm.rank()) * m.item_width());
-        crate::alloc::note_alloc(m.local.len() * 8);
-        m
+        let (expected, got) = (m.block().count(m.rank) * m.item_width(), m.local.len());
+        if got != expected {
+            return Err(LayoutError {
+                rows,
+                cols,
+                expected,
+                got,
+            });
+        }
+        crate::alloc::note_alloc(expected * 8);
+        Ok(m)
+    }
+
+    /// [`DistMatrix::from_local`] for the run-time library's own
+    /// kernels, which size `local` from the same [`Block`] partition.
+    pub(crate) fn from_block(comm: &Comm, rows: usize, cols: usize, local: Vec<f64>) -> DistMatrix {
+        DistMatrix::from_local(comm, rows, cols, local).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Global row range owned locally (matrices) or element range
@@ -479,6 +522,23 @@ mod tests {
         for r in &res {
             assert_eq!(r.value.0, r.value.1);
         }
+    }
+
+    #[test]
+    fn a_block_of_the_wrong_length_is_an_error() {
+        // A 1×6 row is distributed by its elements: 3 per rank at p = 2.
+        let res = run_spmd(&meiko_cs2(), 2, |c| {
+            let long = DistMatrix::from_local(c, 1, 6, vec![0.0; 6]).map(|_| ());
+            Ok((long, DistMatrix::from_local(c, 1, 6, vec![0.0; 3]).is_ok()))
+        });
+        let (err, ok) = &res[1].value;
+        let want = LayoutError {
+            rows: 1,
+            cols: 6,
+            expected: 3,
+            got: 6,
+        };
+        assert_eq!((err, *ok), (&Err(want), true));
     }
 
     #[test]

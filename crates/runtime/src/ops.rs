@@ -28,7 +28,7 @@ impl DistMatrix {
     ) -> DistMatrix {
         let local: Vec<f64> = self.local().iter().map(|&x| f(x, s)).collect();
         comm.compute(local.len() as f64 * class.weight());
-        DistMatrix::from_local(comm, self.rows(), self.cols(), local)
+        DistMatrix::from_block(comm, self.rows(), self.cols(), local)
     }
 
     // ---- vector shifts ---------------------------------------------------
@@ -104,7 +104,7 @@ impl DistMatrix {
             }
         }
         comm.compute(self.local_els() as f64); // copy traffic
-        Ok(DistMatrix::from_local(comm, self.rows(), self.cols(), out))
+        Ok(DistMatrix::from_block(comm, self.rows(), self.cols(), out))
     }
 
     // ---- slicing -----------------------------------------------------------
@@ -136,7 +136,7 @@ impl DistMatrix {
         let w = self.cols();
         let local: Vec<f64> = self.local().chunks_exact(w).map(|row| row[j]).collect();
         comm.compute(local.len() as f64);
-        DistMatrix::from_local(comm, self.rows(), 1, local)
+        DistMatrix::from_block(comm, self.rows(), 1, local)
     }
 
     /// Store a distributed row vector into row `i` (`a(i, :) = v`).
@@ -241,7 +241,7 @@ impl DistMatrix {
         } else {
             (n_new, 1)
         };
-        Ok(DistMatrix::from_local(comm, rows, cols, out))
+        Ok(DistMatrix::from_block(comm, rows, cols, out))
     }
 }
 

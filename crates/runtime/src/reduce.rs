@@ -139,23 +139,26 @@ impl DistMatrix {
     /// a vector, or of a whole object), replicated everywhere.
     pub fn reduce_all(&self, comm: &mut Comm, op: ColOp) -> Result<f64, CommError> {
         let partial = op.fold(op.identity(), self.local());
-        self.reduce_all_partial(comm, op, partial)
+        let shape = (self.rows(), self.cols());
+        DistMatrix::reduce_all_partial(comm, op, partial, shape, self.local_els())
     }
 
-    /// Finish whole-object fold `op` of an object shaped like `self`
-    /// from this rank's partial, folded from [`ColOp::identity`] in
-    /// ascending order: charge the local fold, combine the ranks'
-    /// partials in one allreduce, and divide by the count for `mean`.
+    /// Finish whole-object fold `op` of a `rows×cols` object of which
+    /// this rank holds `local_els` elements, from this rank's partial,
+    /// folded from [`ColOp::identity`] in ascending order: charge the
+    /// local fold, combine the ranks' partials in one allreduce, and
+    /// divide by the count for `mean`.
     pub fn reduce_all_partial(
-        &self,
         comm: &mut Comm,
         op: ColOp,
         partial: f64,
+        (rows, cols): (usize, usize),
+        local_els: usize,
     ) -> Result<f64, CommError> {
-        comm.compute(self.local_els() as f64);
+        comm.compute(local_els as f64);
         let s = comm.allreduce_scalar(partial, op.comm_op())?;
         Ok(if op == ColOp::Mean {
-            s / self.len() as f64
+            s / (rows * cols) as f64
         } else {
             s
         })
@@ -175,29 +178,31 @@ impl DistMatrix {
             }
             partial
         };
-        self.col_reduce_partials(comm, op, &partial)
+        let shape = (self.rows(), self.cols());
+        DistMatrix::col_reduce_partials(comm, op, &partial, shape, self.local_els())
     }
 
-    /// Finish column reduction `op` of an object shaped like `self` from
-    /// this rank's partials — one per column for a matrix, folded from
-    /// [`ColOp::column_start`] in ascending row order, or one for a
-    /// vector, folded from [`ColOp::identity`]: charge the local fold,
-    /// combine the ranks' partials in one allreduce, and divide by the
-    /// count for `mean`.
+    /// Finish column reduction `op` of a `rows×cols` object of which
+    /// this rank holds `local_els` elements, from this rank's partials —
+    /// one per column for a matrix, folded from [`ColOp::column_start`]
+    /// in ascending row order, or one for a vector, folded from
+    /// [`ColOp::identity`]: charge the local fold, combine the ranks'
+    /// partials in one allreduce, and divide by the count for `mean`.
     pub fn col_reduce_partials(
-        &self,
         comm: &mut Comm,
         op: ColOp,
         partial: &[f64],
+        (rows, cols): (usize, usize),
+        local_els: usize,
     ) -> Result<DistMatrix, CommError> {
-        comm.compute(self.local_els() as f64);
+        comm.compute(local_els as f64);
         let full = comm.allreduce(partial, op.comm_op())?;
         let reduced = DistMatrix::from_replicated(comm, &Dense::row_vector(&full));
         Ok(if op == ColOp::Mean {
-            let count = if self.is_vector() {
-                self.len()
+            let count = if rows == 1 || cols == 1 {
+                rows * cols
             } else {
-                self.rows()
+                rows
             };
             reduced.map_scalar(comm, count as f64, OpClass::Div, |x, d| x / d)
         } else {

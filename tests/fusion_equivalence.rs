@@ -310,6 +310,56 @@ fn generated_outer_products_and_identities_keep_every_bit_and_message() {
 }
 
 #[test]
+fn generator_loops_compose_with_folds_and_products() {
+    // A generator loop takes a column fold as its tail, a matmul head's
+    // loop holds a generated identity, and product loops take folds as
+    // their tails: each is one fused loop, with the unfused bits and
+    // messages and a lower allocator peak.
+    for n in [7usize, 9] {
+        let src = format!(
+            "n = {n};\n\
+             u = (1:n) / 3;\n\
+             v = cos(u * 2);\n\
+             w = rand(n, n);\n\
+             b = rand(n, n);\n\
+             t = sum(w * b .* w);\n\
+             d = norm(w * v' - 1);\n\
+             s = sum(sum(u' * v .* w));\n\
+             c = w * b + n * eye(n);\n"
+        );
+        let fused = compile(&src, &EngineOptions::default()).unwrap_or_else(|e| panic!("{e}"));
+        let unfused = compile(&src, &fusion(false).build()).unwrap_or_else(|e| panic!("{e}"));
+        for p in [1usize, 3, 4] {
+            let go = |a| {
+                run(a, &RunRequest::on(meiko_cs2(), p))
+                    .unwrap_or_else(|e| panic!("n={n} p={p}: {e}"))
+            };
+            let (f, u) = (go(&fused), go(&unfused));
+            let names = ["s", "c", "t", "d"];
+            assert_eq!(
+                workspace_bits(&f, &names),
+                workspace_bits(&u, &names),
+                "n={n} p={p}"
+            );
+            assert_eq!((f.messages, f.bytes), (u.messages, u.bytes), "n={n} p={p}");
+            // `t` and `d` are product loops with a fold for a tail.
+            for (op, count) in [("col-reduce-ew", 1), ("matmul-ew", 2), ("matvec-ew", 1)] {
+                assert_eq!(f.op_counts.get(op), Some(&count), "{op}: n={n} p={p}");
+            }
+            // No product or loop result is stored beside its operands
+            // and `c`: the peak falls by two of rank 0's row blocks.
+            let block = n.div_ceil(p) * n * 8;
+            assert!(
+                f.peak_temp_bytes + 2 * block <= u.peak_temp_bytes,
+                "n={n} p={p}: fused peak {} B, unfused {} B",
+                f.peak_temp_bytes,
+                u.peak_temp_bytes
+            );
+        }
+    }
+}
+
+#[test]
 fn large_cg_materializes_one_matrix_not_four() {
     // `A = u' * u + w' * w + n * eye(n)` at large scale: F5 allocates
     // neither outer product nor the identity, so the p = 1 allocator

@@ -273,3 +273,57 @@ fn folds_at_the_ieee_edges_match_the_interpreter_bit_for_bit() {
         }
     }
 }
+
+/// Outer products of a one-element `u` and a longer `v`, stored and
+/// fused, whose shapes only the run time knows: the `1×n` result is
+/// distributed by its elements, not by `u`'s.
+#[test]
+fn one_row_outer_products_match_the_interpreter() {
+    let head = "r = rand(3, 1);\n\
+                k = floor(r(1) * 0) + 1;\n\
+                u = ones(k, 1);\n\
+                v = (1:6)';\n\
+                w = (1:6) * 10;\n";
+    for body in ["a = u * v';\nc = a + w;\n", "c = u * v' + w;\n"] {
+        let src = format!("{head}{body}");
+        let base = run_engine(
+            Engine::Interpreter,
+            &src,
+            &EngineOptions::default(),
+            &workstation(),
+            1,
+        )
+        .unwrap_or_else(|e| panic!("interpreter: {e}\n{src}"));
+        for fuse in [true, false] {
+            let opts = if fuse {
+                EngineOptions::default()
+            } else {
+                EngineOptions::builder().disable_pass("fusion").build()
+            };
+            let compiled = compile(&src, &opts).unwrap_or_else(|e| panic!("{e}"));
+            for p in [1usize, 2, 3, 4] {
+                let report = run(&compiled, &RunRequest::on(meiko_cs2(), p))
+                    .unwrap_or_else(|e| panic!("p={p} fusion={fuse}: {e}\n{src}"));
+                assert_eq!(
+                    result_bits(&report, "c"),
+                    result_bits(&base, "c"),
+                    "p={p} fusion={fuse}\n{src}"
+                );
+            }
+        }
+    }
+}
+
+/// A run-time error names its stage once, on every rank count.
+#[test]
+fn run_time_errors_carry_one_tag() {
+    let src = "r = rand(3, 1);\nk = floor(r(1) * 0);\nv = zeros(k, 1);\nm = max(v);\n";
+    let compiled = compile(src, &EngineOptions::default()).unwrap_or_else(|e| panic!("{e}"));
+    for p in [1usize, 3] {
+        let err = run(&compiled, &RunRequest::on(meiko_cs2(), p))
+            .expect_err("max of empty")
+            .to_string();
+        assert_eq!(err.matches("error[execution]").count(), 1, "p={p}: {err}");
+        assert!(err.contains("max of empty matrix"), "p={p}: {err}");
+    }
+}
