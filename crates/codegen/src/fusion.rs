@@ -438,7 +438,7 @@ mod tests {
         assert_eq!(p.main[0].opcode(), "matmul-ew");
         assert_eq!(p.main[0].dst(), Some("c"));
         assert!(matches!(&p.main[0], Instr::Fused(f)
-                if f.head().map(Product::tmp) == Some("ML_tmp1")));
+                if f.head().map(Product::tmp).map(String::as_str) == Some("ML_tmp1")));
     }
 
     #[test]
@@ -583,7 +583,7 @@ mod tests {
         let Instr::ElemWise { expr, .. } = &p.main[2] else {
             panic!("{:?}", p.main)
         };
-        let gens: Vec<&str> = expr.generators().iter().map(|(t, _)| *t).collect();
+        let gens: Vec<&str> = expr.generators().iter().map(|(t, _)| t.as_str()).collect();
         assert_eq!(gens, ["ML_tmp3", "ML_tmp5", "ML_tmp6"]);
         let mut mats = Vec::new();
         expr.mat_operands(&mut mats);

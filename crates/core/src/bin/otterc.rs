@@ -4,8 +4,9 @@
 //! ```text
 //! otterc script.m                      # emit SPMD C to script.c
 //! otterc script.m -o out.c            # choose the output path
-//! otterc script.m --emit ir           # dump the SPMD IR instead
-//! otterc script.m --emit ast          # dump the resolved/SSA'd AST
+//! otterc script.m --emit ir           # print the SPMD IR instead
+//! otterc script.m --emit ast          # print the resolved/SSA'd AST
+//!                                      # (to the `-o` path, if given)
 //! otterc script.m --run               # compile AND execute (1 CPU)
 //! otterc script.m --run -p 16 --machine meiko
 //! otterc script.m --run -p 4096 --workers 8
@@ -63,7 +64,7 @@ enum Emit {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: otterc <script.m> [-o out.c] [--emit c|ir|ast] [--run] \
+        "usage: otterc <script.m> [-o out] [--emit c|ir|ast] [--run] \
          [-p N] [--workers W] [--machine meiko|cluster|smp|workstation] \
          [--no-peephole] [--no-fusion] [--timing] [--trace] [--dump-after=<pass>|all] \
          [--lint[=deny]] [--analyze]"
@@ -324,27 +325,41 @@ fn main() {
         print_analysis(&compiled.ir, args.p);
     }
 
-    match args.emit {
-        Emit::Ir => print!("{}", compiled.ir_text()),
+    // C goes to a file, next to the script unless `-o` says where; the
+    // IR and the AST go to stdout unless `-o` says where.
+    let (text, out_path) = match args.emit {
+        Emit::C => (
+            compiled.c_source.clone(),
+            Some(
+                args.output
+                    .clone()
+                    .unwrap_or_else(|| args.input.with_extension("c")),
+            ),
+        ),
+        Emit::Ir => (compiled.ir_text(), args.output.clone()),
         Emit::Ast => {
             let ast = dumps.iter().find(|d| d.pass == "ssa-infer");
-            print!("{}", ast.map_or("", |d| d.text.as_str()));
+            (
+                ast.map_or_else(String::new, |d| d.text.clone()),
+                args.output.clone(),
+            )
         }
-        Emit::C => {
-            let out_path = args
-                .output
-                .clone()
-                .unwrap_or_else(|| args.input.with_extension("c"));
-            if let Err(e) = std::fs::write(&out_path, &compiled.c_source) {
+    };
+    match out_path {
+        None => print!("{text}"),
+        Some(out_path) => {
+            if let Err(e) = std::fs::write(&out_path, text) {
                 eprintln!("otterc: cannot write {}: {e}", out_path.display());
                 exit(1);
             }
-            eprintln!(
-                "otterc: wrote {} ({} IR instructions, peephole {:?})",
-                out_path.display(),
-                compiled.ir.instr_count(),
-                compiled.peephole_stats
-            );
+            if args.emit == Emit::C {
+                eprintln!(
+                    "otterc: wrote {} ({} IR instructions, peephole {:?})",
+                    out_path.display(),
+                    compiled.ir.instr_count(),
+                    compiled.peephole_stats
+                );
+            }
         }
     }
 

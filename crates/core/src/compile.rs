@@ -24,6 +24,7 @@ use crate::artifact::CompiledArtifact;
 use crate::engines::EngineOptions;
 use crate::error::{OtterError, Result};
 use crate::pass::{ir_text, Artefact, DumpRequest, PassDump, Recorder};
+use crate::plan::Plan;
 use otter_analysis::{infer, resolve_program, ssa_rename, InferOptions, Inference};
 use otter_codegen::peephole::PeepholeStats;
 use otter_codegen::{emit_c, fuse, insert_frees, lower, peephole, FusionStats};
@@ -36,6 +37,8 @@ use otter_lint::{lint_program, LintMode, LintReport};
 pub struct Compiled {
     /// Executable SPMD IR.
     pub ir: IrProgram,
+    /// The IR the executor runs: `ir` with its variables numbered.
+    pub plan: Plan,
     /// The inference results (for tooling and tests).
     pub inference: Inference,
     /// Emitted SPMD C translation unit.
@@ -196,8 +199,11 @@ pub fn compile_with(
     // Pass 7: C emission.
     let c_source = rec.stage("emit-c", || Ok(emit_c(&ir)), |c| Artefact::C(c))?;
 
+    // Not a stage: nothing may disable it, and it changes no output.
+    let plan = Plan::new(&ir);
     let compiled = Compiled {
         ir,
+        plan,
         inference,
         c_source,
         peephole_stats,

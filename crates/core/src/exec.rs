@@ -1,10 +1,12 @@
 //! SPMD execution of compiled IR.
 //!
 //! One [`Executor`] runs per rank, exactly like the generated C
-//! program would run per MPI process: replicated scalars live in a
-//! per-rank environment, distributed matrices are `otter-rt`
-//! [`DistMatrix`] objects, and every communication-bearing instruction
-//! calls the run-time library, which talks MPI (here: `otter-mpi`).
+//! program would run per MPI process. It runs the artifact's
+//! [`Plan`], in which every variable is a slot of its frame, as every
+//! variable of the C is a declared local: replicated scalars and
+//! `otter-rt` [`DistMatrix`] objects live in those slots, and every
+//! communication-bearing instruction calls the run-time library, which
+//! talks MPI (here: `otter-mpi`).
 //!
 //! The executor charges compiled-code ("Otter") cost coefficients to
 //! the rank's virtual clock: a tiny dispatch charge per instruction
@@ -21,6 +23,7 @@
 //! bits are unchanged (DESIGN.md §17).
 
 use crate::error::{OtterError, Result};
+use crate::plan::{Frame, Plan, Slot};
 use otter_det::DetRng;
 use otter_ir::*;
 use otter_machine::{ExecutionStyle, StyleCosts};
@@ -113,6 +116,15 @@ impl XVal {
             XVal::S(_) => None,
         }
     }
+
+    /// The bytes this rank holds of the value, as the workspace peak
+    /// counts them.
+    fn bytes(&self) -> usize {
+        match self {
+            XVal::M(m) => m.local_els() * std::mem::size_of::<f64>(),
+            XVal::S(_) => std::mem::size_of::<f64>(),
+        }
+    }
 }
 
 /// Why a block stopped.
@@ -163,163 +175,58 @@ pub struct SiteComm {
     pub execs: u64,
 }
 
-/// Per-rank executor state.
-pub struct Executor<'a> {
-    program: &'a IrProgram,
-    comm: &'a mut Comm,
-    costs: StyleCosts,
-    opts: ExecOptions,
-    /// Scope stack; last is current. Scope 0 is the script workspace.
-    scopes: Vec<HashMap<String, XVal>>,
-    /// Output the root rank accumulates (None elsewhere).
-    pub output: String,
-    /// Monotone counter making successive `rand` calls draw different
-    /// (but rank-replicated) streams.
-    rand_calls: u64,
-    /// High-water mark of live distributed-matrix bytes on this rank
-    /// (the paper's §7 memory argument: each rank holds only its
-    /// blocks, so the aggregate machine admits problems a single
-    /// workstation cannot hold).
-    peak_local_bytes: usize,
-    /// Executed-instruction counts by opcode (`EngineReport`'s
-    /// per-opcode counters).
-    op_counts: BTreeMap<&'static str, u64>,
-    /// Leaf-instruction address → site id (only when `opts.analyze`).
-    /// Function bodies run by reference, so an instruction's address is
-    /// a stable identity for the whole run.
-    site_of: Option<HashMap<usize, u32>>,
-    /// Per-site realized communication, indexed by site id.
-    site_comm: Vec<SiteComm>,
+/// One running frame: its values by [`Slot`], and the plan's slot
+/// table, which names them in error messages. Everything that only
+/// reads the frame lives here, so a handler can hold these borrows
+/// while it passes the rank's `Comm` on mutably.
+struct Locals<'p> {
+    names: &'p [String],
+    vals: Vec<Option<XVal>>,
 }
 
-impl<'a> Executor<'a> {
-    pub fn new(program: &'a IrProgram, comm: &'a mut Comm, opts: ExecOptions) -> Self {
-        let site_of = opts.analyze.then(|| {
-            otter_ir::leaf_sites(program)
-                .iter()
-                .map(|s| (s.instr as *const Instr as usize, s.id))
-                .collect::<HashMap<usize, u32>>()
-        });
-        let site_comm = vec![SiteComm::default(); site_of.as_ref().map_or(0, |m| m.len())];
-        Executor {
-            program,
-            comm,
-            costs: ExecutionStyle::Otter.costs(),
-            opts,
-            scopes: vec![HashMap::new()],
-            output: String::new(),
-            rand_calls: 0,
-            peak_local_bytes: 0,
-            op_counts: BTreeMap::new(),
-            site_of,
-            site_comm,
+impl<'p> Locals<'p> {
+    fn new(frame: &'p Frame) -> Self {
+        Locals {
+            names: &frame.names,
+            vals: vec![None; frame.names.len()],
         }
     }
 
-    /// Run the whole program; returns the final script workspace.
-    pub fn run(mut self) -> ExecResult<ExecOutcome> {
-        otter_rt::alloc::reset();
-        // Each rank is an OS thread; give it its kernel budget.
-        otter_rt::kernels::configure(otter_rt::kernels::DEFAULT_TILE, self.opts.threads);
-        self.comm.record(Event::Note(Note::ExecStart {
-            instrs: self.program.main.len(),
-        }));
-        let main = &self.program.main;
-        if let Err(e) = self.exec_block(main) {
-            // Comm failures logged their own terminal event inside
-            // `Comm`; application errors get theirs here so a rank's
-            // flight tail always ends with *why* it stopped.
-            if matches!(e, ExecError::App(_)) {
-                self.comm.record(Event::Note(Note::ExecAppError));
-            }
-            return Err(e);
-        }
-        self.note_memory();
-        // Opcode tallies and high-water marks reach the metrics in one
-        // event at end of run, not one increment per instruction.
-        self.comm.record(Event::RunSummary {
-            ops: &self.op_counts,
-            alloc_peak_bytes: otter_rt::alloc::peak_bytes(),
-            workspace_peak_bytes: self.peak_local_bytes,
-        });
-        let workspace = self.scopes.pop().expect("script scope");
-        Ok(ExecOutcome {
-            workspace,
-            output: self.output,
-            peak_local_bytes: self.peak_local_bytes,
-            peak_temp_bytes: otter_rt::alloc::peak_bytes(),
-            op_counts: self.op_counts,
-            site_comm: self.site_comm,
+    fn name(&self, s: Slot) -> &'p str {
+        &self.names[s.index()]
+    }
+
+    fn get(&self, s: Slot) -> Result<&XVal> {
+        self.vals[s.index()].as_ref().ok_or_else(|| {
+            OtterError::execution(format!("undefined IR variable `{}`", self.name(s)))
         })
     }
 
-    /// Update the local-memory high-water mark from the live scopes.
-    fn note_memory(&mut self) {
-        let live: usize = self
-            .scopes
-            .iter()
-            .flat_map(|env| env.values())
-            .map(|v| match v {
-                XVal::M(m) => m.local_els() * std::mem::size_of::<f64>(),
-                XVal::S(_) => std::mem::size_of::<f64>(),
-            })
-            .sum();
-        self.peak_local_bytes = self.peak_local_bytes.max(live);
+    fn mat(&self, s: Slot) -> Result<&DistMatrix> {
+        self.get(s)?.as_matrix().ok_or_else(|| {
+            OtterError::execution(format!("IR variable `{}` is not a matrix", self.name(s)))
+        })
     }
 
-    fn env(&mut self) -> &mut HashMap<String, XVal> {
-        self.scopes.last_mut().expect("scope stack never empty")
+    /// The bytes every value of the frame holds.
+    fn bytes(&self) -> usize {
+        self.vals.iter().flatten().map(XVal::bytes).sum()
     }
 
-    fn get(&self, name: &str) -> Result<&XVal> {
-        self.scopes
-            .last()
-            .unwrap()
-            .get(name)
-            .ok_or_else(|| OtterError::execution(format!("undefined IR variable `{name}`")))
+    fn eval(&self, e: &SExpr<Slot>) -> Result<f64> {
+        self.eval_own(e, None)
     }
 
-    fn get_mat(&self, name: &str) -> Result<&DistMatrix> {
-        self.get(name)?
-            .as_matrix()
-            .ok_or_else(|| OtterError::execution(format!("IR variable `{name}` is not a matrix")))
-    }
-
-    /// Move a matrix out of the innermost scope (for mutate-in-place
-    /// handlers that re-insert it when done — no copy of the payload).
-    fn take_mat(&mut self, name: &str) -> Result<DistMatrix> {
-        match self.env().remove(name) {
-            Some(XVal::M(m)) => Ok(m),
-            Some(v) => {
-                self.env().insert(name.to_string(), v);
-                Err(OtterError::execution(format!(
-                    "IR variable `{name}` is not a matrix"
-                )))
-            }
-            None => Err(OtterError::execution(format!(
-                "undefined IR variable `{name}`"
-            ))),
-        }
-    }
-
-    fn get_scalar(&self, name: &str) -> Result<f64> {
-        self.get(name)?
-            .as_scalar()
-            .ok_or_else(|| OtterError::execution(format!("IR variable `{name}` is not a scalar")))
-    }
-
-    // ---- scalar expressions ---------------------------------------------
-
-    fn eval_s(&self, e: &SExpr) -> Result<f64> {
-        self.eval_s_own(e, None)
-    }
-
-    fn eval_s_own(&self, e: &SExpr, own: Option<f64>) -> Result<f64> {
+    /// Evaluate a replicated scalar expression; `own` is the element an
+    /// owner-guarded store overwrites.
+    fn eval_own(&self, e: &SExpr<Slot>, own: Option<f64>) -> Result<f64> {
         Ok(match e {
             SExpr::Const(v) => *v,
-            SExpr::Var(n) => self.get_scalar(n)?,
+            SExpr::Var(s) => self.get(*s)?.as_scalar().ok_or_else(|| {
+                OtterError::execution(format!("IR variable `{}` is not a scalar", self.name(*s)))
+            })?,
             SExpr::DimOf { var, sel } => {
-                let m = self.get_mat(var)?;
+                let m = self.mat(*var)?;
                 match sel {
                     DimSel::Rows => m.rows() as f64,
                     DimSel::Cols => m.cols() as f64,
@@ -330,13 +237,13 @@ impl<'a> Executor<'a> {
             SExpr::OwnElem => {
                 own.ok_or_else(|| OtterError::execution("OwnElem outside an owner guard"))?
             }
-            SExpr::Neg(x) => -self.eval_s_own(x, own)?,
-            SExpr::Not(x) => f64::from(self.eval_s_own(x, own)? == 0.0),
-            SExpr::Bin(op, a, b) => op.eval(self.eval_s_own(a, own)?, self.eval_s_own(b, own)?),
+            SExpr::Neg(x) => -self.eval_own(x, own)?,
+            SExpr::Not(x) => f64::from(self.eval_own(x, own)? == 0.0),
+            SExpr::Bin(op, a, b) => op.eval(self.eval_own(a, own)?, self.eval_own(b, own)?),
             SExpr::Call(f, args) => {
                 let mut vals = Vec::with_capacity(args.len());
                 for a in args {
-                    vals.push(self.eval_s_own(a, own)?);
+                    vals.push(self.eval_own(a, own)?);
                 }
                 f.eval(&vals)
             }
@@ -344,8 +251,8 @@ impl<'a> Executor<'a> {
     }
 
     /// A 1-based MATLAB index to 0-based usize.
-    fn eval_index(&self, e: &SExpr) -> Result<usize> {
-        let v = self.eval_s(e)?;
+    fn index(&self, e: &SExpr<Slot>) -> Result<usize> {
+        let v = self.eval(e)?;
         if v < 1.0 || v.fract() != 0.0 {
             return Err(OtterError::execution(format!(
                 "index {v} is not a positive integer"
@@ -354,15 +261,25 @@ impl<'a> Executor<'a> {
         Ok(v as usize - 1)
     }
 
-    // ---- element-wise loops ------------------------------------------------
+    /// The 0-based `(row, col)` of element `(i, j)` of matrix `m`, or of
+    /// its linear index `i` when there is no `j`.
+    fn elem(&self, m: Slot, i: &SExpr<Slot>, j: &Option<SExpr<Slot>>) -> Result<(usize, usize)> {
+        let mi = self.index(i)?;
+        match j {
+            Some(j) => Ok((mi, self.index(j)?)),
+            None => linear_to_rc(self.mat(m)?, mi),
+        }
+    }
 
-    fn check_ew_alignment(&self, first: &str, model: &DistMatrix, others: &[String]) -> Result<()> {
-        for n in others {
-            let m = env_mat(&self.scopes, n)?;
+    fn check_aligned(&self, first: Slot, model: &DistMatrix, others: &[Slot]) -> Result<()> {
+        for &n in others {
+            let m = self.mat(n)?;
             if !m.aligned_with(model) {
                 return Err(OtterError::execution(format!(
-                    "element-wise operands `{first}` and `{n}` are not aligned \
+                    "element-wise operands `{}` and `{}` are not aligned \
                      ({}x{} vs {}x{})",
+                    self.name(first),
+                    self.name(n),
                     model.rows(),
                     model.cols(),
                     m.rows(),
@@ -377,18 +294,140 @@ impl<'a> Executor<'a> {
     /// order: an outer product gathers its right factor and charges
     /// what `ML_outer` charges; an identity charges nothing, as `eye`
     /// does.
-    fn generate(&mut self, expr: &EwExpr) -> ExecResult<Vec<Generated>> {
+    fn generate(&self, comm: &mut Comm, expr: &EwExpr<Slot>) -> ExecResult<Vec<Generated>> {
         let mut out = Vec::new();
         for (_, gen) in expr.generators() {
             out.push(match gen {
-                Generator::Outer { u, v } => {
-                    let (scopes, comm) = (&self.scopes, &mut *self.comm);
-                    Generated::outer(comm, env_mat(scopes, u)?, env_mat(scopes, v)?)?
-                }
-                Generator::Eye { n } => Generated::eye(self.comm, self.eval_s(n)? as usize),
+                Generator::Outer { u, v } => Generated::outer(comm, self.mat(*u)?, self.mat(*v)?)?,
+                Generator::Eye { n } => Generated::eye(comm, self.eval(n)? as usize),
             });
         }
         Ok(out)
+    }
+}
+
+/// Per-rank executor state.
+pub struct Executor<'a> {
+    plan: &'a Plan,
+    comm: &'a mut Comm,
+    costs: StyleCosts,
+    opts: ExecOptions,
+    /// The running frame (the script's, or the called function's). A
+    /// caller's frame waits on the native stack of its `Call`.
+    locals: Locals<'a>,
+    /// Bytes held by every live value, waiting callers' included. Every
+    /// write that can change a value's size goes through [`Self::set`]
+    /// or [`Self::take`], which keep it.
+    live: usize,
+    /// Output the root rank accumulates (None elsewhere).
+    pub output: String,
+    /// Monotone counter making successive `rand` calls draw different
+    /// (but rank-replicated) streams.
+    rand_calls: u64,
+    /// High-water mark of live distributed-matrix bytes on this rank
+    /// (the paper's §7 memory argument: each rank holds only its
+    /// blocks, so the aggregate machine admits problems a single
+    /// workstation cannot hold).
+    peak_local_bytes: usize,
+    /// Executed-instruction counts by opcode (`EngineReport`'s
+    /// per-opcode counters).
+    op_counts: BTreeMap<&'static str, u64>,
+    /// Leaf-instruction address → site id (only when `opts.analyze`).
+    /// The plan's bodies run by reference, so an instruction's address
+    /// is a stable identity for the whole run.
+    site_of: Option<HashMap<usize, u32>>,
+    /// Per-site realized communication, indexed by site id.
+    site_comm: Vec<SiteComm>,
+}
+
+impl<'a> Executor<'a> {
+    pub fn new(plan: &'a Plan, comm: &'a mut Comm, opts: ExecOptions) -> Self {
+        // Site ids: the leaves of every frame in `leaf_sites` order.
+        let site_of = opts.analyze.then(|| {
+            plan.frames()
+                .flat_map(|f| preorder(&f.body))
+                .filter(|(i, _)| is_leaf(i))
+                .zip(0..)
+                .map(|((i, _), id)| (i as *const Instr<Slot> as usize, id))
+                .collect::<HashMap<usize, u32>>()
+        });
+        let site_comm = vec![SiteComm::default(); site_of.as_ref().map_or(0, |m| m.len())];
+        Executor {
+            plan,
+            comm,
+            costs: ExecutionStyle::Otter.costs(),
+            opts,
+            locals: Locals::new(&plan.main),
+            live: 0,
+            output: String::new(),
+            rand_calls: 0,
+            peak_local_bytes: 0,
+            op_counts: BTreeMap::new(),
+            site_of,
+            site_comm,
+        }
+    }
+
+    /// Run the whole program; returns the final script frame.
+    pub fn run(mut self) -> ExecResult<ExecOutcome> {
+        otter_rt::alloc::reset();
+        // Each rank is an OS thread; give it its kernel budget.
+        otter_rt::kernels::configure(otter_rt::kernels::DEFAULT_TILE, self.opts.threads);
+        let main = &self.plan.main.body;
+        self.comm
+            .record(Event::Note(Note::ExecStart { instrs: main.len() }));
+        if let Err(e) = self.exec_block(main) {
+            // Comm failures logged their own terminal event inside
+            // `Comm`; application errors get theirs here so a rank's
+            // flight tail always ends with *why* it stopped.
+            if matches!(e, ExecError::App(_)) {
+                self.comm.record(Event::Note(Note::ExecAppError));
+            }
+            return Err(e);
+        }
+        self.peak_local_bytes = self.peak_local_bytes.max(self.live);
+        // Opcode tallies and high-water marks reach the metrics in one
+        // event at end of run, not one increment per instruction.
+        self.comm.record(Event::RunSummary {
+            ops: &self.op_counts,
+            alloc_peak_bytes: otter_rt::alloc::peak_bytes(),
+            workspace_peak_bytes: self.peak_local_bytes,
+        });
+        Ok(ExecOutcome {
+            workspace: self.locals.vals,
+            output: self.output,
+            peak_local_bytes: self.peak_local_bytes,
+            peak_temp_bytes: otter_rt::alloc::peak_bytes(),
+            op_counts: self.op_counts,
+            site_comm: self.site_comm,
+        })
+    }
+
+    /// Write slot `s` of the running frame.
+    fn set(&mut self, s: Slot, v: XVal) {
+        self.live += v.bytes();
+        if let Some(old) = self.locals.vals[s.index()].replace(v) {
+            self.live -= old.bytes();
+        }
+    }
+
+    /// Move slot `s`'s value out of the running frame.
+    fn take(&mut self, s: Slot) -> Option<XVal> {
+        let v = self.locals.vals[s.index()].take();
+        if let Some(v) = &v {
+            self.live -= v.bytes();
+        }
+        v
+    }
+
+    /// Move a matrix out of the running frame (for mutate-in-place
+    /// handlers that `set` it back when done — no copy of the payload).
+    fn take_mat(&mut self, s: Slot) -> Result<DistMatrix> {
+        self.locals.mat(s)?;
+        let Some(XVal::M(m)) = self.take(s) else {
+            unreachable!("checked matrix above")
+        };
+        Ok(m)
     }
 
     /// Run one element-wise loop: an `ElemWise`, or a `Fused` loop's
@@ -399,44 +438,40 @@ impl<'a> Executor<'a> {
     /// less the eliminated instructions' dispatch and call overheads.
     fn exec_loop(
         &mut self,
-        head: Option<&Product>,
-        expr: &EwExpr,
-        sink: Sink<'_>,
+        head: Option<&Product<Slot>>,
+        expr: &EwExpr<Slot>,
+        tail: &Tail<Slot>,
     ) -> ExecResult<()> {
-        let (scopes, comm) = (&self.scopes, &mut *self.comm);
+        let (vars, comm) = (&self.locals, &mut *self.comm);
         let mut buf = match head {
-            Some(Product::MatMul { a, b, .. }) => {
-                Some(env_mat(scopes, a)?.matmul(comm, env_mat(scopes, b)?)?)
-            }
-            Some(Product::MatVec { a, x, .. }) => {
-                Some(env_mat(scopes, a)?.matvec(comm, env_mat(scopes, x)?)?)
-            }
+            Some(Product::MatMul { a, b, .. }) => Some(vars.mat(*a)?.matmul(comm, vars.mat(*b)?)?),
+            Some(Product::MatVec { a, x, .. }) => Some(vars.mat(*a)?.matvec(comm, vars.mat(*x)?)?),
             None => None,
         };
-        let mut alias = head.map(Product::tmp);
-        let gens = self.generate(expr)?;
+        let mut alias = head.map(|h| *h.tmp());
+        let gens = vars.generate(comm, expr)?;
         // The aligned operands, each once, in reading order.
-        let mut names = Vec::new();
-        expr.mat_operands(&mut names);
-        let mut ops: Vec<String> = Vec::new();
-        for n in names {
-            if Some(n.as_str()) != alias && !ops.contains(&n) {
-                ops.push(n);
+        let mut leaves = Vec::new();
+        expr.mat_operands(&mut leaves);
+        let mut ops: Vec<Slot> = Vec::new();
+        for s in leaves {
+            if Some(s) != alias && !ops.contains(&s) {
+                ops.push(s);
             }
         }
         // The loop's shape and distribution: the product's, else its
         // first matrix operand's, else its first generator's.
-        let (rows, cols, len) = match (&buf, ops.first()) {
-            (Some(model), _) => {
-                self.check_ew_alignment(alias.unwrap_or_default(), model, &ops)?;
+        let (rows, cols, len) = match (&buf, alias, ops.first()) {
+            (Some(model), Some(tmp), _) => {
+                vars.check_aligned(tmp, model, &ops)?;
                 (model.rows(), model.cols(), model.local_els())
             }
-            (None, Some(first)) => {
-                let model = env_mat(&self.scopes, first)?;
-                self.check_ew_alignment(first, model, &ops[1..])?;
+            (_, _, Some(&first)) => {
+                let model = vars.mat(first)?;
+                vars.check_aligned(first, model, &ops[1..])?;
                 (model.rows(), model.cols(), model.local_els())
             }
-            (None, None) => gens
+            _ => gens
                 .first()
                 .map(|g| (g.rows(), g.cols(), g.local_els()))
                 .ok_or_else(|| {
@@ -454,34 +489,37 @@ impl<'a> Executor<'a> {
             ))
             .into());
         }
-        let (Sink::Store(dst) | Sink::Reduce(dst, _) | Sink::ColReduce(dst, _)) = sink;
+        let (Tail::Store { dst } | Tail::Reduce { dst, .. } | Tail::ColReduce { dst, .. }) = *tail;
         // A stored loop without a head reuses its destination's buffer
         // when that is already an aligned matrix: no allocation, and
         // reads of the old value (`Dst` leaves) happen before the write
         // of each element.
         let shape = (rows, cols);
         let in_place = buf.is_none()
-            && matches!(sink, Sink::Store(_))
-            && matches!(self.scopes.last().unwrap().get(dst),
+            && matches!(tail, Tail::Store { .. })
+            && matches!(&vars.vals[dst.index()],
                         Some(XVal::M(d)) if (d.rows(), d.cols()) == shape);
         if in_place {
             alias = Some(dst);
-            ops.retain(|n| n != dst);
+            ops.retain(|&s| s != dst);
         }
-        let mut program = compile_ew(expr, &ops, alias, &|s| self.eval_s(s))?;
+        let mut program = compile_ew(expr, &ops, alias, &|s| vars.eval(s))?;
         program.gens = gens;
         if in_place {
             buf = Some(self.take_mat(dst)?);
         }
-        let (scopes, comm) = (&self.scopes, &mut *self.comm);
-        let slices = collect_slices(scopes, &ops)?;
+        let (vars, comm) = (&self.locals, &mut *self.comm);
+        let slices = ops
+            .iter()
+            .map(|&s| vars.mat(s).map(DistMatrix::local))
+            .collect::<Result<Vec<_>>>()?;
         let src = Operands {
             slices: &slices,
             dst: buf.as_ref().map_or(&[][..], DistMatrix::local),
         };
         let weight = len as f64 * expr.flop_weight().max(1.0);
-        let value = match sink {
-            Sink::Store(_) => {
+        let value = match *tail {
+            Tail::Store { .. } => {
                 let m = match buf {
                     Some(mut m) => {
                         program.run_in_place(&slices, m.local_mut());
@@ -494,22 +532,26 @@ impl<'a> Executor<'a> {
                 comm.compute(weight);
                 XVal::M(m)
             }
-            Sink::Reduce(_, RedOp::Fold(f)) => {
+            Tail::Reduce {
+                op: RedOp::Fold(f), ..
+            } => {
                 let op = nonempty(col_op(f), rows * cols)?;
                 let local = program.col_partials(op, src, len, None)[0];
                 comm.compute(weight);
                 XVal::S(DistMatrix::reduce_all_partial(comm, op, local, shape, len)?)
             }
-            Sink::Reduce(_, RedOp::Norm2) => {
+            Tail::Reduce {
+                op: RedOp::Norm2, ..
+            } => {
                 let local = program.sum_squares(src, len);
                 comm.compute(weight);
                 comm.compute(2.0 * len as f64 + 8.0);
                 XVal::S(comm.allreduce_scalar(local, ReduceOp::Sum)?.sqrt())
             }
-            Sink::Reduce(_, RedOp::Trapz) => {
-                return Err(OtterError::execution("reduction `ML_trapz` cannot be fused").into())
-            }
-            Sink::ColReduce(_, op) => {
+            Tail::Reduce {
+                op: RedOp::Trapz, ..
+            } => return Err(OtterError::execution("reduction `ML_trapz` cannot be fused").into()),
+            Tail::ColReduce { op, .. } => {
                 let op = nonempty(col_op(op), rows * cols)?;
                 let width = (rows != 1 && cols != 1).then_some(cols);
                 let partial = program.col_partials(op, src, len, width);
@@ -519,13 +561,13 @@ impl<'a> Executor<'a> {
                 )?)
             }
         };
-        self.env().insert(dst.to_string(), value);
+        self.set(dst, value);
         Ok(())
     }
 
     // ---- instructions ---------------------------------------------------------
 
-    fn exec_block(&mut self, block: &[Instr]) -> ExecResult<Flow> {
+    fn exec_block(&mut self, block: &[Instr<Slot>]) -> ExecResult<Flow> {
         for i in block {
             // Per-site traffic attribution: every communication this
             // rank performs happens inside the leaf instruction's own
@@ -535,7 +577,7 @@ impl<'a> Executor<'a> {
             let site = self
                 .site_of
                 .as_ref()
-                .and_then(|m| m.get(&(i as *const Instr as usize)).copied());
+                .and_then(|m| m.get(&(i as *const Instr<Slot> as usize)).copied());
             let before = site.map(|_| self.comm.stats());
             // One Statement event per IR instruction; control-flow
             // instructions span their whole body, nesting the inner
@@ -559,10 +601,14 @@ impl<'a> Executor<'a> {
         Ok(Flow::Normal)
     }
 
-    fn exec_instr(&mut self, i: &Instr) -> ExecResult<Flow> {
+    /// Charge and count one instruction, then run it. Only control flow
+    /// recurses from here; leaves run in [`Self::exec_leaf`] and calls
+    /// in [`Self::exec_call`], whose locals stay out of this frame, so a
+    /// level of nesting costs little native stack.
+    fn exec_instr(&mut self, i: &Instr<Slot>) -> ExecResult<Flow> {
         // Compiled-code dispatch charge.
         self.comm.compute(self.costs.statement_dispatch);
-        self.note_memory();
+        self.peak_local_bytes = self.peak_local_bytes.max(self.live);
         *self.op_counts.entry(i.opcode()).or_insert(0) += 1;
         // Every run-time library call, function call and print pays
         // one call overhead before it runs.
@@ -581,219 +627,12 @@ impl<'a> Executor<'a> {
             self.comm.compute(self.costs.op_overhead);
         }
         match i {
-            Instr::AssignScalar { dst, src } => {
-                let v = self.eval_s(src)?;
-                self.env().insert(dst.clone(), XVal::S(v));
-            }
-            Instr::InitMatrix { dst, init } => {
-                let m = self.exec_init(init)?;
-                self.env().insert(dst.clone(), XVal::M(m));
-            }
-            Instr::CopyMatrix { dst, src } => {
-                let m = self.get_mat(src)?.clone();
-                self.comm.compute(m.local_els() as f64);
-                self.env().insert(dst.clone(), XVal::M(m));
-            }
-            Instr::LoadFile { dst, path } => {
-                let full = match &self.opts.data_dir {
-                    Some(d) => d.join(path),
-                    None => PathBuf::from(path),
-                };
-                let m = rtio::load_distributed(self.comm, &full)?;
-                self.env().insert(dst.clone(), XVal::M(m));
-            }
-            Instr::ElemWise { dst, expr } => self.exec_loop(None, expr, Sink::Store(dst))?,
-            Instr::Fused(f) => self.exec_loop(f.head(), f.expr(), Sink::from(f.tail()))?,
-            Instr::MatMul { dst, a, b } => {
-                let (scopes, comm) = (&self.scopes, &mut *self.comm);
-                let m = env_mat(scopes, a)?.matmul(comm, env_mat(scopes, b)?)?;
-                self.env().insert(dst.clone(), XVal::M(m));
-            }
-            Instr::MatVec { dst, a, x } => {
-                let (scopes, comm) = (&self.scopes, &mut *self.comm);
-                let m = env_mat(scopes, a)?.matvec(comm, env_mat(scopes, x)?)?;
-                self.env().insert(dst.clone(), XVal::M(m));
-            }
-            Instr::Outer { dst, u, v } => {
-                let (scopes, comm) = (&self.scopes, &mut *self.comm);
-                let m = DistMatrix::outer(comm, env_mat(scopes, u)?, env_mat(scopes, v)?)?;
-                self.env().insert(dst.clone(), XVal::M(m));
-            }
-            Instr::Transpose { dst, a } => {
-                let (scopes, comm) = (&self.scopes, &mut *self.comm);
-                let m = env_mat(scopes, a)?.transpose(comm)?;
-                self.env().insert(dst.clone(), XVal::M(m));
-            }
-            Instr::BroadcastElem { dst, m, i, j } => {
-                let mi = self.eval_index(i)?;
-                let (r, c) = match j {
-                    Some(j) => (mi, self.eval_index(j)?),
-                    None => linear_to_rc(env_mat(&self.scopes, m)?, mi)?,
-                };
-                let (scopes, comm) = (&self.scopes, &mut *self.comm);
-                let v = env_mat(scopes, m)?.get_bcast(comm, r, c)?;
-                self.env().insert(dst.clone(), XVal::S(v));
-            }
-            Instr::StoreElem { m, i, j, val } => {
-                let mi = self.eval_index(i)?;
-                let mat = self.get_mat(m)?;
-                let (r, c) = match j {
-                    Some(j) => (mi, self.eval_index(j)?),
-                    None => linear_to_rc(mat, mi)?,
-                };
-                // Owner-computes: only the owner evaluates and stores.
-                let is_owner = mat.is_owner(r, c);
-                if is_owner {
-                    let own = mat.get_local(r, c);
-                    let v = self.eval_s_own(val, Some(own))?;
-                    let name = m.clone();
-                    let XVal::M(stored) = self.env().get_mut(&name).unwrap() else {
-                        unreachable!("checked matrix above")
-                    };
-                    stored.set_if_owner(r, c, v);
-                }
-                self.comm.compute(1.0);
-            }
-            Instr::Reduce { dst, op, m } => {
-                let (scopes, comm) = (&self.scopes, &mut *self.comm);
-                let mat = env_mat(scopes, m)?;
-                let v = match op {
-                    RedOp::Fold(f) => mat.reduce_all(comm, nonempty(col_op(*f), mat.len())?)?,
-                    RedOp::Norm2 => mat.norm2(comm)?,
-                    RedOp::Trapz => mat.trapz(comm)?,
-                };
-                self.env().insert(dst.clone(), XVal::S(v));
-            }
-            Instr::Dot { dst, a, b } => {
-                let (scopes, comm) = (&self.scopes, &mut *self.comm);
-                let v = env_mat(scopes, a)?.dot(comm, env_mat(scopes, b)?)?;
-                self.env().insert(dst.clone(), XVal::S(v));
-            }
-            Instr::TrapzXY { dst, x, y } => {
-                let (scopes, comm) = (&self.scopes, &mut *self.comm);
-                let v = DistMatrix::trapz_xy(comm, env_mat(scopes, x)?, env_mat(scopes, y)?)?;
-                self.env().insert(dst.clone(), XVal::S(v));
-            }
-            Instr::ColReduce { dst, op, m } => {
-                let (scopes, comm) = (&self.scopes, &mut *self.comm);
-                let mat = env_mat(scopes, m)?;
-                let r = mat.col_reduce(comm, nonempty(col_op(*op), mat.len())?)?;
-                self.env().insert(dst.clone(), XVal::M(r));
-            }
-            Instr::Shift { dst, v, k } => {
-                let kk = self.eval_s(k)? as i64;
-                let (scopes, comm) = (&self.scopes, &mut *self.comm);
-                let m = env_mat(scopes, v)?.circshift(comm, kk)?;
-                self.env().insert(dst.clone(), XVal::M(m));
-            }
-            Instr::ExtractRow { dst, m, i } => {
-                let mi = self.eval_index(i)?;
-                let (scopes, comm) = (&self.scopes, &mut *self.comm);
-                let r = env_mat(scopes, m)?.extract_row(comm, mi)?;
-                self.env().insert(dst.clone(), XVal::M(r));
-            }
-            Instr::ExtractCol { dst, m, j } => {
-                let mj = self.eval_index(j)?;
-                let (scopes, comm) = (&self.scopes, &mut *self.comm);
-                let c = env_mat(scopes, m)?.extract_col(comm, mj);
-                self.env().insert(dst.clone(), XVal::M(c));
-            }
-            Instr::AssignRow { m, i, v } => {
-                let mi = self.eval_index(i)?;
-                // Take the target out of the environment, mutate it
-                // without copying, and put it back.
-                let mut mat = self.take_mat(m)?;
-                if v == m {
-                    let vv = mat.clone();
-                    mat.assign_row(self.comm, mi, &vv)?;
-                } else {
-                    let (scopes, comm) = (&self.scopes, &mut *self.comm);
-                    mat.assign_row(comm, mi, env_mat(scopes, v)?)?;
-                }
-                self.env().insert(m.clone(), XVal::M(mat));
-            }
-            Instr::AssignCol { m, j, v } => {
-                let mj = self.eval_index(j)?;
-                let mut mat = self.take_mat(m)?;
-                if v == m {
-                    let vv = mat.clone();
-                    mat.assign_col(self.comm, mj, &vv);
-                } else {
-                    let (scopes, comm) = (&self.scopes, &mut *self.comm);
-                    mat.assign_col(comm, mj, env_mat(scopes, v)?);
-                }
-                self.env().insert(m.clone(), XVal::M(mat));
-            }
-            Instr::ExtractRange { dst, v, lo, hi } => {
-                let l = self.eval_index(lo)?;
-                let h = self.eval_s(hi)? as usize; // inclusive 1-based == exclusive 0-based
-                let (scopes, comm) = (&self.scopes, &mut *self.comm);
-                let m = env_mat(scopes, v)?.extract_range(comm, l, h)?;
-                self.env().insert(dst.clone(), XVal::M(m));
-            }
-            Instr::ExtractStrided {
-                dst,
-                v,
-                lo,
-                step,
-                hi,
-            } => {
-                let l = self.eval_index(lo)?;
-                let st = self.eval_s(step)? as i64;
-                let h = self.eval_index(hi)?;
-                if st == 0 {
-                    return Err(OtterError::execution("stride must be nonzero").into());
-                }
-                let count = if (st > 0 && h >= l) || (st < 0 && h <= l) {
-                    ((h as i64 - l as i64) / st) as usize + 1
-                } else {
-                    0
-                };
-                let (scopes, comm) = (&self.scopes, &mut *self.comm);
-                let m = env_mat(scopes, v)?.extract_strided(comm, l, st, count)?;
-                self.env().insert(dst.clone(), XVal::M(m));
-            }
-            Instr::FillRow { m, i, val } => {
-                let mi = self.eval_index(i)?;
-                let v = self.eval_s(val)?;
-                let mut mat = self.take_mat(m)?;
-                mat.fill_row(self.comm, mi, v);
-                self.env().insert(m.clone(), XVal::M(mat));
-            }
-            Instr::FillCol { m, j, val } => {
-                let mj = self.eval_index(j)?;
-                let v = self.eval_s(val)?;
-                let mut mat = self.take_mat(m)?;
-                mat.fill_col(self.comm, mj, v);
-                self.env().insert(m.clone(), XVal::M(mat));
-            }
-            Instr::FillRange { m, lo, hi, val } => {
-                let l = self.eval_index(lo)?;
-                let h = self.eval_s(hi)? as usize;
-                let v = self.eval_s(val)?;
-                let mut mat = self.take_mat(m)?;
-                mat.fill_range(self.comm, l, h, v);
-                self.env().insert(m.clone(), XVal::M(mat));
-            }
-            Instr::AssignRange { m, lo, hi, v } => {
-                let l = self.eval_index(lo)?;
-                let h = self.eval_s(hi)? as usize;
-                let mut mat = self.take_mat(m)?;
-                if v == m {
-                    let vv = mat.clone();
-                    mat.assign_range(self.comm, l, h, &vv)?;
-                } else {
-                    let (scopes, comm) = (&self.scopes, &mut *self.comm);
-                    mat.assign_range(comm, l, h, env_mat(scopes, v)?)?;
-                }
-                self.env().insert(m.clone(), XVal::M(mat));
-            }
             Instr::If {
                 cond,
                 then_body,
                 else_body,
             } => {
-                let c = self.eval_s(cond)?;
+                let c = self.locals.eval(cond)?;
                 let body = if c != 0.0 { then_body } else { else_body };
                 return self.exec_block(body);
             }
@@ -804,7 +643,7 @@ impl<'a> Executor<'a> {
                     ))
                     .into());
                 }
-                if self.eval_s(cond)? == 0.0 {
+                if self.locals.eval(cond)? == 0.0 {
                     return Ok(Flow::Normal);
                 }
                 match self.exec_block(body)? {
@@ -819,13 +658,14 @@ impl<'a> Executor<'a> {
                 stop,
                 body,
             } => {
-                let (s, st, p) = (self.eval_s(start)?, self.eval_s(step)?, self.eval_s(stop)?);
+                let vars = &self.locals;
+                let (s, st, p) = (vars.eval(start)?, vars.eval(step)?, vars.eval(stop)?);
                 if st == 0.0 {
                     return Err(OtterError::execution("for-loop step is zero").into());
                 }
                 let mut x = s;
                 while (st > 0.0 && x <= p) || (st < 0.0 && x >= p) {
-                    self.env().insert(var.clone(), XVal::S(x));
+                    self.set(*var, XVal::S(x));
                     match self.exec_block(body)? {
                         Flow::Break => break,
                         Flow::Normal | Flow::Continue => {}
@@ -833,75 +673,251 @@ impl<'a> Executor<'a> {
                     x += st;
                 }
             }
-            Instr::Free { name } => {
-                self.env().remove(name);
-            }
             Instr::Break => return Ok(Flow::Break),
             Instr::Continue => return Ok(Flow::Continue),
-            Instr::Call { fun, args, outs } => {
-                let f =
-                    self.program.functions.get(fun).ok_or_else(|| {
-                        OtterError::execution(format!("unknown IR function `{fun}`"))
-                    })?;
-                let mut frame: HashMap<String, XVal> = HashMap::new();
-                for ((pname, prank), arg) in f.params.iter().zip(args) {
-                    let v = match (prank, arg) {
-                        (VarRank::Scalar, Arg::Scalar(s)) => XVal::S(self.eval_s(s)?),
-                        (VarRank::Matrix, Arg::Matrix(m)) => XVal::M(self.get_mat(m)?.clone()),
-                        _ => {
-                            return Err(OtterError::execution(format!(
-                                "argument rank mismatch calling `{fun}`"
-                            ))
-                            .into())
-                        }
-                    };
-                    frame.insert(pname.clone(), v);
-                }
-                self.scopes.push(frame);
-                let body_result = self.exec_block(&f.body);
-                let frame = self.scopes.pop().expect("call frame");
-                body_result?;
-                for ((oname, _), dst) in f.outs.iter().zip(outs) {
-                    let v = frame.get(oname).cloned().ok_or_else(|| {
-                        OtterError::execution(format!("output `{oname}` of `{fun}` never assigned"))
-                    })?;
-                    self.env().insert(dst.clone(), v);
-                }
-            }
-            Instr::Print { name, target } => match target {
-                PrintTarget::Scalar(s) => {
-                    let v = self.eval_s(s)?;
-                    if self.comm.rank() == 0 {
-                        self.output.push_str(&rtio::print_scalar(name, v));
-                    }
-                }
-                PrintTarget::Matrix(m) => {
-                    let (scopes, comm) = (&self.scopes, &mut *self.comm);
-                    if let Some(text) = rtio::print_distributed(comm, name, env_mat(scopes, m)?)? {
-                        self.output.push_str(&text);
-                    }
-                }
-            },
+            Instr::Call { fun, args, outs } => self.exec_call(fun, args, outs)?,
+            leaf => self.exec_leaf(leaf)?,
         }
         Ok(Flow::Normal)
     }
 
-    fn exec_init(&mut self, init: &MatInit) -> Result<DistMatrix> {
+    /// Call an IR function: its arguments, evaluated in the caller's
+    /// frame, become the parameters of a fresh frame, and its outputs
+    /// are copied back.
+    #[inline(never)]
+    fn exec_call(&mut self, fun: &str, args: &[Arg<Slot>], outs: &[Slot]) -> ExecResult<()> {
+        let plan = self.plan;
+        let f = plan
+            .functions
+            .get(fun)
+            .ok_or_else(|| OtterError::execution(format!("unknown IR function `{fun}`")))?;
+        let mut vals = Vec::with_capacity(args.len());
+        for (&(_, rank), arg) in f.params.iter().zip(args) {
+            vals.push(match (rank, arg) {
+                (VarRank::Scalar, Arg::Scalar(s)) => XVal::S(self.locals.eval(s)?),
+                (VarRank::Matrix, Arg::Matrix(m)) => XVal::M(self.locals.mat(*m)?.clone()),
+                _ => {
+                    return Err(OtterError::execution(format!(
+                        "argument rank mismatch calling `{fun}`"
+                    ))
+                    .into())
+                }
+            });
+        }
+        let caller = std::mem::replace(&mut self.locals, Locals::new(f));
+        for (&(p, _), v) in f.params.iter().zip(vals) {
+            self.set(p, v);
+        }
+        let body_result = self.exec_block(&f.body);
+        let callee = std::mem::replace(&mut self.locals, caller);
+        self.live -= callee.bytes();
+        body_result?;
+        for (&(o, _), &dst) in f.outs.iter().zip(outs) {
+            let v = callee.vals[o.index()].clone().ok_or_else(|| {
+                OtterError::execution(format!(
+                    "output `{}` of `{fun}` never assigned",
+                    callee.name(o)
+                ))
+            })?;
+            self.set(dst, v);
+        }
+        Ok(())
+    }
+
+    /// Run one leaf instruction (neither control flow nor a call): most
+    /// compute one value from the frame and the run-time library, which
+    /// is then written to its destination.
+    #[inline(never)]
+    fn exec_leaf(&mut self, i: &Instr<Slot>) -> ExecResult<()> {
+        let (vars, comm) = (&self.locals, &mut *self.comm);
+        let (dst, value) = match i {
+            Instr::AssignScalar { dst, src } => (dst, XVal::S(vars.eval(src)?)),
+            Instr::InitMatrix { dst, init } => (dst, XVal::M(self.exec_init(init)?)),
+            Instr::CopyMatrix { dst, src } => {
+                let m = vars.mat(*src)?.clone();
+                comm.compute(m.local_els() as f64);
+                (dst, XVal::M(m))
+            }
+            Instr::LoadFile { dst, path } => {
+                let full = match &self.opts.data_dir {
+                    Some(d) => d.join(path),
+                    None => PathBuf::from(path),
+                };
+                (dst, XVal::M(rtio::load_distributed(comm, &full)?))
+            }
+            Instr::ElemWise { dst, expr } => {
+                return self.exec_loop(None, expr, &Tail::Store { dst: *dst })
+            }
+            Instr::Fused(f) => return self.exec_loop(f.head(), f.expr(), f.tail()),
+            Instr::MatMul { dst, a, b } => {
+                (dst, XVal::M(vars.mat(*a)?.matmul(comm, vars.mat(*b)?)?))
+            }
+            Instr::MatVec { dst, a, x } => {
+                (dst, XVal::M(vars.mat(*a)?.matvec(comm, vars.mat(*x)?)?))
+            }
+            Instr::Outer { dst, u, v } => (
+                dst,
+                XVal::M(DistMatrix::outer(comm, vars.mat(*u)?, vars.mat(*v)?)?),
+            ),
+            Instr::Transpose { dst, a } => (dst, XVal::M(vars.mat(*a)?.transpose(comm)?)),
+            Instr::BroadcastElem { dst, m, i, j } => {
+                let (r, c) = vars.elem(*m, i, j)?;
+                (dst, XVal::S(vars.mat(*m)?.get_bcast(comm, r, c)?))
+            }
+            Instr::StoreElem { m, i, j, val } => {
+                let (r, c) = vars.elem(*m, i, j)?;
+                // Owner-computes: only the owner evaluates and stores.
+                // An element store keeps the matrix's size.
+                let mat = vars.mat(*m)?;
+                if mat.is_owner(r, c) {
+                    let v = vars.eval_own(val, Some(mat.get_local(r, c)))?;
+                    let Some(XVal::M(stored)) = &mut self.locals.vals[m.index()] else {
+                        unreachable!("checked matrix above")
+                    };
+                    stored.set_if_owner(r, c, v);
+                }
+                self.comm.compute(1.0);
+                return Ok(());
+            }
+            Instr::Reduce { dst, op, m } => {
+                let mat = vars.mat(*m)?;
+                let v = match op {
+                    RedOp::Fold(f) => mat.reduce_all(comm, nonempty(col_op(*f), mat.len())?)?,
+                    RedOp::Norm2 => mat.norm2(comm)?,
+                    RedOp::Trapz => mat.trapz(comm)?,
+                };
+                (dst, XVal::S(v))
+            }
+            Instr::Dot { dst, a, b } => (dst, XVal::S(vars.mat(*a)?.dot(comm, vars.mat(*b)?)?)),
+            Instr::TrapzXY { dst, x, y } => (
+                dst,
+                XVal::S(DistMatrix::trapz_xy(comm, vars.mat(*x)?, vars.mat(*y)?)?),
+            ),
+            Instr::ColReduce { dst, op, m } => {
+                let mat = vars.mat(*m)?;
+                (
+                    dst,
+                    XVal::M(mat.col_reduce(comm, nonempty(col_op(*op), mat.len())?)?),
+                )
+            }
+            Instr::Shift { dst, v, k } => {
+                let k = vars.eval(k)? as i64;
+                (dst, XVal::M(vars.mat(*v)?.circshift(comm, k)?))
+            }
+            Instr::ExtractRow { dst, m, i } => {
+                let i = vars.index(i)?;
+                (dst, XVal::M(vars.mat(*m)?.extract_row(comm, i)?))
+            }
+            Instr::ExtractCol { dst, m, j } => {
+                let j = vars.index(j)?;
+                (dst, XVal::M(vars.mat(*m)?.extract_col(comm, j)))
+            }
+            Instr::ExtractRange { dst, v, lo, hi } => {
+                let l = vars.index(lo)?;
+                let h = vars.eval(hi)? as usize; // inclusive 1-based == exclusive 0-based
+                (dst, XVal::M(vars.mat(*v)?.extract_range(comm, l, h)?))
+            }
+            Instr::ExtractStrided {
+                dst,
+                v,
+                lo,
+                step,
+                hi,
+            } => {
+                let (l, st, h) = (vars.index(lo)?, vars.eval(step)? as i64, vars.index(hi)?);
+                if st == 0 {
+                    return Err(OtterError::execution("stride must be nonzero").into());
+                }
+                let count = if (st > 0 && h >= l) || (st < 0 && h <= l) {
+                    ((h as i64 - l as i64) / st) as usize + 1
+                } else {
+                    0
+                };
+                (
+                    dst,
+                    XVal::M(vars.mat(*v)?.extract_strided(comm, l, st, count)?),
+                )
+            }
+            // Updates of part of a matrix take it out of the frame,
+            // mutate it without copying, and put it back.
+            Instr::AssignRow { m, i, v } => {
+                let i = vars.index(i)?;
+                let mut mat = self.take_mat(*m)?;
+                let (vars, comm) = (&self.locals, &mut *self.comm);
+                let src = if v == m { &mat.clone() } else { vars.mat(*v)? };
+                mat.assign_row(comm, i, src)?;
+                (m, XVal::M(mat))
+            }
+            Instr::AssignCol { m, j, v } => {
+                let j = vars.index(j)?;
+                let mut mat = self.take_mat(*m)?;
+                let (vars, comm) = (&self.locals, &mut *self.comm);
+                let src = if v == m { &mat.clone() } else { vars.mat(*v)? };
+                mat.assign_col(comm, j, src);
+                (m, XVal::M(mat))
+            }
+            Instr::AssignRange { m, lo, hi, v } => {
+                let (l, h) = (vars.index(lo)?, vars.eval(hi)? as usize);
+                let mut mat = self.take_mat(*m)?;
+                let (vars, comm) = (&self.locals, &mut *self.comm);
+                let src = if v == m { &mat.clone() } else { vars.mat(*v)? };
+                mat.assign_range(comm, l, h, src)?;
+                (m, XVal::M(mat))
+            }
+            Instr::FillRow { m, i, val } => {
+                let (i, v) = (vars.index(i)?, vars.eval(val)?);
+                let mut mat = self.take_mat(*m)?;
+                mat.fill_row(self.comm, i, v);
+                (m, XVal::M(mat))
+            }
+            Instr::FillCol { m, j, val } => {
+                let (j, v) = (vars.index(j)?, vars.eval(val)?);
+                let mut mat = self.take_mat(*m)?;
+                mat.fill_col(self.comm, j, v);
+                (m, XVal::M(mat))
+            }
+            Instr::FillRange { m, lo, hi, val } => {
+                let (l, h) = (vars.index(lo)?, vars.eval(hi)? as usize);
+                let v = vars.eval(val)?;
+                let mut mat = self.take_mat(*m)?;
+                mat.fill_range(self.comm, l, h, v);
+                (m, XVal::M(mat))
+            }
+            Instr::Free { name } => {
+                self.take(*name);
+                return Ok(());
+            }
+            Instr::Print { name, target } => {
+                let text = match target {
+                    PrintTarget::Scalar(s) => {
+                        let v = vars.eval(s)?;
+                        (comm.rank() == 0).then(|| rtio::print_scalar(name, v))
+                    }
+                    PrintTarget::Matrix(m) => rtio::print_distributed(comm, name, vars.mat(*m)?)?,
+                };
+                self.output.extend(text);
+                return Ok(());
+            }
+            Instr::If { .. }
+            | Instr::While { .. }
+            | Instr::For { .. }
+            | Instr::Break
+            | Instr::Continue
+            | Instr::Call { .. } => unreachable!("control flow and calls run in exec_instr"),
+        };
+        self.set(*dst, value);
+        Ok(())
+    }
+
+    fn exec_init(&mut self, init: &MatInit<Slot>) -> Result<DistMatrix> {
+        let (vars, comm) = (&self.locals, &mut *self.comm);
+        let dim = |e: &SExpr<Slot>| vars.eval(e).map(|v| v as usize);
         Ok(match init {
-            MatInit::Zeros { rows, cols } => {
-                let (r, c) = (self.eval_s(rows)? as usize, self.eval_s(cols)? as usize);
-                DistMatrix::zeros(self.comm, r, c)
-            }
-            MatInit::Ones { rows, cols } => {
-                let (r, c) = (self.eval_s(rows)? as usize, self.eval_s(cols)? as usize);
-                DistMatrix::ones(self.comm, r, c)
-            }
-            MatInit::Eye { n } => {
-                let n = self.eval_s(n)? as usize;
-                DistMatrix::eye(self.comm, n)
-            }
+            MatInit::Zeros { rows, cols } => DistMatrix::zeros(comm, dim(rows)?, dim(cols)?),
+            MatInit::Ones { rows, cols } => DistMatrix::ones(comm, dim(rows)?, dim(cols)?),
+            MatInit::Eye { n } => DistMatrix::eye(comm, dim(n)?),
             MatInit::Rand { rows, cols } => {
-                let (r, c) = (self.eval_s(rows)? as usize, self.eval_s(cols)? as usize);
+                let (r, c) = (dim(rows)?, dim(cols)?);
                 // Replicated stream: every rank generates the full
                 // matrix from the same seed and keeps its block, so
                 // the data is identical no matter how many CPUs run.
@@ -909,79 +925,36 @@ impl<'a> Executor<'a> {
                 let mut rng = DetRng::seed_from_u64(RAND_SEED.wrapping_add(self.rand_calls));
                 let data: Vec<f64> = (0..r * c).map(|_| rng.gen_range(0.0..1.0)).collect();
                 let dense = Dense::from_vec(r, c, data);
-                self.comm.compute((r * c) as f64 * 4.0);
-                DistMatrix::from_replicated(self.comm, &dense)
+                comm.compute((r * c) as f64 * 4.0);
+                DistMatrix::from_replicated(comm, &dense)
             }
             MatInit::Range { start, step, stop } => {
-                let (s, st, p) = (self.eval_s(start)?, self.eval_s(step)?, self.eval_s(stop)?);
-                DistMatrix::range(self.comm, s, st, p)
+                let (s, st, p) = (vars.eval(start)?, vars.eval(step)?, vars.eval(stop)?);
+                DistMatrix::range(comm, s, st, p)
             }
             MatInit::Literal { rows } => {
                 let mut data = Vec::new();
                 let (nr, nc) = (rows.len(), rows.first().map_or(0, |r| r.len()));
                 for row in rows {
                     for cell in row {
-                        data.push(self.eval_s(cell)?);
+                        data.push(vars.eval(cell)?);
                     }
                 }
                 let dense = Dense::from_vec(nr, nc, data);
-                DistMatrix::from_replicated(self.comm, &dense)
+                DistMatrix::from_replicated(comm, &dense)
             }
             MatInit::Linspace { a, b, n } => {
-                let (a, b) = (self.eval_s(a)?, self.eval_s(b)?);
-                let n = self.eval_s(n)? as usize;
+                let (a, b, n) = (vars.eval(a)?, vars.eval(b)?, dim(n)?);
                 let dense = if n < 2 {
                     Dense::row_vector(&[b])
                 } else {
                     let step = (b - a) / (n - 1) as f64;
                     Dense::row_vector(&(0..n).map(|i| a + step * i as f64).collect::<Vec<_>>())
                 };
-                DistMatrix::from_replicated(self.comm, &dense)
+                DistMatrix::from_replicated(comm, &dense)
             }
         })
     }
-}
-
-/// Where a loop's elements go: the executor's borrowed view of a
-/// [`Tail`], which an `ElemWise` forms without allocating.
-#[derive(Clone, Copy)]
-enum Sink<'a> {
-    Store(&'a str),
-    Reduce(&'a str, RedOp),
-    ColReduce(&'a str, ColRedOp),
-}
-
-impl<'a> From<&'a Tail> for Sink<'a> {
-    fn from(tail: &'a Tail) -> Self {
-        match tail {
-            Tail::Store { dst } => Sink::Store(dst),
-            Tail::Reduce { dst, op, .. } => Sink::Reduce(dst, *op),
-            Tail::ColReduce { dst, op, .. } => Sink::ColReduce(dst, *op),
-        }
-    }
-}
-
-/// Borrow a matrix out of the innermost scope without going through
-/// `&self`, so matrix-op handlers can hold operand borrows while
-/// reborrowing the `Comm` field mutably — no per-op operand clones.
-fn env_mat<'e>(scopes: &'e [HashMap<String, XVal>], name: &str) -> Result<&'e DistMatrix> {
-    scopes
-        .last()
-        .unwrap()
-        .get(name)
-        .ok_or_else(|| OtterError::execution(format!("undefined IR variable `{name}`")))?
-        .as_matrix()
-        .ok_or_else(|| OtterError::execution(format!("IR variable `{name}` is not a matrix")))
-}
-
-fn collect_slices<'e>(
-    scopes: &'e [HashMap<String, XVal>],
-    names: &[String],
-) -> Result<Vec<&'e [f64]>> {
-    names
-        .iter()
-        .map(|n| env_mat(scopes, n).map(DistMatrix::local))
-        .collect()
 }
 
 // ---- strip-mined element-wise programs ------------------------------------
@@ -1075,10 +1048,10 @@ enum Task {
 
 /// Compile an element-wise expression against an operand list into a
 /// flat postfix [`EwProgram`]. Runs once per instruction execution:
-/// scalar leaves fold to the values they hold now (the environment
-/// cannot change mid-loop) and matrix leaves resolve to slice indices,
-/// so the strip loops do no name lookups or scalar re-evaluation.
-/// `dst_alias` maps one matrix name to [`Leaf::Dst`] — the buffer the
+/// scalar leaves fold to the values they hold now (the frame cannot
+/// change mid-loop) and matrix leaves resolve to slice indices, so the
+/// strip loops do no frame lookups or scalar re-evaluation.
+/// `dst_alias` maps one matrix slot to [`Leaf::Dst`] — the buffer the
 /// loop writes (in-place destination or fused product).
 ///
 /// Leaves fold into the node that consumes them, and of two non-leaf
@@ -1087,10 +1060,10 @@ enum Task {
 /// passes use explicit work lists: fusion builds trees thousands of
 /// nodes deep, and ranks run on 1 MiB stacks.
 fn compile_ew(
-    e: &EwExpr,
-    slices: &[String],
-    dst_alias: Option<&str>,
-    scalar: &dyn Fn(&SExpr) -> Result<f64>,
+    e: &EwExpr<Slot>,
+    slices: &[Slot],
+    dst_alias: Option<Slot>,
+    scalar: &dyn Fn(&SExpr<Slot>) -> Result<f64>,
 ) -> Result<EwProgram> {
     // Pre-order, left to right: scalar leaves evaluate in reading order.
     let mut nodes: Vec<Node> = Vec::new();
@@ -1098,7 +1071,7 @@ fn compile_ew(
     let mut todo = vec![e];
     while let Some(e) = todo.pop() {
         let kind = match e {
-            EwExpr::Mat(m) if Some(m.as_str()) == dst_alias => Kind::Leaf(Leaf::Dst),
+            EwExpr::Mat(m) if Some(*m) == dst_alias => Kind::Leaf(Leaf::Dst),
             EwExpr::Mat(m) => Kind::Leaf(Leaf::Slice(
                 slices
                     .iter()
@@ -1477,7 +1450,9 @@ fn linear_to_rc(m: &DistMatrix, k: usize) -> Result<(usize, usize)> {
 
 /// Result of one rank's execution.
 pub struct ExecOutcome {
-    pub workspace: HashMap<String, XVal>,
+    /// The script frame's final values, by slot of the plan's script
+    /// frame.
+    pub workspace: Vec<Option<XVal>>,
     pub output: String,
     /// High-water mark of this rank's live *named* distributed-matrix
     /// bytes (workspace view).
@@ -1530,10 +1505,10 @@ mod tests {
     }
 
     /// The pre-strip `compile_ew` (scalar leaves are constants here).
-    fn reference_compile(e: &EwExpr, slices: &[String], dst_alias: Option<&str>) -> CEw {
-        let sub = |x: &EwExpr| Box::new(reference_compile(x, slices, dst_alias));
+    fn reference_compile(e: &EwExpr<Slot>, slices: &[Slot], dst_alias: Option<Slot>) -> CEw {
+        let sub = |x: &EwExpr<Slot>| Box::new(reference_compile(x, slices, dst_alias));
         match e {
-            EwExpr::Mat(m) if Some(m.as_str()) == dst_alias => CEw::Dst,
+            EwExpr::Mat(m) if Some(*m) == dst_alias => CEw::Dst,
             EwExpr::Mat(m) => CEw::Slice(slices.iter().position(|n| n == m).unwrap()),
             EwExpr::Scalar(s) => CEw::Const(constant(s).unwrap()),
             EwExpr::Neg(x) => CEw::Neg(sub(x)),
@@ -1574,7 +1549,7 @@ mod tests {
         }
     }
 
-    fn constant(s: &SExpr) -> Result<f64> {
+    fn constant(s: &SExpr<Slot>) -> Result<f64> {
         match s {
             SExpr::Const(v) => Ok(*v),
             other => Err(OtterError::execution(format!("not a constant: {other:?}"))),
@@ -1645,8 +1620,9 @@ mod tests {
         -7.0,
     ];
     const LENS: [usize; 7] = [0, 1, 255, 256, 257, 513, 5000];
-    /// Matrix operand names; `m0` doubles as the in-place destination.
-    const MATS: [&str; 3] = ["m0", "m1", "m2"];
+    /// Matrix operand slots; the first doubles as the in-place
+    /// destination.
+    const MATS: [Slot; 3] = [Slot(0), Slot(1), Slot(2)];
 
     fn value(rng: &mut DetRng) -> f64 {
         if rng.gen_index(4) == 0 {
@@ -1656,19 +1632,19 @@ mod tests {
         }
     }
 
-    fn leaf(rng: &mut DetRng) -> EwExpr {
+    fn leaf(rng: &mut DetRng) -> EwExpr<Slot> {
         if rng.gen_index(3) == 0 {
             EwExpr::Scalar(SExpr::Const(value(rng)))
         } else {
-            EwExpr::mat(MATS[rng.gen_index(MATS.len())])
+            EwExpr::Mat(MATS[rng.gen_index(MATS.len())])
         }
     }
 
-    fn call(f: SFun, rng: &mut DetRng, depth: usize) -> EwExpr {
+    fn call(f: SFun, rng: &mut DetRng, depth: usize) -> EwExpr<Slot> {
         EwExpr::Call(f, (0..f.arity()).map(|_| tree(rng, depth)).collect())
     }
 
-    fn tree(rng: &mut DetRng, depth: usize) -> EwExpr {
+    fn tree(rng: &mut DetRng, depth: usize) -> EwExpr<Slot> {
         if depth == 0 || rng.gen_index(4) == 0 {
             return leaf(rng);
         }
@@ -1684,15 +1660,20 @@ mod tests {
         }
     }
 
+    /// Equal bits, except that any NaN matches any NaN: Rust leaves
+    /// the sign and payload of a NaN that arithmetic produces
+    /// unspecified, so a compiler may change them without changing the
+    /// program's meaning. Every other lane, −0.0 included, must match
+    /// exactly.
     fn same_bits(got: f64, want: f64) -> bool {
-        got.to_bits() == want.to_bits()
+        got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan())
     }
 
     /// Every way the executor runs `e` — out of place, in place over
     /// `m0`, and each fused fold — against the reference, bit for bit.
-    fn check(e: &EwExpr, data: &[Vec<f64>]) {
+    fn check(e: &EwExpr<Slot>, data: &[Vec<f64>]) {
         let len = data[0].len();
-        let names: Vec<String> = MATS.iter().map(|s| s.to_string()).collect();
+        let names = MATS;
         let slices: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
 
         let program = compile_ew(e, &names, None, &constant).unwrap();
@@ -1714,7 +1695,7 @@ mod tests {
             assert!(same_bits(g, want), "len {len} {op:?}: {g} vs {want}\n{e:?}");
         }
 
-        let (dst, rest) = (Some("m0"), &names[1..]);
+        let (dst, rest) = (Some(MATS[0]), &names[1..]);
         let program = compile_ew(e, rest, dst, &constant).unwrap();
         let cew = reference_compile(e, rest, dst);
         let mut got = data[0].clone();
@@ -1739,7 +1720,7 @@ mod tests {
         let mut rng = DetRng::seed_from_u64(0x5712_1998);
         // Every operator and function at the root of a random tree,
         // then free-form trees.
-        let mut trees: Vec<EwExpr> = EW_OPS
+        let mut trees: Vec<EwExpr<Slot>> = EW_OPS
             .iter()
             .map(|&op| EwExpr::bin(op, tree(&mut rng, 2), tree(&mut rng, 2)))
             .collect();
@@ -1762,14 +1743,13 @@ mod tests {
 
     #[test]
     fn fused_folds_keep_their_edge_cases() {
-        let m0 = EwExpr::mat("m0");
+        let m0 = EwExpr::Mat(MATS[0]);
         let run = |op: RedOp, lanes: Vec<f64>| {
             let len = lanes.len();
             let data = vec![lanes, vec![1.0; len], vec![1.0; len]];
             check(&m0, &data);
             let slices: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
-            let names: Vec<String> = MATS.iter().map(|s| s.to_string()).collect();
-            let program = compile_ew(&m0, &names, None, &constant).unwrap();
+            let program = compile_ew(&m0, &MATS, None, &constant).unwrap();
             fused(&program, op, &slices, len)
         };
         // A sum of −0.0 lanes stays −0.0, across strip boundaries too.
@@ -1799,32 +1779,32 @@ mod tests {
         // `x = x .* 0.5 + 1;` folded 1 000 times is a 2 000-deep tree;
         // with leaves folded into their consumers and the deeper child
         // first, every shape of chain needs at most two registers.
-        let links: [fn(EwExpr) -> EwExpr; 4] = [
+        let links: [fn(EwExpr<Slot>) -> EwExpr<Slot>; 4] = [
             |x| {
                 EwExpr::bin(
                     EwOp::Add,
-                    EwExpr::bin(EwOp::Mul, x, EwExpr::Scalar(SExpr::c(0.5))),
-                    EwExpr::Scalar(SExpr::c(1.0)),
+                    EwExpr::bin(EwOp::Mul, x, EwExpr::Scalar(SExpr::Const(0.5))),
+                    EwExpr::Scalar(SExpr::Const(1.0)),
                 )
             },
             |x| {
                 EwExpr::bin(
                     EwOp::Add,
-                    EwExpr::Scalar(SExpr::c(1.0)),
-                    EwExpr::bin(EwOp::Mul, EwExpr::Scalar(SExpr::c(0.5)), x),
+                    EwExpr::Scalar(SExpr::Const(1.0)),
+                    EwExpr::bin(EwOp::Mul, EwExpr::Scalar(SExpr::Const(0.5)), x),
                 )
             },
             |x| {
                 EwExpr::bin(
                     EwOp::Sub,
                     x,
-                    EwExpr::bin(EwOp::Mul, EwExpr::mat("m1"), EwExpr::mat("m2")),
+                    EwExpr::bin(EwOp::Mul, EwExpr::Mat(MATS[1]), EwExpr::Mat(MATS[2])),
                 )
             },
             |x| {
                 EwExpr::bin(
                     EwOp::Div,
-                    EwExpr::Call(SFun::Max, vec![EwExpr::mat("m1"), EwExpr::mat("m2")]),
+                    EwExpr::Call(SFun::Max, vec![EwExpr::Mat(MATS[1]), EwExpr::Mat(MATS[2])]),
                     x,
                 )
             },
@@ -1834,13 +1814,12 @@ mod tests {
             .iter()
             .map(|_| (0..300).map(|_| rng.gen_range(0.5..2.0)).collect())
             .collect();
-        let names: Vec<String> = MATS.iter().map(|s| s.to_string()).collect();
         for link in links {
-            let mut e = EwExpr::mat("m0");
+            let mut e = EwExpr::Mat(MATS[0]);
             for _ in 0..1000 {
                 e = link(e);
             }
-            let program = compile_ew(&e, &names, None, &constant).unwrap();
+            let program = compile_ew(&e, &MATS, None, &constant).unwrap();
             assert!(program.depth <= 2, "depth {}", program.depth);
             check(&e, &data);
         }
@@ -1848,8 +1827,8 @@ mod tests {
 
     #[test]
     fn wrong_arity_is_an_error_not_a_panic() {
-        let e = EwExpr::Call(SFun::Max, vec![EwExpr::mat("m0")]);
-        let err = compile_ew(&e, &["m0".to_string()], None, &constant).unwrap_err();
+        let e = EwExpr::Call(SFun::Max, vec![EwExpr::Mat(MATS[0])]);
+        let err = compile_ew(&e, &MATS[..1], None, &constant).unwrap_err();
         assert!(
             err.to_string().contains("takes 2 argument(s), got 1"),
             "{err}"

@@ -85,6 +85,30 @@ fn emit_ir_prints_program() {
 }
 
 #[test]
+fn emit_ir_and_ast_write_the_o_path() {
+    let dir = workdir("emit_o");
+    let m = dir.join("p.m");
+    std::fs::write(&m, "a = ones(4, 4);\nb = a * a;\n").unwrap();
+    for emit in ["ir", "ast"] {
+        let stdout = otterc().arg(&m).args(["--emit", emit]).output().unwrap();
+        assert!(stdout.status.success());
+        assert!(!stdout.stdout.is_empty(), "--emit {emit} printed nothing");
+        let path = dir.join(format!("p.{emit}"));
+        let to_file = otterc()
+            .arg(&m)
+            .args(["--emit", emit, "-o"])
+            .arg(&path)
+            .output()
+            .unwrap();
+        assert!(to_file.status.success());
+        assert!(to_file.stdout.is_empty(), "--emit {emit} -o also printed");
+        let written = std::fs::read(&path).unwrap_or_else(|e| panic!("--emit {emit}: {e}"));
+        assert_eq!(written, stdout.stdout, "--emit {emit}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn compile_errors_exit_nonzero_with_message() {
     let dir = workdir("err");
     let m = dir.join("bad.m");

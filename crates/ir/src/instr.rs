@@ -142,16 +142,19 @@ impl SBinOp {
 /// Replicated scalar expression — every rank computes the same value
 /// redundantly (paper §3 assumption 1: "scalar variables are
 /// replicated across the set of processors").
+///
+/// `V` names a variable: a source-level name in the compiler's IR, a
+/// frame slot in the executor's plan (see [`SExpr::map_vars`]).
 #[derive(Debug, Clone, PartialEq)]
-pub enum SExpr {
+pub enum SExpr<V = String> {
     Const(f64),
     /// Scalar variable reference.
-    Var(String),
+    Var(V),
     /// Run-time dimension of a matrix variable (`m->rows` /
     /// `m->cols` / local-free `numel` in the emitted C). Lowered from
     /// `size`/`length`/`numel`/`end` when the shape is not static.
     DimOf {
-        var: String,
+        var: V,
         sel: DimSel,
     },
     /// The element being stored by the enclosing
@@ -159,10 +162,10 @@ pub enum SExpr {
     /// `*ML_realaddr2(a, i-1, j-1)` read inside the owner guard.
     /// Valid only inside `StoreElem::val`.
     OwnElem,
-    Neg(Box<SExpr>),
-    Not(Box<SExpr>),
-    Bin(SBinOp, Box<SExpr>, Box<SExpr>),
-    Call(SFun, Vec<SExpr>),
+    Neg(Box<SExpr<V>>),
+    Not(Box<SExpr<V>>),
+    Bin(SBinOp, Box<SExpr<V>>, Box<SExpr<V>>),
+    Call(SFun, Vec<SExpr<V>>),
 }
 
 /// Which dimension [`SExpr::DimOf`] reads.
@@ -205,6 +208,27 @@ impl SExpr {
                     a.vars(out);
                 }
             }
+        }
+    }
+}
+
+impl<V> SExpr<V> {
+    /// This expression with every variable `v` renamed to `f(v)`.
+    pub fn map_vars<W>(&self, f: &mut impl FnMut(&V) -> W) -> SExpr<W> {
+        match self {
+            SExpr::Const(c) => SExpr::Const(*c),
+            SExpr::Var(v) => SExpr::Var(f(v)),
+            SExpr::DimOf { var, sel } => SExpr::DimOf {
+                var: f(var),
+                sel: *sel,
+            },
+            SExpr::OwnElem => SExpr::OwnElem,
+            SExpr::Neg(e) => SExpr::Neg(Box::new(e.map_vars(f))),
+            SExpr::Not(e) => SExpr::Not(Box::new(e.map_vars(f))),
+            SExpr::Bin(op, a, b) => {
+                SExpr::Bin(*op, Box::new(a.map_vars(f)), Box::new(b.map_vars(f)))
+            }
+            SExpr::Call(g, args) => SExpr::Call(*g, args.iter().map(|a| a.map_vars(f)).collect()),
         }
     }
 }
@@ -272,35 +296,44 @@ impl EwOp {
 /// and replicated scalars. Compiles to one fused per-element loop —
 /// the `for (ML_tmp3 = ...)` loop of the paper's §3 example.
 #[derive(Debug, Clone, PartialEq)]
-pub enum EwExpr {
+pub enum EwExpr<V = String> {
     /// A distributed matrix operand (must be aligned with the
     /// destination).
-    Mat(String),
+    Mat(V),
     /// A replicated scalar value.
-    Scalar(SExpr),
-    Neg(Box<EwExpr>),
-    Not(Box<EwExpr>),
-    Bin(EwOp, Box<EwExpr>, Box<EwExpr>),
+    Scalar(SExpr<V>),
+    Neg(Box<EwExpr<V>>),
+    Not(Box<EwExpr<V>>),
+    Bin(EwOp, Box<EwExpr<V>>, Box<EwExpr<V>>),
     /// Element-wise scalar function application.
-    Call(SFun, Vec<EwExpr>),
+    Call(SFun, Vec<EwExpr<V>>),
     /// Fusion rule F5: the element of a matrix the loop generates
     /// instead of reading. `tmp` names the temporary the producer used
     /// to write, so the C emitter can re-expand it. The generator is
     /// boxed so that this leaf does not double the size of every node.
     Gen {
-        tmp: String,
-        gen: Box<Generator>,
+        tmp: V,
+        gen: Box<Generator<V>>,
     },
 }
 
 /// A matrix defined element by element, which a fused loop generates
 /// lane by lane (see [`EwExpr::Gen`]).
 #[derive(Debug, Clone, PartialEq)]
-pub enum Generator {
+pub enum Generator<V = String> {
     /// `u * v'` of two vectors, as [`Instr::Outer`] computes it.
-    Outer { u: String, v: String },
+    Outer { u: V, v: V },
     /// `eye(n)`, as [`MatInit::Eye`] builds it.
-    Eye { n: SExpr },
+    Eye { n: SExpr<V> },
+}
+
+impl<V> Generator<V> {
+    pub fn map_vars<W>(&self, f: &mut impl FnMut(&V) -> W) -> Generator<W> {
+        match self {
+            Generator::Outer { u, v } => Generator::Outer { u: f(u), v: f(v) },
+            Generator::Eye { n } => Generator::Eye { n: n.map_vars(f) },
+        }
+    }
 }
 
 impl Generator {
@@ -342,14 +375,34 @@ impl EwExpr {
     pub fn mat(name: impl Into<String>) -> EwExpr {
         EwExpr::Mat(name.into())
     }
+}
 
-    pub fn bin(op: EwOp, a: EwExpr, b: EwExpr) -> EwExpr {
+impl<V> EwExpr<V> {
+    pub fn bin(op: EwOp, a: EwExpr<V>, b: EwExpr<V>) -> EwExpr<V> {
         EwExpr::Bin(op, Box::new(a), Box::new(b))
     }
 
-    /// Matrix operand names referenced by this tree (the aligned
-    /// operands a loop reads; generator leaves are not among them).
-    pub fn mat_operands(&self, out: &mut Vec<String>) {
+    pub fn map_vars<W>(&self, f: &mut impl FnMut(&V) -> W) -> EwExpr<W> {
+        match self {
+            EwExpr::Mat(m) => EwExpr::Mat(f(m)),
+            EwExpr::Scalar(s) => EwExpr::Scalar(s.map_vars(f)),
+            EwExpr::Neg(e) => EwExpr::Neg(Box::new(e.map_vars(f))),
+            EwExpr::Not(e) => EwExpr::Not(Box::new(e.map_vars(f))),
+            EwExpr::Bin(op, a, b) => EwExpr::bin(*op, a.map_vars(f), b.map_vars(f)),
+            EwExpr::Call(g, args) => EwExpr::Call(*g, args.iter().map(|a| a.map_vars(f)).collect()),
+            EwExpr::Gen { tmp, gen } => EwExpr::Gen {
+                tmp: f(tmp),
+                gen: Box::new(gen.map_vars(f)),
+            },
+        }
+    }
+
+    /// Matrix operands referenced by this tree (the aligned operands a
+    /// loop reads; generator leaves are not among them).
+    pub fn mat_operands(&self, out: &mut Vec<V>)
+    where
+        V: Clone,
+    {
         self.leaves(&mut |e| {
             if let EwExpr::Mat(m) = e {
                 out.push(m.clone());
@@ -359,18 +412,18 @@ impl EwExpr {
 
     /// The generator leaves of this tree, `(tmp, generator)` in
     /// reading order.
-    pub fn generators(&self) -> Vec<(&str, &Generator)> {
+    pub fn generators(&self) -> Vec<(&V, &Generator<V>)> {
         let mut out = Vec::new();
         self.leaves(&mut |e| {
             if let EwExpr::Gen { tmp, gen } = e {
-                out.push((tmp.as_str(), &**gen));
+                out.push((tmp, &**gen));
             }
         });
         out
     }
 
     /// Visit every leaf (`Mat`, `Scalar`, `Gen`) in reading order.
-    pub(crate) fn leaves<'a>(&'a self, f: &mut impl FnMut(&'a EwExpr)) {
+    pub(crate) fn leaves<'a>(&'a self, f: &mut impl FnMut(&'a EwExpr<V>)) {
         match self {
             EwExpr::Mat(_) | EwExpr::Scalar(_) | EwExpr::Gen { .. } => f(self),
             EwExpr::Neg(e) | EwExpr::Not(e) => e.leaves(f),
@@ -445,249 +498,287 @@ impl RedOp {
 
 /// Matrix constructors computed without communication.
 #[derive(Debug, Clone, PartialEq)]
-pub enum MatInit {
+pub enum MatInit<V = String> {
     Zeros {
-        rows: SExpr,
-        cols: SExpr,
+        rows: SExpr<V>,
+        cols: SExpr<V>,
     },
     Ones {
-        rows: SExpr,
-        cols: SExpr,
+        rows: SExpr<V>,
+        cols: SExpr<V>,
     },
     Eye {
-        n: SExpr,
+        n: SExpr<V>,
     },
     /// Seeded uniform random matrix; the seed keeps interpreter and
     /// compiled runs comparable.
     Rand {
-        rows: SExpr,
-        cols: SExpr,
+        rows: SExpr<V>,
+        cols: SExpr<V>,
     },
     Range {
-        start: SExpr,
-        step: SExpr,
-        stop: SExpr,
+        start: SExpr<V>,
+        step: SExpr<V>,
+        stop: SExpr<V>,
     },
     /// Literal `[a, b; c, d]` of replicated scalar expressions.
     Literal {
-        rows: Vec<Vec<SExpr>>,
+        rows: Vec<Vec<SExpr<V>>>,
     },
     /// Row vector of `n` points from `a` to `b` inclusive.
     Linspace {
-        a: SExpr,
-        b: SExpr,
-        n: SExpr,
+        a: SExpr<V>,
+        b: SExpr<V>,
+        n: SExpr<V>,
     },
 }
 
+impl<V> MatInit<V> {
+    pub fn map_vars<W>(&self, f: &mut impl FnMut(&V) -> W) -> MatInit<W> {
+        match self {
+            MatInit::Zeros { rows, cols } => MatInit::Zeros {
+                rows: rows.map_vars(f),
+                cols: cols.map_vars(f),
+            },
+            MatInit::Ones { rows, cols } => MatInit::Ones {
+                rows: rows.map_vars(f),
+                cols: cols.map_vars(f),
+            },
+            MatInit::Eye { n } => MatInit::Eye { n: n.map_vars(f) },
+            MatInit::Rand { rows, cols } => MatInit::Rand {
+                rows: rows.map_vars(f),
+                cols: cols.map_vars(f),
+            },
+            MatInit::Range { start, step, stop } => MatInit::Range {
+                start: start.map_vars(f),
+                step: step.map_vars(f),
+                stop: stop.map_vars(f),
+            },
+            MatInit::Literal { rows } => MatInit::Literal {
+                rows: rows
+                    .iter()
+                    .map(|row| row.iter().map(|e| e.map_vars(f)).collect())
+                    .collect(),
+            },
+            MatInit::Linspace { a, b, n } => MatInit::Linspace {
+                a: a.map_vars(f),
+                b: b.map_vars(f),
+                n: n.map_vars(f),
+            },
+        }
+    }
+}
+
 /// One SPMD instruction. Matrix operands are variable names; scalar
-/// operands are replicated [`SExpr`]s.
+/// operands are replicated [`SExpr`]s. `V` names a variable, as in
+/// [`SExpr`]; the strings that name no variable (a callee, a printed
+/// label, a file path) stay `String`.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Instr {
+pub enum Instr<V = String> {
     // ---- replicated scalar computation ----
     /// `dst = expr;` on every rank.
     AssignScalar {
-        dst: String,
-        src: SExpr,
+        dst: V,
+        src: SExpr<V>,
     },
 
     // ---- constructors ----
     /// `dst = <constructor>` (no communication).
     InitMatrix {
-        dst: String,
-        init: MatInit,
+        dst: V,
+        init: MatInit<V>,
     },
     /// Copy a whole matrix variable: `dst = src`.
     CopyMatrix {
-        dst: String,
-        src: String,
+        dst: V,
+        src: V,
     },
     /// Load from a data file via rank-0 + scatter.
     LoadFile {
-        dst: String,
+        dst: V,
         path: String,
     },
 
     // ---- element-wise loop (no communication) ----
     /// `dst(k) = expr(k)` for every locally owned element.
     ElemWise {
-        dst: String,
-        expr: EwExpr,
+        dst: V,
+        expr: EwExpr<V>,
     },
 
     // ---- run-time library calls (communication-bearing) ----
     /// `ML_matrix_multiply(a, b, dst)`.
     MatMul {
-        dst: String,
-        a: String,
-        b: String,
+        dst: V,
+        a: V,
+        b: V,
     },
     /// `ML_matrix_vector_multiply(a, x, dst)`.
     MatVec {
-        dst: String,
-        a: String,
-        x: String,
+        dst: V,
+        a: V,
+        x: V,
     },
     /// Outer product `dst = u * v'` of two vectors.
     Outer {
-        dst: String,
-        u: String,
-        v: String,
+        dst: V,
+        u: V,
+        v: V,
     },
     /// `dst = aᵀ` (all-to-all redistribution).
     Transpose {
-        dst: String,
-        a: String,
+        dst: V,
+        a: V,
     },
     /// `ML_broadcast(&dst, m, i, j)` — fetch one element to a
     /// replicated scalar. Indices are 1-based MATLAB expressions; the
     /// `- 1` adjustment happens at execution/emission, exactly like
     /// the generated C in the paper.
     BroadcastElem {
-        dst: String,
-        m: String,
-        i: SExpr,
-        j: Option<SExpr>,
+        dst: V,
+        m: V,
+        i: SExpr<V>,
+        j: Option<SExpr<V>>,
     },
     /// Owner-computes guarded element store:
     /// `if (ML_owner(m, i-1, j-1)) *ML_realaddr2(m, i-1, j-1) = val;`
     StoreElem {
-        m: String,
-        i: SExpr,
-        j: Option<SExpr>,
-        val: SExpr,
+        m: V,
+        i: SExpr<V>,
+        j: Option<SExpr<V>>,
+        val: SExpr<V>,
     },
     /// Whole-object reduction to a replicated scalar.
     Reduce {
-        dst: String,
+        dst: V,
         op: RedOp,
-        m: String,
+        m: V,
     },
     /// `dst = dot(a, b)` (fused multiply + sum; pass-6 peephole
     /// output).
     Dot {
-        dst: String,
-        a: String,
-        b: String,
+        dst: V,
+        a: V,
+        b: V,
     },
     /// `dst = trapz(x, y)`.
     TrapzXY {
-        dst: String,
-        x: String,
-        y: String,
+        dst: V,
+        x: V,
+        y: V,
     },
     /// MATLAB `sum`/`mean` of a true matrix → row vector of column
     /// aggregates.
     ColReduce {
-        dst: String,
+        dst: V,
         op: ColRedOp,
-        m: String,
+        m: V,
     },
     /// A fused element-wise loop (loop-fusion pass output): the
     /// paper's per-element loop with a product it overwrites in place
     /// and/or a fold that consumes its elements as they are computed.
     /// Its meaning is [`Fused::unfused`]. Boxed, so that it does not
     /// widen every instruction.
-    Fused(Box<Fused>),
+    Fused(Box<Fused<V>>),
     /// Circular shift of a vector.
     Shift {
-        dst: String,
-        v: String,
-        k: SExpr,
+        dst: V,
+        v: V,
+        k: SExpr<V>,
     },
     /// `dst = m(i, :)` (owner broadcast).
     ExtractRow {
-        dst: String,
-        m: String,
-        i: SExpr,
+        dst: V,
+        m: V,
+        i: SExpr<V>,
     },
     /// `dst = m(:, j)` (no communication).
     ExtractCol {
-        dst: String,
-        m: String,
-        j: SExpr,
+        dst: V,
+        m: V,
+        j: SExpr<V>,
     },
     /// `m(i, :) = v` (gather to owner).
     AssignRow {
-        m: String,
-        i: SExpr,
-        v: String,
+        m: V,
+        i: SExpr<V>,
+        v: V,
     },
     /// `m(:, j) = v` (no communication).
     AssignCol {
-        m: String,
-        j: SExpr,
-        v: String,
+        m: V,
+        j: SExpr<V>,
+        v: V,
     },
     /// `dst = v(lo:hi)` (1-based inclusive bounds, redistribution).
     ExtractRange {
-        dst: String,
-        v: String,
-        lo: SExpr,
-        hi: SExpr,
+        dst: V,
+        v: V,
+        lo: SExpr<V>,
+        hi: SExpr<V>,
     },
     /// `dst = v(lo:step:hi)` — strided gather (1-based inclusive).
     ExtractStrided {
-        dst: String,
-        v: String,
-        lo: SExpr,
-        step: SExpr,
-        hi: SExpr,
+        dst: V,
+        v: V,
+        lo: SExpr<V>,
+        step: SExpr<V>,
+        hi: SExpr<V>,
     },
     /// `m(i, :) = val` — scalar fill of a row (no communication).
     FillRow {
-        m: String,
-        i: SExpr,
-        val: SExpr,
+        m: V,
+        i: SExpr<V>,
+        val: SExpr<V>,
     },
     /// `m(:, j) = val` — scalar fill of a column (no communication).
     FillCol {
-        m: String,
-        j: SExpr,
-        val: SExpr,
+        m: V,
+        j: SExpr<V>,
+        val: SExpr<V>,
     },
     /// `v(lo:hi) = val` — scalar fill of an element range.
     FillRange {
-        m: String,
-        lo: SExpr,
-        hi: SExpr,
-        val: SExpr,
+        m: V,
+        lo: SExpr<V>,
+        hi: SExpr<V>,
+        val: SExpr<V>,
     },
     /// `v(lo:hi) = w` — store a vector into an element range.
     AssignRange {
-        m: String,
-        lo: SExpr,
-        hi: SExpr,
-        v: String,
+        m: V,
+        lo: SExpr<V>,
+        hi: SExpr<V>,
+        v: V,
     },
     /// De-allocate a temporary's distributed storage (paper §4: "the
     /// run-time library is responsible for the allocation and
     /// de-allocation of vectors and matrices"). Inserted after the
     /// last use of each compiler temporary.
     Free {
-        name: String,
+        name: V,
     },
 
     // ---- control flow (replicated conditions) ----
     If {
-        cond: SExpr,
-        then_body: Vec<Instr>,
-        else_body: Vec<Instr>,
+        cond: SExpr<V>,
+        then_body: Vec<Instr<V>>,
+        else_body: Vec<Instr<V>>,
     },
     /// `while`: re-evaluate `pre` (instructions computing the
     /// condition's inputs, e.g. a norm reduction) then test `cond`.
     While {
-        pre: Vec<Instr>,
-        cond: SExpr,
-        body: Vec<Instr>,
+        pre: Vec<Instr<V>>,
+        cond: SExpr<V>,
+        body: Vec<Instr<V>>,
     },
     /// Counted loop over a replicated scalar induction variable.
     For {
-        var: String,
-        start: SExpr,
-        step: SExpr,
-        stop: SExpr,
-        body: Vec<Instr>,
+        var: V,
+        start: SExpr<V>,
+        step: SExpr<V>,
+        stop: SExpr<V>,
+        body: Vec<Instr<V>>,
     },
     Break,
     Continue,
@@ -697,17 +788,17 @@ pub enum Instr {
     /// callee's parameters/returns.
     Call {
         fun: String,
-        args: Vec<Arg>,
-        outs: Vec<String>,
+        args: Vec<Arg<V>>,
+        outs: Vec<V>,
     },
     /// Display a value (rank 0 prints).
     Print {
         name: String,
-        target: PrintTarget,
+        target: PrintTarget<V>,
     },
 }
 
-impl Instr {
+impl<V> Instr<V> {
     /// Stable lowercase mnemonic for this instruction — the key used
     /// by per-opcode execution counters and `EngineReport` schemas.
     pub fn opcode(&self) -> &'static str {
@@ -774,16 +865,226 @@ impl Instr {
                 | Instr::Print { .. }
         )
     }
+
+    /// This instruction with every variable `v` renamed to `f(v)`,
+    /// nested bodies included.
+    pub fn map_vars<W>(&self, f: &mut impl FnMut(&V) -> W) -> Instr<W> {
+        let body = |b: &[Instr<V>], f: &mut _| b.iter().map(|i| i.map_vars(f)).collect();
+        let opt = |e: &Option<SExpr<V>>, f: &mut _| e.as_ref().map(|e| e.map_vars(f));
+        match self {
+            Instr::AssignScalar { dst, src } => Instr::AssignScalar {
+                dst: f(dst),
+                src: src.map_vars(f),
+            },
+            Instr::InitMatrix { dst, init } => Instr::InitMatrix {
+                dst: f(dst),
+                init: init.map_vars(f),
+            },
+            Instr::CopyMatrix { dst, src } => Instr::CopyMatrix {
+                dst: f(dst),
+                src: f(src),
+            },
+            Instr::LoadFile { dst, path } => Instr::LoadFile {
+                dst: f(dst),
+                path: path.clone(),
+            },
+            Instr::ElemWise { dst, expr } => Instr::ElemWise {
+                dst: f(dst),
+                expr: expr.map_vars(f),
+            },
+            Instr::MatMul { dst, a, b } => Instr::MatMul {
+                dst: f(dst),
+                a: f(a),
+                b: f(b),
+            },
+            Instr::MatVec { dst, a, x } => Instr::MatVec {
+                dst: f(dst),
+                a: f(a),
+                x: f(x),
+            },
+            Instr::Outer { dst, u, v } => Instr::Outer {
+                dst: f(dst),
+                u: f(u),
+                v: f(v),
+            },
+            Instr::Transpose { dst, a } => Instr::Transpose {
+                dst: f(dst),
+                a: f(a),
+            },
+            Instr::BroadcastElem { dst, m, i, j } => Instr::BroadcastElem {
+                dst: f(dst),
+                m: f(m),
+                i: i.map_vars(f),
+                j: opt(j, f),
+            },
+            Instr::StoreElem { m, i, j, val } => Instr::StoreElem {
+                m: f(m),
+                i: i.map_vars(f),
+                j: opt(j, f),
+                val: val.map_vars(f),
+            },
+            Instr::Reduce { dst, op, m } => Instr::Reduce {
+                dst: f(dst),
+                op: *op,
+                m: f(m),
+            },
+            Instr::Dot { dst, a, b } => Instr::Dot {
+                dst: f(dst),
+                a: f(a),
+                b: f(b),
+            },
+            Instr::TrapzXY { dst, x, y } => Instr::TrapzXY {
+                dst: f(dst),
+                x: f(x),
+                y: f(y),
+            },
+            Instr::ColReduce { dst, op, m } => Instr::ColReduce {
+                dst: f(dst),
+                op: *op,
+                m: f(m),
+            },
+            Instr::Fused(fused) => Instr::Fused(Box::new(fused.map_vars(f))),
+            Instr::Shift { dst, v, k } => Instr::Shift {
+                dst: f(dst),
+                v: f(v),
+                k: k.map_vars(f),
+            },
+            Instr::ExtractRow { dst, m, i } => Instr::ExtractRow {
+                dst: f(dst),
+                m: f(m),
+                i: i.map_vars(f),
+            },
+            Instr::ExtractCol { dst, m, j } => Instr::ExtractCol {
+                dst: f(dst),
+                m: f(m),
+                j: j.map_vars(f),
+            },
+            Instr::AssignRow { m, i, v } => Instr::AssignRow {
+                m: f(m),
+                i: i.map_vars(f),
+                v: f(v),
+            },
+            Instr::AssignCol { m, j, v } => Instr::AssignCol {
+                m: f(m),
+                j: j.map_vars(f),
+                v: f(v),
+            },
+            Instr::ExtractRange { dst, v, lo, hi } => Instr::ExtractRange {
+                dst: f(dst),
+                v: f(v),
+                lo: lo.map_vars(f),
+                hi: hi.map_vars(f),
+            },
+            Instr::ExtractStrided {
+                dst,
+                v,
+                lo,
+                step,
+                hi,
+            } => Instr::ExtractStrided {
+                dst: f(dst),
+                v: f(v),
+                lo: lo.map_vars(f),
+                step: step.map_vars(f),
+                hi: hi.map_vars(f),
+            },
+            Instr::FillRow { m, i, val } => Instr::FillRow {
+                m: f(m),
+                i: i.map_vars(f),
+                val: val.map_vars(f),
+            },
+            Instr::FillCol { m, j, val } => Instr::FillCol {
+                m: f(m),
+                j: j.map_vars(f),
+                val: val.map_vars(f),
+            },
+            Instr::FillRange { m, lo, hi, val } => Instr::FillRange {
+                m: f(m),
+                lo: lo.map_vars(f),
+                hi: hi.map_vars(f),
+                val: val.map_vars(f),
+            },
+            Instr::AssignRange { m, lo, hi, v } => Instr::AssignRange {
+                m: f(m),
+                lo: lo.map_vars(f),
+                hi: hi.map_vars(f),
+                v: f(v),
+            },
+            Instr::Free { name } => Instr::Free { name: f(name) },
+            Instr::If {
+                cond,
+                then_body,
+                else_body,
+            } => Instr::If {
+                cond: cond.map_vars(f),
+                then_body: body(then_body, f),
+                else_body: body(else_body, f),
+            },
+            Instr::While { pre, cond, body: b } => Instr::While {
+                pre: body(pre, f),
+                cond: cond.map_vars(f),
+                body: body(b, f),
+            },
+            Instr::For {
+                var,
+                start,
+                step,
+                stop,
+                body: b,
+            } => Instr::For {
+                var: f(var),
+                start: start.map_vars(f),
+                step: step.map_vars(f),
+                stop: stop.map_vars(f),
+                body: body(b, f),
+            },
+            Instr::Break => Instr::Break,
+            Instr::Continue => Instr::Continue,
+            Instr::Call { fun, args, outs } => Instr::Call {
+                fun: fun.clone(),
+                args: args.iter().map(|a| a.map_vars(f)).collect(),
+                outs: outs.iter().map(&mut *f).collect(),
+            },
+            Instr::Print { name, target } => Instr::Print {
+                name: name.clone(),
+                target: target.map_vars(f),
+            },
+        }
+    }
 }
 
 /// The product at the head of a [`Fused`] loop: the buffer the loop
 /// overwrites in place, so `tmp` is never stored on its own.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Product {
+pub enum Product<V = String> {
     /// `tmp = matmul(a, b)`.
-    MatMul { tmp: String, a: String, b: String },
+    MatMul { tmp: V, a: V, b: V },
     /// `tmp = matvec(a, x)`.
-    MatVec { tmp: String, a: String, x: String },
+    MatVec { tmp: V, a: V, x: V },
+}
+
+impl<V> Product<V> {
+    /// The temporary the product used to be stored in.
+    pub fn tmp(&self) -> &V {
+        match self {
+            Product::MatMul { tmp, .. } | Product::MatVec { tmp, .. } => tmp,
+        }
+    }
+
+    pub fn map_vars<W>(&self, f: &mut impl FnMut(&V) -> W) -> Product<W> {
+        match self {
+            Product::MatMul { tmp, a, b } => Product::MatMul {
+                tmp: f(tmp),
+                a: f(a),
+                b: f(b),
+            },
+            Product::MatVec { tmp, a, x } => Product::MatVec {
+                tmp: f(tmp),
+                a: f(a),
+                x: f(x),
+            },
+        }
+    }
 }
 
 impl Product {
@@ -793,13 +1094,6 @@ impl Product {
             Instr::MatMul { dst: tmp, a, b } => Some(Product::MatMul { tmp, a, b }),
             Instr::MatVec { dst: tmp, a, x } => Some(Product::MatVec { tmp, a, x }),
             _ => None,
-        }
-    }
-
-    /// The temporary the product used to be stored in.
-    pub fn tmp(&self) -> &str {
-        match self {
-            Product::MatMul { tmp, .. } | Product::MatVec { tmp, .. } => tmp,
         }
     }
 
@@ -814,26 +1108,38 @@ impl Product {
 
 /// What a [`Fused`] loop does with the element it computes.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Tail {
+pub enum Tail<V = String> {
     /// Store it: `dst(k) = expr(k)`.
-    Store { dst: String },
+    Store { dst: V },
     /// Fold it into a replicated scalar, `dst = op(tmp)`.
-    Reduce { dst: String, op: RedOp, tmp: String },
+    Reduce { dst: V, op: RedOp, tmp: V },
     /// Fold it into per-column partials, `dst = op(tmp)`.
-    ColReduce {
-        dst: String,
-        op: ColRedOp,
-        tmp: String,
-    },
+    ColReduce { dst: V, op: ColRedOp, tmp: V },
 }
 
-impl Tail {
+impl<V> Tail<V> {
     /// The temporary a fold used to read, which the loop no longer
     /// stores.
-    pub fn tmp(&self) -> Option<&str> {
+    pub fn tmp(&self) -> Option<&V> {
         match self {
             Tail::Store { .. } => None,
             Tail::Reduce { tmp, .. } | Tail::ColReduce { tmp, .. } => Some(tmp),
+        }
+    }
+
+    pub fn map_vars<W>(&self, f: &mut impl FnMut(&V) -> W) -> Tail<W> {
+        match self {
+            Tail::Store { dst } => Tail::Store { dst: f(dst) },
+            Tail::Reduce { dst, op, tmp } => Tail::Reduce {
+                dst: f(dst),
+                op: *op,
+                tmp: f(tmp),
+            },
+            Tail::ColReduce { dst, op, tmp } => Tail::ColReduce {
+                dst: f(dst),
+                op: *op,
+                tmp: f(tmp),
+            },
         }
     }
 }
@@ -848,29 +1154,40 @@ impl Tail {
 /// [`Fused::unfused`], the instruction sequence it replaced; the names
 /// of the eliminated temporaries are kept for that purpose.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Fused {
-    pub(crate) head: Option<Product>,
-    pub(crate) expr: EwExpr,
-    pub(crate) tail: Tail,
+pub struct Fused<V = String> {
+    pub(crate) head: Option<Product<V>>,
+    pub(crate) expr: EwExpr<V>,
+    pub(crate) tail: Tail<V>,
 }
 
-impl Fused {
-    pub fn head(&self) -> Option<&Product> {
+impl<V> Fused<V> {
+    pub fn head(&self) -> Option<&Product<V>> {
         self.head.as_ref()
     }
 
-    pub fn expr(&self) -> &EwExpr {
+    pub fn expr(&self) -> &EwExpr<V> {
         &self.expr
     }
 
-    pub fn tail(&self) -> &Tail {
+    pub fn tail(&self) -> &Tail<V> {
         &self.tail
     }
 
+    pub fn map_vars<W>(&self, f: &mut impl FnMut(&V) -> W) -> Fused<W> {
+        Fused {
+            head: self.head.as_ref().map(|h| h.map_vars(f)),
+            expr: self.expr.map_vars(f),
+            tail: self.tail.map_vars(f),
+        }
+    }
+}
+
+impl Fused {
     /// The temporaries the loop no longer stores: the head's, then the
     /// fold's.
     pub fn temps(&self) -> impl Iterator<Item = &str> {
-        self.head.iter().map(Product::tmp).chain(self.tail.tmp())
+        let head = self.head.iter().map(|h| h.tmp().as_str());
+        head.chain(self.tail.tmp().map(String::as_str))
     }
 
     /// The sequence this loop stands for: the head's product, the
@@ -922,16 +1239,34 @@ pub enum ColRedOp {
 
 /// An actual argument to an IR function call.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Arg {
-    Scalar(SExpr),
-    Matrix(String),
+pub enum Arg<V = String> {
+    Scalar(SExpr<V>),
+    Matrix(V),
+}
+
+impl<V> Arg<V> {
+    pub fn map_vars<W>(&self, f: &mut impl FnMut(&V) -> W) -> Arg<W> {
+        match self {
+            Arg::Scalar(s) => Arg::Scalar(s.map_vars(f)),
+            Arg::Matrix(m) => Arg::Matrix(f(m)),
+        }
+    }
 }
 
 /// What a `Print` displays.
 #[derive(Debug, Clone, PartialEq)]
-pub enum PrintTarget {
-    Scalar(SExpr),
-    Matrix(String),
+pub enum PrintTarget<V = String> {
+    Scalar(SExpr<V>),
+    Matrix(V),
+}
+
+impl<V> PrintTarget<V> {
+    pub fn map_vars<W>(&self, f: &mut impl FnMut(&V) -> W) -> PrintTarget<W> {
+        match self {
+            PrintTarget::Scalar(s) => PrintTarget::Scalar(s.map_vars(f)),
+            PrintTarget::Matrix(m) => PrintTarget::Matrix(f(m)),
+        }
+    }
 }
 
 /// Whether an IR variable is a replicated scalar or a distributed

@@ -36,7 +36,7 @@ pub struct SiteRef<'p> {
 }
 
 /// True for instructions that are enumerated as sites.
-pub fn is_leaf(i: &Instr) -> bool {
+pub fn is_leaf<V>(i: &Instr<V>) -> bool {
     !matches!(
         i,
         Instr::If { .. }

@@ -16,13 +16,13 @@ use crate::instr::{Instr, IrFunction, IrProgram};
 use std::slice;
 
 /// Pre-order iterator over a block; see [`preorder`].
-pub struct Preorder<'p> {
+pub struct Preorder<'p, V = String> {
     /// The innermost unfinished block and its loop depth.
-    block: slice::Iter<'p, Instr>,
+    block: slice::Iter<'p, Instr<V>>,
     depth: u32,
     /// The unfinished blocks around it, innermost last. A walk of
     /// straight-line code never allocates.
-    outer: Vec<(slice::Iter<'p, Instr>, u32)>,
+    outer: Vec<(slice::Iter<'p, Instr<V>>, u32)>,
 }
 
 /// Every instruction of `body` and of its nested bodies, as
@@ -30,7 +30,7 @@ pub struct Preorder<'p> {
 /// enclosing `for`/`while` bodies (a `while`'s `pre` is one of them);
 /// an `if` does not add to it.
 #[inline]
-pub fn preorder(body: &[Instr]) -> Preorder<'_> {
+pub fn preorder<V>(body: &[Instr<V>]) -> Preorder<'_, V> {
     Preorder {
         block: body.iter(),
         depth: 0,
@@ -38,10 +38,10 @@ pub fn preorder(body: &[Instr]) -> Preorder<'_> {
     }
 }
 
-impl<'p> Preorder<'p> {
+impl<'p, V> Preorder<'p, V> {
     /// Walk `body` next, then resume the current block.
     #[inline]
-    fn enter(&mut self, body: &'p [Instr], depth: u32) {
+    fn enter(&mut self, body: &'p [Instr<V>], depth: u32) {
         if !body.is_empty() {
             let resume = std::mem::replace(&mut self.block, body.iter());
             self.outer.push((resume, self.depth));
@@ -50,8 +50,8 @@ impl<'p> Preorder<'p> {
     }
 }
 
-impl<'p> Iterator for Preorder<'p> {
-    type Item = (&'p Instr, u32);
+impl<'p, V> Iterator for Preorder<'p, V> {
+    type Item = (&'p Instr<V>, u32);
 
     #[inline]
     fn next(&mut self) -> Option<Self::Item> {

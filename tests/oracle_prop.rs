@@ -327,3 +327,41 @@ fn run_time_errors_carry_one_tag() {
         assert!(err.contains("max of empty matrix"), "p={p}: {err}");
     }
 }
+
+/// `if` and `for` nests as deep as the parser admits (38 levels, with
+/// the body and the script around them) run on every rank count. Each
+/// rank beyond p = 1 runs on a 1 MiB stack, and a debug build is the
+/// one that spends the most stack per level of nesting.
+#[test]
+fn nests_at_the_parser_cap_match_the_interpreter() {
+    let depth = 38;
+    for (open, what) in [("if x < 1\n", "if"), ("for i = 1:1\n", "for")] {
+        let src = format!(
+            "x = 0;\n{}x = x + 1;\n{}y = x * 2;\n",
+            open.repeat(depth),
+            "end\n".repeat(depth)
+        );
+        let base = run_engine(
+            Engine::Interpreter,
+            &src,
+            &EngineOptions::default(),
+            &workstation(),
+            1,
+        )
+        .unwrap_or_else(|e| panic!("interpreter, {what} nest: {e}"));
+        assert_eq!(base.scalar("y"), Some(2.0), "{what} nest");
+        let compiled =
+            compile(&src, &EngineOptions::default()).unwrap_or_else(|e| panic!("{what} nest: {e}"));
+        for p in [1usize, 4] {
+            let report = run(&compiled, &RunRequest::on(meiko_cs2(), p))
+                .unwrap_or_else(|e| panic!("{what} nest at p={p}: {e}"));
+            for v in ["x", "y"] {
+                assert_eq!(
+                    report.scalar(v),
+                    base.scalar(v),
+                    "{what} nest at p={p}: {v}"
+                );
+            }
+        }
+    }
+}

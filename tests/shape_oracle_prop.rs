@@ -35,7 +35,7 @@ fn measured_sites(ir: &IrProgram, p: usize) -> Vec<SiteComm> {
         &meiko_cs2(),
         p,
         SpmdOptions::default(),
-        |comm| match Executor::new(ir, comm, opts.clone()).run() {
+        |comm| match Executor::new(&otter_core::Plan::new(ir), comm, opts.clone()).run() {
             Ok(outcome) => Ok(outcome.site_comm),
             Err(ExecError::Comm(e)) => Err(e),
             Err(ExecError::App(e)) => panic!("p={p}: {e}"),
