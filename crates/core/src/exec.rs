@@ -329,9 +329,9 @@ pub struct Executor<'a> {
     /// blocks, so the aggregate machine admits problems a single
     /// workstation cannot hold).
     peak_local_bytes: usize,
-    /// Executed-instruction counts by opcode (`EngineReport`'s
-    /// per-opcode counters).
-    op_counts: BTreeMap<&'static str, u64>,
+    /// Executed-instruction counts by [`Instr::opcode_index`]
+    /// (`EngineReport`'s per-opcode counters).
+    op_counts: [u64; OPCODES.len()],
     /// Leaf-instruction address → site id (only when `opts.analyze`).
     /// The plan's bodies run by reference, so an instruction's address
     /// is a stable identity for the whole run.
@@ -362,7 +362,7 @@ impl<'a> Executor<'a> {
             output: String::new(),
             rand_calls: 0,
             peak_local_bytes: 0,
-            op_counts: BTreeMap::new(),
+            op_counts: [0; OPCODES.len()],
             site_of,
             site_comm,
         }
@@ -386,10 +386,15 @@ impl<'a> Executor<'a> {
             return Err(e);
         }
         self.peak_local_bytes = self.peak_local_bytes.max(self.live);
+        let op_counts: BTreeMap<&'static str, u64> = OPCODES
+            .into_iter()
+            .zip(self.op_counts)
+            .filter(|&(_, n)| n > 0)
+            .collect();
         // Opcode tallies and high-water marks reach the metrics in one
         // event at end of run, not one increment per instruction.
         self.comm.record(Event::RunSummary {
-            ops: &self.op_counts,
+            ops: &op_counts,
             alloc_peak_bytes: otter_rt::alloc::peak_bytes(),
             workspace_peak_bytes: self.peak_local_bytes,
         });
@@ -398,7 +403,7 @@ impl<'a> Executor<'a> {
             output: self.output,
             peak_local_bytes: self.peak_local_bytes,
             peak_temp_bytes: otter_rt::alloc::peak_bytes(),
-            op_counts: self.op_counts,
+            op_counts,
             site_comm: self.site_comm,
         })
     }
@@ -609,7 +614,7 @@ impl<'a> Executor<'a> {
         // Compiled-code dispatch charge.
         self.comm.compute(self.costs.statement_dispatch);
         self.peak_local_bytes = self.peak_local_bytes.max(self.live);
-        *self.op_counts.entry(i.opcode()).or_insert(0) += 1;
+        self.op_counts[i.opcode_index()] += 1;
         // Every run-time library call, function call and print pays
         // one call overhead before it runs.
         if !matches!(

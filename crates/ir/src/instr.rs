@@ -798,52 +798,100 @@ pub enum Instr<V = String> {
     },
 }
 
+/// Every opcode mnemonic, once each, in [`Instr::opcode_index`] order.
+pub const OPCODES: [&str; 38] = [
+    "assign-scalar",
+    "init-matrix",
+    "copy-matrix",
+    "load-file",
+    "elemwise",
+    "matmul",
+    "matvec",
+    "outer",
+    "transpose",
+    "broadcast-elem",
+    "store-elem",
+    "reduce",
+    "dot",
+    "trapz",
+    "matmul-ew",
+    "matvec-ew",
+    "reduce-ew",
+    "col-reduce-ew",
+    "col-reduce",
+    "shift",
+    "extract-row",
+    "extract-col",
+    "assign-row",
+    "assign-col",
+    "extract-range",
+    "extract-strided",
+    "fill-row",
+    "fill-col",
+    "fill-range",
+    "assign-range",
+    "free",
+    "if",
+    "while",
+    "for",
+    "break",
+    "continue",
+    "call",
+    "print",
+];
+
 impl<V> Instr<V> {
     /// Stable lowercase mnemonic for this instruction — the key used
     /// by per-opcode execution counters and `EngineReport` schemas.
     pub fn opcode(&self) -> &'static str {
+        OPCODES[self.opcode_index()]
+    }
+
+    /// This instruction's opcode as an index into [`OPCODES`], so a
+    /// per-opcode counter can be an array slot rather than a map entry.
+    pub fn opcode_index(&self) -> usize {
         match self {
-            Instr::AssignScalar { .. } => "assign-scalar",
-            Instr::InitMatrix { .. } => "init-matrix",
-            Instr::CopyMatrix { .. } => "copy-matrix",
-            Instr::LoadFile { .. } => "load-file",
-            Instr::ElemWise { .. } => "elemwise",
-            Instr::MatMul { .. } => "matmul",
-            Instr::MatVec { .. } => "matvec",
-            Instr::Outer { .. } => "outer",
-            Instr::Transpose { .. } => "transpose",
-            Instr::BroadcastElem { .. } => "broadcast-elem",
-            Instr::StoreElem { .. } => "store-elem",
-            Instr::Reduce { .. } => "reduce",
-            Instr::Dot { .. } => "dot",
-            Instr::TrapzXY { .. } => "trapz",
+            Instr::AssignScalar { .. } => 0,
+            Instr::InitMatrix { .. } => 1,
+            Instr::CopyMatrix { .. } => 2,
+            Instr::LoadFile { .. } => 3,
+            Instr::ElemWise { .. } => 4,
+            Instr::MatMul { .. } => 5,
+            Instr::MatVec { .. } => 6,
+            Instr::Outer { .. } => 7,
+            Instr::Transpose { .. } => 8,
+            Instr::BroadcastElem { .. } => 9,
+            Instr::StoreElem { .. } => 10,
+            Instr::Reduce { .. } => 11,
+            Instr::Dot { .. } => 12,
+            Instr::TrapzXY { .. } => 13,
             Instr::Fused(f) => match (&f.head, &f.tail) {
-                (Some(Product::MatMul { .. }), _) => "matmul-ew",
-                (Some(Product::MatVec { .. }), _) => "matvec-ew",
-                (None, Tail::Reduce { .. }) => "reduce-ew",
-                (None, Tail::ColReduce { .. }) => "col-reduce-ew",
-                (None, Tail::Store { .. }) => "elemwise",
+                (Some(Product::MatMul { .. }), _) => 14,
+                (Some(Product::MatVec { .. }), _) => 15,
+                (None, Tail::Reduce { .. }) => 16,
+                (None, Tail::ColReduce { .. }) => 17,
+                (None, Tail::Store { .. }) => 4, // counted as `elemwise`
             },
-            Instr::ColReduce { .. } => "col-reduce",
-            Instr::Shift { .. } => "shift",
-            Instr::ExtractRow { .. } => "extract-row",
-            Instr::ExtractCol { .. } => "extract-col",
-            Instr::AssignRow { .. } => "assign-row",
-            Instr::AssignCol { .. } => "assign-col",
-            Instr::ExtractRange { .. } => "extract-range",
-            Instr::ExtractStrided { .. } => "extract-strided",
-            Instr::FillRow { .. } => "fill-row",
-            Instr::FillCol { .. } => "fill-col",
-            Instr::FillRange { .. } => "fill-range",
-            Instr::AssignRange { .. } => "assign-range",
-            Instr::Free { .. } => "free",
-            Instr::If { .. } => "if",
-            Instr::While { .. } => "while",
-            Instr::For { .. } => "for",
-            Instr::Break => "break",
-            Instr::Continue => "continue",
-            Instr::Call { .. } => "call",
-            Instr::Print { .. } => "print",
+            Instr::ColReduce { .. } => 18,
+            Instr::Shift { .. } => 19,
+            Instr::ExtractRow { .. } => 20,
+            Instr::ExtractCol { .. } => 21,
+            Instr::AssignRow { .. } => 22,
+            Instr::AssignCol { .. } => 23,
+            Instr::ExtractRange { .. } => 24,
+            Instr::ExtractStrided { .. } => 25,
+            Instr::FillRow { .. } => 26,
+            Instr::FillCol { .. } => 27,
+            Instr::FillRange { .. } => 28,
+            Instr::AssignRange { .. } => 29,
+            Instr::Free { .. } => 30,
+            Instr::If { .. } => 31,
+            Instr::While { .. } => 32,
+            Instr::For { .. } => 33,
+            Instr::Break => 34,
+            Instr::Continue => 35,
+            Instr::Call { .. } => 36,
+            Instr::Print { .. } => 37,
         }
     }
 

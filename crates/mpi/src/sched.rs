@@ -150,7 +150,33 @@ mod tests {
             peak <= workers,
             "{peak} ranks ran concurrently on a {workers}-slot pool"
         );
-        assert!(sched.parks() > 0, "32 ranks over 3 slots must queue");
+        // Whether 32 threads ever collided is up to the OS, so force a
+        // queue: hold every slot, start one more rank, and it must park.
+        for rank in 0..workers {
+            sched.acquire(rank);
+        }
+        let parks_before = sched.parks();
+        std::thread::scope(|scope| {
+            let waiter = Arc::clone(&sched);
+            scope.spawn(move || {
+                waiter.acquire(workers);
+                waiter.release();
+            });
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while sched.parks() == parks_before && std::time::Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            // Release before asserting: the parked rank must finish
+            // for the scope to end.
+            let parked = sched.parks() > parks_before;
+            for _ in 0..workers {
+                sched.release();
+            }
+            assert!(
+                parked,
+                "a rank must queue while all {workers} slots are held"
+            );
+        });
     }
 
     #[test]
