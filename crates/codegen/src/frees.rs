@@ -11,24 +11,25 @@
 
 use otter_ir::*;
 
-/// Insert `Free` instructions for dead temporaries. `live_out` names
+/// Insert `Free` instructions for dead temporaries. `live_out` slots
 /// must never be freed (a `while` condition's inputs, function
 /// outputs).
 pub fn insert_frees(p: &mut IrProgram) -> usize {
     let mut count = 0;
-    p.visit_blocks_mut(&mut |block, live_out| free_block(block, live_out, &mut count));
+    p.visit_blocks_mut(&mut |block, live_out, vars| free_block(block, live_out, vars, &mut count));
     count
 }
 
-/// Free each temporary defined in `block` after its last use there.
-fn free_block(block: &mut Vec<Instr>, live_out: &[String], count: &mut usize) {
+/// Free each temporary of `vars` defined in `block` after its last use
+/// there.
+fn free_block(block: &mut Vec<Instr>, live_out: &[Slot], vars: &Vars, count: &mut usize) {
     let mut i = 0;
     while i < block.len() {
-        let Some(dst) = block[i].dst().map(str::to_string) else {
+        let Some(dst) = block[i].dst() else {
             i += 1;
             continue;
         };
-        if !is_temp(&dst) || matches!(block[i], Instr::Free { .. }) || live_out.contains(&dst) {
+        if !vars.is_temp(dst) || matches!(block[i], Instr::Free { .. }) || live_out.contains(&dst) {
             i += 1;
             continue;
         }
@@ -37,7 +38,7 @@ fn free_block(block: &mut Vec<Instr>, live_out: &[String], count: &mut usize) {
         for (off, instr) in block[i + 1..].iter().enumerate() {
             let mut reads = Vec::new();
             instr.reads(&mut reads);
-            if reads.iter().any(|r| r == &dst) {
+            if reads.contains(&dst) {
                 last_use = Some(i + 1 + off);
             }
             // A later redefinition of the same temp cannot happen
@@ -69,85 +70,76 @@ fn free_block(block: &mut Vec<Instr>, live_out: &[String], count: &mut usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use otter_ir::by_name::*;
 
     #[test]
     fn frees_after_last_use() {
-        let mut p = IrProgram {
-            main: vec![
-                Instr::MatMul {
-                    dst: "ML_tmp1".into(),
-                    a: "b".into(),
-                    b: "c".into(),
-                },
-                Instr::Reduce {
-                    dst: "s".into(),
-                    op: RedOp::Fold(ColRedOp::Sum),
-                    m: "ML_tmp1".into(),
-                },
-                Instr::AssignScalar {
-                    dst: "t".into(),
-                    src: SExpr::var("s"),
-                },
-            ],
-            ..Default::default()
-        };
+        let mut p = program(vec![
+            Instr::MatMul {
+                dst: v("ML_tmp1"),
+                a: v("b"),
+                b: v("c"),
+            },
+            Instr::Reduce {
+                dst: v("s"),
+                op: RedOp::Fold(ColRedOp::Sum),
+                m: v("ML_tmp1"),
+            },
+            Instr::AssignScalar {
+                dst: v("t"),
+                src: var("s"),
+            },
+        ]);
         let n = insert_frees(&mut p);
         assert_eq!(n, 1);
-        assert_eq!(
-            p.main[2],
-            Instr::Free {
-                name: "ML_tmp1".into()
-            }
-        );
-        assert_eq!(p.main.len(), 4);
+        assert_eq!(p.main.body[2], Instr::Free { name: v("ML_tmp1") });
+        assert_eq!(p.main.body.len(), 4);
     }
 
     #[test]
     fn temp_used_inside_loop_freed_after_loop() {
-        let mut p = IrProgram {
-            main: vec![
-                Instr::InitMatrix {
-                    dst: "ML_tmp1".into(),
-                    init: MatInit::Ones {
-                        rows: SExpr::c(4.0),
-                        cols: SExpr::c(1.0),
-                    },
+        let mut p = program(vec![
+            Instr::InitMatrix {
+                dst: v("ML_tmp1"),
+                init: MatInit::Ones {
+                    rows: SExpr::c(4.0),
+                    cols: SExpr::c(1.0),
                 },
-                Instr::For {
-                    var: "i".into(),
-                    start: SExpr::c(1.0),
-                    step: SExpr::c(1.0),
-                    stop: SExpr::c(3.0),
-                    body: vec![Instr::Reduce {
-                        dst: "s".into(),
-                        op: RedOp::Fold(ColRedOp::Sum),
-                        m: "ML_tmp1".into(),
-                    }],
-                },
-            ],
-            ..Default::default()
-        };
+            },
+            Instr::For {
+                var: v("i"),
+                start: SExpr::c(1.0),
+                step: SExpr::c(1.0),
+                stop: SExpr::c(3.0),
+                body: vec![Instr::Reduce {
+                    dst: v("s"),
+                    op: RedOp::Fold(ColRedOp::Sum),
+                    m: v("ML_tmp1"),
+                }],
+            },
+        ]);
         insert_frees(&mut p);
         // Free comes after the whole For.
-        assert!(matches!(p.main[2], Instr::Free { .. }), "{:?}", p.main);
+        assert!(
+            matches!(p.main.body[2], Instr::Free { .. }),
+            "{:?}",
+            p.main.body
+        );
     }
 
     #[test]
     fn while_condition_inputs_not_freed() {
-        let mut p = IrProgram {
-            main: vec![Instr::While {
-                pre: vec![Instr::Reduce {
-                    dst: "ML_tmp9".into(),
-                    op: RedOp::Norm2,
-                    m: "r".into(),
-                }],
-                cond: SExpr::bin(SBinOp::Gt, SExpr::var("ML_tmp9"), SExpr::c(0.5)),
-                body: vec![],
+        let mut p = program(vec![Instr::While {
+            pre: vec![Instr::Reduce {
+                dst: v("ML_tmp9"),
+                op: RedOp::Norm2,
+                m: v("r"),
             }],
-            ..Default::default()
-        };
+            cond: SExpr::bin(SBinOp::Gt, var("ML_tmp9"), SExpr::c(0.5)),
+            body: vec![],
+        }]);
         insert_frees(&mut p);
-        let Instr::While { pre, .. } = &p.main[0] else {
+        let Instr::While { pre, .. } = &p.main.body[0] else {
             panic!()
         };
         assert!(
@@ -158,14 +150,11 @@ mod tests {
 
     #[test]
     fn user_variables_never_freed() {
-        let mut p = IrProgram {
-            main: vec![Instr::MatMul {
-                dst: "c".into(),
-                a: "a".into(),
-                b: "b".into(),
-            }],
-            ..Default::default()
-        };
+        let mut p = program(vec![Instr::MatMul {
+            dst: v("c"),
+            a: v("a"),
+            b: v("b"),
+        }]);
         let n = insert_frees(&mut p);
         assert_eq!(n, 0);
     }

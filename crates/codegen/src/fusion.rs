@@ -27,7 +27,7 @@
 //!
 //! Legality is deliberately strict: the temporary must be
 //! compiler-generated (an `ML_tmp*` or an SSA rename `x__N`), every
-//! read of it program-wide must sit inside the consumer, and it must
+//! read of it in its frame must sit inside the consumer, and it must
 //! not escape as a function output or as a web the script's workspace
 //! reports (an exit web). In both moves only `Free`s of other names
 //! lie between producer and consumer, so fusing never reorders reads
@@ -38,7 +38,6 @@
 //! end-to-end.
 
 use otter_ir::*;
-use std::collections::HashMap;
 
 /// What one fusion run rewrote (exposed for the ablation bench).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -75,37 +74,38 @@ impl FusionStats {
 /// Fuse a program in place; returns what was rewritten.
 pub fn fuse(p: &mut IrProgram) -> FusionStats {
     let mut stats = FusionStats::default();
-    // F5 first, in one walk. A generator leaf changes no other name's
-    // read count, so the first count serves it and the two moves' first
-    // round alike.
-    let mut counts = read_counts(p);
-    p.visit_blocks_mut(&mut |block, live_out| {
-        let mut i = 0;
-        while i < block.len() {
-            if !try_generator(block, i, &counts, live_out, &mut stats) {
-                i += 1;
-            }
-        }
-    });
-    let main_live = p.live_out();
-    // One site per iteration: every other rewrite invalidates the read
-    // counts, so recount from scratch (programs are small).
-    loop {
-        let mut fused = fuse_one(&mut p.main, &main_live, &counts, &mut stats);
-        if !fused {
-            for f in p.functions.values_mut() {
-                let live_out = f.live_out();
-                if fuse_one(&mut f.body, &live_out, &counts, &mut stats) {
-                    fused = true;
-                    break;
+    for (frame, live_out) in p.frames_mut() {
+        let mut scope = Scope {
+            counts: read_counts(&frame.body, frame.vars.len()),
+            eligible: frame.vars.iter().map(|(_, v)| eligible(&v.name)).collect(),
+            live_out,
+        };
+        // F5 first, in one walk. A generator leaf changes no other
+        // variable's read count, so the first count serves it and the
+        // two moves' first round alike.
+        visit_blocks_mut(&mut frame.body, &[], &mut |block, _| {
+            let mut i = 0;
+            while i < block.len() {
+                if !try_generator(block, i, &scope, &mut stats) {
+                    i += 1;
                 }
             }
+        });
+        // One site per iteration: every other rewrite invalidates the
+        // read counts, so recount the frame (programs are small).
+        while fuse_one(&mut frame.body, &scope, &mut stats) {
+            scope.counts = read_counts(&frame.body, frame.vars.len());
         }
-        if !fused {
-            return stats;
-        }
-        counts = read_counts(p);
     }
+    stats
+}
+
+/// What legality reads of one frame: its read counts, which of its
+/// variables are compiler-made, and what is live when it ends.
+struct Scope {
+    counts: Vec<usize>,
+    eligible: Vec<bool>,
+    live_out: Vec<Slot>,
 }
 
 /// A temporary the compiler made up (never a user variable): an
@@ -114,59 +114,52 @@ fn eligible(name: &str) -> bool {
     is_temp(name) || split_web(name).is_some()
 }
 
-/// Read occurrences of every name across the whole program
+/// Read occurrences of each of a frame's `n` slots across its body
 /// (`Instr::reads` recurses into nested blocks; `Free` is not a read).
-fn read_counts(p: &IrProgram) -> HashMap<String, usize> {
+fn read_counts(body: &[Instr], n: usize) -> Vec<usize> {
     let mut reads = Vec::new();
-    for (_, body) in p.bodies() {
-        for i in body {
-            i.reads(&mut reads);
-        }
+    for i in body {
+        i.reads(&mut reads);
     }
-    let mut counts = HashMap::new();
+    let mut counts = vec![0; n];
     for r in reads {
-        *counts.entry(r).or_insert(0) += 1;
+        counts[r.index()] += 1;
     }
     counts
 }
 
-/// Occurrences of `Mat(name)` in an element-wise expression.
-fn mat_uses(expr: &EwExpr, name: &str) -> usize {
+/// Occurrences of `Mat(t)` in an element-wise expression.
+fn mat_uses(expr: &EwExpr, t: Slot) -> usize {
     let mut mats = Vec::new();
     expr.mat_operands(&mut mats);
-    mats.iter().filter(|m| m.as_str() == name).count()
+    mats.iter().filter(|&&m| m == t).count()
 }
 
-/// Replace every `Mat(name)` leaf with a copy of `sub`.
-fn substitute(expr: &EwExpr, name: &str, sub: &EwExpr) -> EwExpr {
+/// Replace every `Mat(t)` leaf with a copy of `sub`.
+fn substitute(expr: &EwExpr, t: Slot, sub: &EwExpr) -> EwExpr {
     match expr {
-        EwExpr::Mat(m) if m == name => sub.clone(),
+        EwExpr::Mat(m) if *m == t => sub.clone(),
         EwExpr::Mat(_) | EwExpr::Scalar(_) | EwExpr::Gen { .. } => expr.clone(),
-        EwExpr::Neg(x) => EwExpr::Neg(Box::new(substitute(x, name, sub))),
-        EwExpr::Not(x) => EwExpr::Not(Box::new(substitute(x, name, sub))),
+        EwExpr::Neg(x) => EwExpr::Neg(Box::new(substitute(x, t, sub))),
+        EwExpr::Not(x) => EwExpr::Not(Box::new(substitute(x, t, sub))),
         EwExpr::Bin(op, a, b) => EwExpr::Bin(
             *op,
-            Box::new(substitute(a, name, sub)),
-            Box::new(substitute(b, name, sub)),
+            Box::new(substitute(a, t, sub)),
+            Box::new(substitute(b, t, sub)),
         ),
         EwExpr::Call(f, args) => {
-            EwExpr::Call(*f, args.iter().map(|a| substitute(a, name, sub)).collect())
+            EwExpr::Call(*f, args.iter().map(|a| substitute(a, t, sub)).collect())
         }
     }
 }
 
-/// Every program-wide read of `t` sits inside the adjacent consumer,
-/// and `t` never escapes the block (function output).
-fn dead_after(
-    t: &str,
-    uses_in_consumer: usize,
-    counts: &HashMap<String, usize>,
-    live_out: &[String],
-) -> bool {
-    eligible(t)
+/// Every read of `t` in its frame sits inside the adjacent consumer,
+/// and `t` never escapes the frame (function output, exit web).
+fn dead_after(t: Slot, uses_in_consumer: usize, scope: &Scope) -> bool {
+    scope.eligible[t.index()]
         && uses_in_consumer > 0
-        && !live_out.iter().any(|n| n == t)
-        && counts.get(t) == Some(&uses_in_consumer)
+        && !scope.live_out.contains(&t)
+        && scope.counts[t.index()] == uses_in_consumer
 }
 
 /// Folds that fuse with their producer: every MATLAB fold but the
@@ -178,12 +171,7 @@ fn fusible(op: ColRedOp) -> bool {
 
 /// Find one fusion site (left to right, outer before nested) and apply
 /// it. Returns whether anything changed.
-fn fuse_one(
-    block: &mut Vec<Instr>,
-    live_out: &[String],
-    counts: &HashMap<String, usize>,
-    stats: &mut FusionStats,
-) -> bool {
+fn fuse_one(block: &mut Vec<Instr>, scope: &Scope, stats: &mut FusionStats) -> bool {
     let mut i = 0;
     while i < block.len() {
         // The consumer is the next instruction that is not a `Free`: a
@@ -191,12 +179,12 @@ fn fuse_one(
         let next = (i + 1..block.len()).find(|&j| !matches!(block[j], Instr::Free { .. }));
         if let Some(j) = next {
             let (producer, consumer) = (&block[i], &block[j]);
-            let fused = absorb(producer, consumer, counts, live_out, stats)
-                .or_else(|| attach(producer, consumer, counts, live_out, stats));
+            let fused = absorb(producer, consumer, scope, stats)
+                .or_else(|| attach(producer, consumer, scope, stats));
             if let Some((fused, tmp)) = fused {
                 block[i] = fused;
                 block.remove(j);
-                consume_free(block, i + 1, &tmp, stats);
+                consume_free(block, i + 1, tmp, stats);
                 stats.temps_eliminated += 1;
                 return true;
             }
@@ -207,16 +195,14 @@ fn fuse_one(
                 then_body,
                 else_body,
                 ..
-            } => {
-                fuse_one(then_body, live_out, counts, stats)
-                    || fuse_one(else_body, live_out, counts, stats)
-            }
+            } => fuse_one(then_body, scope, stats) || fuse_one(else_body, scope, stats),
             Instr::While { pre, body, .. } => {
-                // Global read counts already include the condition's
-                // reads, so no extra liveness threading is needed.
-                fuse_one(pre, live_out, counts, stats) || fuse_one(body, live_out, counts, stats)
+                // The frame's read counts already include the
+                // condition's reads, so no extra liveness threading is
+                // needed.
+                fuse_one(pre, scope, stats) || fuse_one(body, scope, stats)
             }
-            Instr::For { body, .. } => fuse_one(body, live_out, counts, stats),
+            Instr::For { body, .. } => fuse_one(body, scope, stats),
             _ => false,
         };
         if nested {
@@ -230,11 +216,11 @@ fn fuse_one(
 /// Remove the `Free` of an eliminated temporary `t` from the run of
 /// `Free`s at `block[from..]` (present for `ML_tmp*`; SSA renames never
 /// got one).
-fn consume_free(block: &mut Vec<Instr>, from: usize, t: &str, stats: &mut FusionStats) {
+fn consume_free(block: &mut Vec<Instr>, from: usize, t: Slot, stats: &mut FusionStats) {
     let mut run = block[from..]
         .iter()
         .take_while(|i| matches!(i, Instr::Free { .. }));
-    if let Some(k) = run.position(|i| matches!(i, Instr::Free { name } if name == t)) {
+    if let Some(k) = run.position(|i| matches!(i, Instr::Free { name } if *name == t)) {
         block.remove(from + k);
         stats.frees_consumed += 1;
     }
@@ -246,18 +232,11 @@ fn consume_free(block: &mut Vec<Instr>, from: usize, t: &str, stats: &mut Fusion
 /// or writes `u`, `v` or `n`'s inputs, and no control flow lies in
 /// between. A `Free` of an input in between moves to just after the
 /// loop, and the `Free` of `t` among the ones following it goes.
-fn try_generator(
-    block: &mut Vec<Instr>,
-    i: usize,
-    counts: &HashMap<String, usize>,
-    live_out: &[String],
-    stats: &mut FusionStats,
-) -> bool {
-    let Some(gen) = Generator::of(&block[i]) else {
+fn try_generator(block: &mut Vec<Instr>, i: usize, scope: &Scope, stats: &mut FusionStats) -> bool {
+    let (Some(gen), Some(t)) = (Generator::of(&block[i]), block[i].dst()) else {
         return false;
     };
-    let t = block[i].dst().unwrap_or_default().to_string();
-    if !dead_after(&t, 1, counts, live_out) {
+    if !dead_after(t, 1, scope) {
         return false;
     }
     let mut inputs = Vec::new();
@@ -266,7 +245,7 @@ fn try_generator(
     let mut consumer = None;
     for (j, instr) in block.iter().enumerate().skip(i + 1) {
         match instr {
-            Instr::ElemWise { expr, .. } if mat_uses(expr, &t) == 1 => {
+            Instr::ElemWise { expr, .. } if mat_uses(expr, t) == 1 => {
                 consumer = Some(j);
                 break;
             }
@@ -296,12 +275,12 @@ fn try_generator(
     let j = j - 1 - frees.len();
     if let Instr::ElemWise { expr, .. } = &mut block[j] {
         let leaf = EwExpr::Gen {
-            tmp: t.clone(),
+            tmp: t,
             gen: Box::new(gen),
         };
-        *expr = substitute(expr, &t, &leaf);
+        *expr = substitute(expr, t, &leaf);
     }
-    consume_free(block, j + 1, &t, stats);
+    consume_free(block, j + 1, t, stats);
     for f in frees {
         block.insert(j + 1, f);
     }
@@ -315,10 +294,9 @@ fn try_generator(
 fn absorb(
     producer: &Instr,
     consumer: &Instr,
-    counts: &HashMap<String, usize>,
-    live_out: &[String],
+    scope: &Scope,
     stats: &mut FusionStats,
-) -> Option<(Instr, String)> {
+) -> Option<(Instr, Slot)> {
     let Instr::ElemWise { dst, expr } = consumer else {
         return None;
     };
@@ -328,15 +306,16 @@ fn absorb(
     else {
         return None;
     };
+    let t = *t;
     let uses = mat_uses(expr, t);
-    if !dead_after(t, uses, counts, live_out) {
+    if !dead_after(t, uses, scope) {
         return None;
     }
     let fused = match producer {
         Instr::ElemWise { expr: e1, .. } if uses == 1 || e1.generators().is_empty() => {
             stats.elemwise_chains += 1;
             Instr::ElemWise {
-                dst: dst.clone(),
+                dst: *dst,
                 expr: substitute(expr, t, e1),
             }
         }
@@ -346,12 +325,12 @@ fn absorb(
                 Product::MatMul { .. } => stats.matmul_epilogues += 1,
                 Product::MatVec { .. } => stats.matvec_epilogues += 1,
             }
-            let tail = Tail::Store { dst: dst.clone() };
+            let tail = Tail::Store { dst: *dst };
             Instr::fused(Some(head), expr.clone(), tail)
         }
         _ => return None,
     };
-    Some((fused, t.to_string()))
+    Some((fused, t))
 }
 
 /// Move 2: attach the adjacent fold of a loop's stored destination as
@@ -360,54 +339,51 @@ fn absorb(
 fn attach(
     producer: &Instr,
     consumer: &Instr,
-    counts: &HashMap<String, usize>,
-    live_out: &[String],
+    scope: &Scope,
     stats: &mut FusionStats,
-) -> Option<(Instr, String)> {
+) -> Option<(Instr, Slot)> {
     let (head, expr, t) = match producer {
-        Instr::ElemWise { dst, expr } => (None, expr, dst),
+        Instr::ElemWise { dst, expr } => (None, expr, *dst),
         Instr::Fused(f) => match f.tail() {
-            Tail::Store { dst } => (f.head(), f.expr(), dst),
+            Tail::Store { dst } => (f.head(), f.expr(), *dst),
             _ => return None,
         },
         _ => return None,
     };
     let tail = match consumer {
         Instr::Reduce { dst, op, m }
-            if m == t && (matches!(op, RedOp::Fold(f) if fusible(*f)) || *op == RedOp::Norm2) =>
+            if *m == t && (matches!(op, RedOp::Fold(f) if fusible(*f)) || *op == RedOp::Norm2) =>
         {
             Tail::Reduce {
-                dst: dst.clone(),
+                dst: *dst,
                 op: *op,
-                tmp: t.clone(),
+                tmp: t,
             }
         }
-        Instr::ColReduce { dst, op, m } if m == t && fusible(*op) => Tail::ColReduce {
-            dst: dst.clone(),
+        Instr::ColReduce { dst, op, m } if *m == t && fusible(*op) => Tail::ColReduce {
+            dst: *dst,
             op: *op,
-            tmp: t.clone(),
+            tmp: t,
         },
         _ => return None,
     };
-    if !dead_after(t, 1, counts, live_out) {
+    if !dead_after(t, 1, scope) {
         return None;
     }
     match tail {
         Tail::ColReduce { .. } => stats.col_reduce_epilogues += 1,
         _ => stats.reduce_epilogues += 1,
     }
-    Some((Instr::fused(head.cloned(), expr.clone(), tail), t.clone()))
+    Some((Instr::fused(head.cloned(), expr.clone(), tail), t))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use otter_ir::by_name::*;
 
     fn prog(main: Vec<Instr>) -> IrProgram {
-        IrProgram {
-            main,
-            ..Default::default()
-        }
+        program(main)
     }
 
     #[test]
@@ -415,30 +391,24 @@ mod tests {
         // tc kernel shape: c__1 = c*c; c = c__1 > 0 (SSA rename, no Free).
         let mut p = prog(vec![
             Instr::MatMul {
-                dst: "ML_tmp1".into(),
-                a: "c".into(),
-                b: "c".into(),
+                dst: v("ML_tmp1"),
+                a: v("c"),
+                b: v("c"),
             },
             Instr::ElemWise {
-                dst: "c".into(),
-                expr: EwExpr::bin(
-                    EwOp::Gt,
-                    EwExpr::mat("ML_tmp1"),
-                    EwExpr::Scalar(SExpr::c(0.0)),
-                ),
+                dst: v("c"),
+                expr: EwExpr::bin(EwOp::Gt, mat("ML_tmp1"), EwExpr::Scalar(SExpr::c(0.0))),
             },
-            Instr::Free {
-                name: "ML_tmp1".into(),
-            },
+            Instr::Free { name: v("ML_tmp1") },
         ]);
         let stats = fuse(&mut p);
         assert_eq!(stats.matmul_epilogues, 1);
         assert_eq!(stats.frees_consumed, 1);
-        assert_eq!(p.main.len(), 1);
-        assert_eq!(p.main[0].opcode(), "matmul-ew");
-        assert_eq!(p.main[0].dst(), Some("c"));
-        assert!(matches!(&p.main[0], Instr::Fused(f)
-                if f.head().map(Product::tmp).map(String::as_str) == Some("ML_tmp1")));
+        assert_eq!(p.main.body.len(), 1);
+        assert_eq!(p.main.body[0].opcode(), "matmul-ew");
+        assert_eq!(p.main.body[0].dst(), Some(v("c")));
+        assert!(matches!(&p.main.body[0], Instr::Fused(f)
+                if f.head().map(Product::tmp) == Some(v("ML_tmp1"))));
     }
 
     #[test]
@@ -446,43 +416,39 @@ mod tests {
         // cg residual: ML_tmp1 = A*x; r = b - ML_tmp1.
         let mut p = prog(vec![
             Instr::MatVec {
-                dst: "ML_tmp1".into(),
-                a: "A".into(),
-                x: "x".into(),
+                dst: v("ML_tmp1"),
+                a: v("A"),
+                x: v("x"),
             },
             Instr::ElemWise {
-                dst: "r".into(),
-                expr: EwExpr::bin(EwOp::Sub, EwExpr::mat("b"), EwExpr::mat("ML_tmp1")),
+                dst: v("r"),
+                expr: EwExpr::bin(EwOp::Sub, mat("b"), mat("ML_tmp1")),
             },
-            Instr::Free {
-                name: "ML_tmp1".into(),
-            },
+            Instr::Free { name: v("ML_tmp1") },
         ]);
         let stats = fuse(&mut p);
         assert_eq!(stats.matvec_epilogues, 1);
-        assert_eq!(p.main.len(), 1);
+        assert_eq!(p.main.body.len(), 1);
     }
 
     #[test]
     fn reduce_epilogue_fuses_norm2() {
         let mut p = prog(vec![
             Instr::ElemWise {
-                dst: "ML_tmp2".into(),
-                expr: EwExpr::bin(EwOp::Sub, EwExpr::mat("x"), EwExpr::mat("y")),
+                dst: v("ML_tmp2"),
+                expr: EwExpr::bin(EwOp::Sub, mat("x"), mat("y")),
             },
             Instr::Reduce {
-                dst: "d".into(),
+                dst: v("d"),
                 op: RedOp::Norm2,
-                m: "ML_tmp2".into(),
+                m: v("ML_tmp2"),
             },
-            Instr::Free {
-                name: "ML_tmp2".into(),
-            },
+            Instr::Free { name: v("ML_tmp2") },
         ]);
         let stats = fuse(&mut p);
         assert_eq!(stats.reduce_epilogues, 1);
-        assert_eq!(p.main.len(), 1);
-        assert!(matches!(&p.main[0], Instr::Fused(f)
+        assert_eq!(p.main.body.len(), 1);
+        assert!(matches!(&p.main.body[0], Instr::Fused(f)
                 if matches!(f.tail(), Tail::Reduce { op: RedOp::Norm2, .. })));
     }
 
@@ -491,66 +457,62 @@ mod tests {
         // ocean's energy: ML_tmp14 = field .* field; colsum(ML_tmp14).
         let mut p = prog(vec![
             Instr::ElemWise {
-                dst: "ML_tmp14".into(),
-                expr: EwExpr::bin(EwOp::Mul, EwExpr::mat("field"), EwExpr::mat("field")),
+                dst: v("ML_tmp14"),
+                expr: EwExpr::bin(EwOp::Mul, mat("field"), mat("field")),
             },
             Instr::ColReduce {
-                dst: "ML_tmp15".into(),
+                dst: v("ML_tmp15"),
                 op: ColRedOp::Sum,
-                m: "ML_tmp14".into(),
+                m: v("ML_tmp14"),
             },
             Instr::Free {
-                name: "ML_tmp14".into(),
+                name: v("ML_tmp14"),
             },
         ]);
         let stats = fuse(&mut p);
         assert_eq!(stats.col_reduce_epilogues, 1);
         assert_eq!(stats.frees_consumed, 1);
-        assert_eq!(p.main.len(), 1);
+        assert_eq!(p.main.body.len(), 1);
         let tail = Tail::ColReduce {
-            dst: "ML_tmp15".into(),
+            dst: v("ML_tmp15"),
             op: ColRedOp::Sum,
-            tmp: "ML_tmp14".into(),
+            tmp: v("ML_tmp14"),
         };
-        assert!(matches!(&p.main[0], Instr::Fused(f) if *f.tail() == tail));
+        assert!(matches!(&p.main.body[0], Instr::Fused(f) if *f.tail() == tail));
     }
 
     /// cg's system matrix after `frees`: two outer products and an
     /// identity, with a transpose and operand frees in between.
     fn cg_build() -> Vec<Instr> {
-        let outer = |dst: &str, u: &str, v: &str| Instr::Outer {
-            dst: dst.into(),
-            u: u.into(),
-            v: v.into(),
+        let outer = |dst: &str, u: &str, w: &str| Instr::Outer {
+            dst: v(dst),
+            u: v(u),
+            v: v(w),
         };
-        let free = |name: &str| Instr::Free { name: name.into() };
+        let free = |name: &str| Instr::Free { name: v(name) };
         vec![
             Instr::Transpose {
-                dst: "ML_tmp2".into(),
-                a: "u".into(),
+                dst: v("ML_tmp2"),
+                a: v("u"),
             },
             outer("ML_tmp3", "ML_tmp2", "u"),
             free("ML_tmp2"),
             Instr::Transpose {
-                dst: "ML_tmp4".into(),
-                a: "w".into(),
+                dst: v("ML_tmp4"),
+                a: v("w"),
             },
             outer("ML_tmp5", "ML_tmp4", "w"),
             free("ML_tmp4"),
             Instr::InitMatrix {
-                dst: "ML_tmp6".into(),
-                init: MatInit::Eye { n: SExpr::var("n") },
+                dst: v("ML_tmp6"),
+                init: MatInit::Eye { n: var("n") },
             },
             Instr::ElemWise {
-                dst: "A".into(),
+                dst: v("A"),
                 expr: EwExpr::bin(
                     EwOp::Add,
-                    EwExpr::bin(EwOp::Add, EwExpr::mat("ML_tmp3"), EwExpr::mat("ML_tmp5")),
-                    EwExpr::bin(
-                        EwOp::Mul,
-                        EwExpr::Scalar(SExpr::var("n")),
-                        EwExpr::mat("ML_tmp6"),
-                    ),
+                    EwExpr::bin(EwOp::Add, mat("ML_tmp3"), mat("ML_tmp5")),
+                    EwExpr::bin(EwOp::Mul, EwExpr::Scalar(var("n")), mat("ML_tmp6")),
                 ),
             },
             free("ML_tmp6"),
@@ -565,26 +527,16 @@ mod tests {
         let stats = fuse(&mut p);
         assert_eq!(stats.generator_leaves, 3);
         assert_eq!(stats.frees_consumed, 3);
-        let ops: Vec<&str> = p.main.iter().map(Instr::opcode).collect();
+        let ops: Vec<&str> = p.main.body.iter().map(Instr::opcode).collect();
         assert_eq!(ops, ["transpose", "transpose", "elemwise", "free", "free"]);
         // The operands' frees moved to just after the loop, in order.
-        assert_eq!(
-            p.main[3],
-            Instr::Free {
-                name: "ML_tmp4".into()
-            }
-        );
-        assert_eq!(
-            p.main[4],
-            Instr::Free {
-                name: "ML_tmp2".into()
-            }
-        );
-        let Instr::ElemWise { expr, .. } = &p.main[2] else {
-            panic!("{:?}", p.main)
+        assert_eq!(p.main.body[3], Instr::Free { name: v("ML_tmp4") });
+        assert_eq!(p.main.body[4], Instr::Free { name: v("ML_tmp2") });
+        let Instr::ElemWise { expr, .. } = &p.main.body[2] else {
+            panic!("{:?}", p.main.body)
         };
-        let gens: Vec<&str> = expr.generators().iter().map(|(t, _)| t.as_str()).collect();
-        assert_eq!(gens, ["ML_tmp3", "ML_tmp5", "ML_tmp6"]);
+        let gens: Vec<Slot> = expr.generators().iter().map(|&(t, _)| t).collect();
+        assert_eq!(gens, [v("ML_tmp3"), v("ML_tmp5"), v("ML_tmp6")]);
         let mut mats = Vec::new();
         expr.mat_operands(&mut mats);
         assert!(mats.is_empty(), "{mats:?}");
@@ -596,11 +548,11 @@ mod tests {
         // into between `outer(ML_tmp2, u)` and its reader.
         for write in [
             Instr::AssignScalar {
-                dst: "n".into(),
+                dst: v("n"),
                 src: SExpr::c(3.0),
             },
             Instr::StoreElem {
-                m: "u".into(),
+                m: v("u"),
                 i: SExpr::c(1.0),
                 j: None,
                 val: SExpr::c(0.0),
@@ -615,7 +567,10 @@ mod tests {
                 _ => "ML_tmp3",
             };
             assert_eq!(fused, 2, "{write:?}");
-            assert!(p.main.iter().any(|i| i.dst() == Some(held)), "{write:?}");
+            assert!(
+                p.main.body.iter().any(|i| i.dst() == Some(v(held))),
+                "{write:?}"
+            );
         }
     }
 
@@ -625,34 +580,26 @@ mod tests {
         // as its tail, past the outer product's own (moved) free.
         let mut p = prog(vec![
             Instr::Outer {
-                dst: "ML_tmp1".into(),
-                u: "u".into(),
-                v: "v".into(),
+                dst: v("ML_tmp1"),
+                u: v("u"),
+                v: v("v"),
             },
             Instr::ElemWise {
-                dst: "ML_tmp2".into(),
-                expr: EwExpr::bin(
-                    EwOp::Mul,
-                    EwExpr::mat("ML_tmp1"),
-                    EwExpr::Scalar(SExpr::c(2.0)),
-                ),
+                dst: v("ML_tmp2"),
+                expr: EwExpr::bin(EwOp::Mul, mat("ML_tmp1"), EwExpr::Scalar(SExpr::c(2.0))),
             },
-            Instr::Free {
-                name: "ML_tmp1".into(),
-            },
+            Instr::Free { name: v("ML_tmp1") },
             Instr::Reduce {
-                dst: "s".into(),
+                dst: v("s"),
                 op: RedOp::Fold(ColRedOp::Sum),
-                m: "ML_tmp2".into(),
+                m: v("ML_tmp2"),
             },
-            Instr::Free {
-                name: "ML_tmp2".into(),
-            },
+            Instr::Free { name: v("ML_tmp2") },
         ]);
         let stats = fuse(&mut p);
         assert_eq!((stats.generator_leaves, stats.reduce_epilogues), (1, 1));
         assert_eq!((stats.temps_eliminated, stats.frees_consumed), (2, 2));
-        let ops: Vec<&str> = p.main.iter().map(Instr::opcode).collect();
+        let ops: Vec<&str> = p.main.body.iter().map(Instr::opcode).collect();
         assert_eq!(ops, ["reduce-ew"]);
     }
 
@@ -662,26 +609,22 @@ mod tests {
         // (and gather) the outer product twice.
         let mut p = prog(vec![
             Instr::Outer {
-                dst: "ML_tmp1".into(),
-                u: "u".into(),
-                v: "v".into(),
+                dst: v("ML_tmp1"),
+                u: v("u"),
+                v: v("v"),
             },
             Instr::ElemWise {
-                dst: "ML_tmp2".into(),
-                expr: EwExpr::bin(
-                    EwOp::Mul,
-                    EwExpr::mat("ML_tmp1"),
-                    EwExpr::Scalar(SExpr::c(2.0)),
-                ),
+                dst: v("ML_tmp2"),
+                expr: EwExpr::bin(EwOp::Mul, mat("ML_tmp1"), EwExpr::Scalar(SExpr::c(2.0))),
             },
             Instr::ElemWise {
-                dst: "c".into(),
-                expr: EwExpr::bin(EwOp::Mul, EwExpr::mat("ML_tmp2"), EwExpr::mat("ML_tmp2")),
+                dst: v("c"),
+                expr: EwExpr::bin(EwOp::Mul, mat("ML_tmp2"), mat("ML_tmp2")),
             },
         ]);
         let stats = fuse(&mut p);
         assert_eq!((stats.generator_leaves, stats.elemwise_chains), (1, 0));
-        assert_eq!(p.main.len(), 2);
+        assert_eq!(p.main.body.len(), 2);
     }
 
     #[test]
@@ -690,37 +633,33 @@ mod tests {
         // become one instruction, and both temporaries go.
         let mut p = prog(vec![
             Instr::MatVec {
-                dst: "ML_tmp1".into(),
-                a: "A".into(),
-                x: "x".into(),
+                dst: v("ML_tmp1"),
+                a: v("A"),
+                x: v("x"),
             },
             Instr::ElemWise {
-                dst: "ML_tmp2".into(),
-                expr: EwExpr::bin(EwOp::Mul, EwExpr::mat("ML_tmp1"), EwExpr::mat("y")),
+                dst: v("ML_tmp2"),
+                expr: EwExpr::bin(EwOp::Mul, mat("ML_tmp1"), mat("y")),
             },
-            Instr::Free {
-                name: "ML_tmp1".into(),
-            },
+            Instr::Free { name: v("ML_tmp1") },
             Instr::Reduce {
-                dst: "s".into(),
+                dst: v("s"),
                 op: RedOp::Fold(ColRedOp::Sum),
-                m: "ML_tmp2".into(),
+                m: v("ML_tmp2"),
             },
-            Instr::Free {
-                name: "ML_tmp2".into(),
-            },
+            Instr::Free { name: v("ML_tmp2") },
         ]);
         let stats = fuse(&mut p);
         assert_eq!((stats.matvec_epilogues, stats.reduce_epilogues), (1, 1));
-        assert_eq!(p.main.len(), 1);
-        let Instr::Fused(f) = &p.main[0] else {
-            panic!("{:?}", p.main)
+        assert_eq!(p.main.body.len(), 1);
+        let Instr::Fused(f) = &p.main.body[0] else {
+            panic!("{:?}", p.main.body)
         };
-        let ops: Vec<&str> = f.unfused().iter().map(Instr::opcode).collect();
+        let ops: Vec<&str> = f.unfused(&p.main.vars).iter().map(Instr::opcode).collect();
         assert_eq!(ops, ["matvec", "elemwise", "reduce", "free", "free"]);
         let mut reads = Vec::new();
-        p.main[0].reads(&mut reads);
-        assert_eq!(reads, ["A", "x", "y"]);
+        p.main.body[0].reads(&mut reads);
+        assert_eq!(reads, [v("A"), v("x"), v("y")]);
     }
 
     #[test]
@@ -728,13 +667,13 @@ mod tests {
         for op in [ColRedOp::Any, ColRedOp::All] {
             let mut p = prog(vec![
                 Instr::ElemWise {
-                    dst: "ML_tmp1".into(),
-                    expr: EwExpr::bin(EwOp::Mul, EwExpr::mat("x"), EwExpr::mat("x")),
+                    dst: v("ML_tmp1"),
+                    expr: EwExpr::bin(EwOp::Mul, mat("x"), mat("x")),
                 },
                 Instr::ColReduce {
-                    dst: "s".into(),
+                    dst: v("s"),
                     op,
-                    m: "ML_tmp1".into(),
+                    m: v("ML_tmp1"),
                 },
             ]);
             assert_eq!(fuse(&mut p).fused(), 0, "{op:?}");
@@ -745,25 +684,23 @@ mod tests {
     fn elemwise_chain_substitutes() {
         let mut p = prog(vec![
             Instr::ElemWise {
-                dst: "ML_tmp1".into(),
-                expr: EwExpr::bin(EwOp::Add, EwExpr::mat("a"), EwExpr::mat("b")),
+                dst: v("ML_tmp1"),
+                expr: EwExpr::bin(EwOp::Add, mat("a"), mat("b")),
             },
             Instr::ElemWise {
-                dst: "c".into(),
-                expr: EwExpr::bin(EwOp::Mul, EwExpr::mat("ML_tmp1"), EwExpr::mat("d")),
+                dst: v("c"),
+                expr: EwExpr::bin(EwOp::Mul, mat("ML_tmp1"), mat("d")),
             },
-            Instr::Free {
-                name: "ML_tmp1".into(),
-            },
+            Instr::Free { name: v("ML_tmp1") },
         ]);
         let stats = fuse(&mut p);
         assert_eq!(stats.elemwise_chains, 1);
-        assert_eq!(p.main.len(), 1);
-        let Instr::ElemWise { expr, .. } = &p.main[0] else {
-            panic!("expected one fused elemwise: {:?}", p.main)
+        assert_eq!(p.main.body.len(), 1);
+        let Instr::ElemWise { expr, .. } = &p.main.body[0] else {
+            panic!("expected one fused elemwise: {:?}", p.main.body)
         };
-        assert_eq!(mat_uses(expr, "a"), 1);
-        assert_eq!(mat_uses(expr, "ML_tmp1"), 0);
+        assert_eq!(mat_uses(expr, v("a")), 1);
+        assert_eq!(mat_uses(expr, v("ML_tmp1")), 0);
     }
 
     #[test]
@@ -771,40 +708,38 @@ mod tests {
         // t1 = a + b; t2 = t1 * t1; s = sum(t2) → one reduce-ew loop.
         let mut p = prog(vec![
             Instr::ElemWise {
-                dst: "ML_tmp1".into(),
-                expr: EwExpr::bin(EwOp::Add, EwExpr::mat("a"), EwExpr::mat("b")),
+                dst: v("ML_tmp1"),
+                expr: EwExpr::bin(EwOp::Add, mat("a"), mat("b")),
             },
             Instr::ElemWise {
-                dst: "ML_tmp2".into(),
-                expr: EwExpr::bin(EwOp::Mul, EwExpr::mat("ML_tmp1"), EwExpr::mat("ML_tmp1")),
+                dst: v("ML_tmp2"),
+                expr: EwExpr::bin(EwOp::Mul, mat("ML_tmp1"), mat("ML_tmp1")),
             },
             Instr::Reduce {
-                dst: "s".into(),
+                dst: v("s"),
                 op: RedOp::Fold(ColRedOp::Sum),
-                m: "ML_tmp2".into(),
+                m: v("ML_tmp2"),
             },
-            Instr::Free {
-                name: "ML_tmp2".into(),
-            },
+            Instr::Free { name: v("ML_tmp2") },
         ]);
         let stats = fuse(&mut p);
         assert_eq!(stats.elemwise_chains, 1);
         assert_eq!(stats.reduce_epilogues, 1);
-        assert_eq!(p.main.len(), 1);
-        assert_eq!(p.main[0].opcode(), "reduce-ew");
+        assert_eq!(p.main.body.len(), 1);
+        assert_eq!(p.main.body[0].opcode(), "reduce-ew");
     }
 
     #[test]
     fn user_variables_never_fuse() {
         let mut p = prog(vec![
             Instr::MatMul {
-                dst: "u".into(),
-                a: "a".into(),
-                b: "b".into(),
+                dst: v("u"),
+                a: v("a"),
+                b: v("b"),
             },
             Instr::ElemWise {
-                dst: "v".into(),
-                expr: EwExpr::bin(EwOp::Gt, EwExpr::mat("u"), EwExpr::Scalar(SExpr::c(0.0))),
+                dst: v("v"),
+                expr: EwExpr::bin(EwOp::Gt, mat("u"), EwExpr::Scalar(SExpr::c(0.0))),
             },
         ]);
         assert_eq!(fuse(&mut p).fused(), 0);
@@ -814,22 +749,18 @@ mod tests {
     fn temp_with_later_reader_stays() {
         let mut p = prog(vec![
             Instr::MatMul {
-                dst: "ML_tmp1".into(),
-                a: "a".into(),
-                b: "b".into(),
+                dst: v("ML_tmp1"),
+                a: v("a"),
+                b: v("b"),
             },
             Instr::ElemWise {
-                dst: "c".into(),
-                expr: EwExpr::bin(
-                    EwOp::Gt,
-                    EwExpr::mat("ML_tmp1"),
-                    EwExpr::Scalar(SExpr::c(0.0)),
-                ),
+                dst: v("c"),
+                expr: EwExpr::bin(EwOp::Gt, mat("ML_tmp1"), EwExpr::Scalar(SExpr::c(0.0))),
             },
             Instr::Reduce {
-                dst: "s".into(),
+                dst: v("s"),
                 op: RedOp::Fold(ColRedOp::Sum),
-                m: "ML_tmp1".into(),
+                m: v("ML_tmp1"),
             },
         ]);
         assert_eq!(fuse(&mut p).fused(), 0);
@@ -839,13 +770,13 @@ mod tests {
     fn halo_reductions_do_not_fuse() {
         let mut p = prog(vec![
             Instr::ElemWise {
-                dst: "ML_tmp1".into(),
-                expr: EwExpr::bin(EwOp::Mul, EwExpr::mat("x"), EwExpr::mat("x")),
+                dst: v("ML_tmp1"),
+                expr: EwExpr::bin(EwOp::Mul, mat("x"), mat("x")),
             },
             Instr::Reduce {
-                dst: "s".into(),
+                dst: v("s"),
                 op: RedOp::Trapz,
-                m: "ML_tmp1".into(),
+                m: v("ML_tmp1"),
             },
         ]);
         assert_eq!(fuse(&mut p).fused(), 0);
@@ -855,25 +786,23 @@ mod tests {
     fn fuses_inside_loops() {
         let mut p = prog(vec![Instr::While {
             pre: vec![],
-            cond: SExpr::bin(SBinOp::Gt, SExpr::var("d"), SExpr::c(0.5)),
+            cond: SExpr::bin(SBinOp::Gt, var("d"), SExpr::c(0.5)),
             body: vec![
                 Instr::MatVec {
-                    dst: "ML_tmp1".into(),
-                    a: "A".into(),
-                    x: "x".into(),
+                    dst: v("ML_tmp1"),
+                    a: v("A"),
+                    x: v("x"),
                 },
                 Instr::ElemWise {
-                    dst: "r".into(),
-                    expr: EwExpr::bin(EwOp::Sub, EwExpr::mat("b"), EwExpr::mat("ML_tmp1")),
+                    dst: v("r"),
+                    expr: EwExpr::bin(EwOp::Sub, mat("b"), mat("ML_tmp1")),
                 },
-                Instr::Free {
-                    name: "ML_tmp1".into(),
-                },
+                Instr::Free { name: v("ML_tmp1") },
             ],
         }]);
         let stats = fuse(&mut p);
         assert_eq!(stats.matvec_epilogues, 1);
-        let Instr::While { body, .. } = &p.main[0] else {
+        let Instr::While { body, .. } = &p.main.body[0] else {
             panic!()
         };
         assert_eq!(body.len(), 1);
@@ -885,20 +814,18 @@ mod tests {
         // product buffer before each element is overwritten.
         let mut p = prog(vec![
             Instr::MatMul {
-                dst: "ML_tmp1".into(),
-                a: "a".into(),
-                b: "b".into(),
+                dst: v("ML_tmp1"),
+                a: v("a"),
+                b: v("b"),
             },
             Instr::ElemWise {
-                dst: "d".into(),
-                expr: EwExpr::bin(EwOp::Mul, EwExpr::mat("ML_tmp1"), EwExpr::mat("ML_tmp1")),
+                dst: v("d"),
+                expr: EwExpr::bin(EwOp::Mul, mat("ML_tmp1"), mat("ML_tmp1")),
             },
-            Instr::Free {
-                name: "ML_tmp1".into(),
-            },
+            Instr::Free { name: v("ML_tmp1") },
         ]);
         let stats = fuse(&mut p);
         assert_eq!(stats.matmul_epilogues, 1);
-        assert_eq!(p.main.len(), 1);
+        assert_eq!(p.main.body.len(), 1);
     }
 }

@@ -25,85 +25,22 @@ use otter_frontend::ast::*;
 use otter_frontend::Span;
 use otter_ir::*;
 
-/// Lower a resolved + SSA-renamed + inferred program to IR.
+/// Lower a resolved + SSA-renamed + inferred program to IR: one frame
+/// for the script and one for each function that inference reached (the
+/// paper's compiler only emits reachable code).
 pub fn lower(program: &Program, inference: &Inference) -> Result<IrProgram> {
-    let mut ir = IrProgram::default();
-    let mut cx = Cx {
-        inference,
-        types: &inference.script_vars,
-        tmp: 0,
-        tmp_ranks: Vec::new(),
-        self_elem: None,
-        def_spans: Default::default(),
+    let script = &program.script;
+    let main = Cx::new(inference, &inference.script_vars).frame("", &[], &[], script)?;
+    let mut ir = IrProgram {
+        main,
+        ..IrProgram::default()
     };
-    ir.main = cx.lower_block(&program.script)?;
-    ir.def_spans = std::mem::take(&mut cx.def_spans);
-    for (name, ty) in &inference.script_vars {
-        ir.var_ranks.insert(name.clone(), rank_of(ty));
-        if ty.rank == RankTy::Matrix {
-            ir.var_shapes.insert(name.clone(), ty.shape);
-        }
-        if let Some(k) = ty.konst {
-            ir.var_consts.insert(name.clone(), k);
-        }
-    }
-    // Temps introduced during lowering.
-    ir.var_ranks.extend(cx.tmp_ranks);
     for f in &program.functions {
-        let Some(sig) = inference.functions.get(&f.name) else {
-            // Function present but never called: skip it (the paper's
-            // compiler only emits reachable code).
-            continue;
-        };
-        let mut fcx = Cx {
-            inference,
-            types: &sig.vars,
-            tmp: 0,
-            tmp_ranks: Vec::new(),
-            self_elem: None,
-            def_spans: Default::default(),
-        };
-        let body = fcx.lower_block(&f.body)?;
-        let mut var_ranks: std::collections::BTreeMap<String, VarRank> = sig
-            .vars
-            .iter()
-            .map(|(n, t)| (n.clone(), rank_of(t)))
-            .collect();
-        var_ranks.extend(fcx.tmp_ranks);
-        let mut var_shapes = std::collections::BTreeMap::new();
-        let mut var_consts = std::collections::BTreeMap::new();
-        for (n, t) in &sig.vars {
-            if t.rank == RankTy::Matrix {
-                var_shapes.insert(n.clone(), t.shape);
-            }
-            if let Some(k) = t.konst {
-                var_consts.insert(n.clone(), k);
-            }
+        if let Some(sig) = inference.functions.get(&f.name) {
+            let cx = Cx::new(inference, &sig.vars);
+            let frame = cx.frame(&f.name, &f.params, &f.outs, &f.body)?;
+            ir.functions.insert(f.name.clone(), frame);
         }
-        ir.functions.insert(
-            f.name.clone(),
-            IrFunction {
-                name: f.name.clone(),
-                params: f
-                    .params
-                    .iter()
-                    .zip(&sig.params)
-                    .map(|(n, t)| (n.clone(), rank_of(t)))
-                    .collect(),
-                outs: f
-                    .outs
-                    .iter()
-                    .zip(&sig.outs)
-                    .map(|(n, t)| (n.clone(), rank_of(t)))
-                    .collect(),
-                body,
-                var_ranks,
-                def_spans: std::mem::take(&mut fcx.def_spans),
-                var_shapes,
-                var_consts,
-                in_place: Default::default(),
-            },
-        );
     }
     Ok(ir)
 }
@@ -127,24 +64,79 @@ enum Frag {
 struct Cx<'a> {
     inference: &'a Inference,
     types: &'a ScopeTypes,
+    /// The scope's slot table. Its first `types.len()` slots are the
+    /// inferred variables in name order, so [`Cx::slot`] finds them by
+    /// binary search; temporaries follow as they are minted.
+    vars: Vars,
     tmp: usize,
-    /// Rank of each `ML_tmp*` this scope created, in creation order.
-    tmp_ranks: Vec<(String, VarRank)>,
     /// While lowering `m(i,j) = rhs`: the store target, so reads of
     /// the same element become [`SExpr::OwnElem`] (paper's in-guard
     /// read) instead of a broadcast.
-    self_elem: Option<(String, Vec<SExpr>)>,
-    /// Source span of each variable's first definition, recorded as
-    /// statements lower (diagnostics metadata on the produced IR).
-    def_spans: std::collections::BTreeMap<String, Span>,
+    self_elem: Option<(Slot, Vec<SExpr>)>,
 }
 
 impl<'a> Cx<'a> {
-    fn fresh_tmp(&mut self, rank: VarRank) -> String {
+    fn new(inference: &'a Inference, types: &'a ScopeTypes) -> Self {
+        let mut vars = Vars::default();
+        for (name, ty) in types {
+            let s = vars.add(Var::new(name.clone(), rank_of(ty)));
+            if ty.rank == RankTy::Matrix {
+                vars[s].shape = Some(ty.shape);
+            }
+            vars[s].konst = ty.konst;
+        }
+        Cx {
+            inference,
+            types,
+            vars,
+            tmp: 0,
+            self_elem: None,
+        }
+    }
+
+    /// Lower one scope to its frame.
+    fn frame(
+        mut self,
+        name: &str,
+        params: &[String],
+        outs: &[String],
+        body: &Block,
+    ) -> Result<Frame> {
+        let params = params.iter().map(|p| self.slot(p)).collect();
+        let body = self.lower_block(body)?;
+        let outs = outs.iter().map(|o| self.slot(o)).collect();
+        Ok(Frame {
+            name: name.to_string(),
+            params,
+            outs,
+            body,
+            vars: self.vars,
+        })
+    }
+
+    /// The slot of the source variable `name`. A name inference did not
+    /// type (none reaches here for a well-typed program) gets a scalar
+    /// slot of its own.
+    fn slot(&mut self, name: &str) -> Slot {
+        let (mut lo, mut hi) = (0, self.types.len() as u32);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            match self.vars.name(Slot(mid)).cmp(name) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => return Slot(mid),
+            }
+        }
+        match self.vars.slot(name) {
+            Some(s) => s,
+            None => self.vars.add(Var::new(name, VarRank::Scalar)),
+        }
+    }
+
+    fn fresh_tmp(&mut self, rank: VarRank) -> Slot {
         self.tmp += 1;
-        let name = format!("{TEMP_PREFIX}{}", self.tmp);
-        self.tmp_ranks.push((name.clone(), rank));
-        name
+        self.vars
+            .add(Var::new(format!("{TEMP_PREFIX}{}", self.tmp), rank))
     }
 
     fn var_ty(&self, name: &str, span: Span) -> Result<VarTy> {
@@ -179,9 +171,9 @@ impl<'a> Cx<'a> {
             ExprKind::Ident(name) => {
                 if let Some(ty) = self.types.get(name).copied() {
                     if ty.rank == RankTy::Matrix {
-                        Ok((Frag::E(EwExpr::mat(name.clone())), ty))
+                        Ok((Frag::E(EwExpr::Mat(self.slot(name))), ty))
                     } else {
-                        Ok((Frag::S(SExpr::var(name.clone())), ty))
+                        Ok((Frag::S(SExpr::Var(self.slot(name))), ty))
                     }
                 } else if let Some(v) = otter_analysis::builtins::constant_value(name) {
                     Ok((
@@ -207,7 +199,7 @@ impl<'a> Cx<'a> {
                 let (p, _) = self.lower_scalar(stop, out)?;
                 let dst = self.fresh_tmp(VarRank::Matrix);
                 out.push(Instr::InitMatrix {
-                    dst: dst.clone(),
+                    dst,
                     init: MatInit::Range {
                         start: s,
                         step: st,
@@ -215,7 +207,7 @@ impl<'a> Cx<'a> {
                     },
                 });
                 let ty = range_type(e, self.types);
-                Ok((Frag::E(EwExpr::mat(dst)), ty))
+                Ok((Frag::E(EwExpr::Mat(dst)), ty))
             }
             ExprKind::Colon | ExprKind::EndKeyword => {
                 Err(CodegenError::new("`:`/`end` outside an index", e.span))
@@ -239,15 +231,12 @@ impl<'a> Cx<'a> {
                     Frag::E(_) => {
                         let src = self.materialize(f, out);
                         let dst = self.fresh_tmp(VarRank::Matrix);
-                        out.push(Instr::Transpose {
-                            dst: dst.clone(),
-                            a: src,
-                        });
+                        out.push(Instr::Transpose { dst, a: src });
                         let t = VarTy {
                             shape: ty.shape.transposed(),
                             ..ty
                         };
-                        Ok((Frag::E(EwExpr::mat(dst)), t))
+                        Ok((Frag::E(EwExpr::Mat(dst)), t))
                     }
                 }
             }
@@ -271,11 +260,11 @@ impl<'a> Cx<'a> {
                 let (nr, nc) = (rows.len(), rows.first().map_or(0, |r| r.len()));
                 let dst = self.fresh_tmp(VarRank::Matrix);
                 out.push(Instr::InitMatrix {
-                    dst: dst.clone(),
+                    dst,
                     init: MatInit::Literal { rows: cells },
                 });
                 Ok((
-                    Frag::E(EwExpr::mat(dst)),
+                    Frag::E(EwExpr::Mat(dst)),
                     VarTy::matrix(
                         otter_analysis::BaseTy::Real,
                         otter_analysis::Shape::known(nr, nc),
@@ -298,22 +287,19 @@ impl<'a> Cx<'a> {
     }
 
     /// Materialize an element-wise fragment into a named matrix.
-    fn materialize(&mut self, f: Frag, out: &mut Vec<Instr>) -> String {
+    fn materialize(&mut self, f: Frag, out: &mut Vec<Instr>) -> Slot {
         match f {
             Frag::E(EwExpr::Mat(name)) => name,
             Frag::E(expr) => {
                 let dst = self.fresh_tmp(VarRank::Matrix);
-                out.push(Instr::ElemWise {
-                    dst: dst.clone(),
-                    expr,
-                });
+                out.push(Instr::ElemWise { dst, expr });
                 dst
             }
             Frag::S(s) => {
                 // A scalar where a matrix is needed (1×1 literal).
                 let dst = self.fresh_tmp(VarRank::Matrix);
                 out.push(Instr::InitMatrix {
-                    dst: dst.clone(),
+                    dst,
                     init: MatInit::Literal {
                         rows: vec![vec![s]],
                     },
@@ -365,38 +351,22 @@ impl<'a> Cx<'a> {
                     let a = self.strip_transpose_or_materialize(lhs, fa, out)?;
                     let b = self.strip_transpose_or_materialize(rhs, fb, out)?;
                     let dst = self.fresh_tmp(VarRank::Scalar);
-                    out.push(Instr::Dot {
-                        dst: dst.clone(),
-                        a,
-                        b,
-                    });
-                    return Ok((Frag::S(SExpr::var(dst)), rty));
+                    out.push(Instr::Dot { dst, a, b });
+                    return Ok((Frag::S(SExpr::Var(dst)), rty));
                 }
                 let a = self.materialize(fa, out);
                 let b = self.materialize(fb, out);
                 let dst = self.fresh_tmp(VarRank::Matrix);
                 // Column-vector right operand → ML_matrix_vector_multiply.
                 if tb.shape.cols == Dim::Known(1) && tb.shape.rows != Dim::Known(1) {
-                    out.push(Instr::MatVec {
-                        dst: dst.clone(),
-                        a,
-                        x: b,
-                    });
+                    out.push(Instr::MatVec { dst, a, x: b });
                 } else if ta.shape.cols == Dim::Known(1) && tb.shape.rows == Dim::Known(1) {
                     // column · row = outer product.
-                    out.push(Instr::Outer {
-                        dst: dst.clone(),
-                        u: a,
-                        v: b,
-                    });
+                    out.push(Instr::Outer { dst, u: a, v: b });
                 } else {
-                    out.push(Instr::MatMul {
-                        dst: dst.clone(),
-                        a,
-                        b,
-                    });
+                    out.push(Instr::MatMul { dst, a, b });
                 }
-                Ok((Frag::E(EwExpr::mat(dst)), rty))
+                Ok((Frag::E(EwExpr::Mat(dst)), rty))
             }
             BinOp::Div => match (&fa, &fb) {
                 (_, Frag::S(s)) => {
@@ -436,11 +406,11 @@ impl<'a> Cx<'a> {
         src_expr: &Expr,
         frag: Frag,
         out: &mut Vec<Instr>,
-    ) -> Result<String> {
+    ) -> Result<Slot> {
         if let ExprKind::Transpose { operand, .. } = &src_expr.kind {
             if let ExprKind::Ident(name) = &operand.kind {
                 if self.var_ty(name, src_expr.span)?.rank == RankTy::Matrix {
-                    return Ok(name.clone());
+                    return Ok(self.slot(name));
                 }
             }
         }
@@ -481,19 +451,15 @@ impl<'a> Cx<'a> {
                 // v(i): element broadcast (pass 4's ML_broadcast).
                 let i = self.lower_index_scalar(ix, base, DimSel::Numel, out)?;
                 // Read of the element being stored? (pass 5 in-guard read)
-                if let Some((m, idx)) = &self.self_elem {
-                    if m == base && idx.len() == 1 && idx[0] == i {
+                let m = self.slot(base);
+                if let Some((own, idx)) = &self.self_elem {
+                    if *own == m && idx.len() == 1 && idx[0] == i {
                         return Ok((Frag::S(SExpr::OwnElem), VarTy::scalar(elem_base)));
                     }
                 }
                 let dst = self.fresh_tmp(VarRank::Scalar);
-                out.push(Instr::BroadcastElem {
-                    dst: dst.clone(),
-                    m: base.to_string(),
-                    i,
-                    j: None,
-                });
-                Ok((Frag::S(SExpr::var(dst)), VarTy::scalar(elem_base)))
+                out.push(Instr::BroadcastElem { dst, m, i, j: None });
+                Ok((Frag::S(SExpr::Var(dst)), VarTy::scalar(elem_base)))
             }
             [ix] => match &ix.kind {
                 ExprKind::Range { start, step, stop } => {
@@ -502,16 +468,16 @@ impl<'a> Cx<'a> {
                     let dst = self.fresh_tmp(VarRank::Matrix);
                     match step {
                         None => out.push(Instr::ExtractRange {
-                            dst: dst.clone(),
-                            v: base.to_string(),
+                            dst,
+                            v: self.slot(base),
                             lo,
                             hi,
                         }),
                         Some(st) => {
                             let (step_s, _) = self.lower_scalar(st, out)?;
                             out.push(Instr::ExtractStrided {
-                                dst: dst.clone(),
-                                v: base.to_string(),
+                                dst,
+                                v: self.slot(base),
                                 lo,
                                 step: step_s,
                                 hi,
@@ -519,7 +485,7 @@ impl<'a> Cx<'a> {
                         }
                     }
                     let ty = VarTy::matrix(elem_base, otter_analysis::Shape::UNKNOWN);
-                    Ok((Frag::E(EwExpr::mat(dst)), ty))
+                    Ok((Frag::E(EwExpr::Mat(dst)), ty))
                 }
                 _ => Err(CodegenError::new(
                     "this indexing form is not supported by the compiler",
@@ -530,26 +496,27 @@ impl<'a> Cx<'a> {
             [i, j] if is_scalar_index(i) && is_scalar_index(j) => {
                 let si = self.lower_index_scalar(i, base, DimSel::Rows, out)?;
                 let sj = self.lower_index_scalar(j, base, DimSel::Cols, out)?;
-                if let Some((m, idx)) = &self.self_elem {
-                    if m == base && idx.len() == 2 && idx[0] == si && idx[1] == sj {
+                let m = self.slot(base);
+                if let Some((own, idx)) = &self.self_elem {
+                    if *own == m && idx.len() == 2 && idx[0] == si && idx[1] == sj {
                         return Ok((Frag::S(SExpr::OwnElem), VarTy::scalar(elem_base)));
                     }
                 }
                 let dst = self.fresh_tmp(VarRank::Scalar);
                 out.push(Instr::BroadcastElem {
-                    dst: dst.clone(),
-                    m: base.to_string(),
+                    dst,
+                    m: self.slot(base),
                     i: si,
                     j: Some(sj),
                 });
-                Ok((Frag::S(SExpr::var(dst)), VarTy::scalar(elem_base)))
+                Ok((Frag::S(SExpr::Var(dst)), VarTy::scalar(elem_base)))
             }
             [i, j] if is_scalar_index(i) && matches!(j.kind, ExprKind::Colon) => {
                 let si = self.lower_index_scalar(i, base, DimSel::Rows, out)?;
                 let dst = self.fresh_tmp(VarRank::Matrix);
                 out.push(Instr::ExtractRow {
-                    dst: dst.clone(),
-                    m: base.to_string(),
+                    dst,
+                    m: self.slot(base),
                     i: si,
                 });
                 let ty = VarTy::matrix(
@@ -559,14 +526,14 @@ impl<'a> Cx<'a> {
                         cols: bty.shape.cols,
                     },
                 );
-                Ok((Frag::E(EwExpr::mat(dst)), ty))
+                Ok((Frag::E(EwExpr::Mat(dst)), ty))
             }
             [i, j] if matches!(i.kind, ExprKind::Colon) && is_scalar_index(j) => {
                 let sj = self.lower_index_scalar(j, base, DimSel::Cols, out)?;
                 let dst = self.fresh_tmp(VarRank::Matrix);
                 out.push(Instr::ExtractCol {
-                    dst: dst.clone(),
-                    m: base.to_string(),
+                    dst,
+                    m: self.slot(base),
                     j: sj,
                 });
                 let ty = VarTy::matrix(
@@ -576,7 +543,7 @@ impl<'a> Cx<'a> {
                         cols: Dim::Known(1),
                     },
                 );
-                Ok((Frag::E(EwExpr::mat(dst)), ty))
+                Ok((Frag::E(EwExpr::Mat(dst)), ty))
             }
             _ => Err(CodegenError::new(
                 "this indexing form is not supported by the compiler \
@@ -643,17 +610,14 @@ impl<'a> Cx<'a> {
                     _ => MatInit::Eye { n: r },
                 };
                 let dst = self.fresh_tmp(VarRank::Matrix);
-                out.push(Instr::InitMatrix {
-                    dst: dst.clone(),
-                    init,
-                });
+                out.push(Instr::InitMatrix { dst, init });
                 let base = if callee == "rand" {
                     BaseTy::Real
                 } else {
                     BaseTy::Integer
                 };
                 one(
-                    Frag::E(EwExpr::mat(dst)),
+                    Frag::E(EwExpr::Mat(dst)),
                     VarTy::matrix(base, otter_analysis::Shape::UNKNOWN),
                 )
             }
@@ -667,11 +631,11 @@ impl<'a> Cx<'a> {
                 };
                 let dst = self.fresh_tmp(VarRank::Matrix);
                 out.push(Instr::InitMatrix {
-                    dst: dst.clone(),
+                    dst,
                     init: MatInit::Linspace { a, b, n },
                 });
                 one(
-                    Frag::E(EwExpr::mat(dst)),
+                    Frag::E(EwExpr::Mat(dst)),
                     VarTy::matrix(BaseTy::Real, otter_analysis::Shape::UNKNOWN),
                 )
             }
@@ -693,10 +657,8 @@ impl<'a> Cx<'a> {
                     }
                     return one(Frag::S(v), VarTy::int_const(1.0));
                 }
-                let dim = |sel| SExpr::DimOf {
-                    var: mname.clone(),
-                    sel,
-                };
+                let var = self.slot(mname);
+                let dim = |sel| SExpr::DimOf { var, sel };
                 match callee {
                     "length" => one(Frag::S(dim(DimSel::Length)), VarTy::scalar(BaseTy::Integer)),
                     "numel" => one(Frag::S(dim(DimSel::Numel)), VarTy::scalar(BaseTy::Integer)),
@@ -724,13 +686,13 @@ impl<'a> Cx<'a> {
                         // size(m) as a 1×2 row vector.
                         let dst = self.fresh_tmp(VarRank::Matrix);
                         out.push(Instr::InitMatrix {
-                            dst: dst.clone(),
+                            dst,
                             init: MatInit::Literal {
                                 rows: vec![vec![dim(DimSel::Rows), dim(DimSel::Cols)]],
                             },
                         });
                         one(
-                            Frag::E(EwExpr::mat(dst)),
+                            Frag::E(EwExpr::Mat(dst)),
                             VarTy::matrix(BaseTy::Integer, otter_analysis::Shape::known(1, 2)),
                         )
                     }
@@ -807,18 +769,14 @@ impl<'a> Cx<'a> {
                 if ty.shape.is_vector() {
                     let dst = self.fresh_tmp(VarRank::Scalar);
                     out.push(Instr::Reduce {
-                        dst: dst.clone(),
+                        dst,
                         op: RedOp::Fold(op),
                         m,
                     });
-                    one(Frag::S(SExpr::var(dst)), VarTy::scalar(result_base))
+                    one(Frag::S(SExpr::Var(dst)), VarTy::scalar(result_base))
                 } else {
                     let dst = self.fresh_tmp(VarRank::Matrix);
-                    out.push(Instr::ColReduce {
-                        dst: dst.clone(),
-                        op,
-                        m,
-                    });
+                    out.push(Instr::ColReduce { dst, op, m });
                     let t = VarTy::matrix(
                         result_base,
                         otter_analysis::Shape {
@@ -826,7 +784,7 @@ impl<'a> Cx<'a> {
                             cols: ty.shape.cols,
                         },
                     );
-                    one(Frag::E(EwExpr::mat(dst)), t)
+                    one(Frag::E(EwExpr::Mat(dst)), t)
                 }
             }
             "norm" => {
@@ -834,11 +792,11 @@ impl<'a> Cx<'a> {
                 let m = self.materialize(f, out);
                 let dst = self.fresh_tmp(VarRank::Scalar);
                 out.push(Instr::Reduce {
-                    dst: dst.clone(),
+                    dst,
                     op: RedOp::Norm2,
                     m,
                 });
-                one(Frag::S(SExpr::var(dst)), VarTy::scalar(BaseTy::Real))
+                one(Frag::S(SExpr::Var(dst)), VarTy::scalar(BaseTy::Real))
             }
             "dot" => {
                 let (fa, _) = self.lower_expr(&args[0], out)?;
@@ -846,12 +804,8 @@ impl<'a> Cx<'a> {
                 let a = self.materialize(fa, out);
                 let b = self.materialize(fb, out);
                 let dst = self.fresh_tmp(VarRank::Scalar);
-                out.push(Instr::Dot {
-                    dst: dst.clone(),
-                    a,
-                    b,
-                });
-                one(Frag::S(SExpr::var(dst)), VarTy::scalar(BaseTy::Real))
+                out.push(Instr::Dot { dst, a, b });
+                one(Frag::S(SExpr::Var(dst)), VarTy::scalar(BaseTy::Real))
             }
             "trapz" | "trapz2" => {
                 if args.len() == 2 {
@@ -860,22 +814,18 @@ impl<'a> Cx<'a> {
                     let x = self.materialize(fx, out);
                     let y = self.materialize(fy, out);
                     let dst = self.fresh_tmp(VarRank::Scalar);
-                    out.push(Instr::TrapzXY {
-                        dst: dst.clone(),
-                        x,
-                        y,
-                    });
-                    one(Frag::S(SExpr::var(dst)), VarTy::scalar(BaseTy::Real))
+                    out.push(Instr::TrapzXY { dst, x, y });
+                    one(Frag::S(SExpr::Var(dst)), VarTy::scalar(BaseTy::Real))
                 } else {
                     let (f, _) = self.lower_expr(&args[0], out)?;
                     let m = self.materialize(f, out);
                     let dst = self.fresh_tmp(VarRank::Scalar);
                     out.push(Instr::Reduce {
-                        dst: dst.clone(),
+                        dst,
                         op: RedOp::Trapz,
                         m,
                     });
-                    one(Frag::S(SExpr::var(dst)), VarTy::scalar(BaseTy::Real))
+                    one(Frag::S(SExpr::Var(dst)), VarTy::scalar(BaseTy::Real))
                 }
             }
             "circshift" => {
@@ -883,12 +833,8 @@ impl<'a> Cx<'a> {
                 let (k, _) = self.lower_scalar(&args[1], out)?;
                 let v = self.materialize(f, out);
                 let dst = self.fresh_tmp(VarRank::Matrix);
-                out.push(Instr::Shift {
-                    dst: dst.clone(),
-                    v,
-                    k,
-                });
-                one(Frag::E(EwExpr::mat(dst)), ty)
+                out.push(Instr::Shift { dst, v, k });
+                one(Frag::E(EwExpr::Mat(dst)), ty)
             }
             "disp" => {
                 match &args[0].kind {
@@ -923,11 +869,11 @@ impl<'a> Cx<'a> {
                 };
                 let dst = self.fresh_tmp(VarRank::Matrix);
                 out.push(Instr::LoadFile {
-                    dst: dst.clone(),
+                    dst,
                     path: path.clone(),
                 });
                 one(
-                    Frag::E(EwExpr::mat(dst)),
+                    Frag::E(EwExpr::Mat(dst)),
                     VarTy::matrix(BaseTy::Real, otter_analysis::Shape::UNKNOWN),
                 )
             }
@@ -959,10 +905,10 @@ impl<'a> Cx<'a> {
                 for oty in sig.outs.iter().take(nout.max(1)) {
                     let rank = rank_of(oty);
                     let t = self.fresh_tmp(rank);
-                    outs.push(t.clone());
+                    outs.push(t);
                     let frag = match rank {
-                        VarRank::Scalar => Frag::S(SExpr::var(t)),
-                        VarRank::Matrix => Frag::E(EwExpr::mat(t)),
+                        VarRank::Scalar => Frag::S(SExpr::Var(t)),
+                        VarRank::Matrix => Frag::E(EwExpr::Mat(t)),
                     };
                     results.push((frag, *oty));
                 }
@@ -992,7 +938,7 @@ impl<'a> Cx<'a> {
                 let mut defs = Vec::new();
                 instr.defs(&mut defs);
                 for d in defs {
-                    self.def_spans.entry(d).or_insert(stmt.span);
+                    self.vars[d].def_span.get_or_insert(stmt.span);
                 }
             }
         }
@@ -1083,8 +1029,9 @@ impl<'a> Cx<'a> {
                 };
                 let (p, _) = self.lower_scalar(stop, out)?;
                 let body = self.lower_block(body)?;
+                let var = self.slot(var);
                 out.push(Instr::For {
-                    var: var.clone(),
+                    var,
                     start: s,
                     step: st,
                     stop: p,
@@ -1139,28 +1086,21 @@ impl<'a> Cx<'a> {
     }
 
     fn emit_assign(&mut self, dst: &str, frag: Frag, ty: &VarTy, out: &mut Vec<Instr>) {
+        let dst = self.slot(dst);
         match frag {
-            Frag::S(s) => out.push(Instr::AssignScalar {
-                dst: dst.to_string(),
-                src: s,
-            }),
+            Frag::S(src) => out.push(Instr::AssignScalar { dst, src }),
             Frag::E(EwExpr::Mat(src)) if src == dst => { /* self-assign: no-op */ }
-            Frag::E(EwExpr::Mat(src)) => out.push(Instr::CopyMatrix {
-                dst: dst.to_string(),
-                src,
-            }),
-            Frag::E(expr) => out.push(Instr::ElemWise {
-                dst: dst.to_string(),
-                expr,
-            }),
+            Frag::E(EwExpr::Mat(src)) => out.push(Instr::CopyMatrix { dst, src }),
+            Frag::E(expr) => out.push(Instr::ElemWise { dst, expr }),
         }
         let _ = ty;
     }
 
     fn emit_print(&mut self, name: &str, ty: &VarTy, out: &mut Vec<Instr>) {
+        let var = self.slot(name);
         let target = match ty.rank {
-            RankTy::Matrix => PrintTarget::Matrix(name.to_string()),
-            _ => PrintTarget::Scalar(SExpr::var(name)),
+            RankTy::Matrix => PrintTarget::Matrix(var),
+            _ => PrintTarget::Scalar(SExpr::Var(var)),
         };
         out.push(Instr::Print {
             name: name.to_string(),
@@ -1175,11 +1115,12 @@ impl<'a> Cx<'a> {
         rhs: &Expr,
         out: &mut Vec<Instr>,
     ) -> Result<()> {
-        let m = lhs.name.clone();
+        let name = lhs.name.as_str();
+        let m = self.slot(name);
         match indices {
             [i] if is_scalar_index(i) => {
-                let si = self.lower_index_scalar(i, &m, DimSel::Numel, out)?;
-                self.self_elem = Some((m.clone(), vec![si.clone()]));
+                let si = self.lower_index_scalar(i, name, DimSel::Numel, out)?;
+                self.self_elem = Some((m, vec![si.clone()]));
                 let lowered = self.lower_scalar(rhs, out);
                 self.self_elem = None;
                 let (val, _) = lowered?;
@@ -1192,9 +1133,9 @@ impl<'a> Cx<'a> {
                 Ok(())
             }
             [i, j] if is_scalar_index(i) && is_scalar_index(j) => {
-                let si = self.lower_index_scalar(i, &m, DimSel::Rows, out)?;
-                let sj = self.lower_index_scalar(j, &m, DimSel::Cols, out)?;
-                self.self_elem = Some((m.clone(), vec![si.clone(), sj.clone()]));
+                let si = self.lower_index_scalar(i, name, DimSel::Rows, out)?;
+                let sj = self.lower_index_scalar(j, name, DimSel::Cols, out)?;
+                self.self_elem = Some((m, vec![si.clone(), sj.clone()]));
                 let lowered = self.lower_scalar(rhs, out);
                 self.self_elem = None;
                 let (val, _) = lowered?;
@@ -1207,7 +1148,7 @@ impl<'a> Cx<'a> {
                 Ok(())
             }
             [i, j] if is_scalar_index(i) && matches!(j.kind, ExprKind::Colon) => {
-                let si = self.lower_index_scalar(i, &m, DimSel::Rows, out)?;
+                let si = self.lower_index_scalar(i, name, DimSel::Rows, out)?;
                 let (f, _) = self.lower_expr(rhs, out)?;
                 match f {
                     Frag::S(val) => out.push(Instr::FillRow { m, i: si, val }),
@@ -1219,7 +1160,7 @@ impl<'a> Cx<'a> {
                 Ok(())
             }
             [i, j] if matches!(i.kind, ExprKind::Colon) && is_scalar_index(j) => {
-                let sj = self.lower_index_scalar(j, &m, DimSel::Cols, out)?;
+                let sj = self.lower_index_scalar(j, name, DimSel::Cols, out)?;
                 let (f, _) = self.lower_expr(rhs, out)?;
                 match f {
                     Frag::S(val) => out.push(Instr::FillCol { m, j: sj, val }),
@@ -1233,8 +1174,8 @@ impl<'a> Cx<'a> {
             [ix] => match &ix.kind {
                 // v(lo:hi) = scalar | vector.
                 ExprKind::Range { start, step, stop } if step.is_none() => {
-                    let lo = self.lower_index_scalar(start, &m, DimSel::Numel, out)?;
-                    let hi = self.lower_index_scalar(stop, &m, DimSel::Numel, out)?;
+                    let lo = self.lower_index_scalar(start, name, DimSel::Numel, out)?;
+                    let hi = self.lower_index_scalar(stop, name, DimSel::Numel, out)?;
                     let (f, _) = self.lower_expr(rhs, out)?;
                     match f {
                         Frag::S(val) => out.push(Instr::FillRange { m, lo, hi, val }),
@@ -1424,7 +1365,7 @@ impl<'a> Cx<'a> {
             }
         }
         Some(SExpr::DimOf {
-            var: var.clone(),
+            var: self.slot(var),
             sel,
         })
     }

@@ -28,21 +28,33 @@ pub struct PeepholeStats {
 /// Optimize a program in place; returns what was rewritten.
 pub fn peephole(p: &mut IrProgram) -> PeepholeStats {
     let mut stats = PeepholeStats::default();
-    p.visit_blocks_mut(&mut |block, live_out| optimize_block(block, live_out, &mut stats));
+    p.visit_blocks_mut(&mut |block, live_out, vars| {
+        optimize_block(block, live_out, vars, &mut stats)
+    });
     stats
 }
 
 /// Rewrite one block whose nested blocks are already optimized.
-/// `live_out` — names read *after* this block (see
+/// `live_out` — slots read *after* this block (see
 /// [`visit_blocks_mut`]): everything a rewrite wants to treat as dead
-/// must also be absent from this set.
-fn optimize_block(block: &mut Vec<Instr>, live_out: &[String], stats: &mut PeepholeStats) {
+/// must also be absent from this set. Only compiler temporaries of
+/// `vars`, the block's frame, are ever rewritten away.
+fn optimize_block(
+    block: &mut Vec<Instr>,
+    live_out: &[Slot],
+    vars: &Vars,
+    stats: &mut PeepholeStats,
+) {
+    // A temporary the rest of the block never reads and that is not
+    // live after it.
+    let dead_after =
+        |t: Slot, rest: &[Instr]| vars.is_temp(t) && !used_later(t, rest) && !live_out.contains(&t);
     // Iterate local rewrites until a fixed point.
     loop {
         let before = *stats;
-        collapse_pairs(block, live_out, stats);
-        fuse_dots(block, live_out, stats);
-        eliminate_dead(block, live_out, stats);
+        collapse_pairs(block, &dead_after, stats);
+        fuse_dots(block, &dead_after, stats);
+        eliminate_dead(block, &dead_after, stats);
         if *stats == before {
             break;
         }
@@ -79,13 +91,13 @@ fn is_pure(instr: &Instr) -> bool {
 }
 
 /// Drop pure instructions whose temp destination is never read.
-fn eliminate_dead(block: &mut Vec<Instr>, live_out: &[String], stats: &mut PeepholeStats) {
+fn eliminate_dead(block: &mut Vec<Instr>, dead_after: &DeadAfter, stats: &mut PeepholeStats) {
     let mut i = 0;
     while i < block.len() {
         let removable = is_pure(&block[i])
-            && block[i].dst().is_some_and(|d| {
-                is_temp(d) && !used_later(d, &block[i + 1..]) && !live_out.iter().any(|l| l == d)
-            });
+            && block[i]
+                .dst()
+                .is_some_and(|d| dead_after(d, &block[i + 1..]));
         if removable {
             block.remove(i);
             stats.dead_removed += 1;
@@ -97,59 +109,38 @@ fn eliminate_dead(block: &mut Vec<Instr>, live_out: &[String], stats: &mut Peeph
 
 /// Is a temp read anywhere in `rest`? (Temps are single-assignment by
 /// construction, so reads are the only conflict.)
-fn used_later(name: &str, rest: &[Instr]) -> bool {
+fn used_later(t: Slot, rest: &[Instr]) -> bool {
     let mut reads = Vec::new();
     for i in rest {
         i.reads(&mut reads);
     }
-    reads.iter().any(|r| r == name)
+    reads.contains(&t)
 }
 
+/// Whether a temporary is dead once `rest` of the block has run; see
+/// [`optimize_block`].
+type DeadAfter<'a> = dyn Fn(Slot, &[Instr]) -> bool + 'a;
+
 /// Rewrites 1 and 2: call-into-temp + copy-out-of-temp.
-fn collapse_pairs(block: &mut Vec<Instr>, live_out: &[String], stats: &mut PeepholeStats) {
+fn collapse_pairs(block: &mut Vec<Instr>, dead_after: &DeadAfter, stats: &mut PeepholeStats) {
     let mut i = 0;
     while i + 1 < block.len() {
-        let collapse = match (&block[i], &block[i + 1]) {
-            (first, Instr::CopyMatrix { dst, src })
-                if is_temp(src)
-                    && first.dst() == Some(src.as_str())
-                    && !used_later(src, &block[i + 2..])
-                    && !live_out.contains(src)
-                    && dst != src =>
-            {
-                Some((dst.clone(), false))
-            }
-            (
-                first,
-                Instr::ElemWise {
-                    dst,
-                    expr: EwExpr::Mat(src),
-                },
-            ) if is_temp(src)
-                && first.dst() == Some(src.as_str())
-                && !used_later(src, &block[i + 2..])
-                && !live_out.contains(src)
-                && dst != src =>
-            {
-                Some((dst.clone(), false))
-            }
-            (
-                first,
-                Instr::AssignScalar {
-                    dst,
-                    src: SExpr::Var(src),
-                },
-            ) if is_temp(src)
-                && first.dst() == Some(src.as_str())
-                && !used_later(src, &block[i + 2..])
-                && !live_out.contains(src)
-                && dst != src =>
-            {
-                Some((dst.clone(), true))
-            }
-            _ => None,
+        let (copy, scalar) = match &block[i + 1] {
+            Instr::CopyMatrix { dst, src }
+            | Instr::ElemWise {
+                dst,
+                expr: EwExpr::Mat(src),
+            } => (Some((*dst, *src)), false),
+            Instr::AssignScalar {
+                dst,
+                src: SExpr::Var(src),
+            } => (Some((*dst, *src)), true),
+            _ => (None, false),
         };
-        if let Some((new_dst, scalar)) = collapse {
+        let collapse = copy.filter(|&(dst, src)| {
+            block[i].dst() == Some(src) && dead_after(src, &block[i + 2..]) && dst != src
+        });
+        if let Some((new_dst, _)) = collapse {
             if let Some(d) = block[i].dst_mut() {
                 *d = new_dst;
             }
@@ -167,7 +158,7 @@ fn collapse_pairs(block: &mut Vec<Instr>, live_out: &[String], stats: &mut Peeph
 }
 
 /// Rewrite 3: `t = a .* b; s = sum(t)` → `s = dot(a, b)`.
-fn fuse_dots(block: &mut Vec<Instr>, live_out: &[String], stats: &mut PeepholeStats) {
+fn fuse_dots(block: &mut Vec<Instr>, dead_after: &DeadAfter, stats: &mut PeepholeStats) {
     let mut i = 0;
     while i + 1 < block.len() {
         let fused = match (&block[i], &block[i + 1]) {
@@ -178,17 +169,13 @@ fn fuse_dots(block: &mut Vec<Instr>, live_out: &[String], stats: &mut PeepholeSt
                     op: RedOp::Fold(ColRedOp::Sum),
                     m,
                 },
-            ) if t == m
-                && is_temp(t)
-                && !used_later(t, &block[i + 2..])
-                && !live_out.contains(t) =>
-            {
+            ) if t == m && dead_after(*t, &block[i + 2..]) => {
                 if let EwExpr::Bin(EwOp::Mul, a, b) = expr {
                     if let (EwExpr::Mat(a), EwExpr::Mat(b)) = (a.as_ref(), b.as_ref()) {
                         Some(Instr::Dot {
-                            dst: dst.clone(),
-                            a: a.clone(),
-                            b: b.clone(),
+                            dst: *dst,
+                            a: *a,
+                            b: *b,
                         })
                     } else {
                         None
@@ -212,35 +199,33 @@ fn fuse_dots(block: &mut Vec<Instr>, live_out: &[String], stats: &mut PeepholeSt
 #[cfg(test)]
 mod tests {
     use super::*;
+    use otter_ir::by_name::*;
 
     fn prog(main: Vec<Instr>) -> IrProgram {
-        IrProgram {
-            main,
-            ..Default::default()
-        }
+        program(main)
     }
 
     #[test]
     fn collapses_matmul_copy() {
         let mut p = prog(vec![
             Instr::MatMul {
-                dst: "ML_tmp1".into(),
-                a: "b".into(),
-                b: "c".into(),
+                dst: v("ML_tmp1"),
+                a: v("b"),
+                b: v("c"),
             },
             Instr::CopyMatrix {
-                dst: "a".into(),
-                src: "ML_tmp1".into(),
+                dst: v("a"),
+                src: v("ML_tmp1"),
             },
         ]);
         let stats = peephole(&mut p);
         assert_eq!(stats.copies_collapsed, 1);
         assert_eq!(
-            p.main,
+            p.main.body,
             vec![Instr::MatMul {
-                dst: "a".into(),
-                a: "b".into(),
-                b: "c".into()
+                dst: v("a"),
+                a: v("b"),
+                b: v("c")
             }]
         );
     }
@@ -249,46 +234,46 @@ mod tests {
     fn keeps_copy_when_temp_reused() {
         let mut p = prog(vec![
             Instr::MatMul {
-                dst: "ML_tmp1".into(),
-                a: "b".into(),
-                b: "c".into(),
+                dst: v("ML_tmp1"),
+                a: v("b"),
+                b: v("c"),
             },
             Instr::CopyMatrix {
-                dst: "a".into(),
-                src: "ML_tmp1".into(),
+                dst: v("a"),
+                src: v("ML_tmp1"),
             },
             Instr::Reduce {
-                dst: "s".into(),
+                dst: v("s"),
                 op: RedOp::Fold(ColRedOp::Sum),
-                m: "ML_tmp1".into(),
+                m: v("ML_tmp1"),
             },
         ]);
         let stats = peephole(&mut p);
         assert_eq!(stats.copies_collapsed, 0);
-        assert_eq!(p.main.len(), 3);
+        assert_eq!(p.main.body.len(), 3);
     }
 
     #[test]
     fn collapses_scalar_temp() {
         let mut p = prog(vec![
             Instr::Dot {
-                dst: "ML_tmp2".into(),
-                a: "r".into(),
-                b: "r".into(),
+                dst: v("ML_tmp2"),
+                a: v("r"),
+                b: v("r"),
             },
             Instr::AssignScalar {
-                dst: "rho".into(),
-                src: SExpr::var("ML_tmp2"),
+                dst: v("rho"),
+                src: var("ML_tmp2"),
             },
         ]);
         let stats = peephole(&mut p);
         assert_eq!(stats.scalars_collapsed, 1);
         assert_eq!(
-            p.main,
+            p.main.body,
             vec![Instr::Dot {
-                dst: "rho".into(),
-                a: "r".into(),
-                b: "r".into()
+                dst: v("rho"),
+                a: v("r"),
+                b: v("r")
             }]
         );
     }
@@ -297,28 +282,28 @@ mod tests {
     fn fuses_multiply_sum_into_dot() {
         let mut p = prog(vec![
             Instr::ElemWise {
-                dst: "ML_tmp1".into(),
-                expr: EwExpr::bin(EwOp::Mul, EwExpr::mat("x"), EwExpr::mat("y")),
+                dst: v("ML_tmp1"),
+                expr: EwExpr::bin(EwOp::Mul, mat("x"), mat("y")),
             },
             Instr::Reduce {
-                dst: "ML_tmp2".into(),
+                dst: v("ML_tmp2"),
                 op: RedOp::Fold(ColRedOp::Sum),
-                m: "ML_tmp1".into(),
+                m: v("ML_tmp1"),
             },
             Instr::AssignScalar {
-                dst: "d".into(),
-                src: SExpr::var("ML_tmp2"),
+                dst: v("d"),
+                src: var("ML_tmp2"),
             },
         ]);
         let stats = peephole(&mut p);
         assert_eq!(stats.dots_fused, 1);
         assert_eq!(stats.scalars_collapsed, 1);
         assert_eq!(
-            p.main,
+            p.main.body,
             vec![Instr::Dot {
-                dst: "d".into(),
-                a: "x".into(),
-                b: "y".into()
+                dst: v("d"),
+                a: v("x"),
+                b: v("y")
             }]
         );
     }
@@ -327,47 +312,47 @@ mod tests {
     fn does_not_fuse_when_product_is_reused() {
         let mut p = prog(vec![
             Instr::ElemWise {
-                dst: "ML_tmp1".into(),
-                expr: EwExpr::bin(EwOp::Mul, EwExpr::mat("x"), EwExpr::mat("y")),
+                dst: v("ML_tmp1"),
+                expr: EwExpr::bin(EwOp::Mul, mat("x"), mat("y")),
             },
             Instr::Reduce {
-                dst: "s".into(),
+                dst: v("s"),
                 op: RedOp::Fold(ColRedOp::Sum),
-                m: "ML_tmp1".into(),
+                m: v("ML_tmp1"),
             },
             Instr::Reduce {
-                dst: "t".into(),
+                dst: v("t"),
                 op: RedOp::Fold(ColRedOp::Max),
-                m: "ML_tmp1".into(),
+                m: v("ML_tmp1"),
             },
         ]);
         let stats = peephole(&mut p);
         assert_eq!(stats.dots_fused, 0);
-        assert_eq!(p.main.len(), 3);
+        assert_eq!(p.main.body.len(), 3);
     }
 
     #[test]
     fn optimizes_inside_loops() {
         let mut p = prog(vec![Instr::For {
-            var: "i".into(),
+            var: v("i"),
             start: SExpr::c(1.0),
             step: SExpr::c(1.0),
             stop: SExpr::c(10.0),
             body: vec![
                 Instr::MatVec {
-                    dst: "ML_tmp1".into(),
-                    a: "A".into(),
-                    x: "p".into(),
+                    dst: v("ML_tmp1"),
+                    a: v("A"),
+                    x: v("p"),
                 },
                 Instr::CopyMatrix {
-                    dst: "q".into(),
-                    src: "ML_tmp1".into(),
+                    dst: v("q"),
+                    src: v("ML_tmp1"),
                 },
             ],
         }]);
         let stats = peephole(&mut p);
         assert_eq!(stats.copies_collapsed, 1);
-        let Instr::For { body, .. } = &p.main[0] else {
+        let Instr::For { body, .. } = &p.main.body[0] else {
             panic!()
         };
         assert_eq!(body.len(), 1);
@@ -377,23 +362,23 @@ mod tests {
     fn dead_temps_are_removed() {
         let mut p = prog(vec![
             Instr::Transpose {
-                dst: "ML_tmp3".into(),
-                a: "v".into(),
+                dst: v("ML_tmp3"),
+                a: v("v"),
             },
             Instr::Dot {
-                dst: "d".into(),
-                a: "v".into(),
-                b: "w".into(),
+                dst: v("d"),
+                a: v("v"),
+                b: v("w"),
             },
         ]);
         let stats = peephole(&mut p);
         assert_eq!(stats.dead_removed, 1);
         assert_eq!(
-            p.main,
+            p.main.body,
             vec![Instr::Dot {
-                dst: "d".into(),
-                a: "v".into(),
-                b: "w".into()
+                dst: v("d"),
+                a: v("v"),
+                b: v("w")
             }]
         );
     }
@@ -402,14 +387,14 @@ mod tests {
     fn rand_init_never_removed() {
         let mut p = prog(vec![
             Instr::InitMatrix {
-                dst: "ML_tmp1".into(),
+                dst: v("ML_tmp1"),
                 init: MatInit::Rand {
                     rows: SExpr::c(4.0),
                     cols: SExpr::c(4.0),
                 },
             },
             Instr::InitMatrix {
-                dst: "a".into(),
+                dst: v("a"),
                 init: MatInit::Rand {
                     rows: SExpr::c(4.0),
                     cols: SExpr::c(4.0),
@@ -421,42 +406,42 @@ mod tests {
             stats.dead_removed, 0,
             "removing rand would shift later streams"
         );
-        assert_eq!(p.main.len(), 2);
+        assert_eq!(p.main.body.len(), 2);
     }
 
     #[test]
     fn live_temps_are_kept() {
         let mut p = prog(vec![
             Instr::Transpose {
-                dst: "ML_tmp3".into(),
-                a: "v".into(),
+                dst: v("ML_tmp3"),
+                a: v("v"),
             },
             Instr::Dot {
-                dst: "d".into(),
-                a: "ML_tmp3".into(),
-                b: "w".into(),
+                dst: v("d"),
+                a: v("ML_tmp3"),
+                b: v("w"),
             },
         ]);
         let stats = peephole(&mut p);
         assert_eq!(stats.dead_removed, 0);
-        assert_eq!(p.main.len(), 2);
+        assert_eq!(p.main.body.len(), 2);
     }
 
     #[test]
     fn non_temp_sources_untouched() {
         let mut p = prog(vec![
             Instr::MatMul {
-                dst: "x".into(),
-                a: "b".into(),
-                b: "c".into(),
+                dst: v("x"),
+                a: v("b"),
+                b: v("c"),
             },
             Instr::CopyMatrix {
-                dst: "a".into(),
-                src: "x".into(),
+                dst: v("a"),
+                src: v("x"),
             },
         ]);
         let stats = peephole(&mut p);
         assert_eq!(stats.copies_collapsed, 0);
-        assert_eq!(p.main.len(), 2);
+        assert_eq!(p.main.body.len(), 2);
     }
 }

@@ -341,7 +341,7 @@ pub fn try_run(
         spmd.trace = req.trace.clone();
     }
     let job = run_spmd_with(&req.machine, req.ranks, spmd, |comm| {
-        let executor = Executor::new(&compiled.plan, comm, exec_opts.clone());
+        let executor = Executor::new(&compiled.ir, comm, exec_opts.clone());
         match executor.run() {
             Ok(mut o) => {
                 // The program is done: freeze the modeled time, the
@@ -361,7 +361,7 @@ pub fn try_run(
                 let mut webs = std::mem::take(&mut o.workspace);
                 let root = comm.rank() == 0;
                 let mut workspace = HashMap::new();
-                for (name, web) in &compiled.plan.exit_webs {
+                for (name, web) in &compiled.ir.exit_webs {
                     let Some(val) = webs[web.index()].take() else {
                         continue;
                     };

@@ -239,17 +239,18 @@ fn print_analysis(ir: &IrProgram, p: usize) {
         analysis.len(),
         free,
     );
-    if !ir.in_place.is_empty() {
-        eprintln!(
-            "otterc: analyze: in-place updatable (main): {}",
-            ir.in_place.iter().cloned().collect::<Vec<_>>().join(", ")
-        );
-    }
-    for (name, f) in &ir.functions {
-        if !f.in_place.is_empty() {
+    for f in ir.frames() {
+        let vars = f.vars.by_name();
+        let in_place: Vec<&str> = vars
+            .iter()
+            .filter(|(_, v)| v.in_place)
+            .map(|(_, v)| v.name.as_str())
+            .collect();
+        if !in_place.is_empty() {
             eprintln!(
-                "otterc: analyze: in-place updatable ({name}): {}",
-                f.in_place.iter().cloned().collect::<Vec<_>>().join(", ")
+                "otterc: analyze: in-place updatable ({}): {}",
+                f.func().unwrap_or("main"),
+                in_place.join(", ")
             );
         }
     }

@@ -17,6 +17,10 @@
 //! of the finished IR, whose leaf-site numbering is the one the
 //! executor instruments.
 //!
+//! From `rewrite` on there is one program, [`IrProgram`]: lowering
+//! numbers each scope's variables, every later stage rewrites those
+//! frames in place, and the executor runs the result as it stands.
+//!
 //! [`compile`] and [`compile_str`] are that one function with the
 //! provider and dump request filled in; there is no other way in.
 
@@ -24,23 +28,19 @@ use crate::artifact::CompiledArtifact;
 use crate::engines::EngineOptions;
 use crate::error::{OtterError, Result};
 use crate::pass::{ir_text, Artefact, DumpRequest, PassDump, Recorder};
-use crate::plan::Plan;
-use otter_analysis::{infer, resolve_program, ssa_rename, InferOptions, Inference};
+use otter_analysis::{infer, resolve_program, ssa_rename, InferOptions};
 use otter_codegen::peephole::PeepholeStats;
 use otter_codegen::{emit_c, fuse, insert_frees, lower, peephole, FusionStats};
 use otter_frontend::{parse, Program, Severity, SourceProvider};
-use otter_ir::{Instr, IrProgram};
+use otter_ir::{Instr, IrProgram, VarRank};
 use otter_lint::{lint_program, LintMode, LintReport};
 
 /// A fully compiled program.
 #[derive(Debug, Clone)]
 pub struct Compiled {
-    /// Executable SPMD IR.
+    /// Executable SPMD IR: what `emit-c` printed and what the executor
+    /// runs.
     pub ir: IrProgram,
-    /// The IR the executor runs: `ir` with its variables numbered.
-    pub plan: Plan,
-    /// The inference results (for tooling and tests).
-    pub inference: Inference,
     /// Emitted SPMD C translation unit.
     pub c_source: String,
     /// What pass 6 rewrote (zeros when disabled).
@@ -158,7 +158,13 @@ pub fn compile_with(
         "rewrite",
         || {
             let mut ir = lower(&program, &inference)?;
-            ir.exit_webs = exit_webs;
+            // A web no statement defines has no slot and nothing to
+            // report.
+            let vars = &ir.main.vars;
+            ir.exit_webs = exit_webs
+                .into_iter()
+                .filter_map(|(name, web)| Some((name, vars.slot(&web)?)))
+                .collect();
             Ok(ir)
         },
         |ir| Artefact::Ir(ir),
@@ -199,12 +205,8 @@ pub fn compile_with(
     // Pass 7: C emission.
     let c_source = rec.stage("emit-c", || Ok(emit_c(&ir)), |c| Artefact::C(c))?;
 
-    // Not a stage: nothing may disable it, and it changes no output.
-    let plan = Plan::new(&ir);
     let compiled = Compiled {
         ir,
-        plan,
-        inference,
         c_source,
         peephole_stats,
         fusion_stats,
@@ -234,14 +236,8 @@ fn audit_guards(ir: &IrProgram) -> Result<GuardStats> {
             }
             _ => continue,
         };
-        let known = match site.func.map(|name| &ir.functions[name]) {
-            None => ir.var_ranks.contains_key(m),
-            Some(f) => {
-                f.var_ranks.contains_key(m)
-                    || f.params.iter().chain(&f.outs).any(|(name, _)| name == m)
-            }
-        };
-        if !known {
+        if site.frame.vars[*m].rank != VarRank::Matrix {
+            let m = site.frame.vars.name(*m);
             return Err(OtterError::codegen(format!("{what} unknown matrix `{m}`")));
         }
         *count += 1;

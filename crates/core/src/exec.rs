@@ -2,7 +2,7 @@
 //!
 //! One [`Executor`] runs per rank, exactly like the generated C
 //! program would run per MPI process. It runs the artifact's
-//! [`Plan`], in which every variable is a slot of its frame, as every
+//! [`IrProgram`], in which every variable is a slot of its frame, as every
 //! variable of the C is a declared local: replicated scalars and
 //! `otter-rt` [`DistMatrix`] objects live in those slots, and every
 //! communication-bearing instruction calls the run-time library, which
@@ -23,7 +23,6 @@
 //! bits are unchanged (DESIGN.md §17).
 
 use crate::error::{OtterError, Result};
-use crate::plan::{Frame, Plan, Slot};
 use otter_det::DetRng;
 use otter_ir::*;
 use otter_machine::{ExecutionStyle, StyleCosts};
@@ -175,25 +174,25 @@ pub struct SiteComm {
     pub execs: u64,
 }
 
-/// One running frame: its values by [`Slot`], and the plan's slot
+/// One running frame: its values by [`Slot`], and the frame's slot
 /// table, which names them in error messages. Everything that only
 /// reads the frame lives here, so a handler can hold these borrows
 /// while it passes the rank's `Comm` on mutably.
 struct Locals<'p> {
-    names: &'p [String],
+    vars: &'p Vars,
     vals: Vec<Option<XVal>>,
 }
 
 impl<'p> Locals<'p> {
     fn new(frame: &'p Frame) -> Self {
         Locals {
-            names: &frame.names,
-            vals: vec![None; frame.names.len()],
+            vars: &frame.vars,
+            vals: vec![None; frame.vars.len()],
         }
     }
 
     fn name(&self, s: Slot) -> &'p str {
-        &self.names[s.index()]
+        self.vars.name(s)
     }
 
     fn get(&self, s: Slot) -> Result<&XVal> {
@@ -213,13 +212,13 @@ impl<'p> Locals<'p> {
         self.vals.iter().flatten().map(XVal::bytes).sum()
     }
 
-    fn eval(&self, e: &SExpr<Slot>) -> Result<f64> {
+    fn eval(&self, e: &SExpr) -> Result<f64> {
         self.eval_own(e, None)
     }
 
     /// Evaluate a replicated scalar expression; `own` is the element an
     /// owner-guarded store overwrites.
-    fn eval_own(&self, e: &SExpr<Slot>, own: Option<f64>) -> Result<f64> {
+    fn eval_own(&self, e: &SExpr, own: Option<f64>) -> Result<f64> {
         Ok(match e {
             SExpr::Const(v) => *v,
             SExpr::Var(s) => self.get(*s)?.as_scalar().ok_or_else(|| {
@@ -251,7 +250,7 @@ impl<'p> Locals<'p> {
     }
 
     /// A 1-based MATLAB index to 0-based usize.
-    fn index(&self, e: &SExpr<Slot>) -> Result<usize> {
+    fn index(&self, e: &SExpr) -> Result<usize> {
         let v = self.eval(e)?;
         if v < 1.0 || v.fract() != 0.0 {
             return Err(OtterError::execution(format!(
@@ -263,7 +262,7 @@ impl<'p> Locals<'p> {
 
     /// The 0-based `(row, col)` of element `(i, j)` of matrix `m`, or of
     /// its linear index `i` when there is no `j`.
-    fn elem(&self, m: Slot, i: &SExpr<Slot>, j: &Option<SExpr<Slot>>) -> Result<(usize, usize)> {
+    fn elem(&self, m: Slot, i: &SExpr, j: &Option<SExpr>) -> Result<(usize, usize)> {
         let mi = self.index(i)?;
         match j {
             Some(j) => Ok((mi, self.index(j)?)),
@@ -294,7 +293,7 @@ impl<'p> Locals<'p> {
     /// order: an outer product gathers its right factor and charges
     /// what `ML_outer` charges; an identity charges nothing, as `eye`
     /// does.
-    fn generate(&self, comm: &mut Comm, expr: &EwExpr<Slot>) -> ExecResult<Vec<Generated>> {
+    fn generate(&self, comm: &mut Comm, expr: &EwExpr) -> ExecResult<Vec<Generated>> {
         let mut out = Vec::new();
         for (_, gen) in expr.generators() {
             out.push(match gen {
@@ -308,7 +307,7 @@ impl<'p> Locals<'p> {
 
 /// Per-rank executor state.
 pub struct Executor<'a> {
-    plan: &'a Plan,
+    program: &'a IrProgram,
     comm: &'a mut Comm,
     costs: StyleCosts,
     opts: ExecOptions,
@@ -333,7 +332,7 @@ pub struct Executor<'a> {
     /// (`EngineReport`'s per-opcode counters).
     op_counts: [u64; OPCODES.len()],
     /// Leaf-instruction address → site id (only when `opts.analyze`).
-    /// The plan's bodies run by reference, so an instruction's address
+    /// The program's bodies run by reference, so an instruction's address
     /// is a stable identity for the whole run.
     site_of: Option<HashMap<usize, u32>>,
     /// Per-site realized communication, indexed by site id.
@@ -341,23 +340,20 @@ pub struct Executor<'a> {
 }
 
 impl<'a> Executor<'a> {
-    pub fn new(plan: &'a Plan, comm: &'a mut Comm, opts: ExecOptions) -> Self {
-        // Site ids: the leaves of every frame in `leaf_sites` order.
+    pub fn new(program: &'a IrProgram, comm: &'a mut Comm, opts: ExecOptions) -> Self {
         let site_of = opts.analyze.then(|| {
-            plan.frames()
-                .flat_map(|f| preorder(&f.body))
-                .filter(|(i, _)| is_leaf(i))
-                .zip(0..)
-                .map(|((i, _), id)| (i as *const Instr<Slot> as usize, id))
-                .collect::<HashMap<usize, u32>>()
+            let sites = leaf_sites(program).into_iter();
+            sites
+                .map(|s| (s.instr as *const Instr as usize, s.id))
+                .collect::<HashMap<_, _>>()
         });
         let site_comm = vec![SiteComm::default(); site_of.as_ref().map_or(0, |m| m.len())];
         Executor {
-            plan,
+            program,
             comm,
             costs: ExecutionStyle::Otter.costs(),
             opts,
-            locals: Locals::new(&plan.main),
+            locals: Locals::new(&program.main),
             live: 0,
             output: String::new(),
             rand_calls: 0,
@@ -373,7 +369,7 @@ impl<'a> Executor<'a> {
         otter_rt::alloc::reset();
         // Each rank is an OS thread; give it its kernel budget.
         otter_rt::kernels::configure(otter_rt::kernels::DEFAULT_TILE, self.opts.threads);
-        let main = &self.plan.main.body;
+        let main = &self.program.main.body;
         self.comm
             .record(Event::Note(Note::ExecStart { instrs: main.len() }));
         if let Err(e) = self.exec_block(main) {
@@ -441,19 +437,14 @@ impl<'a> Executor<'a> {
     /// elements as they are computed, so no eliminated temporary is
     /// stored. Charges what the unfused sequence charges, in its order,
     /// less the eliminated instructions' dispatch and call overheads.
-    fn exec_loop(
-        &mut self,
-        head: Option<&Product<Slot>>,
-        expr: &EwExpr<Slot>,
-        tail: &Tail<Slot>,
-    ) -> ExecResult<()> {
+    fn exec_loop(&mut self, head: Option<&Product>, expr: &EwExpr, tail: &Tail) -> ExecResult<()> {
         let (vars, comm) = (&self.locals, &mut *self.comm);
         let mut buf = match head {
             Some(Product::MatMul { a, b, .. }) => Some(vars.mat(*a)?.matmul(comm, vars.mat(*b)?)?),
             Some(Product::MatVec { a, x, .. }) => Some(vars.mat(*a)?.matvec(comm, vars.mat(*x)?)?),
             None => None,
         };
-        let mut alias = head.map(|h| *h.tmp());
+        let mut alias = head.map(Product::tmp);
         let gens = vars.generate(comm, expr)?;
         // The aligned operands, each once, in reading order.
         let mut leaves = Vec::new();
@@ -572,7 +563,7 @@ impl<'a> Executor<'a> {
 
     // ---- instructions ---------------------------------------------------------
 
-    fn exec_block(&mut self, block: &[Instr<Slot>]) -> ExecResult<Flow> {
+    fn exec_block(&mut self, block: &[Instr]) -> ExecResult<Flow> {
         for i in block {
             // Per-site traffic attribution: every communication this
             // rank performs happens inside the leaf instruction's own
@@ -582,7 +573,7 @@ impl<'a> Executor<'a> {
             let site = self
                 .site_of
                 .as_ref()
-                .and_then(|m| m.get(&(i as *const Instr<Slot> as usize)).copied());
+                .and_then(|m| m.get(&(i as *const Instr as usize)).copied());
             let before = site.map(|_| self.comm.stats());
             // One Statement event per IR instruction; control-flow
             // instructions span their whole body, nesting the inner
@@ -610,7 +601,7 @@ impl<'a> Executor<'a> {
     /// recurses from here; leaves run in [`Self::exec_leaf`] and calls
     /// in [`Self::exec_call`], whose locals stay out of this frame, so a
     /// level of nesting costs little native stack.
-    fn exec_instr(&mut self, i: &Instr<Slot>) -> ExecResult<Flow> {
+    fn exec_instr(&mut self, i: &Instr) -> ExecResult<Flow> {
         // Compiled-code dispatch charge.
         self.comm.compute(self.costs.statement_dispatch);
         self.peak_local_bytes = self.peak_local_bytes.max(self.live);
@@ -690,15 +681,15 @@ impl<'a> Executor<'a> {
     /// frame, become the parameters of a fresh frame, and its outputs
     /// are copied back.
     #[inline(never)]
-    fn exec_call(&mut self, fun: &str, args: &[Arg<Slot>], outs: &[Slot]) -> ExecResult<()> {
-        let plan = self.plan;
-        let f = plan
+    fn exec_call(&mut self, fun: &str, args: &[Arg], outs: &[Slot]) -> ExecResult<()> {
+        let program = self.program;
+        let f = program
             .functions
             .get(fun)
             .ok_or_else(|| OtterError::execution(format!("unknown IR function `{fun}`")))?;
         let mut vals = Vec::with_capacity(args.len());
-        for (&(_, rank), arg) in f.params.iter().zip(args) {
-            vals.push(match (rank, arg) {
+        for (&p, arg) in f.params.iter().zip(args) {
+            vals.push(match (f.vars[p].rank, arg) {
                 (VarRank::Scalar, Arg::Scalar(s)) => XVal::S(self.locals.eval(s)?),
                 (VarRank::Matrix, Arg::Matrix(m)) => XVal::M(self.locals.mat(*m)?.clone()),
                 _ => {
@@ -710,14 +701,14 @@ impl<'a> Executor<'a> {
             });
         }
         let caller = std::mem::replace(&mut self.locals, Locals::new(f));
-        for (&(p, _), v) in f.params.iter().zip(vals) {
+        for (&p, v) in f.params.iter().zip(vals) {
             self.set(p, v);
         }
         let body_result = self.exec_block(&f.body);
         let callee = std::mem::replace(&mut self.locals, caller);
         self.live -= callee.bytes();
         body_result?;
-        for (&(o, _), &dst) in f.outs.iter().zip(outs) {
+        for (&o, &dst) in f.outs.iter().zip(outs) {
             let v = callee.vals[o.index()].clone().ok_or_else(|| {
                 OtterError::execution(format!(
                     "output `{}` of `{fun}` never assigned",
@@ -733,7 +724,7 @@ impl<'a> Executor<'a> {
     /// compute one value from the frame and the run-time library, which
     /// is then written to its destination.
     #[inline(never)]
-    fn exec_leaf(&mut self, i: &Instr<Slot>) -> ExecResult<()> {
+    fn exec_leaf(&mut self, i: &Instr) -> ExecResult<()> {
         let (vars, comm) = (&self.locals, &mut *self.comm);
         let (dst, value) = match i {
             Instr::AssignScalar { dst, src } => (dst, XVal::S(vars.eval(src)?)),
@@ -914,9 +905,9 @@ impl<'a> Executor<'a> {
         Ok(())
     }
 
-    fn exec_init(&mut self, init: &MatInit<Slot>) -> Result<DistMatrix> {
+    fn exec_init(&mut self, init: &MatInit) -> Result<DistMatrix> {
         let (vars, comm) = (&self.locals, &mut *self.comm);
-        let dim = |e: &SExpr<Slot>| vars.eval(e).map(|v| v as usize);
+        let dim = |e: &SExpr| vars.eval(e).map(|v| v as usize);
         Ok(match init {
             MatInit::Zeros { rows, cols } => DistMatrix::zeros(comm, dim(rows)?, dim(cols)?),
             MatInit::Ones { rows, cols } => DistMatrix::ones(comm, dim(rows)?, dim(cols)?),
@@ -1065,10 +1056,10 @@ enum Task {
 /// passes use explicit work lists: fusion builds trees thousands of
 /// nodes deep, and ranks run on 1 MiB stacks.
 fn compile_ew(
-    e: &EwExpr<Slot>,
+    e: &EwExpr,
     slices: &[Slot],
     dst_alias: Option<Slot>,
-    scalar: &dyn Fn(&SExpr<Slot>) -> Result<f64>,
+    scalar: &dyn Fn(&SExpr) -> Result<f64>,
 ) -> Result<EwProgram> {
     // Pre-order, left to right: scalar leaves evaluate in reading order.
     let mut nodes: Vec<Node> = Vec::new();
@@ -1455,8 +1446,7 @@ fn linear_to_rc(m: &DistMatrix, k: usize) -> Result<(usize, usize)> {
 
 /// Result of one rank's execution.
 pub struct ExecOutcome {
-    /// The script frame's final values, by slot of the plan's script
-    /// frame.
+    /// The script frame's final values, by slot.
     pub workspace: Vec<Option<XVal>>,
     pub output: String,
     /// High-water mark of this rank's live *named* distributed-matrix
@@ -1510,8 +1500,8 @@ mod tests {
     }
 
     /// The pre-strip `compile_ew` (scalar leaves are constants here).
-    fn reference_compile(e: &EwExpr<Slot>, slices: &[Slot], dst_alias: Option<Slot>) -> CEw {
-        let sub = |x: &EwExpr<Slot>| Box::new(reference_compile(x, slices, dst_alias));
+    fn reference_compile(e: &EwExpr, slices: &[Slot], dst_alias: Option<Slot>) -> CEw {
+        let sub = |x: &EwExpr| Box::new(reference_compile(x, slices, dst_alias));
         match e {
             EwExpr::Mat(m) if Some(*m) == dst_alias => CEw::Dst,
             EwExpr::Mat(m) => CEw::Slice(slices.iter().position(|n| n == m).unwrap()),
@@ -1554,7 +1544,7 @@ mod tests {
         }
     }
 
-    fn constant(s: &SExpr<Slot>) -> Result<f64> {
+    fn constant(s: &SExpr) -> Result<f64> {
         match s {
             SExpr::Const(v) => Ok(*v),
             other => Err(OtterError::execution(format!("not a constant: {other:?}"))),
@@ -1637,7 +1627,7 @@ mod tests {
         }
     }
 
-    fn leaf(rng: &mut DetRng) -> EwExpr<Slot> {
+    fn leaf(rng: &mut DetRng) -> EwExpr {
         if rng.gen_index(3) == 0 {
             EwExpr::Scalar(SExpr::Const(value(rng)))
         } else {
@@ -1645,11 +1635,11 @@ mod tests {
         }
     }
 
-    fn call(f: SFun, rng: &mut DetRng, depth: usize) -> EwExpr<Slot> {
+    fn call(f: SFun, rng: &mut DetRng, depth: usize) -> EwExpr {
         EwExpr::Call(f, (0..f.arity()).map(|_| tree(rng, depth)).collect())
     }
 
-    fn tree(rng: &mut DetRng, depth: usize) -> EwExpr<Slot> {
+    fn tree(rng: &mut DetRng, depth: usize) -> EwExpr {
         if depth == 0 || rng.gen_index(4) == 0 {
             return leaf(rng);
         }
@@ -1676,7 +1666,7 @@ mod tests {
 
     /// Every way the executor runs `e` — out of place, in place over
     /// `m0`, and each fused fold — against the reference, bit for bit.
-    fn check(e: &EwExpr<Slot>, data: &[Vec<f64>]) {
+    fn check(e: &EwExpr, data: &[Vec<f64>]) {
         let len = data[0].len();
         let names = MATS;
         let slices: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
@@ -1725,7 +1715,7 @@ mod tests {
         let mut rng = DetRng::seed_from_u64(0x5712_1998);
         // Every operator and function at the root of a random tree,
         // then free-form trees.
-        let mut trees: Vec<EwExpr<Slot>> = EW_OPS
+        let mut trees: Vec<EwExpr> = EW_OPS
             .iter()
             .map(|&op| EwExpr::bin(op, tree(&mut rng, 2), tree(&mut rng, 2)))
             .collect();
@@ -1784,7 +1774,7 @@ mod tests {
         // `x = x .* 0.5 + 1;` folded 1 000 times is a 2 000-deep tree;
         // with leaves folded into their consumers and the deeper child
         // first, every shape of chain needs at most two registers.
-        let links: [fn(EwExpr<Slot>) -> EwExpr<Slot>; 4] = [
+        let links: [fn(EwExpr) -> EwExpr; 4] = [
             |x| {
                 EwExpr::bin(
                     EwOp::Add,

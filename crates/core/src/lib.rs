@@ -48,7 +48,6 @@ pub mod engines;
 pub mod error;
 pub mod exec;
 pub mod pass;
-mod plan;
 pub mod postmortem;
 
 pub use artifact::{run, source_hash, try_run, CompiledArtifact, RunRequest};
@@ -62,7 +61,6 @@ pub use exec::{ExecError, ExecOptions, Executor, XVal};
 pub use otter_lint::oracle as analysis;
 pub use otter_lint::{lint_program, LintMode, LintReport};
 pub use pass::{pass_names, DumpRequest, PassDump, PassInfo, PassStats, PASSES};
-pub use plan::Plan;
 pub use postmortem::{
     build_postmortem, parse_postmortem, write_postmortem, PostmortemSummary, POSTMORTEM_SCHEMA,
 };

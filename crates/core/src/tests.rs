@@ -176,6 +176,37 @@ fn function_outputs_return_their_exit_web() {
     }
 }
 
+/// Fusion counts each frame's reads apart: the script and `f` both
+/// mint `ML_tmp3 = matmul(...)`, and each still fuses into its loop,
+/// with the answers fusion-off gives.
+#[test]
+fn same_named_temporaries_fuse_in_every_scope() {
+    let m = MapProvider::new().with(
+        "f",
+        "function y = f(a, b)\nz = ones(4, 4);\nw = ones(4, 4);\ny = a*b + z + w;\n",
+    );
+    let src = "A = ones(4, 4);\nB = ones(4, 4);\nC = A*B + 1;\nD = f(A, B);\n";
+    let on = EngineOptions::builder().m_files(m.clone()).build();
+    let off = EngineOptions::builder()
+        .m_files(m)
+        .disable_pass("fusion")
+        .build();
+    let fused = compile(src, &on).unwrap();
+    let ir = &fused.compiled().ir;
+    let heads = |f: &otter_ir::Frame| f.body.iter().filter(|i| i.opcode() == "matmul-ew").count();
+    assert_eq!((heads(&ir.main), heads(&ir.functions["f"])), (1, 1));
+    assert_eq!(fused.compiled().fusion_stats.matmul_epilogues, 2);
+    let a = run(&fused, &RunRequest::on(meiko_cs2(), 2)).unwrap();
+    let b = run(
+        &compile(src, &off).unwrap(),
+        &RunRequest::on(meiko_cs2(), 2),
+    )
+    .unwrap();
+    for v in ["C", "D"] {
+        assert_same_value(&b, &a, v, 2);
+    }
+}
+
 #[test]
 fn app_workspaces_match_the_interpreter() {
     let opts = EngineOptions::default();
@@ -746,7 +777,7 @@ fn a_failed_compile_leaks_no_temporaries_into_the_next() {
     let clean = "y = 1;";
     let compiled = |a: &CompiledArtifact| {
         let c = a.compiled();
-        (c.c_source.clone(), c.ir.var_ranks.clone())
+        (c.c_source.clone(), c.ir.main.vars.clone())
     };
     let fresh = std::thread::spawn(move || compiled(&compile_str(clean).unwrap()))
         .join()

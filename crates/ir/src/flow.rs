@@ -7,18 +7,19 @@
 //! analyses — and a disagreement between them would be a miscompile
 //! or a false diagnostic.
 
+use crate::frame::Slot;
 use crate::instr::*;
 
 /// Collect every variable a scalar expression reads, including the
 /// matrices whose dimensions it queries via [`SExpr::DimOf`].
-pub fn sexpr_reads(e: &SExpr, out: &mut Vec<String>) {
+pub fn sexpr_reads(e: &SExpr, out: &mut Vec<Slot>) {
     e.vars(out);
     collect_dimof(e, out);
 }
 
-fn collect_dimof(e: &SExpr, out: &mut Vec<String>) {
+fn collect_dimof(e: &SExpr, out: &mut Vec<Slot>) {
     match e {
-        SExpr::DimOf { var, .. } => out.push(var.clone()),
+        SExpr::DimOf { var, .. } => out.push(*var),
         SExpr::Neg(x) | SExpr::Not(x) => collect_dimof(x, out),
         SExpr::Bin(_, a, b) => {
             collect_dimof(a, out);
@@ -36,11 +37,11 @@ fn collect_dimof(e: &SExpr, out: &mut Vec<String>) {
 /// Reads of an element-wise tree besides its aligned matrix operands:
 /// its scalar leaves' inputs, and the vectors and sizes its generator
 /// leaves read.
-fn collect_ew_scalars(e: &EwExpr, out: &mut Vec<String>) {
+fn collect_ew_scalars(e: &EwExpr, out: &mut Vec<Slot>) {
     e.leaves(&mut |leaf| match leaf {
         EwExpr::Scalar(s) => sexpr_reads(s, out),
         EwExpr::Gen { gen, .. } => match &**gen {
-            Generator::Outer { u, v } => out.extend([u.clone(), v.clone()]),
+            Generator::Outer { u, v } => out.extend([*u, *v]),
             Generator::Eye { n } => sexpr_reads(n, out),
         },
         EwExpr::Mat(_) | EwExpr::Neg(_) | EwExpr::Not(_) | EwExpr::Bin(..) | EwExpr::Call(..) => {}
@@ -127,12 +128,12 @@ impl Instr {
     /// destination), if any. In-place mutations (`StoreElem`,
     /// `AssignRow`, fills) are *not* destinations — see
     /// [`Instr::defs`].
-    pub fn dst(&self) -> Option<&str> {
-        sole_dst!(self, &).map(String::as_str)
+    pub fn dst(&self) -> Option<Slot> {
+        sole_dst!(self, &).copied()
     }
 
     /// Mutable access to the destination, for retargeting rewrites.
-    pub fn dst_mut(&mut self) -> Option<&mut String> {
+    pub fn dst_mut(&mut self) -> Option<&mut Slot> {
         sole_dst!(self, &mut)
     }
 
@@ -140,10 +141,8 @@ impl Instr {
     /// level: the plain destination, in-place targets (`m(i,j) = v`
     /// writes into `m`), loop induction variables, and call outputs.
     /// Does *not* recurse into nested bodies.
-    pub fn defs(&self, out: &mut Vec<String>) {
-        if let Some(d) = self.dst() {
-            out.push(d.to_string());
-        }
+    pub fn defs(&self, out: &mut Vec<Slot>) {
+        out.extend(self.dst());
         match self {
             Instr::StoreElem { m, .. }
             | Instr::AssignRow { m, .. }
@@ -151,16 +150,16 @@ impl Instr {
             | Instr::FillRow { m, .. }
             | Instr::FillCol { m, .. }
             | Instr::FillRange { m, .. }
-            | Instr::AssignRange { m, .. } => out.push(m.clone()),
-            Instr::For { var, .. } => out.push(var.clone()),
-            Instr::Call { outs, .. } => out.extend(outs.iter().cloned()),
+            | Instr::AssignRange { m, .. } => out.push(*m),
+            Instr::For { var, .. } => out.push(*var),
+            Instr::Call { outs, .. } => out.extend(outs),
             _ => {}
         }
     }
 
-    /// All variable names this instruction *reads* (conservatively
+    /// All variables this instruction *reads* (conservatively
     /// includes nested blocks).
-    pub fn reads(&self, out: &mut Vec<String>) {
+    pub fn reads(&self, out: &mut Vec<Slot>) {
         let sexpr = sexpr_reads;
         match self {
             Instr::AssignScalar { src, .. } => sexpr(src, out),
@@ -190,114 +189,114 @@ impl Instr {
                     sexpr(n, out);
                 }
             },
-            Instr::CopyMatrix { src, .. } => out.push(src.clone()),
+            Instr::CopyMatrix { src, .. } => out.push(*src),
             Instr::LoadFile { .. } => {}
             Instr::ElemWise { expr, .. } => {
                 expr.mat_operands(out);
                 collect_ew_scalars(expr, out);
             }
             Instr::MatMul { a, b, .. } | Instr::Dot { a, b, .. } => {
-                out.push(a.clone());
-                out.push(b.clone());
+                out.push(*a);
+                out.push(*b);
             }
             Instr::MatVec { a, x, .. } => {
-                out.push(a.clone());
-                out.push(x.clone());
+                out.push(*a);
+                out.push(*x);
             }
             // The head's operands and the loop's, less the temporaries
             // that exist only inside the fused loop.
             Instr::Fused(f) => {
                 match &f.head {
-                    Some(Product::MatMul { a, b, .. }) => out.extend([a.clone(), b.clone()]),
-                    Some(Product::MatVec { a, x, .. }) => out.extend([a.clone(), x.clone()]),
+                    Some(Product::MatMul { a, b, .. }) => out.extend([*a, *b]),
+                    Some(Product::MatVec { a, x, .. }) => out.extend([*a, *x]),
                     None => {}
                 }
                 let mut mats = Vec::new();
                 f.expr.mat_operands(&mut mats);
-                out.extend(mats.into_iter().filter(|m| !f.temps().any(|t| t == m)));
+                out.extend(mats.into_iter().filter(|&m| !f.temps().any(|t| t == m)));
                 collect_ew_scalars(&f.expr, out);
             }
             Instr::Outer { u, v, .. } => {
-                out.push(u.clone());
-                out.push(v.clone());
+                out.push(*u);
+                out.push(*v);
             }
-            Instr::Transpose { a, .. } => out.push(a.clone()),
+            Instr::Transpose { a, .. } => out.push(*a),
             Instr::BroadcastElem { m, i, j, .. } => {
-                out.push(m.clone());
+                out.push(*m);
                 sexpr(i, out);
                 if let Some(j) = j {
                     sexpr(j, out);
                 }
             }
             Instr::StoreElem { m, i, j, val } => {
-                out.push(m.clone());
+                out.push(*m);
                 sexpr(i, out);
                 if let Some(j) = j {
                     sexpr(j, out);
                 }
                 sexpr(val, out);
             }
-            Instr::Reduce { m, .. } | Instr::ColReduce { m, .. } => out.push(m.clone()),
+            Instr::Reduce { m, .. } | Instr::ColReduce { m, .. } => out.push(*m),
             Instr::TrapzXY { x, y, .. } => {
-                out.push(x.clone());
-                out.push(y.clone());
+                out.push(*x);
+                out.push(*y);
             }
             Instr::Shift { v, k, .. } => {
-                out.push(v.clone());
+                out.push(*v);
                 sexpr(k, out);
             }
             Instr::ExtractRow { m, i, .. } => {
-                out.push(m.clone());
+                out.push(*m);
                 sexpr(i, out);
             }
             Instr::ExtractCol { m, j, .. } => {
-                out.push(m.clone());
+                out.push(*m);
                 sexpr(j, out);
             }
             Instr::AssignRow { m, i, v } => {
-                out.push(m.clone());
+                out.push(*m);
                 sexpr(i, out);
-                out.push(v.clone());
+                out.push(*v);
             }
             Instr::AssignCol { m, j, v } => {
-                out.push(m.clone());
+                out.push(*m);
                 sexpr(j, out);
-                out.push(v.clone());
+                out.push(*v);
             }
             Instr::ExtractRange { v, lo, hi, .. } => {
-                out.push(v.clone());
+                out.push(*v);
                 sexpr(lo, out);
                 sexpr(hi, out);
             }
             Instr::ExtractStrided {
                 v, lo, step, hi, ..
             } => {
-                out.push(v.clone());
+                out.push(*v);
                 sexpr(lo, out);
                 sexpr(step, out);
                 sexpr(hi, out);
             }
             Instr::FillRow { m, i, val } => {
-                out.push(m.clone());
+                out.push(*m);
                 sexpr(i, out);
                 sexpr(val, out);
             }
             Instr::FillCol { m, j, val } => {
-                out.push(m.clone());
+                out.push(*m);
                 sexpr(j, out);
                 sexpr(val, out);
             }
             Instr::FillRange { m, lo, hi, val } => {
-                out.push(m.clone());
+                out.push(*m);
                 sexpr(lo, out);
                 sexpr(hi, out);
                 sexpr(val, out);
             }
             Instr::AssignRange { m, lo, hi, v } => {
-                out.push(m.clone());
+                out.push(*m);
                 sexpr(lo, out);
                 sexpr(hi, out);
-                out.push(v.clone());
+                out.push(*v);
             }
             Instr::If {
                 cond,
@@ -334,13 +333,13 @@ impl Instr {
                 for a in args {
                     match a {
                         Arg::Scalar(s) => sexpr(s, out),
-                        Arg::Matrix(m) => out.push(m.clone()),
+                        Arg::Matrix(m) => out.push(*m),
                     }
                 }
             }
             Instr::Print { target, .. } => match target {
                 PrintTarget::Scalar(s) => sexpr(s, out),
-                PrintTarget::Matrix(m) => out.push(m.clone()),
+                PrintTarget::Matrix(m) => out.push(*m),
             },
         }
     }
@@ -398,11 +397,12 @@ impl Instr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::by_name::*;
 
     #[test]
     fn dst_and_defs_cover_inplace_targets() {
         let store = Instr::StoreElem {
-            m: "a".into(),
+            m: v("a"),
             i: SExpr::c(1.0),
             j: Some(SExpr::c(2.0)),
             val: SExpr::c(7.0),
@@ -410,28 +410,28 @@ mod tests {
         assert_eq!(store.dst(), None);
         let mut defs = Vec::new();
         store.defs(&mut defs);
-        assert_eq!(defs, vec!["a"]);
+        assert_eq!(defs, vec![v("a")]);
 
         let mm = Instr::MatMul {
-            dst: "c".into(),
-            a: "a".into(),
-            b: "b".into(),
+            dst: v("c"),
+            a: v("a"),
+            b: v("b"),
         };
-        assert_eq!(mm.dst(), Some("c"));
+        assert_eq!(mm.dst(), Some(v("c")));
     }
 
     #[test]
     fn reads_include_dimof_and_ew_scalars() {
         let i = Instr::ElemWise {
-            dst: "d".into(),
+            dst: v("d"),
             expr: EwExpr::bin(
                 EwOp::Mul,
-                EwExpr::mat("x"),
+                mat("x"),
                 EwExpr::Scalar(SExpr::bin(
                     SBinOp::Add,
-                    SExpr::var("s"),
+                    var("s"),
                     SExpr::DimOf {
-                        var: "m".into(),
+                        var: v("m"),
                         sel: DimSel::Rows,
                     },
                 )),
@@ -439,33 +439,33 @@ mod tests {
         };
         let mut reads = Vec::new();
         i.reads(&mut reads);
-        assert_eq!(reads, vec!["x", "s", "m"]);
+        assert_eq!(reads, vec![v("x"), v("s"), v("m")]);
     }
 
     #[test]
     fn comm_profile_classification() {
         let reduce = Instr::Reduce {
-            dst: "s".into(),
+            dst: v("s"),
             op: RedOp::Fold(ColRedOp::Sum),
-            m: "a".into(),
+            m: v("a"),
         };
         assert!(reduce.comm_profile().collective);
         let shift = Instr::Shift {
-            dst: "d".into(),
-            v: "v".into(),
+            dst: v("d"),
+            v: v("v"),
             k: SExpr::c(1.0),
         };
         assert!(shift.comm_profile().point_to_point);
         assert!(!shift.comm_profile().collective);
         let ew = Instr::ElemWise {
-            dst: "d".into(),
-            expr: EwExpr::mat("a"),
+            dst: v("d"),
+            expr: mat("a"),
         };
         assert!(!ew.comm_profile().communicates());
         let mm = Instr::MatMul {
-            dst: "c".into(),
-            a: "a".into(),
-            b: "b".into(),
+            dst: v("c"),
+            a: v("a"),
+            b: v("b"),
         };
         assert!(mm.comm_profile().collective && mm.comm_profile().point_to_point);
     }

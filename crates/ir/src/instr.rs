@@ -1,9 +1,6 @@
 //! IR node definitions.
 
-use crate::names::is_temp;
-use otter_analysis::Shape;
-use otter_frontend::Span;
-use std::collections::{BTreeMap, BTreeSet};
+use crate::frame::{Slot, Vars};
 
 /// Scalar builtin functions usable inside replicated scalar
 /// expressions (pure C library calls in the emitted code).
@@ -143,18 +140,17 @@ impl SBinOp {
 /// redundantly (paper §3 assumption 1: "scalar variables are
 /// replicated across the set of processors").
 ///
-/// `V` names a variable: a source-level name in the compiler's IR, a
-/// frame slot in the executor's plan (see [`SExpr::map_vars`]).
+/// A variable is a [`Slot`] of the enclosing [`crate::Frame`].
 #[derive(Debug, Clone, PartialEq)]
-pub enum SExpr<V = String> {
+pub enum SExpr {
     Const(f64),
     /// Scalar variable reference.
-    Var(V),
+    Var(Slot),
     /// Run-time dimension of a matrix variable (`m->rows` /
     /// `m->cols` / local-free `numel` in the emitted C). Lowered from
     /// `size`/`length`/`numel`/`end` when the shape is not static.
     DimOf {
-        var: V,
+        var: Slot,
         sel: DimSel,
     },
     /// The element being stored by the enclosing
@@ -162,10 +158,10 @@ pub enum SExpr<V = String> {
     /// `*ML_realaddr2(a, i-1, j-1)` read inside the owner guard.
     /// Valid only inside `StoreElem::val`.
     OwnElem,
-    Neg(Box<SExpr<V>>),
-    Not(Box<SExpr<V>>),
-    Bin(SBinOp, Box<SExpr<V>>, Box<SExpr<V>>),
-    Call(SFun, Vec<SExpr<V>>),
+    Neg(Box<SExpr>),
+    Not(Box<SExpr>),
+    Bin(SBinOp, Box<SExpr>, Box<SExpr>),
+    Call(SFun, Vec<SExpr>),
 }
 
 /// Which dimension [`SExpr::DimOf`] reads.
@@ -180,10 +176,6 @@ pub enum DimSel {
 }
 
 impl SExpr {
-    pub fn var(name: impl Into<String>) -> SExpr {
-        SExpr::Var(name.into())
-    }
-
     pub fn c(v: f64) -> SExpr {
         SExpr::Const(v)
     }
@@ -192,12 +184,12 @@ impl SExpr {
         SExpr::Bin(op, Box::new(a), Box::new(b))
     }
 
-    /// Free scalar-variable names referenced.
-    pub fn vars(&self, out: &mut Vec<String>) {
+    /// Free scalar variables referenced.
+    pub fn vars(&self, out: &mut Vec<Slot>) {
         match self {
             SExpr::Const(_) => {}
             SExpr::DimOf { .. } | SExpr::OwnElem => {}
-            SExpr::Var(v) => out.push(v.clone()),
+            SExpr::Var(v) => out.push(*v),
             SExpr::Neg(e) | SExpr::Not(e) => e.vars(out),
             SExpr::Bin(_, a, b) => {
                 a.vars(out);
@@ -208,27 +200,6 @@ impl SExpr {
                     a.vars(out);
                 }
             }
-        }
-    }
-}
-
-impl<V> SExpr<V> {
-    /// This expression with every variable `v` renamed to `f(v)`.
-    pub fn map_vars<W>(&self, f: &mut impl FnMut(&V) -> W) -> SExpr<W> {
-        match self {
-            SExpr::Const(c) => SExpr::Const(*c),
-            SExpr::Var(v) => SExpr::Var(f(v)),
-            SExpr::DimOf { var, sel } => SExpr::DimOf {
-                var: f(var),
-                sel: *sel,
-            },
-            SExpr::OwnElem => SExpr::OwnElem,
-            SExpr::Neg(e) => SExpr::Neg(Box::new(e.map_vars(f))),
-            SExpr::Not(e) => SExpr::Not(Box::new(e.map_vars(f))),
-            SExpr::Bin(op, a, b) => {
-                SExpr::Bin(*op, Box::new(a.map_vars(f)), Box::new(b.map_vars(f)))
-            }
-            SExpr::Call(g, args) => SExpr::Call(*g, args.iter().map(|a| a.map_vars(f)).collect()),
         }
     }
 }
@@ -296,57 +267,43 @@ impl EwOp {
 /// and replicated scalars. Compiles to one fused per-element loop —
 /// the `for (ML_tmp3 = ...)` loop of the paper's §3 example.
 #[derive(Debug, Clone, PartialEq)]
-pub enum EwExpr<V = String> {
+pub enum EwExpr {
     /// A distributed matrix operand (must be aligned with the
     /// destination).
-    Mat(V),
+    Mat(Slot),
     /// A replicated scalar value.
-    Scalar(SExpr<V>),
-    Neg(Box<EwExpr<V>>),
-    Not(Box<EwExpr<V>>),
-    Bin(EwOp, Box<EwExpr<V>>, Box<EwExpr<V>>),
+    Scalar(SExpr),
+    Neg(Box<EwExpr>),
+    Not(Box<EwExpr>),
+    Bin(EwOp, Box<EwExpr>, Box<EwExpr>),
     /// Element-wise scalar function application.
-    Call(SFun, Vec<EwExpr<V>>),
+    Call(SFun, Vec<EwExpr>),
     /// Fusion rule F5: the element of a matrix the loop generates
     /// instead of reading. `tmp` names the temporary the producer used
     /// to write, so the C emitter can re-expand it. The generator is
     /// boxed so that this leaf does not double the size of every node.
     Gen {
-        tmp: V,
-        gen: Box<Generator<V>>,
+        tmp: Slot,
+        gen: Box<Generator>,
     },
 }
 
 /// A matrix defined element by element, which a fused loop generates
 /// lane by lane (see [`EwExpr::Gen`]).
 #[derive(Debug, Clone, PartialEq)]
-pub enum Generator<V = String> {
+pub enum Generator {
     /// `u * v'` of two vectors, as [`Instr::Outer`] computes it.
-    Outer { u: V, v: V },
+    Outer { u: Slot, v: Slot },
     /// `eye(n)`, as [`MatInit::Eye`] builds it.
-    Eye { n: SExpr<V> },
-}
-
-impl<V> Generator<V> {
-    pub fn map_vars<W>(&self, f: &mut impl FnMut(&V) -> W) -> Generator<W> {
-        match self {
-            Generator::Outer { u, v } => Generator::Outer { u: f(u), v: f(v) },
-            Generator::Eye { n } => Generator::Eye { n: n.map_vars(f) },
-        }
-    }
+    Eye { n: SExpr },
 }
 
 impl Generator {
     /// The producer of `tmp` this generator was fused from: the
     /// instruction the C emitter re-expands and the lint models read.
-    pub fn producer(&self, tmp: &str) -> Instr {
-        let dst = tmp.to_string();
+    pub fn producer(&self, dst: Slot) -> Instr {
         match self {
-            Generator::Outer { u, v } => Instr::Outer {
-                dst,
-                u: u.clone(),
-                v: v.clone(),
-            },
+            Generator::Outer { u, v } => Instr::Outer { dst, u: *u, v: *v },
             Generator::Eye { n } => Instr::InitMatrix {
                 dst,
                 init: MatInit::Eye { n: n.clone() },
@@ -358,10 +315,7 @@ impl Generator {
     /// `tmp = eye(n)`, if `i` is one.
     pub fn of(i: &Instr) -> Option<Generator> {
         match i {
-            Instr::Outer { u, v, .. } => Some(Generator::Outer {
-                u: u.clone(),
-                v: v.clone(),
-            }),
+            Instr::Outer { u, v, .. } => Some(Generator::Outer { u: *u, v: *v }),
             Instr::InitMatrix {
                 init: MatInit::Eye { n },
                 ..
@@ -372,58 +326,34 @@ impl Generator {
 }
 
 impl EwExpr {
-    pub fn mat(name: impl Into<String>) -> EwExpr {
-        EwExpr::Mat(name.into())
-    }
-}
-
-impl<V> EwExpr<V> {
-    pub fn bin(op: EwOp, a: EwExpr<V>, b: EwExpr<V>) -> EwExpr<V> {
+    pub fn bin(op: EwOp, a: EwExpr, b: EwExpr) -> EwExpr {
         EwExpr::Bin(op, Box::new(a), Box::new(b))
-    }
-
-    pub fn map_vars<W>(&self, f: &mut impl FnMut(&V) -> W) -> EwExpr<W> {
-        match self {
-            EwExpr::Mat(m) => EwExpr::Mat(f(m)),
-            EwExpr::Scalar(s) => EwExpr::Scalar(s.map_vars(f)),
-            EwExpr::Neg(e) => EwExpr::Neg(Box::new(e.map_vars(f))),
-            EwExpr::Not(e) => EwExpr::Not(Box::new(e.map_vars(f))),
-            EwExpr::Bin(op, a, b) => EwExpr::bin(*op, a.map_vars(f), b.map_vars(f)),
-            EwExpr::Call(g, args) => EwExpr::Call(*g, args.iter().map(|a| a.map_vars(f)).collect()),
-            EwExpr::Gen { tmp, gen } => EwExpr::Gen {
-                tmp: f(tmp),
-                gen: Box::new(gen.map_vars(f)),
-            },
-        }
     }
 
     /// Matrix operands referenced by this tree (the aligned operands a
     /// loop reads; generator leaves are not among them).
-    pub fn mat_operands(&self, out: &mut Vec<V>)
-    where
-        V: Clone,
-    {
+    pub fn mat_operands(&self, out: &mut Vec<Slot>) {
         self.leaves(&mut |e| {
             if let EwExpr::Mat(m) = e {
-                out.push(m.clone());
+                out.push(*m);
             }
         });
     }
 
     /// The generator leaves of this tree, `(tmp, generator)` in
     /// reading order.
-    pub fn generators(&self) -> Vec<(&V, &Generator<V>)> {
+    pub fn generators(&self) -> Vec<(Slot, &Generator)> {
         let mut out = Vec::new();
         self.leaves(&mut |e| {
             if let EwExpr::Gen { tmp, gen } = e {
-                out.push((tmp, &**gen));
+                out.push((*tmp, &**gen));
             }
         });
         out
     }
 
     /// Visit every leaf (`Mat`, `Scalar`, `Gen`) in reading order.
-    pub(crate) fn leaves<'a>(&'a self, f: &mut impl FnMut(&'a EwExpr<V>)) {
+    pub(crate) fn leaves<'a>(&'a self, f: &mut impl FnMut(&'a EwExpr)) {
         match self {
             EwExpr::Mat(_) | EwExpr::Scalar(_) | EwExpr::Gen { .. } => f(self),
             EwExpr::Neg(e) | EwExpr::Not(e) => e.leaves(f),
@@ -498,287 +428,250 @@ impl RedOp {
 
 /// Matrix constructors computed without communication.
 #[derive(Debug, Clone, PartialEq)]
-pub enum MatInit<V = String> {
+pub enum MatInit {
     Zeros {
-        rows: SExpr<V>,
-        cols: SExpr<V>,
+        rows: SExpr,
+        cols: SExpr,
     },
     Ones {
-        rows: SExpr<V>,
-        cols: SExpr<V>,
+        rows: SExpr,
+        cols: SExpr,
     },
     Eye {
-        n: SExpr<V>,
+        n: SExpr,
     },
     /// Seeded uniform random matrix; the seed keeps interpreter and
     /// compiled runs comparable.
     Rand {
-        rows: SExpr<V>,
-        cols: SExpr<V>,
+        rows: SExpr,
+        cols: SExpr,
     },
     Range {
-        start: SExpr<V>,
-        step: SExpr<V>,
-        stop: SExpr<V>,
+        start: SExpr,
+        step: SExpr,
+        stop: SExpr,
     },
     /// Literal `[a, b; c, d]` of replicated scalar expressions.
     Literal {
-        rows: Vec<Vec<SExpr<V>>>,
+        rows: Vec<Vec<SExpr>>,
     },
     /// Row vector of `n` points from `a` to `b` inclusive.
     Linspace {
-        a: SExpr<V>,
-        b: SExpr<V>,
-        n: SExpr<V>,
+        a: SExpr,
+        b: SExpr,
+        n: SExpr,
     },
 }
 
-impl<V> MatInit<V> {
-    pub fn map_vars<W>(&self, f: &mut impl FnMut(&V) -> W) -> MatInit<W> {
-        match self {
-            MatInit::Zeros { rows, cols } => MatInit::Zeros {
-                rows: rows.map_vars(f),
-                cols: cols.map_vars(f),
-            },
-            MatInit::Ones { rows, cols } => MatInit::Ones {
-                rows: rows.map_vars(f),
-                cols: cols.map_vars(f),
-            },
-            MatInit::Eye { n } => MatInit::Eye { n: n.map_vars(f) },
-            MatInit::Rand { rows, cols } => MatInit::Rand {
-                rows: rows.map_vars(f),
-                cols: cols.map_vars(f),
-            },
-            MatInit::Range { start, step, stop } => MatInit::Range {
-                start: start.map_vars(f),
-                step: step.map_vars(f),
-                stop: stop.map_vars(f),
-            },
-            MatInit::Literal { rows } => MatInit::Literal {
-                rows: rows
-                    .iter()
-                    .map(|row| row.iter().map(|e| e.map_vars(f)).collect())
-                    .collect(),
-            },
-            MatInit::Linspace { a, b, n } => MatInit::Linspace {
-                a: a.map_vars(f),
-                b: b.map_vars(f),
-                n: n.map_vars(f),
-            },
-        }
-    }
-}
-
-/// One SPMD instruction. Matrix operands are variable names; scalar
-/// operands are replicated [`SExpr`]s. `V` names a variable, as in
-/// [`SExpr`]; the strings that name no variable (a callee, a printed
-/// label, a file path) stay `String`.
+/// One SPMD instruction. Matrix operands are variable slots; scalar
+/// operands are replicated [`SExpr`]s. The strings that name no
+/// variable (a callee, a printed label, a file path) are `String`s.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Instr<V = String> {
+pub enum Instr {
     // ---- replicated scalar computation ----
     /// `dst = expr;` on every rank.
     AssignScalar {
-        dst: V,
-        src: SExpr<V>,
+        dst: Slot,
+        src: SExpr,
     },
 
     // ---- constructors ----
     /// `dst = <constructor>` (no communication).
     InitMatrix {
-        dst: V,
-        init: MatInit<V>,
+        dst: Slot,
+        init: MatInit,
     },
     /// Copy a whole matrix variable: `dst = src`.
     CopyMatrix {
-        dst: V,
-        src: V,
+        dst: Slot,
+        src: Slot,
     },
     /// Load from a data file via rank-0 + scatter.
     LoadFile {
-        dst: V,
+        dst: Slot,
         path: String,
     },
 
     // ---- element-wise loop (no communication) ----
     /// `dst(k) = expr(k)` for every locally owned element.
     ElemWise {
-        dst: V,
-        expr: EwExpr<V>,
+        dst: Slot,
+        expr: EwExpr,
     },
 
     // ---- run-time library calls (communication-bearing) ----
     /// `ML_matrix_multiply(a, b, dst)`.
     MatMul {
-        dst: V,
-        a: V,
-        b: V,
+        dst: Slot,
+        a: Slot,
+        b: Slot,
     },
     /// `ML_matrix_vector_multiply(a, x, dst)`.
     MatVec {
-        dst: V,
-        a: V,
-        x: V,
+        dst: Slot,
+        a: Slot,
+        x: Slot,
     },
     /// Outer product `dst = u * v'` of two vectors.
     Outer {
-        dst: V,
-        u: V,
-        v: V,
+        dst: Slot,
+        u: Slot,
+        v: Slot,
     },
     /// `dst = aᵀ` (all-to-all redistribution).
     Transpose {
-        dst: V,
-        a: V,
+        dst: Slot,
+        a: Slot,
     },
     /// `ML_broadcast(&dst, m, i, j)` — fetch one element to a
     /// replicated scalar. Indices are 1-based MATLAB expressions; the
     /// `- 1` adjustment happens at execution/emission, exactly like
     /// the generated C in the paper.
     BroadcastElem {
-        dst: V,
-        m: V,
-        i: SExpr<V>,
-        j: Option<SExpr<V>>,
+        dst: Slot,
+        m: Slot,
+        i: SExpr,
+        j: Option<SExpr>,
     },
     /// Owner-computes guarded element store:
     /// `if (ML_owner(m, i-1, j-1)) *ML_realaddr2(m, i-1, j-1) = val;`
     StoreElem {
-        m: V,
-        i: SExpr<V>,
-        j: Option<SExpr<V>>,
-        val: SExpr<V>,
+        m: Slot,
+        i: SExpr,
+        j: Option<SExpr>,
+        val: SExpr,
     },
     /// Whole-object reduction to a replicated scalar.
     Reduce {
-        dst: V,
+        dst: Slot,
         op: RedOp,
-        m: V,
+        m: Slot,
     },
     /// `dst = dot(a, b)` (fused multiply + sum; pass-6 peephole
     /// output).
     Dot {
-        dst: V,
-        a: V,
-        b: V,
+        dst: Slot,
+        a: Slot,
+        b: Slot,
     },
     /// `dst = trapz(x, y)`.
     TrapzXY {
-        dst: V,
-        x: V,
-        y: V,
+        dst: Slot,
+        x: Slot,
+        y: Slot,
     },
     /// MATLAB `sum`/`mean` of a true matrix → row vector of column
     /// aggregates.
     ColReduce {
-        dst: V,
+        dst: Slot,
         op: ColRedOp,
-        m: V,
+        m: Slot,
     },
     /// A fused element-wise loop (loop-fusion pass output): the
     /// paper's per-element loop with a product it overwrites in place
     /// and/or a fold that consumes its elements as they are computed.
     /// Its meaning is [`Fused::unfused`]. Boxed, so that it does not
     /// widen every instruction.
-    Fused(Box<Fused<V>>),
+    Fused(Box<Fused>),
     /// Circular shift of a vector.
     Shift {
-        dst: V,
-        v: V,
-        k: SExpr<V>,
+        dst: Slot,
+        v: Slot,
+        k: SExpr,
     },
     /// `dst = m(i, :)` (owner broadcast).
     ExtractRow {
-        dst: V,
-        m: V,
-        i: SExpr<V>,
+        dst: Slot,
+        m: Slot,
+        i: SExpr,
     },
     /// `dst = m(:, j)` (no communication).
     ExtractCol {
-        dst: V,
-        m: V,
-        j: SExpr<V>,
+        dst: Slot,
+        m: Slot,
+        j: SExpr,
     },
     /// `m(i, :) = v` (gather to owner).
     AssignRow {
-        m: V,
-        i: SExpr<V>,
-        v: V,
+        m: Slot,
+        i: SExpr,
+        v: Slot,
     },
     /// `m(:, j) = v` (no communication).
     AssignCol {
-        m: V,
-        j: SExpr<V>,
-        v: V,
+        m: Slot,
+        j: SExpr,
+        v: Slot,
     },
     /// `dst = v(lo:hi)` (1-based inclusive bounds, redistribution).
     ExtractRange {
-        dst: V,
-        v: V,
-        lo: SExpr<V>,
-        hi: SExpr<V>,
+        dst: Slot,
+        v: Slot,
+        lo: SExpr,
+        hi: SExpr,
     },
     /// `dst = v(lo:step:hi)` — strided gather (1-based inclusive).
     ExtractStrided {
-        dst: V,
-        v: V,
-        lo: SExpr<V>,
-        step: SExpr<V>,
-        hi: SExpr<V>,
+        dst: Slot,
+        v: Slot,
+        lo: SExpr,
+        step: SExpr,
+        hi: SExpr,
     },
     /// `m(i, :) = val` — scalar fill of a row (no communication).
     FillRow {
-        m: V,
-        i: SExpr<V>,
-        val: SExpr<V>,
+        m: Slot,
+        i: SExpr,
+        val: SExpr,
     },
     /// `m(:, j) = val` — scalar fill of a column (no communication).
     FillCol {
-        m: V,
-        j: SExpr<V>,
-        val: SExpr<V>,
+        m: Slot,
+        j: SExpr,
+        val: SExpr,
     },
     /// `v(lo:hi) = val` — scalar fill of an element range.
     FillRange {
-        m: V,
-        lo: SExpr<V>,
-        hi: SExpr<V>,
-        val: SExpr<V>,
+        m: Slot,
+        lo: SExpr,
+        hi: SExpr,
+        val: SExpr,
     },
     /// `v(lo:hi) = w` — store a vector into an element range.
     AssignRange {
-        m: V,
-        lo: SExpr<V>,
-        hi: SExpr<V>,
-        v: V,
+        m: Slot,
+        lo: SExpr,
+        hi: SExpr,
+        v: Slot,
     },
     /// De-allocate a temporary's distributed storage (paper §4: "the
     /// run-time library is responsible for the allocation and
     /// de-allocation of vectors and matrices"). Inserted after the
     /// last use of each compiler temporary.
     Free {
-        name: V,
+        name: Slot,
     },
 
     // ---- control flow (replicated conditions) ----
     If {
-        cond: SExpr<V>,
-        then_body: Vec<Instr<V>>,
-        else_body: Vec<Instr<V>>,
+        cond: SExpr,
+        then_body: Vec<Instr>,
+        else_body: Vec<Instr>,
     },
     /// `while`: re-evaluate `pre` (instructions computing the
     /// condition's inputs, e.g. a norm reduction) then test `cond`.
     While {
-        pre: Vec<Instr<V>>,
-        cond: SExpr<V>,
-        body: Vec<Instr<V>>,
+        pre: Vec<Instr>,
+        cond: SExpr,
+        body: Vec<Instr>,
     },
     /// Counted loop over a replicated scalar induction variable.
     For {
-        var: V,
-        start: SExpr<V>,
-        step: SExpr<V>,
-        stop: SExpr<V>,
-        body: Vec<Instr<V>>,
+        var: Slot,
+        start: SExpr,
+        step: SExpr,
+        stop: SExpr,
+        body: Vec<Instr>,
     },
     Break,
     Continue,
@@ -788,13 +681,13 @@ pub enum Instr<V = String> {
     /// callee's parameters/returns.
     Call {
         fun: String,
-        args: Vec<Arg<V>>,
-        outs: Vec<V>,
+        args: Vec<Arg>,
+        outs: Vec<Slot>,
     },
     /// Display a value (rank 0 prints).
     Print {
         name: String,
-        target: PrintTarget<V>,
+        target: PrintTarget,
     },
 }
 
@@ -840,7 +733,7 @@ pub const OPCODES: [&str; 38] = [
     "print",
 ];
 
-impl<V> Instr<V> {
+impl Instr {
     /// Stable lowercase mnemonic for this instruction — the key used
     /// by per-opcode execution counters and `EngineReport` schemas.
     pub fn opcode(&self) -> &'static str {
@@ -913,229 +806,26 @@ impl<V> Instr<V> {
                 | Instr::Print { .. }
         )
     }
-
-    /// This instruction with every variable `v` renamed to `f(v)`,
-    /// nested bodies included.
-    pub fn map_vars<W>(&self, f: &mut impl FnMut(&V) -> W) -> Instr<W> {
-        let body = |b: &[Instr<V>], f: &mut _| b.iter().map(|i| i.map_vars(f)).collect();
-        let opt = |e: &Option<SExpr<V>>, f: &mut _| e.as_ref().map(|e| e.map_vars(f));
-        match self {
-            Instr::AssignScalar { dst, src } => Instr::AssignScalar {
-                dst: f(dst),
-                src: src.map_vars(f),
-            },
-            Instr::InitMatrix { dst, init } => Instr::InitMatrix {
-                dst: f(dst),
-                init: init.map_vars(f),
-            },
-            Instr::CopyMatrix { dst, src } => Instr::CopyMatrix {
-                dst: f(dst),
-                src: f(src),
-            },
-            Instr::LoadFile { dst, path } => Instr::LoadFile {
-                dst: f(dst),
-                path: path.clone(),
-            },
-            Instr::ElemWise { dst, expr } => Instr::ElemWise {
-                dst: f(dst),
-                expr: expr.map_vars(f),
-            },
-            Instr::MatMul { dst, a, b } => Instr::MatMul {
-                dst: f(dst),
-                a: f(a),
-                b: f(b),
-            },
-            Instr::MatVec { dst, a, x } => Instr::MatVec {
-                dst: f(dst),
-                a: f(a),
-                x: f(x),
-            },
-            Instr::Outer { dst, u, v } => Instr::Outer {
-                dst: f(dst),
-                u: f(u),
-                v: f(v),
-            },
-            Instr::Transpose { dst, a } => Instr::Transpose {
-                dst: f(dst),
-                a: f(a),
-            },
-            Instr::BroadcastElem { dst, m, i, j } => Instr::BroadcastElem {
-                dst: f(dst),
-                m: f(m),
-                i: i.map_vars(f),
-                j: opt(j, f),
-            },
-            Instr::StoreElem { m, i, j, val } => Instr::StoreElem {
-                m: f(m),
-                i: i.map_vars(f),
-                j: opt(j, f),
-                val: val.map_vars(f),
-            },
-            Instr::Reduce { dst, op, m } => Instr::Reduce {
-                dst: f(dst),
-                op: *op,
-                m: f(m),
-            },
-            Instr::Dot { dst, a, b } => Instr::Dot {
-                dst: f(dst),
-                a: f(a),
-                b: f(b),
-            },
-            Instr::TrapzXY { dst, x, y } => Instr::TrapzXY {
-                dst: f(dst),
-                x: f(x),
-                y: f(y),
-            },
-            Instr::ColReduce { dst, op, m } => Instr::ColReduce {
-                dst: f(dst),
-                op: *op,
-                m: f(m),
-            },
-            Instr::Fused(fused) => Instr::Fused(Box::new(fused.map_vars(f))),
-            Instr::Shift { dst, v, k } => Instr::Shift {
-                dst: f(dst),
-                v: f(v),
-                k: k.map_vars(f),
-            },
-            Instr::ExtractRow { dst, m, i } => Instr::ExtractRow {
-                dst: f(dst),
-                m: f(m),
-                i: i.map_vars(f),
-            },
-            Instr::ExtractCol { dst, m, j } => Instr::ExtractCol {
-                dst: f(dst),
-                m: f(m),
-                j: j.map_vars(f),
-            },
-            Instr::AssignRow { m, i, v } => Instr::AssignRow {
-                m: f(m),
-                i: i.map_vars(f),
-                v: f(v),
-            },
-            Instr::AssignCol { m, j, v } => Instr::AssignCol {
-                m: f(m),
-                j: j.map_vars(f),
-                v: f(v),
-            },
-            Instr::ExtractRange { dst, v, lo, hi } => Instr::ExtractRange {
-                dst: f(dst),
-                v: f(v),
-                lo: lo.map_vars(f),
-                hi: hi.map_vars(f),
-            },
-            Instr::ExtractStrided {
-                dst,
-                v,
-                lo,
-                step,
-                hi,
-            } => Instr::ExtractStrided {
-                dst: f(dst),
-                v: f(v),
-                lo: lo.map_vars(f),
-                step: step.map_vars(f),
-                hi: hi.map_vars(f),
-            },
-            Instr::FillRow { m, i, val } => Instr::FillRow {
-                m: f(m),
-                i: i.map_vars(f),
-                val: val.map_vars(f),
-            },
-            Instr::FillCol { m, j, val } => Instr::FillCol {
-                m: f(m),
-                j: j.map_vars(f),
-                val: val.map_vars(f),
-            },
-            Instr::FillRange { m, lo, hi, val } => Instr::FillRange {
-                m: f(m),
-                lo: lo.map_vars(f),
-                hi: hi.map_vars(f),
-                val: val.map_vars(f),
-            },
-            Instr::AssignRange { m, lo, hi, v } => Instr::AssignRange {
-                m: f(m),
-                lo: lo.map_vars(f),
-                hi: hi.map_vars(f),
-                v: f(v),
-            },
-            Instr::Free { name } => Instr::Free { name: f(name) },
-            Instr::If {
-                cond,
-                then_body,
-                else_body,
-            } => Instr::If {
-                cond: cond.map_vars(f),
-                then_body: body(then_body, f),
-                else_body: body(else_body, f),
-            },
-            Instr::While { pre, cond, body: b } => Instr::While {
-                pre: body(pre, f),
-                cond: cond.map_vars(f),
-                body: body(b, f),
-            },
-            Instr::For {
-                var,
-                start,
-                step,
-                stop,
-                body: b,
-            } => Instr::For {
-                var: f(var),
-                start: start.map_vars(f),
-                step: step.map_vars(f),
-                stop: stop.map_vars(f),
-                body: body(b, f),
-            },
-            Instr::Break => Instr::Break,
-            Instr::Continue => Instr::Continue,
-            Instr::Call { fun, args, outs } => Instr::Call {
-                fun: fun.clone(),
-                args: args.iter().map(|a| a.map_vars(f)).collect(),
-                outs: outs.iter().map(&mut *f).collect(),
-            },
-            Instr::Print { name, target } => Instr::Print {
-                name: name.clone(),
-                target: target.map_vars(f),
-            },
-        }
-    }
 }
 
 /// The product at the head of a [`Fused`] loop: the buffer the loop
 /// overwrites in place, so `tmp` is never stored on its own.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Product<V = String> {
+pub enum Product {
     /// `tmp = matmul(a, b)`.
-    MatMul { tmp: V, a: V, b: V },
+    MatMul { tmp: Slot, a: Slot, b: Slot },
     /// `tmp = matvec(a, x)`.
-    MatVec { tmp: V, a: V, x: V },
-}
-
-impl<V> Product<V> {
-    /// The temporary the product used to be stored in.
-    pub fn tmp(&self) -> &V {
-        match self {
-            Product::MatMul { tmp, .. } | Product::MatVec { tmp, .. } => tmp,
-        }
-    }
-
-    pub fn map_vars<W>(&self, f: &mut impl FnMut(&V) -> W) -> Product<W> {
-        match self {
-            Product::MatMul { tmp, a, b } => Product::MatMul {
-                tmp: f(tmp),
-                a: f(a),
-                b: f(b),
-            },
-            Product::MatVec { tmp, a, x } => Product::MatVec {
-                tmp: f(tmp),
-                a: f(a),
-                x: f(x),
-            },
-        }
-    }
+    MatVec { tmp: Slot, a: Slot, x: Slot },
 }
 
 impl Product {
+    /// The temporary the product used to be stored in.
+    pub fn tmp(&self) -> Slot {
+        match self {
+            Product::MatMul { tmp, .. } | Product::MatVec { tmp, .. } => *tmp,
+        }
+    }
+
     /// The product `i` computes, if it is a matmul or a matvec.
     pub fn of(i: &Instr) -> Option<Product> {
         match i.clone() {
@@ -1156,38 +846,22 @@ impl Product {
 
 /// What a [`Fused`] loop does with the element it computes.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Tail<V = String> {
+pub enum Tail {
     /// Store it: `dst(k) = expr(k)`.
-    Store { dst: V },
+    Store { dst: Slot },
     /// Fold it into a replicated scalar, `dst = op(tmp)`.
-    Reduce { dst: V, op: RedOp, tmp: V },
+    Reduce { dst: Slot, op: RedOp, tmp: Slot },
     /// Fold it into per-column partials, `dst = op(tmp)`.
-    ColReduce { dst: V, op: ColRedOp, tmp: V },
+    ColReduce { dst: Slot, op: ColRedOp, tmp: Slot },
 }
 
-impl<V> Tail<V> {
+impl Tail {
     /// The temporary a fold used to read, which the loop no longer
     /// stores.
-    pub fn tmp(&self) -> Option<&V> {
+    pub fn tmp(&self) -> Option<Slot> {
         match self {
             Tail::Store { .. } => None,
-            Tail::Reduce { tmp, .. } | Tail::ColReduce { tmp, .. } => Some(tmp),
-        }
-    }
-
-    pub fn map_vars<W>(&self, f: &mut impl FnMut(&V) -> W) -> Tail<W> {
-        match self {
-            Tail::Store { dst } => Tail::Store { dst: f(dst) },
-            Tail::Reduce { dst, op, tmp } => Tail::Reduce {
-                dst: f(dst),
-                op: *op,
-                tmp: f(tmp),
-            },
-            Tail::ColReduce { dst, op, tmp } => Tail::ColReduce {
-                dst: f(dst),
-                op: *op,
-                tmp: f(tmp),
-            },
+            Tail::Reduce { tmp, .. } | Tail::ColReduce { tmp, .. } => Some(*tmp),
         }
     }
 }
@@ -1202,60 +876,49 @@ impl<V> Tail<V> {
 /// [`Fused::unfused`], the instruction sequence it replaced; the names
 /// of the eliminated temporaries are kept for that purpose.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Fused<V = String> {
-    pub(crate) head: Option<Product<V>>,
-    pub(crate) expr: EwExpr<V>,
-    pub(crate) tail: Tail<V>,
-}
-
-impl<V> Fused<V> {
-    pub fn head(&self) -> Option<&Product<V>> {
-        self.head.as_ref()
-    }
-
-    pub fn expr(&self) -> &EwExpr<V> {
-        &self.expr
-    }
-
-    pub fn tail(&self) -> &Tail<V> {
-        &self.tail
-    }
-
-    pub fn map_vars<W>(&self, f: &mut impl FnMut(&V) -> W) -> Fused<W> {
-        Fused {
-            head: self.head.as_ref().map(|h| h.map_vars(f)),
-            expr: self.expr.map_vars(f),
-            tail: self.tail.map_vars(f),
-        }
-    }
+pub struct Fused {
+    pub(crate) head: Option<Product>,
+    pub(crate) expr: EwExpr,
+    pub(crate) tail: Tail,
 }
 
 impl Fused {
+    pub fn head(&self) -> Option<&Product> {
+        self.head.as_ref()
+    }
+
+    pub fn expr(&self) -> &EwExpr {
+        &self.expr
+    }
+
+    pub fn tail(&self) -> &Tail {
+        &self.tail
+    }
+
     /// The temporaries the loop no longer stores: the head's, then the
     /// fold's.
-    pub fn temps(&self) -> impl Iterator<Item = &str> {
-        let head = self.head.iter().map(|h| h.tmp().as_str());
-        head.chain(self.tail.tmp().map(String::as_str))
+    pub fn temps(&self) -> impl Iterator<Item = Slot> + '_ {
+        self.head.iter().map(Product::tmp).chain(self.tail.tmp())
     }
 
     /// The sequence this loop stands for: the head's product, the
     /// element-wise loop, the fold, and a `Free` of each eliminated
-    /// compiler temporary.
-    pub fn unfused(&self) -> Vec<Instr> {
+    /// compiler temporary of `vars`, the loop's frame.
+    pub fn unfused(&self, vars: &Vars) -> Vec<Instr> {
         let mut seq: Vec<Instr> = self.head.iter().map(Product::producer).collect();
         let (dst, fold) = match self.tail.clone() {
             Tail::Store { dst } => (dst, None),
-            Tail::Reduce { dst, op, tmp } => (tmp.clone(), Some(Instr::Reduce { dst, op, m: tmp })),
-            Tail::ColReduce { dst, op, tmp } => {
-                (tmp.clone(), Some(Instr::ColReduce { dst, op, m: tmp }))
-            }
+            Tail::Reduce { dst, op, tmp } => (tmp, Some(Instr::Reduce { dst, op, m: tmp })),
+            Tail::ColReduce { dst, op, tmp } => (tmp, Some(Instr::ColReduce { dst, op, m: tmp })),
         };
         let expr = self.expr.clone();
         seq.push(Instr::ElemWise { dst, expr });
         seq.extend(fold);
-        seq.extend(self.temps().filter(|t| is_temp(t)).map(|t| Instr::Free {
-            name: t.to_string(),
-        }));
+        seq.extend(
+            self.temps()
+                .filter(|&t| vars.is_temp(t))
+                .map(|name| Instr::Free { name }),
+        );
         seq
     }
 }
@@ -1287,35 +950,21 @@ pub enum ColRedOp {
 
 /// An actual argument to an IR function call.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Arg<V = String> {
-    Scalar(SExpr<V>),
-    Matrix(V),
+pub enum Arg {
+    Scalar(SExpr),
+    Matrix(Slot),
 }
 
-impl<V> Arg<V> {
-    pub fn map_vars<W>(&self, f: &mut impl FnMut(&V) -> W) -> Arg<W> {
-        match self {
-            Arg::Scalar(s) => Arg::Scalar(s.map_vars(f)),
-            Arg::Matrix(m) => Arg::Matrix(f(m)),
-        }
-    }
-}
+impl Arg {}
 
 /// What a `Print` displays.
 #[derive(Debug, Clone, PartialEq)]
-pub enum PrintTarget<V = String> {
-    Scalar(SExpr<V>),
-    Matrix(V),
+pub enum PrintTarget {
+    Scalar(SExpr),
+    Matrix(Slot),
 }
 
-impl<V> PrintTarget<V> {
-    pub fn map_vars<W>(&self, f: &mut impl FnMut(&V) -> W) -> PrintTarget<W> {
-        match self {
-            PrintTarget::Scalar(s) => PrintTarget::Scalar(s.map_vars(f)),
-            PrintTarget::Matrix(m) => PrintTarget::Matrix(f(m)),
-        }
-    }
-}
+impl PrintTarget {}
 
 /// Whether an IR variable is a replicated scalar or a distributed
 /// matrix — the paper's *rank* attribute, fixed at compile time by
@@ -1326,84 +975,10 @@ pub enum VarRank {
     Matrix,
 }
 
-/// A compiled function: parameters, returns, body.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct IrFunction {
-    pub name: String,
-    pub params: Vec<(String, VarRank)>,
-    pub outs: Vec<(String, VarRank)>,
-    pub body: Vec<Instr>,
-    /// Rank of every local variable (for emitter declarations).
-    pub var_ranks: BTreeMap<String, VarRank>,
-    /// Source span of each local's first definition — carried for
-    /// diagnostics (the lint pass anchors its warnings here). Absent
-    /// entries mean "no usable location".
-    pub def_spans: BTreeMap<String, Span>,
-    /// Static (possibly symbolic) shape of each named local, from
-    /// pass-3 inference. Metadata for the static analyses; execution
-    /// and C emission never read it.
-    pub var_shapes: BTreeMap<String, Shape>,
-    /// Known constant value of each scalar local (pass-3 constant
-    /// propagation). Metadata only.
-    pub var_consts: BTreeMap<String, f64>,
-    /// Locals proven safe to update in place (no live SSA sibling
-    /// overlaps a write) — the legality fact fusion/copy-elision
-    /// passes will consume. Filled by the analyze pass; metadata only.
-    pub in_place: BTreeSet<String>,
-}
-
-/// A whole compiled program.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct IrProgram {
-    /// Script body.
-    pub main: Vec<Instr>,
-    /// Compiled M-file functions, by name (deterministic order).
-    pub functions: BTreeMap<String, IrFunction>,
-    /// Rank of every script-level variable (for the emitter's
-    /// declarations and the executor's environment).
-    pub var_ranks: BTreeMap<String, VarRank>,
-    /// Source span of each script variable's first definition, for
-    /// diagnostics. Purely metadata: execution and C emission never
-    /// read it.
-    pub def_spans: BTreeMap<String, Span>,
-    /// Static (possibly symbolic) shape of each named script variable,
-    /// from pass-3 inference. Metadata for the static analyses;
-    /// execution and C emission never read it.
-    pub var_shapes: BTreeMap<String, Shape>,
-    /// Known constant value of each scalar script variable (pass-3
-    /// constant propagation). Metadata only.
-    pub var_consts: BTreeMap<String, f64>,
-    /// Script variables proven safe to update in place. Filled by the
-    /// analyze pass; metadata only.
-    pub in_place: BTreeSet<String>,
-    /// The SSA web each script variable holds when the script ends,
-    /// keyed by source name. The workspace report reads these webs
-    /// under their source names, so they are live on exit.
-    pub exit_webs: BTreeMap<String, String>,
-}
-
-impl IrProgram {
-    /// Every instruction of every scope, nested bodies included (used
-    /// by compiler statistics and the peephole pass's tests).
-    pub fn instr_count(&self) -> usize {
-        self.instrs().count()
-    }
-
-    /// Instructions that call into the `ML_*` run-time library — the
-    /// "runtime-call count" pass statistic.
-    pub fn runtime_call_count(&self) -> usize {
-        self.instrs().filter(|i| i.is_runtime_call()).count()
-    }
-
-    fn instrs(&self) -> impl Iterator<Item = &Instr> {
-        self.bodies()
-            .flat_map(|(_, body)| crate::walk::preorder(body).map(|(i, _)| i))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::by_name::*;
 
     #[test]
     fn sexpr_eval_via_ops() {
@@ -1420,10 +995,10 @@ mod tests {
 
     #[test]
     fn sexpr_collects_vars() {
-        let e = SExpr::bin(SBinOp::Div, SExpr::var("num"), SExpr::var("den"));
+        let e = SExpr::bin(SBinOp::Div, var("num"), var("den"));
         let mut vars = Vec::new();
         e.vars(&mut vars);
-        assert_eq!(vars, vec!["num", "den"]);
+        assert_eq!(vars, vec![v("num"), v("den")]);
     }
 
     #[test]
@@ -1444,14 +1019,14 @@ mod tests {
         // b .* c + s
         let e = EwExpr::bin(
             EwOp::Add,
-            EwExpr::bin(EwOp::Mul, EwExpr::mat("b"), EwExpr::mat("c")),
-            EwExpr::Scalar(SExpr::var("s")),
+            EwExpr::bin(EwOp::Mul, mat("b"), mat("c")),
+            EwExpr::Scalar(var("s")),
         );
         let mut ops = Vec::new();
         e.mat_operands(&mut ops);
-        assert_eq!(ops, vec!["b", "c"]);
+        assert_eq!(ops, vec![v("b"), v("c")]);
         assert_eq!(e.flop_weight(), 2.0);
-        let div = EwExpr::bin(EwOp::Div, EwExpr::mat("a"), EwExpr::mat("b"));
+        let div = EwExpr::bin(EwOp::Div, mat("a"), mat("b"));
         assert_eq!(div.flop_weight(), 4.0);
     }
 
@@ -1470,22 +1045,19 @@ mod tests {
 
     #[test]
     fn instr_count_recurses() {
-        let p = IrProgram {
-            main: vec![
-                Instr::AssignScalar {
-                    dst: "x".into(),
-                    src: SExpr::c(1.0),
-                },
-                Instr::For {
-                    var: "i".into(),
-                    start: SExpr::c(1.0),
-                    step: SExpr::c(1.0),
-                    stop: SExpr::c(10.0),
-                    body: vec![Instr::Break, Instr::Continue],
-                },
-            ],
-            ..Default::default()
-        };
+        let p = program(vec![
+            Instr::AssignScalar {
+                dst: v("x"),
+                src: SExpr::c(1.0),
+            },
+            Instr::For {
+                var: v("i"),
+                start: SExpr::c(1.0),
+                step: SExpr::c(1.0),
+                stop: SExpr::c(10.0),
+                body: vec![Instr::Break, Instr::Continue],
+            },
+        ]);
         assert_eq!(p.instr_count(), 4);
     }
 }

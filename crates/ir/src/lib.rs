@@ -16,18 +16,21 @@
 //! compile to communication-free per-element loops. Scalar expressions
 //! ([`SExpr`]) are replicated computations, identical on every rank.
 //!
-//! Passes and analyses walk nested bodies through the two traversals
-//! in [`walk`], and read the temporary/SSA-web naming rules from
-//! [`names`].
+//! A program is one [`Frame`] per scope, each variable a [`Slot`] of
+//! its frame's [`Vars`] table from lowering on. Passes and analyses
+//! walk nested bodies through the two traversals in [`walk`], and read
+//! the temporary/SSA-web naming rules from [`names`] through the table.
 
 pub mod display;
 pub mod flow;
+pub mod frame;
 pub mod instr;
 pub mod names;
 pub mod sites;
 pub mod walk;
 
 pub use flow::{sexpr_reads, CommProfile};
+pub use frame::{by_name, Frame, IrProgram, Slot, Var, Vars};
 pub use instr::*;
 pub use names::{is_temp, split_web, web_name, TEMP_PREFIX};
 pub use sites::{is_leaf, leaf_sites, SiteRef};

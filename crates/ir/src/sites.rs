@@ -18,7 +18,8 @@
 //! communicate; the callee's body instructions are enumerated under
 //! the callee).
 
-use crate::instr::{Instr, IrProgram};
+use crate::frame::{Frame, IrProgram};
+use crate::instr::Instr;
 use crate::walk::preorder;
 
 /// Where a site lives, for display.
@@ -28,6 +29,8 @@ pub struct SiteRef<'p> {
     pub id: u32,
     /// Enclosing function name, or `None` for the script body.
     pub func: Option<&'p str>,
+    /// The enclosing frame, whose table names the site's variables.
+    pub frame: &'p Frame,
     /// The leaf instruction itself.
     pub instr: &'p Instr,
     /// Number of enclosing loops (`for`/`while`), a quick static hint
@@ -36,7 +39,7 @@ pub struct SiteRef<'p> {
 }
 
 /// True for instructions that are enumerated as sites.
-pub fn is_leaf<V>(i: &Instr<V>) -> bool {
+pub fn is_leaf(i: &Instr) -> bool {
     !matches!(
         i,
         Instr::If { .. }
@@ -49,18 +52,19 @@ pub fn is_leaf<V>(i: &Instr<V>) -> bool {
 }
 
 /// Enumerate every leaf site of `prog` in the canonical order: the
-/// leaves of [`preorder`] over each of [`IrProgram::bodies`].
+/// leaves of [`preorder`] over each of [`IrProgram::frames`].
 pub fn leaf_sites(prog: &IrProgram) -> Vec<SiteRef<'_>> {
-    prog.bodies()
-        .flat_map(|(func, body)| {
-            preorder(body)
+    prog.frames()
+        .flat_map(|frame| {
+            preorder(&frame.body)
                 .filter(|(i, _)| is_leaf(i))
-                .map(move |(instr, loop_depth)| (func, instr, loop_depth))
+                .map(move |(instr, loop_depth)| (frame, instr, loop_depth))
         })
         .zip(0..)
-        .map(|((func, instr, loop_depth), id)| SiteRef {
+        .map(|((frame, instr, loop_depth), id)| SiteRef {
             id,
-            func,
+            func: frame.func(),
+            frame,
             instr,
             loop_depth,
         })
@@ -70,47 +74,45 @@ pub fn leaf_sites(prog: &IrProgram) -> Vec<SiteRef<'_>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::by_name::*;
     use crate::instr::*;
 
     fn assign(dst: &str) -> Instr {
         Instr::AssignScalar {
-            dst: dst.into(),
+            dst: v(dst),
             src: SExpr::c(0.0),
         }
     }
 
     #[test]
     fn preorder_descends_control_flow_and_skips_non_leaves() {
-        let prog = IrProgram {
-            main: vec![
-                assign("a"),
-                Instr::For {
-                    var: "i".into(),
-                    start: SExpr::c(1.0),
-                    step: SExpr::c(1.0),
-                    stop: SExpr::c(4.0),
-                    body: vec![
-                        assign("b"),
-                        Instr::If {
-                            cond: SExpr::var("a"),
-                            then_body: vec![assign("c")],
-                            else_body: vec![Instr::Break],
-                        },
-                    ],
-                },
-                Instr::While {
-                    pre: vec![assign("w")],
-                    cond: SExpr::var("w"),
-                    body: vec![assign("d")],
-                },
-            ],
-            ..Default::default()
-        };
+        let prog = program(vec![
+            assign("a"),
+            Instr::For {
+                var: v("i"),
+                start: SExpr::c(1.0),
+                step: SExpr::c(1.0),
+                stop: SExpr::c(4.0),
+                body: vec![
+                    assign("b"),
+                    Instr::If {
+                        cond: var("a"),
+                        then_body: vec![assign("c")],
+                        else_body: vec![Instr::Break],
+                    },
+                ],
+            },
+            Instr::While {
+                pre: vec![assign("w")],
+                cond: var("w"),
+                body: vec![assign("d")],
+            },
+        ]);
         let sites = leaf_sites(&prog);
         let names: Vec<_> = sites
             .iter()
             .map(|s| match s.instr {
-                Instr::AssignScalar { dst, .. } => dst.as_str(),
+                Instr::AssignScalar { dst, .. } => s.frame.vars.name(*dst),
                 _ => "?",
             })
             .collect();
@@ -127,19 +129,14 @@ mod tests {
 
     #[test]
     fn function_bodies_follow_main_in_name_order() {
-        let mut prog = IrProgram {
-            main: vec![assign("m")],
-            ..Default::default()
-        };
+        let mut prog = program(vec![assign("m")]);
         for name in ["zeta", "alpha"] {
-            prog.functions.insert(
-                name.into(),
-                IrFunction {
-                    name: name.into(),
-                    body: vec![assign(name)],
-                    ..Default::default()
-                },
-            );
+            let body = vec![assign(name)];
+            let f = Frame {
+                name: name.into(),
+                ..frame(body)
+            };
+            prog.functions.insert(name.into(), f);
         }
         let sites = leaf_sites(&prog);
         let where_: Vec<_> = sites.iter().map(|s| s.func).collect();

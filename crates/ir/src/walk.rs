@@ -8,21 +8,22 @@
 //!   `body`: the order [`crate::leaf_sites`] numbers sites in. An
 //!   explicit stack, so nesting depth costs no native stack.
 //! * [`visit_blocks_mut`] — every block, innermost first, each with
-//!   the names read after it ends (`live_out`), for the rewrites that
+//!   the variables read after it ends (`live_out`), for the rewrites that
 //!   must not drop or free a value something later still reads.
 
 use crate::flow::sexpr_reads;
-use crate::instr::{Instr, IrFunction, IrProgram};
+use crate::frame::{IrProgram, Slot, Vars};
+use crate::instr::Instr;
 use std::slice;
 
 /// Pre-order iterator over a block; see [`preorder`].
-pub struct Preorder<'p, V = String> {
+pub struct Preorder<'p> {
     /// The innermost unfinished block and its loop depth.
-    block: slice::Iter<'p, Instr<V>>,
+    block: slice::Iter<'p, Instr>,
     depth: u32,
     /// The unfinished blocks around it, innermost last. A walk of
     /// straight-line code never allocates.
-    outer: Vec<(slice::Iter<'p, Instr<V>>, u32)>,
+    outer: Vec<(slice::Iter<'p, Instr>, u32)>,
 }
 
 /// Every instruction of `body` and of its nested bodies, as
@@ -30,7 +31,7 @@ pub struct Preorder<'p, V = String> {
 /// enclosing `for`/`while` bodies (a `while`'s `pre` is one of them);
 /// an `if` does not add to it.
 #[inline]
-pub fn preorder<V>(body: &[Instr<V>]) -> Preorder<'_, V> {
+pub fn preorder(body: &[Instr]) -> Preorder<'_> {
     Preorder {
         block: body.iter(),
         depth: 0,
@@ -38,10 +39,10 @@ pub fn preorder<V>(body: &[Instr<V>]) -> Preorder<'_, V> {
     }
 }
 
-impl<'p, V> Preorder<'p, V> {
+impl<'p> Preorder<'p> {
     /// Walk `body` next, then resume the current block.
     #[inline]
-    fn enter(&mut self, body: &'p [Instr<V>], depth: u32) {
+    fn enter(&mut self, body: &'p [Instr], depth: u32) {
         if !body.is_empty() {
             let resume = std::mem::replace(&mut self.block, body.iter());
             self.outer.push((resume, self.depth));
@@ -50,8 +51,8 @@ impl<'p, V> Preorder<'p, V> {
     }
 }
 
-impl<'p, V> Iterator for Preorder<'p, V> {
-    type Item = (&'p Instr<V>, u32);
+impl<'p> Iterator for Preorder<'p> {
+    type Item = (&'p Instr, u32);
 
     #[inline]
     fn next(&mut self) -> Option<Self::Item> {
@@ -85,14 +86,14 @@ impl<'p, V> Iterator for Preorder<'p, V> {
 
 /// Call `f(block, live_out)` on every nested block of `block`, then on
 /// `block` itself: post-order, so a block's rewrites see its nested
-/// blocks already rewritten. `live_out` holds the names read after a
+/// blocks already rewritten. `live_out` holds the slots read after a
 /// block ends. A nested `if` arm or `for` body inherits its parent's;
 /// a `while`'s `pre` adds the condition's reads (the condition runs
 /// after it), and its `body` adds the condition's and `pre`'s reads
 /// too (`pre` re-runs after every iteration).
-pub fn visit_blocks_mut<F>(block: &mut Vec<Instr>, live_out: &[String], f: &mut F)
+pub fn visit_blocks_mut<F>(block: &mut Vec<Instr>, live_out: &[Slot], f: &mut F)
 where
-    F: FnMut(&mut Vec<Instr>, &[String]),
+    F: FnMut(&mut Vec<Instr>, &[Slot]),
 {
     for instr in block.iter_mut() {
         match instr {
@@ -122,72 +123,46 @@ where
 }
 
 impl IrProgram {
-    /// The script body, then every function body in name order (the
-    /// scope order of [`crate::leaf_sites`]), each with its function's
-    /// name.
-    pub fn bodies(&self) -> impl Iterator<Item = (Option<&str>, &[Instr])> {
-        std::iter::once((None, self.main.as_slice())).chain(
-            self.functions
-                .iter()
-                .map(|(name, f)| (Some(name.as_str()), f.body.as_slice())),
-        )
-    }
-
-    /// The names live when the script ends: the exit webs, which the
-    /// workspace report reads.
-    pub fn live_out(&self) -> Vec<String> {
-        self.exit_webs.values().cloned().collect()
-    }
-
     /// [`visit_blocks_mut`] over every scope, each starting from the
-    /// scope's own `live_out`.
+    /// scope's own live-out slots, with the scope's slot table.
     pub fn visit_blocks_mut<F>(&mut self, f: &mut F)
     where
-        F: FnMut(&mut Vec<Instr>, &[String]),
+        F: FnMut(&mut Vec<Instr>, &[Slot], &Vars),
     {
-        let live_out = self.live_out();
-        visit_blocks_mut(&mut self.main, &live_out, f);
-        for func in self.functions.values_mut() {
-            let live_out = func.live_out();
-            visit_blocks_mut(&mut func.body, &live_out, f);
+        for (frame, live_out) in self.frames_mut() {
+            let vars = &frame.vars;
+            visit_blocks_mut(&mut frame.body, &live_out, &mut |block, live| {
+                f(block, live, vars)
+            });
         }
-    }
-}
-
-impl IrFunction {
-    /// The names live when the function returns: its outputs.
-    pub fn live_out(&self) -> Vec<String> {
-        self.outs.iter().map(|(n, _)| n.clone()).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::by_name::*;
     use crate::instr::SExpr;
 
     fn assign(dst: &str, src: SExpr) -> Instr {
-        Instr::AssignScalar {
-            dst: dst.into(),
-            src,
-        }
+        Instr::AssignScalar { dst: v(dst), src }
     }
 
     fn nest() -> Vec<Instr> {
         vec![
             assign("a", SExpr::c(0.0)),
             Instr::While {
-                pre: vec![assign("w", SExpr::var("a"))],
-                cond: SExpr::var("w"),
+                pre: vec![assign("w", var("a"))],
+                cond: var("w"),
                 body: vec![Instr::If {
-                    cond: SExpr::var("a"),
+                    cond: var("a"),
                     then_body: vec![assign("t", SExpr::c(1.0))],
                     else_body: vec![Instr::For {
-                        var: "i".into(),
+                        var: v("i"),
                         start: SExpr::c(1.0),
                         step: SExpr::c(1.0),
                         stop: SExpr::c(2.0),
-                        body: vec![assign("e", SExpr::var("i"))],
+                        body: vec![assign("e", var("i"))],
                     }],
                 }],
             },
@@ -197,12 +172,13 @@ mod tests {
 
     #[test]
     fn preorder_visits_headers_then_bodies_with_loop_depth() {
-        let body = nest();
-        let seen: Vec<(String, u32)> = preorder(&body)
+        let f = frame(nest());
+        let seen: Vec<(String, u32)> = preorder(&f.body)
             .map(|(i, d)| {
                 let mut defs = Vec::new();
                 i.defs(&mut defs);
-                (defs.pop().unwrap_or_else(|| i.opcode().into()), d)
+                let def = defs.pop().map(|s| f.vars.name(s).to_string());
+                (def.unwrap_or_else(|| i.opcode().into()), d)
             })
             .collect();
         let want = [
@@ -224,7 +200,7 @@ mod tests {
         let mut body = vec![assign("x", SExpr::c(0.0))];
         for _ in 0..1000 {
             body = vec![Instr::For {
-                var: "i".into(),
+                var: v("i"),
                 start: SExpr::c(1.0),
                 step: SExpr::c(1.0),
                 stop: SExpr::c(2.0),
@@ -237,10 +213,11 @@ mod tests {
 
     #[test]
     fn blocks_are_visited_innermost_first_with_while_liveness() {
-        let mut body = nest();
+        let out = v("out");
+        let mut f = frame(nest());
         let mut visits: Vec<(usize, Vec<String>)> = Vec::new();
-        visit_blocks_mut(&mut body, &["out".to_string()], &mut |block, live| {
-            let mut live = live.to_vec();
+        visit_blocks_mut(&mut f.body, &[out], &mut |block, live| {
+            let mut live: Vec<String> = live.iter().map(|&s| f.vars.name(s).into()).collect();
             live.sort();
             visits.push((block.len(), live));
         });

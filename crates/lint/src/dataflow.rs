@@ -30,13 +30,14 @@ pub trait Lattice: Clone + PartialEq {
     fn join(&self, other: &Self) -> Self;
 }
 
-/// A variable-name-keyed fact environment.
+/// A fact environment, keyed by variable unless an analysis tracks
+/// something else (see [`Analysis::Key`]).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Env<F> {
-    map: BTreeMap<String, F>,
+pub struct Env<F, K = Slot> {
+    map: BTreeMap<K, F>,
 }
 
-impl<F: Lattice> Default for Env<F> {
+impl<F: Lattice, K: Ord + Clone> Default for Env<F, K> {
     fn default() -> Self {
         Env {
             map: BTreeMap::new(),
@@ -44,26 +45,26 @@ impl<F: Lattice> Default for Env<F> {
     }
 }
 
-impl<F: Lattice> Env<F> {
-    /// Fact for a name (bottom when never set).
-    pub fn get(&self, name: &str) -> F {
-        self.map.get(name).cloned().unwrap_or_else(F::bottom)
+impl<F: Lattice, K: Ord + Clone> Env<F, K> {
+    /// Fact for a key (bottom when never set).
+    pub fn get(&self, key: &K) -> F {
+        self.map.get(key).cloned().unwrap_or_else(F::bottom)
     }
 
-    pub fn set(&mut self, name: impl Into<String>, fact: F) {
-        self.map.insert(name.into(), fact);
+    pub fn set(&mut self, key: K, fact: F) {
+        self.map.insert(key, fact);
     }
 
     /// Point-wise join with another environment (the `if` merge).
-    pub fn join_with(&mut self, other: &Env<F>) {
+    pub fn join_with(&mut self, other: &Env<F, K>) {
         for (k, v) in &other.map {
             let joined = self.get(k).join(v);
             self.map.insert(k.clone(), joined);
         }
     }
 
-    /// The names currently carrying a fact.
-    pub fn keys(&self) -> impl Iterator<Item = &String> {
+    /// The keys currently carrying a fact.
+    pub fn keys(&self) -> impl Iterator<Item = &K> {
         self.map.keys()
     }
 }
@@ -74,7 +75,7 @@ impl<F: Lattice> Env<F> {
 pub struct FlowCtx {
     /// Variables defined (at any depth) by each enclosing loop body,
     /// innermost last. Length doubles as the loop depth.
-    pub loop_defs: Vec<BTreeSet<String>>,
+    pub loop_defs: Vec<BTreeSet<Slot>>,
     /// How many enclosing branches/loops have a rank-divergent
     /// condition (per [`Analysis::cond_divergent`]).
     pub divergent_depth: usize,
@@ -89,31 +90,34 @@ impl FlowCtx {
         self.divergent_depth > 0
     }
 
-    /// Is `name` (re)defined by any enclosing loop's body — i.e. does
-    /// it vary across iterations?
-    pub fn defined_in_enclosing_loop(&self, name: &str) -> bool {
-        self.loop_defs.iter().any(|defs| defs.contains(name))
+    /// Is `v` (re)defined by any enclosing loop's body — i.e. does it
+    /// vary across iterations?
+    pub fn defined_in_enclosing_loop(&self, v: Slot) -> bool {
+        self.loop_defs.iter().any(|defs| defs.contains(&v))
     }
 }
 
 /// One forward analysis: a fact lattice plus a transfer function.
 pub trait Analysis {
     type Fact: Lattice;
+    /// What the environment maps to facts: a variable's [`Slot`], or
+    /// some other value the analysis tracks.
+    type Key: Ord + Clone;
 
     /// Apply one instruction's effect to the environment. Never
     /// recurses into nested bodies — the runner drives those.
-    fn transfer(&mut self, instr: &Instr, env: &mut Env<Self::Fact>, ctx: &FlowCtx);
+    fn transfer(&mut self, instr: &Instr, env: &mut Env<Self::Fact, Self::Key>, ctx: &FlowCtx);
 
     /// Whether a (nominally replicated) scalar condition is actually
     /// rank-divergent under the current facts. Default: never.
-    fn cond_divergent(&self, _cond: &SExpr, _env: &Env<Self::Fact>) -> bool {
+    fn cond_divergent(&self, _cond: &SExpr, _env: &Env<Self::Fact, Self::Key>) -> bool {
         false
     }
 }
 
 /// All variables defined anywhere inside a block, nested bodies
 /// included.
-pub fn block_defs(body: &[Instr]) -> BTreeSet<String> {
+pub fn block_defs(body: &[Instr]) -> BTreeSet<Slot> {
     let mut defs = Vec::new();
     for (instr, _) in preorder(body) {
         instr.defs(&mut defs);
@@ -125,7 +129,7 @@ pub fn block_defs(body: &[Instr]) -> BTreeSet<String> {
 pub fn run_block<A: Analysis>(
     a: &mut A,
     body: &[Instr],
-    env: &mut Env<A::Fact>,
+    env: &mut Env<A::Fact, A::Key>,
     ctx: &mut FlowCtx,
 ) {
     for instr in body {
@@ -202,7 +206,7 @@ pub fn run_block<A: Analysis>(
     }
 }
 
-fn for_bounds_divergent<A: Analysis>(a: &A, instr: &Instr, env: &Env<A::Fact>) -> bool {
+fn for_bounds_divergent<A: Analysis>(a: &A, instr: &Instr, env: &Env<A::Fact, A::Key>) -> bool {
     let Instr::For {
         start, step, stop, ..
     } = instr
@@ -217,6 +221,7 @@ fn for_bounds_divergent<A: Analysis>(a: &A, instr: &Instr, env: &Env<A::Fact>) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use otter_ir::by_name::*;
 
     /// A toy constant-ness analysis to exercise the runner: a var is
     /// Const if every reaching def assigned a literal.
@@ -244,20 +249,21 @@ mod tests {
 
     impl Analysis for ConstA {
         type Fact = K;
+        type Key = Slot;
         fn transfer(&mut self, instr: &Instr, env: &mut Env<K>, _ctx: &FlowCtx) {
             if let Instr::AssignScalar { dst, src } = instr {
                 let f = match src {
                     SExpr::Const(_) => K::Const,
                     _ => K::Var,
                 };
-                env.set(dst.clone(), f);
+                env.set(*dst, f);
             }
         }
     }
 
     fn assign(dst: &str, e: SExpr) -> Instr {
         Instr::AssignScalar {
-            dst: dst.into(),
+            dst: v(dst),
             src: e,
         }
     }
@@ -265,13 +271,13 @@ mod tests {
     #[test]
     fn if_merge_joins_branches() {
         let body = vec![Instr::If {
-            cond: SExpr::var("c"),
+            cond: var("c"),
             then_body: vec![assign("x", SExpr::c(1.0))],
-            else_body: vec![assign("x", SExpr::var("y"))],
+            else_body: vec![assign("x", var("y"))],
         }];
         let mut env = Env::default();
         run_block(&mut ConstA, &body, &mut env, &mut FlowCtx::default());
-        assert_eq!(env.get("x"), K::Var, "const joined with non-const");
+        assert_eq!(env.get(&v("x")), K::Var, "const joined with non-const");
     }
 
     #[test]
@@ -280,23 +286,23 @@ mod tests {
         let body = vec![
             assign("x", SExpr::c(0.0)),
             Instr::For {
-                var: "i".into(),
+                var: v("i"),
                 start: SExpr::c(1.0),
                 step: SExpr::c(1.0),
                 stop: SExpr::c(3.0),
-                body: vec![assign("x", SExpr::var("y"))],
+                body: vec![assign("x", var("y"))],
             },
         ];
         let mut env = Env::default();
         run_block(&mut ConstA, &body, &mut env, &mut FlowCtx::default());
-        assert_eq!(env.get("x"), K::Var);
+        assert_eq!(env.get(&v("x")), K::Var);
     }
 
     #[test]
     fn loop_defs_tracked() {
-        let body = vec![assign("x", SExpr::var("q"))];
+        let body = vec![assign("x", var("q"))];
         let defs = block_defs(&body);
-        assert!(defs.contains("x"));
-        assert!(!defs.contains("q"));
+        assert!(defs.contains(&v("x")));
+        assert!(!defs.contains(&v("q")));
     }
 }

@@ -86,23 +86,18 @@ fn vector_init(init: &MatInit) -> bool {
 }
 
 /// The distribution-state abstract interpreter, carrying the
-/// redistribution-churn lint.
+/// redistribution-churn lint, over the frame whose table is `vars`.
 pub struct DistAnalysis<'a> {
-    /// Matrix/scalar rank of every scope variable.
-    ranks: &'a BTreeMap<String, VarRank>,
+    vars: &'a Vars,
     pub findings: Vec<Finding>,
 }
 
 impl<'a> DistAnalysis<'a> {
-    pub fn new(ranks: &'a BTreeMap<String, VarRank>) -> Self {
+    pub fn new(vars: &'a Vars) -> Self {
         DistAnalysis {
-            ranks,
+            vars,
             findings: Vec::new(),
         }
-    }
-
-    fn is_matrix(&self, name: &str) -> bool {
-        matches!(self.ranks.get(name), Some(VarRank::Matrix))
     }
 
     /// Lint 2: a redistribution executing inside a loop with all of
@@ -123,13 +118,14 @@ impl<'a> DistAnalysis<'a> {
         }
         let mut reads = Vec::new();
         instr.reads(&mut reads);
-        if reads.iter().any(|r| ctx.defined_in_enclosing_loop(r)) {
+        if reads.iter().any(|&r| ctx.defined_in_enclosing_loop(r)) {
             return; // inputs vary across iterations — a real recompute
         }
         let (Some(dst), Some(src)) = (instr.dst(), reads.first()) else {
             return;
         };
         let state = env.get(src);
+        let dst = self.vars.name(dst);
         self.findings.push(Finding {
             anchor: dst.to_string(),
             message: format!(
@@ -137,7 +133,7 @@ impl<'a> DistAnalysis<'a> {
                  `{}` ({}) on every iteration; hoist it out of the loop",
                 dst,
                 instr.opcode(),
-                src,
+                self.vars.name(*src),
                 state.name(),
             ),
         });
@@ -146,10 +142,11 @@ impl<'a> DistAnalysis<'a> {
 
 impl Analysis for DistAnalysis<'_> {
     type Fact = DistState;
+    type Key = Slot;
 
     fn transfer(&mut self, instr: &Instr, env: &mut Env<DistState>, ctx: &FlowCtx) {
         if let Instr::Fused(f) = instr {
-            for i in f.unfused() {
+            for i in f.unfused(self.vars) {
                 self.transfer(&i, env, ctx);
             }
             return;
@@ -197,24 +194,24 @@ impl Analysis for DistAnalysis<'_> {
                 })
             }
             Instr::For { var, .. } => {
-                env.set(var.clone(), DistState::Replicated);
+                env.set(*var, DistState::Replicated);
                 None
             }
             Instr::Call { outs, .. } => {
-                for o in outs {
-                    let s = if self.is_matrix(o) {
+                for &o in outs {
+                    let s = if self.vars[o].rank == VarRank::Matrix {
                         DistState::Top // callee-determined; unknown here
                     } else {
                         DistState::Replicated
                     };
-                    env.set(o.clone(), s);
+                    env.set(o, s);
                 }
                 None
             }
             _ => None,
         };
         if let (Some(s), Some(dst)) = (state, instr.dst()) {
-            env.set(dst.to_string(), s);
+            env.set(dst, s);
         }
     }
 }
@@ -244,41 +241,41 @@ impl Lattice for Avail {
     }
 }
 
-/// Lint 1: available-broadcast analysis.
-pub struct AvailBcast {
+/// Lint 1: available-broadcast analysis, over the frame whose table
+/// is `vars`. Facts are keyed by the element's canonical `m[i, j]`
+/// text.
+pub struct AvailBcast<'a> {
+    vars: &'a Vars,
     /// Which variables each availability key depends on (the matrix
     /// and every index-expression input); a def of any dependency
     /// kills the key.
-    deps: BTreeMap<String, BTreeSet<String>>,
+    deps: BTreeMap<String, BTreeSet<Slot>>,
     pub findings: Vec<Finding>,
 }
 
-impl AvailBcast {
-    pub fn new() -> Self {
+impl<'a> AvailBcast<'a> {
+    pub fn new(vars: &'a Vars) -> Self {
         AvailBcast {
+            vars,
             deps: BTreeMap::new(),
             findings: Vec::new(),
         }
     }
 
-    fn key(m: &str, i: &SExpr, j: &Option<SExpr>) -> String {
+    fn key(&self, m: Slot, i: &SExpr, j: &Option<SExpr>) -> String {
+        let (m, s) = (self.vars.name(m), |e| sexpr_to_string(e, self.vars));
         match j {
-            Some(j) => format!("{m}[{}, {}]", sexpr_to_string(i), sexpr_to_string(j)),
-            None => format!("{m}[{}]", sexpr_to_string(i)),
+            Some(j) => format!("{m}[{}, {}]", s(i), s(j)),
+            None => format!("{m}[{}]", s(i)),
         }
     }
 }
 
-impl Default for AvailBcast {
-    fn default() -> Self {
-        AvailBcast::new()
-    }
-}
-
-impl Analysis for AvailBcast {
+impl Analysis for AvailBcast<'_> {
     type Fact = Avail;
+    type Key = String;
 
-    fn transfer(&mut self, instr: &Instr, env: &mut Env<Avail>, _ctx: &FlowCtx) {
+    fn transfer(&mut self, instr: &Instr, env: &mut Env<Avail, String>, _ctx: &FlowCtx) {
         // Kills first: a def of the matrix or of any index input
         // invalidates the fetched value.
         let mut defs = Vec::new();
@@ -295,17 +292,17 @@ impl Analysis for AvailBcast {
             }
         }
         if let Instr::BroadcastElem { dst, m, i, j } = instr {
-            let key = AvailBcast::key(m, i, j);
+            let key = self.key(*m, i, j);
             if env.get(&key) == Avail::Yes {
                 self.findings.push(Finding {
-                    anchor: dst.clone(),
+                    anchor: self.vars.name(*dst).to_string(),
                     message: format!(
                         "redundant broadcast: element `{key}` is already replicated by an \
                          earlier `ML_broadcast` and none of its inputs changed; reuse that value"
                     ),
                 });
             }
-            let mut d = BTreeSet::from([m.clone()]);
+            let mut d = BTreeSet::from([*m]);
             let mut vars = Vec::new();
             sexpr_reads(i, &mut vars);
             if let Some(j) = j {
@@ -318,21 +315,17 @@ impl Analysis for AvailBcast {
     }
 }
 
-/// Lint 3: distributed values never consumed. `live_out` names (the
-/// script's exit webs, a function's outputs) and the highest web of
-/// each user variable are never flagged.
-pub fn dead_distributed(
-    body: &[Instr],
-    ranks: &BTreeMap<String, VarRank>,
-    live_out: &[String],
-    findings: &mut Vec<Finding>,
-) {
-    // Every name read anywhere in the scope.
+/// Lint 3: distributed values never consumed. `live_out` variables
+/// (the script's exit webs, a function's outputs) and the highest web
+/// of each user variable are never flagged.
+pub fn dead_distributed(frame: &Frame, live_out: &[Slot], findings: &mut Vec<Finding>) {
+    let vars = &frame.vars;
+    // Every variable read anywhere in the scope.
     let mut reads = Vec::new();
-    for i in body {
+    for i in &frame.body {
         i.reads(&mut reads);
     }
-    let read_set: BTreeSet<&String> = reads.iter().collect();
+    let read_set: BTreeSet<Slot> = reads.into_iter().collect();
 
     // Highest web per base name (`x` is web 0, `x__N` is web N): an
     // unread web below it was overwritten by a later one.
@@ -340,25 +333,26 @@ pub fn dead_distributed(
         split_web(name).unwrap_or((name, 0))
     }
     let mut final_web: BTreeMap<&str, usize> = BTreeMap::new();
-    for name in ranks.keys() {
-        let (base, web) = web_of(name);
+    for (_, var) in vars.iter() {
+        let (base, web) = web_of(&var.name);
         let e = final_web.entry(base).or_insert(web);
         *e = (*e).max(web);
     }
 
     // First definition of each candidate, in program order.
-    let mut seen: BTreeSet<&str> = BTreeSet::new();
-    for (instr, _) in preorder(body) {
-        let Some(dst) = instr.dst() else { continue };
-        if !seen.insert(dst) {
+    let mut seen: BTreeSet<Slot> = BTreeSet::new();
+    for (instr, _) in preorder(&frame.body) {
+        let Some(s) = instr.dst() else { continue };
+        if !seen.insert(s) {
             continue;
         }
-        if !matches!(ranks.get(dst), Some(VarRank::Matrix)) {
+        if vars[s].rank != VarRank::Matrix {
             continue; // only *distributed* values
         }
-        if read_set.contains(&dst.to_string()) || live_out.iter().any(|o| o == dst) {
+        if read_set.contains(&s) || live_out.contains(&s) {
             continue;
         }
+        let dst = vars.name(s);
         let (base, web) = web_of(dst);
         let superseded = if is_temp(dst) {
             String::new() // compiler temp nobody consumes
@@ -382,19 +376,16 @@ pub fn dead_distributed(
 
 /// Run the distribution-state walk plus its dependent lints over one
 /// scope and return the findings.
-pub fn lint_scope(
-    body: &[Instr],
-    ranks: &BTreeMap<String, VarRank>,
-    live_out: &[String],
-) -> Vec<Finding> {
-    let mut dist = DistAnalysis::new(ranks);
+pub fn lint_scope(frame: &Frame, live_out: &[Slot]) -> Vec<Finding> {
+    let body = &frame.body;
+    let mut dist = DistAnalysis::new(&frame.vars);
     run_block(
         &mut dist,
         body,
         &mut Env::default(),
         &mut FlowCtx::default(),
     );
-    let mut avail = AvailBcast::new();
+    let mut avail = AvailBcast::new(&frame.vars);
     run_block(
         &mut avail,
         body,
@@ -403,16 +394,31 @@ pub fn lint_scope(
     );
     let mut findings = dist.findings;
     findings.extend(avail.findings);
-    dead_distributed(body, ranks, live_out, &mut findings);
+    dead_distributed(frame, live_out, &mut findings);
     findings
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use otter_ir::by_name::*;
 
-    fn ranks(pairs: &[(&str, VarRank)]) -> BTreeMap<String, VarRank> {
-        pairs.iter().map(|(n, r)| (n.to_string(), *r)).collect()
+    /// The scratch table so far, with `pairs`' ranks.
+    fn ranks(pairs: &[(&str, VarRank)]) -> Vars {
+        for &(n, r) in pairs {
+            if r == VarRank::Matrix {
+                matrices(&[n]);
+            }
+        }
+        frame(vec![]).vars
+    }
+
+    fn scope(body: &[Instr], vars: &Vars) -> Frame {
+        Frame {
+            body: body.to_vec(),
+            vars: vars.clone(),
+            ..Frame::default()
+        }
     }
 
     #[test]
@@ -432,14 +438,14 @@ mod tests {
     fn states_seed_and_flow() {
         let body = vec![
             Instr::InitMatrix {
-                dst: "a".into(),
+                dst: v("a"),
                 init: MatInit::Rand {
                     rows: SExpr::c(4.0),
                     cols: SExpr::c(4.0),
                 },
             },
             Instr::InitMatrix {
-                dst: "v".into(),
+                dst: v("v"),
                 init: MatInit::Linspace {
                     a: SExpr::c(0.0),
                     b: SExpr::c(1.0),
@@ -447,13 +453,13 @@ mod tests {
                 },
             },
             Instr::CopyMatrix {
-                dst: "b".into(),
-                src: "a".into(),
+                dst: v("b"),
+                src: v("a"),
             },
             Instr::Reduce {
-                dst: "s".into(),
+                dst: v("s"),
                 op: RedOp::Fold(ColRedOp::Sum),
-                m: "v".into(),
+                m: v("v"),
             },
         ];
         let r = ranks(&[
@@ -465,25 +471,33 @@ mod tests {
         let mut a = DistAnalysis::new(&r);
         let mut env = Env::default();
         run_block(&mut a, &body, &mut env, &mut FlowCtx::default());
-        assert_eq!(env.get("a"), DistState::RowDist);
-        assert_eq!(env.get("v"), DistState::BlockVec);
-        assert_eq!(env.get("b"), DistState::RowDist);
-        assert_eq!(env.get("s"), DistState::Replicated);
+        assert_eq!(env.get(&v("a")), DistState::RowDist);
+        assert_eq!(env.get(&v("v")), DistState::BlockVec);
+        assert_eq!(env.get(&v("b")), DistState::RowDist);
+        assert_eq!(env.get(&v("s")), DistState::Replicated);
     }
 
     #[test]
     fn redundant_broadcast_flagged_only_when_inputs_unchanged() {
         let bcast = |dst: &str| Instr::BroadcastElem {
-            dst: dst.into(),
-            m: "a".into(),
+            dst: v(dst),
+            m: v("a"),
             i: SExpr::c(1.0),
             j: Some(SExpr::c(2.0)),
         };
         // Back-to-back identical fetches: second is redundant.
-        let mut avail = AvailBcast::new();
+        let body = [bcast("x"), bcast("y")];
+        let store = Instr::StoreElem {
+            m: v("a"),
+            i: SExpr::c(1.0),
+            j: Some(SExpr::c(2.0)),
+            val: SExpr::c(9.0),
+        };
+        let vars = frame(vec![]).vars;
+        let mut avail = AvailBcast::new(&vars);
         run_block(
             &mut avail,
-            &[bcast("x"), bcast("y")],
+            &body,
             &mut Env::default(),
             &mut FlowCtx::default(),
         );
@@ -491,19 +505,10 @@ mod tests {
         assert!(avail.findings[0].message.contains("redundant broadcast"));
 
         // An intervening store into `a` kills availability.
-        let mut avail = AvailBcast::new();
+        let mut avail = AvailBcast::new(&vars);
         run_block(
             &mut avail,
-            &[
-                bcast("x"),
-                Instr::StoreElem {
-                    m: "a".into(),
-                    i: SExpr::c(1.0),
-                    j: Some(SExpr::c(2.0)),
-                    val: SExpr::c(9.0),
-                },
-                bcast("y"),
-            ],
+            &[bcast("x"), store, bcast("y")],
             &mut Env::default(),
             &mut FlowCtx::default(),
         );
@@ -514,18 +519,19 @@ mod tests {
     fn loop_varying_broadcast_not_flagged() {
         // a(i, 1) inside `for i`: the index is killed every trip.
         let body = vec![Instr::For {
-            var: "i".into(),
+            var: v("i"),
             start: SExpr::c(1.0),
             step: SExpr::c(1.0),
             stop: SExpr::c(4.0),
             body: vec![Instr::BroadcastElem {
-                dst: "x".into(),
-                m: "a".into(),
-                i: SExpr::var("i"),
+                dst: v("x"),
+                m: v("a"),
+                i: var("i"),
                 j: Some(SExpr::c(1.0)),
             }],
         }];
-        let mut avail = AvailBcast::new();
+        let vars = frame(vec![]).vars;
+        let mut avail = AvailBcast::new(&vars);
         run_block(
             &mut avail,
             &body,
@@ -538,19 +544,19 @@ mod tests {
     #[test]
     fn churn_flags_loop_invariant_redistribution() {
         let body = vec![Instr::For {
-            var: "k".into(),
+            var: v("k"),
             start: SExpr::c(1.0),
             step: SExpr::c(1.0),
             stop: SExpr::c(10.0),
             body: vec![Instr::ExtractRange {
-                dst: "t".into(),
-                v: "v".into(),
+                dst: v("t"),
+                v: v("v"),
                 lo: SExpr::c(1.0),
                 hi: SExpr::c(4.0),
             }],
         }];
         let r = ranks(&[("v", VarRank::Matrix), ("t", VarRank::Matrix)]);
-        let findings = lint_scope(&body, &r, &[]);
+        let findings = lint_scope(&scope(&body, &r), &[]);
         assert!(
             findings.iter().any(|f| f.message.contains("churn")),
             "{findings:?}"
@@ -558,17 +564,17 @@ mod tests {
 
         // Same loop but the source varies per iteration: clean.
         let body = vec![Instr::For {
-            var: "k".into(),
+            var: v("k"),
             start: SExpr::c(1.0),
             step: SExpr::c(1.0),
             stop: SExpr::c(10.0),
             body: vec![Instr::Shift {
-                dst: "v".into(),
-                v: "v".into(),
+                dst: v("v"),
+                v: v("v"),
                 k: SExpr::c(1.0),
             }],
         }];
-        let findings = lint_scope(&body, &r, &[]);
+        let findings = lint_scope(&scope(&body, &r), &[]);
         assert!(
             !findings.iter().any(|f| f.message.contains("churn")),
             "{findings:?}"
@@ -579,23 +585,23 @@ mod tests {
     fn dead_superseded_web_flagged_but_final_web_kept() {
         let body = vec![
             Instr::InitMatrix {
-                dst: "a".into(),
+                dst: v("a"),
                 init: MatInit::Rand {
                     rows: SExpr::c(4.0),
                     cols: SExpr::c(4.0),
                 },
             },
             Instr::InitMatrix {
-                dst: "a__1".into(),
+                dst: v("a__1"),
                 init: MatInit::Ones {
                     rows: SExpr::c(4.0),
                     cols: SExpr::c(4.0),
                 },
             },
             Instr::Reduce {
-                dst: "s".into(),
+                dst: v("s"),
                 op: RedOp::Fold(ColRedOp::Sum),
-                m: "a__1".into(),
+                m: v("a__1"),
             },
         ];
         let r = ranks(&[
@@ -604,7 +610,7 @@ mod tests {
             ("s", VarRank::Scalar),
         ]);
         let mut findings = Vec::new();
-        dead_distributed(&body, &r, &[], &mut findings);
+        dead_distributed(&scope(&body, &r), &[], &mut findings);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].message.contains("`a`"));
         assert!(findings[0].message.contains("a__1"));
@@ -613,7 +619,7 @@ mod tests {
     #[test]
     fn function_outputs_never_dead() {
         let body = vec![Instr::InitMatrix {
-            dst: "y".into(),
+            dst: v("y"),
             init: MatInit::Zeros {
                 rows: SExpr::c(4.0),
                 cols: SExpr::c(4.0),
@@ -621,7 +627,7 @@ mod tests {
         }];
         let r = ranks(&[("y", VarRank::Matrix)]);
         let mut findings = Vec::new();
-        dead_distributed(&body, &r, &["y".to_string()], &mut findings);
+        dead_distributed(&scope(&body, &r), &[v("y")], &mut findings);
         assert!(findings.is_empty(), "{findings:?}");
     }
 }

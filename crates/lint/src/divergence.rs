@@ -45,17 +45,17 @@ impl Lattice for Taint {
 }
 
 /// Variables read before any definition reaches them, walking the
-/// block in execution order. `predefined` names (function parameters)
-/// are considered defined at entry.
-pub fn read_before_def(body: &[Instr], predefined: &[String]) -> BTreeSet<String> {
-    let mut defined: BTreeSet<String> = predefined.iter().cloned().collect();
+/// block in execution order. `predefined` variables (function
+/// parameters) are considered defined at entry.
+pub fn read_before_def(body: &[Instr], predefined: &[Slot]) -> BTreeSet<Slot> {
+    let mut defined: BTreeSet<Slot> = predefined.iter().copied().collect();
     let mut seeds = BTreeSet::new();
     scan(body, &mut defined, &mut seeds);
     seeds
 }
 
-fn scan(body: &[Instr], defined: &mut BTreeSet<String>, seeds: &mut BTreeSet<String>) {
-    let check_expr = |e: &SExpr, defined: &BTreeSet<String>, seeds: &mut BTreeSet<String>| {
+fn scan(body: &[Instr], defined: &mut BTreeSet<Slot>, seeds: &mut BTreeSet<Slot>) {
+    let check_expr = |e: &SExpr, defined: &BTreeSet<Slot>, seeds: &mut BTreeSet<Slot>| {
         let mut vars = Vec::new();
         sexpr_reads(e, &mut vars);
         for v in vars {
@@ -78,7 +78,7 @@ fn scan(body: &[Instr], defined: &mut BTreeSet<String>, seeds: &mut BTreeSet<Str
                 scan(else_body, &mut else_defs, seeds);
                 // Only names defined on *both* paths are definitely
                 // defined afterwards.
-                defined.extend(then_defs.intersection(&else_defs).cloned());
+                defined.extend(then_defs.intersection(&else_defs));
             }
             Instr::While { pre, cond, body } => {
                 scan(pre, defined, seeds);
@@ -95,7 +95,7 @@ fn scan(body: &[Instr], defined: &mut BTreeSet<String>, seeds: &mut BTreeSet<Str
                 check_expr(start, defined, seeds);
                 check_expr(step, defined, seeds);
                 check_expr(stop, defined, seeds);
-                defined.insert(var.clone());
+                defined.insert(*var);
                 scan(body, defined, seeds);
             }
             _ => {
@@ -114,26 +114,23 @@ fn scan(body: &[Instr], defined: &mut BTreeSet<String>, seeds: &mut BTreeSet<Str
     }
 }
 
-/// The taint analysis plus the divergent-communication lint.
-pub struct DivergenceAnalysis {
+/// The taint analysis plus the divergent-communication lint, over the
+/// frame whose table is `vars`.
+pub struct DivergenceAnalysis<'a> {
+    vars: &'a Vars,
     pub findings: Vec<Finding>,
     /// Whether any communication site was reached under divergent
     /// control flow (`false` ⇒ the scope is divergence-free).
     pub divergent_comm: bool,
 }
 
-impl DivergenceAnalysis {
-    pub fn new() -> Self {
+impl<'a> DivergenceAnalysis<'a> {
+    pub fn new(vars: &'a Vars) -> Self {
         DivergenceAnalysis {
+            vars,
             findings: Vec::new(),
             divergent_comm: false,
         }
-    }
-}
-
-impl Default for DivergenceAnalysis {
-    fn default() -> Self {
-        DivergenceAnalysis::new()
     }
 }
 
@@ -144,8 +141,9 @@ fn expr_taint(e: &SExpr, env: &Env<Taint>) -> Taint {
         .fold(Taint::Uniform, |acc, v| acc.join(&env.get(v)))
 }
 
-impl Analysis for DivergenceAnalysis {
+impl Analysis for DivergenceAnalysis<'_> {
     type Fact = Taint;
+    type Key = Slot;
 
     fn transfer(&mut self, instr: &Instr, env: &mut Env<Taint>, ctx: &FlowCtx) {
         match instr {
@@ -165,7 +163,7 @@ impl Analysis for DivergenceAnalysis {
                 if ctx.divergent() {
                     t = Taint::Divergent;
                 }
-                env.set(var.clone(), t);
+                env.set(*var, t);
                 return;
             }
             _ => {}
@@ -176,13 +174,13 @@ impl Analysis for DivergenceAnalysis {
             self.divergent_comm = true;
             let anchor = instr
                 .dst()
-                .map(str::to_string)
                 .or_else(|| {
                     let mut defs = Vec::new();
                     instr.defs(&mut defs);
                     defs.into_iter().next()
                 })
-                .unwrap_or_else(|| instr.opcode().to_string());
+                .map_or(instr.opcode(), |s| self.vars.name(s))
+                .to_string();
             let message = if profile.collective {
                 format!(
                     "collective divergence: `{}` (`{}`) executes under rank-divergent \
@@ -222,14 +220,14 @@ impl Analysis for DivergenceAnalysis {
         } else {
             read_taint
         };
-        let dst = instr.dst().map(str::to_string);
-        if let Some(d) = &dst {
-            env.set(d.clone(), base);
+        let dst = instr.dst();
+        if let Some(d) = dst {
+            env.set(d, base);
         }
         let mut defs = Vec::new();
         instr.defs(&mut defs);
         for d in defs {
-            if dst.as_deref() != Some(d.as_str()) {
+            if dst != Some(d) {
                 // In-place updates merge with the existing contents.
                 let joined = env.get(&d).join(&base);
                 env.set(d, joined);
@@ -244,14 +242,14 @@ impl Analysis for DivergenceAnalysis {
 
 /// Run the divergence lint over one scope. Returns the findings plus
 /// whether the scope is provably divergence-free.
-pub fn lint_scope(body: &[Instr], predefined: &[String]) -> (Vec<Finding>, bool) {
-    let seeds = read_before_def(body, predefined);
+pub fn lint_scope(frame: &Frame) -> (Vec<Finding>, bool) {
+    let seeds = read_before_def(&frame.body, &frame.params);
     let mut env = Env::default();
-    for s in &seeds {
-        env.set(s.clone(), Taint::Divergent);
+    for s in seeds {
+        env.set(s, Taint::Divergent);
     }
-    let mut a = DivergenceAnalysis::new();
-    run_block(&mut a, body, &mut env, &mut FlowCtx::default());
+    let mut a = DivergenceAnalysis::new(&frame.vars);
+    run_block(&mut a, &frame.body, &mut env, &mut FlowCtx::default());
     let free = !a.divergent_comm;
     (a.findings, free)
 }
@@ -259,12 +257,13 @@ pub fn lint_scope(body: &[Instr], predefined: &[String]) -> (Vec<Finding>, bool)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use otter_ir::by_name::*;
 
     fn reduce(dst: &str, m: &str) -> Instr {
         Instr::Reduce {
-            dst: dst.into(),
+            dst: v(dst),
             op: RedOp::Fold(ColRedOp::Sum),
-            m: m.into(),
+            m: v(m),
         }
     }
 
@@ -272,14 +271,14 @@ mod tests {
     fn uniform_program_is_divergence_free() {
         let body = vec![
             Instr::InitMatrix {
-                dst: "a".into(),
+                dst: v("a"),
                 init: MatInit::Rand {
                     rows: SExpr::c(4.0),
                     cols: SExpr::c(4.0),
                 },
             },
             Instr::If {
-                cond: SExpr::bin(SBinOp::Gt, SExpr::var("n"), SExpr::c(2.0)),
+                cond: SExpr::bin(SBinOp::Gt, var("n"), SExpr::c(2.0)),
                 then_body: vec![reduce("s", "a")],
                 else_body: vec![],
             },
@@ -287,13 +286,13 @@ mod tests {
         // `n` is read before def → divergent seed... so make it defined:
         let body = [
             vec![Instr::AssignScalar {
-                dst: "n".into(),
+                dst: v("n"),
                 src: SExpr::c(4.0),
             }],
             body,
         ]
         .concat();
-        let (findings, free) = lint_scope(&body, &[]);
+        let (findings, free) = lint_scope(&frame(body));
         assert!(free, "{findings:?}");
         assert!(findings.is_empty());
     }
@@ -303,19 +302,19 @@ mod tests {
         // `r` is read before any def: a stand-in for a per-rank value.
         let body = vec![
             Instr::InitMatrix {
-                dst: "a".into(),
+                dst: v("a"),
                 init: MatInit::Rand {
                     rows: SExpr::c(4.0),
                     cols: SExpr::c(4.0),
                 },
             },
             Instr::If {
-                cond: SExpr::bin(SBinOp::Gt, SExpr::var("r"), SExpr::c(0.0)),
+                cond: SExpr::bin(SBinOp::Gt, var("r"), SExpr::c(0.0)),
                 then_body: vec![reduce("s", "a")],
                 else_body: vec![],
             },
         ];
-        let (findings, free) = lint_scope(&body, &[]);
+        let (findings, free) = lint_scope(&frame(body));
         assert!(!free);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].message.contains("collective divergence"));
@@ -326,7 +325,7 @@ mod tests {
     fn point_to_point_under_divergence_reports_mismatch() {
         let body = vec![
             Instr::InitMatrix {
-                dst: "a".into(),
+                dst: v("a"),
                 init: MatInit::Rand {
                     rows: SExpr::c(4.0),
                     cols: SExpr::c(4.0),
@@ -334,14 +333,14 @@ mod tests {
             },
             Instr::While {
                 pre: vec![],
-                cond: SExpr::bin(SBinOp::Gt, SExpr::var("r"), SExpr::c(0.0)),
+                cond: SExpr::bin(SBinOp::Gt, var("r"), SExpr::c(0.0)),
                 body: vec![Instr::Transpose {
-                    dst: "b".into(),
-                    a: "a".into(),
+                    dst: v("b"),
+                    a: v("a"),
                 }],
             },
         ];
-        let (findings, free) = lint_scope(&body, &[]);
+        let (findings, free) = lint_scope(&frame(body));
         assert!(!free);
         assert!(
             findings
@@ -357,39 +356,40 @@ mod tests {
         // y <- x + 1 (divergent).
         let body = vec![
             Instr::InitMatrix {
-                dst: "a".into(),
+                dst: v("a"),
                 init: MatInit::Rand {
                     rows: SExpr::c(4.0),
                     cols: SExpr::c(4.0),
                 },
             },
             Instr::AssignScalar {
-                dst: "x".into(),
-                src: SExpr::var("r"),
+                dst: v("x"),
+                src: var("r"),
             },
             reduce("s", "a"),
             Instr::AssignScalar {
-                dst: "y".into(),
-                src: SExpr::bin(SBinOp::Add, SExpr::var("x"), SExpr::c(1.0)),
+                dst: v("y"),
+                src: SExpr::bin(SBinOp::Add, var("x"), SExpr::c(1.0)),
             },
         ];
         let seeds = read_before_def(&body, &[]);
-        assert!(seeds.contains("r"));
+        assert!(seeds.contains(&v("r")));
         let mut env = Env::default();
-        for s in &seeds {
-            env.set(s.clone(), Taint::Divergent);
+        for &s in &seeds {
+            env.set(s, Taint::Divergent);
         }
-        let mut a = DivergenceAnalysis::new();
+        let vars = frame(vec![]).vars;
+        let mut a = DivergenceAnalysis::new(&vars);
         run_block(&mut a, &body, &mut env, &mut FlowCtx::default());
-        assert_eq!(env.get("x"), Taint::Divergent);
-        assert_eq!(env.get("s"), Taint::Uniform);
-        assert_eq!(env.get("y"), Taint::Divergent);
+        assert_eq!(env.get(&v("x")), Taint::Divergent);
+        assert_eq!(env.get(&v("s")), Taint::Uniform);
+        assert_eq!(env.get(&v("y")), Taint::Divergent);
     }
 
     #[test]
     fn function_params_are_not_seeds() {
         let body = vec![reduce("s", "m")];
-        let seeds = read_before_def(&body, &["m".to_string()]);
+        let seeds = read_before_def(&body, &[v("m")]);
         assert!(seeds.is_empty());
     }
 }

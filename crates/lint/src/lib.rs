@@ -34,12 +34,11 @@ pub mod oracle;
 pub mod shape;
 
 use otter_frontend::{Diagnostic, Span};
-use otter_ir::{leaf_sites, IrFunction, IrProgram, VarRank};
-use std::collections::BTreeMap;
+use otter_ir::{leaf_sites, Frame, IrProgram};
 
 /// A raw lint finding: a message anchored to the variable whose
-/// definition it is about (resolved to a source span via the IR's
-/// `def_spans` metadata).
+/// definition it is about (resolved to a source span through the
+/// frame's table).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// Variable (or opcode, for def-less instructions) the finding
@@ -99,28 +98,8 @@ pub fn lint_program(p: &IrProgram) -> LintReport {
     }
 
     let mut raw: Vec<(Finding, Span)> = Vec::new();
-    lint_scope(
-        &p.main,
-        &p.var_ranks,
-        &p.def_spans,
-        &[],
-        &p.live_out(),
-        None,
-        &mut raw,
-        &mut report,
-    );
-    for f in p.functions.values() {
-        let params: Vec<String> = f.params.iter().map(|(n, _)| n.clone()).collect();
-        lint_scope(
-            &f.body,
-            &f.var_ranks,
-            &f.def_spans,
-            &params,
-            &f.live_out(),
-            Some(f),
-            &mut raw,
-            &mut report,
-        );
+    for f in p.frames() {
+        lint_scope(f, &p.live_out(f), &mut raw, &mut report);
     }
 
     // Transfer functions re-run under loop fixpoints, so identical
@@ -139,23 +118,8 @@ pub fn lint_program(p: &IrProgram) -> LintReport {
     // the run-time library would hit. Merging them into the same
     // report means deny mode fails on them automatically and warn
     // mode still surfaces them.
-    let main_shapes = oracle::refined_shapes(&p.main, &p.var_shapes, &p.var_consts);
-    report.warnings.extend(shape::lint_scope(
-        &p.main,
-        &main_shapes,
-        &p.var_consts,
-        &p.def_spans,
-        None,
-    ));
-    for f in p.functions.values() {
-        let f_shapes = oracle::refined_shapes(&f.body, &f.var_shapes, &f.var_consts);
-        report.warnings.extend(shape::lint_scope(
-            &f.body,
-            &f_shapes,
-            &f.var_consts,
-            &f.def_spans,
-            Some(&f.name),
-        ));
+    for f in p.frames() {
+        report.warnings.extend(shape::lint_scope(f));
     }
     report.warnings.sort_by(|a, b| {
         (a.span.line, a.span.col, &a.message).cmp(&(b.span.line, b.span.col, &b.message))
@@ -163,19 +127,14 @@ pub fn lint_program(p: &IrProgram) -> LintReport {
     report
 }
 
-#[allow(clippy::too_many_arguments)]
 fn lint_scope(
-    body: &[otter_ir::Instr],
-    ranks: &BTreeMap<String, VarRank>,
-    def_spans: &BTreeMap<String, Span>,
-    params: &[String],
-    live_out: &[String],
-    func: Option<&IrFunction>,
+    frame: &Frame,
+    live_out: &[otter_ir::Slot],
     raw: &mut Vec<(Finding, Span)>,
     report: &mut LintReport,
 ) {
-    let mut findings = dist::lint_scope(body, ranks, live_out);
-    let (div_findings, free) = divergence::lint_scope(body, params);
+    let mut findings = dist::lint_scope(frame, live_out);
+    let (div_findings, free) = divergence::lint_scope(frame);
     findings.extend(div_findings);
     report.divergence_free &= free;
 
@@ -183,22 +142,31 @@ fn lint_scope(
         if f.message.starts_with("send/recv mismatch") {
             report.sendrecv_matched = false;
         }
-        let span = def_spans.get(&f.anchor).copied().unwrap_or(Span::DUMMY);
-        if let Some(func) = func {
-            f.message = format!("{} (in function `{}`)", f.message, func.name);
+        let span = def_span(frame, &f.anchor);
+        if let Some(func) = frame.func() {
+            f.message = format!("{} (in function `{}`)", f.message, func);
         }
         raw.push((f, span));
     }
 }
 
+/// Where the variable `anchor` of `frame` is first defined, if it is
+/// one and lowering recorded a span.
+fn def_span(frame: &Frame, anchor: &str) -> Span {
+    let slot = frame.vars.slot(anchor);
+    slot.and_then(|s| frame.vars[s].def_span)
+        .unwrap_or(Span::DUMMY)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use otter_ir::by_name::*;
     use otter_ir::*;
 
     fn rand_mat(dst: &str) -> Instr {
         Instr::InitMatrix {
-            dst: dst.into(),
+            dst: v(dst),
             init: MatInit::Rand {
                 rows: SExpr::c(4.0),
                 cols: SExpr::c(4.0),
@@ -208,23 +176,20 @@ mod tests {
 
     #[test]
     fn clean_program_reports_clean() {
-        let mut p = IrProgram {
-            main: vec![
-                rand_mat("a"),
-                Instr::Reduce {
-                    dst: "s".into(),
-                    op: RedOp::Fold(ColRedOp::Sum),
-                    m: "a".into(),
-                },
-                Instr::Print {
-                    name: "s".into(),
-                    target: PrintTarget::Scalar(SExpr::var("s")),
-                },
-            ],
-            ..Default::default()
-        };
-        p.var_ranks.insert("a".into(), VarRank::Matrix);
-        p.var_ranks.insert("s".into(), VarRank::Scalar);
+        let mut p = program(vec![
+            rand_mat("a"),
+            Instr::Reduce {
+                dst: v("s"),
+                op: RedOp::Fold(ColRedOp::Sum),
+                m: v("a"),
+            },
+            Instr::Print {
+                name: "s".into(),
+                target: PrintTarget::Scalar(var("s")),
+            },
+        ]);
+        p.main.vars[v("a")].rank = VarRank::Matrix;
+        p.main.vars[v("s")].rank = VarRank::Scalar;
         let r = lint_program(&p);
         assert!(r.is_clean(), "{:?}", r.warnings);
         assert!(r.divergence_free);
@@ -236,35 +201,29 @@ mod tests {
     #[test]
     fn site_census_counts_comm_classes() {
         let reduce = |dst: &str| Instr::Reduce {
-            dst: dst.into(),
+            dst: v(dst),
             op: RedOp::Fold(ColRedOp::Sum),
-            m: "a".into(),
+            m: v("a"),
         };
-        let mut p = IrProgram {
-            main: vec![
-                Instr::Transpose {
-                    dst: "b".into(),
-                    a: "a".into(),
-                },
-                Instr::For {
-                    var: "i".into(),
-                    start: SExpr::c(1.0),
-                    step: SExpr::c(1.0),
-                    stop: SExpr::c(3.0),
-                    body: vec![reduce("s")],
-                },
-            ],
-            ..Default::default()
-        };
-        // Function bodies count too.
-        p.functions.insert(
-            "f".into(),
-            IrFunction {
-                name: "f".into(),
-                body: vec![reduce("t")],
-                ..Default::default()
+        let mut p = program(vec![
+            Instr::Transpose {
+                dst: v("b"),
+                a: v("a"),
             },
-        );
+            Instr::For {
+                var: v("i"),
+                start: SExpr::c(1.0),
+                step: SExpr::c(1.0),
+                stop: SExpr::c(3.0),
+                body: vec![reduce("s")],
+            },
+        ]);
+        // Function bodies count too.
+        let f = Frame {
+            name: "f".into(),
+            ..frame(vec![reduce("t")])
+        };
+        p.functions.insert("f".into(), f);
         let r = lint_program(&p);
         assert_eq!(r.p2p_sites, 1);
         assert_eq!(r.collective_sites, 2);
@@ -272,36 +231,33 @@ mod tests {
 
     #[test]
     fn warnings_carry_def_spans_and_sorted_order() {
-        let mut p = IrProgram {
-            main: vec![
-                rand_mat("a"),
-                Instr::BroadcastElem {
-                    dst: "x".into(),
-                    m: "a".into(),
-                    i: SExpr::c(1.0),
-                    j: Some(SExpr::c(2.0)),
-                },
-                Instr::BroadcastElem {
-                    dst: "y".into(),
-                    m: "a".into(),
-                    i: SExpr::c(1.0),
-                    j: Some(SExpr::c(2.0)),
-                },
-                Instr::Print {
-                    name: "a".into(),
-                    target: PrintTarget::Matrix("a".into()),
-                },
-            ],
-            ..Default::default()
-        };
+        let mut p = program(vec![
+            rand_mat("a"),
+            Instr::BroadcastElem {
+                dst: v("x"),
+                m: v("a"),
+                i: SExpr::c(1.0),
+                j: Some(SExpr::c(2.0)),
+            },
+            Instr::BroadcastElem {
+                dst: v("y"),
+                m: v("a"),
+                i: SExpr::c(1.0),
+                j: Some(SExpr::c(2.0)),
+            },
+            Instr::Print {
+                name: "a".into(),
+                target: PrintTarget::Matrix(v("a")),
+            },
+        ]);
         for (n, r) in [
             ("a", VarRank::Matrix),
             ("x", VarRank::Scalar),
             ("y", VarRank::Scalar),
         ] {
-            p.var_ranks.insert(n.into(), r);
+            p.main.vars[v(n)].rank = r;
         }
-        p.def_spans.insert("y".into(), Span::new(0, 0, 3, 1));
+        p.main.vars[v("y")].def_span = Some(Span::new(0, 0, 3, 1));
         let r = lint_program(&p);
         assert_eq!(r.warnings.len(), 1, "{:?}", r.warnings);
         let w = r.warnings[0].to_string();
@@ -313,31 +269,31 @@ mod tests {
 
     #[test]
     fn function_findings_name_their_scope() {
-        let mut f = IrFunction {
+        matrices(&["m"]);
+        let body = vec![
+            Instr::BroadcastElem {
+                dst: v("t"),
+                m: v("m"),
+                i: SExpr::c(1.0),
+                j: Some(SExpr::c(1.0)),
+            },
+            Instr::BroadcastElem {
+                dst: v("u"),
+                m: v("m"),
+                i: SExpr::c(1.0),
+                j: Some(SExpr::c(1.0)),
+            },
+            Instr::AssignScalar {
+                dst: v("s"),
+                src: SExpr::bin(SBinOp::Add, var("t"), var("u")),
+            },
+        ];
+        let f = Frame {
             name: "helper".into(),
-            params: vec![("m".into(), VarRank::Matrix)],
-            outs: vec![("s".into(), VarRank::Scalar)],
-            body: vec![
-                Instr::BroadcastElem {
-                    dst: "t".into(),
-                    m: "m".into(),
-                    i: SExpr::c(1.0),
-                    j: Some(SExpr::c(1.0)),
-                },
-                Instr::BroadcastElem {
-                    dst: "u".into(),
-                    m: "m".into(),
-                    i: SExpr::c(1.0),
-                    j: Some(SExpr::c(1.0)),
-                },
-                Instr::AssignScalar {
-                    dst: "s".into(),
-                    src: SExpr::bin(SBinOp::Add, SExpr::var("t"), SExpr::var("u")),
-                },
-            ],
-            ..Default::default()
+            params: vec![v("m")],
+            outs: vec![v("s")],
+            ..frame(body)
         };
-        f.var_ranks.insert("m".into(), VarRank::Matrix);
         let mut p = IrProgram::default();
         p.functions.insert("helper".into(), f);
         let r = lint_program(&p);
@@ -350,41 +306,38 @@ mod tests {
         // A loop-invariant redundant broadcast inside a `for` is
         // visited on every fixpoint iteration; the report must carry
         // it once.
-        let mut p = IrProgram {
-            main: vec![
-                rand_mat("a"),
-                Instr::BroadcastElem {
-                    dst: "x0".into(),
-                    m: "a".into(),
+        let mut p = program(vec![
+            rand_mat("a"),
+            Instr::BroadcastElem {
+                dst: v("x0"),
+                m: v("a"),
+                i: SExpr::c(1.0),
+                j: Some(SExpr::c(1.0)),
+            },
+            Instr::For {
+                var: v("k"),
+                start: SExpr::c(1.0),
+                step: SExpr::c(1.0),
+                stop: SExpr::c(9.0),
+                body: vec![Instr::BroadcastElem {
+                    dst: v("x"),
+                    m: v("a"),
                     i: SExpr::c(1.0),
                     j: Some(SExpr::c(1.0)),
-                },
-                Instr::For {
-                    var: "k".into(),
-                    start: SExpr::c(1.0),
-                    step: SExpr::c(1.0),
-                    stop: SExpr::c(9.0),
-                    body: vec![Instr::BroadcastElem {
-                        dst: "x".into(),
-                        m: "a".into(),
-                        i: SExpr::c(1.0),
-                        j: Some(SExpr::c(1.0)),
-                    }],
-                },
-                Instr::Print {
-                    name: "a".into(),
-                    target: PrintTarget::Matrix("a".into()),
-                },
-            ],
-            ..Default::default()
-        };
+                }],
+            },
+            Instr::Print {
+                name: "a".into(),
+                target: PrintTarget::Matrix(v("a")),
+            },
+        ]);
         for (n, r) in [
             ("a", VarRank::Matrix),
             ("x0", VarRank::Scalar),
             ("x", VarRank::Scalar),
             ("k", VarRank::Scalar),
         ] {
-            p.var_ranks.insert(n.into(), r);
+            p.main.vars[v(n)].rank = r;
         }
         let r = lint_program(&p);
         let redundant: Vec<_> = r

@@ -18,7 +18,7 @@
 //!   the same `Block` arithmetic.
 //!
 //! Dimensions come from pass-3 symbolic shape inference
-//! ([`otter_analysis::Shape`] on `IrProgram::var_shapes`), so a
+//! ([`otter_analysis::Shape`] on each [`otter_ir::Var`]), so a
 //! prediction carries a *symbolic* formula (rendered in terms of the
 //! sample-file dimension symbols and `p`) plus an exact evaluation at
 //! the concrete sample dimensions. `tests/shape_oracle_prop.rs`
@@ -28,9 +28,9 @@
 
 use otter_analysis::{Dim, Shape};
 use otter_ir::{
-    leaf_sites, preorder, DimSel, Instr, IrProgram, MatInit, PrintTarget, RedOp, SExpr, VarRank,
+    leaf_sites, preorder, DimSel, Frame, Instr, IrProgram, MatInit, PrintTarget, RedOp, SExpr,
+    Slot, VarRank, Vars,
 };
-use std::collections::BTreeMap;
 
 /// Exact message/byte totals (summed over all ranks) for one
 /// execution of a site at machine size `p`.
@@ -394,15 +394,23 @@ pub struct SitePrediction {
 }
 
 /// Per-scope static facts the model builder reads (shared with the
-/// shape-safety lints).
+/// shape-safety lints): the frame's table, and each slot's shape as
+/// [`refined_shapes`] derives it.
 pub(crate) struct Scope<'a> {
-    pub(crate) shapes: &'a BTreeMap<String, Shape>,
-    pub(crate) consts: &'a BTreeMap<String, f64>,
+    pub(crate) vars: &'a Vars,
+    pub(crate) shapes: Vec<Option<Shape>>,
 }
 
-impl Scope<'_> {
-    pub(crate) fn shape(&self, v: &str) -> Shape {
-        self.shapes.get(v).copied().unwrap_or(Shape::UNKNOWN)
+impl<'a> Scope<'a> {
+    pub(crate) fn new(frame: &'a Frame) -> Self {
+        Scope {
+            vars: &frame.vars,
+            shapes: refined_shapes(frame),
+        }
+    }
+
+    pub(crate) fn shape(&self, v: Slot) -> Shape {
+        self.shapes[v.index()].unwrap_or(Shape::UNKNOWN)
     }
 
     /// Constant-fold a replicated scalar expression against the
@@ -410,9 +418,9 @@ impl Scope<'_> {
     pub(crate) fn eval(&self, e: &SExpr) -> Option<f64> {
         match e {
             SExpr::Const(c) => Some(*c),
-            SExpr::Var(v) => self.consts.get(v).copied(),
+            SExpr::Var(v) => self.vars[*v].konst,
             SExpr::DimOf { var, sel } => {
-                let s = self.shape(var);
+                let s = self.shape(*var);
                 let (r, c) = (s.rows.concrete()?, s.cols.concrete()?);
                 Some(match sel {
                     DimSel::Rows => r as f64,
@@ -441,7 +449,7 @@ impl Scope<'_> {
     /// vectors distribute over their elements, matrices over rows.
     /// Vector-ness is decided at the concrete sample dimensions —
     /// exactly what the run will see. `None` when undecidable.
-    fn extent_width(&self, v: &str) -> Option<(Dim, Dim)> {
+    fn extent_width(&self, v: Slot) -> Option<(Dim, Dim)> {
         let s = self.shape(v);
         let (r, c) = (s.rows.concrete()?, s.cols.concrete()?);
         if r == 1 || c == 1 {
@@ -452,12 +460,12 @@ impl Scope<'_> {
     }
 
     /// Concrete vector-ness (`rows == 1 || cols == 1` at sample dims).
-    pub(crate) fn is_vector(&self, v: &str) -> Option<bool> {
+    pub(crate) fn is_vector(&self, v: Slot) -> Option<bool> {
         let s = self.shape(v);
         Some(s.rows.concrete()? == 1 || s.cols.concrete()? == 1)
     }
 
-    pub(crate) fn numel(&self, v: &str) -> Dim {
+    pub(crate) fn numel(&self, v: Slot) -> Dim {
         self.shape(v).numel()
     }
 }
@@ -483,7 +491,7 @@ fn allreduce(len: Dim) -> Vec<Atom> {
 
 /// Communication of `matmul(a, b)`, mirroring `matmul_impl`'s
 /// shape-based dispatch in the run-time library.
-fn matmul_model(cx: &Scope, a: &str, b: &str) -> Model {
+fn matmul_model(cx: &Scope, a: Slot, b: Slot) -> Model {
     let atoms = |v: Vec<Atom>| Model::Atoms(v);
     let (sa, sb) = (cx.shape(a), cx.shape(b));
     let Some((m, kk)) = sa.concrete() else {
@@ -520,7 +528,7 @@ fn matmul_model(cx: &Scope, a: &str, b: &str) -> Model {
 
 /// Communication of a column reduction of `m`: one allreduce of the
 /// per-column partials (a single scalar for a vector).
-fn col_reduce_model(cx: &Scope, m: &str) -> Model {
+fn col_reduce_model(cx: &Scope, m: Slot) -> Model {
     match cx.is_vector(m) {
         Some(true) => Model::Atoms(allreduce(Dim::Known(1))),
         Some(false) => Model::Atoms(allreduce(cx.shape(m).cols)),
@@ -530,7 +538,7 @@ fn col_reduce_model(cx: &Scope, m: &str) -> Model {
 
 /// Build the communication model of one leaf instruction, mirroring
 /// the run-time library's dispatch.
-fn model_of(i: &Instr, cx: &Scope, ranks: &BTreeMap<String, VarRank>) -> Model {
+fn model_of(i: &Instr, cx: &Scope) -> Model {
     let atoms = |v: Vec<Atom>| Model::Atoms(v);
     let free = Model::Atoms(Vec::new());
     match i {
@@ -550,10 +558,10 @@ fn model_of(i: &Instr, cx: &Scope, ranks: &BTreeMap<String, VarRank>) -> Model {
         // exactly as the producer it was fused from.
         Instr::ElemWise { expr, .. } => {
             let producers = expr.generators().into_iter().map(|(t, g)| g.producer(t));
-            sequence_model(producers, cx, ranks)
+            sequence_model(producers, cx)
         }
 
-        Instr::LoadFile { dst, .. } => match cx.extent_width(dst) {
+        Instr::LoadFile { dst, .. } => match cx.extent_width(*dst) {
             Some((extent, width)) => atoms(vec![
                 Atom::Bcast { len: Dim::Known(2) },
                 Atom::Scatter { extent, width },
@@ -562,18 +570,18 @@ fn model_of(i: &Instr, cx: &Scope, ranks: &BTreeMap<String, VarRank>) -> Model {
         },
 
         // A fused loop communicates exactly as its unfused sequence.
-        Instr::Fused(f) => sequence_model(f.unfused(), cx, ranks),
+        Instr::Fused(f) => sequence_model(f.unfused(cx.vars), cx),
 
-        Instr::MatMul { a, b, .. } => matmul_model(cx, a, b),
+        Instr::MatMul { a, b, .. } => matmul_model(cx, *a, *b),
 
-        Instr::MatVec { x, .. } => atoms(allgather(cx.numel(x), Dim::Known(1))),
+        Instr::MatVec { x, .. } => atoms(allgather(cx.numel(*x), Dim::Known(1))),
 
-        Instr::Outer { v, .. } => atoms(allgather(cx.numel(v), Dim::Known(1))),
+        Instr::Outer { v, .. } => atoms(allgather(cx.numel(*v), Dim::Known(1))),
 
-        Instr::Transpose { a, .. } => match cx.is_vector(a) {
+        Instr::Transpose { a, .. } => match cx.is_vector(*a) {
             Some(true) => free, // orientation flip, same element blocks
             Some(false) => {
-                let s = cx.shape(a);
+                let s = cx.shape(*a);
                 atoms(vec![Atom::Transpose {
                     m: s.rows,
                     n: s.cols,
@@ -586,7 +594,7 @@ fn model_of(i: &Instr, cx: &Scope, ranks: &BTreeMap<String, VarRank>) -> Model {
 
         Instr::Reduce { op, m, .. } => match op {
             RedOp::Trapz => {
-                let mut v = vec![Atom::HaloRight { len: cx.numel(m) }];
+                let mut v = vec![Atom::HaloRight { len: cx.numel(*m) }];
                 v.extend(allreduce(Dim::Known(1)));
                 atoms(v)
             }
@@ -596,36 +604,36 @@ fn model_of(i: &Instr, cx: &Scope, ranks: &BTreeMap<String, VarRank>) -> Model {
         Instr::Dot { .. } => atoms(allreduce(Dim::Known(1))),
 
         Instr::TrapzXY { x, .. } => {
-            let len = cx.numel(x);
+            let len = cx.numel(*x);
             let mut v = vec![Atom::HaloRight { len }, Atom::HaloRight { len }];
             v.extend(allreduce(Dim::Known(1)));
             atoms(v)
         }
 
-        Instr::ColReduce { m, .. } => col_reduce_model(cx, m),
+        Instr::ColReduce { m, .. } => col_reduce_model(cx, *m),
 
         Instr::Shift { v, k, .. } => atoms(vec![Atom::ShiftSeg {
-            len: cx.numel(v),
+            len: cx.numel(*v),
             k: cx
                 .eval(k)
                 .and_then(|v| (v.fract() == 0.0).then_some(v as i64)),
         }]),
 
         Instr::ExtractRow { m, .. } => atoms(vec![Atom::Bcast {
-            len: cx.shape(m).cols,
+            len: cx.shape(*m).cols,
         }]),
 
         Instr::AssignRow { m, i, v } => atoms(vec![Atom::Gather {
-            extent: cx.numel(v),
+            extent: cx.numel(*v),
             width: Dim::Known(1),
             root: Root::Owner {
-                extent: cx.shape(m).rows,
+                extent: cx.shape(*m).rows,
                 index: cx.eval_index0(i),
             },
         }]),
 
         Instr::ExtractRange { v, lo, hi, .. } => atoms(vec![Atom::RangeSeg {
-            len: cx.numel(v),
+            len: cx.numel(*v),
             lo: cx.eval_index0(lo),
             // 1-based inclusive `hi` is the 0-based half-open bound.
             hi: cx
@@ -633,20 +641,18 @@ fn model_of(i: &Instr, cx: &Scope, ranks: &BTreeMap<String, VarRank>) -> Model {
                 .and_then(|h| (h >= 0.0 && h.fract() == 0.0).then_some(h as u64)),
         }]),
 
-        Instr::ExtractStrided { v, .. } => atoms(allgather(cx.numel(v), Dim::Known(1))),
-        Instr::AssignRange { v, .. } => atoms(allgather(cx.numel(v), Dim::Known(1))),
+        Instr::ExtractStrided { v, .. } => atoms(allgather(cx.numel(*v), Dim::Known(1))),
+        Instr::AssignRange { v, .. } => atoms(allgather(cx.numel(*v), Dim::Known(1))),
 
-        Instr::Print { name, target } => match target {
+        Instr::Print { target, .. } => match target {
             PrintTarget::Scalar(_) => free,
             PrintTarget::Matrix(m) => {
                 // Scalars display without a gather; matrices gather to
                 // rank 0 for rendering.
-                if ranks.get(name.as_str()).or_else(|| ranks.get(m.as_str()))
-                    == Some(&VarRank::Scalar)
-                {
+                if cx.vars[*m].rank == VarRank::Scalar {
                     return free;
                 }
-                match cx.extent_width(m) {
+                match cx.extent_width(*m) {
                     Some((extent, width)) => atoms(vec![Atom::Gather {
                         extent,
                         width,
@@ -668,14 +674,10 @@ fn model_of(i: &Instr, cx: &Scope, ranks: &BTreeMap<String, VarRank>) -> Model {
 }
 
 /// The communication of a straight-line sequence: its steps in order.
-fn sequence_model(
-    seq: impl IntoIterator<Item = Instr>,
-    cx: &Scope,
-    ranks: &BTreeMap<String, VarRank>,
-) -> Model {
+fn sequence_model(seq: impl IntoIterator<Item = Instr>, cx: &Scope) -> Model {
     let mut all = Vec::new();
     for i in seq {
-        match model_of(&i, cx, ranks) {
+        match model_of(&i, cx) {
             Model::Atoms(v) => all.extend(v),
             Model::Unknown => return Model::Unknown,
         }
@@ -710,13 +712,7 @@ fn trip_count(cx: &Scope, start: &SExpr, step: &SExpr, stop: &SExpr) -> Option<u
     Some(if n < 0.0 { 0 } else { n as u64 })
 }
 
-fn walk_scope(
-    body: &[Instr],
-    mult: Option<u64>,
-    cx: &Scope,
-    ranks: &BTreeMap<String, VarRank>,
-    out: &mut Vec<(Option<u64>, Model)>,
-) {
+fn walk_scope(body: &[Instr], mult: Option<u64>, cx: &Scope, out: &mut Vec<(Option<u64>, Model)>) {
     for i in body {
         match i {
             Instr::If {
@@ -731,14 +727,14 @@ fn walk_scope(
                     Some(_) => (Some(0), mult),
                     None => (None, None),
                 };
-                walk_scope(then_body, then_mult, cx, ranks, out);
-                walk_scope(else_body, else_mult, cx, ranks, out);
+                walk_scope(then_body, then_mult, cx, out);
+                walk_scope(else_body, else_mult, cx, out);
             }
             Instr::While { pre, body, .. } => {
                 // Trips are data-dependent; `pre` runs once more than
                 // the body. Both are dynamic.
-                walk_scope(pre, None, cx, ranks, out);
-                walk_scope(body, None, cx, ranks, out);
+                walk_scope(pre, None, cx, out);
+                walk_scope(body, None, cx, out);
             }
             Instr::For {
                 start,
@@ -756,10 +752,10 @@ fn walk_scope(
                     (Some(m), Some(t)) => Some(m * t),
                     _ => None,
                 };
-                walk_scope(body, inner, cx, ranks, out);
+                walk_scope(body, inner, cx, out);
             }
             Instr::Call { .. } | Instr::Break | Instr::Continue => {}
-            leaf => out.push((mult, model_of(leaf, cx, ranks))),
+            leaf => out.push((mult, model_of(leaf, cx))),
         }
     }
 }
@@ -771,38 +767,31 @@ fn walk_scope(
 /// so the oracle and shape lints see through temp chains like
 /// `transpose(range(1, 1, n))`. Conservative: a shape is recorded only
 /// when every input resolves; nothing already known is overwritten.
-pub fn refined_shapes(
-    body: &[Instr],
-    shapes: &BTreeMap<String, Shape>,
-    consts: &BTreeMap<String, f64>,
-) -> BTreeMap<String, Shape> {
-    let mut shapes = shapes.clone();
-    let mut refine = |i: &Instr| {
-        // Borrow-friendly one-shot context over the growing map.
-        let cx = Scope {
-            shapes: &shapes,
-            consts,
-        };
-        if let (Some(dst), Some((r, c))) = (i.dst(), derived_shape(i, &cx)) {
-            shapes
-                .entry(dst.to_string())
-                .or_insert_with(|| Shape::known(r, c));
+/// The result is indexed by slot.
+pub fn refined_shapes(frame: &Frame) -> Vec<Option<Shape>> {
+    let mut cx = Scope {
+        vars: &frame.vars,
+        shapes: frame.vars.iter().map(|(_, v)| v.shape).collect(),
+    };
+    let refine = |i: &Instr, cx: &mut Scope| {
+        if let (Some(dst), Some((r, c))) = (i.dst(), derived_shape(i, cx)) {
+            cx.shapes[dst.index()].get_or_insert(Shape::known(r, c));
         }
     };
-    for (i, _) in preorder(body) {
+    for (i, _) in preorder(&frame.body) {
         match i {
-            Instr::Fused(f) => f.unfused().iter().for_each(&mut refine),
-            _ => refine(i),
+            Instr::Fused(f) => f.unfused(cx.vars).iter().for_each(|i| refine(i, &mut cx)),
+            _ => refine(i, &mut cx),
         }
     }
-    shapes
+    cx.shapes
 }
 
 /// The concrete shape `i` gives its destination, when its inputs'
 /// shapes resolve.
 fn derived_shape(i: &Instr, cx: &Scope) -> Option<(usize, usize)> {
     let ev = |e: &SExpr| cx.eval(e).filter(|v| *v >= 0.0).map(|v| v as usize);
-    let dims = |v: &str| cx.shape(v).concrete();
+    let dims = |v: &Slot| cx.shape(*v).concrete();
     match i {
         Instr::InitMatrix { init, .. } => match init {
             MatInit::Zeros { rows, cols }
@@ -825,7 +814,7 @@ fn derived_shape(i: &Instr, cx: &Scope) -> Option<(usize, usize)> {
             expr.mat_operands(&mut ops);
             match (ops.first(), expr.generators().first()) {
                 (Some(m), _) => dims(m),
-                (None, Some((tmp, gen))) => derived_shape(&gen.producer(tmp), cx),
+                (None, Some((tmp, gen))) => derived_shape(&gen.producer(*tmp), cx),
                 (None, None) => None,
             }
         }
@@ -843,21 +832,11 @@ fn derived_shape(i: &Instr, cx: &Scope) -> Option<(usize, usize)> {
 /// Predict every leaf site of a program, in [`leaf_sites`] order.
 pub fn predict(prog: &IrProgram) -> Vec<SitePrediction> {
     let mut raw: Vec<(Option<u64>, Model)> = Vec::new();
-    let main_shapes = refined_shapes(&prog.main, &prog.var_shapes, &prog.var_consts);
-    let cx = Scope {
-        shapes: &main_shapes,
-        consts: &prog.var_consts,
-    };
-    walk_scope(&prog.main, Some(1), &cx, &prog.var_ranks, &mut raw);
-    for f in prog.functions.values() {
-        let f_shapes = refined_shapes(&f.body, &f.var_shapes, &f.var_consts);
-        let cx = Scope {
-            shapes: &f_shapes,
-            consts: &f.var_consts,
-        };
+    for f in prog.frames() {
         // Function bodies execute once per call; call counts are not
         // modeled statically.
-        walk_scope(&f.body, None, &cx, &f.var_ranks, &mut raw);
+        let mult = f.func().is_none().then_some(1);
+        walk_scope(&f.body, mult, &Scope::new(f), &mut raw);
     }
 
     let sites = leaf_sites(prog);
@@ -886,13 +865,14 @@ pub fn predict(prog: &IrProgram) -> Vec<SitePrediction> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use otter_ir::{IrFunction, MatInit};
+    use otter_ir::by_name::*;
+    use otter_ir::MatInit;
 
-    fn shapes(pairs: &[(&str, usize, usize)]) -> BTreeMap<String, Shape> {
-        pairs
-            .iter()
-            .map(|&(n, r, c)| (n.to_string(), Shape::known(r, c)))
-            .collect()
+    /// Give `pairs` their shapes in `frame`.
+    fn shape(frame: &mut Frame, pairs: &[(&str, usize, usize)]) {
+        for &(n, r, c) in pairs {
+            frame.vars[v(n)].shape = Some(Shape::known(r, c));
+        }
     }
 
     #[test]
@@ -989,27 +969,24 @@ mod tests {
 
     #[test]
     fn static_trip_counts_multiply_through_nests() {
-        let mut prog = IrProgram {
-            main: vec![Instr::For {
-                var: "i".into(),
+        let mut prog = program(vec![Instr::For {
+            var: v("i"),
+            start: SExpr::c(1.0),
+            step: SExpr::c(1.0),
+            stop: SExpr::c(4.0),
+            body: vec![Instr::For {
+                var: v("j"),
                 start: SExpr::c(1.0),
-                step: SExpr::c(1.0),
-                stop: SExpr::c(4.0),
-                body: vec![Instr::For {
-                    var: "j".into(),
-                    start: SExpr::c(1.0),
-                    step: SExpr::c(2.0),
-                    stop: SExpr::c(10.0),
-                    body: vec![Instr::Dot {
-                        dst: "s".into(),
-                        a: "a".into(),
-                        b: "b".into(),
-                    }],
+                step: SExpr::c(2.0),
+                stop: SExpr::c(10.0),
+                body: vec![Instr::Dot {
+                    dst: v("s"),
+                    a: v("a"),
+                    b: v("b"),
                 }],
             }],
-            ..Default::default()
-        };
-        prog.var_shapes = shapes(&[("a", 1, 8), ("b", 1, 8)]);
+        }]);
+        shape(&mut prog.main, &[("a", 1, 8), ("b", 1, 8)]);
         let preds = predict(&prog);
         assert_eq!(preds.len(), 1);
         assert_eq!(preds[0].execs, Execs::Static(20));
@@ -1024,34 +1001,31 @@ mod tests {
 
     #[test]
     fn breaks_and_whiles_force_dynamic() {
-        let prog = IrProgram {
-            main: vec![
-                Instr::For {
-                    var: "i".into(),
-                    start: SExpr::c(1.0),
-                    step: SExpr::c(1.0),
-                    stop: SExpr::c(4.0),
-                    body: vec![
-                        Instr::Dot {
-                            dst: "s".into(),
-                            a: "a".into(),
-                            b: "b".into(),
-                        },
-                        Instr::Break,
-                    ],
-                },
-                Instr::While {
-                    pre: vec![Instr::Reduce {
-                        dst: "n".into(),
-                        op: RedOp::Norm2,
-                        m: "a".into(),
-                    }],
-                    cond: SExpr::var("n"),
-                    body: vec![],
-                },
-            ],
-            ..Default::default()
-        };
+        let prog = program(vec![
+            Instr::For {
+                var: v("i"),
+                start: SExpr::c(1.0),
+                step: SExpr::c(1.0),
+                stop: SExpr::c(4.0),
+                body: vec![
+                    Instr::Dot {
+                        dst: v("s"),
+                        a: v("a"),
+                        b: v("b"),
+                    },
+                    Instr::Break,
+                ],
+            },
+            Instr::While {
+                pre: vec![Instr::Reduce {
+                    dst: v("n"),
+                    op: RedOp::Norm2,
+                    m: v("a"),
+                }],
+                cond: var("n"),
+                body: vec![],
+            },
+        ]);
         let preds = predict(&prog);
         assert_eq!(preds.len(), 2);
         assert!(preds.iter().all(|s| s.execs == Execs::Dynamic));
@@ -1059,22 +1033,19 @@ mod tests {
 
     #[test]
     fn constant_conditions_keep_static_counts() {
-        let prog = IrProgram {
-            main: vec![Instr::If {
-                cond: SExpr::c(0.0),
-                then_body: vec![Instr::Dot {
-                    dst: "s".into(),
-                    a: "a".into(),
-                    b: "b".into(),
-                }],
-                else_body: vec![Instr::Dot {
-                    dst: "t".into(),
-                    a: "a".into(),
-                    b: "b".into(),
-                }],
+        let prog = program(vec![Instr::If {
+            cond: SExpr::c(0.0),
+            then_body: vec![Instr::Dot {
+                dst: v("s"),
+                a: v("a"),
+                b: v("b"),
             }],
-            ..Default::default()
-        };
+            else_body: vec![Instr::Dot {
+                dst: v("t"),
+                a: v("a"),
+                b: v("b"),
+            }],
+        }]);
         let preds = predict(&prog);
         assert_eq!(preds[0].execs, Execs::Static(0));
         assert_eq!(preds[1].execs, Execs::Static(1));
@@ -1082,23 +1053,20 @@ mod tests {
 
     #[test]
     fn function_sites_are_dynamic_and_enumerated_after_main() {
-        let mut f = IrFunction {
+        let body = vec![Instr::Dot {
+            dst: v("s"),
+            a: v("a"),
+            b: v("b"),
+        }];
+        let mut f = Frame {
             name: "helper".into(),
-            body: vec![Instr::Dot {
-                dst: "s".into(),
-                a: "a".into(),
-                b: "b".into(),
-            }],
-            ..Default::default()
+            ..frame(body)
         };
-        f.var_shapes = shapes(&[("a", 1, 4), ("b", 1, 4)]);
-        let mut prog = IrProgram {
-            main: vec![Instr::InitMatrix {
-                dst: "z".into(),
-                init: MatInit::Eye { n: SExpr::c(4.0) },
-            }],
-            ..Default::default()
-        };
+        shape(&mut f, &[("a", 1, 4), ("b", 1, 4)]);
+        let mut prog = program(vec![Instr::InitMatrix {
+            dst: v("z"),
+            init: MatInit::Eye { n: SExpr::c(4.0) },
+        }]);
         prog.functions.insert("helper".into(), f);
         let preds = predict(&prog);
         assert_eq!(preds.len(), 2);
@@ -1119,15 +1087,12 @@ mod tests {
             ("outer", 8, 1, 1, 8),
         ];
         for (what, m, k, k2, n) in cases {
-            let mut prog = IrProgram {
-                main: vec![Instr::MatMul {
-                    dst: "c".into(),
-                    a: "a".into(),
-                    b: "b".into(),
-                }],
-                ..Default::default()
-            };
-            prog.var_shapes = shapes(&[("a", m, k), ("b", k2, n)]);
+            let mut prog = program(vec![Instr::MatMul {
+                dst: v("c"),
+                a: v("a"),
+                b: v("b"),
+            }]);
+            shape(&mut prog.main, &[("a", m, k), ("b", k2, n)]);
             let pred = &predict(&prog)[0];
             let c = pred.model.per_exec(4).unwrap();
             match what {

@@ -14,13 +14,15 @@
 //! web *in-place updatable* when its members' live ranges never
 //! overlap — each member's storage is dead by the time the next is
 //! defined, so one buffer could serve the whole web. The result is
-//! recorded on the IR (`IrProgram::in_place`) as a legality fact for
+//! recorded on the IR (each [`otter_ir::Var`]'s `in_place`) as a legality fact for
 //! later fusion/copy-elision work and reported by `--analyze`.
 
 use crate::oracle::Scope;
-use otter_frontend::{Diagnostic, Span};
-use otter_ir::{preorder, sexpr_reads, split_web, Instr, IrProgram, SExpr, VarRank};
-use std::collections::{BTreeMap, BTreeSet};
+use otter_frontend::Diagnostic;
+use otter_ir::{
+    preorder, sexpr_reads, split_web, Frame, Instr, IrProgram, SExpr, Slot, VarRank, Vars,
+};
+use std::collections::BTreeMap;
 
 /// A shape-safety finding: message + anchor variable (resolved to a
 /// span by the caller, like every other lint).
@@ -30,18 +32,12 @@ struct ShapeFinding {
 }
 
 /// Lint one scope; returns error-severity diagnostics with spans.
-pub(crate) fn lint_scope(
-    body: &[Instr],
-    shapes: &BTreeMap<String, otter_analysis::Shape>,
-    consts: &BTreeMap<String, f64>,
-    def_spans: &BTreeMap<String, Span>,
-    func: Option<&str>,
-) -> Vec<Diagnostic> {
-    check_scope(body, &Scope { shapes, consts })
+pub(crate) fn lint_scope(frame: &Frame) -> Vec<Diagnostic> {
+    check_scope(&frame.body, &Scope::new(frame))
         .into_iter()
         .map(|f| {
-            let span = def_spans.get(&f.anchor).copied().unwrap_or(Span::DUMMY);
-            let message = match func {
+            let span = crate::def_span(frame, &f.anchor);
+            let message = match frame.func() {
                 Some(name) => format!("{} (in function `{}`)", f.message, name),
                 None => f.message,
             };
@@ -60,26 +56,27 @@ fn check_scope(body: &[Instr], cx: &Scope) -> Vec<ShapeFinding> {
 }
 
 /// Concrete `(rows, cols)` when both dims resolve.
-fn dims(cx: &Scope, v: &str) -> Option<(usize, usize)> {
-    cx.shape(v).concrete()
+fn dims(cx: &Scope, v: &Slot) -> Option<(usize, usize)> {
+    cx.shape(*v).concrete()
 }
 
-fn numel(cx: &Scope, v: &str) -> Option<usize> {
+fn numel(cx: &Scope, v: &Slot) -> Option<usize> {
     dims(cx, v).map(|(r, c)| r * c)
 }
 
-fn shape_str(cx: &Scope, v: &str) -> String {
-    cx.shape(v).to_string()
+fn shape_str(cx: &Scope, v: &Slot) -> String {
+    cx.shape(*v).to_string()
 }
 
 #[allow(clippy::too_many_lines)]
 fn check_instr(i: &Instr, cx: &Scope, out: &mut Vec<ShapeFinding>) {
     if let Instr::Fused(f) = i {
-        for i in f.unfused() {
+        for i in f.unfused(cx.vars) {
             check_instr(&i, cx, out);
         }
         return;
     }
+    let nm = |s: &Slot| cx.vars.name(*s);
     let mut err = |anchor: &str, message: String| {
         out.push(ShapeFinding {
             anchor: anchor.to_string(),
@@ -110,11 +107,13 @@ fn check_instr(i: &Instr, cx: &Scope, out: &mut Vec<ShapeFinding>) {
                 if let (Some(da), Some(db)) = (dims(cx, a), dims(cx, b)) {
                     if da != db {
                         err(
-                            dst,
+                            nm(dst),
                             format!(
                                 "elementwise shape mismatch: `{a}` is {} but `{b}` is {}",
                                 shape_str(cx, a),
-                                shape_str(cx, b)
+                                shape_str(cx, b),
+                                a = nm(a),
+                                b = nm(b)
                             ),
                         );
                     }
@@ -125,11 +124,13 @@ fn check_instr(i: &Instr, cx: &Scope, out: &mut Vec<ShapeFinding>) {
             if let (Some((_, ka)), Some((kb, _))) = (dims(cx, a), dims(cx, b)) {
                 if ka != kb {
                     err(
-                        dst,
+                        nm(dst),
                         format!(
                             "matmul inner dimensions disagree: `{a}` is {} but `{b}` is {}",
                             shape_str(cx, a),
-                            shape_str(cx, b)
+                            shape_str(cx, b),
+                            a = nm(a),
+                            b = nm(b)
                         ),
                     );
                 }
@@ -139,10 +140,12 @@ fn check_instr(i: &Instr, cx: &Scope, out: &mut Vec<ShapeFinding>) {
             if let (Some((_, ka)), Some(nx)) = (dims(cx, a), numel(cx, x)) {
                 if ka != nx {
                     err(
-                        dst,
+                        nm(dst),
                         format!(
                             "matvec dimensions disagree: `{a}` is {} but `{x}` has {nx} elements",
-                            shape_str(cx, a)
+                            shape_str(cx, a),
+                            a = nm(a),
+                            x = nm(x)
                         ),
                     );
                 }
@@ -150,8 +153,12 @@ fn check_instr(i: &Instr, cx: &Scope, out: &mut Vec<ShapeFinding>) {
             if let Some((r, c)) = dims(cx, x) {
                 if r != 1 && c != 1 {
                     err(
-                        dst,
-                        format!("matvec needs a vector: `{x}` is {}", shape_str(cx, x)),
+                        nm(dst),
+                        format!(
+                            "matvec needs a vector: `{x}` is {}",
+                            shape_str(cx, x),
+                            x = nm(x)
+                        ),
                     );
                 }
             }
@@ -161,8 +168,12 @@ fn check_instr(i: &Instr, cx: &Scope, out: &mut Vec<ShapeFinding>) {
                 if let Some((r, c)) = dims(cx, op) {
                     if r != 1 && c != 1 {
                         err(
-                            dst,
-                            format!("outer needs vectors: `{op}` is {}", shape_str(cx, op)),
+                            nm(dst),
+                            format!(
+                                "outer needs vectors: `{op}` is {}",
+                                shape_str(cx, op),
+                                op = nm(op)
+                            ),
                         );
                     }
                 }
@@ -172,8 +183,12 @@ fn check_instr(i: &Instr, cx: &Scope, out: &mut Vec<ShapeFinding>) {
             if let (Some(na), Some(nb)) = (numel(cx, a), numel(cx, b)) {
                 if na != nb {
                     err(
-                        dst,
-                        format!("dot length mismatch: `{a}` has {na} elements but `{b}` has {nb}"),
+                        nm(dst),
+                        format!(
+                            "dot length mismatch: `{a}` has {na} elements but `{b}` has {nb}",
+                            a = nm(a),
+                            b = nm(b)
+                        ),
                     );
                 }
             }
@@ -182,9 +197,11 @@ fn check_instr(i: &Instr, cx: &Scope, out: &mut Vec<ShapeFinding>) {
             if let (Some(nx), Some(ny)) = (numel(cx, x), numel(cx, y)) {
                 if nx != ny {
                     err(
-                        dst,
+                        nm(dst),
                         format!(
-                            "trapz length mismatch: `{x}` has {nx} elements but `{y}` has {ny}"
+                            "trapz length mismatch: `{x}` has {nx} elements but `{y}` has {ny}",
+                            x = nm(x),
+                            y = nm(y)
                         ),
                     );
                 }
@@ -194,41 +211,49 @@ fn check_instr(i: &Instr, cx: &Scope, out: &mut Vec<ShapeFinding>) {
             if let Some((r, c)) = dims(cx, v) {
                 if r != 1 && c != 1 {
                     err(
-                        dst,
-                        format!("circshift needs a vector: `{v}` is {}", shape_str(cx, v)),
+                        nm(dst),
+                        format!(
+                            "circshift needs a vector: `{v}` is {}",
+                            shape_str(cx, v),
+                            v = nm(v)
+                        ),
                     );
                 }
             }
         }
         Instr::BroadcastElem { dst, m, i, j } => {
-            check_elem_index(cx, dst, m, i, j.as_ref(), &mut err);
+            check_elem_index(cx, nm(dst), m, i, j.as_ref(), &mut err);
         }
         Instr::StoreElem { m, i, j, .. } => {
-            let m2 = m.clone();
-            check_elem_index(cx, &m2, m, i, j.as_ref(), &mut err);
+            check_elem_index(cx, nm(m), m, i, j.as_ref(), &mut err);
         }
         Instr::ExtractRow { dst, m, i } => {
             if let Some((idx, rows)) = index_oob(i, dims(cx, m).map(|(r, _)| r)) {
                 err(
-                    dst,
-                    format!("row index {idx} out of bounds: `{m}` has {rows} rows"),
+                    nm(dst),
+                    format!(
+                        "row index {idx} out of bounds: `{m}` has {rows} rows",
+                        m = nm(m)
+                    ),
                 );
             }
         }
         Instr::AssignRow { m, i, v } => {
             if let Some((idx, rows)) = index_oob(i, dims(cx, m).map(|(r, _)| r)) {
                 err(
-                    m,
-                    format!("row index {idx} out of bounds: `{m}` has {rows} rows"),
+                    nm(m),
+                    format!(
+                        "row index {idx} out of bounds: `{m}` has {rows} rows",
+                        m = nm(m)
+                    ),
                 );
             }
             if let (Some((_, cols)), Some(nv)) = (dims(cx, m), numel(cx, v)) {
                 if cols != nv {
                     err(
-                        m,
+                        nm(m),
                         format!(
-                            "row assignment length mismatch: `{m}` has {cols} columns but `{v}` has {nv} elements"
-                        ),
+                            "row assignment length mismatch: `{m}` has {cols} columns but `{v}` has {nv} elements", m = nm(m), v = nm(v)),
                     );
                 }
             }
@@ -236,25 +261,30 @@ fn check_instr(i: &Instr, cx: &Scope, out: &mut Vec<ShapeFinding>) {
         Instr::ExtractCol { dst, m, j } => {
             if let Some((idx, cols)) = index_oob(j, dims(cx, m).map(|(_, c)| c)) {
                 err(
-                    dst,
-                    format!("column index {idx} out of bounds: `{m}` has {cols} columns"),
+                    nm(dst),
+                    format!(
+                        "column index {idx} out of bounds: `{m}` has {cols} columns",
+                        m = nm(m)
+                    ),
                 );
             }
         }
         Instr::AssignCol { m, j, v } => {
             if let Some((idx, cols)) = index_oob(j, dims(cx, m).map(|(_, c)| c)) {
                 err(
-                    m,
-                    format!("column index {idx} out of bounds: `{m}` has {cols} columns"),
+                    nm(m),
+                    format!(
+                        "column index {idx} out of bounds: `{m}` has {cols} columns",
+                        m = nm(m)
+                    ),
                 );
             }
             if let (Some((rows, _)), Some(nv)) = (dims(cx, m), numel(cx, v)) {
                 if rows != nv {
                     err(
-                        m,
+                        nm(m),
                         format!(
-                            "column assignment length mismatch: `{m}` has {rows} rows but `{v}` has {nv} elements"
-                        ),
+                            "column assignment length mismatch: `{m}` has {rows} rows but `{v}` has {nv} elements", m = nm(m), v = nm(v)),
                     );
                 }
             }
@@ -262,38 +292,41 @@ fn check_instr(i: &Instr, cx: &Scope, out: &mut Vec<ShapeFinding>) {
         Instr::FillRow { m, i, .. } => {
             if let Some((idx, rows)) = index_oob(i, dims(cx, m).map(|(r, _)| r)) {
                 err(
-                    m,
-                    format!("row index {idx} out of bounds: `{m}` has {rows} rows"),
+                    nm(m),
+                    format!(
+                        "row index {idx} out of bounds: `{m}` has {rows} rows",
+                        m = nm(m)
+                    ),
                 );
             }
         }
         Instr::FillCol { m, j, .. } => {
             if let Some((idx, cols)) = index_oob(j, dims(cx, m).map(|(_, c)| c)) {
                 err(
-                    m,
-                    format!("column index {idx} out of bounds: `{m}` has {cols} columns"),
+                    nm(m),
+                    format!(
+                        "column index {idx} out of bounds: `{m}` has {cols} columns",
+                        m = nm(m)
+                    ),
                 );
             }
         }
         Instr::ExtractRange { dst, v, lo, hi } => {
-            check_range(cx, dst, v, lo, hi, &mut err);
+            check_range(cx, nm(dst), v, lo, hi, &mut err);
         }
         Instr::FillRange { m, lo, hi, .. } => {
-            let m2 = m.clone();
-            check_range(cx, &m2, m, lo, hi, &mut err);
+            check_range(cx, nm(m), m, lo, hi, &mut err);
         }
         Instr::AssignRange { m, lo, hi, v } => {
-            let m2 = m.clone();
-            check_range(cx, &m2, m, lo, hi, &mut err);
+            check_range(cx, nm(m), m, lo, hi, &mut err);
             if let (Some(l), Some(h), Some(nv)) = (cx.eval(lo), cx.eval(hi), numel(cx, v)) {
                 if l.fract() == 0.0 && h.fract() == 0.0 && h >= l {
                     let want = (h - l) as usize + 1;
                     if want != nv {
                         err(
-                            m,
+                            nm(m),
                             format!(
-                                "range assignment length mismatch: `{m}({l}:{h})` has {want} elements but `{v}` has {nv}"
-                            ),
+                                "range assignment length mismatch: `{m}({l}:{h})` has {want} elements but `{v}` has {nv}", m = nm(m), v = nm(v)),
                         );
                     }
                 }
@@ -314,8 +347,11 @@ fn check_instr(i: &Instr, cx: &Scope, out: &mut Vec<ShapeFinding>) {
                 let non_empty = (s > 0.0 && l <= h) || (s < 0.0 && l >= h);
                 if non_empty && (l.min(h) < 1.0 || l.max(h) > n as f64) {
                     err(
-                        dst,
-                        format!("strided range {l}:{s}:{h} out of bounds: `{v}` has {n} elements"),
+                        nm(dst),
+                        format!(
+                            "strided range {l}:{s}:{h} out of bounds: `{v}` has {n} elements",
+                            v = nm(v)
+                        ),
                     );
                 }
             }
@@ -328,7 +364,7 @@ fn check_instr(i: &Instr, cx: &Scope, out: &mut Vec<ShapeFinding>) {
 fn check_elem_index(
     cx: &Scope,
     anchor: &str,
-    m: &str,
+    m: &Slot,
     i: &SExpr,
     j: Option<&SExpr>,
     err: &mut impl FnMut(&str, String),
@@ -336,6 +372,7 @@ fn check_elem_index(
     let Some((rows, cols)) = dims(cx, m) else {
         return;
     };
+    let (name, shape) = (cx.vars.name(*m), cx.shape(*m));
     let as_int = |e: &SExpr| cx.eval(e).filter(|v| v.fract() == 0.0).map(|v| v as i64);
     match j {
         Some(j) => {
@@ -343,7 +380,7 @@ fn check_elem_index(
                 if iv < 1 || iv > rows as i64 {
                     err(
                         anchor,
-                        format!("row index {iv} out of bounds: `{m}` is {}", cx.shape(m)),
+                        format!("row index {iv} out of bounds: `{name}` is {shape}"),
                     );
                 }
             }
@@ -351,7 +388,7 @@ fn check_elem_index(
                 if jv < 1 || jv > cols as i64 {
                     err(
                         anchor,
-                        format!("column index {jv} out of bounds: `{m}` is {}", cx.shape(m)),
+                        format!("column index {jv} out of bounds: `{name}` is {shape}"),
                     );
                 }
             }
@@ -363,7 +400,7 @@ fn check_elem_index(
                     err(
                         anchor,
                         format!(
-                            "index {iv} out of bounds: `{m}` has {} elements",
+                            "index {iv} out of bounds: `{name}` has {} elements",
                             rows * cols
                         ),
                     );
@@ -377,7 +414,7 @@ fn check_elem_index(
 fn check_range(
     cx: &Scope,
     anchor: &str,
-    v: &str,
+    v: &Slot,
     lo: &SExpr,
     hi: &SExpr,
     err: &mut impl FnMut(&str, String),
@@ -391,18 +428,21 @@ fn check_range(
     if l < 1.0 || h > n as f64 {
         err(
             anchor,
-            format!("range {l}:{h} out of bounds: `{v}` has {n} elements"),
+            format!(
+                "range {l}:{h} out of bounds: `{}` has {n} elements",
+                cx.vars.name(*v)
+            ),
         );
     }
 }
 
 // ---- SSA-web in-place legality ---------------------------------------------
 
-/// Names one instruction mentions, defined or read, from the IR's own
-/// dataflow facts (scalar names are recorded too; the web grouping
+/// Variables one instruction mentions, defined or read, from the IR's
+/// own dataflow facts (scalars are recorded too; the web grouping
 /// filters by rank later). Control flow contributes only its header
 /// expressions here: the pre-order walk reaches the bodies.
-fn mentions(i: &Instr, out: &mut Vec<String>) {
+fn mentions(i: &Instr, out: &mut Vec<Slot>) {
     i.defs(out);
     match i {
         Instr::If { cond, .. } | Instr::While { cond, .. } => sexpr_reads(cond, out),
@@ -417,45 +457,45 @@ fn mentions(i: &Instr, out: &mut Vec<String>) {
     }
 }
 
-/// Live interval `[first mention, last mention]` per name, in slots of
-/// one linear pre-order pass, plus the number of slots used. Each
-/// loop body is walked once. When control leaves a loop, every name
-/// mentioned inside it is extended to one virtual back-edge slot past
-/// the body: the next iteration may mention it again, so a value
-/// defined in one iteration and read in the next overlaps whatever is
-/// born in between.
-fn live_intervals(body: &[Instr]) -> (BTreeMap<String, (usize, usize)>, usize) {
-    let mut interval: BTreeMap<String, (usize, usize)> = BTreeMap::new();
-    // First body slot of each enclosing loop, outermost first.
+/// Live interval `[first mention, last mention]` per variable, in
+/// positions of one linear pre-order pass, plus the number of
+/// positions used. Each loop body is walked once. When control leaves
+/// a loop, every variable mentioned inside it is extended to one
+/// virtual back-edge position past the body: the next iteration may
+/// mention it again, so a value defined in one iteration and read in
+/// the next overlaps whatever is born in between.
+fn live_intervals(body: &[Instr]) -> (BTreeMap<Slot, (usize, usize)>, usize) {
+    let mut interval: BTreeMap<Slot, (usize, usize)> = BTreeMap::new();
+    // First body position of each enclosing loop, outermost first.
     let mut loops: Vec<usize> = Vec::new();
-    let mut slot = 0;
-    let mut names = Vec::new();
+    let mut pos = 0;
+    let mut vars = Vec::new();
     for (i, depth) in preorder(body) {
-        leave_loops(&mut loops, depth as usize, &mut interval, &mut slot);
-        mentions(i, &mut names);
-        for name in names.drain(..) {
+        leave_loops(&mut loops, depth as usize, &mut interval, &mut pos);
+        mentions(i, &mut vars);
+        for v in vars.drain(..) {
             interval
-                .entry(name)
-                .and_modify(|(_, end)| *end = slot)
-                .or_insert((slot, slot));
+                .entry(v)
+                .and_modify(|(_, end)| *end = pos)
+                .or_insert((pos, pos));
         }
-        slot += 1;
+        pos += 1;
         if matches!(i, Instr::While { .. } | Instr::For { .. }) {
-            loops.push(slot);
+            loops.push(pos);
         }
     }
-    leave_loops(&mut loops, 0, &mut interval, &mut slot);
-    (interval, slot)
+    leave_loops(&mut loops, 0, &mut interval, &mut pos);
+    (interval, pos)
 }
 
-/// Leave every loop nested deeper than `depth`: the names mentioned
-/// since the outermost of them began its body reach one fresh
-/// back-edge slot.
+/// Leave every loop nested deeper than `depth`: the variables
+/// mentioned since the outermost of them began its body reach one
+/// fresh back-edge position.
 fn leave_loops(
     loops: &mut Vec<usize>,
     depth: usize,
-    interval: &mut BTreeMap<String, (usize, usize)>,
-    slot: &mut usize,
+    interval: &mut BTreeMap<Slot, (usize, usize)>,
+    pos: &mut usize,
 ) {
     let Some(&body_start) = loops.get(depth) else {
         return;
@@ -463,80 +503,81 @@ fn leave_loops(
     loops.truncate(depth);
     for (_, end) in interval.values_mut() {
         if *end >= body_start {
-            *end = *slot;
+            *end = *pos;
         }
     }
-    *slot += 1;
+    *pos += 1;
 }
 
 /// Matrix variables of one scope proven safe to update in place:
 /// members of a multi-member SSA web whose live intervals never
 /// overlap and whose concrete shapes agree, so the whole web could
 /// share one distributed buffer.
-pub(crate) fn in_place_scope(
-    body: &[Instr],
-    ranks: &BTreeMap<String, VarRank>,
-    shapes: &BTreeMap<String, otter_analysis::Shape>,
-    live_out: &[String],
-) -> BTreeSet<String> {
-    let (interval, slots) = live_intervals(body);
-    in_place_webs(interval, slots, ranks, shapes, live_out)
+pub(crate) fn in_place_scope(frame: &Frame, live_out: &[Slot]) -> Vec<Slot> {
+    let (interval, end) = live_intervals(&frame.body);
+    let shapes = crate::oracle::refined_shapes(frame);
+    in_place_webs(interval, end, &frame.vars, &shapes, live_out)
 }
 
 fn in_place_webs(
-    mut interval: BTreeMap<String, (usize, usize)>,
-    slots: usize,
-    ranks: &BTreeMap<String, VarRank>,
-    shapes: &BTreeMap<String, otter_analysis::Shape>,
-    live_out: &[String],
-) -> BTreeSet<String> {
+    mut interval: BTreeMap<Slot, (usize, usize)>,
+    end: usize,
+    vars: &Vars,
+    shapes: &[Option<otter_analysis::Shape>],
+    live_out: &[Slot],
+) -> Vec<Slot> {
     // Scope outputs stay live past the last instruction.
-    for name in live_out {
-        if let Some((_, end)) = interval.get_mut(name) {
-            *end = slots;
+    for v in live_out {
+        if let Some((_, last)) = interval.get_mut(v) {
+            *last = end;
         }
     }
 
-    let mut webs: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
-    for name in interval.keys() {
-        if ranks.get(name) == Some(&VarRank::Matrix) {
-            let base = split_web(name).map_or(name.as_str(), |(base, _)| base);
-            webs.entry(base).or_default().push(name);
+    // Group by web in name order, so that members sharing a first
+    // mention keep the order they sort in by name.
+    let mut mentioned: Vec<Slot> = interval.keys().copied().collect();
+    mentioned.sort_by_key(|&s| vars.name(s));
+    let mut webs: BTreeMap<&str, Vec<Slot>> = BTreeMap::new();
+    for s in mentioned {
+        let var = &vars[s];
+        if var.rank == VarRank::Matrix {
+            let base = split_web(&var.name).map_or(var.name.as_str(), |(base, _)| base);
+            webs.entry(base).or_default().push(s);
         }
     }
 
-    let mut ok = BTreeSet::new();
+    let mut ok = Vec::new();
     for (_, mut members) in webs {
         if members.len() < 2 {
             continue;
         }
-        members.sort_by_key(|m| interval[*m].0);
-        let shapes_agree = members
-            .windows(2)
-            .all(|w| match (shapes.get(w[0]), shapes.get(w[1])) {
-                (Some(a), Some(b)) => a.concrete().is_some() && a.concrete() == b.concrete(),
-                _ => false,
-            });
+        members.sort_by_key(|m| interval[m].0);
+        let shapes_agree =
+            members
+                .windows(2)
+                .all(|w| match (shapes[w[0].index()], shapes[w[1].index()]) {
+                    (Some(a), Some(b)) => a.concrete().is_some() && a.concrete() == b.concrete(),
+                    _ => false,
+                });
         // Consecutive intervals may touch at the defining instruction
         // (the in-place update point: `x__1 = f(x)` reads x exactly
         // where x__1 is born) but never extend past it.
         let disjoint = members
             .windows(2)
-            .all(|w| interval[w[0]].1 <= interval[w[1]].0);
+            .all(|w| interval[&w[0]].1 <= interval[&w[1]].0);
         if shapes_agree && disjoint {
-            ok.extend(members.iter().map(|m| m.to_string()));
+            ok.extend(members);
         }
     }
     ok
 }
 
-/// Annotate a whole program's `in_place` legality sets.
+/// Mark every variable of the program that is legal to update in place.
 pub fn annotate_in_place(prog: &mut IrProgram) {
-    let main_shapes = crate::oracle::refined_shapes(&prog.main, &prog.var_shapes, &prog.var_consts);
-    prog.in_place = in_place_scope(&prog.main, &prog.var_ranks, &main_shapes, &prog.live_out());
-    for f in prog.functions.values_mut() {
-        let f_shapes = crate::oracle::refined_shapes(&f.body, &f.var_shapes, &f.var_consts);
-        f.in_place = in_place_scope(&f.body, &f.var_ranks, &f_shapes, &f.live_out());
+    for (frame, live_out) in prog.frames_mut() {
+        for s in in_place_scope(frame, &live_out) {
+            frame.vars[s].in_place = true;
+        }
     }
 }
 
@@ -544,41 +585,51 @@ pub fn annotate_in_place(prog: &mut IrProgram) {
 mod tests {
     use super::*;
     use otter_analysis::Shape;
+    use otter_ir::by_name::*;
     use otter_ir::{ColRedOp, MatInit, RedOp};
 
-    fn scope<'a>(
-        shapes: &'a BTreeMap<String, Shape>,
-        consts: &'a BTreeMap<String, f64>,
-    ) -> Scope<'a> {
-        Scope { shapes, consts }
+    /// The scratch table so far as a frame of `body`, with `pairs`'
+    /// shapes (and ranks: each is a matrix).
+    fn shaped(body: Vec<Instr>, pairs: &[(&str, usize, usize)]) -> Frame {
+        for &(n, _, _) in pairs {
+            matrices(&[n]);
+        }
+        let mut f = frame(body);
+        for &(n, r, c) in pairs {
+            f.vars[v(n)].shape = Some(Shape::known(r, c));
+        }
+        f
     }
 
-    fn shapes(pairs: &[(&str, usize, usize)]) -> BTreeMap<String, Shape> {
-        pairs
-            .iter()
-            .map(|&(n, r, c)| (n.to_string(), Shape::known(r, c)))
-            .collect()
+    /// `frame`'s findings against its recorded shapes alone.
+    fn check(f: &Frame) -> Vec<ShapeFinding> {
+        let shapes = f.vars.iter().map(|(_, v)| v.shape).collect();
+        check_scope(
+            &f.body,
+            &Scope {
+                vars: &f.vars,
+                shapes,
+            },
+        )
     }
 
     #[test]
     fn mismatched_dot_and_oob_index_are_errors() {
-        let shapes = shapes(&[("a", 1, 16), ("b", 1, 9), ("m", 4, 4)]);
-        let consts = BTreeMap::new();
-        let cx = scope(&shapes, &consts);
+        let pairs = &[("a", 1, 16), ("b", 1, 9), ("m", 4, 4)];
         let body = vec![
             Instr::Dot {
-                dst: "s".into(),
-                a: "a".into(),
-                b: "b".into(),
+                dst: v("s"),
+                a: v("a"),
+                b: v("b"),
             },
             Instr::BroadcastElem {
-                dst: "t".into(),
-                m: "m".into(),
+                dst: v("t"),
+                m: v("m"),
                 i: SExpr::c(5.0),
                 j: Some(SExpr::c(1.0)),
             },
         ];
-        let findings = check_scope(&body, &cx);
+        let findings = check(&shaped(body, pairs));
         assert_eq!(
             findings.len(),
             2,
@@ -592,22 +643,20 @@ mod tests {
     #[test]
     fn clean_and_unknown_shapes_stay_silent() {
         // Unknown shapes must never fire an error-severity lint.
-        let shapes = shapes(&[("a", 1, 16)]);
-        let consts = BTreeMap::new();
-        let cx = scope(&shapes, &consts);
+        let pairs = &[("a", 1, 16)];
         let body = vec![
             Instr::Dot {
-                dst: "s".into(),
-                a: "a".into(),
-                b: "unknown_b".into(),
+                dst: v("s"),
+                a: v("a"),
+                b: v("unknown_b"),
             },
             Instr::Dot {
-                dst: "t".into(),
-                a: "a".into(),
-                b: "a".into(),
+                dst: v("t"),
+                a: v("a"),
+                b: v("a"),
             },
         ];
-        let findings = check_scope(&body, &cx);
+        let findings = check(&shaped(body, pairs));
         assert!(
             findings.is_empty(),
             "{:?}",
@@ -617,106 +666,92 @@ mod tests {
 
     #[test]
     fn legal_empty_range_is_not_flagged() {
-        let shapes = shapes(&[("v", 1, 8)]);
-        let consts = BTreeMap::new();
-        let cx = scope(&shapes, &consts);
+        let pairs = &[("v", 1, 8)];
         let body = vec![
             // v(5:4) is empty — legal.
             Instr::ExtractRange {
-                dst: "w".into(),
-                v: "v".into(),
+                dst: v("w"),
+                v: v("v"),
                 lo: SExpr::c(5.0),
                 hi: SExpr::c(4.0),
             },
             // v(3:9) overruns — error.
             Instr::ExtractRange {
-                dst: "u".into(),
-                v: "v".into(),
+                dst: v("u"),
+                v: v("v"),
                 lo: SExpr::c(3.0),
                 hi: SExpr::c(9.0),
             },
         ];
-        let findings = check_scope(&body, &cx);
+        let findings = check(&shaped(body, pairs));
         assert_eq!(findings.len(), 1);
         assert!(findings[0].message.contains("range 3:9 out of bounds"));
     }
 
     #[test]
     fn in_place_web_requires_disjoint_intervals() {
-        let ranks: BTreeMap<String, VarRank> = [
-            ("c".to_string(), VarRank::Matrix),
-            ("c__1".to_string(), VarRank::Matrix),
-            ("s".to_string(), VarRank::Scalar),
-        ]
-        .into();
-        let shapes = shapes(&[("c", 4, 4), ("c__1", 4, 4)]);
+        let pairs = [("c", 4, 4), ("c__1", 4, 4)];
 
         // c's last use is exactly c__1's def → in place.
         let sequential = vec![
             Instr::InitMatrix {
-                dst: "c".into(),
+                dst: v("c"),
                 init: MatInit::Eye { n: SExpr::c(4.0) },
             },
             Instr::MatMul {
-                dst: "c__1".into(),
-                a: "c".into(),
-                b: "c".into(),
+                dst: v("c__1"),
+                a: v("c"),
+                b: v("c"),
             },
             Instr::Reduce {
-                dst: "s".into(),
+                dst: v("s"),
                 op: RedOp::Fold(ColRedOp::Sum),
-                m: "c__1".into(),
+                m: v("c__1"),
             },
         ];
-        let ok = in_place_scope(&sequential, &ranks, &shapes, &[]);
-        assert!(ok.contains("c") && ok.contains("c__1"), "{ok:?}");
+        let ok = in_place_scope(&shaped(sequential.clone(), &pairs), &[]);
+        assert!(ok.contains(&v("c")) && ok.contains(&v("c__1")), "{ok:?}");
 
         // c is read again after c__1 exists → interference.
         let mut overlapping = sequential.clone();
         overlapping.push(Instr::Reduce {
-            dst: "s".into(),
+            dst: v("s"),
             op: RedOp::Fold(ColRedOp::Sum),
-            m: "c".into(),
+            m: v("c"),
         });
-        let bad = in_place_scope(&overlapping, &ranks, &shapes, &[]);
+        let bad = in_place_scope(&shaped(overlapping, &pairs), &[]);
         assert!(bad.is_empty(), "{bad:?}");
     }
 
     #[test]
     fn loop_back_edges_count_as_overlap() {
-        let ranks: BTreeMap<String, VarRank> = [
-            ("a".to_string(), VarRank::Matrix),
-            ("a__1".to_string(), VarRank::Matrix),
-        ]
-        .into();
-        let shapes = shapes(&[("a", 4, 4), ("a__1", 4, 4)]);
         // Inside a loop, a__1 = f(a) then a = g(a__1): the next
         // iteration reads a again, so a's interval reaches the loop's
         // back-edge slot, past a__1's birth.
         let body = vec![Instr::For {
-            var: "i".into(),
+            var: v("i"),
             start: SExpr::c(1.0),
             step: SExpr::c(1.0),
             stop: SExpr::c(3.0),
             body: vec![
                 Instr::Transpose {
-                    dst: "a__1".into(),
-                    a: "a".into(),
+                    dst: v("a__1"),
+                    a: v("a"),
                 },
                 Instr::Transpose {
-                    dst: "a".into(),
-                    a: "a__1".into(),
+                    dst: v("a"),
+                    a: v("a__1"),
                 },
             ],
         }];
-        let ok = in_place_scope(&body, &ranks, &shapes, &[]);
+        let ok = in_place_scope(&shaped(body, &[("a", 4, 4), ("a__1", 4, 4)]), &[]);
         assert!(ok.is_empty(), "{ok:?}");
     }
 
     /// The reference: emit every loop body twice (the classic
     /// conservative unrolling for interval liveness), 2^depth events.
-    fn doubled_intervals(body: &[Instr]) -> (BTreeMap<String, (usize, usize)>, usize) {
-        fn flatten(body: &[Instr], out: &mut Vec<Vec<String>>) {
+    fn doubled_intervals(body: &[Instr]) -> (BTreeMap<Slot, (usize, usize)>, usize) {
+        fn flatten(body: &[Instr], out: &mut Vec<Vec<Slot>>) {
             for i in body {
                 let mut names = Vec::new();
                 mentions(i, &mut names);
@@ -747,11 +782,11 @@ mod tests {
         }
         let mut events = Vec::new();
         flatten(body, &mut events);
-        let mut interval: BTreeMap<String, (usize, usize)> = BTreeMap::new();
+        let mut interval: BTreeMap<Slot, (usize, usize)> = BTreeMap::new();
         for (idx, names) in events.iter().enumerate() {
-            for name in names {
+            for &name in names {
                 interval
-                    .entry(name.clone())
+                    .entry(name)
                     .and_modify(|(_, end)| *end = idx)
                     .or_insert((idx, idx));
             }
@@ -774,11 +809,11 @@ mod tests {
         for _ in 0..next(rng, 4) {
             let (dst, src) = (NAMES[next(rng, 6)], NAMES[next(rng, 7)]);
             let kind = if depth < 4 { next(rng, 6) } else { 0 };
-            let cond = SExpr::var(NAMES[next(rng, 7)]);
+            let cond = var(NAMES[next(rng, 7)]);
             block.push(match kind {
                 0..=2 => Instr::Transpose {
-                    dst: dst.into(),
-                    a: src.into(),
+                    dst: v(dst),
+                    a: v(src),
                 },
                 3 => Instr::If {
                     cond,
@@ -791,7 +826,7 @@ mod tests {
                     body: random_block(rng, depth + 1),
                 },
                 _ => Instr::For {
-                    var: "i".into(),
+                    var: v("i"),
                     start: SExpr::c(1.0),
                     step: SExpr::c(1.0),
                     stop: cond,
@@ -804,25 +839,25 @@ mod tests {
 
     #[test]
     fn linear_intervals_give_the_doubled_walks_in_place_sets() {
-        let names = ["a", "a__1", "a__2", "b", "b__1", "b__2"];
-        let mut ranks: BTreeMap<String, VarRank> = names
-            .iter()
-            .map(|n| (n.to_string(), VarRank::Matrix))
-            .collect();
-        ranks.insert("s".into(), VarRank::Scalar);
-        let shapes = shapes(&names.map(|n| (n, 4, 4)));
+        let names = ["a", "a__1", "a__2", "b", "b__1", "b__2", "s"];
+        // Every name `random_block` writes has its slot before the table
+        // is copied.
+        let (_, _) = (v("s"), v("i"));
+        let pairs: Vec<_> = names[..6].iter().map(|&n| (n, 4, 4)).collect();
+        let f = shaped(vec![], &pairs);
+        let shapes: Vec<_> = f.vars.iter().map(|(_, v)| v.shape).collect();
         let (mut rng, mut nonempty) = (0x9e37_79b9_7f4a_7c15u64, 0);
         for case in 0..2000 {
             let body = random_block(&mut rng, 0);
-            let live_out: Vec<String> = if case % 3 == 0 {
-                vec!["a__2".into()]
+            let live_out: Vec<Slot> = if case % 3 == 0 {
+                vec![v("a__2")]
             } else {
                 Vec::new()
             };
             let (lin, lin_slots) = live_intervals(&body);
             let (dbl, dbl_slots) = doubled_intervals(&body);
-            let got = in_place_webs(lin, lin_slots, &ranks, &shapes, &live_out);
-            let want = in_place_webs(dbl, dbl_slots, &ranks, &shapes, &live_out);
+            let got = in_place_webs(lin, lin_slots, &f.vars, &shapes, &live_out);
+            let want = in_place_webs(dbl, dbl_slots, &f.vars, &shapes, &live_out);
             assert_eq!(got, want, "case {case}: {body:?}");
             nonempty += usize::from(!want.is_empty());
         }
@@ -833,12 +868,12 @@ mod tests {
     fn in_place_analysis_is_linear_in_loop_depth() {
         // 38 nested loops: the doubled walk would emit 2^38 events.
         let mut body = vec![Instr::Transpose {
-            dst: "a__1".into(),
-            a: "a".into(),
+            dst: v("a__1"),
+            a: v("a"),
         }];
         for _ in 0..38 {
             body = vec![Instr::For {
-                var: "i".into(),
+                var: v("i"),
                 start: SExpr::c(1.0),
                 step: SExpr::c(1.0),
                 stop: SExpr::c(2.0),
@@ -846,16 +881,13 @@ mod tests {
             }];
         }
         let mut prog = IrProgram {
-            main: body,
-            ..Default::default()
+            main: shaped(body, &[("a", 4, 4), ("a__1", 4, 4)]),
+            ..IrProgram::default()
         };
-        prog.var_ranks = [("a", VarRank::Matrix), ("a__1", VarRank::Matrix)]
-            .map(|(n, r)| (n.to_string(), r))
-            .into();
-        prog.var_shapes = shapes(&[("a", 4, 4), ("a__1", 4, 4)]);
         let t = std::time::Instant::now();
         annotate_in_place(&mut prog);
         assert!(t.elapsed().as_secs_f64() < 1.0, "{:?}", t.elapsed());
-        assert!(prog.in_place.is_empty(), "a is re-read every iteration");
+        let in_place = prog.main.vars.iter().any(|(_, v)| v.in_place);
+        assert!(!in_place, "a is re-read every iteration");
     }
 }

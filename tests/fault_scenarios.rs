@@ -11,6 +11,7 @@
 //! `rank()`).
 
 use otter_core::{compile, run_engine, try_run, Engine, EngineOptions, RunRequest};
+use otter_ir::by_name::{frame, v, var};
 use otter_ir::{ColRedOp, Instr, MatInit, RedOp, SExpr};
 use otter_lint::divergence::lint_scope;
 use otter_machine::meiko_cs2;
@@ -64,7 +65,7 @@ fn mismatched_collective_reports_terminated_peers() {
 fn lint_flags_the_mismatched_collective_statically() {
     let body = vec![
         Instr::InitMatrix {
-            dst: "a".into(),
+            dst: v("a"),
             init: MatInit::Rand {
                 rows: SExpr::c(4.0),
                 cols: SExpr::c(4.0),
@@ -73,16 +74,16 @@ fn lint_flags_the_mismatched_collective_statically() {
         // `r` is read before any definition: the lint's stand-in for a
         // per-rank value (exactly how the closure branches on rank()).
         Instr::If {
-            cond: SExpr::var("r"),
+            cond: var("r"),
             then_body: vec![Instr::Reduce {
-                dst: "s".into(),
+                dst: v("s"),
                 op: RedOp::Fold(ColRedOp::Sum),
-                m: "a".into(),
+                m: v("a"),
             }],
             else_body: vec![],
         },
     ];
-    let (findings, divergence_free) = lint_scope(&body, &[]);
+    let (findings, divergence_free) = lint_scope(&frame(body));
     assert!(!divergence_free);
     assert!(
         findings
@@ -133,23 +134,23 @@ fn send_without_matching_recv_reports_dead_peer() {
 fn lint_flags_the_unpaired_p2p_statically() {
     let body = vec![
         Instr::InitMatrix {
-            dst: "v".into(),
+            dst: v("v"),
             init: MatInit::Rand {
                 rows: SExpr::c(1.0),
                 cols: SExpr::c(8.0),
             },
         },
         Instr::If {
-            cond: SExpr::var("r"),
+            cond: var("r"),
             then_body: vec![Instr::Shift {
-                dst: "w".into(),
-                v: "v".into(),
+                dst: v("w"),
+                v: v("v"),
                 k: SExpr::c(1.0),
             }],
             else_body: vec![],
         },
     ];
-    let (findings, divergence_free) = lint_scope(&body, &[]);
+    let (findings, divergence_free) = lint_scope(&frame(body));
     assert!(!divergence_free);
     assert!(
         findings

@@ -12,7 +12,8 @@
 //! nothing downstream.
 
 use otter_core::{compile, compile_str, EngineOptions, LintReport};
-use otter_ir::{ColRedOp, Instr, IrProgram, MatInit, RedOp, SBinOp, SExpr, VarRank};
+use otter_ir::by_name::{program, v, var};
+use otter_ir::{ColRedOp, Instr, MatInit, RedOp, SBinOp, SExpr, VarRank};
 use otter_lint::lint_program;
 
 const DIST_FIXTURE: &str = include_str!("fixtures/lint_dist.m");
@@ -159,7 +160,7 @@ fn lint_is_read_only() {
 
 fn rand_mat(dst: &str) -> Instr {
     Instr::InitMatrix {
-        dst: dst.into(),
+        dst: v(dst),
         init: MatInit::Rand {
             rows: SExpr::c(8.0),
             cols: SExpr::c(8.0),
@@ -169,23 +170,20 @@ fn rand_mat(dst: &str) -> Instr {
 
 #[test]
 fn divergent_collective_golden() {
-    let mut p = IrProgram {
-        main: vec![
-            rand_mat("a"),
-            Instr::If {
-                cond: SExpr::bin(SBinOp::Gt, SExpr::var("myrank"), SExpr::c(0.0)),
-                then_body: vec![Instr::Reduce {
-                    dst: "s".into(),
-                    op: RedOp::Fold(ColRedOp::Sum),
-                    m: "a".into(),
-                }],
-                else_body: vec![],
-            },
-        ],
-        ..Default::default()
-    };
-    p.var_ranks.insert("a".into(), VarRank::Matrix);
-    p.var_ranks.insert("s".into(), VarRank::Scalar);
+    let mut p = program(vec![
+        rand_mat("a"),
+        Instr::If {
+            cond: SExpr::bin(SBinOp::Gt, var("myrank"), SExpr::c(0.0)),
+            then_body: vec![Instr::Reduce {
+                dst: v("s"),
+                op: RedOp::Fold(ColRedOp::Sum),
+                m: v("a"),
+            }],
+            else_body: vec![],
+        },
+    ]);
+    p.main.vars[v("a")].rank = VarRank::Matrix;
+    p.main.vars[v("s")].rank = VarRank::Scalar;
     let report = lint_program(&p);
     assert!(!report.divergence_free);
     // No source span exists for hand-built IR: the rendering must fall
@@ -203,22 +201,19 @@ fn divergent_collective_golden() {
 
 #[test]
 fn divergent_point_to_point_breaks_sendrecv_matching() {
-    let mut p = IrProgram {
-        main: vec![
-            rand_mat("a"),
-            Instr::While {
-                pre: vec![],
-                cond: SExpr::bin(SBinOp::Gt, SExpr::var("myrank"), SExpr::c(0.0)),
-                body: vec![Instr::Transpose {
-                    dst: "b".into(),
-                    a: "a".into(),
-                }],
-            },
-        ],
-        ..Default::default()
-    };
-    p.var_ranks.insert("a".into(), VarRank::Matrix);
-    p.var_ranks.insert("b".into(), VarRank::Matrix);
+    let mut p = program(vec![
+        rand_mat("a"),
+        Instr::While {
+            pre: vec![],
+            cond: SExpr::bin(SBinOp::Gt, var("myrank"), SExpr::c(0.0)),
+            body: vec![Instr::Transpose {
+                dst: v("b"),
+                a: v("a"),
+            }],
+        },
+    ]);
+    p.main.vars[v("a")].rank = VarRank::Matrix;
+    p.main.vars[v("b")].rank = VarRank::Matrix;
     let report = lint_program(&p);
     assert!(!report.sendrecv_matched);
     assert!(!report.divergence_free);
@@ -237,28 +232,25 @@ fn uniform_branches_around_collectives_stay_clean() {
     // The same shape with a *defined* (replicated) condition variable
     // must not warn: the lint keys on provable rank-dependence, not on
     // collectives-inside-branches.
-    let mut p = IrProgram {
-        main: vec![
-            Instr::AssignScalar {
-                dst: "n".into(),
-                src: SExpr::c(4.0),
-            },
-            rand_mat("a"),
-            Instr::If {
-                cond: SExpr::bin(SBinOp::Gt, SExpr::var("n"), SExpr::c(2.0)),
-                then_body: vec![Instr::Reduce {
-                    dst: "s".into(),
-                    op: RedOp::Fold(ColRedOp::Sum),
-                    m: "a".into(),
-                }],
-                else_body: vec![],
-            },
-        ],
-        ..Default::default()
-    };
-    p.var_ranks.insert("a".into(), VarRank::Matrix);
-    p.var_ranks.insert("s".into(), VarRank::Scalar);
-    p.var_ranks.insert("n".into(), VarRank::Scalar);
+    let mut p = program(vec![
+        Instr::AssignScalar {
+            dst: v("n"),
+            src: SExpr::c(4.0),
+        },
+        rand_mat("a"),
+        Instr::If {
+            cond: SExpr::bin(SBinOp::Gt, var("n"), SExpr::c(2.0)),
+            then_body: vec![Instr::Reduce {
+                dst: v("s"),
+                op: RedOp::Fold(ColRedOp::Sum),
+                m: v("a"),
+            }],
+            else_body: vec![],
+        },
+    ]);
+    p.main.vars[v("a")].rank = VarRank::Matrix;
+    p.main.vars[v("s")].rank = VarRank::Scalar;
+    p.main.vars[v("n")].rank = VarRank::Scalar;
     let report = lint_program(&p);
     assert!(report.divergence_free);
     assert!(report.is_clean(), "{:#?}", rendered(&report));

@@ -35,7 +35,7 @@ fn measured_sites(ir: &IrProgram, p: usize) -> Vec<SiteComm> {
         &meiko_cs2(),
         p,
         SpmdOptions::default(),
-        |comm| match Executor::new(&otter_core::Plan::new(ir), comm, opts.clone()).run() {
+        |comm| match Executor::new(ir, comm, opts.clone()).run() {
             Ok(outcome) => Ok(outcome.site_comm),
             Err(ExecError::Comm(e)) => Err(e),
             Err(ExecError::App(e)) => panic!("p={p}: {e}"),
@@ -111,7 +111,7 @@ fn symbolic_shapes_match_interpreter_shapes() {
     for app in otter_apps::test_apps() {
         let artifact = compile(&app.script, &EngineOptions::default()).expect("app compiles");
         let ir = &artifact.compiled().ir;
-        let shapes = refined_shapes(&ir.main, &ir.var_shapes, &ir.var_consts);
+        let shapes = refined_shapes(&ir.main);
 
         let outcome =
             otter_interp::run_script(&app.script, None).expect("interpreter runs the app");
@@ -124,7 +124,8 @@ fn symbolic_shapes_match_interpreter_shapes() {
             // of `name`; compare whenever that shape is statically
             // concrete (symbolic-only shapes are legal, wrong concrete
             // ones are not).
-            let exit_shape = ir.exit_webs.get(name).and_then(|web| shapes.get(web));
+            let exit_web = ir.exit_webs.iter().find(|(n, _)| n == name);
+            let exit_shape = exit_web.and_then(|&(_, web)| shapes[web.index()]);
             if let Some((r, c)) = exit_shape.and_then(|s| s.concrete()) {
                 assert_eq!(
                     (r, c),
