@@ -4,9 +4,10 @@
 //!
 //! Three rewrites, each applied to every block recursively:
 //!
-//! 1. **Copy collapse** — a run-time call into `ML_tmpK` immediately
-//!    followed by a plain copy `x = ML_tmpK` (and no later use of the
-//!    temp) retargets the call at `x` and drops the copy.
+//! 1. **Copy collapse** — a run-time or user-function call into
+//!    `ML_tmpK` immediately followed by a plain copy `x = ML_tmpK` (and
+//!    no later use of the temp) retargets the call at `x` and drops the
+//!    copy.
 //! 2. **Scalar collapse** — likewise for scalar temporaries
 //!    (`ML_tmpK = dot(...); x = ML_tmpK;` → `x = dot(...)`).
 //! 3. **Dot fusion** — an element-wise multiply whose only consumer is
@@ -137,12 +138,24 @@ fn collapse_pairs(block: &mut Vec<Instr>, dead_after: &DeadAfter, stats: &mut Pe
             } => (Some((*dst, *src)), true),
             _ => (None, false),
         };
-        let collapse = copy.filter(|&(dst, src)| {
-            block[i].dst() == Some(src) && dead_after(src, &block[i + 2..]) && dst != src
+        // A user-function call writes its outputs in order, after it
+        // has read its arguments: an output can take the copy's
+        // destination unless a later output writes it too.
+        let writer = |dst: Slot, src: Slot| match &block[i] {
+            Instr::Call { outs, .. } => {
+                let k = outs.iter().position(|&o| o == src)?;
+                (!outs[k + 1..].contains(&dst)).then_some(k)
+            }
+            producer => (producer.dst() == Some(src)).then_some(0),
+        };
+        let collapse = copy.and_then(|(dst, src)| {
+            let k = writer(dst, src)?;
+            (dead_after(src, &block[i + 2..]) && dst != src).then_some((dst, k))
         });
-        if let Some((new_dst, _)) = collapse {
-            if let Some(d) = block[i].dst_mut() {
-                *d = new_dst;
+        if let Some((new_dst, k)) = collapse {
+            match &mut block[i] {
+                Instr::Call { outs, .. } => outs[k] = new_dst,
+                producer => *producer.dst_mut().expect("checked above") = new_dst,
             }
             block.remove(i + 1);
             if scalar {
@@ -227,6 +240,64 @@ mod tests {
                 a: v("b"),
                 b: v("c")
             }]
+        );
+    }
+
+    fn call(outs: [&str; 2]) -> Instr {
+        Instr::Call {
+            fun: "f".to_string(),
+            args: vec![Arg::Matrix(v("v")), Arg::Scalar(SExpr::Const(2.0))],
+            outs: outs.map(v).to_vec(),
+        }
+    }
+
+    #[test]
+    fn collapses_copies_out_of_a_call() {
+        // `[a, b] = f(v, 2)`, `[x, x] = f(v, 2)` and `[v, w] = f(v, 2)`:
+        // the call writes each destination itself.
+        for [a, b] in [["a", "b"], ["x", "x"], ["v", "w"]] {
+            let mut p = prog(vec![
+                call(["ML_tmp1", "ML_tmp2"]),
+                Instr::AssignScalar {
+                    dst: v(a),
+                    src: var("ML_tmp1"),
+                },
+                Instr::CopyMatrix {
+                    dst: v(b),
+                    src: v("ML_tmp2"),
+                },
+            ]);
+            let stats = peephole(&mut p);
+            assert_eq!((stats.scalars_collapsed, stats.copies_collapsed), (1, 1));
+            assert_eq!(p.main.body, vec![call([a, b])]);
+        }
+    }
+
+    #[test]
+    fn keeps_a_copy_a_later_call_output_would_overwrite() {
+        // `y = ML_tmp2; y = ML_tmp1` leaves the first output in `y`;
+        // retargeting both would leave the second.
+        let mut p = prog(vec![
+            call(["ML_tmp1", "ML_tmp2"]),
+            Instr::CopyMatrix {
+                dst: v("y"),
+                src: v("ML_tmp2"),
+            },
+            Instr::CopyMatrix {
+                dst: v("y"),
+                src: v("ML_tmp1"),
+            },
+        ]);
+        peephole(&mut p);
+        assert_eq!(
+            p.main.body,
+            vec![
+                call(["ML_tmp1", "y"]),
+                Instr::CopyMatrix {
+                    dst: v("y"),
+                    src: v("ML_tmp1"),
+                },
+            ]
         );
     }
 

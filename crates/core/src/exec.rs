@@ -15,12 +15,12 @@
 //!
 //! Element-wise loops, `ElemWise` and `Fused` alike, run through one
 //! entry, `exec_loop`, and are strip-mined: `compile_ew` flattens the
-//! expression tree into a postfix `EwProgram` once per instruction
-//! execution, and the program then runs over 256-lane strips, one
-//! tight loop per node, on a stack of strip registers allocated once
-//! per execution. Every lane performs the same IEEE operations,
-//! in the same order, as the per-element tree walk it replaced, so the
-//! bits are unchanged (DESIGN.md §17).
+//! expression tree into a postfix `EwProgram` at the loop's first
+//! execution, and every execution runs it over 256-lane strips, one
+//! tight loop per node, on the executor's stack of strip registers.
+//! Every lane performs the same IEEE operations, in the same order, as
+//! the per-element tree walk it replaced, so the bits are unchanged
+//! (DESIGN.md §17).
 
 use crate::error::{OtterError, Result};
 use otter_det::DetRng;
@@ -30,6 +30,7 @@ use otter_mpi::{Comm, CommError, Event, Note, ReduceOp};
 use otter_rt::{io as rtio, ColOp, Dense, DistMatrix, Generated, LayoutError, LoadError};
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
+use std::rc::Rc;
 
 /// Why one rank's execution stopped early: an application-level error
 /// (undefined variable, bad index — the same on every rank, SPMD) or a
@@ -293,9 +294,9 @@ impl<'p> Locals<'p> {
     /// order: an outer product gathers its right factor and charges
     /// what `ML_outer` charges; an identity charges nothing, as `eye`
     /// does.
-    fn generate(&self, comm: &mut Comm, expr: &EwExpr) -> ExecResult<Vec<Generated>> {
+    fn generate(&self, comm: &mut Comm, gens: &[&Generator]) -> ExecResult<Vec<Generated>> {
         let mut out = Vec::new();
-        for (_, gen) in expr.generators() {
+        for gen in gens {
             out.push(match gen {
                 Generator::Outer { u, v } => Generated::outer(comm, self.mat(*u)?, self.mat(*v)?)?,
                 Generator::Eye { n } => Generated::eye(comm, self.eval(n)? as usize),
@@ -337,6 +338,13 @@ pub struct Executor<'a> {
     site_of: Option<HashMap<usize, u32>>,
     /// Per-site realized communication, indexed by site id.
     site_comm: Vec<SiteComm>,
+    /// Each element-wise loop's operands and program, keyed like
+    /// `site_of`: built at its first execution, reused by the rest.
+    loops: HashMap<usize, Rc<EwLoop<'a>>>,
+    /// The strip registers every loop program runs on.
+    regs: Vec<[f64; STRIP]>,
+    /// The running loop's scalar leaves, read at each execution.
+    scalars: Vec<f64>,
 }
 
 impl<'a> Executor<'a> {
@@ -361,6 +369,9 @@ impl<'a> Executor<'a> {
             op_counts: [0; OPCODES.len()],
             site_of,
             site_comm,
+            loops: HashMap::new(),
+            regs: Vec::new(),
+            scalars: Vec::new(),
         }
     }
 
@@ -369,7 +380,8 @@ impl<'a> Executor<'a> {
         otter_rt::alloc::reset();
         // Each rank is an OS thread; give it its kernel budget.
         otter_rt::kernels::configure(otter_rt::kernels::DEFAULT_TILE, self.opts.threads);
-        let main = &self.program.main.body;
+        let program = self.program;
+        let main = &program.main.body;
         self.comm
             .record(Event::Note(Note::ExecStart { instrs: main.len() }));
         if let Err(e) = self.exec_block(main) {
@@ -437,29 +449,28 @@ impl<'a> Executor<'a> {
     /// elements as they are computed, so no eliminated temporary is
     /// stored. Charges what the unfused sequence charges, in its order,
     /// less the eliminated instructions' dispatch and call overheads.
-    fn exec_loop(&mut self, head: Option<&Product>, expr: &EwExpr, tail: &Tail) -> ExecResult<()> {
+    fn exec_loop(
+        &mut self,
+        head: Option<&Product>,
+        expr: &'a EwExpr,
+        tail: &Tail,
+    ) -> ExecResult<()> {
+        let (Tail::Store { dst } | Tail::Reduce { dst, .. } | Tail::ColReduce { dst, .. }) = *tail;
+        let ew = self.loops.entry(expr as *const EwExpr as usize);
+        let ew = Rc::clone(ew.or_insert_with(|| Rc::new(EwLoop::new(head, expr, tail))));
         let (vars, comm) = (&self.locals, &mut *self.comm);
         let mut buf = match head {
             Some(Product::MatMul { a, b, .. }) => Some(vars.mat(*a)?.matmul(comm, vars.mat(*b)?)?),
             Some(Product::MatVec { a, x, .. }) => Some(vars.mat(*a)?.matvec(comm, vars.mat(*x)?)?),
             None => None,
         };
-        let mut alias = head.map(Product::tmp);
-        let gens = vars.generate(comm, expr)?;
-        // The aligned operands, each once, in reading order.
-        let mut leaves = Vec::new();
-        expr.mat_operands(&mut leaves);
-        let mut ops: Vec<Slot> = Vec::new();
-        for s in leaves {
-            if Some(s) != alias && !ops.contains(&s) {
-                ops.push(s);
-            }
-        }
+        let gens = vars.generate(comm, &ew.gens)?;
         // The loop's shape and distribution: the product's, else its
         // first matrix operand's, else its first generator's.
-        let (rows, cols, len) = match (&buf, alias, ops.first()) {
-            (Some(model), Some(tmp), _) => {
-                vars.check_aligned(tmp, model, &ops)?;
+        let ops = &ew.operands;
+        let (rows, cols, len) = match (&buf, head, ops.first()) {
+            (Some(model), Some(head), _) => {
+                vars.check_aligned(head.tmp(), model, ops)?;
                 (model.rows(), model.cols(), model.local_els())
             }
             (_, _, Some(&first)) => {
@@ -485,7 +496,6 @@ impl<'a> Executor<'a> {
             ))
             .into());
         }
-        let (Tail::Store { dst } | Tail::Reduce { dst, .. } | Tail::ColReduce { dst, .. }) = *tail;
         // A stored loop without a head reuses its destination's buffer
         // when that is already an aligned matrix: no allocation, and
         // reads of the old value (`Dst` leaves) happen before the write
@@ -495,34 +505,43 @@ impl<'a> Executor<'a> {
             && matches!(tail, Tail::Store { .. })
             && matches!(&vars.vals[dst.index()],
                         Some(XVal::M(d)) if (d.rows(), d.cols()) == shape);
-        if in_place {
-            alias = Some(dst);
-            ops.retain(|&s| s != dst);
+        let program = ew.program.as_ref().map_err(Clone::clone)?;
+        self.scalars.clear();
+        for s in &program.scalars {
+            self.scalars.push(vars.eval(s)?);
         }
-        let mut program = compile_ew(expr, &ops, alias, &|s| vars.eval(s))?;
-        program.gens = gens;
         if in_place {
             buf = Some(self.take_mat(dst)?);
         }
-        let (vars, comm) = (&self.locals, &mut *self.comm);
-        let slices = ops
+        let (vars, comm, regs) = (&self.locals, &mut *self.comm, &mut self.regs);
+        let slices = ew
+            .slices
             .iter()
             .map(|&s| vars.mat(s).map(DistMatrix::local))
             .collect::<Result<Vec<_>>>()?;
+        regs.resize(regs.len().max(program.depth), [0.0; STRIP]);
         let src = Operands {
             slices: &slices,
-            dst: buf.as_ref().map_or(&[][..], DistMatrix::local),
+            scalars: &self.scalars,
+            gens: &gens,
+            dst: &[],
         };
-        let weight = len as f64 * expr.flop_weight().max(1.0);
+        // What a fold reads as `Dst`: the product it folds.
+        let folded = Operands {
+            dst: buf.as_ref().map_or(&[][..], DistMatrix::local),
+            ..src
+        };
+        let weight = len as f64 * ew.weight;
         let value = match *tail {
             Tail::Store { .. } => {
                 let m = match buf {
                     Some(mut m) => {
-                        program.run_in_place(&slices, m.local_mut());
+                        program.run_in_place(regs, src, m.local_mut());
                         m
                     }
                     None => {
-                        DistMatrix::from_local(comm, rows, cols, program.run_fresh(&slices, len))?
+                        let lanes = program.run_fresh(regs, src, len);
+                        DistMatrix::from_local(comm, rows, cols, lanes)?
                     }
                 };
                 comm.compute(weight);
@@ -532,14 +551,14 @@ impl<'a> Executor<'a> {
                 op: RedOp::Fold(f), ..
             } => {
                 let op = nonempty(col_op(f), rows * cols)?;
-                let local = program.col_partials(op, src, len, None)[0];
+                let local = program.col_partials(regs, op, folded, len, None)[0];
                 comm.compute(weight);
                 XVal::S(DistMatrix::reduce_all_partial(comm, op, local, shape, len)?)
             }
             Tail::Reduce {
                 op: RedOp::Norm2, ..
             } => {
-                let local = program.sum_squares(src, len);
+                let local = program.sum_squares(regs, folded, len);
                 comm.compute(weight);
                 comm.compute(2.0 * len as f64 + 8.0);
                 XVal::S(comm.allreduce_scalar(local, ReduceOp::Sum)?.sqrt())
@@ -550,7 +569,7 @@ impl<'a> Executor<'a> {
             Tail::ColReduce { op, .. } => {
                 let op = nonempty(col_op(op), rows * cols)?;
                 let width = (rows != 1 && cols != 1).then_some(cols);
-                let partial = program.col_partials(op, src, len, width);
+                let partial = program.col_partials(regs, op, folded, len, width);
                 comm.compute(weight);
                 XVal::M(DistMatrix::col_reduce_partials(
                     comm, op, &partial, shape, len,
@@ -563,7 +582,7 @@ impl<'a> Executor<'a> {
 
     // ---- instructions ---------------------------------------------------------
 
-    fn exec_block(&mut self, block: &[Instr]) -> ExecResult<Flow> {
+    fn exec_block(&mut self, block: &'a [Instr]) -> ExecResult<Flow> {
         for i in block {
             // Per-site traffic attribution: every communication this
             // rank performs happens inside the leaf instruction's own
@@ -601,7 +620,7 @@ impl<'a> Executor<'a> {
     /// recurses from here; leaves run in [`Self::exec_leaf`] and calls
     /// in [`Self::exec_call`], whose locals stay out of this frame, so a
     /// level of nesting costs little native stack.
-    fn exec_instr(&mut self, i: &Instr) -> ExecResult<Flow> {
+    fn exec_instr(&mut self, i: &'a Instr) -> ExecResult<Flow> {
         // Compiled-code dispatch charge.
         self.comm.compute(self.costs.statement_dispatch);
         self.peak_local_bytes = self.peak_local_bytes.max(self.live);
@@ -724,7 +743,7 @@ impl<'a> Executor<'a> {
     /// compute one value from the frame and the run-time library, which
     /// is then written to its destination.
     #[inline(never)]
-    fn exec_leaf(&mut self, i: &Instr) -> ExecResult<()> {
+    fn exec_leaf(&mut self, i: &'a Instr) -> ExecResult<()> {
         let (vars, comm) = (&self.locals, &mut *self.comm);
         let (dst, value) = match i {
             Instr::AssignScalar { dst, src } => (dst, XVal::S(vars.eval(src)?)),
@@ -961,14 +980,14 @@ impl<'a> Executor<'a> {
 const STRIP: usize = 256;
 
 /// Where an operand's lanes come from.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Leaf {
     /// Operand slice `i` (an aligned matrix's local block).
     Slice(usize),
     /// The destination buffer's previous contents (in-place loops).
     Dst,
-    /// A replicated scalar, folded when the program was compiled.
-    Const(f64),
+    /// Replicated scalar `i`, read at each execution.
+    Scalar(usize),
 }
 
 /// A one-operand lane operation.
@@ -992,6 +1011,8 @@ enum Op2 {
 enum Step {
     /// Push a register holding the leaf's lanes.
     Load(Leaf),
+    /// Push a register holding `op(a, b)`.
+    Leaves { op: Op2, a: Leaf, b: Leaf },
     /// `top ← op(top)`.
     Unary(Op1),
     /// `top ← op(top, leaf)`, or `op(leaf, top)` when `swap`.
@@ -1006,14 +1027,56 @@ enum Step {
 /// A flat postfix element-wise program (see [`compile_ew`]). Running it
 /// walks `steps` once per strip — no recursion, no per-lane dispatch.
 #[derive(Debug)]
-struct EwProgram {
+struct EwProgram<'e> {
     steps: Vec<Step>,
     /// Registers live at once: the tree's Sethi–Ullman number, because
     /// of two non-leaf operands the one needing more registers is
     /// evaluated first.
     depth: usize,
-    /// What the [`Step::Gen`] steps generate, in reading order.
-    gens: Vec<Generated>,
+    /// What the [`Leaf::Scalar`] leaves read, in reading order.
+    scalars: Vec<&'e SExpr>,
+}
+
+/// What every execution of one element-wise loop shares.
+struct EwLoop<'e> {
+    /// The aligned matrix operands, each once, in reading order (a
+    /// fused product's temporary is the loop's buffer, not one).
+    operands: Vec<Slot>,
+    /// The operands the program reads as slices: all but the buffer.
+    slices: Vec<Slot>,
+    gens: Vec<&'e Generator>,
+    /// Modeled flops per element.
+    weight: f64,
+    program: Result<EwProgram<'e>>,
+}
+
+impl<'e> EwLoop<'e> {
+    fn new(head: Option<&Product>, expr: &'e EwExpr, tail: &Tail) -> Self {
+        let product = head.map(Product::tmp);
+        let mut leaves = Vec::new();
+        expr.mat_operands(&mut leaves);
+        let mut operands = Vec::new();
+        for s in leaves {
+            if Some(s) != product && !operands.contains(&s) {
+                operands.push(s);
+            }
+        }
+        // The product, else the stored destination: a loop reading that
+        // runs in place (checked aligned); one not reading it has no `Dst`.
+        let buffer = product.or(match *tail {
+            Tail::Store { dst } => Some(dst),
+            _ => None,
+        });
+        let mut slices = operands.clone();
+        slices.retain(|&s| Some(s) != buffer);
+        EwLoop {
+            program: compile_ew(expr, &slices, buffer),
+            operands,
+            slices,
+            gens: expr.generators().into_iter().map(|(_, g)| g).collect(),
+            weight: expr.flop_weight().max(1.0),
+        }
+    }
 }
 
 /// What an expression node computes, once its leaves are resolved.
@@ -1043,10 +1106,10 @@ enum Task {
 }
 
 /// Compile an element-wise expression against an operand list into a
-/// flat postfix [`EwProgram`]. Runs once per instruction execution:
-/// scalar leaves fold to the values they hold now (the frame cannot
-/// change mid-loop) and matrix leaves resolve to slice indices, so the
-/// strip loops do no frame lookups or scalar re-evaluation.
+/// flat postfix [`EwProgram`]. Runs at a loop's first execution, and
+/// the program serves every later one: matrix leaves resolve to slice
+/// indices and scalar leaves to indices into the values the executor
+/// reads for each execution, so the strip loops do no frame lookups.
 /// `dst_alias` maps one matrix slot to [`Leaf::Dst`] — the buffer the
 /// loop writes (in-place destination or fused product).
 ///
@@ -1055,14 +1118,14 @@ enum Task {
 /// fused chain of any length runs in one or two registers. All three
 /// passes use explicit work lists: fusion builds trees thousands of
 /// nodes deep, and ranks run on 1 MiB stacks.
-fn compile_ew(
-    e: &EwExpr,
+fn compile_ew<'e>(
+    e: &'e EwExpr,
     slices: &[Slot],
     dst_alias: Option<Slot>,
-    scalar: &dyn Fn(&SExpr) -> Result<f64>,
-) -> Result<EwProgram> {
-    // Pre-order, left to right: scalar leaves evaluate in reading order.
+) -> Result<EwProgram<'e>> {
+    // Pre-order, left to right: scalar leaves number in reading order.
     let mut nodes: Vec<Node> = Vec::new();
+    let mut scalars = Vec::new();
     let mut gens = 0;
     let mut todo = vec![e];
     while let Some(e) = todo.pop() {
@@ -1074,7 +1137,10 @@ fn compile_ew(
                     .position(|n| n == m)
                     .expect("every matrix operand is in the slice list"),
             )),
-            EwExpr::Scalar(s) => Kind::Leaf(Leaf::Const(scalar(s)?)),
+            EwExpr::Scalar(s) => {
+                scalars.push(s);
+                Kind::Leaf(Leaf::Scalar(scalars.len() - 1))
+            }
             EwExpr::Gen { .. } => {
                 gens += 1;
                 Kind::Gen(gens - 1)
@@ -1152,6 +1218,7 @@ fn compile_ew(
             Kind::Binary(op) => {
                 let (ia, ib) = (i + 1, i + 1 + nodes[i + 1].size);
                 match (nodes[ia].kind, nodes[ib].kind) {
+                    (Kind::Leaf(a), Kind::Leaf(b)) => steps.push(Step::Leaves { op, a, b }),
                     (_, Kind::Leaf(leaf)) => tasks.extend([
                         Task::Emit(Step::WithLeaf {
                             op,
@@ -1184,7 +1251,7 @@ fn compile_ew(
     Ok(EwProgram {
         steps,
         depth: nodes[0].need,
-        gens: Vec::new(),
+        scalars,
     })
 }
 
@@ -1199,6 +1266,8 @@ enum Lanes<'a> {
 #[derive(Clone, Copy)]
 struct Operands<'a> {
     slices: &'a [&'a [f64]],
+    scalars: &'a [f64],
+    gens: &'a [Generated],
     dst: &'a [f64],
 }
 
@@ -1207,7 +1276,7 @@ impl<'a> Operands<'a> {
         match leaf {
             Leaf::Slice(i) => Lanes::Strip(&self.slices[i][base..base + n]),
             Leaf::Dst => Lanes::Strip(&self.dst[base..base + n]),
-            Leaf::Const(v) => Lanes::Splat(v),
+            Leaf::Scalar(i) => Lanes::Splat(self.scalars[i]),
         }
     }
 }
@@ -1219,22 +1288,15 @@ fn strips(len: usize) -> impl Iterator<Item = (usize, usize)> {
         .map(move |base| (base, STRIP.min(len - base)))
 }
 
-impl EwProgram {
-    /// The register stack, allocated once per instruction execution.
-    fn registers(&self) -> Vec<[f64; STRIP]> {
-        vec![[0.0; STRIP]; self.depth]
-    }
+/// A register stack of at least [`EwProgram::depth`] strips, each written before it is read.
+type Regs = [[f64; STRIP]];
 
-    /// Evaluate lanes `base..base + n` and return them (register 0).
-    fn strip<'r>(
-        &self,
-        regs: &'r mut [[f64; STRIP]],
-        src: Operands<'_>,
-        base: usize,
-        n: usize,
-    ) -> &'r [f64] {
+impl EwProgram<'_> {
+    /// Run `steps` over lanes `base..base + n`; returns the number of
+    /// registers they leave pushed.
+    fn eval(&self, steps: &[Step], regs: &mut Regs, src: Operands, base: usize, n: usize) -> usize {
         let mut top = 0;
-        for step in &self.steps {
+        for step in steps {
             match *step {
                 Step::Load(leaf) => {
                     let r = &mut regs[top][..n];
@@ -1244,8 +1306,13 @@ impl EwProgram {
                     }
                     top += 1;
                 }
+                Step::Leaves { op, a, b } => {
+                    let (a, b) = (src.lanes(a, base, n), src.lanes(b, base, n));
+                    binary_to(op, &mut regs[top][..n], a, b);
+                    top += 1;
+                }
                 Step::Gen(g) => {
-                    self.gens[g].fill(base, &mut regs[top][..n]);
+                    src.gens[g].fill(base, &mut regs[top][..n]);
                     top += 1;
                 }
                 Step::Unary(op) => unary(op, &mut regs[top - 1][..n]),
@@ -1264,48 +1331,83 @@ impl EwProgram {
                 }
             }
         }
+        top
+    }
+
+    /// Evaluate lanes `base..base + n` and return them (register 0).
+    fn strip<'r>(&self, regs: &'r mut Regs, src: Operands<'_>, base: usize, n: usize) -> &'r [f64] {
+        self.eval(&self.steps, regs, src, base, n);
         &regs[0][..n]
     }
 
-    /// `buf[k] ← program(k)` for every lane. `Dst` leaves read `buf`'s
-    /// old lanes, and a strip is read before it is written.
-    fn run_in_place(&self, slices: &[&[f64]], buf: &mut [f64]) {
-        let mut regs = self.registers();
-        for (base, n) in strips(buf.len()) {
-            let src = Operands { slices, dst: buf };
-            let lanes = self.strip(&mut regs, src, base, n);
-            buf[base..base + n].copy_from_slice(lanes);
+    /// `buf[k] ← program(k)` for lanes `base..base + n`. `Dst` leaves
+    /// read `buf`'s old lanes. A last two-operand step writes `buf`
+    /// itself, with the same operation on the same operands as in a
+    /// register; if it reads `Dst`, that is the lane it overwrites.
+    fn store(&self, regs: &mut Regs, src: Operands<'_>, base: usize, n: usize, buf: &mut [f64]) {
+        use Leaf::Dst;
+        let (last, init) = self.steps.split_last().expect("a program has a step");
+        let direct = match *last {
+            Step::Leaves { a, b, .. } => a != Dst || b != Dst,
+            Step::WithLeaf { .. } | Step::Pop { .. } => true,
+            _ => false,
+        };
+        let steps = if direct { init } else { &self.steps };
+        let top = self.eval(steps, regs, Operands { dst: buf, ..src }, base, n);
+        let out = &mut buf[base..base + n];
+        let lanes = |leaf| src.lanes(leaf, base, n);
+        let reg = |i: usize| Lanes::Strip(&regs[i][..n]);
+        let ordered = |x, y, swap| if swap { (y, x) } else { (x, y) };
+        match *last {
+            _ if !direct => out.copy_from_slice(&regs[0][..n]),
+            Step::Leaves { op, a: Dst, b } => binary(op, out, lanes(b), false),
+            Step::Leaves { op, a, b: Dst } => binary(op, out, lanes(a), true),
+            Step::Leaves { op, a, b } => binary_to(op, out, lanes(a), lanes(b)),
+            Step::WithLeaf {
+                op,
+                leaf: Dst,
+                swap,
+            } => binary(op, out, reg(top - 1), !swap),
+            Step::WithLeaf { op, leaf, swap } => {
+                let (x, y) = ordered(reg(top - 1), lanes(leaf), swap);
+                binary_to(op, out, x, y)
+            }
+            Step::Pop { op, swap } => {
+                let (x, y) = ordered(reg(top - 2), reg(top - 1), swap);
+                binary_to(op, out, x, y)
+            }
+            _ => unreachable!("only two-operand steps store directly"),
         }
     }
 
-    /// The program's `len` lanes as a fresh buffer.
-    fn run_fresh(&self, slices: &[&[f64]], len: usize) -> Vec<f64> {
-        let mut regs = self.registers();
+    /// `buf[k] ← program(k)` for every lane (see [`Self::store`]).
+    fn run_in_place(&self, regs: &mut Regs, src: Operands<'_>, buf: &mut [f64]) {
+        for (base, n) in strips(buf.len()) {
+            self.store(regs, src, base, n, buf);
+        }
+    }
+
+    /// The program's `len` lanes as a fresh buffer, which has no `Dst`
+    /// leaves to read: each strip extends it and is then written.
+    fn run_fresh(&self, regs: &mut Regs, src: Operands<'_>, len: usize) -> Vec<f64> {
         let mut out = Vec::with_capacity(len);
         for (base, n) in strips(len) {
-            let src = Operands { slices, dst: &[] };
-            out.extend_from_slice(self.strip(&mut regs, src, base, n));
+            out.resize(base + n, 0.0);
+            self.store(regs, src, base, n, &mut out);
         }
         out
     }
 
-    /// Fold the program's `len` lanes in ascending index order, from
-    /// `init`.
-    fn fold(&self, src: Operands<'_>, len: usize, init: f64, f: impl Fn(f64, f64) -> f64) -> f64 {
-        let mut regs = self.registers();
-        let mut acc = init;
+    /// `norm`'s partial: the squares of the program's `len` lanes summed
+    /// in ascending index order from `sum`'s identity.
+    fn sum_squares(&self, regs: &mut Regs, src: Operands, len: usize) -> f64 {
+        let mut acc = ColOp::Sum.identity();
         for (base, n) in strips(len) {
-            for &x in self.strip(&mut regs, src, base, n) {
-                acc = f(acc, x);
+            for &x in self.strip(regs, src, base, n) {
+                acc += x * x;
             }
         }
         acc
-    }
-
-    /// `norm`'s partial: the squares of the program's `len` lanes summed
-    /// in ascending index order from `sum`'s identity.
-    fn sum_squares(&self, src: Operands<'_>, len: usize) -> f64 {
-        self.fold(src, len, ColOp::Sum.identity(), |acc, x| acc + x * x)
     }
 
     /// This rank's partials of fold `op` over the program's `len` lanes,
@@ -1318,16 +1420,16 @@ impl EwProgram {
     /// `reduce_all` and `col_reduce` fold the stored elements.
     fn col_partials(
         &self,
+        regs: &mut Regs,
         op: ColOp,
         src: Operands<'_>,
         len: usize,
         width: Option<usize>,
     ) -> Vec<f64> {
-        let mut regs = self.registers();
         let Some(w) = width else {
             let mut acc = op.identity();
             for (base, n) in strips(len) {
-                acc = op.fold(acc, self.strip(&mut regs, src, base, n));
+                acc = op.fold(acc, self.strip(regs, src, base, n));
             }
             return vec![acc];
         };
@@ -1336,7 +1438,7 @@ impl EwProgram {
             for (base, n) in strips(w) {
                 op.fold_row(
                     &mut acc[base..base + n],
-                    self.strip(&mut regs, src, row + base, n),
+                    self.strip(regs, src, row + base, n),
                 );
             }
         }
@@ -1390,6 +1492,22 @@ fn map2(r: &mut [f64], b: Lanes<'_>, swap: bool, f: impl Fn(f64, f64) -> f64) {
     }
 }
 
+/// `out[l] ← f(a[l], b[l])` over one strip.
+#[inline(always)]
+fn map3(out: &mut [f64], a: Lanes<'_>, b: Lanes<'_>, f: impl Fn(f64, f64) -> f64) {
+    use Lanes::{Splat, Strip};
+    match (a, b) {
+        (Strip(a), Strip(b)) => out
+            .iter_mut()
+            .zip(a)
+            .zip(b)
+            .for_each(|((o, &x), &y)| *o = f(x, y)),
+        (Strip(a), Splat(c)) => out.iter_mut().zip(a).for_each(|(o, &x)| *o = f(x, c)),
+        (Splat(c), Strip(b)) => out.iter_mut().zip(b).for_each(|(o, &y)| *o = f(c, y)),
+        (Splat(c), Splat(d)) => out.fill(f(c, d)),
+    }
+}
+
 /// One strip of a one-operand node. Each arm names its operation as a
 /// constant, so its loop is monomorphized with the operation inlined;
 /// a function missing from the list still runs, through the generic
@@ -1408,18 +1526,29 @@ fn unary(op: Op1, r: &mut [f64]) {
     funs!(Sqrt Abs Sin Cos Tan Exp Log Log2 Floor Ceil Round Sign)
 }
 
-/// One strip of a two-operand node (see [`unary`]).
+/// `$body` with `$f` bound to `op`'s lane function, monomorphized per
+/// operation as [`unary`] is.
+macro_rules! with_op2 {
+    ($op:expr, $f:ident => $body:expr) => {
+        with_op2!(@ $op, $f, $body; Add Sub Mul Div Pow Eq Ne Lt Le Gt Ge And Or; Pow Mod Rem Max Min)
+    };
+    (@ $op:expr, $f:ident, $body:expr; $($e:ident)*; $($g:ident)*) => {
+        match $op {
+            $(Op2::Ew(EwOp::$e) => { let $f = |x, y| EwOp::$e.eval(x, y); $body })*
+            $(Op2::Fun(SFun::$g) => { let $f = |x, y| SFun::$g.eval(&[x, y]); $body })*
+            Op2::Fun(g) => { let $f = |x, y| g.eval(&[x, y]); $body }
+        }
+    };
+}
+
+/// One strip of a two-operand node into its first operand's register.
 fn binary(op: Op2, r: &mut [f64], b: Lanes<'_>, swap: bool) {
-    macro_rules! ops {
-        ($($e:ident)*; $($f:ident)*) => {
-            match op {
-                $(Op2::Ew(EwOp::$e) => map2(r, b, swap, |x, y| EwOp::$e.eval(x, y)),)*
-                $(Op2::Fun(SFun::$f) => map2(r, b, swap, |x, y| SFun::$f.eval(&[x, y])),)*
-                Op2::Fun(f) => map2(r, b, swap, |x, y| f.eval(&[x, y])),
-            }
-        };
-    }
-    ops!(Add Sub Mul Div Pow Eq Ne Lt Le Gt Ge And Or; Pow Mod Rem Max Min)
+    with_op2!(op, f => map2(r, b, swap, f))
+}
+
+/// One strip of a two-operand node into `out`.
+fn binary_to(op: Op2, out: &mut [f64], a: Lanes<'_>, b: Lanes<'_>) {
+    with_op2!(op, f => map3(out, a, b, f))
 }
 
 /// Convert a linear (column-major) 0-based index into (row, col).
@@ -1537,10 +1666,11 @@ mod tests {
 
     /// The executor's fused partial of `op`.
     fn fused(program: &EwProgram, op: RedOp, slices: &[&[f64]], len: usize) -> f64 {
-        let slices = Operands { slices, dst: &[] };
+        let (mut regs, values) = (registers(program), scalars(program));
+        let src = operands(slices, &values);
         match op {
-            RedOp::Fold(f) => program.col_partials(col_op(f), slices, len, None)[0],
-            _ => program.sum_squares(slices, len),
+            RedOp::Fold(f) => program.col_partials(&mut regs, col_op(f), src, len, None)[0],
+            _ => program.sum_squares(&mut regs, src, len),
         }
     }
 
@@ -1548,6 +1678,31 @@ mod tests {
         match s {
             SExpr::Const(v) => Ok(*v),
             other => Err(OtterError::execution(format!("not a constant: {other:?}"))),
+        }
+    }
+
+    /// The values of a program's scalar leaves, as the executor reads
+    /// them.
+    fn scalars(program: &EwProgram) -> Vec<f64> {
+        program
+            .scalars
+            .iter()
+            .map(|s| constant(s).unwrap())
+            .collect()
+    }
+
+    /// A register bank holding NaN, so a step that reads a register it
+    /// has not written shows.
+    fn registers(program: &EwProgram) -> Vec<[f64; STRIP]> {
+        vec![[f64::NAN; STRIP]; program.depth]
+    }
+
+    fn operands<'a>(slices: &'a [&'a [f64]], scalars: &'a [f64]) -> Operands<'a> {
+        Operands {
+            slices,
+            scalars,
+            gens: &[],
+            dst: &[],
         }
     }
 
@@ -1664,16 +1819,21 @@ mod tests {
         got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan())
     }
 
+    /// How the in-place program's last step writes the destination:
+    /// the step, and whether it reads the lane it overwrites.
+    type Store = (&'static str, bool);
+
     /// Every way the executor runs `e` — out of place, in place over
     /// `m0`, and each fused fold — against the reference, bit for bit.
-    fn check(e: &EwExpr, data: &[Vec<f64>]) {
+    fn check(e: &EwExpr, data: &[Vec<f64>]) -> Store {
         let len = data[0].len();
         let names = MATS;
         let slices: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
 
-        let program = compile_ew(e, &names, None, &constant).unwrap();
+        let program = compile_ew(e, &names, None).unwrap();
         let cew = reference_compile(e, &names, None);
-        let got = program.run_fresh(&slices, len);
+        let (mut regs, values) = (registers(&program), scalars(&program));
+        let got = program.run_fresh(&mut regs, operands(&slices, &values), len);
         for (k, &g) in got.iter().enumerate() {
             let want = ceval(&cew, &slices, &[], k);
             assert!(
@@ -1691,10 +1851,11 @@ mod tests {
         }
 
         let (dst, rest) = (Some(MATS[0]), &names[1..]);
-        let program = compile_ew(e, rest, dst, &constant).unwrap();
+        let program = compile_ew(e, rest, dst).unwrap();
         let cew = reference_compile(e, rest, dst);
+        let (mut regs, values) = (registers(&program), scalars(&program));
         let mut got = data[0].clone();
-        program.run_in_place(&slices[1..], &mut got);
+        program.run_in_place(&mut regs, operands(&slices[1..], &values), &mut got);
         let mut want = data[0].clone();
         for k in 0..len {
             let v = ceval(&cew, &slices[1..], &want, k);
@@ -1707,6 +1868,12 @@ mod tests {
                 got[k],
                 want[k]
             );
+        }
+        match *program.steps.last().unwrap() {
+            Step::Leaves { a, b, .. } => ("leaves", a == Leaf::Dst || b == Leaf::Dst),
+            Step::WithLeaf { leaf, .. } => ("with-leaf", leaf == Leaf::Dst),
+            Step::Pop { .. } => ("pop", false),
+            _ => ("through a register", false),
         }
     }
 
@@ -1725,15 +1892,49 @@ mod tests {
         for _ in 0..24 {
             trees.push(tree(&mut rng, 5));
         }
+        // Every operand pair of a last two-operand step: two leaves
+        // (the destination `m0` on either side, on both, or on
+        // neither), and a register with `m0` or a scalar, or with
+        // another register.
+        let [m0, m1, m2] = MATS.map(EwExpr::Mat);
+        let c = || EwExpr::Scalar(SExpr::Const(-2.5));
+        let reg = |m: &EwExpr| EwExpr::Neg(Box::new(m.clone()));
+        for op in EW_OPS {
+            for (a, b) in [
+                (m0.clone(), m1.clone()),
+                (m1.clone(), m0.clone()),
+                (m0.clone(), m0.clone()),
+                (m1.clone(), c()),
+                (c(), m2.clone()),
+                (c(), c()),
+                (reg(&m1), m0.clone()),
+                (m0.clone(), reg(&m2)),
+                (reg(&m1), c()),
+                (c(), reg(&m0)),
+                (reg(&m1), reg(&m0)),
+            ] {
+                trees.push(EwExpr::bin(op, a, b));
+            }
+        }
+        let mut stores = std::collections::BTreeSet::new();
         for len in LENS {
             let data: Vec<Vec<f64>> = MATS
                 .iter()
                 .map(|_| (0..len).map(|_| value(&mut rng)).collect())
                 .collect();
             for e in &trees {
-                check(e, &data);
+                stores.insert(check(e, &data));
             }
         }
+        let want = [
+            ("leaves", false),
+            ("leaves", true),
+            ("pop", false),
+            ("through a register", false),
+            ("with-leaf", false),
+            ("with-leaf", true),
+        ];
+        assert_eq!(stores.into_iter().collect::<Vec<_>>(), want);
     }
 
     #[test]
@@ -1744,7 +1945,7 @@ mod tests {
             let data = vec![lanes, vec![1.0; len], vec![1.0; len]];
             check(&m0, &data);
             let slices: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
-            let program = compile_ew(&m0, &MATS, None, &constant).unwrap();
+            let program = compile_ew(&m0, &MATS, None).unwrap();
             fused(&program, op, &slices, len)
         };
         // A sum of −0.0 lanes stays −0.0, across strip boundaries too.
@@ -1814,16 +2015,110 @@ mod tests {
             for _ in 0..1000 {
                 e = link(e);
             }
-            let program = compile_ew(&e, &MATS, None, &constant).unwrap();
+            let program = compile_ew(&e, &MATS, None).unwrap();
             assert!(program.depth <= 2, "depth {}", program.depth);
             check(&e, &data);
         }
     }
 
+    /// `src`'s results `names` from the compiled engine at p = 1, 3 and
+    /// 4 against the interpreter's, bit for bit. The scripts keep every
+    /// value dyadic, so a sum is exact in any order.
+    fn matches_the_interpreter(src: &str, names: &[&str]) {
+        let opts = crate::EngineOptions::default();
+        let machine = otter_machine::workstation();
+        let want = crate::run_engine(crate::Engine::Interpreter, src, &opts, &machine, 1)
+            .unwrap_or_else(|e| panic!("interpreter: {e}\n{src}"));
+        let compiled = crate::compile(src, &opts).unwrap_or_else(|e| panic!("{e}\n{src}"));
+        for p in [1, 3, 4] {
+            let got = crate::run(&compiled, &crate::RunRequest::on(machine.clone(), p))
+                .unwrap_or_else(|e| panic!("p={p}: {e}\n{src}"));
+            for name in names {
+                let (w, g) = (want.matrix(name).unwrap(), got.matrix(name).unwrap());
+                assert_eq!((w.rows(), w.cols()), (g.rows(), g.cols()), "{name}, p={p}");
+                for (x, y) in w.data().iter().zip(g.data()) {
+                    assert!(same_bits(*y, *x), "{name}, p={p}: {y} vs {x}\n{src}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_loop_reads_its_scalars_at_every_execution() {
+        // `cm` changes on every trip, as in nbody, and `s` is
+        // reassigned inside the loop: a program built at the first trip
+        // must not keep their first values.
+        let src = "n = 512;\nx = (1:n)' / 512;\nv = zeros(n, 1);\ns = 0.5;\ng = 4;\n\
+                   for step = 1:5\n  cm = mean(x);\n  acc = g * (cm - x);\n\
+                   v = v + s * acc;\n  s = s + 0.25;\n  x = x + 0.125 * v;\nend\n";
+        matches_the_interpreter(src, &["x", "v", "acc", "s"]);
+    }
+
+    #[test]
+    fn a_destination_alternates_between_in_place_and_fresh() {
+        // `y` is undefined on the first trip, then overwritten in place,
+        // then reallocated when `a` grows on the fourth trip; `w` reads
+        // its own old value in place, at both lengths.
+        let src = "for k = 1:6\n  m = 256 + (k > 3) * 5;\n  a = (1:m)' / 4;\n\
+                   y = a * 0.5 + k;\n  w = a;\n  w = w .* 0.25 - k;\nend\n";
+        matches_the_interpreter(src, &["y", "w"]);
+    }
+
+    /// Element-wise throughput, printed and never checked:
+    /// `cargo test --release -p otter-core --lib exec::tests::throughput_probe -- --ignored --nocapture`.
+    /// Each figure is the time per trip of a compiled loop whose body
+    /// is the one instruction measured, less an empty loop's, as the
+    /// best of five p = 1 runs.
+    #[test]
+    #[ignore]
+    fn throughput_probe() {
+        let per_trip = |setup: &str, body: &str, trips: usize| {
+            let time = |body: &str| {
+                let src = format!("{setup}for i = 1:{trips}\n{body}end\n");
+                let compiled = crate::compile(&src, &crate::EngineOptions::default()).unwrap();
+                let req = crate::RunRequest::on(otter_machine::workstation(), 1);
+                let best = (0..5)
+                    .map(|_| {
+                        let t0 = std::time::Instant::now();
+                        crate::run(&compiled, &req).unwrap();
+                        t0.elapsed().as_secs_f64()
+                    })
+                    .fold(f64::INFINITY, f64::min);
+                best / trips as f64
+            };
+            time(body) - time("")
+        };
+        let fixed = per_trip("x = ones(16, 1);\n", "y = x + 1;\n", 100_000);
+        println!("element-wise instruction at n = 16: {:.0} ns", fixed * 1e9);
+        for n in [256, 5000, 100_000] {
+            let setup = format!("x = ones({n}, 1);\nv = zeros({n}, 1);\n");
+            let t = per_trip(&setup, "v = v + 0.002 * x;\n", 20_000_000 / n);
+            println!(
+                "v = v + 0.002 * x at n = {n}: {:.3} ns/element",
+                t * 1e9 / n as f64
+            );
+        }
+        let setup = "u = (1:64)' / 64;\nw = linspace(0, 1, 16384);\n";
+        let bytes = (64 * 16384 * 8) as f64;
+        let t = per_trip(setup, "field = u * w;\n", 50);
+        println!(
+            "8 MiB outer: {:.2} ms, {:.1} GB/s",
+            t * 1e3,
+            bytes / t / 1e9
+        );
+        let setup = format!("{setup}field = u * w;\n");
+        let t = per_trip(&setup, "e = sum(sum(field .* field));\n", 50);
+        println!(
+            "8 MiB col-reduce-ew: {:.2} ms, {:.1} GB/s",
+            t * 1e3,
+            bytes / t / 1e9
+        );
+    }
+
     #[test]
     fn wrong_arity_is_an_error_not_a_panic() {
         let e = EwExpr::Call(SFun::Max, vec![EwExpr::Mat(MATS[0])]);
-        let err = compile_ew(&e, &MATS[..1], None, &constant).unwrap_err();
+        let err = compile_ew(&e, &MATS[..1], None).unwrap_err();
         assert!(
             err.to_string().contains("takes 2 argument(s), got 1"),
             "{err}"

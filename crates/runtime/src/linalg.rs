@@ -84,10 +84,18 @@ impl Generated {
         }
     }
 
-    /// This rank's whole block.
+    /// This rank's whole block. An outer product's elements are each
+    /// written once, the lanes [`Self::fill`] writes, with no zeroing
+    /// pass before them.
     pub fn block(&self) -> Vec<f64> {
-        let mut local = vec![0.0; self.local_els()];
-        self.fill(0, &mut local);
+        let GenKind::Outer { u, v } = &self.kind else {
+            let mut local = vec![0.0; self.local_els()];
+            self.fill(0, &mut local);
+            return local;
+        };
+        let mut local = Vec::with_capacity(u.len() * v.len());
+        u.iter()
+            .for_each(|&ui| local.extend(v.iter().map(|&vj| ui * vj)));
         local
     }
 

@@ -32,6 +32,7 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
 
 struct Daemon {
     socket: PathBuf,
+    postmortem_dir: PathBuf,
     metrics_addr: Option<std::net::SocketAddr>,
     handle: ServerHandle,
     thread: Option<std::thread::JoinHandle<std::io::Result<()>>>,
@@ -51,9 +52,11 @@ fn spawn_daemon(metrics: bool) -> Daemon {
             seq
         )),
     };
+    let postmortem_dir = cfg.postmortem_dir.clone();
     let server = Server::bind(cfg).expect("bind");
     Daemon {
         socket: server.socket().clone(),
+        postmortem_dir,
         metrics_addr: server.metrics_addr(),
         handle: server.handle(),
         thread: Some(std::thread::spawn(move || server.run())),
@@ -72,6 +75,8 @@ impl Drop for Daemon {
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
+        // Only the daemon writes here, so after the join nothing does.
+        let _ = std::fs::remove_dir_all(&self.postmortem_dir);
     }
 }
 

@@ -365,3 +365,54 @@ fn nests_at_the_parser_cap_match_the_interpreter() {
         }
     }
 }
+
+/// `src` with the user functions `m_files`, compiled with fusion on and
+/// off, against the interpreter at p = 1, 3 and 4, bit for bit. The
+/// scripts keep every value dyadic and sum nothing, so no result
+/// depends on an order of operations the engines may choose apart.
+fn calls_match_the_interpreter(src: &str, m_files: otter_frontend::MapProvider, names: &[&str]) {
+    let opts = EngineOptions::builder().m_files(m_files.clone()).build();
+    let base = run_engine(Engine::Interpreter, src, &opts, &workstation(), 1)
+        .unwrap_or_else(|e| panic!("interpreter: {e}\n{src}"));
+    for fuse in [true, false] {
+        let mut opts = EngineOptions::builder().m_files(m_files.clone());
+        if !fuse {
+            opts = opts.disable_pass("fusion");
+        }
+        let compiled = compile(src, &opts.build()).unwrap_or_else(|e| panic!("{e}\n{src}"));
+        for p in [1usize, 3, 4] {
+            let report = run(&compiled, &RunRequest::on(meiko_cs2(), p))
+                .unwrap_or_else(|e| panic!("p={p} fusion={fuse}: {e}\n{src}"));
+            for name in names {
+                assert_eq!(
+                    result_bits(&report, name),
+                    result_bits(&base, name),
+                    "`{name}` at p={p} fusion={fuse}\n{src}"
+                );
+            }
+        }
+    }
+}
+
+/// The executor builds an element-wise loop's program once per run and
+/// keys it by instruction: a loop in a user function runs with other
+/// operand shapes on each call, and in place or into a fresh buffer.
+#[test]
+fn a_function_loop_runs_with_each_calls_shapes() {
+    let g = "function y = g(x, s)\ny = x .* s + 1;\ny = y - s * x;\n";
+    let src = "a = g((1:5)' / 4, 2);\nb = g(ones(3, 7) / 8, 0.5);\nc = g((1:300)' / 16, 3);\n\
+               for k = 1:3\n  d = g((1:(100 * k))' / 8, k);\nend\n";
+    let m = otter_frontend::MapProvider::new().with("g", g);
+    calls_match_the_interpreter(src, m, &["a", "b", "c", "d"]);
+}
+
+/// A call's outputs are written straight into the variables they are
+/// assigned to, including an output assigned twice (the last wins) and
+/// one that is also an argument (read before it is written).
+#[test]
+fn call_outputs_land_in_their_variables() {
+    let f = "function [s, t] = f(v, k)\ns = v * k;\nt = v + k;\n";
+    let src = "v = (1:5)' / 2;\n[x, x] = f(v, 2);\n[v, w] = f(v, 3);\n[p, q] = f(v, 0.5);\n";
+    let m = otter_frontend::MapProvider::new().with("f", f);
+    calls_match_the_interpreter(src, m, &["x", "v", "w", "p", "q"]);
+}
