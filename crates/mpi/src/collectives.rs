@@ -130,9 +130,8 @@ impl Comm {
                 let peer = vrank + stride;
                 if peer < p {
                     let abs = (peer + root) % p;
-                    let payload = have.as_ref().expect("tree invariant: holder has data");
-                    let payload = payload.clone();
-                    self.send_concurrent(abs, &payload, stage_width)?;
+                    let payload = have.as_deref().expect("tree invariant: holder has data");
+                    self.send_concurrent(abs, payload, stage_width)?;
                 }
             } else if vrank < stride * 2 {
                 let peer = vrank - stride;
@@ -219,8 +218,8 @@ impl Comm {
             } else if vrank < stride * 2 {
                 let peer = vrank - stride;
                 let abs = (peer + root) % p;
-                let payload = acc.clone();
-                self.send_concurrent(abs, &payload, stage_width)?;
+                // A sender's fold is done: its buffer moves into the packet.
+                self.send_payload(abs, std::mem::take(&mut acc), stage_width)?;
             }
         }
         Ok(if vrank == 0 { Some(acc) } else { None })
@@ -366,8 +365,7 @@ impl Comm {
             assert_eq!(parts.len(), p, "scatter needs one part per rank");
             for (r, part) in parts.iter().enumerate() {
                 if r != root {
-                    let payload = part.clone();
-                    self.send(r, &payload)?;
+                    self.send(r, part)?;
                 }
             }
             parts[root].clone()

@@ -49,6 +49,7 @@ pub mod error;
 pub mod fault;
 mod mailbox;
 pub mod observe;
+pub mod pool;
 pub mod runner;
 mod sched;
 mod state;

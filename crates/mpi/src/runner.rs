@@ -2,12 +2,14 @@
 //! of `W` workers, collecting either every rank's result or a
 //! structured per-rank failure report.
 //!
-//! Each rank runs its closure on a small-stack carrier thread, but at
-//! most `W` carriers execute at once (see `crate::sched`): a rank that
-//! blocks in `recv` parks — it releases its worker slot and sleeps on
-//! its own mailbox — so thousands of logical ranks multiplex over a
-//! handful of workers. With `W >= p` no rank ever queues and behavior
-//! is identical to one-thread-per-rank.
+//! Rank 0 runs on the caller's thread and every other rank on a
+//! carrier thread of the process-wide pool (`crate::pool::join_all`),
+//! so a warm process starts a job without spawning. At most `W`
+//! carriers execute at once (see `crate::sched`): a rank that blocks
+//! in `recv` parks — it releases its worker slot and sleeps on its own
+//! mailbox — so thousands of logical ranks multiplex over a handful of
+//! workers. With `W >= p` no rank ever queues and behavior is
+//! identical to one-thread-per-rank.
 //!
 //! A parked rank has no timer to poll on: a push, a finishing peer or
 //! a deadlock verdict wakes it, and the wait-for graph is walked once
@@ -21,6 +23,7 @@ use crate::error::CommError;
 use crate::fault::FaultPlan;
 use crate::mailbox::Mailbox;
 use crate::observe::{CommStats, Event, Note, Observations};
+use crate::pool;
 use crate::sched::Scheduler;
 use crate::state::JobState;
 use otter_log::{FlightEvent, JobId, DEFAULT_RECORDER_CAPACITY};
@@ -28,14 +31,7 @@ use otter_machine::Machine;
 use otter_metrics::MetricsSnapshot;
 use otter_trace::TraceSink;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
-
-/// Stack size for a rank's carrier thread. Rank bodies are shallow
-/// (compiled SPMD programs and test closures), so 1 MiB instead of the
-/// platform default ~8 MiB is what makes p=4096 carriers feasible:
-/// reserved address space stays at ~4 GiB and the *touched* pages are
-/// far fewer.
-const CARRIER_STACK_BYTES: usize = 1 << 20;
+use std::sync::{Arc, Mutex};
 
 /// The worker-pool size used when [`SpmdOptions::workers`] is `None`:
 /// the host's available parallelism (falling back to 4 when the host
@@ -343,10 +339,11 @@ where
     let mailboxes: Arc<Vec<Mailbox>> = Arc::new((0..p).map(|_| Mailbox::new()).collect());
     let sched = Arc::new(Scheduler::new(workers, p));
 
-    // Hand each rank its endpoint.
-    let mut comms: Vec<Comm> = Vec::with_capacity(p);
-    for r in 0..p {
-        comms.push(Comm::new(
+    // Rank 0 runs on the caller, every other rank on a pooled thread;
+    // each builds its own endpoint and leaves its outcome in its slot.
+    let slots: Vec<Mutex<Option<RankOutcome<R>>>> = (0..p).map(|_| Mutex::new(None)).collect();
+    pool::join_all(p, &|r| {
+        let comm = Comm::new(
             r,
             p,
             Arc::clone(&machine),
@@ -354,49 +351,25 @@ where
             Arc::clone(&sched),
             &opts,
             Arc::clone(&job),
-        ));
-    }
+        );
+        *slots[r].lock().expect("a rank's slot is never poisoned") = Some(run_rank(comm, &body));
+    });
 
-    let body = &body;
-    let outcomes: Vec<RankOutcome<R>> = if p == 1 {
-        // Single rank: run inline, no thread overhead.
-        vec![run_rank(comms.pop().unwrap(), body)]
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = comms
-                .into_iter()
-                .map(|comm| {
-                    let name = format!("vrank-{}", comm.rank());
-                    std::thread::Builder::new()
-                        .name(name)
-                        .stack_size(CARRIER_STACK_BYTES)
-                        .spawn_scoped(scope, move || run_rank(comm, body))
-                        .expect("carrier thread spawn")
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("rank panics are caught inside run_rank"))
-                .collect()
-        })
-    };
-
+    // Slots are in rank order, so both lists are too.
     let mut results: Vec<RankResult<R>> = Vec::new();
     let mut failures: Vec<RankFailure> = Vec::new();
-    for o in outcomes {
-        match o {
+    for slot in slots {
+        match slot.into_inner().ok().flatten().expect("every rank ran") {
             RankOutcome::Ok(r) => results.push(r),
             RankOutcome::Failed(f) => failures.push(f),
         }
     }
-    results.sort_by_key(|r| r.rank);
     if failures.is_empty() {
         return Ok(results);
     }
 
     // Invert the wait-for edges: each failed rank learns which peers
     // were blocked on it when the job ended.
-    failures.sort_by_key(|f| f.rank);
     let waiting_edges: Vec<(usize, usize)> = failures
         .iter()
         .filter_map(|f| f.error.waiting_on().map(|on| (f.rank, on)))

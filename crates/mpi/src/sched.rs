@@ -2,14 +2,16 @@
 //! pool of `W` execution slots.
 //!
 //! A logical rank is a *schedulable task*, not a dedicated OS thread.
-//! Each rank does run on its own small-stack carrier thread (arbitrary
-//! rank closures cannot be suspended mid-call without coroutines), but
-//! at most `W` carriers execute at any moment: a rank must hold one of
-//! `W` worker slots to run, and a rank that blocks in `recv` *parks* —
-//! it releases its slot back to the pool and sleeps on its own condvar,
-//! costing nothing but a parked stack until a message (or a verdict)
-//! wakes it. This is the scheduler-activations shape: the slot pool
-//! bounds concurrency, the carrier threads preserve blocked state.
+//! Each rank does run on one thread for its whole life (the caller's
+//! for rank 0, a pooled small-stack carrier for the others — see
+//! `crate::pool`; arbitrary rank closures cannot be suspended mid-call
+//! without coroutines), but at most `W` carriers execute at any
+//! moment: a rank must hold one of `W` worker slots to run, and a rank
+//! that blocks in `recv` *parks* — it releases its slot back to the
+//! pool and sleeps on its own condvar, costing nothing but a parked
+//! stack until a message (or a verdict) wakes it. This is the
+//! scheduler-activations shape: the slot pool bounds concurrency, the
+//! carrier threads preserve blocked state.
 //!
 //! Handoff is direct and FIFO: `release` gives the freed slot straight
 //! to the longest-waiting rank (waking exactly that rank's condvar)

@@ -31,7 +31,7 @@
 //! give every rank its own budget without locks (same pattern as
 //! [`crate::alloc`]).
 
-use crate::pool;
+use otter_mpi::pool;
 use std::cell::Cell;
 
 /// Default k-tile: 64 rows of a 512-wide `B` panel is a 256 KiB tile —

@@ -32,7 +32,6 @@ pub mod kernels;
 pub mod linalg;
 pub mod matrix;
 pub mod ops;
-pub mod pool;
 pub mod reduce;
 
 pub use dense::Dense;

@@ -30,6 +30,9 @@ pub struct JobReply {
     pub cache_hit: bool,
     /// Daemon-side seconds spent in (or skipping) compilation.
     pub compile_seconds: f64,
+    /// Daemon-side seconds spent waiting for workers behind other
+    /// jobs' runs (0 for `compile` jobs).
+    pub admit_seconds: f64,
     /// Daemon-side seconds spent running (0 for `compile` jobs).
     pub run_seconds: f64,
     /// The full response object for op-specific fields.
@@ -172,6 +175,7 @@ fn decode_job(body: Json) -> JobReply {
             .to_string(),
         cache_hit: matches!(body.get("cache_hit"), Some(Json::Bool(true))),
         compile_seconds: num("compile_seconds"),
+        admit_seconds: num("admit_seconds"),
         run_seconds: num("run_seconds"),
         body,
     }

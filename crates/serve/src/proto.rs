@@ -13,7 +13,7 @@
 //! |------------|-------------------------------------------------------|-----------------|
 //! | `ping`     | —                                                     | `schema` |
 //! | `compile`  | `source`, `options?`                                  | `cache_hit`, `compile_seconds`, `source_hash`, `options_fingerprint`, `ir_instrs` |
-//! | `run`      | `source`, `options?`, `machine?`, `ranks?`, `workers?`| compile fields + `run_seconds`, `modeled_seconds`, `messages`, `bytes`, `output`, `scalars` |
+//! | `run`      | `source`, `options?`, `machine?`, `ranks?`, `workers?`| compile fields + `admit_seconds`, `run_seconds`, `modeled_seconds`, `messages`, `bytes`, `output`, `scalars` |
 //! | `stats`    | —                                                     | cache/gate counters |
 //! | `metrics`  | —                                                     | `text`: the Prometheus exposition |
 //! | `logs`     | `level?`                                              | `events`: recent daemon flight-recorder events at or above `level` |

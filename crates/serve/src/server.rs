@@ -624,9 +624,12 @@ fn run_job(
     fields.push(id_field.clone());
     fields.push(spans_field(job_id, &["compile", "run"]));
     // Admission: take workers from the shared budget for the duration
-    // of the run (released on drop, even if the job fails).
+    // of the run (released on drop, even if the job fails). The wait
+    // for them, behind other clients' runs, is reported on its own.
+    let admit_started = Instant::now();
     let permit = state.gate.admit(workers.unwrap_or(ranks));
     let run_started = Instant::now();
+    let admit_seconds = (run_started - admit_started).as_secs_f64();
     let mut req = RunRequest::on(machine, ranks)
         .with_workers(permit.workers())
         .with_job_id(job_id);
@@ -645,11 +648,12 @@ fn run_job(
     if let Some(sink) = sink {
         state.retain_trace(job_id, otter_trace::chrome_trace(&sink.take()));
     }
-    state
-        .metrics
-        .lock()
-        .unwrap()
-        .observe("serve_run_seconds", &[], run_seconds);
+    {
+        let mut metrics = state.metrics.lock().unwrap();
+        metrics.observe("serve_admit_seconds", &[], admit_seconds);
+        metrics.observe("serve_run_seconds", &[], run_seconds);
+    }
+    fields.push(("admit_seconds".to_string(), Json::Num(admit_seconds)));
     fields.push(("run_seconds".to_string(), Json::Num(run_seconds)));
     match outcome {
         Err(e) => err_response_with(e.to_string(), vec![id_field]),

@@ -148,15 +148,20 @@ fn metrics_exposition_has_the_serve_families() {
     client
         .run("x = 1 + 1;", JobOptions::default(), "meiko", 2, None)
         .expect("cold job");
-    client
+    let warm = client
         .run("x = 1 + 1;", JobOptions::default(), "meiko", 2, None)
         .expect("warm job");
+    // A lone client never waits for workers, but the reply says so.
+    let admit = warm.body.get("admit_seconds").and_then(Json::as_num);
+    assert!(admit.is_some_and(|s| s >= 0.0), "{:?}", warm.body);
+    assert_eq!(admit, Some(warm.admit_seconds));
     let text = client.metrics_text().expect("metrics op");
     for family in [
         "otter_serve_jobs_total",
         "otter_serve_cache_hits_total",
         "otter_serve_cache_misses_total",
         "otter_serve_compile_seconds",
+        "otter_serve_admit_seconds",
         "otter_serve_run_seconds",
         "otter_serve_job_seconds",
         "otter_serve_workers_total",
